@@ -5,8 +5,8 @@ Config files are flat ``key = value`` lines with dotted section keys
 config file, then repeated ``--set key=value`` flags, then the dedicated
 flags (``--out``, ``--no-svg``, ``--no-timestamp``).
 
-Exit codes: 0 success, 1 config error, 2 truncation, 3 tracking/phase
-failure, 4 I/O error.
+Exit codes: 0 success, 1 config error, 2 truncation, 3 tracking/phase or
+numerical failure (positivity guard, negativity cross-check), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad, write_trajectory_csv
+from .dynamics import (
+    IntegratorConfig,
+    LindbladSpec,
+    PositivityError,
+    evolve_closed,
+    evolve_lindblad,
+    write_trajectory_csv,
+)
 from .experiments import (
     SweepResult,
     SweepSpec,
@@ -344,7 +351,7 @@ def run_evolve(config: RunConfig) -> int:
     h = hamiltonian(params, space)
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:
         rho0 = np.outer(psi0, psi0.conj())
-        record = evolve_lindblad(LindbladSpec.from_params(params, space), rho0,
+        record = evolve_lindblad(LindbladSpec.from_params(params, space, h), rho0,
                                  integ, space=space, params=params)
     else:
         record = evolve_closed(h, psi0, integ, space=space, params=params)
@@ -445,6 +452,16 @@ def main(argv=None) -> int:
         return EXIT_TRUNCATION
     except (TrackingError, SingularCheckpointError, CoarseGridError) as exc:
         print(f"tracking error: {exc}", file=sys.stderr)
+        return EXIT_TRACKING
+    except PositivityError as exc:
+        rates = ("model.gamma, model.p, model.p_z" if args.command == "evolve"
+                 else "sweep.open_gamma, sweep.open_p, sweep.open_p_z")
+        print(f"numerical error: {exc}; raise integrator.steps_per_period "
+              f"or lower {rates}", file=sys.stderr)
+        return EXIT_TRACKING
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}; raise integrator.steps_per_period",
+              file=sys.stderr)
         return EXIT_TRACKING
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -3,9 +3,12 @@
 Both right-hand sides are linear and time independent, so a single RK4 step
 is the degree-4 Taylor polynomial of the generator; the integrators
 precompute that step matrix once and then advance by one matrix-vector
-product per step.  ``lindblad_rhs`` stays available as the direct
-matrix-in/matrix-out form, and ``lowex_rhs`` is an independently hand-coded
-right-hand side on the five lowest basis states used as a cross-check.
+product per step.  ``lindblad_blocks`` advances several initial density
+matrices under one generator together, one matrix-matrix product per
+record, and hands them out in blocks of records of bounded size.
+``lindblad_rhs`` stays available as the direct matrix-in/matrix-out form,
+and ``lowex_rhs`` is an independently hand-coded right-hand side on the
+five lowest basis states used as a cross-check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
 NORM_DRIFT_TOL = 1e-10
+# complex entries (records x trajectories x d^2) in one block of
+# lindblad_blocks (1 MiB); the block's checks and eigendecomposition hold a
+# few arrays of that size, and no (records, d, d) trajectory is ever held
+BLOCK_ENTRIES = 1 << 16
 
 
 class PositivityError(RuntimeError):
@@ -48,10 +55,13 @@ class LindbladSpec:
         object.__setattr__(self, "hamiltonian", h)
 
     @classmethod
-    def from_params(cls, params: ModelParams, spec: SpaceSpec) -> "LindbladSpec":
+    def from_params(cls, params: ModelParams, spec: SpaceSpec,
+                    h: Optional[np.ndarray] = None) -> "LindbladSpec":
+        """Spec of ``params`` on ``spec``; ``h``, when given, is its already
+        built Hamiltonian."""
         from .model import collapse_operators, hamiltonian
 
-        return cls(hamiltonian=hamiltonian(params, spec),
+        return cls(hamiltonian=hamiltonian(params, spec) if h is None else h,
                    collapse_ops=collapse_operators(params, spec))
 
 
@@ -212,7 +222,13 @@ def lowex_rhs(params: ModelParams, rho: np.ndarray, support_tol: float = 1e-12) 
     return out
 
 
-def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
+def _check_density_stack(states: np.ndarray, times: np.ndarray,
+                         eigenvalues: Optional[np.ndarray] = None) -> None:
+    """Trace, Hermiticity and positivity of every sample.
+
+    ``eigenvalues`` (ascending, per sample) spares the eigendecomposition
+    when the caller already has one.
+    """
     traces = np.einsum("kii->k", states).real
     bad = np.abs(traces - 1.0) > TRACE_TOL
     if bad.any():
@@ -224,7 +240,9 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"Hermiticity lost at t={times[k]:g}")
-    mins = np.linalg.eigvalsh(states)[:, 0]
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(states)
+    mins = eigenvalues[:, 0]
     bad = mins < POSITIVITY_FLOOR
     if bad.any():
         k = int(np.argmax(bad))
@@ -281,33 +299,67 @@ def evolve_closed(h: np.ndarray, psi0: np.ndarray, config: IntegratorConfig,
                             params=params, max_norm_drift=max_drift)
 
 
-def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray, config: IntegratorConfig,
-                    space: Optional[SpaceSpec] = None,
-                    params: Optional[ModelParams] = None,
-                    check_health: bool = True) -> TrajectoryRecord:
-    """RK4 integration of the Lindblad equation on the full density matrix."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    d = rho0.shape[0]
-    if rho0.shape != (d, d) or spec.hamiltonian.shape != (d, d):
+def lindblad_blocks(spec: LindbladSpec, rho0s: np.ndarray, config: IntegratorConfig,
+                    space: Optional[SpaceSpec] = None, check_health: bool = True,
+                    decompose: bool = False, block_records: Optional[int] = None):
+    """Advance b initial density matrices under one Lindbladian, block by block.
+
+    The vectorised states are the columns of one matrix, advanced by one
+    matrix-matrix product per record, so the hop matrix is read once per
+    record for all of them.  Yields ``(times, states, eig)`` for consecutive
+    blocks of records: ``states`` has shape (b, r, d, d).  Every block has
+    passed the density (unless ``check_health`` is false) and truncation
+    checks.  With ``decompose``, ``eig`` is the block's ``np.linalg.eigh``
+    reshaped to (b, r, d) and (b, r, d, d), and also serves the positivity
+    check; otherwise it is None.  By default r keeps r*b*d^2 within
+    BLOCK_ENTRIES, so memory does not grow with the number of records.
+    """
+    rho0s = np.asarray(rho0s, dtype=complex)
+    b, d = rho0s.shape[0], rho0s.shape[-1]
+    if rho0s.shape != (b, d, d) or spec.hamiltonian.shape != (d, d):
         raise ValueError("rho0 and hamiltonian dimensions disagree")
 
     # compose record_stride RK4 steps into one matrix; the recorded samples
     # are identical to stepping one dt at a time (up to float associativity)
     step = rk4_step_matrix(liouvillian(spec), config.dt)
     hop = np.linalg.matrix_power(step, config.record_stride)
-    v = rho0.reshape(-1).copy()
     n_rec = config.n_steps // config.record_stride + 1
-    states = np.empty((n_rec, d, d), dtype=complex)
-    states[0] = rho0
-    for k in range(1, n_rec):
-        v = hop.dot(v)
-        states[k] = v.reshape(d, d)
-
     times = np.arange(n_rec) * (config.dt * config.record_stride)
-    if check_health:
-        _check_density_stack(states, times)
-    _check_truncation_stack(states, times, space)
-    return TrajectoryRecord(times=times, states=states, config=config, params=params)
+    if block_records is None:
+        block_records = max(1, BLOCK_ENTRIES // (b * d * d))
+    # with one column, hop @ vecs gives the bits of hop.dot(v) (checked on
+    # OpenBLAS), so the results of a lone trajectory do not depend on grouping
+    vecs = np.ascontiguousarray(rho0s.reshape(b, d * d).T)
+    for start in range(0, n_rec, block_records):
+        block_times = times[start:start + block_records]
+        r = len(block_times)
+        states = np.empty((b, r, d * d), dtype=complex)
+        for k in range(r):
+            if start + k:
+                vecs = hop @ vecs
+            states[:, k] = vecs.T
+        flat = states.reshape(b * r, d, d)
+        sample_times = np.tile(block_times, b)
+        eig = np.linalg.eigh(flat) if decompose else None
+        if check_health:
+            _check_density_stack(flat, sample_times, None if eig is None else eig[0])
+        _check_truncation_stack(flat, sample_times, space)
+        if eig is not None:
+            eig = (eig[0].reshape(b, r, d), eig[1].reshape(b, r, d, d))
+        yield block_times, states.reshape(b, r, d, d), eig
+
+
+def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray, config: IntegratorConfig,
+                    space: Optional[SpaceSpec] = None,
+                    params: Optional[ModelParams] = None,
+                    check_health: bool = True) -> TrajectoryRecord:
+    """RK4 integration of the Lindblad equation on the full density matrix."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    n_rec = config.n_steps // config.record_stride + 1
+    (times, states, _), = lindblad_blocks(spec, rho0[None], config, space=space,
+                                          check_health=check_health,
+                                          block_records=n_rec)
+    return TrajectoryRecord(times=times, states=states[0], config=config, params=params)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:

@@ -2,9 +2,11 @@
 
 Every sweep is deterministic (no randomness anywhere in the pipeline) and
 assembles rows in grid order, so re-running an identical spec reproduces
-the CSV byte for byte.  Grid points are independent jobs; with
+the CSV byte for byte.  Grid points that share model parameters form one
+job: the group builds its operators once and advances its open legs
+together (``dynamics.lindblad_blocks``).  Groups are independent; with
 ``workers > 1`` they are evaluated by a process pool and reassembled in
-order by the single writer.
+grid order by the single writer.
 """
 
 from __future__ import annotations
@@ -17,12 +19,19 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
+from .dynamics import (
+    IntegratorConfig,
+    LindbladSpec,
+    evolve_closed,
+    evolve_lindblad,
+    lindblad_blocks,
+)
 from .geomphase import (
+    BranchTracker,
     SingularCheckpointError,
     TrackingError,
-    phase_open_pure,
-    phase_unitary,
+    checkpoint_phase,
+    phase_series,
     track_dominant_eigenvector,
     wrap_angle,
 )
@@ -138,57 +147,61 @@ def _negativity_series(states: np.ndarray, space: SpaceSpec) -> np.ndarray:
     return from_eigs
 
 
-def _neg_point(args) -> list[tuple]:
-    (value, params_open, init, n_max, periods, spp, stride) = args
-    space = SpaceSpec(n_max)
-    sa = sector_analytics(params_open, init.n)
-    period = 2 * math.pi / sa.rabi_frequency
-    config = IntegratorConfig.for_periods(period, periods, spp, stride)
-    h = hamiltonian(params_open, space)
-    psi0 = initial_state(init, space)
+def _group_legs(spec: SweepSpec, params: ModelParams, inits, periods: float,
+               decompose: bool = False, block_records: Optional[int] = None):
+    """Period, closed legs and the open legs' blocks of points sharing ``params``.
 
-    closed = evolve_closed(h, psi0, config, space=space)
-    neg_c = _negativity_series(closed.states, space)
-    rho0 = np.outer(psi0, psi0.conj())
-    lspec = LindbladSpec.from_params(params_open, space)
-    opened = evolve_lindblad(lspec, rho0, config, space=space)
-    neg_o = _negativity_series(opened.states, space)
+    H, the Liouvillian and the hop are built once for the group; the open
+    legs come from ``lindblad_blocks`` as checked blocks of records.
+    """
+    space = spec.space
+    period = 2 * math.pi / sector_analytics(params, inits[0].n).rabi_frequency
+    config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
+                                          spec.record_stride)
+    h = hamiltonian(params, space)
+    psi0s = [initial_state(init, space) for init in inits]
+    closed = [evolve_closed(h, psi0, config, space=space) for psi0 in psi0s]
+    lspec = LindbladSpec.from_params(params, space, h)
+    rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
+    blocks = lindblad_blocks(lspec, rho0s, config, space=space, decompose=decompose,
+                             block_records=block_records)
+    return period, closed, blocks
 
-    return [(value, float(t), float(nc), float(no))
-            for t, nc, no in zip(closed.times, neg_c, neg_o)]
+
+def _neg_group(job, block_records: Optional[int] = None) -> list[list[tuple]]:
+    spec, params, points = job
+    values, inits = zip(*points)
+    _, closed, blocks = _group_legs(spec, params, inits, spec.periods,
+                                   block_records=block_records)
+    neg_o = []
+    for _, states, _ in blocks:
+        b, r, d, _ = states.shape
+        neg_o.append(_negativity_series(states.reshape(b * r, d, d), spec.space)
+                     .reshape(b, r))
+
+    return [[(value, float(t), float(nc), float(no))
+             for t, nc, no in zip(c.times, _negativity_series(c.states, spec.space), neg)]
+            for value, c, neg in zip(values, closed, np.concatenate(neg_o, axis=1))]
 
 
-def _gp_point(args) -> list[tuple]:
-    (value, params_open, init, n_max, m_values, spp, stride) = args
-    space = SpaceSpec(n_max)
-    sa = sector_analytics(params_open, init.n)
-    period = 2 * math.pi / sa.rabi_frequency
-    m_max = max(m_values)
-    config = IntegratorConfig.for_periods(period, float(m_max), spp, stride)
-    h = hamiltonian(params_open, space)
-    psi0 = initial_state(init, space)
-
-    closed = evolve_closed(h, psi0, config, space=space)
-    rho0 = np.outer(psi0, psi0.conj())
-    lspec = LindbladSpec.from_params(params_open, space)
-    opened = evolve_lindblad(lspec, rho0, config, space=space)
-
-    try:
-        track = track_dominant_eigenvector(opened)
-    except TrackingError:
-        nan = float("nan")
+def _gp_rows(value, m_values, period, closed, track) -> list[tuple]:
+    nan = float("nan")
+    if track is None:
         return [(value, m, m * period, nan, nan, nan, nan, nan, "tracking_error")
                 for m in m_values]
-
+    checkpoints = [track.index_of(m * period) for m in m_values]
+    # one chain per sequence serves every checkpoint on it
+    top = max(checkpoints)
+    chain_u = phase_series(closed.states[: top + 1])
+    chain_g = phase_series(track.vectors[: top + 1])
     rows = []
-    for m in m_values:
+    for m, idx in zip(m_values, checkpoints):
         tau = m * period
-        omega_plus = float(track.eigenvalues[track.index_of(tau)])
+        omega_plus = float(track.eigenvalues[idx])
         try:
-            phi_u = phase_unitary(closed, tau)
-            phi_g = phase_open_pure(track, tau)
+            phi_u = checkpoint_phase(chain_u, idx)
+            phi_g = checkpoint_phase(chain_g, idx)
         except SingularCheckpointError:
-            nan = float("nan")
             rows.append((value, m, tau, nan, nan, nan, nan, omega_plus, "singular"))
             continue
         raw = phi_g - phi_u
@@ -198,11 +211,63 @@ def _gp_point(args) -> list[tuple]:
     return rows
 
 
-def _map_points(fn, jobs, workers: int):
+def _gp_group(job, block_records: Optional[int] = None) -> list[list[tuple]]:
+    spec, params, points = job
+    values, inits = zip(*points)
+    period, closed, blocks = _group_legs(spec, params, inits, float(max(spec.m_values)),
+                                        decompose=True, block_records=block_records)
+    trackers = [BranchTracker() for _ in points]
+    for times, _, (all_w, all_v) in blocks:
+        for j, tracker in enumerate(trackers):
+            if tracker is None:
+                continue
+            try:
+                tracker.extend(times, all_w[j], all_v[j])
+            except TrackingError:
+                trackers[j] = None
+
+    return [_gp_rows(value, spec.m_values, period, c,
+                     None if tracker is None else tracker.track())
+            for value, c, tracker in zip(values, closed, trackers)]
+
+
+def _map_groups(fn, jobs, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]
+
+
+def _grouped_rows(spec: SweepSpec, group_fn, points) -> list[tuple]:
+    """Rows of (value, params, initial state) points, in grid order.
+
+    Points that share model parameters (and excitation sector) form one
+    group job, so they share H, the Liouvillian and the hop matrix; with
+    ``spec.workers > 1`` a process pool maps over the groups.
+    """
+    groups: dict[tuple[ModelParams, int], list[int]] = {}
+    for i, (_, params, init) in enumerate(points):
+        groups.setdefault((params, init.n), []).append(i)
+    jobs = [(spec, params, [(points[i][0], points[i][2]) for i in members])
+            for (params, _), members in groups.items()]
+    per_point: list[list[tuple]] = [[] for _ in points]
+    for members, rows in zip(groups.values(), _map_groups(group_fn, jobs, spec.workers)):
+        for i, point_rows in zip(members, rows):
+            per_point[i] = point_rows
+    return [row for point_rows in per_point for row in point_rows]
+
+
+def _theta_points(spec: SweepSpec) -> list[tuple]:
+    return [(theta, spec.open_params, InitialStateSpec(theta0=theta, phi0=0.0, n=1))
+            for theta in spec.grid]
+
+
+def _delta_points(spec: SweepSpec) -> list[tuple]:
+    points = []
+    for delta in spec.grid:
+        params = replace(spec.open_params, delta=delta)
+        points.append((delta, params, perpendicular_state(params, 1)))
+    return points
 
 
 def run_negativity_theta(spec: SweepSpec) -> SweepResult:
@@ -211,23 +276,14 @@ def run_negativity_theta(spec: SweepSpec) -> SweepResult:
         raise ValueError("negativity_theta requires sector-1 resonance (delta = chi)")
     if spec.grid[0] < -1e-12 or spec.grid[-1] > math.pi / 2 + 1e-12:
         raise ValueError("negativity_theta grid must lie in [0, pi/2]")
-    jobs = [(theta, spec.open_params, InitialStateSpec(theta0=theta, phi0=0.0, n=1),
-             spec.n_max, spec.periods, spec.steps_per_period, spec.record_stride)
-            for theta in spec.grid]
-    rows = [r for point in _map_points(_neg_point, jobs, spec.workers) for r in point]
-    return SweepResult(spec=spec, columns=NEG_COLUMNS, rows=rows)
+    return SweepResult(spec=spec, columns=NEG_COLUMNS,
+                       rows=_grouped_rows(spec, _neg_group, _theta_points(spec)))
 
 
 def run_negativity_delta(spec: SweepSpec) -> SweepResult:
     """Negativity vs time over a detuning grid, perpendicular initial state."""
-    jobs = []
-    for delta in spec.grid:
-        params = replace(spec.open_params, delta=delta)
-        init = perpendicular_state(params, 1)
-        jobs.append((delta, params, init, spec.n_max, spec.periods,
-                     spec.steps_per_period, spec.record_stride))
-    rows = [r for point in _map_points(_neg_point, jobs, spec.workers) for r in point]
-    return SweepResult(spec=spec, columns=NEG_COLUMNS, rows=rows)
+    return SweepResult(spec=spec, columns=NEG_COLUMNS,
+                       rows=_grouped_rows(spec, _neg_group, _delta_points(spec)))
 
 
 def run_gp_theta(spec: SweepSpec) -> SweepResult:
@@ -236,23 +292,14 @@ def run_gp_theta(spec: SweepSpec) -> SweepResult:
         raise ValueError("gp_theta requires sector-1 resonance (delta = chi)")
     if spec.grid[0] < -1e-12 or spec.grid[-1] > 2 * math.pi + 1e-12:
         raise ValueError("gp_theta grid must lie in [0, 2*pi]")
-    jobs = [(theta, spec.open_params, InitialStateSpec(theta0=theta, phi0=0.0, n=1),
-             spec.n_max, spec.m_values, spec.steps_per_period, spec.record_stride)
-            for theta in spec.grid]
-    rows = [r for point in _map_points(_gp_point, jobs, spec.workers) for r in point]
-    return SweepResult(spec=spec, columns=GP_COLUMNS, rows=rows)
+    return SweepResult(spec=spec, columns=GP_COLUMNS,
+                       rows=_grouped_rows(spec, _gp_group, _theta_points(spec)))
 
 
 def run_gp_delta(spec: SweepSpec) -> SweepResult:
     """Phase difference vs detuning with per-point perpendicular initial states."""
-    jobs = []
-    for delta in spec.grid:
-        params = replace(spec.open_params, delta=delta)
-        init = perpendicular_state(params, 1)
-        jobs.append((delta, params, init, spec.n_max, spec.m_values,
-                     spec.steps_per_period, spec.record_stride))
-    rows = [r for point in _map_points(_gp_point, jobs, spec.workers) for r in point]
-    return SweepResult(spec=spec, columns=GP_COLUMNS, rows=rows)
+    return SweepResult(spec=spec, columns=GP_COLUMNS,
+                       rows=_grouped_rows(spec, _gp_group, _delta_points(spec)))
 
 
 def run_bloch_traj(spec: SweepSpec) -> SweepResult:
@@ -284,7 +331,7 @@ def run_bloch_traj(spec: SweepSpec) -> SweepResult:
 
         closed = evolve_closed(h, psi0, config, space=space)
         rho0 = np.outer(psi0, psi0.conj())
-        opened = evolve_lindblad(LindbladSpec.from_params(params, space), rho0,
+        opened = evolve_lindblad(LindbladSpec.from_params(params, space, h), rho0,
                                  config, space=space)
         track = track_dominant_eigenvector(opened)
 

@@ -94,10 +94,21 @@ def wrap_angle(x: float) -> float:
     return math.pi if w <= -math.pi else w
 
 
-def phase_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def wrap_angles(x: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` on every element of an array.
+
+    Equal to ``wrap_angle`` bit for bit, except that -0.0 maps to +0.0;
+    the two add identically to any running sum that starts at 0.0.
+    """
+    w = x - 2 * math.pi * np.round(x / (2 * math.pi))
+    return np.where(w <= -math.pi, math.pi, w)
+
+
+def phase_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unwrapped geometric phase at every sample of a normalized state sequence.
 
-    Returns (phases, |endpoint overlaps|, min consecutive |overlap|).
+    Returns (phases, |endpoint overlaps|, min consecutive |overlap| up to
+    each sample), so one call serves every checkpoint on the sequence.
     """
     states = np.asarray(states)
     n = states.shape[0]
@@ -111,21 +122,27 @@ def phase_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     raw = np.angle(endpoint) - dyn
     phi = np.empty(n)
     phi[0] = 0.0
-    for k in range(1, n):
-        phi[k] = phi[k - 1] + wrap_angle(raw[k] - raw[k - 1])
-    min_link = float(np.abs(link).min()) if n > 1 else 1.0
+    np.cumsum(wrap_angles(np.diff(raw)), out=phi[1:])
+    min_link = np.empty(n)
+    min_link[0] = 1.0
+    np.minimum.accumulate(np.abs(link), out=min_link[1:])
     return phi, np.abs(endpoint), min_link
 
 
-def _phase_at(states: np.ndarray, idx: int) -> float:
-    phi, endpoint_abs, min_link = phase_series(states[: idx + 1])
-    if min_link <= OVERLAP_FLOOR:
+def checkpoint_phase(series: tuple[np.ndarray, np.ndarray, np.ndarray], idx: int) -> float:
+    """Phase at sample ``idx`` of a ``phase_series`` result, if it is usable there."""
+    phi, endpoint_abs, min_link = series
+    if min_link[idx] <= OVERLAP_FLOOR:
         raise CoarseGridError(
-            f"consecutive overlap {min_link:.3g} <= {OVERLAP_FLOOR}; grid too coarse")
+            f"consecutive overlap {min_link[idx]:.3g} <= {OVERLAP_FLOOR}; grid too coarse")
     if endpoint_abs[idx] < ENDPOINT_FLOOR:
         raise SingularCheckpointError(
             f"endpoint overlap {endpoint_abs[idx]:.3g} below {ENDPOINT_FLOOR:g}")
     return float(phi[idx])
+
+
+def _phase_at(states: np.ndarray, idx: int) -> float:
+    return checkpoint_phase(phase_series(states[: idx + 1]), idx)
 
 
 def phase_unitary(traj: TrajectoryRecord, t_end: float) -> float:
@@ -135,52 +152,80 @@ def phase_unitary(traj: TrajectoryRecord, t_end: float) -> float:
     return _phase_at(traj.states, traj.index_of(t_end))
 
 
-def track_dominant_eigenvector(traj: TrajectoryRecord) -> EigenTrack:
-    """Follow the eigenvector branch that starts with eigenvalue one.
+class BranchTracker:
+    """Dominant-branch continuation fed one block of eigendecompositions at a time.
 
     Continuation picks, at every sample, the eigenvector with maximal
     |overlap| against the previous tracked vector and fixes its phase so the
-    consecutive overlap is real and nonnegative.
+    consecutive overlap is real and nonnegative.  Feeding a trajectory in
+    blocks gives the same track as feeding it whole.
     """
+
+    def __init__(self):
+        self._times: list[np.ndarray] = []
+        self._eigenvalues: list[np.ndarray] = []
+        self._vectors: list[np.ndarray] = []
+        self._prev: Optional[np.ndarray] = None
+        self._floor = 1.0
+
+    def extend(self, times: np.ndarray, all_w: np.ndarray, all_v: np.ndarray) -> None:
+        """Continue through samples with ascending eigenvalues ``all_w`` and
+        eigenvector columns ``all_v``; raises TrackingError on failure."""
+        n, dim = all_w.shape
+        vectors = np.empty((n, dim), dtype=complex)
+        eigenvalues = np.empty(n)
+        start = 0
+        if self._prev is None:
+            w0, v0 = all_w[0], all_v[0]
+            if w0[-1] < 1.0 - PURITY_TOL:
+                raise TrackingError(
+                    f"initial state not pure: largest eigenvalue {w0[-1]:.9f}")
+            vectors[0] = v0[:, -1]
+            eigenvalues[0] = w0[-1]
+            self._prev = vectors[0]
+            start = 1
+
+        prev, floor = self._prev, self._floor
+        for k in range(start, n):
+            w, v = all_w[k], all_v[k]
+            overlaps = np.abs(v.conj().T @ prev)
+            order = np.argsort(overlaps)[::-1]
+            best, second = order[0], order[1]
+            if overlaps[best] - overlaps[second] < AMBIGUITY_TOL:
+                raise TrackingError(
+                    f"eigenvector overlap ambiguity at t={times[k]:g}: "
+                    f"{overlaps[best]:.8f} vs {overlaps[second]:.8f}")
+            if overlaps[best] <= OVERLAP_FLOOR:
+                raise TrackingError(
+                    f"tracking overlap {overlaps[best]:.3g} <= {OVERLAP_FLOOR} "
+                    f"at t={times[k]:g}")
+            vec = v[:, best]
+            ov = np.vdot(prev, vec)
+            vec = vec * np.exp(-1j * np.angle(ov))
+            vectors[k] = vec
+            eigenvalues[k] = w[best]
+            floor = min(floor, float(overlaps[best]))
+            prev = vec
+
+        self._prev, self._floor = prev, floor
+        self._times.append(times)
+        self._eigenvalues.append(eigenvalues)
+        self._vectors.append(vectors)
+
+    def track(self) -> EigenTrack:
+        return EigenTrack(times=np.concatenate(self._times),
+                          eigenvalues=np.concatenate(self._eigenvalues),
+                          vectors=np.concatenate(self._vectors),
+                          overlap_floor=self._floor)
+
+
+def track_dominant_eigenvector(traj: TrajectoryRecord) -> EigenTrack:
+    """Follow the eigenvector branch that starts with eigenvalue one."""
     if not traj.is_density:
         raise ValueError("tracking needs a density-matrix trajectory")
-    n = traj.states.shape[0]
-    all_w, all_v = np.linalg.eigh(traj.states)
-    w0, v0 = all_w[0], all_v[0]
-    if w0[-1] < 1.0 - PURITY_TOL:
-        raise TrackingError(f"initial state not pure: largest eigenvalue {w0[-1]:.9f}")
-
-    dim = traj.states.shape[1]
-    vectors = np.empty((n, dim), dtype=complex)
-    eigenvalues = np.empty(n)
-    vectors[0] = v0[:, -1]
-    eigenvalues[0] = w0[-1]
-    floor = 1.0
-
-    prev = vectors[0]
-    for k in range(1, n):
-        w, v = all_w[k], all_v[k]
-        overlaps = np.abs(v.conj().T @ prev)
-        order = np.argsort(overlaps)[::-1]
-        best, second = order[0], order[1]
-        if overlaps[best] - overlaps[second] < AMBIGUITY_TOL:
-            raise TrackingError(
-                f"eigenvector overlap ambiguity at t={traj.times[k]:g}: "
-                f"{overlaps[best]:.8f} vs {overlaps[second]:.8f}")
-        if overlaps[best] <= OVERLAP_FLOOR:
-            raise TrackingError(
-                f"tracking overlap {overlaps[best]:.3g} <= {OVERLAP_FLOOR} "
-                f"at t={traj.times[k]:g}")
-        vec = v[:, best]
-        ov = np.vdot(prev, vec)
-        vec = vec * np.exp(-1j * np.angle(ov))
-        vectors[k] = vec
-        eigenvalues[k] = w[best]
-        floor = min(floor, float(overlaps[best]))
-        prev = vec
-
-    return EigenTrack(times=traj.times.copy(), eigenvalues=eigenvalues,
-                      vectors=vectors, overlap_floor=floor)
+    tracker = BranchTracker()
+    tracker.extend(traj.times, *np.linalg.eigh(traj.states))
+    return tracker.track()
 
 
 def phase_open_pure(track: EigenTrack, t_end: float) -> float:
@@ -272,7 +317,7 @@ def delta_phi(params: ModelParams, initial: InitialStateSpec, m: int,
     closed = evolve_closed(h, psi0, config, space=space, params=params.closed())
     phi_u = phase_unitary(closed, tau)
 
-    lspec = LindbladSpec.from_params(params, space)
+    lspec = LindbladSpec.from_params(params, space, h)
     rho0 = np.outer(psi0, psi0.conj())
     open_traj = evolve_lindblad(lspec, rho0, config, space=space, params=params)
     track = track_dominant_eigenvector(open_traj)

@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 
 from kerrjc.cli import (
@@ -6,6 +7,7 @@ from kerrjc.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    EXIT_TRACKING,
     EXIT_TRUNCATION,
     build_config,
     main,
@@ -125,6 +127,35 @@ class TestDispatch:
                      "--set", "integrator.steps_per_period=200",
                      "--set", "integrator.periods=1.0"])
         assert code == EXIT_TRUNCATION
+
+    def test_positivity_exit(self, tmp_path, capsys):
+        # ten RK4 steps per period are far too coarse for gamma = 40
+        code = main(["evolve", "--out", str(tmp_path), "--no-timestamp",
+                     "--set", "model.gamma=40",
+                     "--set", "integrator.steps_per_period=10"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err
+        assert "trace drifted" in err
+        assert "integrator.steps_per_period" in err and "model.gamma" in err
+
+    def test_negativity_cross_check_exit(self, tmp_path, capsys, monkeypatch):
+        svd = np.linalg.svd
+
+        def skewed_svd(a, compute_uv=True):
+            return svd(a, compute_uv=compute_uv) + 1e-6
+
+        monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+        code = main(["sweep", "--kind", "negativity_theta", "--out", str(tmp_path),
+                     "--no-timestamp", "--no-svg",
+                     "--set", "integrator.steps_per_period=200",
+                     "--set", "integrator.periods=1.0",
+                     "--set", "sweep.grid_start=0.0",
+                     "--set", "sweep.grid_stop=1.0",
+                     "--set", "sweep.grid_points=2"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err
+        assert "negativity formulas disagree" in err
+        assert "integrator.steps_per_period" in err
 
     def test_io_error_exit(self, tmp_path):
         blocker = tmp_path / "file.txt"

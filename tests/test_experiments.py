@@ -4,10 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kerrjc.geomphase import wrap_angle
+from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
+from kerrjc.geomphase import (
+    BranchTracker,
+    TrackingError,
+    phase_open_pure,
+    phase_unitary,
+    track_dominant_eigenvector,
+    wrap_angle,
+)
 
 from kerrjc.experiments import (
     SweepSpec,
+    _gp_group,
+    _neg_group,
+    _negativity_series,
     default_grid,
     default_spec,
     provenance_lines,
@@ -20,7 +31,13 @@ from kerrjc.experiments import (
     write_sweep_csv,
 )
 from kerrjc.information import PLANARITY_THRESHOLD
-from kerrjc.model import ModelParams
+from kerrjc.model import (
+    InitialStateSpec,
+    ModelParams,
+    hamiltonian,
+    initial_state,
+    sector_analytics,
+)
 
 RESONANT = ModelParams(delta=0.5, chi=0.5)
 
@@ -230,3 +247,121 @@ class TestCsvAndWorkers:
         assert len(result.rows) == 2
         assert all(r[8] in ("ok", "degraded", "singular", "tracking_error")
                    for r in result.rows)
+
+
+def _per_point_legs(spec, theta, periods):
+    """One grid point alone: its own H, Lindbladian and evolve_lindblad run."""
+    params, space = spec.open_params, spec.space
+    period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
+    config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
+                                          spec.record_stride)
+    psi0 = initial_state(InitialStateSpec(theta0=theta), space)
+    closed = evolve_closed(hamiltonian(params, space), psi0, config, space=space)
+    opened = evolve_lindblad(LindbladSpec.from_params(params, space),
+                             np.outer(psi0, psi0.conj()), config, space=space)
+    return period, closed, opened
+
+
+def per_point_gp_rows(spec):
+    rows = []
+    for theta in spec.grid:
+        period, closed, opened = _per_point_legs(spec, theta, float(max(spec.m_values)))
+        track = track_dominant_eigenvector(opened)
+        for m in spec.m_values:
+            tau = m * period
+            phi_u, phi_g = phase_unitary(closed, tau), phase_open_pure(track, tau)
+            rows.append((theta, m, tau, phi_u, phi_g, wrap_angle(phi_g - phi_u),
+                         phi_g - phi_u, track.eigenvalues[track.index_of(tau)]))
+    return rows
+
+
+def per_point_neg_rows(spec):
+    rows = []
+    for theta in spec.grid:
+        _, closed, opened = _per_point_legs(spec, theta, spec.periods)
+        rows += zip([theta] * len(closed.times), closed.times,
+                    _negativity_series(closed.states, spec.space),
+                    _negativity_series(opened.states, spec.space))
+    return rows
+
+
+def group_job(spec):
+    return (spec, spec.open_params,
+            [(theta, InitialStateSpec(theta0=theta)) for theta in spec.grid])
+
+
+GP_THETA_GROUP = dict(grid=(0.0, 0.7, 2.0, 4.0), m_values=(1, 2), **SMALL_GP)
+NEG_THETA_GROUP = dict(grid=(0.0, 0.4, 1.1), **SMALL_NEG)
+
+
+class TestGroupedEngine:
+    """Points sharing model parameters advance together, block by block."""
+
+    def test_gp_theta_matches_per_point(self):
+        spec = default_spec("gp_theta", **GP_THETA_GROUP)
+        got = run_gp_theta(spec).rows
+        want = per_point_gp_rows(spec)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[8] == "ok"
+            assert g[:3] == w[:3]
+            assert np.abs(np.array(g[3:8]) - np.array(w[3:])).max() < 1e-12
+
+    def test_negativity_theta_matches_per_point(self):
+        spec = default_spec("negativity_theta", **NEG_THETA_GROUP)
+        got = np.array(run_negativity_theta(spec).rows)
+        want = np.array(per_point_neg_rows(spec))
+        assert got.shape == want.shape
+        assert np.array_equal(got[:, :3], want[:, :3])
+        assert np.abs(got[:, 3] - want[:, 3]).max() < 1e-12
+
+    @pytest.mark.parametrize("block_records", [1, 7, 100])
+    def test_gp_rows_do_not_depend_on_block_length(self, block_records):
+        job = group_job(default_spec("gp_theta", **GP_THETA_GROUP))
+        assert _gp_group(job, block_records=block_records) == _gp_group(job)
+
+    @pytest.mark.parametrize("block_records", [1, 7, 100])
+    def test_negativity_rows_do_not_depend_on_block_length(self, block_records):
+        job = group_job(default_spec("negativity_theta", **NEG_THETA_GROUP))
+        assert _neg_group(job, block_records=block_records) == _neg_group(job)
+
+    def test_one_group_per_shared_parameter_set(self, monkeypatch):
+        import kerrjc.experiments as ex
+        seen = []
+        real = ex._gp_group
+
+        def recording_group(job):
+            seen.append(job)
+            return real(job)
+
+        monkeypatch.setattr(ex, "_gp_group", recording_group)
+        run_gp_theta(default_spec("gp_theta", grid=(0.0, 1.0, 2.0), m_values=(1,),
+                                  **SMALL_GP))
+        run_gp_delta(default_spec("gp_delta", grid=(-1.0, 0.5), m_values=(1,),
+                                  **SMALL_GP))
+        assert [len(job[2]) for job in seen] == [3, 1, 1]
+
+    def test_tracking_failure_flags_only_its_point(self, monkeypatch):
+        import kerrjc.experiments as ex
+        job = group_job(default_spec("gp_theta", **GP_THETA_GROUP))
+        clean = _gp_group(job, block_records=50)
+
+        class SecondFailsMidway(BranchTracker):
+            made = 0
+
+            def __init__(self):
+                super().__init__()
+                SecondFailsMidway.made += 1
+                self.fails = SecondFailsMidway.made == 2
+                self.blocks = 0
+
+            def extend(self, *args):
+                self.blocks += 1
+                if self.fails and self.blocks == 3:
+                    raise TrackingError("injected")
+                super().extend(*args)
+
+        monkeypatch.setattr(ex, "BranchTracker", SecondFailsMidway)
+        rows = _gp_group(job, block_records=50)
+        assert [r[8] for r in rows[1]] == ["tracking_error"] * len(clean[1])
+        assert rows[0] == clean[0] and rows[2:] == clean[2:]

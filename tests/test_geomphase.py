@@ -12,6 +12,7 @@ from kerrjc.dynamics import (
     evolve_lindblad,
 )
 from kerrjc.geomphase import (
+    BranchTracker,
     CoarseGridError,
     SingularCheckpointError,
     TrackingError,
@@ -22,6 +23,7 @@ from kerrjc.geomphase import (
     phase_unitary,
     track_dominant_eigenvector,
     wrap_angle,
+    wrap_angles,
 )
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, planarity
@@ -62,6 +64,39 @@ def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
 def density_record_from_pure(traj):
     rhos = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
     return TrajectoryRecord(times=traj.times.copy(), states=rhos, config=traj.config)
+
+
+class TestWrapAngles:
+    def test_equals_scalar_wrap_bit_for_bit(self):
+        pi = math.pi
+        edges = [pi, -pi, 3 * pi, -3 * pi, 0.0]
+        edges += [np.nextafter(x, t) for x in (pi, -pi) for t in (-np.inf, np.inf)]
+        rng = np.random.default_rng(7)
+        x = np.concatenate([edges, rng.uniform(-10.0, 10.0, 20000),
+                            rng.uniform(-3 * pi, 3 * pi, 20000)])
+        want = np.array([wrap_angle(float(v)) for v in x])
+        assert np.array_equal(wrap_angles(x).view(np.int64), want.view(np.int64))
+
+    def test_negative_zero_adds_like_scalar_wrap(self):
+        # wrap_angle keeps the sign of -0.0; wrap_angles gives +0.0, and both
+        # leave a running sum that starts at 0.0 unchanged
+        assert wrap_angles(np.array([-0.0]))[0] == wrap_angle(-0.0) == 0.0
+        assert math.copysign(1.0, 0.0 + wrap_angle(-0.0)) == 1.0
+
+    def test_series_matches_scalar_accumulation(self):
+        traj, _ = closed_trajectory(RESONANT, InitialStateSpec(theta0=math.pi),
+                                    periods=3.0, spp=500)
+        phi, endpoint_abs, min_link = phase_series(traj.states)
+        link = np.einsum("ki,ki->k", traj.states[:-1].conj(), traj.states[1:])
+        raw = np.angle(np.einsum("i,ki->k", traj.states[0].conj(), traj.states)) \
+            - np.concatenate([[0.0], np.cumsum(np.angle(link))])
+        want = [0.0]
+        for k in range(1, len(raw)):
+            want.append(want[-1] + wrap_angle(raw[k] - raw[k - 1]))
+        assert np.array_equal(phi, np.array(want))
+        assert min_link[0] == 1.0
+        for k in (1, len(link) // 2, len(link)):
+            assert min_link[k] == np.abs(link[:k]).min()
 
 
 class TestPhaseUnitary:
@@ -142,6 +177,20 @@ class TestTracking:
         series = bloch_series(track.vectors, SPACE)
         report = planarity(series[:, :3], np.array(sa.axis))
         assert report.max_off_plane < PLANARITY_THRESHOLD
+
+    def test_block_fed_tracker_equals_whole_track(self):
+        opened, _ = open_trajectory(OPEN, InitialStateSpec(theta0=2.0), periods=2.0)
+        whole = track_dominant_eigenvector(opened)
+        w, v = np.linalg.eigh(opened.states)
+        tracker = BranchTracker()
+        for start in range(0, len(opened.times), 37):
+            stop = start + 37
+            tracker.extend(opened.times[start:stop], w[start:stop], v[start:stop])
+        blocked = tracker.track()
+        assert np.array_equal(blocked.times, whole.times)
+        assert np.array_equal(blocked.eigenvalues, whole.eigenvalues)
+        assert np.array_equal(blocked.vectors, whole.vectors)
+        assert blocked.overlap_floor == whole.overlap_floor
 
     def test_tracked_eigenvalue_decays(self):
         opened, period = open_trajectory(OPEN, perpendicular_state(OPEN, 1),
