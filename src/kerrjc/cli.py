@@ -33,7 +33,7 @@ from .dynamics import (
 from .experiments import (
     SweepResult,
     SweepSpec,
-    default_grid,
+    default_spec,
     provenance_lines,
     run_sweep,
     write_sweep_csv,
@@ -90,8 +90,8 @@ SCHEMA = {
     "initial.n": (int, 1),
     "initial.perpendicular": (_parse_bool, False),
     "integrator.steps_per_period": (int, 2000),
-    "integrator.record_stride": (int, 4),
-    "integrator.periods": (float, 6.0),
+    "integrator.record_stride": (int, None),
+    "integrator.periods": (float, None),
     "sweep.kind": (str, ""),
     "sweep.grid_start": (float, None),
     "sweep.grid_stop": (float, None),
@@ -118,8 +118,8 @@ class RunConfig:
     sector: int
     perpendicular: bool
     steps_per_period: int
-    record_stride: int
-    periods: float
+    record_stride: int | None
+    periods: float | None
     sweep_kind: str
     grid_start: float | None
     grid_stop: float | None
@@ -176,9 +176,9 @@ def build_config(raw: dict[str, tuple[str, int]]) -> RunConfig:
         raise ConfigError("initial.n must be >= 1")
     for key in ("integrator.steps_per_period", "integrator.record_stride",
                 "sweep.workers"):
-        if values[key] < 1:
+        if values[key] is not None and values[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
-    if values["integrator.periods"] <= 0:
+    if values["integrator.periods"] is not None and values["integrator.periods"] <= 0:
         raise ConfigError("integrator.periods must be positive")
     if values["sweep.grid_points"] is not None and values["sweep.grid_points"] < 1:
         raise ConfigError("sweep.grid_points must be >= 1")
@@ -220,68 +220,71 @@ def parse_config(text: str) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical config text; parse_config round-trips it."""
+    """Canonical config text; parse_config round-trips it.
+
+    Unset optional keys are left out: the grid, and the integrator keys
+    whose default depends on the sweep kind.
+    """
+    def num(x):
+        return None if x is None else f"{x:.17g}"
+
+    def whole(x):
+        return None if x is None else str(x)
+
     m = config.model
     pairs = [
-        ("model.delta", f"{m.delta:.17g}"),
-        ("model.chi", f"{m.chi:.17g}"),
-        ("model.g", f"{m.g:.17g}"),
-        ("model.gamma", f"{m.gamma:.17g}"),
-        ("model.p", f"{m.p:.17g}"),
-        ("model.p_z", f"{m.p_z:.17g}"),
-        ("space.n_max", str(config.n_max)),
-        ("initial.theta0", f"{config.theta0:.17g}"),
-        ("initial.phi0", f"{config.phi0:.17g}"),
-        ("initial.n", str(config.sector)),
+        ("model.delta", num(m.delta)),
+        ("model.chi", num(m.chi)),
+        ("model.g", num(m.g)),
+        ("model.gamma", num(m.gamma)),
+        ("model.p", num(m.p)),
+        ("model.p_z", num(m.p_z)),
+        ("space.n_max", whole(config.n_max)),
+        ("initial.theta0", num(config.theta0)),
+        ("initial.phi0", num(config.phi0)),
+        ("initial.n", whole(config.sector)),
         ("initial.perpendicular", "true" if config.perpendicular else "false"),
-        ("integrator.steps_per_period", str(config.steps_per_period)),
-        ("integrator.record_stride", str(config.record_stride)),
-        ("integrator.periods", f"{config.periods:.17g}"),
+        ("integrator.steps_per_period", whole(config.steps_per_period)),
+        ("integrator.record_stride", whole(config.record_stride)),
+        ("integrator.periods", num(config.periods)),
         ("sweep.kind", config.sweep_kind),
+        ("sweep.grid_start", num(config.grid_start)),
+        ("sweep.grid_stop", num(config.grid_stop)),
+        ("sweep.grid_points", whole(config.grid_points)),
         ("sweep.m_values", ",".join(str(v) for v in config.m_values)),
-        ("sweep.open_gamma", f"{config.open_rates[0]:.17g}"),
-        ("sweep.open_p", f"{config.open_rates[1]:.17g}"),
-        ("sweep.open_p_z", f"{config.open_rates[2]:.17g}"),
-        ("sweep.workers", str(config.workers)),
+        ("sweep.open_gamma", num(config.open_rates[0])),
+        ("sweep.open_p", num(config.open_rates[1])),
+        ("sweep.open_p_z", num(config.open_rates[2])),
+        ("sweep.workers", whole(config.workers)),
         ("output.dir", config.output_dir),
         ("output.emit_svg", "true" if config.emit_svg else "false"),
         ("output.timestamp", "true" if config.timestamp else "false"),
     ]
-    if config.grid_start is not None:
-        pairs.insert(15, ("sweep.grid_start", f"{config.grid_start:.17g}"))
-    if config.grid_stop is not None:
-        pairs.insert(16, ("sweep.grid_stop", f"{config.grid_stop:.17g}"))
-    if config.grid_points is not None:
-        pairs.insert(17, ("sweep.grid_points", str(config.grid_points)))
-    return "\n".join(f"{k} = {v}" for k, v in pairs if v != "") + "\n"
+    return "\n".join(f"{k} = {v}" for k, v in pairs if v) + "\n"
 
 
 def sweep_spec_from_config(config: RunConfig) -> SweepSpec:
+    """The sweep of ``config``; unset keys take the kind's ``default_spec`` values."""
     kind = config.sweep_kind
     if kind == "":
         raise ConfigError("sweep.kind is required")
+    overrides = dict(base_params=config.model, m_values=config.m_values,
+                     open_rates=config.open_rates,
+                     steps_per_period=config.steps_per_period,
+                     n_max=config.n_max, workers=config.workers)
     if config.grid_start is not None or config.grid_stop is not None \
             or config.grid_points is not None:
         if None in (config.grid_start, config.grid_stop, config.grid_points):
             raise ConfigError("sweep.grid_start/grid_stop/grid_points must be "
                               "given together")
-        grid = tuple(np.linspace(config.grid_start, config.grid_stop,
-                                 config.grid_points))
-    else:
-        grid = default_grid(kind)
+        overrides["grid"] = tuple(np.linspace(config.grid_start, config.grid_stop,
+                                              config.grid_points))
+    if config.record_stride is not None:
+        overrides["record_stride"] = config.record_stride
+    if config.periods is not None:
+        overrides["periods"] = config.periods
     try:
-        return SweepSpec(
-            kind=kind,
-            grid=grid,
-            base_params=config.model,
-            m_values=config.m_values,
-            open_rates=config.open_rates,
-            steps_per_period=config.steps_per_period,
-            record_stride=16 if kind.startswith("negativity") else config.record_stride,
-            periods=3.0 if kind == "bloch_traj" else config.periods,
-            n_max=config.n_max,
-            workers=config.workers,
-        )
+        return default_spec(kind, **overrides)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -344,9 +347,9 @@ def run_evolve(config: RunConfig) -> int:
                                 n=config.sector)
     sa = sector_analytics(params, init.n)
     period = 2 * math.pi / sa.rabi_frequency
-    integ = IntegratorConfig.for_periods(period, config.periods,
+    integ = IntegratorConfig.for_periods(period, config.periods or SweepSpec.periods,
                                          config.steps_per_period,
-                                         config.record_stride)
+                                         config.record_stride or SweepSpec.record_stride)
     psi0 = initial_state(init, space)
     h = hamiltonian(params, space)
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:

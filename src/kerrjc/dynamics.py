@@ -2,10 +2,17 @@
 
 Both right-hand sides are linear and time independent, so a single RK4 step
 is the degree-4 Taylor polynomial of the generator; the integrators
-precompute that step matrix once and then advance by one matrix-vector
-product per step.  ``lindblad_blocks`` advances several initial density
-matrices under one generator together, one matrix-matrix product per
-record, and hands them out in blocks of records of bounded size.
+precompute that step matrix once and then advance by matrix products.
+
+``closed_blocks`` advances the pure states of many grid points in lockstep,
+each under its own Hamiltonian and time step: one stacked matrix-vector
+step and one renormalisation per time step for all of them, with the same
+per-state arithmetic as a lone trajectory, so a state's bits do not depend
+on which others share its batch.  ``lindblad_blocks`` advances several
+initial density matrices under one generator together, one matrix-matrix
+product per record.  Both hand their records out in blocks of bounded size
+(``BLOCK_ENTRIES``) that have passed the guards, and ``evolve_closed`` and
+``evolve_lindblad`` are each one trajectory fed through them.
 ``lindblad_rhs`` stays available as the direct matrix-in/matrix-out form,
 and ``lowex_rhs`` is an independently hand-coded right-hand side on the
 five lowest basis states used as a cross-check.
@@ -13,7 +20,6 @@ five lowest basis states used as a cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,8 +35,9 @@ HERMITICITY_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
 NORM_DRIFT_TOL = 1e-10
 # complex entries (records x trajectories x d^2) in one block of
-# lindblad_blocks (1 MiB); the block's checks and eigendecomposition hold a
-# few arrays of that size, and no (records, d, d) trajectory is ever held
+# closed_blocks or lindblad_blocks (1 MiB); the block's checks and reducers
+# build a few d x d matrices per sample, so a closed block counts d^2 per
+# state too, and no whole trajectory of a sweep is ever held
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -267,36 +274,70 @@ def _check_truncation_stack(states: np.ndarray, times: np.ndarray,
             f"top Fock level population {pops[k]:.3e} at t={times[k]:g}; increase n_max")
 
 
+def closed_blocks(hs, psi0s, configs, space: Optional[SpaceSpec] = None,
+                  block_records: Optional[int] = None):
+    """Advance b pure states in lockstep, each under its own H and time step.
+
+    psi' = -i H psi by RK4 with renormalisation after every step.  All
+    configs must share the step count and the record stride; H and dt differ
+    per state and live in its step matrix.  Each step is one stacked
+    matrix-vector product and one norm per state, which gives the bits of a
+    lone ``step.dot(psi)`` and ``vdot`` whatever the batch (checked on
+    OpenBLAS by ``tests/test_lockstep.py``).  Yields
+    ``(times, states, drift)`` for consecutive blocks of records: ``times``
+    has shape (b, r), ``states`` (b, r, d), and ``drift`` holds each state's
+    largest per-step norm deviation before renormalisation so far.  Every
+    block has passed the truncation check.  By default r keeps r*b*d^2
+    within BLOCK_ENTRIES.
+    """
+    configs = list(configs)
+    n_steps, stride = configs[0].n_steps, configs[0].record_stride
+    if any(c.n_steps != n_steps or c.record_stride != stride for c in configs):
+        raise ValueError("lockstep closed legs need one step count and record stride")
+    cols = []
+    for psi0 in psi0s:
+        psi = np.asarray(psi0, dtype=complex).copy()
+        norm = np.linalg.norm(psi)
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError("psi0 must be normalized")
+        psi /= norm
+        cols.append(psi)
+    col = np.array(cols)[:, :, None]
+    b, d = col.shape[:2]
+    steps = np.array([rk4_step_matrix(-1j * np.asarray(h, dtype=complex), c.dt)
+                      for h, c in zip(hs, configs)])
+    if steps.shape != (b, d, d):
+        raise ValueError("psi0 and hamiltonian dimensions disagree")
+    n_rec = n_steps // stride + 1
+    times = np.array([np.arange(n_rec) * (c.dt * stride) for c in configs])
+    if block_records is None:
+        block_records = max(1, BLOCK_ENTRIES // (b * d * d))
+    drift = np.zeros((b, 1, 1))
+    for start in range(0, n_rec, block_records):
+        block_times = times[:, start:start + block_records]
+        r = block_times.shape[1]
+        states = np.empty((b, r, d), dtype=complex)
+        for k in range(r):
+            if start + k:
+                for _ in range(stride):
+                    col = np.matmul(steps, col)
+                    norm = np.sqrt(np.matmul(col.conj().transpose(0, 2, 1), col).real)
+                    np.maximum(drift, np.abs(norm - 1.0), out=drift)
+                    col /= norm
+            states[:, k] = col[:, :, 0]
+        _check_truncation_stack(states.reshape(b * r, d), block_times.reshape(-1), space)
+        yield block_times, states, drift[:, 0, 0].copy()
+
+
 def evolve_closed(h: np.ndarray, psi0: np.ndarray, config: IntegratorConfig,
                   space: Optional[SpaceSpec] = None,
                   params: Optional[ModelParams] = None) -> TrajectoryRecord:
     """RK4 integration of psi' = -i H psi with per-step renormalization."""
-    psi = np.asarray(psi0, dtype=complex).copy()
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
-    psi /= norm
-
-    step = rk4_step_matrix(-1j * np.asarray(h, dtype=complex), config.dt)
     n_rec = config.n_steps // config.record_stride + 1
-    states = np.empty((n_rec, psi.size), dtype=complex)
-    states[0] = psi
-
-    max_drift = 0.0
-    rec = 1
-    for k in range(1, config.n_steps + 1):
-        psi = step.dot(psi)
-        norm = math.sqrt(np.vdot(psi, psi).real)
-        max_drift = max(max_drift, abs(norm - 1.0))
-        psi /= norm
-        if k % config.record_stride == 0:
-            states[rec] = psi
-            rec += 1
-
-    times = np.arange(n_rec) * (config.dt * config.record_stride)
-    _check_truncation_stack(states, times, space)
-    return TrajectoryRecord(times=times, states=states, config=config,
-                            params=params, max_norm_drift=max_drift)
+    (times, states, drift), = closed_blocks([h], [psi0], [config], space=space,
+                                            block_records=n_rec)
+    return TrajectoryRecord(times=times[0], states=states[0], config=config,
+                            params=params, max_norm_drift=float(drift[0]))
 
 
 def lindblad_blocks(spec: LindbladSpec, rho0s: np.ndarray, config: IntegratorConfig,

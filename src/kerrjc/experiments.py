@@ -2,9 +2,11 @@
 
 Every sweep is deterministic (no randomness anywhere in the pipeline) and
 assembles rows in grid order, so re-running an identical spec reproduces
-the CSV byte for byte.  Grid points that share model parameters form one
-job: the group builds its operators once and advances its open legs
-together (``dynamics.lindblad_blocks``).  Groups are independent; with
+the CSV byte for byte.  The closed legs of all grid points advance in
+lockstep (``dynamics.closed_blocks``) in the calling process.  Grid points
+that share model parameters form one open-leg job: the group builds its
+operators once and advances its open legs together
+(``dynamics.lindblad_blocks``).  Groups are independent; with
 ``workers > 1`` they are evaluated by a process pool and reassembled in
 grid order by the single writer.
 """
@@ -22,16 +24,17 @@ from . import __version__
 from .dynamics import (
     IntegratorConfig,
     LindbladSpec,
+    closed_blocks,
     evolve_closed,
     evolve_lindblad,
     lindblad_blocks,
 )
 from .geomphase import (
     BranchTracker,
+    PhaseChain,
     SingularCheckpointError,
     TrackingError,
     checkpoint_phase,
-    phase_series,
     track_dominant_eigenvector,
     wrap_angle,
 )
@@ -85,6 +88,15 @@ class SweepSpec:
             raise ValueError("m values must be >= 1")
         if any(r < 0 for r in self.open_rates):
             raise ValueError("open rates must be nonnegative")
+        off_grid = [m for m in self.m_values
+                    if m * self.steps_per_period % self.record_stride]
+        if self.kind.startswith("gp") and off_grid:
+            m = off_grid[0]
+            raise ValueError(
+                f"checkpoint m={m} falls between records (m*steps_per_period/"
+                f"record_stride = {m * self.steps_per_period}/{self.record_stride}); "
+                "choose integrator.steps_per_period, integrator.record_stride and "
+                "sweep.m_values so that it is a whole number")
 
     @property
     def open_params(self) -> ModelParams:
@@ -147,60 +159,94 @@ def _negativity_series(states: np.ndarray, space: SpaceSpec) -> np.ndarray:
     return from_eigs
 
 
-def _group_legs(spec: SweepSpec, params: ModelParams, inits, periods: float,
-               decompose: bool = False, block_records: Optional[int] = None):
-    """Period, closed legs and the open legs' blocks of points sharing ``params``.
+def _checkpoints(spec: SweepSpec) -> list[int]:
+    """Record index of each checkpoint m * period (on the grid, see SweepSpec)."""
+    return [m * spec.steps_per_period // spec.record_stride for m in spec.m_values]
 
-    H, the Liouvillian and the hop are built once for the group; the open
-    legs come from ``lindblad_blocks`` as checked blocks of records.
-    """
-    space = spec.space
-    period = 2 * math.pi / sector_analytics(params, inits[0].n).rabi_frequency
-    config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
-                                          spec.record_stride)
-    h = hamiltonian(params, space)
-    psi0s = [initial_state(init, space) for init in inits]
-    closed = [evolve_closed(h, psi0, config, space=space) for psi0 in psi0s]
-    lspec = LindbladSpec.from_params(params, space, h)
+
+def _open_blocks(job, decompose: bool = False):
+    """The open legs of one group job as ``lindblad_blocks``."""
+    spec, params, psi0s, config, h = job
     rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
-    blocks = lindblad_blocks(lspec, rho0s, config, space=space, decompose=decompose,
-                             block_records=block_records)
-    return period, closed, blocks
+    return lindblad_blocks(LindbladSpec.from_params(params, spec.space, h), rho0s,
+                           config, space=spec.space, decompose=decompose)
 
 
-def _neg_group(job, block_records: Optional[int] = None) -> list[list[tuple]]:
-    spec, params, points = job
-    values, inits = zip(*points)
-    _, closed, blocks = _group_legs(spec, params, inits, spec.periods,
-                                   block_records=block_records)
-    neg_o = []
-    for _, states, _ in blocks:
+def _neg_closed(spec: SweepSpec, blocks) -> list[tuple]:
+    """(times, negativities) of every point's closed leg."""
+    times, negs = [], []
+    for block_times, states, _ in blocks:
+        b, r, d = states.shape
+        times.append(block_times)
+        negs.append(_negativity_series(states.reshape(b * r, d), spec.space).reshape(b, r))
+    return list(zip(np.concatenate(times, axis=1), np.concatenate(negs, axis=1)))
+
+
+def _neg_group(job) -> np.ndarray:
+    """Open-leg negativities (points, records) of one group."""
+    negs = []
+    for _, states, _ in _open_blocks(job):
         b, r, d, _ = states.shape
-        neg_o.append(_negativity_series(states.reshape(b * r, d, d), spec.space)
-                     .reshape(b, r))
-
-    return [[(value, float(t), float(nc), float(no))
-             for t, nc, no in zip(c.times, _negativity_series(c.states, spec.space), neg)]
-            for value, c, neg in zip(values, closed, np.concatenate(neg_o, axis=1))]
+        negs.append(_negativity_series(states.reshape(b * r, d, d), job[0].space)
+                    .reshape(b, r))
+    return np.concatenate(negs, axis=1)
 
 
-def _gp_rows(value, m_values, period, closed, track) -> list[tuple]:
+def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
+    times, neg_c = closed
+    return [(value, float(t), float(nc), float(no))
+            for t, nc, no in zip(times, neg_c, opened)]
+
+
+def _gp_closed(spec: SweepSpec, blocks) -> list[tuple]:
+    """Every point's closed phase chain at the checkpoints."""
+    chain = PhaseChain(_checkpoints(spec))
+    for _, states, _ in blocks:
+        chain.extend(states)
+    return list(zip(*chain.values))
+
+
+def _gp_group(job) -> list[Optional[tuple]]:
+    """Per point of one group: its open phase chain and tracked eigenvalue at
+    the checkpoints, or None if tracking failed."""
+    spec, psi0s = job[0], job[2]
+    trackers = [BranchTracker() for _ in psi0s]
+    for times, _, (all_w, all_v) in _open_blocks(job, decompose=True):
+        for j, tracker in enumerate(trackers):
+            if tracker is None:
+                continue
+            try:
+                tracker.extend(times, all_w[j], all_v[j])
+            except TrackingError:
+                trackers[j] = None
+
+    checkpoints = _checkpoints(spec)
+    out = []
+    for tracker in trackers:
+        if tracker is None:
+            out.append(None)
+            continue
+        track = tracker.track()
+        chain = PhaseChain(checkpoints)
+        chain.extend(track.vectors[None])
+        out.append(([v[0] for v in chain.values], track.eigenvalues[checkpoints]))
+    return out
+
+
+def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
     nan = float("nan")
-    if track is None:
+    m_values = spec.m_values
+    if opened is None:
         return [(value, m, m * period, nan, nan, nan, nan, nan, "tracking_error")
                 for m in m_values]
-    checkpoints = [track.index_of(m * period) for m in m_values]
-    # one chain per sequence serves every checkpoint on it
-    top = max(checkpoints)
-    chain_u = phase_series(closed.states[: top + 1])
-    chain_g = phase_series(track.vectors[: top + 1])
+    chain_g, omegas = opened
     rows = []
-    for m, idx in zip(m_values, checkpoints):
+    for j, m in enumerate(m_values):
         tau = m * period
-        omega_plus = float(track.eigenvalues[idx])
+        omega_plus = float(omegas[j])
         try:
-            phi_u = checkpoint_phase(chain_u, idx)
-            phi_g = checkpoint_phase(chain_g, idx)
+            phi_u = checkpoint_phase(closed, j)
+            phi_g = checkpoint_phase(chain_g, j)
         except SingularCheckpointError:
             rows.append((value, m, tau, nan, nan, nan, nan, omega_plus, "singular"))
             continue
@@ -211,26 +257,6 @@ def _gp_rows(value, m_values, period, closed, track) -> list[tuple]:
     return rows
 
 
-def _gp_group(job, block_records: Optional[int] = None) -> list[list[tuple]]:
-    spec, params, points = job
-    values, inits = zip(*points)
-    period, closed, blocks = _group_legs(spec, params, inits, float(max(spec.m_values)),
-                                        decompose=True, block_records=block_records)
-    trackers = [BranchTracker() for _ in points]
-    for times, _, (all_w, all_v) in blocks:
-        for j, tracker in enumerate(trackers):
-            if tracker is None:
-                continue
-            try:
-                tracker.extend(times, all_w[j], all_v[j])
-            except TrackingError:
-                trackers[j] = None
-
-    return [_gp_rows(value, spec.m_values, period, c,
-                     None if tracker is None else tracker.track())
-            for value, c, tracker in zip(values, closed, trackers)]
-
-
 def _map_groups(fn, jobs, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -238,23 +264,48 @@ def _map_groups(fn, jobs, workers: int):
     return [fn(j) for j in jobs]
 
 
-def _grouped_rows(spec: SweepSpec, group_fn, points) -> list[tuple]:
+def _grouped_rows(spec: SweepSpec, points) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
     Points that share model parameters (and excitation sector) form one
-    group job, so they share H, the Liouvillian and the hop matrix; with
-    ``spec.workers > 1`` a process pool maps over the groups.
+    group: H, the period and the integrator grid are built once for it.
+    The closed legs of all points advance in lockstep here
+    (``closed_blocks``) and are reduced block by block; the open legs run as
+    one job per group (sharing the Liouvillian and the hop), mapped by a
+    process pool when ``spec.workers > 1``.  Each point's two reductions
+    then become its rows.
     """
+    if spec.kind.startswith("gp"):
+        periods = float(max(spec.m_values))
+        closed_fn, group_fn, row_fn = _gp_closed, _gp_group, _gp_rows
+    else:
+        periods = spec.periods
+        closed_fn, group_fn, row_fn = _neg_closed, _neg_group, _neg_rows
+    space = spec.space
     groups: dict[tuple[ModelParams, int], list[int]] = {}
     for i, (_, params, init) in enumerate(points):
         groups.setdefault((params, init.n), []).append(i)
-    jobs = [(spec, params, [(points[i][0], points[i][2]) for i in members])
-            for (params, _), members in groups.items()]
-    per_point: list[list[tuple]] = [[] for _ in points]
-    for members, rows in zip(groups.values(), _map_groups(group_fn, jobs, spec.workers)):
-        for i, point_rows in zip(members, rows):
-            per_point[i] = point_rows
-    return [row for point_rows in per_point for row in point_rows]
+    psi0s = [initial_state(init, space) for _, _, init in points]
+    setup = [None] * len(points)  # (period, config, H) of each point's group
+    jobs = []
+    for (params, n), members in groups.items():
+        period = 2 * math.pi / sector_analytics(params, n).rabi_frequency
+        config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
+                                              spec.record_stride)
+        h = hamiltonian(params, space)
+        for i in members:
+            setup[i] = (period, config, h)
+        jobs.append((spec, params, [psi0s[i] for i in members], config, h))
+
+    _, configs, hs = zip(*setup)
+    closed = closed_fn(spec, closed_blocks(hs, psi0s, configs, space=space))
+    opened = [None] * len(points)
+    for members, results in zip(groups.values(),
+                                _map_groups(group_fn, jobs, spec.workers)):
+        for i, result in zip(members, results):
+            opened[i] = result
+    return [row for (value, _, _), (period, _, _), c, o in zip(points, setup, closed, opened)
+            for row in row_fn(spec, value, period, c, o)]
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
@@ -277,13 +328,13 @@ def run_negativity_theta(spec: SweepSpec) -> SweepResult:
     if spec.grid[0] < -1e-12 or spec.grid[-1] > math.pi / 2 + 1e-12:
         raise ValueError("negativity_theta grid must lie in [0, pi/2]")
     return SweepResult(spec=spec, columns=NEG_COLUMNS,
-                       rows=_grouped_rows(spec, _neg_group, _theta_points(spec)))
+                       rows=_grouped_rows(spec, _theta_points(spec)))
 
 
 def run_negativity_delta(spec: SweepSpec) -> SweepResult:
     """Negativity vs time over a detuning grid, perpendicular initial state."""
     return SweepResult(spec=spec, columns=NEG_COLUMNS,
-                       rows=_grouped_rows(spec, _neg_group, _delta_points(spec)))
+                       rows=_grouped_rows(spec, _delta_points(spec)))
 
 
 def run_gp_theta(spec: SweepSpec) -> SweepResult:
@@ -293,13 +344,13 @@ def run_gp_theta(spec: SweepSpec) -> SweepResult:
     if spec.grid[0] < -1e-12 or spec.grid[-1] > 2 * math.pi + 1e-12:
         raise ValueError("gp_theta grid must lie in [0, 2*pi]")
     return SweepResult(spec=spec, columns=GP_COLUMNS,
-                       rows=_grouped_rows(spec, _gp_group, _theta_points(spec)))
+                       rows=_grouped_rows(spec, _theta_points(spec)))
 
 
 def run_gp_delta(spec: SweepSpec) -> SweepResult:
     """Phase difference vs detuning with per-point perpendicular initial states."""
     return SweepResult(spec=spec, columns=GP_COLUMNS,
-                       rows=_grouped_rows(spec, _gp_group, _delta_points(spec)))
+                       rows=_grouped_rows(spec, _delta_points(spec)))
 
 
 def run_bloch_traj(spec: SweepSpec) -> SweepResult:

@@ -104,29 +104,86 @@ def wrap_angles(x: np.ndarray) -> np.ndarray:
     return np.where(w <= -math.pi, math.pi, w)
 
 
+def _accumulate(ufunc, carry: np.ndarray, values: np.ndarray,
+                initial: Optional[float]) -> np.ndarray:
+    """``ufunc.accumulate`` of ``values`` along axis 1, continued from ``carry``.
+
+    With ``initial`` (the first block) the result starts with that value at
+    sample 0 and ``carry`` must leave the first term unchanged (-0.0 for
+    add, inf for minimum); otherwise the carried term is dropped.
+    """
+    out = ufunc.accumulate(np.concatenate((carry[:, None], values), axis=1), axis=1)
+    if initial is None:
+        return out[:, 1:]
+    out[:, 0] = initial
+    return out
+
+
+class PhaseChain:
+    """The discrete phase chain of b state sequences, fed in blocks of samples.
+
+    ``extend`` takes the next r samples of every sequence, shape (b, r, d).
+    Only the values at the sample indices ``checkpoints`` are kept:
+    ``values`` is (phases, |endpoint overlaps|, min consecutive |overlap| up
+    to each checkpoint), each of shape (b, len(checkpoints)).  The running
+    sums and minima carry across blocks in the order one pass would take
+    them, so the kept values do not depend on the block lengths.
+    """
+
+    def __init__(self, checkpoints):
+        self.checkpoints = np.asarray(checkpoints, dtype=int)
+        self._seen = 0
+        self._last: Optional[np.ndarray] = None
+
+    def extend(self, states: np.ndarray) -> None:
+        states = np.asarray(states)
+        b, r = states.shape[:2]
+        start = self._last is None
+        if start:
+            self._first = states[:, 0].conj()
+            self._dyn, self._phi = np.full(b, -0.0), np.full(b, -0.0)
+            self._min = np.full(b, np.inf)
+            self._values = np.full((3, b, self.checkpoints.size), np.nan)
+            seq = states
+        else:
+            seq = np.concatenate((self._last[:, None], states), axis=1)
+        link = np.einsum("bki,bki->bk", seq[:, :-1].conj(), seq[:, 1:])
+        dyn = _accumulate(np.add, self._dyn, np.angle(link), 0.0 if start else None)
+        endpoint = np.einsum("bi,bki->bk", self._first, states)
+        raw = np.angle(endpoint) - dyn
+        turns = wrap_angles(np.diff(raw if start else
+                                    np.concatenate((self._raw, raw), axis=1), axis=1))
+        phi = _accumulate(np.add, self._phi, turns, 0.0 if start else None)
+        min_link = _accumulate(np.minimum, self._min, np.abs(link),
+                               1.0 if start else None)
+
+        idx = self.checkpoints - self._seen
+        here = (idx >= 0) & (idx < r)
+        self._values[:, :, here] = np.stack((phi, np.abs(endpoint), min_link))[:, :, idx[here]]
+        self._last = states[:, -1].copy()
+        self._dyn, self._raw, self._phi = dyn[:, -1], raw[:, -1:], phi[:, -1]
+        self._min = min_link[:, -1]
+        self._seen += r
+
+    @property
+    def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(self._values)
+
+
 def phase_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unwrapped geometric phase at every sample of a normalized state sequence.
 
     Returns (phases, |endpoint overlaps|, min consecutive |overlap| up to
-    each sample), so one call serves every checkpoint on the sequence.
+    each sample), so one call serves every checkpoint on the sequence: the
+    ``PhaseChain`` of the one sequence, fed whole, keeping every sample.
     """
     states = np.asarray(states)
     n = states.shape[0]
     if n < 1:
         raise ValueError("need at least one sample")
-    link = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
-    dyn = np.empty(n)
-    dyn[0] = 0.0
-    np.cumsum(np.angle(link), out=dyn[1:])
-    endpoint = np.einsum("i,ki->k", states[0].conj(), states)
-    raw = np.angle(endpoint) - dyn
-    phi = np.empty(n)
-    phi[0] = 0.0
-    np.cumsum(wrap_angles(np.diff(raw)), out=phi[1:])
-    min_link = np.empty(n)
-    min_link[0] = 1.0
-    np.minimum.accumulate(np.abs(link), out=min_link[1:])
-    return phi, np.abs(endpoint), min_link
+    chain = PhaseChain(np.arange(n))
+    chain.extend(states[None])
+    return tuple(v[0] for v in chain.values)
 
 
 def checkpoint_phase(series: tuple[np.ndarray, np.ndarray, np.ndarray], idx: int) -> float:

@@ -204,3 +204,48 @@ class TestDispatch:
         assert main(["validate-config", "--config", str(cfg),
                      "--set", "model.delta=0.9"]) == EXIT_OK
         assert parse_config(capsys.readouterr().out).model.delta == 0.9
+
+    @pytest.mark.parametrize("setting", ["integrator.steps_per_period=2001",
+                                         "integrator.record_stride=3"])
+    def test_off_grid_checkpoint_rejected_before_integrating(self, tmp_path, capsys,
+                                                             monkeypatch, setting):
+        import kerrjc.experiments as ex
+        integrated = []
+        for name in ("closed_blocks", "lindblad_blocks"):
+            monkeypatch.setattr(ex, name, lambda *args, **kw: integrated.append(args))
+        code = main(["sweep", "--kind", "gp_delta", "--out", str(tmp_path),
+                     "--no-timestamp", "--set", setting])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        for key in ("integrator.steps_per_period", "integrator.record_stride",
+                    "sweep.m_values"):
+            assert key in err
+        assert integrated == []
+
+    def test_explicit_record_stride_wins(self, tmp_path):
+        default = sweep_spec_from_config(parse_config("sweep.kind = negativity_delta\n"))
+        assert default.record_stride == 16
+        code = main(["sweep", "--kind", "negativity_delta", "--out", str(tmp_path),
+                     "--no-timestamp", "--no-svg",
+                     "--set", "integrator.record_stride=8",
+                     "--set", "integrator.steps_per_period=200",
+                     "--set", "integrator.periods=1.0",
+                     "--set", "sweep.grid_start=0.0",
+                     "--set", "sweep.grid_stop=1.0",
+                     "--set", "sweep.grid_points=2"])
+        assert code == EXIT_OK
+        lines = (tmp_path / "negativity_delta.csv").read_text().splitlines()
+        assert any("record_stride=8 " in line for line in lines if line.startswith("#"))
+        assert len([line for line in lines if line[0].isdigit() or line[0] == "-"]) \
+            == 2 * (200 // 8 + 1)
+
+    def test_explicit_periods_win(self, tmp_path):
+        default = sweep_spec_from_config(parse_config("sweep.kind = bloch_traj\n"))
+        assert default.periods == 3.0
+        code = main(["bloch", "--out", str(tmp_path), "--no-timestamp", "--no-svg",
+                     "--set", "integrator.periods=2",
+                     "--set", "integrator.steps_per_period=500"])
+        assert code == EXIT_OK
+        header = [line for line in (tmp_path / "bloch_traj.csv").read_text().splitlines()
+                  if line.startswith("# integrator:")]
+        assert header == ["# integrator: steps_per_period=500 record_stride=4 periods=2"]

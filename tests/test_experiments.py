@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from kerrjc.geomphase import (
 
 from kerrjc.experiments import (
     SweepSpec,
-    _gp_group,
-    _neg_group,
     _negativity_series,
     default_grid,
     default_spec,
@@ -231,10 +230,12 @@ class TestCsvAndWorkers:
         assert any("steps_per_period" in l for l in header)
 
     def test_worker_pool_matches_serial(self):
-        spec = default_spec("gp_theta", grid=(0.0, 0.9), m_values=(1,), **SMALL_GP)
-        serial = run_sweep(spec)
-        parallel = run_sweep(replace(spec, workers=2))
-        assert serial.rows == parallel.rows
+        # one θ group of two points, and three δ groups of one point each
+        for kind, grid in (("gp_theta", (0.0, 0.9)), ("gp_delta", (-1.0, 0.5, 2.0))):
+            spec = default_spec(kind, grid=grid, m_values=(1,), **SMALL_GP)
+            serial = run_sweep(spec)
+            parallel = run_sweep(replace(spec, workers=2))
+            assert serial.rows == parallel.rows
 
     def test_wrapped_column_is_wrap_of_raw(self, gp_theta_result):
         for row in gp_theta_result.rows:
@@ -285,13 +286,17 @@ def per_point_neg_rows(spec):
     return rows
 
 
-def group_job(spec):
-    return (spec, spec.open_params,
-            [(theta, InitialStateSpec(theta0=theta)) for theta in spec.grid])
+def with_block_records(monkeypatch, name, block_records):
+    """Run the sweeps' ``name`` generator with a fixed block length."""
+    import kerrjc.dynamics as dyn
+    import kerrjc.experiments as ex
+    monkeypatch.setattr(ex, name, partial(getattr(dyn, name), block_records=block_records))
 
 
 GP_THETA_GROUP = dict(grid=(0.0, 0.7, 2.0, 4.0), m_values=(1, 2), **SMALL_GP)
 NEG_THETA_GROUP = dict(grid=(0.0, 0.4, 1.1), **SMALL_NEG)
+DELTA_GRID = dict(grid=(-1.5, -0.2, 0.5, 2.5), m_values=(1, 2), steps_per_period=500,
+                  record_stride=4, periods=2.0)
 
 
 class TestGroupedEngine:
@@ -316,14 +321,28 @@ class TestGroupedEngine:
         assert np.abs(got[:, 3] - want[:, 3]).max() < 1e-12
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
-    def test_gp_rows_do_not_depend_on_block_length(self, block_records):
-        job = group_job(default_spec("gp_theta", **GP_THETA_GROUP))
-        assert _gp_group(job, block_records=block_records) == _gp_group(job)
+    def test_gp_rows_do_not_depend_on_block_length(self, block_records, monkeypatch):
+        spec = default_spec("gp_theta", **GP_THETA_GROUP)
+        default = run_gp_theta(spec).rows
+        with_block_records(monkeypatch, "lindblad_blocks", block_records)
+        assert run_gp_theta(spec).rows == default
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
-    def test_negativity_rows_do_not_depend_on_block_length(self, block_records):
-        job = group_job(default_spec("negativity_theta", **NEG_THETA_GROUP))
-        assert _neg_group(job, block_records=block_records) == _neg_group(job)
+    def test_negativity_rows_do_not_depend_on_block_length(self, block_records,
+                                                           monkeypatch):
+        spec = default_spec("negativity_theta", **NEG_THETA_GROUP)
+        default = run_negativity_theta(spec).rows
+        with_block_records(monkeypatch, "lindblad_blocks", block_records)
+        assert run_negativity_theta(spec).rows == default
+
+    @pytest.mark.parametrize("block_records", [1, 7, 100])
+    @pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
+    def test_delta_rows_do_not_depend_on_closed_block_length(self, kind, block_records,
+                                                             monkeypatch):
+        spec = default_spec(kind, **DELTA_GRID)
+        default = run_sweep(spec).rows
+        with_block_records(monkeypatch, "closed_blocks", block_records)
+        assert run_sweep(spec).rows == default
 
     def test_one_group_per_shared_parameter_set(self, monkeypatch):
         import kerrjc.experiments as ex
@@ -343,8 +362,9 @@ class TestGroupedEngine:
 
     def test_tracking_failure_flags_only_its_point(self, monkeypatch):
         import kerrjc.experiments as ex
-        job = group_job(default_spec("gp_theta", **GP_THETA_GROUP))
-        clean = _gp_group(job, block_records=50)
+        spec = default_spec("gp_theta", **GP_THETA_GROUP)
+        with_block_records(monkeypatch, "lindblad_blocks", 50)
+        clean = run_gp_theta(spec).rows
 
         class SecondFailsMidway(BranchTracker):
             made = 0
@@ -362,6 +382,8 @@ class TestGroupedEngine:
                 super().extend(*args)
 
         monkeypatch.setattr(ex, "BranchTracker", SecondFailsMidway)
-        rows = _gp_group(job, block_records=50)
-        assert [r[8] for r in rows[1]] == ["tracking_error"] * len(clean[1])
-        assert rows[0] == clean[0] and rows[2:] == clean[2:]
+        rows = run_gp_theta(spec).rows
+        second = spec.grid[1]
+        assert [r[8] for r in rows if r[0] == second] \
+            == ["tracking_error"] * len(spec.m_values)
+        assert [r for r in rows if r[0] != second] == [r for r in clean if r[0] != second]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrjc import hilbert
 from kerrjc.dynamics import (
@@ -14,6 +16,7 @@ from kerrjc.dynamics import (
 from kerrjc.geomphase import (
     BranchTracker,
     CoarseGridError,
+    PhaseChain,
     SingularCheckpointError,
     TrackingError,
     delta_phi,
@@ -64,6 +67,60 @@ def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
 def density_record_from_pure(traj):
     rhos = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
     return TrajectoryRecord(times=traj.times.copy(), states=rhos, config=traj.config)
+
+
+def one_pass_series(states):
+    """The phase chain of one whole sequence, written as one pass."""
+    link = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
+    dyn = np.concatenate([[0.0], np.cumsum(np.angle(link))])
+    endpoint = np.einsum("i,ki->k", states[0].conj(), states)
+    raw = np.angle(endpoint) - dyn
+    phi = np.concatenate([[0.0], np.cumsum(wrap_angles(np.diff(raw)))])
+    min_link = np.concatenate([[1.0], np.minimum.accumulate(np.abs(link))])
+    return phi, np.abs(endpoint), min_link
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def chain_sequences():
+    """Three closed sequences, one through the antipodal crossing, with a
+    random phase on every sample."""
+    rng = np.random.default_rng(11)
+    seqs = []
+    for theta in (math.pi, 0.7, 2.2):
+        traj, _ = closed_trajectory(RESONANT, InitialStateSpec(theta0=theta),
+                                    periods=3.0, spp=200)
+        seqs.append(traj.states * np.exp(1j * rng.uniform(-4, 4, len(traj.times)))[:, None])
+    return np.array(seqs)
+
+
+CHAIN_SEQUENCES = chain_sequences()
+
+
+class TestPhaseChain:
+    def test_phase_series_is_the_one_pass_chain(self):
+        for states in CHAIN_SEQUENCES:
+            got, want = phase_series(states), one_pass_series(states)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 60), min_size=1, max_size=8),
+           every=st.integers(1, 40))
+    def test_streamed_chain_equals_phase_series(self, lengths, every):
+        n = CHAIN_SEQUENCES.shape[1]
+        checkpoints = np.arange(0, n, every)
+        chain = PhaseChain(checkpoints)
+        start, k = 0, 0
+        while start < n:
+            stop = start + lengths[k % len(lengths)]
+            chain.extend(CHAIN_SEQUENCES[:, start:stop])
+            start, k = stop, k + 1
+        for j, states in enumerate(CHAIN_SEQUENCES):
+            whole = phase_series(states)
+            for got, want in zip(chain.values, whole):
+                assert same_bits(got[j], want[checkpoints])
 
 
 class TestWrapAngles:

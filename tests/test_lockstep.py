@@ -1,0 +1,124 @@
+"""Closed legs advanced in lockstep equal the one-trajectory step loop bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerrjc.dynamics import (
+    BLOCK_ENTRIES,
+    IntegratorConfig,
+    closed_blocks,
+    evolve_closed,
+    rk4_step_matrix,
+)
+from kerrjc.hilbert import SpaceSpec
+from kerrjc.model import (
+    InitialStateSpec,
+    ModelParams,
+    hamiltonian,
+    initial_state,
+    perpendicular_state,
+    sector_analytics,
+)
+
+SPACE = SpaceSpec(4)
+RESONANT = ModelParams(delta=0.5, chi=0.5)
+
+
+def scalar_closed(h, psi0, config):
+    """The loop of one closed leg: one matrix-vector step and one norm per step."""
+    psi = np.asarray(psi0, dtype=complex).copy()
+    psi /= np.linalg.norm(psi)
+    step = rk4_step_matrix(-1j * np.asarray(h, dtype=complex), config.dt)
+    n_rec = config.n_steps // config.record_stride + 1
+    states = np.empty((n_rec, psi.size), dtype=complex)
+    states[0] = psi
+    max_drift = 0.0
+    rec = 1
+    for k in range(1, config.n_steps + 1):
+        psi = step.dot(psi)
+        norm = math.sqrt(np.vdot(psi, psi).real)
+        max_drift = max(max_drift, abs(norm - 1.0))
+        psi /= norm
+        if k % config.record_stride == 0:
+            states[rec] = psi
+            rec += 1
+    return states, max_drift
+
+
+def legs(kind, values, steps_per_period=60, stride=4, periods=1.0):
+    """H, psi0 and config of δ points (perpendicular states) or θ points."""
+    hs, psi0s, configs = [], [], []
+    for v in values:
+        if kind == "delta":
+            params = ModelParams(delta=v, chi=0.5)
+            init = perpendicular_state(params, 1)
+        else:
+            params, init = RESONANT, InitialStateSpec(theta0=v)
+        period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
+        hs.append(hamiltonian(params, SPACE))
+        psi0s.append(initial_state(init, SPACE))
+        configs.append(IntegratorConfig.for_periods(period, periods, steps_per_period,
+                                                    stride))
+    return hs, psi0s, configs
+
+
+def assert_lockstep_is_scalar(hs, psi0s, configs, block_records=None):
+    blocks = list(closed_blocks(hs, psi0s, configs, space=SPACE,
+                                block_records=block_records))
+    states = np.concatenate([s for _, s, _ in blocks], axis=1)
+    times = np.concatenate([t for t, _, _ in blocks], axis=1)
+    drift = blocks[-1][2]
+    for j, (h, psi0, config) in enumerate(zip(hs, psi0s, configs)):
+        want, want_drift = scalar_closed(h, psi0, config)
+        assert np.array_equal(states[j], want)
+        assert drift[j] == want_drift
+        assert np.array_equal(times[j], np.arange(len(want))
+                              * (config.dt * config.record_stride))
+
+
+def test_lockstep_equals_scalar_loop():
+    # four δ points: different H and different dt in one batch
+    hs, psi0s, configs = legs("delta", (-3.0, -0.4, 0.5, 2.5), steps_per_period=400)
+    assert len({c.dt for c in configs}) == 4
+    assert_lockstep_is_scalar(hs, psi0s, configs)
+
+
+def test_evolve_closed_is_one_point_of_the_batch():
+    hs, psi0s, configs = legs("delta", (-1.0, 0.5, 3.0))
+    blocks = list(closed_blocks(hs, psi0s, configs, space=SPACE))
+    states = np.concatenate([s for _, s, _ in blocks], axis=1)
+    for j in range(3):
+        alone = evolve_closed(hs[j], psi0s[j], configs[j], space=SPACE)
+        assert np.array_equal(alone.states, states[j])
+        assert alone.max_norm_drift == blocks[-1][2][j]
+
+
+def test_block_bound_counts_d_squared():
+    hs, psi0s, configs = legs("theta", (0.0, 1.0, 2.0), steps_per_period=4000)
+    times, states, _ = next(closed_blocks(hs, psi0s, configs))
+    b, r, d = states.shape
+    assert times.shape == (b, r)
+    assert r == BLOCK_ENTRIES // (b * d * d) < configs[0].n_steps // 4
+
+
+def test_rejects_mismatched_step_counts():
+    hs, psi0s, configs = legs("delta", (-1.0, 1.0))
+    configs[1] = IntegratorConfig.for_periods(1.0, 2.0, 60, 4)
+    with pytest.raises(ValueError, match="step count"):
+        next(closed_blocks(hs, psi0s, configs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["delta", "theta"]),
+       values=st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=6),
+       stride=st.integers(1, 4),
+       block_records=st.one_of(st.none(), st.integers(1, 40)))
+def test_lockstep_equals_scalar_loop_property(kind, values, stride, block_records):
+    if kind == "theta":
+        values = [abs(v) * math.pi / 4 for v in values]
+    assert_lockstep_is_scalar(*legs(kind, values, stride=stride),
+                              block_records=block_records)
