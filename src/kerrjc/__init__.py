@@ -10,11 +10,10 @@ __version__ = "0.1.0"
 from .hilbert import SpaceSpec, TruncationError
 from .model import InitialStateSpec, ModelParams, SectorAnalytics
 from .dynamics import IntegratorConfig, LindbladSpec, PositivityError, TrajectoryRecord
-from .information import BlochVector, PlanarityReport
+from .information import PlanarityReport
 from .geomphase import (
     CoarseGridError,
     EigenTrack,
-    PhaseResult,
     SingularCheckpointError,
     TrackingError,
 )
@@ -30,10 +29,8 @@ __all__ = [
     "IntegratorConfig",
     "TrajectoryRecord",
     "PositivityError",
-    "BlochVector",
     "PlanarityReport",
     "EigenTrack",
-    "PhaseResult",
     "TrackingError",
     "SingularCheckpointError",
     "CoarseGridError",

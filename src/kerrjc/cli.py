@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,13 @@ def build_config(raw: dict[str, tuple[str, int]]) -> RunConfig:
             values[key] = conv(text)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: invalid value for {key}: {exc}") from exc
+        # a text value must come back unchanged from its `key = value` line
+        if conv is str and (text != text.strip() or len(text.splitlines()) != 1):
+            raise ConfigError(f"{key} must be one nonempty line without surrounding "
+                              f"whitespace, got {text!r}")
+    for key, (conv, _) in SCHEMA.items():
+        if conv is float and values[key] is not None and not math.isfinite(values[key]):
+            raise ConfigError(f"{key} must be finite, got {values[key]}")
 
     for rate_key in ("model.gamma", "model.p", "model.p_z", "sweep.open_gamma",
                      "sweep.open_p", "sweep.open_p_z"):
@@ -182,8 +190,8 @@ def build_config(raw: dict[str, tuple[str, int]]) -> RunConfig:
         raise ConfigError("integrator.periods must be positive")
     if values["sweep.grid_points"] is not None and values["sweep.grid_points"] < 1:
         raise ConfigError("sweep.grid_points must be >= 1")
-    if any(m < 1 for m in values["sweep.m_values"]):
-        raise ConfigError("sweep.m_values must all be >= 1")
+    if not values["sweep.m_values"] or any(m < 1 for m in values["sweep.m_values"]):
+        raise ConfigError("sweep.m_values must list one or more m, all >= 1")
 
     model = ModelParams(delta=values["model.delta"], chi=values["model.chi"],
                         g=values["model.g"], gamma=values["model.gamma"],
@@ -296,34 +304,34 @@ def emit_svg(result: SweepResult, outdir: Path) -> list[Path]:
         return []
     written: list[Path] = []
     kind = result.spec.kind
+    # one pass: the rows of each grid value, m or (case, series), in row order
+    key = (itemgetter(0, 1) if kind == "bloch_traj"
+           else itemgetter(1 if kind.startswith("gp") else 0))
+    groups: dict = {}
+    for r in result.rows:
+        groups.setdefault(key(r), []).append(r)
 
     if kind.startswith("negativity"):
         for variant, col in (("closed", 2), ("open", 3)):
-            series = []
-            for value in result.spec.grid:
-                rows = [r for r in result.rows if r[0] == value]
-                series.append((f"{value:.3g}", np.array([r[1] for r in rows]),
-                               np.array([r[col] for r in rows])))
+            series = [(f"{value:.3g}", np.array([r[1] for r in groups[value]]),
+                       np.array([r[col] for r in groups[value]]))
+                      for value in result.spec.grid]
             path = outdir / f"{kind}_{variant}.svg"
             line_chart(series, path, title=f"{kind} ({variant})",
                        xlabel="t [1/g]", ylabel="negativity")
             written.append(path)
     elif kind.startswith("gp"):
-        series = []
-        for m in result.spec.m_values:
-            rows = [r for r in result.rows if r[1] == m]
-            series.append((f"m={m}", np.array([r[0] for r in rows]),
-                           np.array([r[5] for r in rows])))
+        series = [(f"m={m}", np.array([r[0] for r in groups[m]]),
+                   np.array([r[5] for r in groups[m]]))
+                  for m in result.spec.m_values]
         path = outdir / f"{kind}_delta_phi.svg"
         line_chart(series, path, title=kind,
                    xlabel="sweep parameter", ylabel="delta phi (wrapped)")
         written.append(path)
     else:  # bloch_traj
         for case in ("resonant", "off_resonant"):
-            series = []
-            for name in ("unitary", "rho_proj", "eigvec"):
-                rows = [r for r in result.rows if r[0] == case and r[1] == name]
-                series.append((name, np.array([[r[3], r[4], r[5]] for r in rows])))
+            series = [(name, np.array([[r[3], r[4], r[5]] for r in groups[case, name]]))
+                      for name in ("unitary", "rho_proj", "eigvec")]
             path = outdir / f"bloch_{case}.svg"
             bloch_chart(series, path, title=f"Bloch trajectories ({case})")
             written.append(path)
@@ -454,7 +462,8 @@ def main(argv=None) -> int:
         print(f"truncation error: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
     except (TrackingError, SingularCheckpointError, CoarseGridError) as exc:
-        print(f"tracking error: {exc}", file=sys.stderr)
+        print(f"tracking error: {exc}; raise integrator.steps_per_period or lower "
+              "integrator.record_stride", file=sys.stderr)
         return EXIT_TRACKING
     except PositivityError as exc:
         rates = ("model.gamma, model.p, model.p_z" if args.command == "evolve"

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import hilbert
 from .hilbert import SpaceSpec, TruncationError
-from .linalg import hermiticity_defect
 from .model import ModelParams
 
 TRACE_TOL = 1e-9
@@ -54,7 +53,8 @@ class LindbladSpec:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if hermiticity_defect(h) >= 1e-10:
+        # Frobenius norm of the anti-Hermitian part relative to max(1, ||h||_F)
+        if np.linalg.norm(h - h.conj().T) / max(1.0, np.linalg.norm(h)) >= 1e-10:
             raise ValueError("hamiltonian must be Hermitian to 1e-10")
         for _, rate in self.collapse_ops:
             if rate < 0:
@@ -132,13 +132,14 @@ class TrajectoryRecord:
     def is_density(self) -> bool:
         return self.states.ndim == 3
 
-    def index_of(self, t: float) -> int:
-        """Index of a sample time on the recorded grid; raises if off-grid."""
-        step = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
-        i = int(round(t / step))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the recorded grid")
-        return i
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the sample time ``t`` on a uniform grid; raises if off-grid."""
+    step = times[1] - times[0] if len(times) > 1 else 1.0
+    i = int(round(t / step))
+    if i < 0 or i >= len(times) or abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"t={t} is not on the recorded grid")
+    return i
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -261,12 +262,7 @@ def _check_truncation_stack(states: np.ndarray, times: np.ndarray,
                             space: Optional[SpaceSpec]) -> None:
     if space is None:
         return
-    i_g = hilbert.flat_index(hilbert.ATOM_G, space.n_max, space)
-    i_e = hilbert.flat_index(hilbert.ATOM_E, space.n_max, space)
-    if states.ndim == 2:
-        pops = np.abs(states[:, i_g]) ** 2 + np.abs(states[:, i_e]) ** 2
-    else:
-        pops = states[:, i_g, i_g].real + states[:, i_e, i_e].real
+    pops = hilbert.top_level_population(states, space)
     bad = pops > hilbert.TOP_LEVEL_TOL
     if bad.any():
         k = int(np.argmax(bad))

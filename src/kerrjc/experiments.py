@@ -141,24 +141,6 @@ def default_spec(kind: str, **overrides) -> SweepSpec:
     return SweepSpec(**kw)
 
 
-def _negativity_series(states: np.ndarray, space: SpaceSpec) -> np.ndarray:
-    """Negativity per sample, batched; keeps the two-formula cross-check."""
-    if states.ndim == 2:
-        rhos = np.einsum("ki,kj->kij", states, states.conj())
-    else:
-        rhos = states
-    n, d = rhos.shape[0], rhos.shape[1]
-    pt = rhos.reshape(n, space.cavity_dim, 2, space.cavity_dim, 2)
-    pt = pt.transpose(0, 1, 4, 3, 2).reshape(n, d, d)
-    eigs = np.linalg.eigvalsh(pt)
-    from_eigs = np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
-    from_norm = (np.linalg.svd(pt, compute_uv=False).sum(axis=1) - 1.0) / 2.0
-    worst = np.abs(from_eigs - from_norm).max()
-    if worst > 1e-10:
-        raise ArithmeticError(f"negativity formulas disagree by {worst:.3e}")
-    return from_eigs
-
-
 def _checkpoints(spec: SweepSpec) -> list[int]:
     """Record index of each checkpoint m * period (on the grid, see SweepSpec)."""
     return [m * spec.steps_per_period // spec.record_stride for m in spec.m_values]
@@ -178,7 +160,7 @@ def _neg_closed(spec: SweepSpec, blocks) -> list[tuple]:
     for block_times, states, _ in blocks:
         b, r, d = states.shape
         times.append(block_times)
-        negs.append(_negativity_series(states.reshape(b * r, d), spec.space).reshape(b, r))
+        negs.append(negativity(states.reshape(b * r, d), spec.space).reshape(b, r))
     return list(zip(np.concatenate(times, axis=1), np.concatenate(negs, axis=1)))
 
 
@@ -187,7 +169,7 @@ def _neg_group(job) -> np.ndarray:
     negs = []
     for _, states, _ in _open_blocks(job):
         b, r, d, _ = states.shape
-        negs.append(_negativity_series(states.reshape(b * r, d, d), job[0].space)
+        negs.append(negativity(states.reshape(b * r, d, d), job[0].space)
                     .reshape(b, r))
     return np.concatenate(negs, axis=1)
 

@@ -24,16 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, LindbladSpec, TrajectoryRecord, evolve_closed, evolve_lindblad
-from .hilbert import SpaceSpec
-from .model import InitialStateSpec, ModelParams, hamiltonian, initial_state, sector_analytics
+from .dynamics import TrajectoryRecord, grid_index
 
 OVERLAP_FLOOR = 0.5
 AMBIGUITY_TOL = 1e-6
 ENDPOINT_FLOOR = 1e-6
 PURITY_TOL = 1e-8
 BRANCH_WEIGHT_FLOOR = 1e-12
-DEFAULT_N_MAX = 4
 
 
 class TrackingError(RuntimeError):
@@ -56,36 +53,6 @@ class EigenTrack:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     overlap_floor: float
-
-    def index_of(self, t: float) -> int:
-        step = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
-        i = int(round(t / step))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not on the track grid")
-        return i
-
-
-@dataclass(frozen=True)
-class PhaseResult:
-    """Unwrapped closed/open phases and their difference at one checkpoint.
-
-    ``delta_phi`` is the raw difference of the unwrapped phases; at exactly
-    geodesic evolutions a sample can land on the antipodal crossing, where
-    the pi-jump direction is decided by numerical noise, so the raw value
-    carries a possible 2*pi branch offset there.  ``delta_phi_wrapped`` is
-    the branch-free value in (-pi, pi].
-    """
-
-    phi_u: float
-    phi_g: float
-    delta_phi: float
-    checkpoint_time: float
-    m: int
-    omega_plus: float = float("nan")
-
-    @property
-    def delta_phi_wrapped(self) -> float:
-        return wrap_angle(self.delta_phi)
 
 
 def wrap_angle(x: float) -> float:
@@ -206,7 +173,7 @@ def phase_unitary(traj: TrajectoryRecord, t_end: float) -> float:
     """Geometric phase of a pure-state trajectory at a recorded time."""
     if traj.is_density:
         raise ValueError("phase_unitary needs a pure-state trajectory")
-    return _phase_at(traj.states, traj.index_of(t_end))
+    return _phase_at(traj.states, grid_index(traj.times, t_end))
 
 
 class BranchTracker:
@@ -287,7 +254,7 @@ def track_dominant_eigenvector(traj: TrajectoryRecord) -> EigenTrack:
 
 def phase_open_pure(track: EigenTrack, t_end: float) -> float:
     """Open-system phase for a pure initial state, from the tracked branch."""
-    return _phase_at(track.vectors, track.index_of(t_end))
+    return _phase_at(track.vectors, grid_index(track.times, t_end))
 
 
 def phase_open_general(traj: TrajectoryRecord, t_end: float) -> float:
@@ -300,7 +267,7 @@ def phase_open_general(traj: TrajectoryRecord, t_end: float) -> float:
     """
     if not traj.is_density:
         raise ValueError("phase_open_general needs a density-matrix trajectory")
-    idx = traj.index_of(t_end)
+    idx = grid_index(traj.times, t_end)
     states = traj.states[: idx + 1]
     n = states.shape[0]
 
@@ -349,37 +316,3 @@ def phase_open_general(traj: TrajectoryRecord, t_end: float) -> float:
         phi[s] = phi[s - 1] + wrap_angle(raw[s] - raw[s - 1])
 
     return float(phi[idx])
-
-
-def delta_phi(params: ModelParams, initial: InitialStateSpec, m: int,
-              space: Optional[SpaceSpec] = None,
-              steps_per_period: int = 2000,
-              record_stride: int = 4) -> PhaseResult:
-    """Closed/open phase difference after m generalized Rabi periods.
-
-    Runs both evolutions on identical grids to tau = m * 2*pi/Omega, where
-    Omega is the generalized Rabi frequency of the initial state's sector.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    space = space or SpaceSpec(DEFAULT_N_MAX)
-    sa = sector_analytics(params, initial.n)
-    period = 2 * math.pi / sa.rabi_frequency
-    tau = m * period
-    config = IntegratorConfig.for_periods(period, float(m), steps_per_period,
-                                          record_stride)
-
-    h = hamiltonian(params, space)
-    psi0 = initial_state(initial, space)
-    closed = evolve_closed(h, psi0, config, space=space, params=params.closed())
-    phi_u = phase_unitary(closed, tau)
-
-    lspec = LindbladSpec.from_params(params, space, h)
-    rho0 = np.outer(psi0, psi0.conj())
-    open_traj = evolve_lindblad(lspec, rho0, config, space=space, params=params)
-    track = track_dominant_eigenvector(open_traj)
-    phi_g = phase_open_pure(track, tau)
-    omega_plus = float(track.eigenvalues[track.index_of(tau)])
-
-    return PhaseResult(phi_u=phi_u, phi_g=phi_g, delta_phi=phi_g - phi_u,
-                       checkpoint_time=tau, m=m, omega_plus=omega_plus)

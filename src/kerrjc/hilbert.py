@@ -67,20 +67,12 @@ def basis_state(atom: str, photons: int, spec: SpaceSpec) -> np.ndarray:
     return v
 
 
-def identity(spec: SpaceSpec) -> np.ndarray:
-    return np.eye(spec.dim, dtype=complex)
-
-
 def annihilation(spec: SpaceSpec) -> np.ndarray:
     """Cavity annihilation on the full space: a|n> = sqrt(n)|n-1>."""
     a = np.zeros((spec.cavity_dim, spec.cavity_dim), dtype=complex)
     for n in range(1, spec.cavity_dim):
         a[n - 1, n] = np.sqrt(n)
     return np.kron(a, np.eye(2, dtype=complex))
-
-
-def creation(spec: SpaceSpec) -> np.ndarray:
-    return annihilation(spec).conj().T
 
 
 def number_op(spec: SpaceSpec) -> np.ndarray:
@@ -115,10 +107,11 @@ def sector_indices(n: int, spec: SpaceSpec) -> tuple[int, int]:
     return (flat_index(ATOM_E, n - 1, spec), flat_index(ATOM_G, n, spec))
 
 
-def top_level_population(state: np.ndarray, spec: SpaceSpec) -> float:
-    """Population on the highest kept Fock level (both atomic states)."""
+def top_level_population(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Population on the highest kept Fock level (both atomic states) of each
+    state of a stack: (n, d) pure states or (n, d, d) density matrices."""
     i_g = flat_index(ATOM_G, spec.n_max, spec)
     i_e = flat_index(ATOM_E, spec.n_max, spec)
-    if state.ndim == 1:
-        return float(abs(state[i_g]) ** 2 + abs(state[i_e]) ** 2)
-    return float(state[i_g, i_g].real + state[i_e, i_e].real)
+    if states.ndim == 2:
+        return np.abs(states[:, i_g]) ** 2 + np.abs(states[:, i_e]) ** 2
+    return states[:, i_g, i_g].real + states[:, i_e, i_e].real

@@ -1,5 +1,8 @@
 """Entanglement and Bloch-sphere diagnostics.
 
+Every routine here takes a stack of states: (n, d) pure states or
+(n, d, d) density matrices; a single state is a stack of one.
+
 Negativity is computed on the full truncated space (partial transpose over
 the two-level atom against the whole cavity ladder) because dissipation
 couples excitation sectors.  Bloch projections use the n=1 sector basis
@@ -16,24 +19,10 @@ import numpy as np
 
 from . import hilbert
 from .hilbert import SpaceSpec
-from .linalg import trace_norm
 
 NEGATIVITY_FORMULA_TOL = 1e-10
 PLANARITY_THRESHOLD = 0.02
 BLOCH_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Sector-projected Bloch components plus the sector population weight."""
-
-    x: float
-    y: float
-    z: float
-    weight: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 @dataclass(frozen=True)
@@ -45,56 +34,49 @@ class PlanarityReport:
     samples_used: int
 
 
-def partial_transpose_atom(rho: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """Transpose the atomic indices only."""
+def partial_transpose_atom(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Transpose the atomic indices only, of each matrix of an (n, d, d) stack."""
     d = spec.dim
-    if rho.shape != (d, d):
-        raise ValueError(f"expected shape {(d, d)}, got {rho.shape}")
-    blocks = rho.reshape(spec.cavity_dim, 2, spec.cavity_dim, 2)
-    return blocks.transpose(0, 3, 2, 1).reshape(d, d)
+    if rhos.ndim != 3 or rhos.shape[1:] != (d, d):
+        raise ValueError(f"expected shape (n, {d}, {d}), got {rhos.shape}")
+    n = rhos.shape[0]
+    blocks = rhos.reshape(n, spec.cavity_dim, 2, spec.cavity_dim, 2)
+    return blocks.transpose(0, 1, 4, 3, 2).reshape(n, d, d)
 
 
-def negativity(rho: np.ndarray, spec: SpaceSpec) -> float:
-    """Entanglement negativity: sum of |negative eigenvalues| of the partial transpose.
+def negativity(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Entanglement negativity of each state of a stack: the sum of |negative
+    eigenvalues| of its partial transpose.
 
     Cross-checked against the trace-norm form (||rho^T_A||_1 - 1)/2; the two
     must agree to NEGATIVITY_FORMULA_TOL or the eigensolve is suspect.
     """
-    pt = partial_transpose_atom(rho, spec)
+    if states.ndim == 2:
+        rhos = np.einsum("ki,kj->kij", states, states.conj())
+    else:
+        rhos = states
+    pt = partial_transpose_atom(rhos, spec)
     eigs = np.linalg.eigvalsh(pt)
-    from_eigs = float(-eigs[eigs < 0].sum())
-    from_norm = (trace_norm(pt) - 1.0) / 2.0
-    if abs(from_eigs - from_norm) > NEGATIVITY_FORMULA_TOL:
-        raise ArithmeticError(
-            f"negativity formulas disagree: {from_eigs:.3e} vs {from_norm:.3e}")
+    from_eigs = np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
+    from_norm = (np.linalg.svd(pt, compute_uv=False).sum(axis=1) - 1.0) / 2.0
+    worst = np.abs(from_eigs - from_norm).max()
+    if worst > NEGATIVITY_FORMULA_TOL:
+        raise ArithmeticError(f"negativity formulas disagree by {worst:.3e}")
     return from_eigs
 
 
-def bloch_project_n1(state: np.ndarray, spec: SpaceSpec) -> BlochVector:
-    """Project a state (vector or density matrix) onto the n=1 Bloch sphere."""
+def bloch_series(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """Sector-1 Bloch components of each state of a stack; shape (n, 4) =
+    x, y, z and the sector population weight."""
     i_e, i_g = hilbert.sector_indices(1, spec)
-    if state.ndim == 1:
-        a = abs(state[i_e]) ** 2
-        d = abs(state[i_g]) ** 2
-        c = state[i_e] * np.conj(state[i_g])
+    if states.ndim == 2:
+        a = np.abs(states[:, i_e]) ** 2
+        d = np.abs(states[:, i_g]) ** 2
+        c = states[:, i_e] * np.conj(states[:, i_g])
     else:
-        a = state[i_e, i_e].real
-        d = state[i_g, i_g].real
-        c = state[i_e, i_g]
-    return BlochVector(x=2 * c.real, y=-2 * c.imag, z=float(a - d), weight=float(a + d))
-
-
-def bloch_series(record_states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """Bloch components for every sample of a trajectory; shape (N, 4) = x,y,z,weight."""
-    i_e, i_g = hilbert.sector_indices(1, spec)
-    if record_states.ndim == 2:
-        a = np.abs(record_states[:, i_e]) ** 2
-        d = np.abs(record_states[:, i_g]) ** 2
-        c = record_states[:, i_e] * np.conj(record_states[:, i_g])
-    else:
-        a = record_states[:, i_e, i_e].real
-        d = record_states[:, i_g, i_g].real
-        c = record_states[:, i_e, i_g]
+        a = states[:, i_e, i_e].real
+        d = states[:, i_g, i_g].real
+        c = states[:, i_e, i_g]
     return np.column_stack([2 * c.real, -2 * c.imag, a - d, a + d])
 
 

@@ -189,8 +189,8 @@ def test_criterion_04_negativity_sin_law():
         eigs = np.linalg.eigvalsh(pt)
         return float(-eigs[eigs < 0].sum())
 
-    from kerrjc.experiments import _negativity_series
-    pipeline = _negativity_series(traj.states, SPACE)
+    from kerrjc.information import negativity
+    pipeline = negativity(traj.states, SPACE)
     law = np.abs(np.sin(sa.rabi_frequency * traj.times)) / 2
     worst_pipeline = np.abs(pipeline - law).max()
     worst_oracle = max(abs(brute_negativity(t) - abs(math.sin(sa.rabi_frequency * t)) / 2)

@@ -1,8 +1,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrjc.cli import (
+    SCHEMA,
     ConfigError,
     EXIT_CONFIG,
     EXIT_IO,
@@ -16,6 +19,7 @@ from kerrjc.cli import (
     serialize_config,
     sweep_spec_from_config,
 )
+from kerrjc.experiments import SWEEP_KINDS
 
 FAST_GP = [
     "--set", "integrator.steps_per_period=500",
@@ -85,6 +89,56 @@ class TestParsing:
         assert config.output_dir == "/tmp/kerrjc-env-test"
 
 
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds).map(repr)
+
+
+def _whole():
+    return st.integers(1, 10**6).map(str)
+
+
+_BOOL = st.sampled_from(["true", "false", "yes", "no", "on", "off", "1", "0", "TRUE"])
+_RATE = _floats(min_value=0.0)
+# raw text of each key; the text keys also draw arbitrary strings (newlines,
+# surrounding whitespace, the empty string), which must be refused, and
+# sweep.m_values may be empty
+RAW_TEXT = {
+    "model.delta": _floats(), "model.chi": _floats(),
+    "model.g": _floats(min_value=0.0, exclude_min=True),
+    "model.gamma": _RATE, "model.p": _RATE, "model.p_z": _RATE,
+    "space.n_max": _whole(), "initial.theta0": _floats(), "initial.phi0": _floats(),
+    "initial.n": _whole(), "initial.perpendicular": _BOOL,
+    "integrator.steps_per_period": _whole(), "integrator.record_stride": _whole(),
+    "integrator.periods": _floats(min_value=0.0, exclude_min=True),
+    "sweep.kind": st.one_of(st.sampled_from(SWEEP_KINDS), st.text()),
+    "sweep.grid_start": _floats(), "sweep.grid_stop": _floats(),
+    "sweep.grid_points": _whole(),
+    "sweep.m_values": st.lists(st.integers(1, 50), max_size=4).map(
+        lambda ms: ",".join(map(str, ms))),
+    "sweep.open_gamma": _RATE, "sweep.open_p": _RATE, "sweep.open_p_z": _RATE,
+    "sweep.workers": _whole(),
+    "output.dir": st.one_of(st.just("runs/a b"), st.text()),
+    "output.emit_svg": _BOOL, "output.timestamp": _BOOL,
+}
+
+
+def test_raw_text_covers_schema():
+    assert set(RAW_TEXT) == set(SCHEMA) and len(SCHEMA) == 26
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.fixed_dictionaries({}, optional=RAW_TEXT))
+def test_config_round_trip(raw):
+    """Any accepted config comes back equal from its canonical text; unset
+    keys (the grid triple, record_stride, periods, ...) stay unset."""
+    try:
+        config = build_config({key: (text, 1) for key, text in raw.items()})
+    except ConfigError as exc:
+        assert any(key in str(exc) for key in ("sweep.kind", "output.dir", "sweep.m_values"))
+        return
+    assert parse_config(serialize_config(config)) == config
+
+
 class TestDispatch:
     def test_sweep_writes_csv_and_svg(self, tmp_path):
         out = tmp_path / "run"
@@ -118,6 +172,37 @@ class TestDispatch:
         assert main(["sweep", "--set", "model.gamma=-1",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_CONFIG  # no kind
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["model.delta", "sweep.open_gamma", "integrator.periods",
+                                     "sweep.grid_start"])
+    def test_non_finite_value_rejected_before_integrating(self, tmp_path, capsys,
+                                                          monkeypatch, key, value):
+        import kerrjc.dynamics as dyn
+        import kerrjc.experiments as ex
+        integrated = []
+        for module in (ex, dyn):
+            for name in ("closed_blocks", "lindblad_blocks"):
+                monkeypatch.setattr(module, name, lambda *args, **kw: integrated.append(args))
+        for command in (["validate-config"], ["evolve"], ["sweep", "--kind", "gp_delta"]):
+            code = main([*command, "--out", str(tmp_path), "--no-timestamp", "--no-svg",
+                         "--set", f"{key}={value}"])
+            assert code == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+        assert integrated == []
+
+    def test_coarse_grid_exit_names_keys(self, tmp_path, capsys):
+        code = main(["sweep", "--kind", "gp_delta", "--out", str(tmp_path), "--no-svg",
+                     "--set", "integrator.steps_per_period=4",
+                     "--set", "integrator.record_stride=2",
+                     "--set", "sweep.m_values=1",
+                     "--set", "sweep.grid_start=0",
+                     "--set", "sweep.grid_stop=1",
+                     "--set", "sweep.grid_points=2"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err
+        assert "grid too coarse" in err
+        assert "integrator.steps_per_period" in err and "integrator.record_stride" in err
 
     def test_truncation_exit(self, tmp_path):
         # n_max=1 puts the initial |g1> amplitude on the top Fock level

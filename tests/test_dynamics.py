@@ -14,6 +14,7 @@ from kerrjc.dynamics import (
     dissipator,
     evolve_closed,
     evolve_lindblad,
+    grid_index,
     lindblad_rhs,
     liouvillian,
     lowex_rhs,
@@ -310,8 +311,9 @@ class TestRecordAndDump:
         assert len(traj.times) == config.n_steps // config.record_stride + 1
         with pytest.raises(ValueError):
             traj.states[0] = 0.0
+        assert grid_index(traj.times, traj.times[3]) == 3
         with pytest.raises(ValueError):
-            traj.index_of(config.dt * 1.5)
+            grid_index(traj.times, config.dt * 1.5)
 
     def test_trajectory_csv(self, tmp_path):
         config = resonant_config(periods=1.0, steps_per_period=200, stride=50)

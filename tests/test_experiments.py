@@ -5,7 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
+from kerrjc.dynamics import (
+    IntegratorConfig,
+    LindbladSpec,
+    evolve_closed,
+    evolve_lindblad,
+    grid_index,
+)
 from kerrjc.geomphase import (
     BranchTracker,
     TrackingError,
@@ -17,7 +23,6 @@ from kerrjc.geomphase import (
 
 from kerrjc.experiments import (
     SweepSpec,
-    _negativity_series,
     default_grid,
     default_spec,
     provenance_lines,
@@ -29,7 +34,7 @@ from kerrjc.experiments import (
     run_sweep,
     write_sweep_csv,
 )
-from kerrjc.information import PLANARITY_THRESHOLD
+from kerrjc.information import PLANARITY_THRESHOLD, negativity
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -272,7 +277,7 @@ def per_point_gp_rows(spec):
             tau = m * period
             phi_u, phi_g = phase_unitary(closed, tau), phase_open_pure(track, tau)
             rows.append((theta, m, tau, phi_u, phi_g, wrap_angle(phi_g - phi_u),
-                         phi_g - phi_u, track.eigenvalues[track.index_of(tau)]))
+                         phi_g - phi_u, track.eigenvalues[grid_index(track.times, tau)]))
     return rows
 
 
@@ -281,8 +286,8 @@ def per_point_neg_rows(spec):
     for theta in spec.grid:
         _, closed, opened = _per_point_legs(spec, theta, spec.periods)
         rows += zip([theta] * len(closed.times), closed.times,
-                    _negativity_series(closed.states, spec.space),
-                    _negativity_series(opened.states, spec.space))
+                    negativity(closed.states, spec.space),
+                    negativity(opened.states, spec.space))
     return rows
 
 

@@ -19,7 +19,6 @@ from kerrjc.geomphase import (
     PhaseChain,
     SingularCheckpointError,
     TrackingError,
-    delta_phi,
     phase_open_general,
     phase_open_pure,
     phase_series,
@@ -28,6 +27,7 @@ from kerrjc.geomphase import (
     wrap_angle,
     wrap_angles,
 )
+from kerrjc.experiments import default_spec, run_sweep
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, planarity
 from kerrjc.model import (
@@ -316,40 +316,48 @@ class TestOpenPhases:
             phase_open_general(closed, period)
 
 
+def gp_theta_rows(open_params, thetas, m):
+    """Rows (param, m, tau, phi_u, phi_g, delta_phi_wrapped, delta_phi_raw,
+    omega_plus, valid) of a gp_theta sweep over ``thetas`` with one checkpoint
+    m and the open leg's rates taken from ``open_params``."""
+    rates = (open_params.gamma, open_params.p, open_params.p_z)
+    spec = default_spec("gp_theta", grid=tuple(thetas), m_values=(m,), open_rates=rates)
+    return run_sweep(spec).rows
+
+
 class TestDeltaPhi:
+    """The closed/open phase difference of single points, from gp_theta sweeps."""
+
     def test_zero_rates_zero_difference(self):
-        res = delta_phi(RESONANT, InitialStateSpec(theta0=0.8), m=1)
-        assert abs(res.delta_phi) < 1e-9
-        geo = delta_phi(RESONANT, InitialStateSpec(theta0=0.0), m=1)
-        assert abs(geo.delta_phi_wrapped) < 1e-9
-        assert res.omega_plus == pytest.approx(1.0, abs=1e-9)
+        geo, res = gp_theta_rows(RESONANT, (0.0, 0.8), m=1)
+        assert abs(res[6]) < 1e-9
+        assert abs(geo[5]) < 1e-9
+        assert res[7] == pytest.approx(1.0, abs=1e-9)
 
     def test_closed_limit_small_rates(self):
         tiny = RESONANT.with_rates(1e-6, 0.0, 1e-6)
-        res = delta_phi(tiny, InitialStateSpec(theta0=0.8), m=1)
-        assert abs(res.delta_phi) < 1e-4
+        res, = gp_theta_rows(tiny, (0.8,), m=1)
+        assert abs(res[6]) < 1e-4
 
     def test_geodesic_protected(self):
-        res = delta_phi(OPEN, InitialStateSpec(theta0=0.0), m=1)
-        assert abs(res.delta_phi_wrapped) < 0.01
-        assert abs(res.phi_u - math.pi) < 1e-8
+        res, = gp_theta_rows(OPEN, (0.0,), m=1)
+        assert abs(res[5]) < 0.01
+        assert abs(res[3] - math.pi) < 1e-8
 
     def test_far_from_geodesic_above_tolerance(self):
-        res = delta_phi(OPEN, InitialStateSpec(theta0=math.pi / 4), m=3)
-        assert abs(res.delta_phi_wrapped) > 0.01
+        res, = gp_theta_rows(OPEN, (math.pi / 4,), m=3)
+        assert abs(res[5]) > 0.01
 
     def test_mirror_antisymmetry(self):
-        for theta in (0.7, 2.2):
-            a = delta_phi(OPEN, InitialStateSpec(theta0=theta), m=1)
-            b = delta_phi(OPEN, InitialStateSpec(theta0=2 * math.pi - theta), m=1)
-            assert abs(a.delta_phi + b.delta_phi) < 1e-9
+        rows = gp_theta_rows(OPEN, (0.7, 2.2, 2 * math.pi - 2.2, 2 * math.pi - 0.7), m=1)
+        for a, b in zip(rows, rows[::-1]):
+            assert abs(a[6] + b[6]) < 1e-9
 
     def test_result_consistency(self):
-        res = delta_phi(OPEN, InitialStateSpec(theta0=0.5), m=2)
-        assert res.delta_phi == pytest.approx(res.phi_g - res.phi_u, abs=1e-12)
+        res, = gp_theta_rows(OPEN, (0.5,), m=2)
+        assert res[6] == pytest.approx(res[4] - res[3], abs=1e-12)
         sa = sector_analytics(OPEN, 1)
-        assert res.checkpoint_time == pytest.approx(2 * 2 * math.pi
-                                                    / sa.rabi_frequency)
-        assert res.m == 2
+        assert res[2] == pytest.approx(2 * 2 * math.pi / sa.rabi_frequency)
+        assert res[1] == 2 and res[8] == "ok"
         with pytest.raises(ValueError):
-            delta_phi(OPEN, InitialStateSpec(theta0=0.5), m=0)
+            gp_theta_rows(OPEN, (0.5,), m=0)

@@ -77,9 +77,9 @@ class TestOperators:
 
 class TestTopLevelPopulation:
     def test_pure_and_density(self):
-        psi = basis_state("g", SPACE.n_max, SPACE)
-        assert hilbert.top_level_population(psi, SPACE) == pytest.approx(1.0)
-        rho = np.outer(psi, psi.conj())
-        assert hilbert.top_level_population(rho, SPACE) == pytest.approx(1.0)
-        psi0 = basis_state("g", 0, SPACE)
-        assert hilbert.top_level_population(psi0, SPACE) == 0.0
+        top = basis_state("g", SPACE.n_max, SPACE)
+        psis = np.array([top, basis_state("g", 0, SPACE),
+                         (top + basis_state("e", SPACE.n_max - 1, SPACE)) / np.sqrt(2)])
+        rhos = np.einsum("ki,kj->kij", psis, psis.conj())
+        for stack in (psis, rhos):
+            assert hilbert.top_level_population(stack, SPACE) == pytest.approx([1.0, 0.0, 0.5])

@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kerrjc import hilbert
 from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
 from kerrjc.hilbert import SpaceSpec, basis_state
 from kerrjc.information import (
     PLANARITY_THRESHOLD,
-    BlochVector,
-    bloch_project_n1,
     bloch_series,
     negativity,
     partial_transpose_atom,
@@ -40,6 +37,11 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def one(state, spec, fn):
+    """``fn`` of a single state, passed as a stack of one."""
+    return fn(state[None], spec)[0]
+
+
 def brute_force_partial_transpose(rho, spec):
     """Index-by-index reference, independent of the reshape implementation."""
     out = np.zeros_like(rho)
@@ -56,15 +58,22 @@ class TestPartialTranspose:
         rng = np.random.default_rng(51)
         for _ in range(5):
             rho = random_density(rng, SPACE.dim)
-            assert np.allclose(partial_transpose_atom(rho, SPACE),
+            assert np.allclose(one(rho, SPACE, partial_transpose_atom),
                                brute_force_partial_transpose(rho, SPACE))
+
+    def test_stack_transposes_each_matrix(self):
+        rng = np.random.default_rng(50)
+        rhos = np.stack([random_density(rng, SPACE.dim) for _ in range(3)])
+        pts = partial_transpose_atom(rhos, SPACE)
+        for rho, pt in zip(rhos, pts):
+            assert np.array_equal(pt, brute_force_partial_transpose(rho, SPACE))
 
     def test_product_state_spectrum_preserved(self):
         rng = np.random.default_rng(52)
         rho_c = random_density(rng, SPACE.cavity_dim)
         rho_a = random_density(rng, 2)
         rho = np.kron(rho_c, rho_a)
-        pt = partial_transpose_atom(rho, SPACE)
+        pt = one(rho, SPACE, partial_transpose_atom)
         assert np.allclose(np.sort(np.linalg.eigvalsh(pt)),
                            np.sort(np.linalg.eigvalsh(rho)))
         assert np.linalg.eigvalsh(pt).min() > -1e-12
@@ -73,47 +82,51 @@ class TestPartialTranspose:
         rng = np.random.default_rng(53)
         rho = random_density(rng, SPACE.dim)
         assert np.allclose(partial_transpose_atom(
-            partial_transpose_atom(rho, SPACE), SPACE), rho)
+            partial_transpose_atom(rho[None], SPACE), SPACE)[0], rho)
 
     def test_maximally_entangled_eigenvalue(self):
         # explicit 4x4 check on the smallest space
         small = SpaceSpec(1)
         psi = (basis_state("e", 0, small) + basis_state("g", 1, small)) / math.sqrt(2)
-        pt = partial_transpose_atom(np.outer(psi, psi.conj()), small)
+        pt = one(np.outer(psi, psi.conj()), small, partial_transpose_atom)
         eigs = np.sort(np.linalg.eigvalsh(pt))
         assert abs(eigs[0] + 0.5) < 1e-12
         assert np.allclose(eigs[1:], 0.5)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            partial_transpose_atom(np.eye(9, dtype=complex), SPACE)
+            partial_transpose_atom(np.eye(9, dtype=complex)[None], SPACE)
+        with pytest.raises(ValueError):
+            partial_transpose_atom(np.eye(SPACE.dim, dtype=complex), SPACE)
 
 
 class TestNegativity:
     def test_separable_basis_state(self):
         e0 = basis_state("e", 0, SPACE)
-        assert negativity(np.outer(e0, e0.conj()), SPACE) < 1e-12
+        assert one(np.outer(e0, e0.conj()), SPACE, negativity) < 1e-12
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5])
     def test_maximally_entangled_half(self, phi):
         psi = (basis_state("e", 0, SPACE)
                + np.exp(1j * phi) * basis_state("g", 1, SPACE)) / math.sqrt(2)
-        assert abs(negativity(np.outer(psi, psi.conj()), SPACE) - 0.5) < 1e-10
+        assert abs(one(np.outer(psi, psi.conj()), SPACE, negativity) - 0.5) < 1e-10
 
     def test_product_states_zero(self):
         rng = np.random.default_rng(54)
-        for _ in range(10):
-            rho = np.kron(random_density(rng, SPACE.cavity_dim),
-                          random_density(rng, 2))
-            assert negativity(rho, SPACE) < 1e-10
+        rhos = np.stack([np.kron(random_density(rng, SPACE.cavity_dim),
+                                 random_density(rng, 2)) for _ in range(10)])
+        assert negativity(rhos, SPACE).max() < 1e-10
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(55)
+        rhos, turned = [], []
         for _ in range(10):
             rho = random_density(rng, SPACE.dim)
             u = np.kron(random_unitary(rng, SPACE.cavity_dim), random_unitary(rng, 2))
-            assert abs(negativity(u @ rho @ u.conj().T, SPACE)
-                       - negativity(rho, SPACE)) < 1e-10
+            rhos.append(rho)
+            turned.append(u @ rho @ u.conj().T)
+        assert np.abs(negativity(np.array(turned), SPACE)
+                      - negativity(np.array(rhos), SPACE)).max() < 1e-10
 
     def test_sin_law_for_resonant_geodesic(self):
         sa = sector_analytics(RESONANT, 1)
@@ -121,31 +134,47 @@ class TestNegativity:
         config = IntegratorConfig.for_periods(period, 2.0, 2000, 8)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
         traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
-        for k, t in enumerate(traj.times):
-            rho = np.outer(traj.states[k], traj.states[k].conj())
-            target = abs(math.sin(sa.rabi_frequency * t)) / 2
-            assert abs(negativity(rho, SPACE) - target) < 1e-7
+        rhos = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
+        target = np.abs(np.sin(sa.rabi_frequency * traj.times)) / 2
+        assert np.abs(negativity(rhos, SPACE) - target).max() < 1e-7
+
+    def test_pure_stack_equals_density_stack(self):
+        rng = np.random.default_rng(59)
+        psis = np.array([initial_state(InitialStateSpec(theta0=rng.uniform(0, 2 * math.pi),
+                                                        phi0=rng.uniform(0, 2 * math.pi)),
+                                       SPACE) for _ in range(8)])
+        x = rng.normal(size=psis.shape) + 1j * rng.normal(size=psis.shape)
+        psis = np.concatenate([psis, x / np.linalg.norm(x, axis=1, keepdims=True)])
+        rhos = np.einsum("ki,kj->kij", psis, psis.conj())
+        assert np.abs(negativity(psis, SPACE) - negativity(rhos, SPACE)).max() < 1e-12
+
+    def test_cross_check_failure_raises(self, monkeypatch):
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, compute_uv=True: svd(a, compute_uv=compute_uv) + 1e-6)
+        e0 = basis_state("e", 0, SPACE)
+        with pytest.raises(ArithmeticError, match="negativity formulas disagree"):
+            negativity(e0[None], SPACE)
 
 
 class TestBlochProjection:
     def test_reference_states(self):
         e0 = basis_state("e", 0, SPACE)
-        assert np.allclose(bloch_project_n1(e0, SPACE).as_array(), [0, 0, 1])
-        assert bloch_project_n1(e0, SPACE).weight == pytest.approx(1.0)
+        assert np.allclose(one(e0, SPACE, bloch_series), [0, 0, 1, 1])
         plus = (basis_state("e", 0, SPACE) + basis_state("g", 1, SPACE)) / math.sqrt(2)
-        assert np.allclose(bloch_project_n1(plus, SPACE).as_array(), [1, 0, 0])
+        assert np.allclose(one(plus, SPACE, bloch_series), [1, 0, 0, 1])
         g0 = np.outer(basis_state("g", 0, SPACE), basis_state("g", 0, SPACE).conj())
-        b = bloch_project_n1(g0, SPACE)
-        assert np.allclose(b.as_array(), [0, 0, 0]) and b.weight == 0.0
+        b = one(g0, SPACE, bloch_series)
+        assert np.allclose(b[:3], [0, 0, 0]) and b[3] == 0.0
 
     def test_pure_sector_states_unit_radius(self):
         rng = np.random.default_rng(56)
-        for _ in range(10):
-            spec = InitialStateSpec(theta0=rng.uniform(0, 2 * math.pi),
-                                    phi0=rng.uniform(0, 2 * math.pi))
-            b = bloch_project_n1(initial_state(spec, SPACE), SPACE)
-            assert abs(np.linalg.norm(b.as_array()) - 1) < 1e-10
-            assert abs(b.weight - 1) < 1e-10
+        psis = np.array([initial_state(InitialStateSpec(theta0=rng.uniform(0, 2 * math.pi),
+                                                        phi0=rng.uniform(0, 2 * math.pi)),
+                                       SPACE) for _ in range(10)])
+        b = bloch_series(psis, SPACE)
+        assert np.abs(np.linalg.norm(b[:, :3], axis=1) - 1).max() < 1e-10
+        assert np.abs(b[:, 3] - 1).max() < 1e-10
 
     def test_y_sign_convention(self):
         # resonant evolution of |e0> must rotate +z -> -y (right-handed about +x)
@@ -154,9 +183,9 @@ class TestBlochProjection:
         config = IntegratorConfig.for_periods(period, 0.05, 2000, 10)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
         traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
-        b = bloch_project_n1(traj.states[-1], SPACE)
-        assert b.y < -1e-3
-        assert b.z < 1.0
+        _, y, z, _ = bloch_series(traj.states, SPACE)[-1]
+        assert y < -1e-3
+        assert z < 1.0
 
     def test_rotation_preserves_axis_component(self):
         params = ModelParams(delta=1.3, chi=0.4)
@@ -171,18 +200,16 @@ class TestBlochProjection:
 
     def test_radius_bounded_by_weight(self):
         rng = np.random.default_rng(58)
-        for _ in range(20):
-            rho = random_density(rng, SPACE.dim)
-            b = bloch_project_n1(rho, SPACE)
-            assert np.linalg.norm(b.as_array()) <= b.weight + 1e-9
+        rhos = np.stack([random_density(rng, SPACE.dim) for _ in range(20)])
+        b = bloch_series(rhos, SPACE)
+        assert (np.linalg.norm(b[:, :3], axis=1) <= b[:, 3] + 1e-9).all()
 
-    def test_series_matches_pointwise(self):
+    def test_pure_stack_equals_density_stack(self):
         rng = np.random.default_rng(57)
-        rhos = np.stack([random_density(rng, SPACE.dim) for _ in range(4)])
-        series = bloch_series(rhos, SPACE)
-        for k in range(4):
-            b = bloch_project_n1(rhos[k], SPACE)
-            assert np.allclose(series[k], [b.x, b.y, b.z, b.weight])
+        x = rng.normal(size=(6, SPACE.dim)) + 1j * rng.normal(size=(6, SPACE.dim))
+        psis = x / np.linalg.norm(x, axis=1, keepdims=True)
+        rhos = np.einsum("ki,kj->kij", psis, psis.conj())
+        assert np.abs(bloch_series(psis, SPACE) - bloch_series(rhos, SPACE)).max() < 1e-12
 
 
 class TestPlanarity:

@@ -5,7 +5,7 @@ import pytest
 
 from kerrjc import model
 from kerrjc.hilbert import SpaceSpec, basis_state, sector_indices
-from kerrjc.information import bloch_project_n1
+from kerrjc.information import bloch_series
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -212,22 +212,22 @@ class TestInitialAndPerpendicular:
                                  g=rng.uniform(0.3, 2.0))
             sa = sector_analytics(params, 1)
             spec = perpendicular_state(params, 1)
-            bloch = bloch_project_n1(initial_state(spec, SPACE), SPACE)
-            assert abs(bloch.as_array() @ np.array(sa.axis)) < 1e-12
+            bloch = bloch_series(initial_state(spec, SPACE)[None], SPACE)[0]
+            assert abs(bloch[:3] @ np.array(sa.axis)) < 1e-12
 
     def test_resonant_perpendicular_hits_pole(self):
         # axis = +x, perpendicular start is the |g1> pole: yz great circle
         params = ModelParams(delta=0.5, chi=0.5)
         psi = initial_state(perpendicular_state(params, 1), SPACE)
-        bloch = bloch_project_n1(psi, SPACE)
-        assert np.allclose(bloch.as_array(), [0, 0, -1], atol=1e-12)
+        bloch = bloch_series(psi[None], SPACE)[0]
+        assert np.allclose(bloch[:3], [0, 0, -1], atol=1e-12)
 
     def test_large_detuning_approaches_equator(self):
         params = ModelParams(delta=50.0, chi=0.0)
-        bloch = bloch_project_n1(initial_state(perpendicular_state(params, 1), SPACE),
-                                 SPACE)
-        assert abs(bloch.z) < 0.05
-        assert bloch.weight == pytest.approx(1.0)
+        psi = initial_state(perpendicular_state(params, 1), SPACE)
+        _, _, z, weight = bloch_series(psi[None], SPACE)[0]
+        assert abs(z) < 0.05
+        assert weight == pytest.approx(1.0)
 
 
 def test_collapse_operators_filter_zero_rates():
