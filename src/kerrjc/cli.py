@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -35,7 +35,6 @@ from .experiments import (
     SweepResult,
     SweepSpec,
     default_spec,
-    provenance_lines,
     run_sweep,
     write_sweep_csv,
 )

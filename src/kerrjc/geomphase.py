@@ -14,6 +14,11 @@ pi-jumps at antipodal crossings survive.
 The open-system phase follows the density-matrix eigenvector branch whose
 eigenvalue is one at t0, continued by maximal overlap (not by eigenvalue
 order, since the branch's eigenvalue decays and may cross others).
+``BranchTracker`` picks the branch with array operations; only the phase
+fix of each picked vector is a per-sample recurrence, kept in its exact
+sequential form (``np.vdot`` on the strided column, then ``arctan2``),
+because a cumulative-sum form changes the bits of the chain and can move a
+phase by 2 pi where it passes an antipodal crossing.
 """
 
 from __future__ import annotations
@@ -180,9 +185,16 @@ class BranchTracker:
     """Dominant-branch continuation fed one block of eigendecompositions at a time.
 
     Continuation picks, at every sample, the eigenvector with maximal
-    |overlap| against the previous tracked vector and fixes its phase so the
-    consecutive overlap is real and nonnegative.  Feeding a trajectory in
-    blocks gives the same track as feeding it whole.
+    |overlap| against the previous sample's picked eigenvector and fixes its
+    phase so the consecutive overlap with the previous tracked vector is real
+    and nonnegative.  Selection runs on arrays: the picked column index is
+    assumed to stay put through the block, one batched product gives every
+    sample's |overlaps| under that assumption, and the pass restarts after
+    the first sample whose best column differs (an eigenvalue crossing).
+    Only the phase fix is a per-sample recurrence.  The selection overlaps
+    use the raw eigenvector columns, carried across blocks, so feeding a
+    trajectory in blocks gives the same track, bit for bit, as feeding it
+    whole.
     """
 
     def __init__(self):
@@ -190,50 +202,66 @@ class BranchTracker:
         self._eigenvalues: list[np.ndarray] = []
         self._vectors: list[np.ndarray] = []
         self._prev: Optional[np.ndarray] = None
+        self._j: Optional[int] = None
+        self._col: Optional[np.ndarray] = None
         self._floor = 1.0
 
     def extend(self, times: np.ndarray, all_w: np.ndarray, all_v: np.ndarray) -> None:
         """Continue through samples with ascending eigenvalues ``all_w`` and
         eigenvector columns ``all_v``; raises TrackingError on failure."""
         n, dim = all_w.shape
-        vectors = np.empty((n, dim), dtype=complex)
-        eigenvalues = np.empty(n)
+        picks = np.empty(n, dtype=int)
+        j, col, floor = self._j, self._col, self._floor
         start = 0
-        if self._prev is None:
-            w0, v0 = all_w[0], all_v[0]
-            if w0[-1] < 1.0 - PURITY_TOL:
+        if col is None:
+            if all_w[0, -1] < 1.0 - PURITY_TOL:
                 raise TrackingError(
-                    f"initial state not pure: largest eigenvalue {w0[-1]:.9f}")
-            vectors[0] = v0[:, -1]
-            eigenvalues[0] = w0[-1]
-            self._prev = vectors[0]
+                    f"initial state not pure: largest eigenvalue {all_w[0, -1]:.9f}")
+            j, col = dim - 1, all_v[0, :, -1]
+            picks[0] = j
             start = 1
 
-        prev, floor = self._prev, self._floor
-        for k in range(start, n):
-            w, v = all_w[k], all_v[k]
-            overlaps = np.abs(v.conj().T @ prev)
-            order = np.argsort(overlaps)[::-1]
-            best, second = order[0], order[1]
-            if overlaps[best] - overlaps[second] < AMBIGUITY_TOL:
+        # one pass per run of samples between crossings: column j is assumed
+        # to stay picked, and the pass ends at the first sample that moves off it
+        k = start
+        while k < n:
+            cols = np.concatenate((col[None], all_v[k:n - 1, :, j]))
+            overlaps = np.abs(np.matmul(cols.conj()[:, None, :], all_v[k:])[:, 0])
+            best = overlaps.argmax(axis=1)
+            moved = np.flatnonzero(best != j)
+            stop = moved[0] + 1 if moved.size else n - k
+            top = np.partition(overlaps[:stop], dim - 2, axis=1)[:, -2:]
+            ambiguous = top[:, 1] - top[:, 0] < AMBIGUITY_TOL
+            bad = np.flatnonzero(ambiguous | (top[:, 1] <= OVERLAP_FLOOR))
+            if bad.size:
+                i = bad[0]
+                if ambiguous[i]:
+                    raise TrackingError(
+                        f"eigenvector overlap ambiguity at t={times[k + i]:g}: "
+                        f"{top[i, 1]:.8f} vs {top[i, 0]:.8f}")
                 raise TrackingError(
-                    f"eigenvector overlap ambiguity at t={times[k]:g}: "
-                    f"{overlaps[best]:.8f} vs {overlaps[second]:.8f}")
-            if overlaps[best] <= OVERLAP_FLOOR:
-                raise TrackingError(
-                    f"tracking overlap {overlaps[best]:.3g} <= {OVERLAP_FLOOR} "
-                    f"at t={times[k]:g}")
-            vec = v[:, best]
-            ov = np.vdot(prev, vec)
-            vec = vec * np.exp(-1j * np.angle(ov))
-            vectors[k] = vec
-            eigenvalues[k] = w[best]
-            floor = min(floor, float(overlaps[best]))
-            prev = vec
+                    f"tracking overlap {top[i, 1]:.3g} <= {OVERLAP_FLOOR} "
+                    f"at t={times[k + i]:g}")
+            floor = min(floor, float(top[:, 1].min()))
+            picks[k:k + stop] = best[:stop]
+            k += stop
+            j = best[stop - 1]
+            col = all_v[k - 1, :, j].copy()
 
-        self._prev, self._floor = prev, floor
+        vectors = np.empty((n, dim), dtype=complex)
+        prev = self._prev
+        if start:
+            vectors[0] = all_v[0, :, -1]
+            prev = vectors[0]
+        for k, c in enumerate(picks[start:].tolist(), start):
+            vec = all_v[k, :, c]
+            ov = np.vdot(prev, vec)
+            prev = np.multiply(vec, np.exp(-1j * np.arctan2(ov.imag, ov.real)),
+                               out=vectors[k])
+
+        self._j, self._col, self._prev, self._floor = j, col, prev, floor
         self._times.append(times)
-        self._eigenvalues.append(eigenvalues)
+        self._eigenvalues.append(all_w[np.arange(n), picks])
         self._vectors.append(vectors)
 
     def track(self) -> EigenTrack:

@@ -54,13 +54,6 @@ def flat_index(atom: str, photons: int, spec: SpaceSpec) -> int:
     return 2 * photons + (1 if atom == ATOM_E else 0)
 
 
-def basis_label(index: int, spec: SpaceSpec) -> tuple[str, int]:
-    """Inverse of flat_index."""
-    if not 0 <= index < spec.dim:
-        raise ValueError(f"index {index} outside space of dim {spec.dim}")
-    return (ATOM_E if index % 2 else ATOM_G, index // 2)
-
-
 def basis_state(atom: str, photons: int, spec: SpaceSpec) -> np.ndarray:
     v = np.zeros(spec.dim, dtype=complex)
     v[flat_index(atom, photons, spec)] = 1.0

@@ -20,6 +20,11 @@ def _f(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """A polyline's points attribute: ``_f(x),_f(y)`` pairs, space separated."""
+    return " ".join(map("{:.3f},{:.3f}".format, xs.tolist(), ys.tolist()))
+
+
 def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
@@ -43,10 +48,10 @@ def line_chart(series: list[tuple[str, np.ndarray, np.ndarray]], path,
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    def px(x: float) -> float:
+    def px(x):
         return MARGIN + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * MARGIN)
 
-    def py(y: float) -> float:
+    def py(y):
         return HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
     parts = [
@@ -78,7 +83,7 @@ def line_chart(series: list[tuple[str, np.ndarray, np.ndarray]], path,
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         ok = np.isfinite(y)
-        pts = " ".join(f"{_f(px(a))},{_f(py(b))}" for a, b in zip(x[ok], y[ok]))
+        pts = _points(px(x[ok]), py(y[ok]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.4"/>')
         ly = MARGIN + 16 + 15 * i
@@ -134,7 +139,7 @@ def bloch_chart(series: list[tuple[str, np.ndarray]], path, title: str = "",
     for i, (label, pts) in enumerate(series):
         color, width = styles.get(label, (PALETTE[i % len(PALETTE)], "1.4"))
         proj = project(pts)
-        chain = " ".join(f"{_f(a)},{_f(b)}" for a, b in proj)
+        chain = _points(proj[:, 0], proj[:, 1])
         parts.append(f'<polyline points="{chain}" fill="none" stroke="{color}" '
                      f'stroke-width="{width}"/>')
         ly = MARGIN + 16 + 15 * i

@@ -14,6 +14,9 @@ from kerrjc.dynamics import (
     evolve_lindblad,
 )
 from kerrjc.geomphase import (
+    AMBIGUITY_TOL,
+    OVERLAP_FLOOR,
+    PURITY_TOL,
     BranchTracker,
     CoarseGridError,
     PhaseChain,
@@ -62,6 +65,96 @@ def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
     traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config,
                            space=SPACE)
     return traj, period
+
+
+def open_eigs(params, init, n_max=4, periods=1.0, spp=2000, stride=4):
+    """Times and batched ``eigh`` of an open trajectory in an n_max space."""
+    space = SpaceSpec(n_max)
+    period = 2 * math.pi / sector_analytics(params, init.n).rabi_frequency
+    config = IntegratorConfig.for_periods(period, periods, spp, stride)
+    psi0 = initial_state(init, space)
+    traj = evolve_lindblad(LindbladSpec.from_params(params, space),
+                           np.outer(psi0, psi0.conj()), config, space=space)
+    return traj.times, *np.linalg.eigh(traj.states)
+
+
+def per_sample_track(times, all_w, all_v):
+    """The branch continuation written as one loop over samples: (vectors,
+    eigenvalues, overlap floor), or the TrackingError it raises."""
+    n, dim = all_w.shape
+    vectors = np.empty((n, dim), dtype=complex)
+    eigenvalues = np.empty(n)
+    if all_w[0][-1] < 1.0 - PURITY_TOL:
+        raise TrackingError(
+            f"initial state not pure: largest eigenvalue {all_w[0][-1]:.9f}")
+    vectors[0], eigenvalues[0] = all_v[0][:, -1], all_w[0][-1]
+    prev, floor = vectors[0], 1.0
+    for k in range(1, n):
+        w, v = all_w[k], all_v[k]
+        overlaps = np.abs(v.conj().T @ prev)
+        order = np.argsort(overlaps)[::-1]
+        best, second = order[0], order[1]
+        if overlaps[best] - overlaps[second] < AMBIGUITY_TOL:
+            raise TrackingError(
+                f"eigenvector overlap ambiguity at t={times[k]:g}: "
+                f"{overlaps[best]:.8f} vs {overlaps[second]:.8f}")
+        if overlaps[best] <= OVERLAP_FLOOR:
+            raise TrackingError(
+                f"tracking overlap {overlaps[best]:.3g} <= {OVERLAP_FLOOR} "
+                f"at t={times[k]:g}")
+        vec = v[:, best]
+        ov = np.vdot(prev, vec)
+        vec = vec * np.exp(-1j * np.angle(ov))
+        vectors[k], eigenvalues[k] = vec, w[best]
+        floor = min(floor, float(overlaps[best]))
+        prev = vec
+    return vectors, eigenvalues, floor
+
+
+def fed_in_blocks(times, all_w, all_v, lengths):
+    """``BranchTracker`` fed blocks of the given lengths, cycled."""
+    tracker = BranchTracker()
+    start, k = 0, 0
+    while start < len(times):
+        stop = start + lengths[k % len(lengths)]
+        tracker.extend(times[start:stop], all_w[start:stop], all_v[start:stop])
+        start, k = stop, k + 1
+    return tracker.track()
+
+
+def assert_tracks_like_loop(times, all_w, all_v, lengths=None):
+    """The tracker fed in blocks (default: one) raises what the per-sample
+    loop raises, or equals it: bit for bit on vectors and eigenvalues, the
+    floor within 1e-14."""
+    lengths = lengths or [len(times)]
+    try:
+        want = per_sample_track(times, all_w, all_v)
+    except TrackingError as exc:
+        with pytest.raises(TrackingError) as got:
+            fed_in_blocks(times, all_w, all_v, lengths)
+        assert str(got.value) == str(exc)
+        return None
+    track = fed_in_blocks(times, all_w, all_v, lengths)
+    assert np.array_equal(track.vectors, want[0])
+    assert np.array_equal(track.eigenvalues, want[1])
+    assert abs(track.overlap_floor - want[2]) <= 1e-14
+    return track
+
+
+def with_overlaps(all_v, k, magnitudes):
+    """Copy of ``all_v`` whose sample k has eigenvectors with the given
+    |overlaps| against sample k-1's top column (magnitudes must be a unit
+    vector): a Householder reflection of e_0 onto them, in a basis that
+    starts with that column."""
+    all_v = all_v.copy()
+    dim = all_v.shape[1]
+    a = np.zeros(dim)
+    a[:len(magnitudes)] = magnitudes
+    u = np.eye(dim)[0] - a
+    reflect = np.eye(dim) - 2 * np.outer(u, u) / (u @ u)
+    basis = all_v[k - 1][:, ::-1]
+    all_v[k] = basis @ reflect
+    return all_v
 
 
 def density_record_from_pure(traj):
@@ -166,6 +259,29 @@ class TestPhaseUnitary:
         modified, _, _ = phase_series(traj.states * phases[:, None])
         assert abs(wrap_angle(base[-1] - modified[-1])) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+           n=st.integers(2, 60), step=st.floats(0.01, 0.5))
+    def test_gauge_invariance_property(self, seed, dim, n, step):
+        # a random walk of normalized states, then a random phase on each
+        rng = np.random.default_rng(seed)
+        states = np.empty((n, dim), dtype=complex)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for k in range(n):
+            states[k] = psi = psi / np.linalg.norm(psi)
+            kick = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi = psi + step * kick / np.linalg.norm(kick)
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        phi, endpoint, min_link = phase_series(states)
+        phi_g, endpoint_g, min_link_g = phase_series(states * phases[:, None])
+        assert np.abs(endpoint_g - endpoint).max() <= 1e-12
+        assert np.abs(min_link_g - min_link).max() <= 1e-12
+        # a +-pi turn may take either branch, so compare modulo 2 pi; the
+        # phase's rounding error grows like 1/|endpoint| (it is undefined
+        # where the endpoint overlap vanishes), so skip near-singular samples
+        usable = endpoint >= 1e-3
+        assert np.abs(wrap_angles(phi_g - phi)[usable]).max() <= 1e-12
+
     def test_eigenstate_trajectory_zero(self):
         params = ModelParams(delta=0.8, chi=0.2)
         plus, _ = dressed_states(params, 1)
@@ -248,6 +364,64 @@ class TestTracking:
         assert np.array_equal(blocked.eigenvalues, whole.eigenvalues)
         assert np.array_equal(blocked.vectors, whole.vectors)
         assert blocked.overlap_floor == whole.overlap_floor
+
+    @pytest.mark.parametrize("params,theta,n_max", [
+        (OPEN, 2.0, 4), (OPEN.with_rates(0.3, 0.05, 0.02), 0.7, 4),
+        (ModelParams(delta=-1.3, chi=0.2, gamma=0.1, p_z=0.01), 2.2, 10)])
+    def test_equals_per_sample_loop(self, params, theta, n_max):
+        times, w, v = open_eigs(params, InitialStateSpec(theta0=theta), n_max,
+                                periods=3.0)
+        assert_tracks_like_loop(times, w, v)
+        assert_tracks_like_loop(times, w, v, lengths=(1, 37, 200))
+
+    @settings(max_examples=25, deadline=None)
+    @given(delta=st.floats(-2.0, 2.0), theta=st.floats(0.0, 2 * math.pi),
+           gamma=st.floats(0.0, 0.3), p=st.floats(0.0, 0.05),
+           p_z=st.floats(0.0, 0.05), n_max=st.integers(2, 5),
+           lengths=st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    def test_blocks_equal_per_sample_loop(self, delta, theta, gamma, p, p_z,
+                                          n_max, lengths):
+        params = ModelParams(delta=delta, chi=0.5, gamma=gamma, p=p, p_z=p_z)
+        times, w, v = open_eigs(params, InitialStateSpec(theta0=theta), n_max,
+                                periods=1.5, spp=400)
+        track = assert_tracks_like_loop(times, w, v, lengths)
+        if track is not None:
+            whole = fed_in_blocks(times, w, v, [len(times)])
+            assert track.overlap_floor == whole.overlap_floor
+
+    def test_relabelled_columns_are_followed(self):
+        # eigh orders columns by eigenvalue, so a crossing relabels the
+        # tracked column; relabel from three samples on, block by block
+        times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0), periods=2.0)
+        rng = np.random.default_rng(64)
+        for k in (5, 140, 141):
+            order = rng.permutation(w.shape[1])
+            w[k:], v[k:] = w[k:, order], v[k:, :, order]
+        whole = per_sample_track(times, w, v)
+        assert not np.array_equal(whole[1], w[:, -1])
+        assert_tracks_like_loop(times, w, v, lengths=(1, 7, 139, 500))
+
+    @pytest.mark.parametrize("failure,magnitudes", [
+        ("ambiguity", (0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0)),
+        ("tracking overlap", (0.49, 0.48, 0.47, 0.45, 0.2, 0.1, 0.0)),
+        ("ambiguity", (0.45, 0.45, 0.45, 0.45, 0.3, 0.2, 0.0))])  # both fail
+    @pytest.mark.parametrize("k", [1, 37, 38, 120])
+    def test_failure_raises_like_loop(self, failure, magnitudes, k):
+        magnitudes = np.array(magnitudes)  # the last one normalizes them
+        magnitudes[-1] = math.sqrt(1 - magnitudes[:-1] @ magnitudes[:-1])
+        times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0))
+        v = with_overlaps(v, k, magnitudes)
+        with pytest.raises(TrackingError, match=f"{failure}.* at t={times[k]:g}"):
+            per_sample_track(times, w, v)
+        assert_tracks_like_loop(times, w, v, lengths=(37,))
+        assert_tracks_like_loop(times, w, v, lengths=(1,))
+
+    def test_impure_start_raises_like_loop(self):
+        times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0))
+        w = w.copy()
+        w[0, -1] = 1.0 - 2 * PURITY_TOL
+        assert_tracks_like_loop(times, w, v)
+        assert_tracks_like_loop(times, w, v, lengths=(1,))
 
     def test_tracked_eigenvalue_decays(self):
         opened, period = open_trajectory(OPEN, perpendicular_state(OPEN, 1),

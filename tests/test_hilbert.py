@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kerrjc import hilbert
-from kerrjc.hilbert import SpaceSpec, basis_label, basis_state, flat_index
+from kerrjc.hilbert import SpaceSpec, basis_state, flat_index
 from kerrjc.model import ModelParams, hamiltonian
 
 SPACE = SpaceSpec(4)
@@ -17,11 +17,6 @@ class TestBasisIndexing:
         assert flat_index("g", 0, SPACE) == 0
         assert flat_index("e", 1, SPACE) == 3
         assert flat_index("g", 2, SPACE) == 4
-
-    def test_roundtrip(self):
-        for i in range(SPACE.dim):
-            atom, photons = basis_label(i, SPACE)
-            assert flat_index(atom, photons, SPACE) == i
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
