@@ -1,9 +1,10 @@
 """Command-line front end: config parsing, dispatch, CSV/SVG output.
 
 Config files are flat ``key = value`` lines with dotted section keys
-(full-line ``#`` comments allowed).  Precedence: built-in defaults, then the
-config file, then repeated ``--set key=value`` flags, then the dedicated
-flags (``--out``, ``--no-svg``, ``--no-timestamp``).
+(full-line ``#`` comments allowed); the validated config is the dict of
+``SCHEMA`` keys.  Precedence: built-in defaults, then the config file, then
+repeated ``--set key=value`` flags, then the dedicated flags (``--out``,
+``--no-svg``, ``--no-timestamp``, ``--kind``).
 
 Exit codes: 0 success, 1 config error, 2 truncation, 3 tracking/phase or
 numerical failure (positivity guard, negativity cross-check), 4 I/O error.
@@ -15,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -76,60 +77,36 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in s.split(",") if part.strip())
 
 
-# key -> (converter, default); None default means "derived later"
+# key -> (converter, default, sign): a None default means "derived later",
+# and a sign, "nonnegative" or "positive", bounds the value
 SCHEMA = {
-    "model.delta": (float, 0.5),
-    "model.chi": (float, 0.5),
-    "model.g": (float, 1.0),
-    "model.gamma": (float, 0.0),
-    "model.p": (float, 0.0),
-    "model.p_z": (float, 0.0),
-    "space.n_max": (int, 4),
-    "initial.theta0": (float, 0.0),
-    "initial.phi0": (float, 0.0),
-    "initial.n": (int, 1),
-    "initial.perpendicular": (_parse_bool, False),
-    "integrator.steps_per_period": (int, 2000),
-    "integrator.record_stride": (int, None),
-    "integrator.periods": (float, None),
-    "sweep.kind": (str, ""),
-    "sweep.grid_start": (float, None),
-    "sweep.grid_stop": (float, None),
-    "sweep.grid_points": (int, None),
-    "sweep.m_values": (_parse_int_list, (1, 2, 3)),
-    "sweep.open_gamma": (float, 0.1),
-    "sweep.open_p": (float, 0.0),
-    "sweep.open_p_z": (float, 0.01),
-    "sweep.workers": (int, 1),
-    "output.dir": (str, None),
-    "output.emit_svg": (_parse_bool, True),
-    "output.timestamp": (_parse_bool, True),
+    "model.delta": (float, 0.5, None),
+    "model.chi": (float, 0.5, None),
+    "model.g": (float, 1.0, "positive"),
+    "model.gamma": (float, 0.0, "nonnegative"),
+    "model.p": (float, 0.0, "nonnegative"),
+    "model.p_z": (float, 0.0, "nonnegative"),
+    "space.n_max": (int, 4, "positive"),
+    "initial.theta0": (float, 0.0, None),
+    "initial.phi0": (float, 0.0, None),
+    "initial.n": (int, 1, "positive"),
+    "initial.perpendicular": (_parse_bool, False, None),
+    "integrator.steps_per_period": (int, 2000, "positive"),
+    "integrator.record_stride": (int, None, "positive"),
+    "integrator.periods": (float, None, "positive"),
+    "sweep.kind": (str, "", None),
+    "sweep.grid_start": (float, None, None),
+    "sweep.grid_stop": (float, None, None),
+    "sweep.grid_points": (int, None, "positive"),
+    "sweep.m_values": (_parse_int_list, (1, 2, 3), None),
+    "sweep.open_gamma": (float, 0.1, "nonnegative"),
+    "sweep.open_p": (float, 0.0, "nonnegative"),
+    "sweep.open_p_z": (float, 0.01, "nonnegative"),
+    "sweep.workers": (int, 1, "positive"),
+    "output.dir": (str, None, None),
+    "output.emit_svg": (_parse_bool, True, None),
+    "output.timestamp": (_parse_bool, True, None),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated run settings."""
-
-    model: ModelParams
-    n_max: int
-    theta0: float
-    phi0: float
-    sector: int
-    perpendicular: bool
-    steps_per_period: int
-    record_stride: int | None
-    periods: float | None
-    sweep_kind: str
-    grid_start: float | None
-    grid_stop: float | None
-    grid_points: int | None
-    m_values: tuple[int, ...]
-    open_rates: tuple[float, float, float]
-    workers: int
-    output_dir: str
-    emit_svg: bool
-    timestamp: bool
 
 
 def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
@@ -152,9 +129,10 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
     return out
 
 
-def build_config(raw: dict[str, tuple[str, int]]) -> RunConfig:
-    """Validate raw key/value pairs against the schema and semantics."""
-    values = {key: default for key, (_, default) in SCHEMA.items()}
+def build_config(raw: dict[str, tuple[str, int]]) -> dict:
+    """Validate raw key/value pairs against the schema and semantics; returns
+    the value of every ``SCHEMA`` key (None for an unset optional key)."""
+    values = {key: default for key, (_, default, _) in SCHEMA.items()}
     for key, (text, lineno) in raw.items():
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
@@ -167,131 +145,74 @@ def build_config(raw: dict[str, tuple[str, int]]) -> RunConfig:
         if conv is str and (text != text.strip() or len(text.splitlines()) != 1):
             raise ConfigError(f"{key} must be one nonempty line without surrounding "
                               f"whitespace, got {text!r}")
-    for key, (conv, _) in SCHEMA.items():
-        if conv is float and values[key] is not None and not math.isfinite(values[key]):
-            raise ConfigError(f"{key} must be finite, got {values[key]}")
+    for key, (conv, _, sign) in SCHEMA.items():
+        value = values[key]
+        if value is not None and conv is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if value is not None and sign and (value <= 0 if sign == "positive" else value < 0):
+            raise ConfigError(f"{key} must be {sign}")
 
-    for rate_key in ("model.gamma", "model.p", "model.p_z", "sweep.open_gamma",
-                     "sweep.open_p", "sweep.open_p_z"):
-        if values[rate_key] < 0:
-            raise ConfigError(f"{rate_key} must be nonnegative")
-    if values["model.g"] <= 0:
-        raise ConfigError("model.g must be positive")
-    if values["space.n_max"] < 1:
-        raise ConfigError("space.n_max must be >= 1")
-    if values["initial.n"] < 1:
-        raise ConfigError("initial.n must be >= 1")
-    for key in ("integrator.steps_per_period", "integrator.record_stride",
-                "sweep.workers"):
-        if values[key] is not None and values[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if values["integrator.periods"] is not None and values["integrator.periods"] <= 0:
-        raise ConfigError("integrator.periods must be positive")
-    if values["sweep.grid_points"] is not None and values["sweep.grid_points"] < 1:
-        raise ConfigError("sweep.grid_points must be >= 1")
-    if not values["sweep.m_values"] or any(m < 1 for m in values["sweep.m_values"]):
-        raise ConfigError("sweep.m_values must list one or more m, all >= 1")
-
-    model = ModelParams(delta=values["model.delta"], chi=values["model.chi"],
-                        g=values["model.g"], gamma=values["model.gamma"],
-                        p=values["model.p"], p_z=values["model.p_z"])
-    outdir = values["output.dir"]
-    if outdir is None:
-        outdir = os.environ.get(ENV_OUTPUT_DIR, "runs")
-    return RunConfig(
-        model=model,
-        n_max=values["space.n_max"],
-        theta0=values["initial.theta0"],
-        phi0=values["initial.phi0"],
-        sector=values["initial.n"],
-        perpendicular=values["initial.perpendicular"],
-        steps_per_period=values["integrator.steps_per_period"],
-        record_stride=values["integrator.record_stride"],
-        periods=values["integrator.periods"],
-        sweep_kind=values["sweep.kind"],
-        grid_start=values["sweep.grid_start"],
-        grid_stop=values["sweep.grid_stop"],
-        grid_points=values["sweep.grid_points"],
-        m_values=values["sweep.m_values"],
-        open_rates=(values["sweep.open_gamma"], values["sweep.open_p"],
-                    values["sweep.open_p_z"]),
-        workers=values["sweep.workers"],
-        output_dir=outdir,
-        emit_svg=values["output.emit_svg"],
-        timestamp=values["output.timestamp"],
-    )
+    if values["initial.n"] > values["space.n_max"]:
+        raise ConfigError(f"initial.n = {values['initial.n']} exceeds space.n_max = "
+                          f"{values['space.n_max']}")
+    for key in ("initial.theta0", "initial.phi0"):
+        # the tolerance of model.InitialStateSpec
+        if not -1e-12 <= values[key] <= 2 * math.pi + 1e-12:
+            raise ConfigError(f"{key} must lie in [0, 2*pi], got {values[key]}")
+    m_values = values["sweep.m_values"]
+    if not m_values or min(m_values) < 1 or len(set(m_values)) != len(m_values):
+        raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1")
+    if values["output.dir"] is None:
+        values["output.dir"] = os.environ.get(ENV_OUTPUT_DIR, "runs")
+    return values
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str) -> dict:
     return build_config(parse_config_text(text))
 
 
-def serialize_config(config: RunConfig) -> str:
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return "" if value is None else str(value)
+
+
+def serialize_config(config: dict) -> str:
     """Canonical config text; parse_config round-trips it.
 
     Unset optional keys are left out: the grid, and the integrator keys
     whose default depends on the sweep kind.
     """
-    def num(x):
-        return None if x is None else f"{x:.17g}"
-
-    def whole(x):
-        return None if x is None else str(x)
-
-    m = config.model
-    pairs = [
-        ("model.delta", num(m.delta)),
-        ("model.chi", num(m.chi)),
-        ("model.g", num(m.g)),
-        ("model.gamma", num(m.gamma)),
-        ("model.p", num(m.p)),
-        ("model.p_z", num(m.p_z)),
-        ("space.n_max", whole(config.n_max)),
-        ("initial.theta0", num(config.theta0)),
-        ("initial.phi0", num(config.phi0)),
-        ("initial.n", whole(config.sector)),
-        ("initial.perpendicular", "true" if config.perpendicular else "false"),
-        ("integrator.steps_per_period", whole(config.steps_per_period)),
-        ("integrator.record_stride", whole(config.record_stride)),
-        ("integrator.periods", num(config.periods)),
-        ("sweep.kind", config.sweep_kind),
-        ("sweep.grid_start", num(config.grid_start)),
-        ("sweep.grid_stop", num(config.grid_stop)),
-        ("sweep.grid_points", whole(config.grid_points)),
-        ("sweep.m_values", ",".join(str(v) for v in config.m_values)),
-        ("sweep.open_gamma", num(config.open_rates[0])),
-        ("sweep.open_p", num(config.open_rates[1])),
-        ("sweep.open_p_z", num(config.open_rates[2])),
-        ("sweep.workers", whole(config.workers)),
-        ("output.dir", config.output_dir),
-        ("output.emit_svg", "true" if config.emit_svg else "false"),
-        ("output.timestamp", "true" if config.timestamp else "false"),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs if v) + "\n"
+    return "".join(f"{key} = {_text(config[key])}\n" for key in SCHEMA
+                   if _text(config[key]))
 
 
-def sweep_spec_from_config(config: RunConfig) -> SweepSpec:
+def _model_params(config: dict) -> ModelParams:
+    return ModelParams(**{f.name: config[f"model.{f.name}"] for f in fields(ModelParams)})
+
+
+def sweep_spec_from_config(config: dict) -> SweepSpec:
     """The sweep of ``config``; unset keys take the kind's ``default_spec`` values."""
-    kind = config.sweep_kind
+    kind = config["sweep.kind"]
     if kind == "":
         raise ConfigError("sweep.kind is required")
-    overrides = dict(base_params=config.model, m_values=config.m_values,
-                     open_rates=config.open_rates,
-                     steps_per_period=config.steps_per_period,
-                     n_max=config.n_max, workers=config.workers)
-    if config.grid_start is not None or config.grid_stop is not None \
-            or config.grid_points is not None:
-        if None in (config.grid_start, config.grid_stop, config.grid_points):
-            raise ConfigError("sweep.grid_start/grid_stop/grid_points must be "
-                              "given together")
-        overrides["grid"] = tuple(np.linspace(config.grid_start, config.grid_stop,
-                                              config.grid_points))
-    if config.record_stride is not None:
-        overrides["record_stride"] = config.record_stride
-    if config.periods is not None:
-        overrides["periods"] = config.periods
+    grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
+    if None in grid and grid != [None] * 3:
+        raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
+    overrides = dict(base_params=_model_params(config), m_values=config["sweep.m_values"],
+                     open_rates=(config["sweep.open_gamma"], config["sweep.open_p"],
+                                 config["sweep.open_p_z"]),
+                     steps_per_period=config["integrator.steps_per_period"],
+                     n_max=config["space.n_max"], workers=config["sweep.workers"],
+                     grid=None if None in grid else tuple(np.linspace(*grid)),
+                     record_stride=config["integrator.record_stride"],
+                     periods=config["integrator.periods"])
     try:
-        return default_spec(kind, **overrides)
+        return default_spec(kind, **{k: v for k, v in overrides.items() if v is not None})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -337,26 +258,20 @@ def emit_svg(result: SweepResult, outdir: Path) -> list[Path]:
     return written
 
 
-def _timestamp_or_none(config: RunConfig) -> str | None:
-    if not config.timestamp:
-        return None
-    return datetime.now(timezone.utc).isoformat()
-
-
-def run_evolve(config: RunConfig) -> int:
+def run_evolve(config: dict) -> int:
     """Single-trajectory run; writes the debug trajectory CSV."""
-    space = SpaceSpec(config.n_max)
-    params = config.model
-    if config.perpendicular:
-        init = perpendicular_state(params, config.sector)
+    space = SpaceSpec(config["space.n_max"])
+    params = _model_params(config)
+    if config["initial.perpendicular"]:
+        init = perpendicular_state(params, config["initial.n"])
     else:
-        init = InitialStateSpec(theta0=config.theta0, phi0=config.phi0,
-                                n=config.sector)
-    sa = sector_analytics(params, init.n)
-    period = 2 * math.pi / sa.rabi_frequency
-    integ = IntegratorConfig.for_periods(period, config.periods or SweepSpec.periods,
-                                         config.steps_per_period,
-                                         config.record_stride or SweepSpec.record_stride)
+        init = InitialStateSpec(theta0=config["initial.theta0"],
+                                phi0=config["initial.phi0"], n=config["initial.n"])
+    period = 2 * math.pi / sector_analytics(params, init.n).rabi_frequency
+    integ = IntegratorConfig.for_periods(
+        period, config["integrator.periods"] or SweepSpec.periods,
+        config["integrator.steps_per_period"],
+        config["integrator.record_stride"] or SweepSpec.record_stride)
     psi0 = initial_state(init, space)
     h = hamiltonian(params, space)
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:
@@ -366,23 +281,24 @@ def run_evolve(config: RunConfig) -> int:
     else:
         record = evolve_closed(h, psi0, integ, space=space, params=params)
 
-    outdir = Path(config.output_dir)
+    outdir = Path(config["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(record, outdir / "trajectory.csv")
     print(f"wrote {outdir / 'trajectory.csv'}")
     return EXIT_OK
 
 
-def dispatch(config: RunConfig) -> int:
+def dispatch(config: dict) -> int:
     """Run the configured sweep and write its outputs."""
     spec = sweep_spec_from_config(config)
     result = run_sweep(spec)
-    outdir = Path(config.output_dir)
+    outdir = Path(config["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{spec.kind}.csv"
-    write_sweep_csv(result, csv_path, timestamp=_timestamp_or_none(config))
+    timestamp = datetime.now(timezone.utc).isoformat() if config["output.timestamp"] else None
+    write_sweep_csv(result, csv_path, timestamp=timestamp)
     print(f"wrote {csv_path}")
-    if config.emit_svg:
+    if config["output.emit_svg"]:
         for path in emit_svg(result, outdir):
             print(f"wrote {path}")
     else:
@@ -390,7 +306,7 @@ def dispatch(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> dict:
     raw: dict[str, tuple[str, int]] = {}
     if args.config:
         try:
@@ -405,11 +321,15 @@ def _load_config(args) -> RunConfig:
         raw[key.strip()] = (value.strip(), 0)
     config = build_config(raw)
     if args.out:
-        config = replace(config, output_dir=args.out)
+        config["output.dir"] = args.out
     if args.no_svg:
-        config = replace(config, emit_svg=False)
+        config["output.emit_svg"] = False
     if args.no_timestamp:
-        config = replace(config, timestamp=False)
+        config["output.timestamp"] = False
+    if args.command == "bloch":
+        config["sweep.kind"] = "bloch_traj"
+    elif getattr(args, "kind", None):
+        config["sweep.kind"] = args.kind
     return config
 
 
@@ -447,11 +367,6 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "evolve":
             return run_evolve(config)
-        if args.command == "bloch":
-            config = replace(config, sweep_kind="bloch_traj")
-            return dispatch(config)
-        if getattr(args, "kind", None):
-            config = replace(config, sweep_kind=args.kind)
         return dispatch(config)
     except ValueError as exc:
         # ConfigError and runner precondition failures (both config-induced)

@@ -1,14 +1,14 @@
-"""Parameter sweeps: negativity and geometric-phase data products.
+"""Parameter sweeps: negativity, geometric-phase and Bloch data products.
 
-Every sweep is deterministic (no randomness anywhere in the pipeline) and
-assembles rows in grid order, so re-running an identical spec reproduces
+Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all.
+Sweeps are deterministic (no randomness anywhere in the pipeline) and
+assemble rows in grid order, so re-running an identical spec reproduces
 the CSV byte for byte.  The closed legs of all grid points advance in
 lockstep (``dynamics.closed_blocks``) in the calling process.  Grid points
-that share model parameters form one open-leg job: the group builds its
+that share model parameters form one open-leg job, which builds its
 operators once and advances its open legs together
-(``dynamics.lindblad_blocks``).  Groups are independent; with
-``workers > 1`` they are evaluated by a process pool and reassembled in
-grid order by the single writer.
+(``dynamics.lindblad_blocks``); with ``workers > 1`` a process pool runs
+the jobs, and the single writer reassembles the rows in grid order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from .dynamics import (
     IntegratorConfig,
     LindbladSpec,
     closed_blocks,
-    evolve_closed,
-    evolve_lindblad,
     lindblad_blocks,
 )
 from .geomphase import (
@@ -35,7 +34,6 @@ from .geomphase import (
     SingularCheckpointError,
     TrackingError,
     checkpoint_phase,
-    track_dominant_eigenvector,
     wrap_angle,
 )
 from .hilbert import SpaceSpec
@@ -50,8 +48,6 @@ from .model import (
     sector_analytics,
 )
 
-SWEEP_KINDS = ("negativity_theta", "negativity_delta", "gp_theta", "gp_delta",
-               "bloch_traj")
 DEFAULT_OPEN_RATES = (0.1, 0.0, 0.01)
 OMEGA_DEGRADED = 0.05
 DEFAULT_N_MAX = 4
@@ -60,6 +56,7 @@ GP_COLUMNS = ("param", "m", "tau", "phi_u", "phi_g", "delta_phi_wrapped",
               "delta_phi_raw", "omega_plus", "valid")
 NEG_COLUMNS = ("param", "t", "neg_closed", "neg_open")
 BLOCH_COLUMNS = ("case", "series", "t", "x", "y", "z", "weight")
+BLOCH_SERIES = ("unitary", "rho_proj", "eigvec")
 
 
 @dataclass(frozen=True)
@@ -78,25 +75,16 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in SWEEP_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if any(m < 1 for m in self.m_values):
-            raise ValueError("m values must be >= 1")
+        if any(m < 1 for m in self.m_values) or len(set(self.m_values)) != len(self.m_values):
+            raise ValueError("sweep.m_values must list distinct m, all >= 1")
         if any(r < 0 for r in self.open_rates):
             raise ValueError("open rates must be nonnegative")
-        off_grid = [m for m in self.m_values
-                    if m * self.steps_per_period % self.record_stride]
-        if self.kind.startswith("gp") and off_grid:
-            m = off_grid[0]
-            raise ValueError(
-                f"checkpoint m={m} falls between records (m*steps_per_period/"
-                f"record_stride = {m * self.steps_per_period}/{self.record_stride}); "
-                "choose integrator.steps_per_period, integrator.record_stride and "
-                "sweep.m_values so that it is a whole number")
 
     @property
     def open_params(self) -> ModelParams:
@@ -116,34 +104,55 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-def default_grid(kind: str) -> tuple[float, ...]:
-    if kind == "negativity_theta":
-        return tuple(np.linspace(0.0, math.pi / 2, 9))
-    if kind == "gp_theta":
-        return tuple(np.linspace(0.0, 2 * math.pi, 64))
-    if kind in ("negativity_delta", "gp_delta"):
-        return tuple(np.linspace(-4.0, 4.0, 81))
-    return (0.0,)  # bloch_traj carries its cases internally
+@dataclass(frozen=True)
+class Kind:
+    """What one sweep kind computes, as ``_grouped_rows`` runs it."""
+
+    columns: tuple[str, ...]
+    points: Callable  # spec -> (value, params, initial state) of every grid point
+    closed: Callable  # (spec, closed_blocks) -> one reduction per point
+    group: Callable  # job -> one open-leg reduction per member; picklable (the pool)
+    rows: Callable  # (spec, value, period, closed, opened) -> the point's rows
+    checks: tuple[Callable, ...] = ()  # spec -> None, raise before any integration
+    defaults: dict = field(default_factory=dict)  # the default_spec keywords
+    horizon: Callable = attrgetter("periods")  # spec -> periods that every leg runs
+    meta: Callable = lambda points, rows: {}  # -> the result's meta
 
 
 def default_spec(kind: str, **overrides) -> SweepSpec:
     """Sweep spec with the package defaults for the given kind."""
-    base = overrides.pop("base_params", None)
-    if base is None:
-        chi = 0.0 if kind in ("negativity_delta",) else 0.5
-        base = ModelParams(delta=chi, chi=chi)
-    kw = dict(kind=kind, grid=default_grid(kind), base_params=base)
-    if kind.startswith("negativity"):
-        kw["record_stride"] = 16
-    if kind == "bloch_traj":
-        kw["periods"] = 3.0
-    kw.update(overrides)
-    return SweepSpec(**kw)
+    if kind not in KINDS:
+        raise ValueError(f"unknown sweep kind {kind!r}")
+    return SweepSpec(kind=kind, **{"base_params": ModelParams(delta=0.5, chi=0.5),
+                                   **KINDS[kind].defaults, **overrides})
 
 
 def _checkpoints(spec: SweepSpec) -> list[int]:
-    """Record index of each checkpoint m * period (on the grid, see SweepSpec)."""
+    """Record index of each checkpoint m * period; raises if one falls
+    between records."""
+    for m in spec.m_values:
+        if m * spec.steps_per_period % spec.record_stride:
+            raise ValueError(
+                f"checkpoint m={m} falls between records (m*steps_per_period/"
+                f"record_stride = {m * spec.steps_per_period}/{spec.record_stride}); "
+                "choose integrator.steps_per_period, integrator.record_stride and "
+                "sweep.m_values so that it is a whole number")
     return [m * spec.steps_per_period // spec.record_stride for m in spec.m_values]
+
+
+def _resonant(top: Optional[float] = None, label: str = "") -> Callable:
+    """Check of sector-1 resonance and of a polar-angle grid within [0, top]."""
+    def check(spec: SweepSpec) -> None:
+        if not is_resonant(spec.base_params, 1, tol=1e-9):
+            raise ValueError(f"{spec.kind} requires sector-1 resonance: set "
+                             "model.delta equal to model.chi")
+        if top is not None and (spec.grid[0] < -1e-12 or spec.grid[-1] > top + 1e-12):
+            raise ValueError(f"{spec.kind} grid must lie in [0, {label}]")
+    return check
+
+
+def _largest_m(spec: SweepSpec) -> float:
+    return float(max(spec.m_values))
 
 
 def _open_blocks(job, decompose: bool = False):
@@ -154,24 +163,28 @@ def _open_blocks(job, decompose: bool = False):
                            config, space=spec.space, decompose=decompose)
 
 
+def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
+    """``fn`` of a (b, r, ...) block of states as one stack, shaped (b, r, ...)."""
+    b, r = states.shape[:2]
+    out = fn(states.reshape(b * r, *states.shape[2:]), space)
+    return out.reshape(b, r, *out.shape[1:])
+
+
+def _closed_series(spec: SweepSpec, blocks, fn) -> list[tuple]:
+    """(times, ``fn`` of every state) of every point's closed leg."""
+    times, values = zip(*((block_times, _per_state(fn, states, spec.space))
+                          for block_times, states, _ in blocks))
+    return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
+
+
 def _neg_closed(spec: SweepSpec, blocks) -> list[tuple]:
-    """(times, negativities) of every point's closed leg."""
-    times, negs = [], []
-    for block_times, states, _ in blocks:
-        b, r, d = states.shape
-        times.append(block_times)
-        negs.append(negativity(states.reshape(b * r, d), spec.space).reshape(b, r))
-    return list(zip(np.concatenate(times, axis=1), np.concatenate(negs, axis=1)))
+    return _closed_series(spec, blocks, negativity)
 
 
 def _neg_group(job) -> np.ndarray:
     """Open-leg negativities (points, records) of one group."""
-    negs = []
-    for _, states, _ in _open_blocks(job):
-        b, r, d, _ = states.shape
-        negs.append(negativity(states.reshape(b * r, d, d), job[0].space)
-                    .reshape(b, r))
-    return np.concatenate(negs, axis=1)
+    return np.concatenate([_per_state(negativity, states, job[0].space)
+                           for _, states, _ in _open_blocks(job)], axis=1)
 
 
 def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
@@ -239,6 +252,41 @@ def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
     return rows
 
 
+def _bloch_closed(spec: SweepSpec, blocks) -> list[tuple]:
+    return _closed_series(spec, blocks, bloch_series)
+
+
+def _bloch_group(job) -> list[tuple]:
+    """Per point of one group: the Bloch series of its density matrices and
+    of its tracked dominant eigenvector; a tracking failure aborts."""
+    space = job[0].space
+    trackers = [BranchTracker() for _ in job[2]]
+    rho, eigvec = [], []
+    for times, states, (all_w, all_v) in _open_blocks(job, decompose=True):
+        rho.append(_per_state(bloch_series, states, space))
+        eigvec.append(np.array([bloch_series(tracker.extend(times, w, v), space)
+                                for tracker, w, v in zip(trackers, all_w, all_v)]))
+    return list(zip(np.concatenate(rho, axis=1), np.concatenate(eigvec, axis=1)))
+
+
+def _bloch_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
+    times, unitary = closed
+    return [(value, name, float(t), float(x), float(y), float(z), float(w))
+            for name, data in zip(BLOCH_SERIES, (unitary, *opened))
+            for t, (x, y, z, w) in zip(times, data)]
+
+
+def _bloch_planarity(points, rows) -> dict:
+    """Planarity of each (case, series) Bloch path against the unitary
+    rotation axis of its case."""
+    paths: dict[tuple[str, str], list] = {}
+    for row in rows:
+        paths.setdefault(row[:2], []).append(row[3:6])
+    axes = {case: sector_analytics(params, init.n).axis for case, params, init in points}
+    return {"planarity": {key: planarity(np.array(xyz), np.array(axes[key[0]]))
+                          for key, xyz in paths.items()}}
+
+
 def _map_groups(fn, jobs, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -246,7 +294,7 @@ def _map_groups(fn, jobs, workers: int):
     return [fn(j) for j in jobs]
 
 
-def _grouped_rows(spec: SweepSpec, points) -> list[tuple]:
+def _grouped_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
     Points that share model parameters (and excitation sector) form one
@@ -257,12 +305,6 @@ def _grouped_rows(spec: SweepSpec, points) -> list[tuple]:
     process pool when ``spec.workers > 1``.  Each point's two reductions
     then become its rows.
     """
-    if spec.kind.startswith("gp"):
-        periods = float(max(spec.m_values))
-        closed_fn, group_fn, row_fn = _gp_closed, _gp_group, _gp_rows
-    else:
-        periods = spec.periods
-        closed_fn, group_fn, row_fn = _neg_closed, _neg_group, _neg_rows
     space = spec.space
     groups: dict[tuple[ModelParams, int], list[int]] = {}
     for i, (_, params, init) in enumerate(points):
@@ -272,22 +314,22 @@ def _grouped_rows(spec: SweepSpec, points) -> list[tuple]:
     jobs = []
     for (params, n), members in groups.items():
         period = 2 * math.pi / sector_analytics(params, n).rabi_frequency
-        config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
-                                              spec.record_stride)
+        config = IntegratorConfig.for_periods(period, kind.horizon(spec),
+                                              spec.steps_per_period, spec.record_stride)
         h = hamiltonian(params, space)
         for i in members:
             setup[i] = (period, config, h)
         jobs.append((spec, params, [psi0s[i] for i in members], config, h))
 
     _, configs, hs = zip(*setup)
-    closed = closed_fn(spec, closed_blocks(hs, psi0s, configs, space=space))
+    closed = kind.closed(spec, closed_blocks(hs, psi0s, configs, space=space))
     opened = [None] * len(points)
     for members, results in zip(groups.values(),
-                                _map_groups(group_fn, jobs, spec.workers)):
+                                _map_groups(kind.group, jobs, spec.workers)):
         for i, result in zip(members, results):
             opened[i] = result
     return [row for (value, _, _), (period, _, _), c, o in zip(points, setup, closed, opened)
-            for row in row_fn(spec, value, period, c, o)]
+            for row in kind.rows(spec, value, period, c, o)]
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
@@ -296,105 +338,60 @@ def _theta_points(spec: SweepSpec) -> list[tuple]:
 
 
 def _delta_points(spec: SweepSpec) -> list[tuple]:
-    points = []
-    for delta in spec.grid:
-        params = replace(spec.open_params, delta=delta)
-        points.append((delta, params, perpendicular_state(params, 1)))
-    return points
+    grid = [replace(spec.open_params, delta=delta) for delta in spec.grid]
+    return [(params.delta, params, perpendicular_state(params, 1)) for params in grid]
 
 
-def run_negativity_theta(spec: SweepSpec) -> SweepResult:
-    """Negativity vs time for a family of initial polar angles, on resonance."""
-    if not is_resonant(spec.base_params, 1, tol=1e-9):
-        raise ValueError("negativity_theta requires sector-1 resonance (delta = chi)")
-    if spec.grid[0] < -1e-12 or spec.grid[-1] > math.pi / 2 + 1e-12:
-        raise ValueError("negativity_theta grid must lie in [0, pi/2]")
-    return SweepResult(spec=spec, columns=NEG_COLUMNS,
-                       rows=_grouped_rows(spec, _theta_points(spec)))
+def _bloch_points(spec: SweepSpec) -> list[tuple]:
+    """The base parameters and an off-resonant case (delta = 2g, chi = 0),
+    both from the state perpendicular to their rotation axis."""
+    off = replace(spec.open_params, delta=2 * spec.base_params.g, chi=0.0)
+    return [(case, params, perpendicular_state(params, 1))
+            for case, params in (("resonant", spec.open_params), ("off_resonant", off))]
 
 
-def run_negativity_delta(spec: SweepSpec) -> SweepResult:
-    """Negativity vs time over a detuning grid, perpendicular initial state."""
-    return SweepResult(spec=spec, columns=NEG_COLUMNS,
-                       rows=_grouped_rows(spec, _delta_points(spec)))
+_DELTA_GRID = tuple(np.linspace(-4.0, 4.0, 81))
 
-
-def run_gp_theta(spec: SweepSpec) -> SweepResult:
-    """Phase difference vs initial polar angle at fixed sector-1 resonance."""
-    if not is_resonant(spec.base_params, 1, tol=1e-9):
-        raise ValueError("gp_theta requires sector-1 resonance (delta = chi)")
-    if spec.grid[0] < -1e-12 or spec.grid[-1] > 2 * math.pi + 1e-12:
-        raise ValueError("gp_theta grid must lie in [0, 2*pi]")
-    return SweepResult(spec=spec, columns=GP_COLUMNS,
-                       rows=_grouped_rows(spec, _theta_points(spec)))
-
-
-def run_gp_delta(spec: SweepSpec) -> SweepResult:
-    """Phase difference vs detuning with per-point perpendicular initial states."""
-    return SweepResult(spec=spec, columns=GP_COLUMNS,
-                       rows=_grouped_rows(spec, _delta_points(spec)))
-
-
-def run_bloch_traj(spec: SweepSpec) -> SweepResult:
-    """Unitary path, density projection and tracked-eigenvector path per case.
-
-    Runs one resonant case (the base parameters) and one off-resonant case
-    (delta = 2g, chi = 0), both from perpendicular initial states, and
-    reports a planarity figure against the unitary rotation axis for each
-    series.
-    """
-    if not is_resonant(spec.base_params, 1, tol=1e-9):
-        raise ValueError("bloch_traj base parameters must be resonant (delta = chi)")
-    g = spec.base_params.g
-    cases = (("resonant", spec.open_params),
-             ("off_resonant", replace(spec.open_params, delta=2 * g, chi=0.0)))
-    space = spec.space
-    rows: list[tuple] = []
-    reports: dict[tuple[str, str], object] = {}
-
-    for label, params in cases:
-        sa = sector_analytics(params, 1)
-        period = 2 * math.pi / sa.rabi_frequency
-        config = IntegratorConfig.for_periods(period, spec.periods,
-                                              spec.steps_per_period,
-                                              spec.record_stride)
-        init = perpendicular_state(params, 1)
-        psi0 = initial_state(init, space)
-        h = hamiltonian(params, space)
-
-        closed = evolve_closed(h, psi0, config, space=space)
-        rho0 = np.outer(psi0, psi0.conj())
-        opened = evolve_lindblad(LindbladSpec.from_params(params, space, h), rho0,
-                                 config, space=space)
-        track = track_dominant_eigenvector(opened)
-
-        series = {
-            "unitary": bloch_series(closed.states, space),
-            "rho_proj": bloch_series(opened.states, space),
-            "eigvec": bloch_series(track.vectors, space),
-        }
-        for name in ("unitary", "rho_proj", "eigvec"):
-            data = series[name]
-            reports[(label, name)] = planarity(data[:, :3], np.array(sa.axis))
-            for t, (x, y, z, w) in zip(closed.times, data):
-                rows.append((label, name, float(t), float(x), float(y),
-                             float(z), float(w)))
-
-    return SweepResult(spec=spec, columns=BLOCH_COLUMNS, rows=rows,
-                       meta={"planarity": reports})
-
-
-_RUNNERS = {
-    "negativity_theta": run_negativity_theta,
-    "negativity_delta": run_negativity_delta,
-    "gp_theta": run_gp_theta,
-    "gp_delta": run_gp_delta,
-    "bloch_traj": run_bloch_traj,
+KINDS = {
+    # negativity vs time for a family of initial polar angles, on resonance
+    "negativity_theta": Kind(
+        NEG_COLUMNS, _theta_points, _neg_closed, _neg_group, _neg_rows,
+        checks=(_resonant(math.pi / 2, "pi/2"),),
+        defaults=dict(grid=tuple(np.linspace(0.0, math.pi / 2, 9)), record_stride=16)),
+    # negativity vs time over a detuning grid, perpendicular initial states
+    "negativity_delta": Kind(
+        NEG_COLUMNS, _delta_points, _neg_closed, _neg_group, _neg_rows,
+        defaults=dict(grid=_DELTA_GRID, record_stride=16,
+                      base_params=ModelParams(delta=0.0, chi=0.0))),
+    # phase difference vs initial polar angle at fixed sector-1 resonance
+    "gp_theta": Kind(
+        GP_COLUMNS, _theta_points, _gp_closed, _gp_group, _gp_rows,
+        checks=(_resonant(2 * math.pi, "2*pi"), _checkpoints),
+        defaults=dict(grid=tuple(np.linspace(0.0, 2 * math.pi, 64))),
+        horizon=_largest_m),
+    # phase difference vs detuning, perpendicular initial states
+    "gp_delta": Kind(
+        GP_COLUMNS, _delta_points, _gp_closed, _gp_group, _gp_rows,
+        checks=(_checkpoints,), defaults=dict(grid=_DELTA_GRID),
+        horizon=_largest_m),
+    # unitary path, density projection and tracked-eigenvector path per case,
+    # with a planarity figure against the unitary rotation axis for each
+    "bloch_traj": Kind(
+        BLOCH_COLUMNS, _bloch_points, _bloch_closed, _bloch_group, _bloch_rows,
+        checks=(_resonant(),), defaults=dict(grid=(0.0,), periods=3.0),
+        meta=_bloch_planarity),
 }
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    return _RUNNERS[spec.kind](spec)
+    """The rows of one sweep; its kind's checks run before any integration."""
+    kind = KINDS[spec.kind]
+    for check in kind.checks:
+        check(spec)
+    points = kind.points(spec)
+    rows = _grouped_rows(spec, kind, points)
+    return SweepResult(spec=spec, columns=kind.columns, rows=rows,
+                       meta=kind.meta(points, rows))
 
 
 def _fmt(value) -> str:

@@ -206,9 +206,10 @@ class BranchTracker:
         self._col: Optional[np.ndarray] = None
         self._floor = 1.0
 
-    def extend(self, times: np.ndarray, all_w: np.ndarray, all_v: np.ndarray) -> None:
+    def extend(self, times: np.ndarray, all_w: np.ndarray, all_v: np.ndarray) -> np.ndarray:
         """Continue through samples with ascending eigenvalues ``all_w`` and
-        eigenvector columns ``all_v``; raises TrackingError on failure."""
+        eigenvector columns ``all_v``; returns their tracked vectors, and
+        raises TrackingError on failure."""
         n, dim = all_w.shape
         picks = np.empty(n, dtype=int)
         j, col, floor = self._j, self._col, self._floor
@@ -263,6 +264,7 @@ class BranchTracker:
         self._times.append(times)
         self._eigenvalues.append(all_w[np.arange(n), picks])
         self._vectors.append(vectors)
+        return vectors
 
     def track(self) -> EigenTrack:
         return EigenTrack(times=np.concatenate(self._times),

@@ -21,8 +21,7 @@ from kerrjc.dynamics import (
     lindblad_rhs,
     lowex_rhs,
 )
-from kerrjc.experiments import default_spec, run_gp_delta, run_gp_theta, \
-    run_bloch_traj, run_negativity_delta, run_negativity_theta
+from kerrjc.experiments import default_spec, run_sweep
 from kerrjc.geomphase import (
     phase_open_general,
     phase_open_pure,
@@ -62,16 +61,16 @@ def resonant_period(params=RESONANT):
 def gp_sweeps_default():
     """Both gp sweeps at default grids, wall-clock timed (criteria 7 and 10)."""
     start = time.perf_counter()
-    theta = run_gp_theta(default_spec("gp_theta"))
-    delta = run_gp_delta(default_spec("gp_delta"))
+    theta = run_sweep(default_spec("gp_theta"))
+    delta = run_sweep(default_spec("gp_delta"))
     elapsed = time.perf_counter() - start
     return theta, delta, elapsed
 
 
 @pytest.fixture(scope="module")
 def negativity_sweeps_default():
-    theta = run_negativity_theta(default_spec("negativity_theta"))
-    delta = run_negativity_delta(default_spec("negativity_delta"))
+    theta = run_sweep(default_spec("negativity_theta"))
+    delta = run_sweep(default_spec("negativity_delta"))
     return theta, delta
 
 
@@ -202,9 +201,9 @@ def test_criterion_04_negativity_sin_law():
 
 def test_criterion_05_chi_shift_symmetry():
     grid = default_spec("negativity_delta").grid
-    shifted = run_negativity_delta(default_spec(
+    shifted = run_sweep(default_spec(
         "negativity_delta", base_params=ModelParams(delta=0.5, chi=0.5)))
-    reference = run_negativity_delta(default_spec(
+    reference = run_sweep(default_spec(
         "negativity_delta", grid=tuple(g - 0.5 for g in grid),
         base_params=ModelParams(delta=0.0, chi=0.0)))
     a = np.array([(r[2], r[3]) for r in shifted.rows])
@@ -257,7 +256,7 @@ def test_criterion_07_robustness_dichotomy(gp_sweeps_default):
 
 
 def test_criterion_08_planarity_dichotomy():
-    result = run_bloch_traj(default_spec("bloch_traj"))
+    result = run_sweep(default_spec("bloch_traj"))
     rep = result.meta["planarity"]
     res = rep[("resonant", "eigvec")].max_off_plane
     off = rep[("off_resonant", "eigvec")].max_off_plane
@@ -303,8 +302,8 @@ def test_criterion_10_grid_convergence(gp_sweeps_default,
 
     worst_phase = 0.0
     for base, fine in (
-        (theta, run_gp_theta(halved("gp_theta"))),
-        (delta, run_gp_delta(halved("gp_delta"))),
+        (theta, run_sweep(halved("gp_theta"))),
+        (delta, run_sweep(halved("gp_delta"))),
     ):
         a = np.array([r[5] for r in base.rows])
         b = np.array([r[5] for r in fine.rows])
@@ -313,8 +312,8 @@ def test_criterion_10_grid_convergence(gp_sweeps_default,
 
     worst_neg = 0.0
     for base, fine in (
-        (neg_theta, run_negativity_theta(halved("negativity_theta"))),
-        (neg_delta, run_negativity_delta(halved("negativity_delta"))),
+        (neg_theta, run_sweep(halved("negativity_theta"))),
+        (neg_delta, run_sweep(halved("negativity_delta"))),
     ):
         a = np.array([(r[1], r[2], r[3]) for r in base.rows])
         b = np.array([(r[1], r[2], r[3]) for r in fine.rows])

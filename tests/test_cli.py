@@ -19,7 +19,7 @@ from kerrjc.cli import (
     serialize_config,
     sweep_spec_from_config,
 )
-from kerrjc.experiments import SWEEP_KINDS
+from kerrjc.experiments import KINDS
 
 FAST_GP = [
     "--set", "integrator.steps_per_period=500",
@@ -33,15 +33,15 @@ FAST_GP = [
 class TestParsing:
     def test_minimal_defaults(self):
         config = parse_config("sweep.kind = gp_theta\n")
-        assert config.sweep_kind == "gp_theta"
-        assert config.model.delta == 0.5 and config.model.chi == 0.5
-        assert config.steps_per_period == 2000
-        assert config.m_values == (1, 2, 3)
-        assert config.emit_svg is True
+        assert config["sweep.kind"] == "gp_theta"
+        assert config["model.delta"] == 0.5 and config["model.chi"] == 0.5
+        assert config["integrator.steps_per_period"] == 2000
+        assert config["sweep.m_values"] == (1, 2, 3)
+        assert config["output.emit_svg"] is True
 
     def test_comments_and_blanks(self):
         text = "# a comment\n\nmodel.delta = 1.5\n"
-        assert parse_config(text).model.delta == 1.5
+        assert parse_config(text)["model.delta"] == 1.5
 
     def test_negative_rate_names_key(self):
         with pytest.raises(ConfigError, match="model.gamma"):
@@ -86,7 +86,7 @@ class TestParsing:
     def test_env_var_default_output(self, monkeypatch):
         monkeypatch.setenv("KERRJC_OUTPUT_DIR", "/tmp/kerrjc-env-test")
         config = parse_config("sweep.kind = gp_theta\n")
-        assert config.output_dir == "/tmp/kerrjc-env-test"
+        assert config["output.dir"] == "/tmp/kerrjc-env-test"
 
 
 def _floats(**bounds):
@@ -110,7 +110,7 @@ RAW_TEXT = {
     "initial.n": _whole(), "initial.perpendicular": _BOOL,
     "integrator.steps_per_period": _whole(), "integrator.record_stride": _whole(),
     "integrator.periods": _floats(min_value=0.0, exclude_min=True),
-    "sweep.kind": st.one_of(st.sampled_from(SWEEP_KINDS), st.text()),
+    "sweep.kind": st.one_of(st.sampled_from(list(KINDS)), st.text()),
     "sweep.grid_start": _floats(), "sweep.grid_stop": _floats(),
     "sweep.grid_points": _whole(),
     "sweep.m_values": st.lists(st.integers(1, 50), max_size=4).map(
@@ -134,7 +134,9 @@ def test_config_round_trip(raw):
     try:
         config = build_config({key: (text, 1) for key, text in raw.items()})
     except ConfigError as exc:
-        assert any(key in str(exc) for key in ("sweep.kind", "output.dir", "sweep.m_values"))
+        assert any(key in str(exc) for key in ("sweep.kind", "output.dir", "sweep.m_values",
+                                               "initial.theta0", "initial.phi0",
+                                               "initial.n"))
         return
     assert parse_config(serialize_config(config)) == config
 
@@ -189,6 +191,33 @@ class TestDispatch:
                          "--set", f"{key}={value}"])
             assert code == EXIT_CONFIG
             assert key in capsys.readouterr().err
+        assert integrated == []
+
+    @pytest.mark.parametrize("setting", ["initial.theta0=7", "initial.theta0=-0.5",
+                                         "initial.phi0=6.5", "initial.n=5"])
+    def test_initial_state_out_of_range_names_key(self, tmp_path, capsys, setting):
+        key = setting.partition("=")[0]
+        for command in (["validate-config"], ["evolve"]):
+            code = main([*command, "--out", str(tmp_path), "--no-timestamp",
+                         "--set", setting])
+            assert code == EXIT_CONFIG
+            assert key in capsys.readouterr().err
+
+    def test_initial_state_range_edges_accepted(self, capsys):
+        assert main(["validate-config", "--set", "initial.theta0=6.283185307179586",
+                     "--set", "initial.phi0=0", "--set", "initial.n=4",
+                     "--set", "space.n_max=4"]) == EXIT_OK
+
+    def test_repeated_m_rejected(self, tmp_path, capsys, monkeypatch):
+        import kerrjc.experiments as ex
+        integrated = []
+        for name in ("closed_blocks", "lindblad_blocks"):
+            monkeypatch.setattr(ex, name, lambda *args, **kw: integrated.append(args))
+        for command in (["validate-config"], ["sweep", "--kind", "gp_delta"]):
+            code = main([*command, "--out", str(tmp_path), "--no-timestamp",
+                         "--set", "sweep.m_values=1,2,1"])
+            assert code == EXIT_CONFIG
+            assert "sweep.m_values" in capsys.readouterr().err
         assert integrated == []
 
     def test_coarse_grid_exit_names_keys(self, tmp_path, capsys):
@@ -256,7 +285,7 @@ class TestDispatch:
         echoed = capsys.readouterr().out
         assert "model.delta = 0.69999999999999996" in echoed \
             or "model.delta = 0.7" in echoed
-        assert parse_config(echoed).model.delta == 0.7
+        assert parse_config(echoed)["model.delta"] == 0.7
 
     def test_validate_config_rejects_bad_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -288,7 +317,7 @@ class TestDispatch:
         cfg.write_text("model.delta = 0.1\nsweep.kind = gp_theta\n")
         assert main(["validate-config", "--config", str(cfg),
                      "--set", "model.delta=0.9"]) == EXIT_OK
-        assert parse_config(capsys.readouterr().out).model.delta == 0.9
+        assert parse_config(capsys.readouterr().out)["model.delta"] == 0.9
 
     @pytest.mark.parametrize("setting", ["integrator.steps_per_period=2001",
                                          "integrator.record_stride=3"])

@@ -23,23 +23,18 @@ from kerrjc.geomphase import (
 
 from kerrjc.experiments import (
     SweepSpec,
-    default_grid,
     default_spec,
     provenance_lines,
-    run_bloch_traj,
-    run_gp_delta,
-    run_gp_theta,
-    run_negativity_delta,
-    run_negativity_theta,
     run_sweep,
     write_sweep_csv,
 )
-from kerrjc.information import PLANARITY_THRESHOLD, negativity
+from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, negativity, planarity
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
     hamiltonian,
     initial_state,
+    perpendicular_state,
     sector_analytics,
 )
 
@@ -64,31 +59,53 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(kind="gp_theta", grid=(0.0, 1.0), base_params=RESONANT,
                       m_values=(0,))
+        with pytest.raises(ValueError, match="sweep.m_values"):
+            SweepSpec(kind="gp_theta", grid=(0.0, 1.0), base_params=RESONANT,
+                      m_values=(1, 2, 1))
 
     def test_default_grids(self):
-        assert len(default_grid("negativity_theta")) == 9
-        assert default_grid("negativity_theta")[-1] == pytest.approx(math.pi / 2)
-        assert len(default_grid("gp_theta")) == 64
-        assert len(default_grid("gp_delta")) == 81
+        assert len(default_spec("negativity_theta").grid) == 9
+        assert default_spec("negativity_theta").grid[-1] == pytest.approx(math.pi / 2)
+        assert len(default_spec("gp_theta").grid) == 64
+        assert len(default_spec("gp_delta").grid) == 81
 
     def test_resonance_required(self):
         spec = default_spec("gp_theta", base_params=ModelParams(delta=1.0, chi=0.2))
         with pytest.raises(ValueError):
-            run_gp_theta(spec)
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("kind, overrides, message", [
+        ("negativity_theta", dict(base_params=ModelParams(delta=1.0, chi=0.2)), "resonance"),
+        ("gp_theta", dict(base_params=ModelParams(delta=1.0, chi=0.2)), "resonance"),
+        ("bloch_traj", dict(base_params=ModelParams(delta=1.0, chi=0.2)), "resonance"),
+        ("negativity_theta", dict(grid=(0.0, 1.6)), r"\[0, pi/2\]"),
+        ("negativity_theta", dict(grid=(-0.1, 1.0)), r"\[0, pi/2\]"),
+        ("gp_theta", dict(grid=(0.0, 6.3)), r"\[0, 2\*pi\]"),
+        ("gp_theta", dict(grid=(-0.1, 1.0)), r"\[0, 2\*pi\]"),
+    ])
+    def test_preconditions_refused_before_integrating(self, kind, overrides, message,
+                                                      monkeypatch):
+        import kerrjc.experiments as ex
+        integrated = []
+        for name in ("closed_blocks", "lindblad_blocks"):
+            monkeypatch.setattr(ex, name, lambda *args, **kw: integrated.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_sweep(default_spec(kind, **overrides))
+        assert integrated == []
 
 
 @pytest.fixture(scope="module")
 def neg_theta_result():
     grid = (0.0, math.pi / 4, math.pi / 2)
-    return run_negativity_theta(default_spec("negativity_theta", grid=grid,
-                                             **SMALL_NEG))
+    return run_sweep(default_spec("negativity_theta", grid=grid,
+                                  **SMALL_NEG))
 
 
 @pytest.fixture(scope="module")
 def gp_theta_result():
     grid = (0.0, 0.7, math.pi / 2, 2 * math.pi - 0.7)
-    return run_gp_theta(default_spec("gp_theta", grid=grid, m_values=(1,),
-                                     **SMALL_GP))
+    return run_sweep(default_spec("gp_theta", grid=grid, m_values=(1,),
+                                  **SMALL_GP))
 
 
 class TestNegativityTheta:
@@ -125,21 +142,21 @@ class TestNegativityTheta:
 class TestNegativityDelta:
     def test_bare_resonance_full_oscillation(self):
         spec = default_spec("negativity_delta", grid=(-2.0, 0.0, 2.0), **SMALL_NEG)
-        result = run_negativity_delta(spec)
+        result = run_sweep(spec)
         on_res = np.array([r[2] for r in rows_for(result, 0.0)])
         assert on_res.max() > 0.499 and on_res.min() < 1e-6
 
     def test_large_detuning_confined_high(self):
         spec = default_spec("negativity_delta", grid=(4.0,), **SMALL_NEG)
-        vals = np.array([r[2] for r in run_negativity_delta(spec).rows])
+        vals = np.array([r[2] for r in run_sweep(spec).rows])
         assert vals.min() > 0.3
 
     def test_chi_shift_symmetry(self):
         grid = tuple(np.linspace(-2.0, 2.0, 5))
-        shifted = run_negativity_delta(default_spec(
+        shifted = run_sweep(default_spec(
             "negativity_delta", grid=grid,
             base_params=ModelParams(delta=0.5, chi=0.5), **SMALL_NEG))
-        reference = run_negativity_delta(default_spec(
+        reference = run_sweep(default_spec(
             "negativity_delta", grid=tuple(g - 0.5 for g in grid),
             base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG))
         a = np.array([(r[2], r[3]) for r in shifted.rows])
@@ -173,7 +190,7 @@ class TestGpSweeps:
 
     def test_gp_delta_dichotomy(self):
         spec = default_spec("gp_delta", grid=(-1.5, 0.5, 2.5), **SMALL_GP)
-        result = run_gp_delta(spec)
+        result = run_sweep(spec)
         protected = [abs(r[5]) for r in rows_for(result, 0.5)]
         assert max(protected) < 0.01
         for delta in (-1.5, 2.5):
@@ -184,14 +201,14 @@ class TestGpSweeps:
     def test_zero_rates_zero_everywhere(self):
         spec = default_spec("gp_delta", grid=(-1.0, 0.5, 2.0), m_values=(1,),
                             open_rates=(0.0, 0.0, 0.0), **SMALL_GP)
-        result = run_gp_delta(spec)
+        result = run_sweep(spec)
         assert max(abs(r[5]) for r in result.rows) < 1e-9
 
 
 class TestBlochTraj:
     def test_planarity_dichotomy(self):
-        result = run_bloch_traj(default_spec("bloch_traj", periods=3.0,
-                                             steps_per_period=1000))
+        result = run_sweep(default_spec("bloch_traj", periods=3.0,
+                                        steps_per_period=1000))
         rep = result.meta["planarity"]
         res = rep[("resonant", "eigvec")].max_off_plane
         off = rep[("off_resonant", "eigvec")].max_off_plane
@@ -199,10 +216,27 @@ class TestBlochTraj:
         assert off > PLANARITY_THRESHOLD
         assert off > 2 * res
 
+    def test_rows_and_planarity_equal_per_case_loop(self):
+        spec = default_spec("bloch_traj")
+        result = run_sweep(spec)
+        rows, planarity_reports = per_case_bloch(spec)
+        assert result.rows == rows
+        assert result.meta["planarity"] == planarity_reports
+
+    @pytest.mark.parametrize("block_records", [1, 7, 100])
+    def test_rows_do_not_depend_on_block_length(self, block_records, monkeypatch):
+        spec = default_spec("bloch_traj", periods=1.0, steps_per_period=1000)
+        default = run_sweep(spec)
+        for name in ("closed_blocks", "lindblad_blocks"):
+            with_block_records(monkeypatch, name, block_records)
+        result = run_sweep(spec)
+        assert result.rows == default.rows
+        assert result.meta == default.meta
+
     def test_zero_rates_series_coincide(self):
         spec = default_spec("bloch_traj", periods=1.0, steps_per_period=1000,
                             open_rates=(0.0, 0.0, 0.0))
-        result = run_bloch_traj(spec)
+        result = run_sweep(spec)
         for case in ("resonant", "off_resonant"):
             by_series = {
                 name: np.array([r[3:6] for r in result.rows
@@ -235,12 +269,15 @@ class TestCsvAndWorkers:
         assert any("steps_per_period" in l for l in header)
 
     def test_worker_pool_matches_serial(self):
-        # one θ group of two points, and three δ groups of one point each
-        for kind, grid in (("gp_theta", (0.0, 0.9)), ("gp_delta", (-1.0, 0.5, 2.0))):
+        # one θ group of two points, three δ groups of one point each, and
+        # the two bloch cases
+        for kind, grid in (("gp_theta", (0.0, 0.9)), ("gp_delta", (-1.0, 0.5, 2.0)),
+                           ("bloch_traj", (0.0,))):
             spec = default_spec(kind, grid=grid, m_values=(1,), **SMALL_GP)
             serial = run_sweep(spec)
             parallel = run_sweep(replace(spec, workers=2))
             assert serial.rows == parallel.rows
+            assert serial.meta == parallel.meta
 
     def test_wrapped_column_is_wrap_of_raw(self, gp_theta_result):
         for row in gp_theta_result.rows:
@@ -281,6 +318,34 @@ def per_point_gp_rows(spec):
     return rows
 
 
+def per_case_bloch(spec):
+    """Rows and planarity reports of each bloch case run alone:
+    evolve_closed, evolve_lindblad and track_dominant_eigenvector on whole
+    trajectories, as bloch_traj ran before it was a sweep."""
+    cases = (("resonant", spec.open_params),
+             ("off_resonant", replace(spec.open_params, delta=2 * spec.base_params.g,
+                                      chi=0.0)))
+    space = spec.space
+    rows, reports = [], {}
+    for label, params in cases:
+        sa = sector_analytics(params, 1)
+        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, spec.periods,
+                                              spec.steps_per_period, spec.record_stride)
+        psi0 = initial_state(perpendicular_state(params, 1), space)
+        h = hamiltonian(params, space)
+        closed = evolve_closed(h, psi0, config, space=space)
+        opened = evolve_lindblad(LindbladSpec.from_params(params, space, h),
+                                 np.outer(psi0, psi0.conj()), config, space=space)
+        track = track_dominant_eigenvector(opened)
+        for name, states in (("unitary", closed.states), ("rho_proj", opened.states),
+                             ("eigvec", track.vectors)):
+            data = bloch_series(states, space)
+            reports[(label, name)] = planarity(data[:, :3], np.array(sa.axis))
+            rows += [(label, name, float(t), float(x), float(y), float(z), float(w))
+                     for t, (x, y, z, w) in zip(closed.times, data)]
+    return rows, reports
+
+
 def per_point_neg_rows(spec):
     rows = []
     for theta in spec.grid:
@@ -309,7 +374,7 @@ class TestGroupedEngine:
 
     def test_gp_theta_matches_per_point(self):
         spec = default_spec("gp_theta", **GP_THETA_GROUP)
-        got = run_gp_theta(spec).rows
+        got = run_sweep(spec).rows
         want = per_point_gp_rows(spec)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -319,7 +384,7 @@ class TestGroupedEngine:
 
     def test_negativity_theta_matches_per_point(self):
         spec = default_spec("negativity_theta", **NEG_THETA_GROUP)
-        got = np.array(run_negativity_theta(spec).rows)
+        got = np.array(run_sweep(spec).rows)
         want = np.array(per_point_neg_rows(spec))
         assert got.shape == want.shape
         assert np.array_equal(got[:, :3], want[:, :3])
@@ -328,17 +393,17 @@ class TestGroupedEngine:
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     def test_gp_rows_do_not_depend_on_block_length(self, block_records, monkeypatch):
         spec = default_spec("gp_theta", **GP_THETA_GROUP)
-        default = run_gp_theta(spec).rows
+        default = run_sweep(spec).rows
         with_block_records(monkeypatch, "lindblad_blocks", block_records)
-        assert run_gp_theta(spec).rows == default
+        assert run_sweep(spec).rows == default
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     def test_negativity_rows_do_not_depend_on_block_length(self, block_records,
                                                            monkeypatch):
         spec = default_spec("negativity_theta", **NEG_THETA_GROUP)
-        default = run_negativity_theta(spec).rows
+        default = run_sweep(spec).rows
         with_block_records(monkeypatch, "lindblad_blocks", block_records)
-        assert run_negativity_theta(spec).rows == default
+        assert run_sweep(spec).rows == default
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     @pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
@@ -358,18 +423,19 @@ class TestGroupedEngine:
             seen.append(job)
             return real(job)
 
-        monkeypatch.setattr(ex, "_gp_group", recording_group)
-        run_gp_theta(default_spec("gp_theta", grid=(0.0, 1.0, 2.0), m_values=(1,),
-                                  **SMALL_GP))
-        run_gp_delta(default_spec("gp_delta", grid=(-1.0, 0.5), m_values=(1,),
-                                  **SMALL_GP))
+        for kind in ("gp_theta", "gp_delta"):
+            monkeypatch.setitem(ex.KINDS, kind, replace(ex.KINDS[kind], group=recording_group))
+        run_sweep(default_spec("gp_theta", grid=(0.0, 1.0, 2.0), m_values=(1,),
+                               **SMALL_GP))
+        run_sweep(default_spec("gp_delta", grid=(-1.0, 0.5), m_values=(1,),
+                               **SMALL_GP))
         assert [len(job[2]) for job in seen] == [3, 1, 1]
 
     def test_tracking_failure_flags_only_its_point(self, monkeypatch):
         import kerrjc.experiments as ex
         spec = default_spec("gp_theta", **GP_THETA_GROUP)
         with_block_records(monkeypatch, "lindblad_blocks", 50)
-        clean = run_gp_theta(spec).rows
+        clean = run_sweep(spec).rows
 
         class SecondFailsMidway(BranchTracker):
             made = 0
@@ -387,7 +453,7 @@ class TestGroupedEngine:
                 super().extend(*args)
 
         monkeypatch.setattr(ex, "BranchTracker", SecondFailsMidway)
-        rows = run_gp_theta(spec).rows
+        rows = run_sweep(spec).rows
         second = spec.grid[1]
         assert [r[8] for r in rows if r[0] == second] \
             == ["tracking_error"] * len(spec.m_values)
