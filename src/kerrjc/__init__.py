@@ -17,7 +17,7 @@ from .geomphase import (
     SingularCheckpointError,
     TrackingError,
 )
-from .experiments import SweepResult, SweepSpec
+from .experiments import ConfigError, SweepResult, SweepSpec
 
 __all__ = [
     "SpaceSpec",
@@ -36,5 +36,6 @@ __all__ = [
     "CoarseGridError",
     "SweepSpec",
     "SweepResult",
+    "ConfigError",
     "__version__",
 ]

@@ -6,8 +6,9 @@ Config files are flat ``key = value`` lines with dotted section keys
 repeated ``--set key=value`` flags, then the dedicated flags (``--out``,
 ``--no-svg``, ``--no-timestamp``, ``--kind``).
 
-Exit codes: 0 success, 1 config error, 2 truncation, 3 tracking/phase or
-numerical failure (positivity guard, negativity cross-check), 4 I/O error.
+Exit codes: 0 success, 1 config error (``ConfigError``), 2 truncation,
+3 tracking/phase or numerical failure (positivity guard, negativity
+cross-check) or an internal error (any other ``ValueError``), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .experiments import (
+    KINDS,
+    ConfigError,
     SweepResult,
     SweepSpec,
     default_spec,
@@ -58,10 +61,6 @@ EXIT_CONFIG = 1
 EXIT_TRUNCATION = 2
 EXIT_TRACKING = 3
 EXIT_IO = 4
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid run configuration."""
 
 
 def _parse_bool(s: str) -> bool:
@@ -145,6 +144,9 @@ def build_config(raw: dict[str, tuple[str, int]]) -> dict:
         if conv is str and (text != text.strip() or len(text.splitlines()) != 1):
             raise ConfigError(f"{key} must be one nonempty line without surrounding "
                               f"whitespace, got {text!r}")
+    if values["sweep.kind"] not in ("", *KINDS):
+        raise ConfigError(f"sweep.kind must be one of {', '.join(KINDS)}, "
+                          f"got {values['sweep.kind']!r}")
     for key, (conv, _, sign) in SCHEMA.items():
         value = values[key]
         if value is not None and conv is float and not math.isfinite(value):
@@ -211,10 +213,7 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
                      grid=None if None in grid else tuple(np.linspace(*grid)),
                      record_stride=config["integrator.record_stride"],
                      periods=config["integrator.periods"])
-    try:
-        return default_spec(kind, **{k: v for k, v in overrides.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return default_spec(kind, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def emit_svg(result: SweepResult, outdir: Path) -> list[Path]:
@@ -277,9 +276,9 @@ def run_evolve(config: dict) -> int:
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:
         rho0 = np.outer(psi0, psi0.conj())
         record = evolve_lindblad(LindbladSpec.from_params(params, space, h), rho0,
-                                 integ, space=space, params=params)
+                                 integ, space=space)
     else:
-        record = evolve_closed(h, psi0, integ, space=space, params=params)
+        record = evolve_closed(h, psi0, integ, space=space)
 
     outdir = Path(config["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -319,6 +318,10 @@ def _load_config(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         raw[key.strip()] = (value.strip(), 0)
+    if args.command == "bloch":
+        raw["sweep.kind"] = ("bloch_traj", 0)
+    elif getattr(args, "kind", None):
+        raw["sweep.kind"] = (args.kind, 0)
     config = build_config(raw)
     if args.out:
         config["output.dir"] = args.out
@@ -326,10 +329,6 @@ def _load_config(args) -> dict:
         config["output.emit_svg"] = False
     if args.no_timestamp:
         config["output.timestamp"] = False
-    if args.command == "bloch":
-        config["sweep.kind"] = "bloch_traj"
-    elif getattr(args, "kind", None):
-        config["sweep.kind"] = args.kind
     return config
 
 
@@ -368,8 +367,7 @@ def main(argv=None) -> int:
         if args.command == "evolve":
             return run_evolve(config)
         return dispatch(config)
-    except ValueError as exc:
-        # ConfigError and runner precondition failures (both config-induced)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TruncationError as exc:
@@ -392,6 +390,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # a ValueError that is not a ConfigError is a fault of the program
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_TRACKING
 
 
 if __name__ == "__main__":

@@ -8,11 +8,13 @@ precompute that step matrix once and then advance by matrix products.
 each under its own Hamiltonian and time step: one stacked matrix-vector
 step and one renormalisation per time step for all of them, with the same
 per-state arithmetic as a lone trajectory, so a state's bits do not depend
-on which others share its batch.  ``lindblad_blocks`` advances several
-initial density matrices under one generator together, one matrix-matrix
-product per record.  Both hand their records out in blocks of bounded size
-(``BLOCK_ENTRIES``) that have passed the guards, and ``evolve_closed`` and
-``evolve_lindblad`` are each one trajectory fed through them.
+on which others share its batch.  ``lindblad_blocks`` does the same for
+open legs: g generators, each with its own Lindbladian, time step and c
+initial density matrices, advance by one stacked matrix product per
+record, again with the bits of each generator's own product.  Both hand
+their records out in blocks of bounded size (``BLOCK_ENTRIES``) that have
+passed the guards, and ``evolve_closed`` and ``evolve_lindblad`` are each
+one trajectory fed through them.
 ``lindblad_rhs`` stays available as the direct matrix-in/matrix-out form,
 and ``lowex_rhs`` is an independently hand-coded right-hand side on the
 five lowest basis states used as a cross-check.
@@ -121,7 +123,6 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray
     config: IntegratorConfig
-    params: Optional[ModelParams] = None
     max_norm_drift: float = 0.0
 
     def __post_init__(self):
@@ -326,57 +327,67 @@ def closed_blocks(hs, psi0s, configs, space: Optional[SpaceSpec] = None,
 
 
 def evolve_closed(h: np.ndarray, psi0: np.ndarray, config: IntegratorConfig,
-                  space: Optional[SpaceSpec] = None,
-                  params: Optional[ModelParams] = None) -> TrajectoryRecord:
+                  space: Optional[SpaceSpec] = None) -> TrajectoryRecord:
     """RK4 integration of psi' = -i H psi with per-step renormalization."""
     n_rec = config.n_steps // config.record_stride + 1
     (times, states, drift), = closed_blocks([h], [psi0], [config], space=space,
                                             block_records=n_rec)
     return TrajectoryRecord(times=times[0], states=states[0], config=config,
-                            params=params, max_norm_drift=float(drift[0]))
+                            max_norm_drift=float(drift[0]))
 
 
-def lindblad_blocks(spec: LindbladSpec, rho0s: np.ndarray, config: IntegratorConfig,
-                    space: Optional[SpaceSpec] = None, check_health: bool = True,
-                    decompose: bool = False, block_records: Optional[int] = None):
-    """Advance b initial density matrices under one Lindbladian, block by block.
+def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
+                    check_health: bool = True, decompose: bool = False,
+                    block_records: Optional[int] = None):
+    """Advance c initial density matrices under each of g Lindbladians, in lockstep.
 
-    The vectorised states are the columns of one matrix, advanced by one
-    matrix-matrix product per record, so the hop matrix is read once per
-    record for all of them.  Yields ``(times, states, eig)`` for consecutive
-    blocks of records: ``states`` has shape (b, r, d, d).  Every block has
-    passed the density (unless ``check_health`` is false) and truncation
-    checks.  With ``decompose``, ``eig`` is the block's ``np.linalg.eigh``
-    reshaped to (b, r, d) and (b, r, d, d), and also serves the positivity
-    check; otherwise it is None.  By default r keeps r*b*d^2 within
-    BLOCK_ENTRIES, so memory does not grow with the number of records.
+    ``rho0s`` has shape (g, c, d, d): generator i (``specs[i]``, time step
+    ``configs[i].dt``) advances the c states ``rho0s[i]``.  All configs must
+    share the step count and the record stride.  The vectorised states of
+    a generator are the columns of one matrix, and each record is one
+    stacked product (g, d^2, d^2) @ (g, d^2, c), which gives the bits of each
+    generator's own ``hop @ vecs`` (checked on OpenBLAS), so a trajectory's
+    results do not depend on what shares its batch.  Yields
+    ``(times, states, eig)`` for consecutive blocks of records, point-major
+    over the b = g*c points (point i*c + j is state j of generator i):
+    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
+    has passed the density (unless ``check_health`` is false) and
+    truncation checks as one (b*r, d, d) stack.  With ``decompose``, ``eig``
+    is that stack's ``np.linalg.eigh`` reshaped to (b, r, d) and
+    (b, r, d, d), and also serves the positivity check; otherwise it is
+    None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES, so memory does
+    not grow with the number of records.
     """
+    configs = list(configs)
+    n_steps, stride = configs[0].n_steps, configs[0].record_stride
+    if any(cfg.n_steps != n_steps or cfg.record_stride != stride for cfg in configs):
+        raise ValueError("lockstep open legs need one step count and record stride")
     rho0s = np.asarray(rho0s, dtype=complex)
-    b, d = rho0s.shape[0], rho0s.shape[-1]
-    if rho0s.shape != (b, d, d) or spec.hamiltonian.shape != (d, d):
+    g, c, d = rho0s.shape[0], rho0s.shape[1], rho0s.shape[-1]
+    if (rho0s.shape != (g, c, d, d) or len(specs) != g or len(configs) != g
+            or any(s.hamiltonian.shape != (d, d) for s in specs)):
         raise ValueError("rho0 and hamiltonian dimensions disagree")
 
     # compose record_stride RK4 steps into one matrix; the recorded samples
     # are identical to stepping one dt at a time (up to float associativity)
-    step = rk4_step_matrix(liouvillian(spec), config.dt)
-    hop = np.linalg.matrix_power(step, config.record_stride)
-    n_rec = config.n_steps // config.record_stride + 1
-    times = np.arange(n_rec) * (config.dt * config.record_stride)
+    hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
+                                            stride) for s, cfg in zip(specs, configs)])
+    n_rec = n_steps // stride + 1
+    times = np.repeat([np.arange(n_rec) * (cfg.dt * stride) for cfg in configs], c, axis=0)
+    b = g * c
     if block_records is None:
         block_records = max(1, BLOCK_ENTRIES // (b * d * d))
-    # with one column, hop @ vecs gives the bits of hop.dot(v) (checked on
-    # OpenBLAS), so the results of a lone trajectory do not depend on grouping
-    vecs = np.ascontiguousarray(rho0s.reshape(b, d * d).T)
+    vecs = np.ascontiguousarray(rho0s.reshape(g, c, d * d).transpose(0, 2, 1))
     for start in range(0, n_rec, block_records):
-        block_times = times[start:start + block_records]
-        r = len(block_times)
-        states = np.empty((b, r, d * d), dtype=complex)
+        block_times = times[:, start:start + block_records]
+        r = block_times.shape[1]
+        states = np.empty((g, c, r, d * d), dtype=complex)
         for k in range(r):
             if start + k:
-                vecs = hop @ vecs
-            states[:, k] = vecs.T
+                vecs = np.matmul(hops, vecs)
+            states[:, :, k] = vecs.transpose(0, 2, 1)
         flat = states.reshape(b * r, d, d)
-        sample_times = np.tile(block_times, b)
+        sample_times = block_times.reshape(-1)
         eig = np.linalg.eigh(flat) if decompose else None
         if check_health:
             _check_density_stack(flat, sample_times, None if eig is None else eig[0])
@@ -388,15 +399,14 @@ def lindblad_blocks(spec: LindbladSpec, rho0s: np.ndarray, config: IntegratorCon
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray, config: IntegratorConfig,
                     space: Optional[SpaceSpec] = None,
-                    params: Optional[ModelParams] = None,
                     check_health: bool = True) -> TrajectoryRecord:
-    """RK4 integration of the Lindblad equation on the full density matrix."""
+    """RK4 Lindblad integration of one state: ``lindblad_blocks`` in one block."""
     rho0 = np.asarray(rho0, dtype=complex)
     n_rec = config.n_steps // config.record_stride + 1
-    (times, states, _), = lindblad_blocks(spec, rho0[None], config, space=space,
+    (times, states, _), = lindblad_blocks([spec], rho0[None, None], [config], space=space,
                                           check_health=check_health,
                                           block_records=n_rec)
-    return TrajectoryRecord(times=times, states=states[0], config=config, params=params)
+    return TrajectoryRecord(times=times[0], states=states[0], config=config)
 
 
 def write_trajectory_csv(record: TrajectoryRecord, path) -> None:

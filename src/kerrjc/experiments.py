@@ -5,10 +5,12 @@ Sweeps are deterministic (no randomness anywhere in the pipeline) and
 assemble rows in grid order, so re-running an identical spec reproduces
 the CSV byte for byte.  The closed legs of all grid points advance in
 lockstep (``dynamics.closed_blocks``) in the calling process.  Grid points
-that share model parameters form one open-leg job, which builds its
-operators once and advances its open legs together
-(``dynamics.lindblad_blocks``); with ``workers > 1`` a process pool runs
-the jobs, and the single writer reassembles the rows in grid order.
+that share model parameters form one group, which builds its operators
+once; consecutive groups form a chunk, whose hop matrices hold at most
+``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
+lockstep (``dynamics.lindblad_blocks``) as one job, tracked by one
+``BranchTracker``.  With ``workers > 1`` a process pool runs the chunk
+jobs, and the single writer reassembles the rows in grid order.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    BLOCK_ENTRIES,
     IntegratorConfig,
     LindbladSpec,
     closed_blocks,
@@ -32,7 +35,6 @@ from .geomphase import (
     BranchTracker,
     PhaseChain,
     SingularCheckpointError,
-    TrackingError,
     checkpoint_phase,
     wrap_angle,
 )
@@ -59,6 +61,10 @@ BLOCH_COLUMNS = ("case", "series", "t", "x", "y", "z", "weight")
 BLOCH_SERIES = ("unitary", "rho_proj", "eigvec")
 
 
+class ConfigError(ValueError):
+    """Malformed or invalid run configuration; the message names the key."""
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep definition: kind, parameter grid, base model, open rates."""
@@ -76,15 +82,15 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown sweep kind {self.kind!r}")
+            raise ConfigError(f"unknown sweep.kind {self.kind!r}")
         if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
+            raise ConfigError("the grid (sweep.grid_points) must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
+            raise ConfigError("the grid must rise: sweep.grid_stop > sweep.grid_start")
         if any(m < 1 for m in self.m_values) or len(set(self.m_values)) != len(self.m_values):
-            raise ValueError("sweep.m_values must list distinct m, all >= 1")
+            raise ConfigError("sweep.m_values must list distinct m, all >= 1")
         if any(r < 0 for r in self.open_rates):
-            raise ValueError("open rates must be nonnegative")
+            raise ConfigError("the sweep.open_* rates must be nonnegative")
 
     @property
     def open_params(self) -> ModelParams:
@@ -111,7 +117,7 @@ class Kind:
     columns: tuple[str, ...]
     points: Callable  # spec -> (value, params, initial state) of every grid point
     closed: Callable  # (spec, closed_blocks) -> one reduction per point
-    group: Callable  # job -> one open-leg reduction per member; picklable (the pool)
+    group: Callable  # chunk job -> one open-leg reduction per point; picklable (the pool)
     rows: Callable  # (spec, value, period, closed, opened) -> the point's rows
     checks: tuple[Callable, ...] = ()  # spec -> None, raise before any integration
     defaults: dict = field(default_factory=dict)  # the default_spec keywords
@@ -122,7 +128,7 @@ class Kind:
 def default_spec(kind: str, **overrides) -> SweepSpec:
     """Sweep spec with the package defaults for the given kind."""
     if kind not in KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}")
+        raise ConfigError(f"unknown sweep.kind {kind!r}")
     return SweepSpec(kind=kind, **{"base_params": ModelParams(delta=0.5, chi=0.5),
                                    **KINDS[kind].defaults, **overrides})
 
@@ -132,7 +138,7 @@ def _checkpoints(spec: SweepSpec) -> list[int]:
     between records."""
     for m in spec.m_values:
         if m * spec.steps_per_period % spec.record_stride:
-            raise ValueError(
+            raise ConfigError(
                 f"checkpoint m={m} falls between records (m*steps_per_period/"
                 f"record_stride = {m * spec.steps_per_period}/{spec.record_stride}); "
                 "choose integrator.steps_per_period, integrator.record_stride and "
@@ -144,11 +150,18 @@ def _resonant(top: Optional[float] = None, label: str = "") -> Callable:
     """Check of sector-1 resonance and of a polar-angle grid within [0, top]."""
     def check(spec: SweepSpec) -> None:
         if not is_resonant(spec.base_params, 1, tol=1e-9):
-            raise ValueError(f"{spec.kind} requires sector-1 resonance: set "
-                             "model.delta equal to model.chi")
+            raise ConfigError(f"{spec.kind} requires sector-1 resonance: set "
+                              "model.delta equal to model.chi")
         if top is not None and (spec.grid[0] < -1e-12 or spec.grid[-1] > top + 1e-12):
-            raise ValueError(f"{spec.kind} grid must lie in [0, {label}]")
+            raise ConfigError(f"{spec.kind} grid must lie in [0, {label}]: set "
+                              "sweep.grid_start and sweep.grid_stop")
     return check
+
+
+def _two_records(spec: SweepSpec) -> None:
+    """Check that the legs record two or more samples (planarity needs them)."""
+    if round(spec.periods * spec.steps_per_period) < 1:
+        raise ConfigError(f"{spec.kind} needs two or more records: raise integrator.periods")
 
 
 def _largest_m(spec: SweepSpec) -> float:
@@ -156,11 +169,13 @@ def _largest_m(spec: SweepSpec) -> float:
 
 
 def _open_blocks(job, decompose: bool = False):
-    """The open legs of one group job as ``lindblad_blocks``."""
-    spec, params, psi0s, config, h = job
-    rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
-    return lindblad_blocks(LindbladSpec.from_params(params, spec.space, h), rho0s,
-                           config, space=spec.space, decompose=decompose)
+    """The open legs of one chunk job as ``lindblad_blocks``."""
+    spec, groups = job
+    params, psi0s, configs, hs = zip(*groups)
+    rho0s = np.array([[np.outer(psi0, psi0.conj()) for psi0 in group] for group in psi0s])
+    return lindblad_blocks([LindbladSpec.from_params(p, spec.space, h)
+                            for p, h in zip(params, hs)], rho0s, configs,
+                           space=spec.space, decompose=decompose)
 
 
 def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
@@ -182,7 +197,7 @@ def _neg_closed(spec: SweepSpec, blocks) -> list[tuple]:
 
 
 def _neg_group(job) -> np.ndarray:
-    """Open-leg negativities (points, records) of one group."""
+    """Open-leg negativities (points, records) of one chunk."""
     return np.concatenate([_per_state(negativity, states, job[0].space)
                            for _, states, _ in _open_blocks(job)], axis=1)
 
@@ -202,30 +217,17 @@ def _gp_closed(spec: SweepSpec, blocks) -> list[tuple]:
 
 
 def _gp_group(job) -> list[Optional[tuple]]:
-    """Per point of one group: its open phase chain and tracked eigenvalue at
-    the checkpoints, or None if tracking failed."""
-    spec, psi0s = job[0], job[2]
-    trackers = [BranchTracker() for _ in psi0s]
-    for times, _, (all_w, all_v) in _open_blocks(job, decompose=True):
-        for j, tracker in enumerate(trackers):
-            if tracker is None:
-                continue
-            try:
-                tracker.extend(times, all_w[j], all_v[j])
-            except TrackingError:
-                trackers[j] = None
-
-    checkpoints = _checkpoints(spec)
-    out = []
-    for tracker in trackers:
-        if tracker is None:
-            out.append(None)
-            continue
-        track = tracker.track()
-        chain = PhaseChain(checkpoints)
-        chain.extend(track.vectors[None])
-        out.append(([v[0] for v in chain.values], track.eigenvalues[checkpoints]))
-    return out
+    """Per point of one chunk: its open phase chain and tracked eigenvalue at
+    the checkpoints, or None if its tracking failed."""
+    checkpoints = _checkpoints(job[0])
+    tracker, chain, omegas = BranchTracker(), PhaseChain(checkpoints), []
+    for times, _, eig in _open_blocks(job, decompose=True):
+        w, vectors = tracker.extend(times, *eig)
+        chain.extend(vectors)
+        omegas.append(w)
+    omegas = np.concatenate(omegas, axis=1)[:, checkpoints]
+    return [None if p in tracker.failed else ([v[p] for v in chain.values], omegas[p])
+            for p in range(len(omegas))]
 
 
 def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
@@ -257,15 +259,16 @@ def _bloch_closed(spec: SweepSpec, blocks) -> list[tuple]:
 
 
 def _bloch_group(job) -> list[tuple]:
-    """Per point of one group: the Bloch series of its density matrices and
+    """Per point of one chunk: the Bloch series of its density matrices and
     of its tracked dominant eigenvector; a tracking failure aborts."""
     space = job[0].space
-    trackers = [BranchTracker() for _ in job[2]]
+    tracker = BranchTracker()
     rho, eigvec = [], []
-    for times, states, (all_w, all_v) in _open_blocks(job, decompose=True):
+    for times, states, eig in _open_blocks(job, decompose=True):
         rho.append(_per_state(bloch_series, states, space))
-        eigvec.append(np.array([bloch_series(tracker.extend(times, w, v), space)
-                                for tracker, w, v in zip(trackers, all_w, all_v)]))
+        eigvec.append(_per_state(bloch_series, tracker.extend(times, *eig)[1], space))
+        for error in tracker.failed.values():
+            raise error
     return list(zip(np.concatenate(rho, axis=1), np.concatenate(eigvec, axis=1)))
 
 
@@ -287,7 +290,7 @@ def _bloch_planarity(points, rows) -> dict:
                           for key, xyz in paths.items()}}
 
 
-def _map_groups(fn, jobs, workers: int):
+def _map_chunks(fn, jobs, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
@@ -300,10 +303,12 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
     Points that share model parameters (and excitation sector) form one
     group: H, the period and the integrator grid are built once for it.
     The closed legs of all points advance in lockstep here
-    (``closed_blocks``) and are reduced block by block; the open legs run as
-    one job per group (sharing the Liouvillian and the hop), mapped by a
-    process pool when ``spec.workers > 1``.  Each point's two reductions
-    then become its rows.
+    (``closed_blocks``) and are reduced block by block.  Consecutive groups
+    of one size form a chunk whose hops hold at most BLOCK_ENTRIES entries
+    (a group whose hop alone is larger is a chunk by itself); the open legs
+    of a chunk advance in lockstep as one job, mapped by a process pool
+    when ``spec.workers > 1``.  Each point's two reductions then become its
+    rows.
     """
     space = spec.space
     groups: dict[tuple[ModelParams, int], list[int]] = {}
@@ -311,22 +316,27 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
         groups.setdefault((params, init.n), []).append(i)
     psi0s = [initial_state(init, space) for _, _, init in points]
     setup = [None] * len(points)  # (period, config, H) of each point's group
-    jobs = []
-    for (params, n), members in groups.items():
+    chunks, members = [], []  # the groups of each chunk job, and its point indices
+    per_chunk = max(1, BLOCK_ENTRIES // space.dim ** 4)
+    for (params, n), group in groups.items():
         period = 2 * math.pi / sector_analytics(params, n).rabi_frequency
         config = IntegratorConfig.for_periods(period, kind.horizon(spec),
                                               spec.steps_per_period, spec.record_stride)
         h = hamiltonian(params, space)
-        for i in members:
+        for i in group:
             setup[i] = (period, config, h)
-        jobs.append((spec, params, [psi0s[i] for i in members], config, h))
+        if not chunks or len(chunks[-1]) == per_chunk or len(chunks[-1][0][1]) != len(group):
+            chunks.append([])
+            members.append([])
+        chunks[-1].append((params, [psi0s[i] for i in group], config, h))
+        members[-1] += group
 
     _, configs, hs = zip(*setup)
     closed = kind.closed(spec, closed_blocks(hs, psi0s, configs, space=space))
     opened = [None] * len(points)
-    for members, results in zip(groups.values(),
-                                _map_groups(kind.group, jobs, spec.workers)):
-        for i, result in zip(members, results):
+    jobs = [(spec, chunk) for chunk in chunks]
+    for indices, results in zip(members, _map_chunks(kind.group, jobs, spec.workers)):
+        for i, result in zip(indices, results):
             opened[i] = result
     return [row for (value, _, _), (period, _, _), c, o in zip(points, setup, closed, opened)
             for row in kind.rows(spec, value, period, c, o)]
@@ -378,7 +388,7 @@ KINDS = {
     # with a planarity figure against the unitary rotation axis for each
     "bloch_traj": Kind(
         BLOCH_COLUMNS, _bloch_points, _bloch_closed, _bloch_group, _bloch_rows,
-        checks=(_resonant(),), defaults=dict(grid=(0.0,), periods=3.0),
+        checks=(_resonant(), _two_records), defaults=dict(grid=(0.0,), periods=3.0),
         meta=_bloch_planarity),
 }
 

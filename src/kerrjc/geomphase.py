@@ -14,11 +14,12 @@ pi-jumps at antipodal crossings survive.
 The open-system phase follows the density-matrix eigenvector branch whose
 eigenvalue is one at t0, continued by maximal overlap (not by eigenvalue
 order, since the branch's eigenvalue decays and may cross others).
-``BranchTracker`` picks the branch with array operations; only the phase
-fix of each picked vector is a per-sample recurrence, kept in its exact
-sequential form (``np.vdot`` on the strided column, then ``arctan2``),
-because a cumulative-sum form changes the bits of the chain and can move a
-phase by 2 pi where it passes an antipodal crossing.
+``BranchTracker`` follows the branches of many points at once and picks
+them with array operations; only the phase fix of each picked vector is a
+per-sample recurrence, one stacked product across the points per sample,
+kept in its exact sequential form (a dot product on a strided column, then
+``arctan2``), because a cumulative-sum form changes the bits of the chain
+and can move a phase by 2 pi where it passes an antipodal crossing.
 """
 
 from __future__ import annotations
@@ -182,104 +183,110 @@ def phase_unitary(traj: TrajectoryRecord, t_end: float) -> float:
 
 
 class BranchTracker:
-    """Dominant-branch continuation fed one block of eigendecompositions at a time.
+    """Dominant-branch continuation of b points, fed one block of
+    eigendecompositions at a time.
 
     Continuation picks, at every sample, the eigenvector with maximal
     |overlap| against the previous sample's picked eigenvector and fixes its
     phase so the consecutive overlap with the previous tracked vector is real
-    and nonnegative.  Selection runs on arrays: the picked column index is
-    assumed to stay put through the block, one batched product gives every
-    sample's |overlaps| under that assumption, and the pass restarts after
-    the first sample whose best column differs (an eigenvalue crossing).
-    Only the phase fix is a per-sample recurrence.  The selection overlaps
-    use the raw eigenvector columns, carried across blocks, so feeding a
-    trajectory in blocks gives the same track, bit for bit, as feeding it
-    whole.
+    and nonnegative.  Selection runs on (b, r, d) overlap arrays: each
+    point's picked column index is assumed to stay put, one batched product
+    gives every sample's |overlaps| under that assumption, and the pass
+    restarts after the first sample at which some point's best column
+    differs (an eigenvalue crossing).  Only the phase fix is a per-sample
+    recurrence, one stacked product across the points per sample.  The
+    selection overlaps use the raw eigenvector columns, carried across
+    blocks, so feeding a trajectory in blocks, or beside other points, gives
+    the same track, bit for bit, as feeding it whole and alone.  A point
+    whose continuation fails is set aside in ``failed`` (point index ->
+    TrackingError) and the others go on; ``floor`` holds each point's
+    smallest picked overlap.
     """
 
     def __init__(self):
-        self._times: list[np.ndarray] = []
-        self._eigenvalues: list[np.ndarray] = []
-        self._vectors: list[np.ndarray] = []
-        self._prev: Optional[np.ndarray] = None
-        self._j: Optional[int] = None
-        self._col: Optional[np.ndarray] = None
-        self._floor = 1.0
+        self.failed: dict[int, TrackingError] = {}
+        self.floor: Optional[np.ndarray] = None
+        self._prev = self._j = self._col = None
 
-    def extend(self, times: np.ndarray, all_w: np.ndarray, all_v: np.ndarray) -> np.ndarray:
-        """Continue through samples with ascending eigenvalues ``all_w`` and
-        eigenvector columns ``all_v``; returns their tracked vectors, and
-        raises TrackingError on failure."""
-        n, dim = all_w.shape
-        picks = np.empty(n, dtype=int)
-        j, col, floor = self._j, self._col, self._floor
+    def extend(self, times: np.ndarray, all_w: np.ndarray,
+               all_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Continue every point through the samples ``times`` (b, r) with
+        ascending eigenvalues ``all_w`` (b, r, d) and eigenvector columns
+        ``all_v`` (b, r, d, d); returns their tracked eigenvalues (b, r) and
+        vectors (b, r, d)."""
+        b, n, dim = all_w.shape
+        pts = np.arange(b)
+        picks = np.empty((b, n), dtype=int)
         start = 0
-        if col is None:
-            if all_w[0, -1] < 1.0 - PURITY_TOL:
-                raise TrackingError(
-                    f"initial state not pure: largest eigenvalue {all_w[0, -1]:.9f}")
-            j, col = dim - 1, all_v[0, :, -1]
-            picks[0] = j
+        if self._col is None:
+            for p in np.flatnonzero(all_w[:, 0, -1] < 1.0 - PURITY_TOL):
+                self.failed[int(p)] = TrackingError(
+                    f"initial state not pure: largest eigenvalue {all_w[p, 0, -1]:.9f}")
+            self._j, self._col = np.full(b, dim - 1), all_v[:, 0, :, -1]
+            self.floor = np.ones(b)
+            picks[:, 0] = dim - 1
             start = 1
 
-        # one pass per run of samples between crossings: column j is assumed
-        # to stay picked, and the pass ends at the first sample that moves off it
+        # one pass per run of samples between crossings: each point's column
+        # j is assumed to stay picked, and the pass ends at the first sample
+        # at which a point still tracked moves off it
+        j, col = self._j, self._col
         k = start
         while k < n:
-            cols = np.concatenate((col[None], all_v[k:n - 1, :, j]))
-            overlaps = np.abs(np.matmul(cols.conj()[:, None, :], all_v[k:])[:, 0])
-            best = overlaps.argmax(axis=1)
-            moved = np.flatnonzero(best != j)
-            stop = moved[0] + 1 if moved.size else n - k
-            top = np.partition(overlaps[:stop], dim - 2, axis=1)[:, -2:]
-            ambiguous = top[:, 1] - top[:, 0] < AMBIGUITY_TOL
-            bad = np.flatnonzero(ambiguous | (top[:, 1] <= OVERLAP_FLOOR))
-            if bad.size:
-                i = bad[0]
-                if ambiguous[i]:
-                    raise TrackingError(
-                        f"eigenvector overlap ambiguity at t={times[k + i]:g}: "
-                        f"{top[i, 1]:.8f} vs {top[i, 0]:.8f}")
-                raise TrackingError(
-                    f"tracking overlap {top[i, 1]:.3g} <= {OVERLAP_FLOOR} "
-                    f"at t={times[k + i]:g}")
-            floor = min(floor, float(top[:, 1].min()))
-            picks[k:k + stop] = best[:stop]
+            cols = np.concatenate((col[:, None], all_v[pts, k:n - 1, :, j]), axis=1)
+            overlaps = np.abs(np.matmul(cols.conj()[:, :, None, :], all_v[:, k:])[:, :, 0])
+            best = overlaps.argmax(axis=2)
+            moved = best != j[:, None]
+            moved[list(self.failed)] = False
+            stop = moved.argmax(axis=1)[moved.any(axis=1)].min(initial=n - k - 1) + 1
+            top = np.partition(overlaps[:, :stop], dim - 2, axis=2)[:, :, -2:]
+            ambiguous = top[:, :, 1] - top[:, :, 0] < AMBIGUITY_TOL
+            bad = ambiguous | (top[:, :, 1] <= OVERLAP_FLOOR)
+            for p in np.flatnonzero(bad.any(axis=1)):  # a point keeps its first failure
+                i = bad[p].argmax()
+                self.failed.setdefault(int(p), TrackingError(
+                    f"eigenvector overlap ambiguity at t={times[p, k + i]:g}: "
+                    f"{top[p, i, 1]:.8f} vs {top[p, i, 0]:.8f}" if ambiguous[p, i] else
+                    f"tracking overlap {top[p, i, 1]:.3g} <= {OVERLAP_FLOOR} "
+                    f"at t={times[p, k + i]:g}"))
+            self.floor = np.minimum(self.floor, top[:, :, 1].min(axis=1))
+            picks[:, k:k + stop] = best[:, :stop]
             k += stop
-            j = best[stop - 1]
-            col = all_v[k - 1, :, j].copy()
+            j = best[:, stop - 1]
+            col = all_v[pts, k - 1, :, j]
 
-        vectors = np.empty((n, dim), dtype=complex)
+        # the picked vectors are read with a non-unit stride, as eigenvector
+        # columns are: a contiguous copy would take other BLAS and ufunc
+        # kernels and change the last bits
+        picked = np.empty((b, n, dim, 2), dtype=complex)[..., 0]
+        picked[:] = all_v[pts[:, None], np.arange(n), :, picks]
+        vectors = np.empty((b, n, dim), dtype=complex)
         prev = self._prev
         if start:
-            vectors[0] = all_v[0, :, -1]
-            prev = vectors[0]
-        for k, c in enumerate(picks[start:].tolist(), start):
-            vec = all_v[k, :, c]
-            ov = np.vdot(prev, vec)
-            prev = np.multiply(vec, np.exp(-1j * np.arctan2(ov.imag, ov.real)),
-                               out=vectors[k])
+            vectors[:, 0] = all_v[:, 0, :, -1]
+            prev = vectors[:, 0]
+        for k in range(start, n):
+            vec = picked[:, k]
+            ov = np.matmul(prev.conj()[:, None, :], vec[:, :, None])[:, 0, 0]
+            prev = np.multiply(vec, np.exp(-1j * np.arctan2(ov.imag, ov.real))[:, None],
+                               out=vectors[:, k])
 
-        self._j, self._col, self._prev, self._floor = j, col, prev, floor
-        self._times.append(times)
-        self._eigenvalues.append(all_w[np.arange(n), picks])
-        self._vectors.append(vectors)
-        return vectors
-
-    def track(self) -> EigenTrack:
-        return EigenTrack(times=np.concatenate(self._times),
-                          eigenvalues=np.concatenate(self._eigenvalues),
-                          vectors=np.concatenate(self._vectors),
-                          overlap_floor=self._floor)
+        self._j, self._col, self._prev = j, col, prev
+        return all_w[pts[:, None], np.arange(n), picks], vectors
 
 
 def track_dominant_eigenvector(traj: TrajectoryRecord) -> EigenTrack:
-    """Follow the eigenvector branch that starts with eigenvalue one."""
+    """Follow the eigenvector branch that starts with eigenvalue one: a
+    ``BranchTracker`` of one point, fed the whole trajectory."""
     if not traj.is_density:
         raise ValueError("tracking needs a density-matrix trajectory")
     tracker = BranchTracker()
-    tracker.extend(traj.times, *np.linalg.eigh(traj.states))
-    return tracker.track()
+    w, v = np.linalg.eigh(traj.states)
+    eigenvalues, vectors = tracker.extend(traj.times[None], w[None], v[None])
+    if tracker.failed:
+        raise tracker.failed[0]
+    return EigenTrack(times=traj.times, eigenvalues=eigenvalues[0], vectors=vectors[0],
+                      overlap_floor=float(tracker.floor[0]))
 
 
 def phase_open_pure(track: EigenTrack, t_end: float) -> float:

@@ -1,4 +1,7 @@
 
+import lzma
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,6 +339,59 @@ class TestDispatch:
             assert key in err
         assert integrated == []
 
+    @pytest.mark.parametrize("command", [["validate-config", "--set", "sweep.kind=nope"],
+                                         ["sweep", "--set", "sweep.kind=nope"],
+                                         ["sweep", "--kind", "nope"],
+                                         ["evolve", "--set", "sweep.kind=nope"]])
+    def test_unknown_kind_names_key(self, tmp_path, capsys, monkeypatch, command):
+        import kerrjc.experiments as ex
+        integrated = []
+        for name in ("closed_blocks", "lindblad_blocks"):
+            monkeypatch.setattr(ex, name, lambda *args, **kw: integrated.append(args))
+        assert main([*command, "--out", str(tmp_path), "--no-timestamp"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "sweep.kind" in err and "'nope'" in err and "gp_delta" in err
+        assert integrated == []
+
+    def test_command_kind_wins_over_config(self, tmp_path, capsys):
+        # `bloch` and --kind are applied before the kind is checked
+        assert main(["validate-config", "--set", "sweep.kind=gp_theta"]) == EXIT_OK
+        assert main(["bloch", "--set", "sweep.kind=nope", "--out", str(tmp_path),
+                     "--no-svg", "--no-timestamp", "--set", "integrator.periods=0.5",
+                     "--set", "integrator.steps_per_period=200"]) == EXIT_OK
+        assert (tmp_path / "bloch_traj.csv").exists()
+
+    @pytest.mark.parametrize("command,key", [
+        (["sweep", "--kind", "gp_theta", "--set", "model.delta=1.0"], "model.delta"),
+        (["bloch", "--set", "integrator.periods=0.0001"], "integrator.periods")])
+    def test_kind_precondition_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               command, key):
+        import kerrjc.experiments as ex
+        integrated = []
+        for name in ("closed_blocks", "lindblad_blocks"):
+            monkeypatch.setattr(ex, name, lambda *args, **kw: integrated.append(args))
+        code = main([*command, "--out", str(tmp_path), "--no-timestamp"])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert integrated == []
+
+    @pytest.mark.parametrize("name", ["closed_blocks", "lindblad_blocks"])
+    def test_internal_value_error_exit(self, tmp_path, capsys, monkeypatch, name):
+        # a ValueError from the engine is a fault of the program, not of the
+        # config: exit 3, reported without a traceback
+        import kerrjc.experiments as ex
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(ex, name, broken)
+        code = main(["sweep", "--kind", "gp_delta", "--out", str(tmp_path),
+                     "--no-timestamp", "--no-svg", "--set", "sweep.grid_points=2",
+                     "--set", "sweep.grid_start=0", "--set", "sweep.grid_stop=1"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err
+        assert err == "internal error: operands could not be broadcast together\n"
+
     def test_explicit_record_stride_wins(self, tmp_path):
         default = sweep_spec_from_config(parse_config("sweep.kind = negativity_delta\n"))
         assert default.record_stride == 16
@@ -363,3 +419,16 @@ class TestDispatch:
         header = [line for line in (tmp_path / "bloch_traj.csv").read_text().splitlines()
                   if line.startswith("# integrator:")]
         assert header == ["# integrator: steps_per_period=500 record_stride=4 periods=2"]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
+def test_default_sweep_matches_reference_bytes(tmp_path, kind):
+    """The default sweep's CSV equals, byte for byte, the reference the
+    benchmark checks against (made from the first version of the package)."""
+    assert main(["sweep", "--kind", kind, "--no-timestamp", "--set", "sweep.workers=1",
+                 "--no-svg", "--out", str(tmp_path)]) == EXIT_OK
+    want = lzma.decompress((REFERENCE / f"{kind}.csv.xz").read_bytes())
+    assert (tmp_path / f"{kind}.csv").read_bytes() == want

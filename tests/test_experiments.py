@@ -429,32 +429,98 @@ class TestGroupedEngine:
                                **SMALL_GP))
         run_sweep(default_spec("gp_delta", grid=(-1.0, 0.5), m_values=(1,),
                                **SMALL_GP))
-        assert [len(job[2]) for job in seen] == [3, 1, 1]
+        # the size of each group of each chunk job: one θ group of three
+        # points, then one chunk of two δ groups
+        assert [[len(group[1]) for group in job[1]] for job in seen] == [[3], [1, 1]]
 
-    def test_tracking_failure_flags_only_its_point(self, monkeypatch):
-        import kerrjc.experiments as ex
-        spec = default_spec("gp_theta", **GP_THETA_GROUP)
-        with_block_records(monkeypatch, "lindblad_blocks", 50)
+    @pytest.mark.parametrize("kind,settings", [("gp_theta", GP_THETA_GROUP),
+                                               ("gp_delta", DELTA_GRID)])
+    def test_tracking_failure_flags_only_its_point(self, kind, settings, monkeypatch):
+        # the second point of a chunk of four (one θ group, or four δ
+        # groups) fails in its second block
+        spec = default_spec(kind, **settings)
         clean = run_sweep(spec).rows
-
-        class SecondFailsMidway(BranchTracker):
-            made = 0
-
-            def __init__(self):
-                super().__init__()
-                SecondFailsMidway.made += 1
-                self.fails = SecondFailsMidway.made == 2
-                self.blocks = 0
-
-            def extend(self, *args):
-                self.blocks += 1
-                if self.fails and self.blocks == 3:
-                    raise TrackingError("injected")
-                super().extend(*args)
-
-        monkeypatch.setattr(ex, "BranchTracker", SecondFailsMidway)
+        hit = with_ambiguity(monkeypatch, point=1, record=200)
         rows = run_sweep(spec).rows
+        assert len(hit) == 1
         second = spec.grid[1]
         assert [r[8] for r in rows if r[0] == second] \
             == ["tracking_error"] * len(spec.m_values)
         assert [r for r in rows if r[0] != second] == [r for r in clean if r[0] != second]
+
+
+def with_ambiguity(monkeypatch, point, record):
+    """Run the sweeps' open legs with all eigenvectors of chunk point
+    ``point`` made equal at record ``record``, an ambiguity that tracking
+    must report there; returns the list that receives that sample's time."""
+    import kerrjc.experiments as ex
+    real, hit = ex.lindblad_blocks, []
+
+    def blocks(*args, **kwargs):
+        seen = 0
+        for times, states, eig in real(*args, **kwargs):
+            k = record - seen
+            if eig is not None and 0 <= k < times.shape[1]:
+                eig[1][point, k] = eig[1][point, k][:, -1:]
+                hit.append(times[point, k])
+            seen += times.shape[1]
+            yield times, states, eig
+
+    monkeypatch.setattr(ex, "lindblad_blocks", blocks)
+    return hit
+
+
+CHUNK_SPECS = {
+    "gp_delta": dict(grid=tuple(np.linspace(-2.0, 2.0, 9)), m_values=(1, 2),
+                     steps_per_period=400, record_stride=4),
+    "negativity_delta": dict(grid=tuple(np.linspace(-2.0, 2.0, 9)), periods=1.0,
+                             steps_per_period=400, record_stride=8),
+    "bloch_traj": dict(periods=1.0, steps_per_period=400),
+}
+
+
+class TestChunks:
+    """Consecutive groups advance their open legs together, in chunks whose
+    hops hold at most BLOCK_ENTRIES entries."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 7, None])
+    @pytest.mark.parametrize("kind", list(CHUNK_SPECS))
+    def test_rows_do_not_depend_on_chunk_size(self, kind, groups, monkeypatch):
+        import kerrjc.experiments as ex
+        spec = default_spec(kind, **CHUNK_SPECS[kind])
+        default = run_sweep(spec)
+        # a budget of `groups` hops; None puts every group in one chunk
+        budget = 1 << 40 if groups is None else groups * spec.space.dim ** 4
+        monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
+        result = run_sweep(spec)
+        assert result.rows == default.rows
+        assert result.meta == default.meta
+
+    def test_hops_within_budget_unless_one_group(self, monkeypatch):
+        import kerrjc.dynamics as dyn
+        import kerrjc.experiments as ex
+        chunks = []
+
+        def recording(specs, rho0s, *args, **kwargs):
+            chunks.append(rho0s.shape)
+            return dyn.lindblad_blocks(specs, rho0s, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "lindblad_blocks", recording)
+        run_sweep(default_spec("gp_delta", grid=tuple(np.linspace(-2.0, 2.0, 13)),
+                               m_values=(1,), steps_per_period=200))
+        run_sweep(default_spec("gp_theta", grid=(0.0, 1.0), m_values=(1,), n_max=10,
+                               steps_per_period=200))
+        # (groups, points per group, d, d): 13 δ groups of 100² hops in
+        # chunks of six, and one θ group whose 484² hop alone is over budget
+        assert chunks == [(6, 1, 10, 10), (6, 1, 10, 10), (1, 1, 10, 10),
+                          (1, 2, 22, 22)]
+        for g, _, d, _ in chunks:
+            assert g == 1 or g * d ** 4 <= dyn.BLOCK_ENTRIES
+        assert 22 ** 4 > dyn.BLOCK_ENTRIES
+
+    def test_bloch_tracking_failure_aborts(self, monkeypatch):
+        hit = with_ambiguity(monkeypatch, point=1, record=40)
+        with pytest.raises(TrackingError) as exc:
+            run_sweep(default_spec("bloch_traj", **CHUNK_SPECS["bloch_traj"]))
+        assert len(hit) == 1
+        assert str(exc.value).startswith(f"eigenvector overlap ambiguity at t={hit[0]:g}: ")

@@ -112,33 +112,39 @@ def per_sample_track(times, all_w, all_v):
 
 
 def fed_in_blocks(times, all_w, all_v, lengths):
-    """``BranchTracker`` fed blocks of the given lengths, cycled."""
+    """One ``BranchTracker`` fed the points stacked on axis 0 (``times`` is
+    (b, n)) in blocks of the given lengths, cycled: (tracked eigenvalues,
+    tracked vectors, the tracker)."""
     tracker = BranchTracker()
+    blocks = []
     start, k = 0, 0
-    while start < len(times):
+    while start < times.shape[1]:
         stop = start + lengths[k % len(lengths)]
-        tracker.extend(times[start:stop], all_w[start:stop], all_v[start:stop])
+        blocks.append(tracker.extend(times[:, start:stop], all_w[:, start:stop],
+                                     all_v[:, start:stop]))
         start, k = stop, k + 1
-    return tracker.track()
+    w, v = zip(*blocks)
+    return np.concatenate(w, axis=1), np.concatenate(v, axis=1), tracker
 
 
 def assert_tracks_like_loop(times, all_w, all_v, lengths=None):
-    """The tracker fed in blocks (default: one) raises what the per-sample
-    loop raises, or equals it: bit for bit on vectors and eigenvalues, the
-    floor within 1e-14."""
-    lengths = lengths or [len(times)]
-    try:
-        want = per_sample_track(times, all_w, all_v)
-    except TrackingError as exc:
-        with pytest.raises(TrackingError) as got:
-            fed_in_blocks(times, all_w, all_v, lengths)
-        assert str(got.value) == str(exc)
-        return None
-    track = fed_in_blocks(times, all_w, all_v, lengths)
-    assert np.array_equal(track.vectors, want[0])
-    assert np.array_equal(track.eigenvalues, want[1])
-    assert abs(track.overlap_floor - want[2]) <= 1e-14
-    return track
+    """Every point of the stack, tracked together in blocks (default: one),
+    fails with the message the per-sample loop raises on it alone, or
+    equals that loop: bit for bit on vectors and eigenvalues, the floor
+    within 1e-14.  Returns (eigenvalues, vectors, tracker)."""
+    lengths = lengths or [times.shape[1]]
+    w, v, tracker = fed_in_blocks(times, all_w, all_v, lengths)
+    for p in range(len(times)):
+        try:
+            want = per_sample_track(times[p], all_w[p], all_v[p])
+        except TrackingError as exc:
+            assert str(tracker.failed[p]) == str(exc)
+            continue
+        assert p not in tracker.failed
+        assert np.array_equal(v[p], want[0])
+        assert np.array_equal(w[p], want[1])
+        assert abs(tracker.floor[p] - want[2]) <= 1e-14
+    return w, v, tracker
 
 
 def with_overlaps(all_v, k, magnitudes):
@@ -355,15 +361,11 @@ class TestTracking:
         opened, _ = open_trajectory(OPEN, InitialStateSpec(theta0=2.0), periods=2.0)
         whole = track_dominant_eigenvector(opened)
         w, v = np.linalg.eigh(opened.states)
-        tracker = BranchTracker()
-        for start in range(0, len(opened.times), 37):
-            stop = start + 37
-            tracker.extend(opened.times[start:stop], w[start:stop], v[start:stop])
-        blocked = tracker.track()
-        assert np.array_equal(blocked.times, whole.times)
-        assert np.array_equal(blocked.eigenvalues, whole.eigenvalues)
-        assert np.array_equal(blocked.vectors, whole.vectors)
-        assert blocked.overlap_floor == whole.overlap_floor
+        eigenvalues, vectors, tracker = fed_in_blocks(opened.times[None], w[None], v[None],
+                                                      [37])
+        assert np.array_equal(eigenvalues[0], whole.eigenvalues)
+        assert np.array_equal(vectors[0], whole.vectors)
+        assert tracker.floor[0] == whole.overlap_floor
 
     @pytest.mark.parametrize("params,theta,n_max", [
         (OPEN, 2.0, 4), (OPEN.with_rates(0.3, 0.05, 0.02), 0.7, 4),
@@ -371,35 +373,46 @@ class TestTracking:
     def test_equals_per_sample_loop(self, params, theta, n_max):
         times, w, v = open_eigs(params, InitialStateSpec(theta0=theta), n_max,
                                 periods=3.0)
-        assert_tracks_like_loop(times, w, v)
-        assert_tracks_like_loop(times, w, v, lengths=(1, 37, 200))
+        assert_tracks_like_loop(times[None], w[None], v[None])
+        assert_tracks_like_loop(times[None], w[None], v[None], lengths=(1, 37, 200))
 
     @settings(max_examples=25, deadline=None)
-    @given(delta=st.floats(-2.0, 2.0), theta=st.floats(0.0, 2 * math.pi),
-           gamma=st.floats(0.0, 0.3), p=st.floats(0.0, 0.05),
-           p_z=st.floats(0.0, 0.05), n_max=st.integers(2, 5),
+    @given(points=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2 * math.pi),
+                                     st.floats(0.0, 0.3), st.floats(0.0, 0.05),
+                                     st.floats(0.0, 0.05)), min_size=1, max_size=4),
+           n_max=st.integers(2, 5),
            lengths=st.lists(st.integers(1, 60), min_size=1, max_size=6))
-    def test_blocks_equal_per_sample_loop(self, delta, theta, gamma, p, p_z,
-                                          n_max, lengths):
-        params = ModelParams(delta=delta, chi=0.5, gamma=gamma, p=p, p_z=p_z)
-        times, w, v = open_eigs(params, InitialStateSpec(theta0=theta), n_max,
-                                periods=1.5, spp=400)
-        track = assert_tracks_like_loop(times, w, v, lengths)
-        if track is not None:
-            whole = fed_in_blocks(times, w, v, [len(times)])
-            assert track.overlap_floor == whole.overlap_floor
+    def test_blocks_equal_per_sample_loop(self, points, n_max, lengths):
+        # b points with their own generators, tracked together: each equals
+        # its own per-sample loop, and the floors do not depend on the blocks
+        eigs = [open_eigs(ModelParams(delta=delta, chi=0.5, gamma=gamma, p=p, p_z=p_z),
+                          InitialStateSpec(theta0=theta), n_max, periods=1.5, spp=400)
+                for delta, theta, gamma, p, p_z in points]
+        times, w, v = (np.array(x) for x in zip(*eigs))
+        tracker = assert_tracks_like_loop(times, w, v, lengths)[2]
+        whole = fed_in_blocks(times, w, v, [times.shape[1]])[2]
+        assert whole.failed.keys() == tracker.failed.keys()
+        tracked = [p for p in range(len(points)) if p not in tracker.failed]
+        assert np.array_equal(tracker.floor[tracked], whole.floor[tracked])
 
     def test_relabelled_columns_are_followed(self):
         # eigh orders columns by eigenvalue, so a crossing relabels the
-        # tracked column; relabel from three samples on, block by block
-        times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0), periods=2.0)
+        # tracked column; relabel from three samples on, block by block, at
+        # other samples in each of three points tracked together
         rng = np.random.default_rng(64)
-        for k in (5, 140, 141):
-            order = rng.permutation(w.shape[1])
-            w[k:], v[k:] = w[k:, order], v[k:, :, order]
-        whole = per_sample_track(times, w, v)
-        assert not np.array_equal(whole[1], w[:, -1])
-        assert_tracks_like_loop(times, w, v, lengths=(1, 7, 139, 500))
+        eigs = []
+        for theta, relabels in ((2.0, (5, 140, 141)), (0.7, (60, 61, 300)), (2.6, ())):
+            times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=theta), periods=2.0)
+            for k in relabels:
+                order = rng.permutation(w.shape[1])
+                w[k:], v[k:] = w[k:, order], v[k:, :, order]
+            eigs.append((times, w, v))
+        times, w, v = (np.array(x) for x in zip(*eigs))
+        whole = per_sample_track(times[0], w[0], v[0])
+        assert not np.array_equal(whole[1], w[0, :, -1])
+        for lengths in ((1, 7, 139, 500), None):
+            assert not assert_tracks_like_loop(times, w, v, lengths)[2].failed
+        assert_tracks_like_loop(times[:1], w[:1], v[:1], lengths=(1, 7, 139, 500))
 
     @pytest.mark.parametrize("failure,magnitudes", [
         ("ambiguity", (0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0)),
@@ -413,15 +426,30 @@ class TestTracking:
         v = with_overlaps(v, k, magnitudes)
         with pytest.raises(TrackingError, match=f"{failure}.* at t={times[k]:g}"):
             per_sample_track(times, w, v)
-        assert_tracks_like_loop(times, w, v, lengths=(37,))
-        assert_tracks_like_loop(times, w, v, lengths=(1,))
+        assert_tracks_like_loop(times[None], w[None], v[None], lengths=(37,))
+        assert_tracks_like_loop(times[None], w[None], v[None], lengths=(1,))
+
+    @pytest.mark.parametrize("k", [1, 37, 120])
+    def test_failed_point_is_set_aside(self, k):
+        # the middle one of three points tracked together fails at sample k;
+        # the other two keep the bits of their own per-sample loops
+        magnitudes = np.array((0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0))
+        magnitudes[-1] = math.sqrt(1 - magnitudes[:-1] @ magnitudes[:-1])
+        eigs = [open_eigs(OPEN.with_rates(gamma, 0.0, 0.01), InitialStateSpec(theta0=2.0))
+                for gamma in (0.1, 0.2, 0.3)]
+        times, w, v = (np.array(x) for x in zip(*eigs))
+        v[1] = with_overlaps(v[1], k, magnitudes)
+        for lengths in ((37,), (1,), None):
+            tracker = assert_tracks_like_loop(times, w, v, lengths)[2]
+            assert list(tracker.failed) == [1]
+            assert f"ambiguity at t={times[1, k]:g}" in str(tracker.failed[1])
 
     def test_impure_start_raises_like_loop(self):
         times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0))
         w = w.copy()
         w[0, -1] = 1.0 - 2 * PURITY_TOL
-        assert_tracks_like_loop(times, w, v)
-        assert_tracks_like_loop(times, w, v, lengths=(1,))
+        assert_tracks_like_loop(times[None], w[None], v[None])
+        assert_tracks_like_loop(times[None], w[None], v[None], lengths=(1,))
 
     def test_tracked_eigenvalue_decays(self):
         opened, period = open_trajectory(OPEN, perpendicular_state(OPEN, 1),

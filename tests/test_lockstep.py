@@ -1,4 +1,6 @@
-"""Closed legs advanced in lockstep equal the one-trajectory step loop bit for bit."""
+"""Legs advanced in lockstep equal lone trajectories bit for bit: closed legs
+against the one-trajectory step loop, open legs against each generator run
+alone."""
 
 import math
 
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 from kerrjc.dynamics import (
     BLOCK_ENTRIES,
     IntegratorConfig,
+    LindbladSpec,
     closed_blocks,
     evolve_closed,
+    evolve_lindblad,
+    lindblad_blocks,
     rk4_step_matrix,
 )
 from kerrjc.hilbert import SpaceSpec
@@ -122,3 +127,47 @@ def test_lockstep_equals_scalar_loop_property(kind, values, stride, block_record
         values = [abs(v) * math.pi / 4 for v in values]
     assert_lockstep_is_scalar(*legs(kind, values, stride=stride),
                               block_records=block_records)
+
+
+def open_legs(deltas, thetas, steps_per_period=60, stride=4, periods=1.0):
+    """One open generator per δ, each with the states of the θ list."""
+    specs, rho0s, configs = [], [], []
+    for delta in deltas:
+        params = ModelParams(delta=delta, chi=0.5, gamma=0.1, p_z=0.01)
+        period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
+        specs.append(LindbladSpec.from_params(params, SPACE))
+        psis = [initial_state(InitialStateSpec(theta0=t), SPACE) for t in thetas]
+        rho0s.append([np.outer(psi, psi.conj()) for psi in psis])
+        configs.append(IntegratorConfig.for_periods(period, periods, steps_per_period,
+                                                    stride))
+    return specs, np.array(rho0s), configs
+
+
+def joined(blocks):
+    """(times, states, eigenvalues, eigenvectors) of all blocks, joined."""
+    return [np.concatenate(x, axis=1) for x in zip(*((t, s, *e) for t, s, e in blocks))]
+
+
+@pytest.mark.parametrize("thetas", [(0.0,), (0.0, 1.2, 2.5)])
+def test_open_lockstep_equals_each_generator_alone(thetas):
+    # three generators with their own dt, c states each, in blocks of 7
+    specs, rho0s, configs = open_legs((-2.0, 0.3, 1.5), thetas)
+    c = len(thetas)
+    together = joined(lindblad_blocks(specs, rho0s, configs, space=SPACE,
+                                      decompose=True, block_records=7))
+    for i in range(3):
+        alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1],
+                                       space=SPACE, decompose=True))
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[i * c:(i + 1) * c], want)
+        if c == 1:
+            record = evolve_lindblad(specs[i], rho0s[i, 0], configs[i], space=SPACE)
+            assert np.array_equal(record.states, together[1][i])
+            assert np.array_equal(record.times, together[0][i])
+
+
+def test_open_lockstep_rejects_mismatched_step_counts():
+    specs, rho0s, configs = open_legs((-1.0, 1.0), (0.0,))
+    configs[1] = IntegratorConfig.for_periods(1.0, 2.0, 60, 4)
+    with pytest.raises(ValueError, match="step count"):
+        next(lindblad_blocks(specs, rho0s, configs))
