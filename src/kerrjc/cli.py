@@ -1,10 +1,11 @@
-"""Command-line front end: config parsing, dispatch, CSV/SVG output.
+"""Command-line front end: config parsing, dispatch, exit codes.
 
 Config files are flat ``key = value`` lines with dotted section keys
 (full-line ``#`` comments allowed); the validated config is the dict of
 ``SCHEMA`` keys.  Precedence: built-in defaults, then the config file, then
 repeated ``--set key=value`` flags, then the dedicated flags (``--out``,
-``--no-svg``, ``--no-timestamp``, ``--kind``).
+``--no-svg``, ``--no-timestamp``, ``--kind``).  ``experiments`` writes
+every output file: the CSVs and each kind's charts.
 
 Exit codes: 0 success, 1 config error (``ConfigError``), 2 truncation,
 3 tracking/phase or numerical failure (positivity guard, negativity
@@ -19,40 +20,25 @@ import os
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    IntegratorConfig,
-    LindbladSpec,
-    PositivityError,
-    evolve_closed,
-    evolve_lindblad,
-    write_trajectory_csv,
-)
+from .dynamics import LindbladSpec, PositivityError, evolve_closed, evolve_lindblad
 from .experiments import (
     KINDS,
     ConfigError,
-    SweepResult,
     SweepSpec,
     default_spec,
+    leg_setup,
     run_sweep,
     write_sweep_csv,
+    write_trajectory_csv,
 )
 from .geomphase import CoarseGridError, SingularCheckpointError, TrackingError
 from .hilbert import SpaceSpec, TruncationError
-from .model import (
-    InitialStateSpec,
-    ModelParams,
-    hamiltonian,
-    initial_state,
-    perpendicular_state,
-    sector_analytics,
-)
-from .svg import bloch_chart, line_chart
+from .model import InitialStateSpec, ModelParams, initial_state, perpendicular_state
 
 ENV_OUTPUT_DIR = "KERRJC_OUTPUT_DIR"
 
@@ -113,7 +99,7 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
     out: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -216,47 +202,6 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     return default_spec(kind, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def emit_svg(result: SweepResult, outdir: Path) -> list[Path]:
-    """Render the sweep as SVG charts; returns the files written."""
-    if not result.rows:
-        print("warning: empty result, no SVG written", file=sys.stderr)
-        return []
-    written: list[Path] = []
-    kind = result.spec.kind
-    # one pass: the rows of each grid value, m or (case, series), in row order
-    key = (itemgetter(0, 1) if kind == "bloch_traj"
-           else itemgetter(1 if kind.startswith("gp") else 0))
-    groups: dict = {}
-    for r in result.rows:
-        groups.setdefault(key(r), []).append(r)
-
-    if kind.startswith("negativity"):
-        for variant, col in (("closed", 2), ("open", 3)):
-            series = [(f"{value:.3g}", np.array([r[1] for r in groups[value]]),
-                       np.array([r[col] for r in groups[value]]))
-                      for value in result.spec.grid]
-            path = outdir / f"{kind}_{variant}.svg"
-            line_chart(series, path, title=f"{kind} ({variant})",
-                       xlabel="t [1/g]", ylabel="negativity")
-            written.append(path)
-    elif kind.startswith("gp"):
-        series = [(f"m={m}", np.array([r[0] for r in groups[m]]),
-                   np.array([r[5] for r in groups[m]]))
-                  for m in result.spec.m_values]
-        path = outdir / f"{kind}_delta_phi.svg"
-        line_chart(series, path, title=kind,
-                   xlabel="sweep parameter", ylabel="delta phi (wrapped)")
-        written.append(path)
-    else:  # bloch_traj
-        for case in ("resonant", "off_resonant"):
-            series = [(name, np.array([[r[3], r[4], r[5]] for r in groups[case, name]]))
-                      for name in ("unitary", "rho_proj", "eigvec")]
-            path = outdir / f"bloch_{case}.svg"
-            bloch_chart(series, path, title=f"Bloch trajectories ({case})")
-            written.append(path)
-    return written
-
-
 def run_evolve(config: dict) -> int:
     """Single-trajectory run; writes the debug trajectory CSV."""
     space = SpaceSpec(config["space.n_max"])
@@ -266,13 +211,11 @@ def run_evolve(config: dict) -> int:
     else:
         init = InitialStateSpec(theta0=config["initial.theta0"],
                                 phi0=config["initial.phi0"], n=config["initial.n"])
-    period = 2 * math.pi / sector_analytics(params, init.n).rabi_frequency
-    integ = IntegratorConfig.for_periods(
-        period, config["integrator.periods"] or SweepSpec.periods,
-        config["integrator.steps_per_period"],
-        config["integrator.record_stride"] or SweepSpec.record_stride)
+    _, integ, h = leg_setup(params, init.n, space,
+                            config["integrator.periods"] or SweepSpec.periods,
+                            config["integrator.steps_per_period"],
+                            config["integrator.record_stride"] or SweepSpec.record_stride)
     psi0 = initial_state(init, space)
-    h = hamiltonian(params, space)
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:
         rho0 = np.outer(psi0, psi0.conj())
         record = evolve_lindblad(LindbladSpec.from_params(params, space, h), rho0,
@@ -297,11 +240,13 @@ def dispatch(config: dict) -> int:
     timestamp = datetime.now(timezone.utc).isoformat() if config["output.timestamp"] else None
     write_sweep_csv(result, csv_path, timestamp=timestamp)
     print(f"wrote {csv_path}")
-    if config["output.emit_svg"]:
-        for path in emit_svg(result, outdir):
-            print(f"wrote {path}")
-    else:
+    if not config["output.emit_svg"]:
         print("svg output disabled", file=sys.stderr)
+    elif not result.rows:
+        print("warning: empty result, no SVG written", file=sys.stderr)
+    else:
+        for path in KINDS[spec.kind].chart(result, outdir):
+            print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -337,8 +337,7 @@ def evolve_closed(h: np.ndarray, psi0: np.ndarray, config: IntegratorConfig,
 
 
 def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
-                    check_health: bool = True, decompose: bool = False,
-                    block_records: Optional[int] = None):
+                    decompose: bool = False, block_records: Optional[int] = None):
     """Advance c initial density matrices under each of g Lindbladians, in lockstep.
 
     ``rho0s`` has shape (g, c, d, d): generator i (``specs[i]``, time step
@@ -351,8 +350,7 @@ def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
     ``(times, states, eig)`` for consecutive blocks of records, point-major
     over the b = g*c points (point i*c + j is state j of generator i):
     ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
-    has passed the density (unless ``check_health`` is false) and
-    truncation checks as one (b*r, d, d) stack.  With ``decompose``, ``eig``
+    has passed the density and truncation checks as one (b*r, d, d) stack.  With ``decompose``, ``eig``
     is that stack's ``np.linalg.eigh`` reshaped to (b, r, d) and
     (b, r, d, d), and also serves the positivity check; otherwise it is
     None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES, so memory does
@@ -389,8 +387,7 @@ def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
         flat = states.reshape(b * r, d, d)
         sample_times = block_times.reshape(-1)
         eig = np.linalg.eigh(flat) if decompose else None
-        if check_health:
-            _check_density_stack(flat, sample_times, None if eig is None else eig[0])
+        _check_density_stack(flat, sample_times, None if eig is None else eig[0])
         _check_truncation_stack(flat, sample_times, space)
         if eig is not None:
             eig = (eig[0].reshape(b, r, d), eig[1].reshape(b, r, d, d))
@@ -398,33 +395,11 @@ def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
 
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray, config: IntegratorConfig,
-                    space: Optional[SpaceSpec] = None,
-                    check_health: bool = True) -> TrajectoryRecord:
+                    space: Optional[SpaceSpec] = None) -> TrajectoryRecord:
     """RK4 Lindblad integration of one state: ``lindblad_blocks`` in one block."""
     rho0 = np.asarray(rho0, dtype=complex)
     n_rec = config.n_steps // config.record_stride + 1
     (times, states, _), = lindblad_blocks([spec], rho0[None, None], [config], space=space,
-                                          check_health=check_health,
                                           block_records=n_rec)
     return TrajectoryRecord(times=times[0], states=states[0], config=config)
 
-
-def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """Debug dump: t, then row-major Re/Im of the density-matrix entries."""
-    if record.is_density:
-        mats = record.states
-    else:
-        mats = np.einsum("ki,kj->kij", record.states, record.states.conj())
-    d = mats.shape[1]
-    header = ["t"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_{i}{j}", f"im_{i}{j}"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, m in zip(record.times, mats):
-            flat = m.reshape(-1)
-            cells = [f"{t:.17g}"]
-            for z in flat:
-                cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            fh.write(",".join(cells) + "\n")

@@ -11,6 +11,11 @@ once; consecutive groups form a chunk, whose hop matrices hold at most
 lockstep (``dynamics.lindblad_blocks``) as one job, tracked by one
 ``BranchTracker``.  With ``workers > 1`` a process pool runs the chunk
 jobs, and the single writer reassembles the rows in grid order.
+
+This module writes every output file.  Each row layout is a column tuple
+and one ``%``-template next to it, each kind's row in ``KINDS`` names its
+chart builder, and ``_write_csv`` streams every CSV, the sweeps' and the
+``evolve`` trajectory's, through a template.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +34,7 @@ from .dynamics import (
     BLOCK_ENTRIES,
     IntegratorConfig,
     LindbladSpec,
+    TrajectoryRecord,
     closed_blocks,
     lindblad_blocks,
 )
@@ -49,15 +56,22 @@ from .model import (
     perpendicular_state,
     sector_analytics,
 )
+from .svg import bloch_chart, line_chart
 
 DEFAULT_OPEN_RATES = (0.1, 0.0, 0.01)
 OMEGA_DEGRADED = 0.05
 DEFAULT_N_MAX = 4
 
+# each row layout: its CSV columns and the %-template of one row
+# (%.17g for a float, %d for m, %s for text)
 GP_COLUMNS = ("param", "m", "tau", "phi_u", "phi_g", "delta_phi_wrapped",
               "delta_phi_raw", "omega_plus", "valid")
+GP_ROW = "%.17g,%d" + ",%.17g" * 6 + ",%s\n"
 NEG_COLUMNS = ("param", "t", "neg_closed", "neg_open")
+NEG_ROW = "%.17g" + ",%.17g" * 3 + "\n"
 BLOCH_COLUMNS = ("case", "series", "t", "x", "y", "z", "weight")
+BLOCH_ROW = "%s,%s" + ",%.17g" * 5 + "\n"
+BLOCH_CASES = ("resonant", "off_resonant")
 BLOCH_SERIES = ("unitary", "rho_proj", "eigvec")
 
 
@@ -115,10 +129,12 @@ class Kind:
     """What one sweep kind computes, as ``_grouped_rows`` runs it."""
 
     columns: tuple[str, ...]
+    template: str  # one CSV row of ``columns``
     points: Callable  # spec -> (value, params, initial state) of every grid point
     closed: Callable  # (spec, closed_blocks) -> one reduction per point
     group: Callable  # chunk job -> one open-leg reduction per point; picklable (the pool)
     rows: Callable  # (spec, value, period, closed, opened) -> the point's rows
+    chart: Callable  # (result, outdir) -> the SVG files written
     checks: tuple[Callable, ...] = ()  # spec -> None, raise before any integration
     defaults: dict = field(default_factory=dict)  # the default_spec keywords
     horizon: Callable = attrgetter("periods")  # spec -> periods that every leg runs
@@ -290,6 +306,16 @@ def _bloch_planarity(points, rows) -> dict:
                           for key, xyz in paths.items()}}
 
 
+def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
+              steps_per_period: int,
+              record_stride: int) -> tuple[float, IntegratorConfig, np.ndarray]:
+    """(period, integrator grid, H) of the legs that start in sector ``n``:
+    the grid spans ``periods`` Rabi periods of that sector."""
+    period = 2 * math.pi / sector_analytics(params, n).rabi_frequency
+    config = IntegratorConfig.for_periods(period, periods, steps_per_period, record_stride)
+    return period, config, hamiltonian(params, space)
+
+
 def _map_chunks(fn, jobs, workers: int):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -319,10 +345,8 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
     chunks, members = [], []  # the groups of each chunk job, and its point indices
     per_chunk = max(1, BLOCK_ENTRIES // space.dim ** 4)
     for (params, n), group in groups.items():
-        period = 2 * math.pi / sector_analytics(params, n).rabi_frequency
-        config = IntegratorConfig.for_periods(period, kind.horizon(spec),
-                                              spec.steps_per_period, spec.record_stride)
-        h = hamiltonian(params, space)
+        period, config, h = leg_setup(params, n, space, kind.horizon(spec),
+                                      spec.steps_per_period, spec.record_stride)
         for i in group:
             setup[i] = (period, config, h)
         if not chunks or len(chunks[-1]) == per_chunk or len(chunks[-1][0][1]) != len(group):
@@ -357,7 +381,46 @@ def _bloch_points(spec: SweepSpec) -> list[tuple]:
     both from the state perpendicular to their rotation axis."""
     off = replace(spec.open_params, delta=2 * spec.base_params.g, chi=0.0)
     return [(case, params, perpendicular_state(params, 1))
-            for case, params in (("resonant", spec.open_params), ("off_resonant", off))]
+            for case, params in zip(BLOCH_CASES, (spec.open_params, off))]
+
+
+def _neg_charts(result: SweepResult, outdir: Path) -> list[Path]:
+    """Negativity against time, one line per grid value: closed and open."""
+    kind, grid = result.spec.kind, result.spec.grid
+
+    def column(col):  # (grid value, record)
+        return np.array([r[col] for r in result.rows]).reshape(len(grid), -1)
+
+    t, paths = column(1), []
+    for variant, col in (("closed", 2), ("open", 3)):
+        paths.append(outdir / f"{kind}_{variant}.svg")
+        line_chart([(f"{v:.3g}", x, y) for v, x, y in zip(grid, t, column(col))], paths[-1],
+                   title=f"{kind} ({variant})", xlabel="t [1/g]", ylabel="negativity")
+    return paths
+
+
+def _gp_charts(result: SweepResult, outdir: Path) -> list[Path]:
+    """Wrapped phase difference against the grid value, one line per m."""
+    spec = result.spec
+    table = np.array([(r[0], r[5]) for r in result.rows]).reshape(
+        len(spec.grid), len(spec.m_values), 2)
+    path = outdir / f"{spec.kind}_delta_phi.svg"
+    line_chart([(f"m={m}", table[:, j, 0], table[:, j, 1])
+                for j, m in enumerate(spec.m_values)], path, title=spec.kind,
+               xlabel="sweep parameter", ylabel="delta phi (wrapped)")
+    return [path]
+
+
+def _bloch_charts(result: SweepResult, outdir: Path) -> list[Path]:
+    """The three Bloch paths of each case, one chart per case."""
+    table = np.array([r[3:6] for r in result.rows]).reshape(
+        len(BLOCH_CASES), len(BLOCH_SERIES), -1, 3)
+    paths = []
+    for case, xyz in zip(BLOCH_CASES, table):
+        paths.append(outdir / f"bloch_{case}.svg")
+        bloch_chart(list(zip(BLOCH_SERIES, xyz)), paths[-1],
+                    title=f"Bloch trajectories ({case})")
+    return paths
 
 
 _DELTA_GRID = tuple(np.linspace(-4.0, 4.0, 81))
@@ -365,29 +428,32 @@ _DELTA_GRID = tuple(np.linspace(-4.0, 4.0, 81))
 KINDS = {
     # negativity vs time for a family of initial polar angles, on resonance
     "negativity_theta": Kind(
-        NEG_COLUMNS, _theta_points, _neg_closed, _neg_group, _neg_rows,
+        NEG_COLUMNS, NEG_ROW, _theta_points, _neg_closed, _neg_group, _neg_rows,
+        _neg_charts,
         checks=(_resonant(math.pi / 2, "pi/2"),),
         defaults=dict(grid=tuple(np.linspace(0.0, math.pi / 2, 9)), record_stride=16)),
     # negativity vs time over a detuning grid, perpendicular initial states
     "negativity_delta": Kind(
-        NEG_COLUMNS, _delta_points, _neg_closed, _neg_group, _neg_rows,
+        NEG_COLUMNS, NEG_ROW, _delta_points, _neg_closed, _neg_group, _neg_rows,
+        _neg_charts,
         defaults=dict(grid=_DELTA_GRID, record_stride=16,
                       base_params=ModelParams(delta=0.0, chi=0.0))),
     # phase difference vs initial polar angle at fixed sector-1 resonance
     "gp_theta": Kind(
-        GP_COLUMNS, _theta_points, _gp_closed, _gp_group, _gp_rows,
+        GP_COLUMNS, GP_ROW, _theta_points, _gp_closed, _gp_group, _gp_rows, _gp_charts,
         checks=(_resonant(2 * math.pi, "2*pi"), _checkpoints),
         defaults=dict(grid=tuple(np.linspace(0.0, 2 * math.pi, 64))),
         horizon=_largest_m),
     # phase difference vs detuning, perpendicular initial states
     "gp_delta": Kind(
-        GP_COLUMNS, _delta_points, _gp_closed, _gp_group, _gp_rows,
+        GP_COLUMNS, GP_ROW, _delta_points, _gp_closed, _gp_group, _gp_rows, _gp_charts,
         checks=(_checkpoints,), defaults=dict(grid=_DELTA_GRID),
         horizon=_largest_m),
     # unitary path, density projection and tracked-eigenvector path per case,
     # with a planarity figure against the unitary rotation axis for each
     "bloch_traj": Kind(
-        BLOCH_COLUMNS, _bloch_points, _bloch_closed, _bloch_group, _bloch_rows,
+        BLOCH_COLUMNS, BLOCH_ROW, _bloch_points, _bloch_closed, _bloch_group,
+        _bloch_rows, _bloch_charts,
         checks=(_resonant(), _two_records), defaults=dict(grid=(0.0,), periods=3.0),
         meta=_bloch_planarity),
 }
@@ -402,14 +468,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = _grouped_rows(spec, kind, points)
     return SweepResult(spec=spec, columns=kind.columns, rows=rows,
                        meta=kind.meta(points, rows))
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
 
 
 def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[str]:
@@ -433,12 +491,33 @@ def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[s
     return lines
 
 
+def _write_csv(path, head: list[str], template: str, records) -> None:
+    """The ``head`` lines, then ``template % record`` of every record, streamed."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in head)
+        fh.writelines(map(template.__mod__, records))
+
+
 def write_sweep_csv(result: SweepResult, path, timestamp: Optional[str] = None) -> None:
     """Write one sweep as CSV with '#' provenance header lines."""
-    lines = provenance_lines(result.spec, timestamp)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-        fh.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    head = [*provenance_lines(result.spec, timestamp), ",".join(result.columns)]
+    _write_csv(path, head, KINDS[result.spec.kind].template, result.rows)
+
+
+def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
+    """Debug dump: t, then row-major Re/Im of the density-matrix entries.
+
+    Entry (i, j) is named ``re_<i><j>``/``im_<i><j>``, each index
+    zero-padded to the width of d - 1, so every name is distinct.
+    """
+    mats = record.states if record.is_density else np.einsum(
+        "ki,kj->kij", record.states, record.states.conj())
+    n, d = mats.shape[:2]
+    w = len(str(d - 1))
+    header = ",".join(["t", *(f"{part}_{i:0{w}d}{j:0{w}d}" for i in range(d)
+                              for j in range(d) for part in ("re", "im"))])
+    # the complex entries viewed as float64 are Re, Im in header order
+    table = np.column_stack((record.times,
+                             np.ascontiguousarray(mats).reshape(n, -1).view(np.float64)))
+    _write_csv(path, [header], ",".join(["%.17g"] * table.shape[1]) + "\n",
+               map(tuple, table))

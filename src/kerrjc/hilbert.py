@@ -28,13 +28,10 @@ class SpaceSpec:
     """Truncated space: cavity levels 0..n_max times a two-level atom."""
 
     n_max: int
-    atom_dim: int = 2
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1 (sectors n=1,2 must exist)")
-        if self.atom_dim != 2:
-            raise ValueError("atom_dim is fixed at 2")
 
     @property
     def cavity_dim(self) -> int:

@@ -19,8 +19,8 @@ from kerrjc.dynamics import (
     liouvillian,
     lowex_rhs,
     rk4_step_matrix,
-    write_trajectory_csv,
 )
+from kerrjc.experiments import write_trajectory_csv
 from kerrjc.hilbert import SpaceSpec, TruncationError, basis_state
 from kerrjc.model import (
     InitialStateSpec,
