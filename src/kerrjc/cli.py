@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .experiments import (
     write_trajectory_csv,
 )
 from .geomphase import CoarseGridError, SingularCheckpointError, TrackingError
-from .hilbert import SpaceSpec, TruncationError
+from .hilbert import SpaceSpec, TruncationError, reached_space
 from .model import InitialStateSpec, ModelParams, initial_state, perpendicular_state
 
 ENV_OUTPUT_DIR = "KERRJC_OUTPUT_DIR"
@@ -203,7 +203,8 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 
 
 def run_evolve(config: dict) -> int:
-    """Single-trajectory run; writes the debug trajectory CSV."""
+    """Single-trajectory run; writes the debug trajectory CSV (an open one
+    runs on the reached space, zero-padded back to the full space)."""
     space = SpaceSpec(config["space.n_max"])
     params = _model_params(config)
     if config["initial.perpendicular"]:
@@ -211,17 +212,19 @@ def run_evolve(config: dict) -> int:
     else:
         init = InitialStateSpec(theta0=config["initial.theta0"],
                                 phi0=config["initial.phi0"], n=config["initial.n"])
+    reached = reached_space(init.n, space)
     _, integ, h = leg_setup(params, init.n, space,
                             config["integrator.periods"] or SweepSpec.periods,
                             config["integrator.steps_per_period"],
                             config["integrator.record_stride"] or SweepSpec.record_stride)
     psi0 = initial_state(init, space)
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:
-        rho0 = np.outer(psi0, psi0.conj())
-        record = evolve_lindblad(LindbladSpec.from_params(params, space, h), rho0,
-                                 integ, space=space)
+        d, pad = reached.dim, space.dim - reached.dim
+        record = evolve_lindblad(LindbladSpec.from_params(params, reached, h[:d, :d]),
+                                 np.outer(psi0[:d], psi0[:d].conj()), integ)
+        record = replace(record, states=np.pad(record.states, ((0, 0), (0, pad), (0, pad))))
     else:
-        record = evolve_closed(h, psi0, integ, space=space)
+        record = evolve_closed(h, psi0, integ)
 
     outdir = Path(config["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)

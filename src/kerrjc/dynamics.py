@@ -12,9 +12,10 @@ on which others share its batch.  ``lindblad_blocks`` does the same for
 open legs: g generators, each with its own Lindbladian, time step and c
 initial density matrices, advance by one stacked matrix product per
 record, again with the bits of each generator's own product.  Both hand
-their records out in blocks of bounded size (``BLOCK_ENTRIES``) that have
-passed the guards, and ``evolve_closed`` and ``evolve_lindblad`` are each
-one trajectory fed through them.
+their records out in blocks of bounded size (``BLOCK_ENTRIES``), the open
+ones after the density checks, and ``evolve_closed`` and ``evolve_lindblad``
+are each one trajectory fed through them.  Truncation is checked before
+integrating, by the callers (``hilbert.reached_space``).
 ``lindblad_rhs`` stays available as the direct matrix-in/matrix-out form,
 and ``lowex_rhs`` is an independently hand-coded right-hand side on the
 five lowest basis states used as a cross-check.
@@ -27,8 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import hilbert
-from .hilbert import SpaceSpec, TruncationError
+from .hilbert import SpaceSpec
 from .model import ModelParams
 
 TRACE_TOL = 1e-9
@@ -259,20 +259,7 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray,
                               "(time step too large)")
 
 
-def _check_truncation_stack(states: np.ndarray, times: np.ndarray,
-                            space: Optional[SpaceSpec]) -> None:
-    if space is None:
-        return
-    pops = hilbert.top_level_population(states, space)
-    bad = pops > hilbert.TOP_LEVEL_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise TruncationError(
-            f"top Fock level population {pops[k]:.3e} at t={times[k]:g}; increase n_max")
-
-
-def closed_blocks(hs, psi0s, configs, space: Optional[SpaceSpec] = None,
-                  block_records: Optional[int] = None):
+def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
     """Advance b pure states in lockstep, each under its own H and time step.
 
     psi' = -i H psi by RK4 with renormalisation after every step.  All
@@ -283,9 +270,8 @@ def closed_blocks(hs, psi0s, configs, space: Optional[SpaceSpec] = None,
     OpenBLAS by ``tests/test_lockstep.py``).  Yields
     ``(times, states, drift)`` for consecutive blocks of records: ``times``
     has shape (b, r), ``states`` (b, r, d), and ``drift`` holds each state's
-    largest per-step norm deviation before renormalisation so far.  Every
-    block has passed the truncation check.  By default r keeps r*b*d^2
-    within BLOCK_ENTRIES.
+    largest per-step norm deviation before renormalisation so far.  By
+    default r keeps r*b*d^2 within BLOCK_ENTRIES.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -306,12 +292,12 @@ def closed_blocks(hs, psi0s, configs, space: Optional[SpaceSpec] = None,
     if steps.shape != (b, d, d):
         raise ValueError("psi0 and hamiltonian dimensions disagree")
     n_rec = n_steps // stride + 1
-    times = np.array([np.arange(n_rec) * (c.dt * stride) for c in configs])
+    spacing = np.array([[c.dt * stride] for c in configs])
     if block_records is None:
         block_records = max(1, BLOCK_ENTRIES // (b * d * d))
     drift = np.zeros((b, 1, 1))
     for start in range(0, n_rec, block_records):
-        block_times = times[:, start:start + block_records]
+        block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
         r = block_times.shape[1]
         states = np.empty((b, r, d), dtype=complex)
         for k in range(r):
@@ -322,22 +308,20 @@ def closed_blocks(hs, psi0s, configs, space: Optional[SpaceSpec] = None,
                     np.maximum(drift, np.abs(norm - 1.0), out=drift)
                     col /= norm
             states[:, k] = col[:, :, 0]
-        _check_truncation_stack(states.reshape(b * r, d), block_times.reshape(-1), space)
         yield block_times, states, drift[:, 0, 0].copy()
 
 
-def evolve_closed(h: np.ndarray, psi0: np.ndarray, config: IntegratorConfig,
-                  space: Optional[SpaceSpec] = None) -> TrajectoryRecord:
+def evolve_closed(h: np.ndarray, psi0: np.ndarray,
+                  config: IntegratorConfig) -> TrajectoryRecord:
     """RK4 integration of psi' = -i H psi with per-step renormalization."""
     n_rec = config.n_steps // config.record_stride + 1
-    (times, states, drift), = closed_blocks([h], [psi0], [config], space=space,
-                                            block_records=n_rec)
+    (times, states, drift), = closed_blocks([h], [psi0], [config], block_records=n_rec)
     return TrajectoryRecord(times=times[0], states=states[0], config=config,
                             max_norm_drift=float(drift[0]))
 
 
-def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
-                    decompose: bool = False, block_records: Optional[int] = None):
+def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
+                    block_records: Optional[int] = None):
     """Advance c initial density matrices under each of g Lindbladians, in lockstep.
 
     ``rho0s`` has shape (g, c, d, d): generator i (``specs[i]``, time step
@@ -350,8 +334,8 @@ def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
     ``(times, states, eig)`` for consecutive blocks of records, point-major
     over the b = g*c points (point i*c + j is state j of generator i):
     ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
-    has passed the density and truncation checks as one (b*r, d, d) stack.  With ``decompose``, ``eig``
-    is that stack's ``np.linalg.eigh`` reshaped to (b, r, d) and
+    has passed the density checks as one (b*r, d, d) stack.  With
+    ``decompose``, ``eig`` is that stack's ``np.linalg.eigh`` reshaped to (b, r, d) and
     (b, r, d, d), and also serves the positivity check; otherwise it is
     None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES, so memory does
     not grow with the number of records.
@@ -371,13 +355,13 @@ def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
     hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
                                             stride) for s, cfg in zip(specs, configs)])
     n_rec = n_steps // stride + 1
-    times = np.repeat([np.arange(n_rec) * (cfg.dt * stride) for cfg in configs], c, axis=0)
+    spacing = np.repeat([[cfg.dt * stride] for cfg in configs], c, axis=0)
     b = g * c
     if block_records is None:
         block_records = max(1, BLOCK_ENTRIES // (b * d * d))
     vecs = np.ascontiguousarray(rho0s.reshape(g, c, d * d).transpose(0, 2, 1))
     for start in range(0, n_rec, block_records):
-        block_times = times[:, start:start + block_records]
+        block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
         r = block_times.shape[1]
         states = np.empty((g, c, r, d * d), dtype=complex)
         for k in range(r):
@@ -385,21 +369,19 @@ def lindblad_blocks(specs, rho0s, configs, space: Optional[SpaceSpec] = None,
                 vecs = np.matmul(hops, vecs)
             states[:, :, k] = vecs.transpose(0, 2, 1)
         flat = states.reshape(b * r, d, d)
-        sample_times = block_times.reshape(-1)
         eig = np.linalg.eigh(flat) if decompose else None
-        _check_density_stack(flat, sample_times, None if eig is None else eig[0])
-        _check_truncation_stack(flat, sample_times, space)
+        _check_density_stack(flat, block_times.reshape(-1), None if eig is None else eig[0])
         if eig is not None:
             eig = (eig[0].reshape(b, r, d), eig[1].reshape(b, r, d, d))
         yield block_times, states.reshape(b, r, d, d), eig
 
 
-def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray, config: IntegratorConfig,
-                    space: Optional[SpaceSpec] = None) -> TrajectoryRecord:
+def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,
+                    config: IntegratorConfig) -> TrajectoryRecord:
     """RK4 Lindblad integration of one state: ``lindblad_blocks`` in one block."""
     rho0 = np.asarray(rho0, dtype=complex)
     n_rec = config.n_steps // config.record_stride + 1
-    (times, states, _), = lindblad_blocks([spec], rho0[None, None], [config], space=space,
+    (times, states, _), = lindblad_blocks([spec], rho0[None, None], [config],
                                           block_records=n_rec)
     return TrajectoryRecord(times=times[0], states=states[0], config=config)
 

@@ -4,10 +4,13 @@ Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all.
 Sweeps are deterministic (no randomness anywhere in the pipeline) and
 assemble rows in grid order, so re-running an identical spec reproduces
 the CSV byte for byte.  The closed legs of all grid points advance in
-lockstep (``dynamics.closed_blocks``) in the calling process.  Grid points
-that share model parameters form one group, which builds its operators
-once; consecutive groups form a chunk, whose hop matrices hold at most
-``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
+lockstep (``dynamics.closed_blocks``) on the full space in the calling
+process.  The open legs and every negativity and Bloch series run on the
+reached space (``hilbert.reached_space``, Fock levels 0..n0 of the start
+sector n0), whose states and operators are exact slices of the full ones.
+Grid points that share model parameters form one group, which builds its
+operators once; consecutive groups form a chunk, whose hop matrices hold
+at most ``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
 lockstep (``dynamics.lindblad_blocks``) as one job, tracked by one
 ``BranchTracker``.  With ``workers > 1`` a process pool runs the chunk
 jobs, and the single writer reassembles the rows in grid order.
@@ -45,7 +48,7 @@ from .geomphase import (
     checkpoint_phase,
     wrap_angle,
 )
-from .hilbert import SpaceSpec
+from .hilbert import SpaceSpec, reached_space
 from .information import bloch_series, negativity, planarity
 from .model import (
     InitialStateSpec,
@@ -101,8 +104,9 @@ class SweepSpec:
             raise ConfigError("the grid (sweep.grid_points) must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("the grid must rise: sweep.grid_stop > sweep.grid_start")
-        if any(m < 1 for m in self.m_values) or len(set(self.m_values)) != len(self.m_values):
-            raise ConfigError("sweep.m_values must list distinct m, all >= 1")
+        m_values = self.m_values
+        if not m_values or min(m_values) < 1 or len(set(m_values)) != len(m_values):
+            raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1")
         if any(r < 0 for r in self.open_rates):
             raise ConfigError("the sweep.open_* rates must be nonnegative")
 
@@ -131,7 +135,7 @@ class Kind:
     columns: tuple[str, ...]
     template: str  # one CSV row of ``columns``
     points: Callable  # spec -> (value, params, initial state) of every grid point
-    closed: Callable  # (spec, closed_blocks) -> one reduction per point
+    closed: Callable  # (spec, reached space, closed_blocks) -> one reduction per point
     group: Callable  # chunk job -> one open-leg reduction per point; picklable (the pool)
     rows: Callable  # (spec, value, period, closed, opened) -> the point's rows
     chart: Callable  # (result, outdir) -> the SVG files written
@@ -185,13 +189,13 @@ def _largest_m(spec: SweepSpec) -> float:
 
 
 def _open_blocks(job, decompose: bool = False):
-    """The open legs of one chunk job as ``lindblad_blocks``."""
-    spec, groups = job
+    """The open legs of one chunk job as ``lindblad_blocks``, on the reached space."""
+    _, groups, reached = job
     params, psi0s, configs, hs = zip(*groups)
     rho0s = np.array([[np.outer(psi0, psi0.conj()) for psi0 in group] for group in psi0s])
-    return lindblad_blocks([LindbladSpec.from_params(p, spec.space, h)
+    return lindblad_blocks([LindbladSpec.from_params(p, reached, h)
                             for p, h in zip(params, hs)], rho0s, configs,
-                           space=spec.space, decompose=decompose)
+                           decompose=decompose)
 
 
 def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
@@ -201,20 +205,21 @@ def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
     return out.reshape(b, r, *out.shape[1:])
 
 
-def _closed_series(spec: SweepSpec, blocks, fn) -> list[tuple]:
-    """(times, ``fn`` of every state) of every point's closed leg."""
-    times, values = zip(*((block_times, _per_state(fn, states, spec.space))
+def _closed_series(reached: SpaceSpec, blocks, fn) -> list[tuple]:
+    """(times, ``fn`` of every state) of every point's closed leg, on the
+    reached space."""
+    times, values = zip(*((block_times, _per_state(fn, states[:, :, :reached.dim], reached))
                           for block_times, states, _ in blocks))
     return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
 
 
-def _neg_closed(spec: SweepSpec, blocks) -> list[tuple]:
-    return _closed_series(spec, blocks, negativity)
+def _neg_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
+    return _closed_series(reached, blocks, negativity)
 
 
 def _neg_group(job) -> np.ndarray:
     """Open-leg negativities (points, records) of one chunk."""
-    return np.concatenate([_per_state(negativity, states, job[0].space)
+    return np.concatenate([_per_state(negativity, states, job[2])
                            for _, states, _ in _open_blocks(job)], axis=1)
 
 
@@ -224,7 +229,7 @@ def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
             for t, nc, no in zip(times, neg_c, opened)]
 
 
-def _gp_closed(spec: SweepSpec, blocks) -> list[tuple]:
+def _gp_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
     """Every point's closed phase chain at the checkpoints."""
     chain = PhaseChain(_checkpoints(spec))
     for _, states, _ in blocks:
@@ -234,14 +239,16 @@ def _gp_closed(spec: SweepSpec, blocks) -> list[tuple]:
 
 def _gp_group(job) -> list[Optional[tuple]]:
     """Per point of one chunk: its open phase chain and tracked eigenvalue at
-    the checkpoints, or None if its tracking failed."""
-    checkpoints = _checkpoints(job[0])
-    tracker, chain, omegas = BranchTracker(), PhaseChain(checkpoints), []
+    the checkpoints (kept block by block), or None if its tracking failed."""
+    checkpoints = np.array(_checkpoints(job[0]))
+    tracker, chain, seen = BranchTracker(), PhaseChain(checkpoints), 0
+    omegas = np.empty((sum(len(group[1]) for group in job[1]), checkpoints.size))
     for times, _, eig in _open_blocks(job, decompose=True):
         w, vectors = tracker.extend(times, *eig)
         chain.extend(vectors)
-        omegas.append(w)
-    omegas = np.concatenate(omegas, axis=1)[:, checkpoints]
+        here = (checkpoints >= seen) & (checkpoints < seen + w.shape[1])
+        omegas[:, here] = w[:, checkpoints[here] - seen]
+        seen += w.shape[1]
     return [None if p in tracker.failed else ([v[p] for v in chain.values], omegas[p])
             for p in range(len(omegas))]
 
@@ -270,14 +277,14 @@ def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
     return rows
 
 
-def _bloch_closed(spec: SweepSpec, blocks) -> list[tuple]:
-    return _closed_series(spec, blocks, bloch_series)
+def _bloch_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
+    return _closed_series(reached, blocks, bloch_series)
 
 
 def _bloch_group(job) -> list[tuple]:
     """Per point of one chunk: the Bloch series of its density matrices and
     of its tracked dominant eigenvector; a tracking failure aborts."""
-    space = job[0].space
+    space = job[2]
     tracker = BranchTracker()
     rho, eigvec = [], []
     for times, states, eig in _open_blocks(job, decompose=True):
@@ -323,27 +330,28 @@ def _map_chunks(fn, jobs, workers: int):
     return [fn(j) for j in jobs]
 
 
-def _grouped_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
+def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
     Points that share model parameters (and excitation sector) form one
     group: H, the period and the integrator grid are built once for it.
     The closed legs of all points advance in lockstep here
-    (``closed_blocks``) and are reduced block by block.  Consecutive groups
-    of one size form a chunk whose hops hold at most BLOCK_ENTRIES entries
-    (a group whose hop alone is larger is a chunk by itself); the open legs
-    of a chunk advance in lockstep as one job, mapped by a process pool
-    when ``spec.workers > 1``.  Each point's two reductions then become its
-    rows.
+    (``closed_blocks``) and are reduced block by block.  The open legs run
+    on the ``reached`` space, with slices of H and the states.  Consecutive
+    groups of one size form a chunk whose hops hold at most BLOCK_ENTRIES
+    entries (a group whose hop alone is larger is a chunk by itself); the
+    open legs of a chunk advance in lockstep as one job, mapped by a
+    process pool when ``spec.workers > 1``.  Each point's two reductions
+    then become its rows.
     """
-    space = spec.space
+    space, d = spec.space, reached.dim
     groups: dict[tuple[ModelParams, int], list[int]] = {}
     for i, (_, params, init) in enumerate(points):
         groups.setdefault((params, init.n), []).append(i)
     psi0s = [initial_state(init, space) for _, _, init in points]
     setup = [None] * len(points)  # (period, config, H) of each point's group
     chunks, members = [], []  # the groups of each chunk job, and its point indices
-    per_chunk = max(1, BLOCK_ENTRIES // space.dim ** 4)
+    per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
     for (params, n), group in groups.items():
         period, config, h = leg_setup(params, n, space, kind.horizon(spec),
                                       spec.steps_per_period, spec.record_stride)
@@ -352,13 +360,13 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
         if not chunks or len(chunks[-1]) == per_chunk or len(chunks[-1][0][1]) != len(group):
             chunks.append([])
             members.append([])
-        chunks[-1].append((params, [psi0s[i] for i in group], config, h))
+        chunks[-1].append((params, [psi0s[i][:d] for i in group], config, h[:d, :d]))
         members[-1] += group
 
     _, configs, hs = zip(*setup)
-    closed = kind.closed(spec, closed_blocks(hs, psi0s, configs, space=space))
+    closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs))
     opened = [None] * len(points)
-    jobs = [(spec, chunk) for chunk in chunks]
+    jobs = [(spec, chunk, reached) for chunk in chunks]
     for indices, results in zip(members, _map_chunks(kind.group, jobs, spec.workers)):
         for i, result in zip(indices, results):
             opened[i] = result
@@ -460,12 +468,14 @@ KINDS = {
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """The rows of one sweep; its kind's checks run before any integration."""
+    """The rows of one sweep; its kind's checks and the truncation check run
+    before any integration."""
     kind = KINDS[spec.kind]
     for check in kind.checks:
         check(spec)
     points = kind.points(spec)
-    rows = _grouped_rows(spec, kind, points)
+    reached = reached_space(max(init.n for _, _, init in points), spec.space)
+    rows = _grouped_rows(spec, kind, points, reached)
     return SweepResult(spec=spec, columns=kind.columns, rows=rows,
                        meta=kind.meta(points, rows))
 

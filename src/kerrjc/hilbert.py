@@ -3,7 +3,8 @@
 The flat basis is ordered |g0>, |e0>, |g1>, |e1>, ... so a level with
 ``photons`` photons and atomic state ``atom`` sits at index
 ``2*photons + (1 if atom == 'e' else 0)``.  All full-space operators are
-built as kron(cavity, atom) to match that layout.
+built as kron(cavity, atom) to match that layout, so a smaller truncation's
+basis is a prefix of a larger one's and its operators are slices.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ import numpy as np
 ATOM_G = "g"
 ATOM_E = "e"
 
-# population allowed on the highest kept Fock level before results are suspect
-TOP_LEVEL_TOL = 1e-10
-
 
 class TruncationError(RuntimeError):
-    """Dynamics leaked into the highest kept Fock level."""
+    """The dynamics can reach the highest kept Fock level."""
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,12 @@ def sector_indices(n: int, spec: SpaceSpec) -> tuple[int, int]:
     return (flat_index(ATOM_E, n - 1, spec), flat_index(ATOM_G, n, spec))
 
 
-def top_level_population(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """Population on the highest kept Fock level (both atomic states) of each
-    state of a stack: (n, d) pure states or (n, d, d) density matrices."""
-    i_g = flat_index(ATOM_G, spec.n_max, spec)
-    i_e = flat_index(ATOM_E, spec.n_max, spec)
-    if states.ndim == 2:
-        return np.abs(states[:, i_g]) ** 2 + np.abs(states[:, i_e]) ** 2
-    return states[:, i_g, i_g].real + states[:, i_e, i_e].real
+def reached_space(n0: int, spec: SpaceSpec) -> SpaceSpec:
+    """Fock levels 0..n0, which hold every state (N <= n0) that legs from
+    sector ``n0`` reach: H keeps N and each collapse operator lowers or keeps
+    it.  The top kept level of ``spec`` (N >= n_max) must stay empty, which
+    holds, exactly, if and only if n_max > n0: a static check."""
+    if spec.n_max <= n0:
+        raise TruncationError(f"space.n_max = {spec.n_max} puts the start sector n = {n0} "
+                              f"on the top Fock level; raise space.n_max above {n0}")
+    return SpaceSpec(n0)

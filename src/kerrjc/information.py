@@ -3,12 +3,13 @@
 Every routine here takes a stack of states: (n, d) pure states or
 (n, d, d) density matrices; a single state is a stack of one.
 
-Negativity is computed on the full truncated space (partial transpose over
-the two-level atom against the whole cavity ladder) because dissipation
-couples excitation sectors.  Bloch projections use the n=1 sector basis
-{|e0>, |g1>} with |e0> at the north pole and y = 2 Im<g1|rho|e0>, which
-makes the resonant closed evolution of |e0> a right-handed rotation about
-+x (north pole toward -y).
+Negativity is computed on the whole space it is given (partial transpose
+over the atom against its whole cavity ladder), because dissipation couples
+excitation sectors; the sweeps give it the reached space, Fock levels 0..n0,
+which the partial transpose (atomic indices only) maps to itself.  Bloch
+projections use the n=1 sector basis {|e0>, |g1>} with |e0> at the north
+pole and y = 2 Im<g1|rho|e0>, which makes the resonant closed evolution of
+|e0> a right-handed rotation about +x (north pole toward -y).
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ def test_criterion_01_resonant_oracle():
     period = resonant_period()
     config = IntegratorConfig.for_periods(period, 3.0, 2000, 4)
     psi0 = resonant_state(RESONANT, 1, 0.0, SPACE)
-    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
     worst = max(
         np.abs(traj.states[k] - resonant_state(RESONANT, 1, t, SPACE)).max()
         for k, t in enumerate(traj.times))
@@ -138,7 +138,7 @@ def test_criterion_03_cptp_health():
         config = IntegratorConfig.for_periods(period, 3.0, 2000, 4)
         psi0 = initial_state(init, SPACE)
         traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE),
-                               np.outer(psi0, psi0.conj()), config, space=SPACE)
+                               np.outer(psi0, psi0.conj()), config)
         worst_trace = max(worst_trace,
                           np.abs(np.einsum("kii->k", traj.states).real - 1).max())
         herm = np.sqrt((np.abs(traj.states
@@ -154,7 +154,7 @@ def test_criterion_03_cptp_health():
     config = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=500)
     psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
     traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE),
-                           np.outer(psi0, psi0.conj()), config, space=SPACE)
+                           np.outer(psi0, psi0.conj()), config)
     fidelity = traj.states[-1][0, 0].real
 
     ok = (worst_trace < 1e-9 and worst_herm < 1e-9 and worst_eig > -1e-8
@@ -170,7 +170,7 @@ def test_criterion_04_negativity_sin_law():
     period = resonant_period()
     config = IntegratorConfig.for_periods(period, 3.0, 2000, 8)
     psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
 
     # independent oracle: brute-force partial transpose of the analytic state
     def brute_negativity(t):
@@ -218,7 +218,7 @@ def test_criterion_06_geodesic_phase_and_pi_jumps():
     period = resonant_period()
     config = IntegratorConfig.for_periods(period, 3.0, 2000, 4)
     psi0 = initial_state(InitialStateSpec(theta0=math.pi), SPACE)  # |g,1>
-    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
     phi_period = phase_unitary(traj, period)
     err = abs(phi_period - math.pi)
 
@@ -280,7 +280,7 @@ def test_criterion_09_formula_reduction():
         config = IntegratorConfig.for_periods(period, 1.0, 1000, 4)
         psi0 = initial_state(init, SPACE)
         traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE),
-                               np.outer(psi0, psi0.conj()), config, space=SPACE)
+                               np.outer(psi0, psi0.conj()), config)
         track = track_dominant_eigenvector(traj)
         a = phase_open_pure(track, period)
         b = phase_open_general(traj, period)

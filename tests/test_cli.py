@@ -236,14 +236,26 @@ class TestDispatch:
         assert "grid too coarse" in err
         assert "integrator.steps_per_period" in err and "integrator.record_stride" in err
 
-    def test_truncation_exit(self, tmp_path):
-        # n_max=1 puts the initial |g1> amplitude on the top Fock level
-        code = main(["evolve", "--out", str(tmp_path), "--no-timestamp",
-                     "--set", "space.n_max=1",
-                     "--set", "initial.theta0=1.0",
-                     "--set", "integrator.steps_per_period=200",
-                     "--set", "integrator.periods=1.0"])
+    @pytest.mark.parametrize("argv", [
+        # n_max = n puts the start sector's |g,n> amplitude on the top Fock level
+        ["sweep", "--kind", "gp_delta", "--set", "space.n_max=1"],
+        ["bloch", "--set", "space.n_max=1"],
+        ["evolve", "--set", "space.n_max=1", "--set", "initial.theta0=1.0"],
+        ["evolve", "--set", "initial.n=3", "--set", "space.n_max=3"],
+        ["evolve", "--set", "initial.n=3", "--set", "space.n_max=3",
+         "--set", "model.gamma=0.1"],
+    ])
+    def test_truncation_exit(self, tmp_path, capsys, monkeypatch, argv):
+        import kerrjc.dynamics as dyn
+        import kerrjc.experiments as ex
+        integrated = []
+        for module in (dyn, ex):
+            for name in ("closed_blocks", "lindblad_blocks"):
+                monkeypatch.setattr(module, name, lambda *args, **kw: integrated.append(args))
+        code = main([*argv, "--out", str(tmp_path), "--no-timestamp"])
         assert code == EXIT_TRUNCATION
+        assert "space.n_max" in capsys.readouterr().err
+        assert integrated == []
 
     def test_positivity_exit(self, tmp_path, capsys):
         # ten RK4 steps per period are far too coarse for gamma = 40

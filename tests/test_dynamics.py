@@ -173,8 +173,7 @@ class TestEvolveClosed:
     def test_matches_resonant_closed_form(self):
         config = resonant_config()
         psi0 = resonant_state(RESONANT, 1, 0.0, SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config,
-                             space=SPACE)
+        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         worst = max(
             np.abs(traj.states[k] - resonant_state(RESONANT, 1, t, SPACE)).max()
             for k, t in enumerate(traj.times))
@@ -189,7 +188,7 @@ class TestEvolveClosed:
         i_e, i_g = hilbert.sector_indices(1, SPACE)
         psi0[i_e], psi0[i_g] = plus
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 2.0)
-        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
         for k, t in enumerate(traj.times):
             expected = np.exp(-1j * sa.e_plus * t) * psi0
             assert np.abs(traj.states[k] - expected).max() < 1e-9
@@ -197,7 +196,7 @@ class TestEvolveClosed:
     def test_excitation_expectation_constant(self):
         config = resonant_config(periods=2.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.9, phi0=0.4), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         nexc = hilbert.excitation_number(SPACE)
         vals = np.einsum("ki,ij,kj->k", traj.states.conj(), nexc, traj.states).real
         assert np.abs(vals - vals[0]).max() < 1e-10
@@ -208,11 +207,14 @@ class TestEvolveClosed:
                           2.0 * basis_state("g", 1, SPACE), resonant_config())
 
     def test_truncation_guard(self):
-        tiny = SpaceSpec(1)
-        psi0 = basis_state("g", 1, tiny)   # top level occupied from the start
-        with pytest.raises(TruncationError):
-            evolve_closed(hamiltonian(RESONANT, tiny), psi0, resonant_config(1.0),
-                          space=tiny)
+        # a leg from sector n reaches Fock level n (|g,n>), so the truncation
+        # must keep a level above it; the check needs no integration
+        for n in (1, 2, 3):
+            assert hilbert.reached_space(n, SpaceSpec(n + 1)) == SpaceSpec(n)
+            assert hilbert.reached_space(n, SpaceSpec(10)) == SpaceSpec(n)
+            for n_max in range(1, n + 1):
+                with pytest.raises(TruncationError, match="space.n_max"):
+                    hilbert.reached_space(n, SpaceSpec(n_max))
 
 
 class TestEvolveLindblad:
@@ -227,8 +229,7 @@ class TestEvolveLindblad:
         config = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=500)
         psi0 = initial_state(InitialStateSpec(theta0=1.1, phi0=0.3), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0,
-                               config, space=SPACE)
+        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
         ground_fidelity = traj.states[-1][0, 0].real
         assert ground_fidelity > 1 - 1e-6
 
@@ -236,8 +237,7 @@ class TestEvolveLindblad:
         config = resonant_config(periods=2.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.7), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(RESONANT, SPACE), rho0,
-                               config, space=SPACE)
+        traj = evolve_lindblad(LindbladSpec.from_params(RESONANT, SPACE), rho0, config)
         purity = np.einsum("kij,kji->k", traj.states, traj.states).real
         assert np.abs(purity - 1.0).max() < 1e-9
 
@@ -245,8 +245,7 @@ class TestEvolveLindblad:
         config = resonant_config(periods=3.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0,
-                               config, space=SPACE)
+        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
         for rho in traj.states[::50]:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
             assert np.linalg.norm(rho - rho.conj().T) < 1e-9
@@ -261,8 +260,7 @@ class TestEvolveLindblad:
         dt = (2 * math.pi / sa.rabi_frequency) / 2000
         steps = 400
         config = IntegratorConfig(dt=dt, t_final=steps * dt, record_stride=steps)
-        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), full,
-                               config, space=SPACE)
+        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), full, config)
 
         b = block.copy()
         for _ in range(steps):
@@ -277,8 +275,7 @@ class TestEvolveLindblad:
         config = resonant_config(periods=3.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.3), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0,
-                               config, space=SPACE)
+        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
         nexc = hilbert.excitation_number(SPACE)
         vals = np.einsum("kij,ji->k", traj.states, nexc).real
         assert (np.diff(vals) <= 1e-10).all()
@@ -287,8 +284,8 @@ class TestEvolveLindblad:
         psi0 = initial_state(InitialStateSpec(theta0=0.4), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
         spec = LindbladSpec.from_params(OPEN, SPACE)
-        coarse = evolve_lindblad(spec, rho0, resonant_config(2.0, 2000, 8), space=SPACE)
-        fine = evolve_lindblad(spec, rho0, resonant_config(2.0, 4000, 16), space=SPACE)
+        coarse = evolve_lindblad(spec, rho0, resonant_config(2.0, 2000, 8))
+        fine = evolve_lindblad(spec, rho0, resonant_config(2.0, 4000, 16))
         assert np.allclose(coarse.times, fine.times)
         assert np.abs(coarse.states - fine.states).max() < 1e-8
 
@@ -299,15 +296,14 @@ class TestEvolveLindblad:
         rho0 = np.outer(psi0, psi0.conj())
         config = IntegratorConfig(dt=2.0, t_final=40.0, record_stride=1)
         with pytest.raises(PositivityError):
-            evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config,
-                            space=SPACE)
+            evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
 
 
 class TestRecordAndDump:
     def test_record_immutable_and_grid(self):
         config = resonant_config(periods=1.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         assert len(traj.times) == config.n_steps // config.record_stride + 1
         with pytest.raises(ValueError):
             traj.states[0] = 0.0
@@ -318,7 +314,7 @@ class TestRecordAndDump:
     def test_trajectory_csv(self, tmp_path):
         config = resonant_config(periods=1.0, steps_per_period=200, stride=50)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()

@@ -22,12 +22,14 @@ from kerrjc.geomphase import (
 )
 
 from kerrjc.experiments import (
+    ConfigError,
     SweepSpec,
     default_spec,
     provenance_lines,
     run_sweep,
     write_sweep_csv,
 )
+from kerrjc.hilbert import reached_space
 from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, negativity, planarity
 from kerrjc.model import (
     InitialStateSpec,
@@ -62,6 +64,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sweep.m_values"):
             SweepSpec(kind="gp_theta", grid=(0.0, 1.0), base_params=RESONANT,
                       m_values=(1, 2, 1))
+
+    @pytest.mark.parametrize("kind", ["gp_theta", "gp_delta", "negativity_theta"])
+    def test_empty_m_values_refused(self, kind):
+        with pytest.raises(ConfigError, match="sweep.m_values"):
+            run_sweep(default_spec(kind, m_values=(), grid=(0.0,)))
 
     def test_default_grids(self):
         assert len(default_spec("negativity_theta").grid) == 9
@@ -299,9 +306,9 @@ def _per_point_legs(spec, theta, periods):
     config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
                                           spec.record_stride)
     psi0 = initial_state(InitialStateSpec(theta0=theta), space)
-    closed = evolve_closed(hamiltonian(params, space), psi0, config, space=space)
+    closed = evolve_closed(hamiltonian(params, space), psi0, config)
     opened = evolve_lindblad(LindbladSpec.from_params(params, space),
-                             np.outer(psi0, psi0.conj()), config, space=space)
+                             np.outer(psi0, psi0.conj()), config)
     return period, closed, opened
 
 
@@ -333,9 +340,9 @@ def per_case_bloch(spec):
                                               spec.steps_per_period, spec.record_stride)
         psi0 = initial_state(perpendicular_state(params, 1), space)
         h = hamiltonian(params, space)
-        closed = evolve_closed(h, psi0, config, space=space)
+        closed = evolve_closed(h, psi0, config)
         opened = evolve_lindblad(LindbladSpec.from_params(params, space, h),
-                                 np.outer(psi0, psi0.conj()), config, space=space)
+                                 np.outer(psi0, psi0.conj()), config)
         track = track_dominant_eigenvector(opened)
         for name, states in (("unitary", closed.states), ("rho_proj", opened.states),
                              ("eigvec", track.vectors)):
@@ -372,8 +379,9 @@ DELTA_GRID = dict(grid=(-1.5, -0.2, 0.5, 2.5), m_values=(1, 2), steps_per_period
 class TestGroupedEngine:
     """Points sharing model parameters advance together, block by block."""
 
-    def test_gp_theta_matches_per_point(self):
-        spec = default_spec("gp_theta", **GP_THETA_GROUP)
+    @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
+    def test_gp_theta_matches_per_point(self, open_rates):
+        spec = default_spec("gp_theta", open_rates=open_rates, **GP_THETA_GROUP)
         got = run_sweep(spec).rows
         want = per_point_gp_rows(spec)
         assert len(got) == len(want)
@@ -382,8 +390,9 @@ class TestGroupedEngine:
             assert g[:3] == w[:3]
             assert np.abs(np.array(g[3:8]) - np.array(w[3:])).max() < 1e-12
 
-    def test_negativity_theta_matches_per_point(self):
-        spec = default_spec("negativity_theta", **NEG_THETA_GROUP)
+    @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
+    def test_negativity_theta_matches_per_point(self, open_rates):
+        spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GROUP)
         got = np.array(run_sweep(spec).rows)
         want = np.array(per_point_neg_rows(spec))
         assert got.shape == want.shape
@@ -489,8 +498,9 @@ class TestChunks:
         import kerrjc.experiments as ex
         spec = default_spec(kind, **CHUNK_SPECS[kind])
         default = run_sweep(spec)
-        # a budget of `groups` hops; None puts every group in one chunk
-        budget = 1 << 40 if groups is None else groups * spec.space.dim ** 4
+        # a budget of `groups` hops on the reached space; None puts every
+        # group in one chunk
+        budget = 1 << 40 if groups is None else groups * reached_space(1, spec.space).dim ** 4
         monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
         result = run_sweep(spec)
         assert result.rows == default.rows
@@ -506,17 +516,22 @@ class TestChunks:
             return dyn.lindblad_blocks(specs, rho0s, *args, **kwargs)
 
         monkeypatch.setattr(ex, "lindblad_blocks", recording)
-        run_sweep(default_spec("gp_delta", grid=tuple(np.linspace(-2.0, 2.0, 13)),
-                               m_values=(1,), steps_per_period=200))
+        delta = default_spec("gp_delta", grid=tuple(np.linspace(-2.0, 2.0, 13)),
+                             m_values=(1,), steps_per_period=200)
+        run_sweep(delta)
         run_sweep(default_spec("gp_theta", grid=(0.0, 1.0), m_values=(1,), n_max=10,
                                steps_per_period=200))
-        # (groups, points per group, d, d): 13 δ groups of 100² hops in
-        # chunks of six, and one θ group whose 484² hop alone is over budget
-        assert chunks == [(6, 1, 10, 10), (6, 1, 10, 10), (1, 1, 10, 10),
-                          (1, 2, 22, 22)]
-        for g, _, d, _ in chunks:
-            assert g == 1 or g * d ** 4 <= dyn.BLOCK_ENTRIES
-        assert 22 ** 4 > dyn.BLOCK_ENTRIES
+        # (groups, points per group, d, d): the open legs run on the reached
+        # space, d = 4 whatever n_max, so the 13 δ groups' 16² hops fit in
+        # one chunk, and the θ group at n_max 10 runs on 4 x 4 states too
+        assert chunks == [(13, 1, 4, 4), (1, 2, 4, 4)]
+        # a budget of six hops makes chunks of six, and one below a single
+        # hop leaves each group a chunk by itself
+        for budget, want in ((6 * 4 ** 4, [6, 6, 1]), (4 ** 4 - 1, [1] * 13)):
+            monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
+            chunks.clear()
+            run_sweep(delta)
+            assert [shape[0] for shape in chunks] == want
 
     def test_bloch_tracking_failure_aborts(self, monkeypatch):
         hit = with_ambiguity(monkeypatch, point=1, record=40)

@@ -53,7 +53,7 @@ def closed_trajectory(params, init, periods=1.0, spp=2000, stride=4):
     period = 2 * math.pi / sa.rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, SPACE)
-    return evolve_closed(hamiltonian(params, SPACE), psi0, config, space=SPACE), period
+    return evolve_closed(hamiltonian(params, SPACE), psi0, config), period
 
 
 def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
@@ -62,8 +62,7 @@ def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, SPACE)
     rho0 = np.outer(psi0, psi0.conj())
-    traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config,
-                           space=SPACE)
+    traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
     return traj, period
 
 
@@ -74,7 +73,7 @@ def open_eigs(params, init, n_max=4, periods=1.0, spp=2000, stride=4):
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, space)
     traj = evolve_lindblad(LindbladSpec.from_params(params, space),
-                           np.outer(psi0, psi0.conj()), config, space=space)
+                           np.outer(psi0, psi0.conj()), config)
     return traj.times, *np.linalg.eigh(traj.states)
 
 
@@ -296,7 +295,7 @@ class TestPhaseUnitary:
         psi0[i_e], psi0[i_g] = plus
         sa = sector_analytics(params, 1)
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 1.0)
-        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
         assert abs(phase_unitary(traj, traj.times[-1])) < 1e-10
 
     def test_resonant_geodesic_pi_per_period(self):

@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrjc import hilbert
+from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
 from kerrjc.hilbert import SpaceSpec, basis_state, flat_index
-from kerrjc.model import ModelParams, hamiltonian
+from kerrjc.model import (
+    InitialStateSpec,
+    ModelParams,
+    hamiltonian,
+    initial_state,
+    sector_analytics,
+)
 
 SPACE = SpaceSpec(4)
 
@@ -70,11 +81,26 @@ class TestOperators:
             assert np.abs(h @ nexc - nexc @ h).max() < 1e-12
 
 
-class TestTopLevelPopulation:
-    def test_pure_and_density(self):
-        top = basis_state("g", SPACE.n_max, SPACE)
-        psis = np.array([top, basis_state("g", 0, SPACE),
-                         (top + basis_state("e", SPACE.n_max - 1, SPACE)) / np.sqrt(2)])
-        rhos = np.einsum("ki,kj->kij", psis, psis.conj())
-        for stack in (psis, rhos):
-            assert hilbert.top_level_population(stack, SPACE) == pytest.approx([1.0, 0.0, 0.5])
+class TestReachedBlock:
+    """Legs from sector n0 stay on the states with N <= n0, which lie in Fock
+    levels 0..n0: full-space legs hold exact zeros outside that block, so
+    running them on the reached space drops nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta=st.floats(-4.0, 4.0), chi=st.floats(-1.0, 1.0),
+           rates=st.tuples(*[st.floats(0.0, 0.5)] * 3), theta0=st.floats(0.0, 2 * math.pi),
+           n0=st.sampled_from([1, 2]), data=st.data())
+    def test_full_space_legs_zero_outside_reached_block(self, delta, chi, rates, theta0,
+                                                        n0, data):
+        space = SpaceSpec(data.draw(st.integers(n0 + 1, 6), label="n_max"))
+        d = hilbert.reached_space(n0, space).dim
+        params = ModelParams(delta=delta, chi=chi).with_rates(*rates)
+        period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
+        config = IntegratorConfig.for_periods(period, 1.0, 200, 4)
+        psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
+        closed = evolve_closed(hamiltonian(params, space), psi0, config).states
+        opened = evolve_lindblad(LindbladSpec.from_params(params, space),
+                                 np.outer(psi0, psi0.conj()), config).states
+        assert np.any(closed[:, :d]) and np.any(opened[:, :d, :d])
+        assert not np.any(closed[:, d:])
+        assert not np.any(opened[:, d:]) and not np.any(opened[:, :, d:])

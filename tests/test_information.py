@@ -133,7 +133,7 @@ class TestNegativity:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, 2.0, 2000, 8)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         rhos = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
         target = np.abs(np.sin(sa.rabi_frequency * traj.times)) / 2
         assert np.abs(negativity(rhos, SPACE) - target).max() < 1e-7
@@ -182,7 +182,7 @@ class TestBlochProjection:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, 0.05, 2000, 10)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         _, y, z, _ = bloch_series(traj.states, SPACE)[-1]
         assert y < -1e-3
         assert z < 1.0
@@ -193,7 +193,7 @@ class TestBlochProjection:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, 2.0, 2000, 8)
         psi0 = initial_state(InitialStateSpec(theta0=0.8, phi0=0.5), SPACE)
-        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config, space=SPACE)
+        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
         series = bloch_series(traj.states, SPACE)
         comp = series[:, :3] @ np.array(sa.axis)
         assert np.abs(comp - comp[0]).max() < 1e-9
@@ -218,10 +218,9 @@ class TestPlanarity:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, periods, 2000, 8)
         psi0 = initial_state(perpendicular_state(params, 1), SPACE)
-        closed = evolve_closed(hamiltonian(params, SPACE), psi0, config, space=SPACE)
+        closed = evolve_closed(hamiltonian(params, SPACE), psi0, config)
         rho0 = np.outer(psi0, psi0.conj())
-        opened = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0,
-                                 config, space=SPACE)
+        opened = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
         return sa, closed, opened
 
     def test_closed_geodesic_exactly_planar(self):

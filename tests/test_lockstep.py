@@ -72,8 +72,7 @@ def legs(kind, values, steps_per_period=60, stride=4, periods=1.0):
 
 
 def assert_lockstep_is_scalar(hs, psi0s, configs, block_records=None):
-    blocks = list(closed_blocks(hs, psi0s, configs, space=SPACE,
-                                block_records=block_records))
+    blocks = list(closed_blocks(hs, psi0s, configs, block_records=block_records))
     states = np.concatenate([s for _, s, _ in blocks], axis=1)
     times = np.concatenate([t for t, _, _ in blocks], axis=1)
     drift = blocks[-1][2]
@@ -94,10 +93,10 @@ def test_lockstep_equals_scalar_loop():
 
 def test_evolve_closed_is_one_point_of_the_batch():
     hs, psi0s, configs = legs("delta", (-1.0, 0.5, 3.0))
-    blocks = list(closed_blocks(hs, psi0s, configs, space=SPACE))
+    blocks = list(closed_blocks(hs, psi0s, configs))
     states = np.concatenate([s for _, s, _ in blocks], axis=1)
     for j in range(3):
-        alone = evolve_closed(hs[j], psi0s[j], configs[j], space=SPACE)
+        alone = evolve_closed(hs[j], psi0s[j], configs[j])
         assert np.array_equal(alone.states, states[j])
         assert alone.max_norm_drift == blocks[-1][2][j]
 
@@ -153,15 +152,15 @@ def test_open_lockstep_equals_each_generator_alone(thetas):
     # three generators with their own dt, c states each, in blocks of 7
     specs, rho0s, configs = open_legs((-2.0, 0.3, 1.5), thetas)
     c = len(thetas)
-    together = joined(lindblad_blocks(specs, rho0s, configs, space=SPACE,
-                                      decompose=True, block_records=7))
+    together = joined(lindblad_blocks(specs, rho0s, configs, decompose=True,
+                                      block_records=7))
     for i in range(3):
         alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1],
-                                       space=SPACE, decompose=True))
+                                       decompose=True))
         for got, want in zip(together, alone):
             assert np.array_equal(got[i * c:(i + 1) * c], want)
         if c == 1:
-            record = evolve_lindblad(specs[i], rho0s[i, 0], configs[i], space=SPACE)
+            record = evolve_lindblad(specs[i], rho0s[i, 0], configs[i])
             assert np.array_equal(record.states, together[1][i])
             assert np.array_equal(record.times, together[0][i])
 

@@ -173,10 +173,10 @@ def _records():
     period = 2 * math.pi / sector_analytics(RESONANT, 1).rabi_frequency
     config = IntegratorConfig.for_periods(period, 1.0, 200, 10)
     psi0 = initial_state(InitialStateSpec(theta0=0.9, phi0=0.3), space)
-    closed = evolve_closed(hamiltonian(RESONANT, space), psi0, config, space=space)
+    closed = evolve_closed(hamiltonian(RESONANT, space), psi0, config)
     opened = evolve_lindblad(
         LindbladSpec.from_params(RESONANT.with_rates(0.1, 0.0, 0.01), space),
-        np.outer(psi0, psi0.conj()), config, space=space)
+        np.outer(psi0, psi0.conj()), config)
     return {"closed": closed, "open": opened}
 
 
