@@ -15,10 +15,10 @@ record, again with the bits of each generator's own product.  Both hand
 their records out in blocks of bounded size (``BLOCK_ENTRIES``), the open
 ones after the density checks, and ``evolve_closed`` and ``evolve_lindblad``
 are each one trajectory fed through them.  Truncation is checked before
-integrating, by the callers (``hilbert.reached_space``).
-``lindblad_rhs`` stays available as the direct matrix-in/matrix-out form,
-and ``lowex_rhs`` is an independently hand-coded right-hand side on the
-five lowest basis states used as a cross-check.
+integrating, by the callers (``hilbert.reached_space``), and an RK4 hop
+that would amplify a reachable mode is refused before the first product.
+``lowex_rhs`` is an independently hand-coded right-hand side on the five
+lowest basis states used as a cross-check.
 """
 
 from __future__ import annotations
@@ -28,13 +28,17 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import SpaceSpec
+from .hilbert import SpaceSpec, kron
 from .model import ModelParams
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 POSITIVITY_FLOOR = -1e-8
 NORM_DRIFT_TOL = 1e-10
+# a stable hop's spectral radius is exactly 1.0 (|g0><g0| is stationary) and
+# eigvals' rounding on these hops stays below 1e-15 (measured): this separates
+# rounding from a growing mode; the density checks bound what it lets through
+HOP_RADIUS_TOL = 1e-12
 # complex entries (records x trajectories x d^2) in one block of
 # closed_blocks or lindblad_blocks (1 MiB); the block's checks and reducers
 # build a few d x d matrices per sample, so a closed block counts d^2 per
@@ -43,7 +47,8 @@ BLOCK_ENTRIES = 1 << 16
 
 
 class PositivityError(RuntimeError):
-    """A recorded density matrix violated trace/Hermiticity/positivity bounds."""
+    """A recorded density matrix violated trace/Hermiticity/positivity bounds,
+    or an RK4 hop would grow a mode that the density matrices reach."""
 
 
 @dataclass(frozen=True)
@@ -143,36 +148,18 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return i
 
 
-def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator O rho O† - (1/2){O†O, rho}."""
-    if op.shape != rho.shape:
-        raise ValueError(f"shape mismatch: {op.shape} vs {rho.shape}")
-    odo = op.conj().T @ op
-    return op @ rho @ op.conj().T - 0.5 * (odo @ rho + rho @ odo)
-
-
-def lindblad_rhs(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
-    """-i[H, rho] plus the rate-weighted dissipators."""
-    h = spec.hamiltonian
-    out = -1j * (h @ rho - rho @ h)
-    for op, rate in spec.collapse_ops:
-        if rate:
-            out += rate * dissipator(op, rho)
-    return out
-
-
 def liouvillian(spec: LindbladSpec) -> np.ndarray:
     """Superoperator matrix L with vec(rhs) = L vec(rho), row-major vec."""
     h = spec.hamiltonian
     d = h.shape[0]
     eye = np.eye(d, dtype=complex)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    sup = -1j * (kron(h, eye) - kron(eye, h.T))
     for op, rate in spec.collapse_ops:
         if not rate:
             continue
         odo = op.conj().T @ op
-        sup += rate * (np.kron(op, op.conj())
-                       - 0.5 * (np.kron(odo, eye) + np.kron(eye, odo.T)))
+        sup += rate * (kron(op, op.conj())
+                       - 0.5 * (kron(odo, eye) + kron(eye, odo.T)))
     return sup
 
 
@@ -338,7 +325,9 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
     ``decompose``, ``eig`` is that stack's ``np.linalg.eigh`` reshaped to (b, r, d) and
     (b, r, d, d), and also serves the positivity check; otherwise it is
     None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES, so memory does
-    not grow with the number of records.
+    not grow with the number of records.  Before the first product, hops
+    whose spectral radius on the reachable entries of vec(rho) exceeds
+    1 + HOP_RADIUS_TOL raise PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -354,6 +343,14 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
     # are identical to stepping one dt at a time (up to float associativity)
     hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
                                             stride) for s, cfg in zip(specs, configs)])
+    # entries reachable from rho0's through the hops' nonzero pattern; the rest stay 0
+    live, links = rho0s.reshape(g * c, d * d).any(axis=0), hops.any(axis=0)
+    while (grown := live | links[:, live].any(axis=1)).sum() > live.sum():
+        live = grown
+    radius = np.abs(np.linalg.eigvals(hops[:, live][:, :, live])).max(initial=0.0)
+    if radius > 1.0 + HOP_RADIUS_TOL:
+        raise PositivityError(f"the RK4 hop amplifies by up to {radius:.6g} per record "
+                              "(time step too large)")
     n_rec = n_steps // stride + 1
     spacing = np.repeat([[cfg.dt * stride] for cfg in configs], c, axis=0)
     b = g * c

@@ -55,23 +55,30 @@ def basis_state(atom: str, photons: int, spec: SpaceSpec) -> np.ndarray:
     return v
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same products a_ij * b_kl, so the same
+    bits (signed zeros too), without its generic-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def annihilation(spec: SpaceSpec) -> np.ndarray:
     """Cavity annihilation on the full space: a|n> = sqrt(n)|n-1>."""
     a = np.zeros((spec.cavity_dim, spec.cavity_dim), dtype=complex)
     for n in range(1, spec.cavity_dim):
         a[n - 1, n] = np.sqrt(n)
-    return np.kron(a, np.eye(2, dtype=complex))
+    return kron(a, np.eye(2, dtype=complex))
 
 
 def number_op(spec: SpaceSpec) -> np.ndarray:
-    return np.kron(np.diag(np.arange(spec.cavity_dim, dtype=float)),
-                   np.eye(2)).astype(complex)
+    return kron(np.diag(np.arange(spec.cavity_dim, dtype=float)),
+                np.eye(2)).astype(complex)
 
 
 def sigma_minus(spec: SpaceSpec) -> np.ndarray:
     """Atomic lowering |e,n> -> |g,n> on the full space."""
     sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # rows/cols (g, e)
-    return np.kron(np.eye(spec.cavity_dim, dtype=complex), sm)
+    return kron(np.eye(spec.cavity_dim, dtype=complex), sm)
 
 
 def sigma_plus(spec: SpaceSpec) -> np.ndarray:
@@ -80,7 +87,7 @@ def sigma_plus(spec: SpaceSpec) -> np.ndarray:
 
 def sigma_z(spec: SpaceSpec) -> np.ndarray:
     sz = np.diag([-1.0, 1.0]).astype(complex)  # g -> -1, e -> +1
-    return np.kron(np.eye(spec.cavity_dim, dtype=complex), sz)
+    return kron(np.eye(spec.cavity_dim, dtype=complex), sz)
 
 
 def excitation_number(spec: SpaceSpec) -> np.ndarray:

@@ -6,7 +6,9 @@ Every routine here takes a stack of states: (n, d) pure states or
 Negativity is computed on the whole space it is given (partial transpose
 over the atom against its whole cavity ladder), because dissipation couples
 excitation sectors; the sweeps give it the reached space, Fock levels 0..n0,
-which the partial transpose (atomic indices only) maps to itself.  Bloch
+which the partial transpose (atomic indices only) maps to itself.  Its
+value is checked against the trace norm: in closed form for the states of a
+sweep (block-diagonal in the excitation number N, exactly), else by SVD.  Bloch
 projections use the n=1 sector basis {|e0>, |g1>} with |e0> at the north
 pole and y = 2 Im<g1|rho|e0>, which makes the resonant closed evolution of
 |e0> a right-handed rotation about +x (north pole toward -y).
@@ -45,12 +47,27 @@ def partial_transpose_atom(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     return blocks.transpose(0, 1, 4, 3, 2).reshape(n, d, d)
 
 
+def block_trace_norm(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """||rho^T_A||_1 of each N-block-diagonal matrix of an (n, d, d) stack.
+
+    The partial transpose is block-diagonal: 2x2 blocks on {|g,k>, |e,k+1>}
+    with diagonal a = rho_gk,gk, b = rho_e(k+1),e(k+1) and off-diagonal
+    c = rho_ek,g(k+1), of trace norm max(|a + b|, sqrt((a - b)^2 + 4|c|^2)),
+    and the 1x1 blocks |e,0> and |g,n_max>, which add |their population|."""
+    pops = np.diagonal(rhos, axis1=1, axis2=2).real
+    a, b = pops[:, 0:-2:2], pops[:, 3::2]
+    c = np.abs(np.diagonal(rhos, 1, 1, 2)[:, 1::2])
+    pairs = np.maximum(np.abs(a + b), np.hypot(a - b, 2 * c))
+    return pairs.sum(axis=1) + np.abs(pops[:, 1]) + np.abs(pops[:, -2])
+
+
 def negativity(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """Entanglement negativity of each state of a stack: the sum of |negative
     eigenvalues| of its partial transpose.
 
-    Cross-checked against the trace-norm form (||rho^T_A||_1 - 1)/2; the two
-    must agree to NEGATIVITY_FORMULA_TOL or the eigensolve is suspect.
+    Cross-checked against the trace-norm form (||rho^T_A||_1 - 1)/2, by
+    ``block_trace_norm``, or by SVD if any entry between two N blocks is
+    nonzero; the two must agree to NEGATIVITY_FORMULA_TOL or the eigensolve is suspect.
     """
     if states.ndim == 2:
         rhos = np.einsum("ki,kj->kij", states, states.conj())
@@ -59,7 +76,12 @@ def negativity(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     pt = partial_transpose_atom(rhos, spec)
     eigs = np.linalg.eigvalsh(pt)
     from_eigs = np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
-    from_norm = (np.linalg.svd(pt, compute_uv=False).sum(axis=1) - 1.0) / 2.0
+    n = np.arange(spec.dim) // 2 + np.arange(spec.dim) % 2  # N of each basis state
+    if rhos[:, n[:, None] != n].any():
+        norms = np.linalg.svd(pt, compute_uv=False).sum(axis=1)
+    else:
+        norms = block_trace_norm(rhos, spec)
+    from_norm = (norms - 1.0) / 2.0
     worst = np.abs(from_eigs - from_norm).max()
     if worst > NEGATIVITY_FORMULA_TOL:
         raise ArithmeticError(f"negativity formulas disagree by {worst:.3e}")

@@ -21,8 +21,10 @@ def _f(x: float) -> str:
 
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
-    """A polyline's points attribute: ``_f(x),_f(y)`` pairs, space separated."""
-    return " ".join(map("{:.3f},{:.3f}".format, xs.tolist(), ys.tolist()))
+    """A polyline's points attribute: ``_f(x),_f(y)`` pairs, space separated,
+    formatted by one ``%`` over the interleaved coordinates."""
+    flat = np.column_stack([xs, ys]).ravel().tolist()
+    return ("%.3f,%.3f " * len(xs) % tuple(flat))[:-1]
 
 
 def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:

@@ -18,7 +18,6 @@ from kerrjc.dynamics import (
     LOWEX_DIM,
     evolve_closed,
     evolve_lindblad,
-    lindblad_rhs,
     lowex_rhs,
 )
 from kerrjc.experiments import default_spec, run_sweep
@@ -41,6 +40,7 @@ from kerrjc.model import (
     resonant_state,
     sector_analytics,
 )
+from oracles import lindblad_rhs
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)

@@ -257,8 +257,28 @@ class TestDispatch:
         assert "space.n_max" in capsys.readouterr().err
         assert integrated == []
 
-    def test_positivity_exit(self, tmp_path, capsys):
-        # ten RK4 steps per period are far too coarse for gamma = 40
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--set", "model.gamma=40"],
+        ["sweep", "--kind", "gp_delta", "--set", "sweep.open_gamma=40",
+         "--set", "integrator.record_stride=1"],
+    ], ids=["evolve", "sweep"])
+    def test_unstable_hop_exit(self, tmp_path, capsys, monkeypatch, argv):
+        # ten RK4 steps per period are far too coarse for gamma = 40: the
+        # 16 x 16 hop of the reached space is refused before its first product
+        matmul, operands = np.matmul, []
+        monkeypatch.setattr(np, "matmul", lambda a, b: operands.append(a.shape) or matmul(a, b))
+        code = main([*argv, "--out", str(tmp_path), "--no-timestamp",
+                     "--set", "integrator.steps_per_period=10"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err
+        assert "RK4 hop amplifies" in err and "integrator.steps_per_period" in err
+        assert not [shape for shape in operands if shape[-2:] == (16, 16)]
+
+    def test_positivity_exit(self, tmp_path, capsys, monkeypatch):
+        # ten RK4 steps per period are far too coarse for gamma = 40; with the
+        # hop check off, the density checks still catch the blow-up
+        import kerrjc.dynamics as dyn
+        monkeypatch.setattr(dyn, "HOP_RADIUS_TOL", float("inf"))
         code = main(["evolve", "--out", str(tmp_path), "--no-timestamp",
                      "--set", "model.gamma=40",
                      "--set", "integrator.steps_per_period=10"])
@@ -268,12 +288,11 @@ class TestDispatch:
         assert "integrator.steps_per_period" in err and "model.gamma" in err
 
     def test_negativity_cross_check_exit(self, tmp_path, capsys, monkeypatch):
-        svd = np.linalg.svd
-
-        def skewed_svd(a, compute_uv=True):
-            return svd(a, compute_uv=compute_uv) + 1e-6
-
-        monkeypatch.setattr(np.linalg, "svd", skewed_svd)
+        # every sweep state is N-block-diagonal: the closed form checks it
+        import kerrjc.information as info
+        closed_form = info.block_trace_norm
+        monkeypatch.setattr(info, "block_trace_norm",
+                            lambda rhos, spec: closed_form(rhos, spec) + 1e-6)
         code = main(["sweep", "--kind", "negativity_theta", "--out", str(tmp_path),
                      "--no-timestamp", "--no-svg",
                      "--set", "integrator.steps_per_period=200",

@@ -11,11 +11,9 @@ from kerrjc.dynamics import (
     LOWEX_PATTERN,
     NORM_DRIFT_TOL,
     PositivityError,
-    dissipator,
     evolve_closed,
     evolve_lindblad,
     grid_index,
-    lindblad_rhs,
     liouvillian,
     lowex_rhs,
     rk4_step_matrix,
@@ -31,6 +29,7 @@ from kerrjc.model import (
     resonant_state,
     sector_analytics,
 )
+from oracles import dissipator, lindblad_rhs
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -297,6 +296,21 @@ class TestEvolveLindblad:
         config = IntegratorConfig(dt=2.0, t_final=40.0, record_stride=1)
         with pytest.raises(PositivityError):
             evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
+
+    def test_hop_check_ignores_unreached_modes(self):
+        # |e1><e1| (N = 2) decays at gamma + p, too fast for ten RK4 steps per
+        # period, so the whole hop is unstable; a leg from sector 1 never
+        # reaches it, and its hop is accepted
+        params = ModelParams(delta=-2.5, chi=-1.5, gamma=7.1, p=6.5)
+        space = SpaceSpec(1)
+        period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
+        config = IntegratorConfig.for_periods(period, 1.0, 10, 4)
+        spec = LindbladSpec.from_params(params, space)
+        hop = np.linalg.matrix_power(rk4_step_matrix(liouvillian(spec), config.dt), 4)
+        assert np.abs(np.linalg.eigvals(hop)).max() > 100
+        psi0 = initial_state(InitialStateSpec(theta0=2.5), space)
+        record = evolve_lindblad(spec, np.outer(psi0, psi0.conj()), config)
+        assert np.abs(record.states[:, 3]).max() == 0.0
 
 
 class TestRecordAndDump:

@@ -81,6 +81,22 @@ class TestOperators:
             assert np.abs(h @ nexc - nexc @ h).max() < 1e-12
 
 
+class TestKron:
+    def test_bit_equal_to_np_kron(self):
+        # the operator builders' and the Liouvillian's products, signed zeros too
+        h = hamiltonian(ModelParams(delta=-0.7, chi=0.3), SPACE)
+        a = hilbert.annihilation(SPACE)
+        ops = [h, -1j * h.T, a, a.conj(), a.conj().T @ a, hilbert.sigma_minus(SPACE),
+               hilbert.sigma_z(SPACE), np.eye(SPACE.dim, dtype=complex),
+               np.diag(np.arange(3.0)), np.array([[0.0, -1.0], [-0.0, 2.0]])]
+        for x in ops:
+            for y in ops:
+                ours, ref = hilbert.kron(x, y), np.kron(x, y)
+                assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+                for part in (np.real, np.imag):
+                    assert np.array_equal(np.signbit(part(ours)), np.signbit(part(ref)))
+
+
 class TestReachedBlock:
     """Legs from sector n0 stay on the states with N <= n0, which lie in Fock
     levels 0..n0: full-space legs hold exact zeros outside that block, so

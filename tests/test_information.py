@@ -1,7 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerrjc import information
 
 from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
 from kerrjc.hilbert import SpaceSpec, basis_state
@@ -149,12 +154,68 @@ class TestNegativity:
         assert np.abs(negativity(psis, SPACE) - negativity(rhos, SPACE)).max() < 1e-12
 
     def test_cross_check_failure_raises(self, monkeypatch):
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a, compute_uv=True: svd(a, compute_uv=compute_uv) + 1e-6)
+        # |e0> is N-block-diagonal, so the closed-form trace norm checks it
+        closed_form = information.block_trace_norm
+        monkeypatch.setattr(information, "block_trace_norm",
+                            lambda rhos, spec: closed_form(rhos, spec) + 1e-6)
         e0 = basis_state("e", 0, SPACE)
         with pytest.raises(ArithmeticError, match="negativity formulas disagree"):
             negativity(e0[None], SPACE)
+
+    def test_svd_cross_check_failure_raises(self, monkeypatch):
+        # (|g0> + |g1>)/sqrt(2) has coherence between N = 0 and N = 1: the SVD checks it
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, compute_uv=True: svd(a, compute_uv=compute_uv) + 1e-6)
+        psi = (basis_state("g", 0, SPACE) + basis_state("g", 1, SPACE)) / math.sqrt(2)
+        with pytest.raises(ArithmeticError, match="negativity formulas disagree"):
+            negativity(psi[None], SPACE)
+
+
+def excitation_numbers(spec):
+    return np.array([k // 2 + k % 2 for k in range(spec.dim)])
+
+
+def block_diagonal_stack(rng, spec, size, negative_singles):
+    """Random PSD stacks that are block-diagonal in N, trace one; with
+    ``negative_singles`` the populations of |e,0> and |g,n_max> (the 1x1
+    blocks of the partial transpose) are -1e-9, and |g,0>'s keeps the trace."""
+    n = excitation_numbers(spec)
+    rhos = np.zeros((size, spec.dim, spec.dim), dtype=complex)
+    for block in range(n.max() + 1):
+        idx = np.flatnonzero(n == block)
+        rhos[:, idx[:, None], idx] = [random_density(rng, idx.size) * rng.uniform(0, 1)
+                                      for _ in range(size)]
+    rhos /= np.einsum("kii->k", rhos).real[:, None, None]
+    if negative_singles:
+        rhos[:, [1, -2], [1, -2]] = -1e-9
+        rhos[:, 0, 0] += 1.0 - np.einsum("kii->k", rhos).real
+    return rhos
+
+
+class TestBlockTraceNorm:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           size=st.integers(1, 6), negative_singles=st.booleans(),
+           cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
+    def test_equals_svd_trace_norm(self, seed, n0, size, negative_singles, cross):
+        spec = SpaceSpec(n0)
+        rng = np.random.default_rng(seed)
+        rhos = block_diagonal_stack(rng, spec, size, negative_singles)
+        pts = partial_transpose_atom(rhos, spec)
+        svd_norm = np.linalg.svd(pts, compute_uv=False).sum(axis=1)
+        assert np.abs(information.block_trace_norm(rhos, spec) - svd_norm).max() < 1e-12
+
+        # block-diagonal stacks take the closed form; one nonzero entry
+        # between two N blocks, however small, sends the stack to the SVD
+        n = excitation_numbers(spec)
+        i, j = rng.choice(np.argwhere(n[:, None] != n))
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            negativity(rhos, spec)
+            assert not svd.called
+            rhos[rng.integers(size), i, j] = cross
+            negativity(rhos, spec)
+            assert svd.called
 
 
 class TestBlochProjection:
