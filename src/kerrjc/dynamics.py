@@ -6,19 +6,18 @@ precompute that step matrix once and then advance by matrix products.
 
 ``closed_blocks`` advances the pure states of many grid points in lockstep,
 each under its own Hamiltonian and time step: one stacked matrix-vector
-step and one renormalisation per time step for all of them, with the same
-per-state arithmetic as a lone trajectory, so a state's bits do not depend
-on which others share its batch.  ``lindblad_blocks`` does the same for
-open legs: g generators, each with its own Lindbladian, time step and c
-initial density matrices, advance by one stacked matrix product per
-record, again with the bits of each generator's own product.  Both hand
-their records out in blocks of bounded size (``BLOCK_ENTRIES``), the open
-ones after the density checks, and ``evolve_closed`` and ``evolve_lindblad``
-are each one trajectory fed through them.  Truncation is checked before
-integrating, by the callers (``hilbert.reached_space``), and an RK4 hop
-that would amplify a reachable mode is refused before the first product.
-``lowex_rhs`` is an independently hand-coded right-hand side on the five
-lowest basis states used as a cross-check.
+step and one renormalisation per time step for all of them, written into
+preallocated buffers, with the same per-state arithmetic as a lone
+trajectory, so a state's bits do not depend on which others share its
+batch.  ``lindblad_blocks`` does the same for open legs: g generators,
+each with its own Lindbladian, time step and c initial density matrices,
+advance by one stacked matrix product per record, again with the bits of
+each generator's own product.  Both hand their records out in blocks of
+bounded size (``BLOCK_ENTRIES``), the open ones after the density checks,
+and ``evolve_closed`` and ``evolve_lindblad`` are each one trajectory fed
+through them.  Truncation is checked before integrating, by the callers
+(``hilbert.reached_space``), and an RK4 hop that would amplify a reachable
+mode is refused before the first product.
 """
 
 from __future__ import annotations
@@ -173,51 +172,6 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(d, dtype=complex) + a @ m
 
 
-# Eq-system support pattern on the basis |g0>,|e0>,|g1>,|e1>,|g2>:
-# populations, the n=1 coherence (1,2) and the n=2 coherence (3,4).
-LOWEX_DIM = 5
-LOWEX_PATTERN = np.zeros((LOWEX_DIM, LOWEX_DIM), dtype=bool)
-LOWEX_PATTERN[0, 0] = True
-LOWEX_PATTERN[1:3, 1:3] = True
-LOWEX_PATTERN[3:5, 3:5] = True
-
-
-def lowex_rhs(params: ModelParams, rho: np.ndarray, support_tol: float = 1e-12) -> np.ndarray:
-    """Hand-coded low-excitation derivatives on |g0>,|e0>,|g1>,|e1>,|g2>.
-
-    Covers the populations and the two in-sector coherences; all other
-    matrix elements are required to vanish (they stay zero under the
-    dynamics for this support) and their derivatives are returned as zero.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (LOWEX_DIM, LOWEX_DIM):
-        raise ValueError(f"expected a {LOWEX_DIM}x{LOWEX_DIM} block, got {rho.shape}")
-    if np.abs(rho[~LOWEX_PATTERN]).max(initial=0.0) > support_tol:
-        raise ValueError("support outside the low-excitation pattern")
-
-    d, chi, g = params.delta, params.chi, params.g
-    gam, p, pz = params.gamma, params.p, params.p_z
-    r2 = np.sqrt(2.0)
-
-    out = np.zeros_like(rho)
-    out[0, 0] = p * rho[1, 1] + gam * rho[2, 2]
-    out[1, 1] = -1j * g * (rho[2, 1] - rho[1, 2]) - p * rho[1, 1] + gam * rho[3, 3]
-    out[2, 2] = (-1j * g * (rho[1, 2] - rho[2, 1]) - gam * rho[2, 2]
-                 + 2 * gam * rho[4, 4] + p * rho[3, 3])
-    out[1, 2] = (-1j * g * (rho[2, 2] - rho[1, 1]) - 1j * (d - chi) * rho[1, 2]
-                 - (gam / 2) * rho[1, 2] - (p / 2) * rho[1, 2]
-                 + gam * r2 * rho[3, 4] - 2 * pz * rho[1, 2])
-    out[3, 3] = 1j * r2 * g * (rho[3, 4] - rho[4, 3]) - (p + gam) * rho[3, 3]
-    # population-difference term enters with +i so that sector-2 population
-    # actually flows out of |e1> (consistent with the diagonal lines above)
-    out[3, 4] = (1j * r2 * g * (rho[3, 3] - rho[4, 4]) - 1j * (d - 3 * chi) * rho[3, 4]
-                 - (p / 2 + 3 * gam / 2 + 2 * pz) * rho[3, 4])
-    out[4, 4] = -1j * r2 * g * (rho[3, 4] - rho[4, 3]) - 2 * gam * rho[4, 4]
-    out[2, 1] = np.conj(out[1, 2])
-    out[4, 3] = np.conj(out[3, 4])
-    return out
-
-
 def _check_density_stack(states: np.ndarray, times: np.ndarray,
                          eigenvalues: Optional[np.ndarray] = None) -> None:
     """Trace, Hermiticity and positivity of every sample.
@@ -254,11 +208,14 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
     per state and live in its step matrix.  Each step is one stacked
     matrix-vector product and one norm per state, which gives the bits of a
     lone ``step.dot(psi)`` and ``vdot`` whatever the batch (checked on
-    OpenBLAS by ``tests/test_lockstep.py``).  Yields
+    OpenBLAS by ``tests/test_lockstep.py``); the steps write into two
+    ping-pong buffers, and the norms of a block's steps are folded into the
+    drift once per block.  Yields
     ``(times, states, drift)`` for consecutive blocks of records: ``times``
     has shape (b, r), ``states`` (b, r, d), and ``drift`` holds each state's
     largest per-step norm deviation before renormalisation so far.  By
-    default r keeps r*b*d^2 within BLOCK_ENTRIES.
+    default r keeps r*b*d^2 within BLOCK_ENTRIES; a caller whose reducers
+    build smaller matrices per state passes its own r.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -272,8 +229,13 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
             raise ValueError("psi0 must be normalized")
         psi /= norm
         cols.append(psi)
-    col = np.array(cols)[:, :, None]
-    b, d = col.shape[:2]
+    b, d = len(cols), cols[0].size
+    # step buffers: two ping-pong columns, and the conjugate and the inner
+    # product of each norm
+    col, nxt, conj = (np.empty((b, d, 1), dtype=complex) for _ in range(3))
+    col[:, :, 0] = cols
+    dot = np.empty((b, 1, 1), dtype=complex)
+    conj_row, dot_re = conj.transpose(0, 2, 1), dot.real
     steps = np.array([rk4_step_matrix(-1j * np.asarray(h, dtype=complex), c.dt)
                       for h, c in zip(hs, configs)])
     if steps.shape != (b, d, d):
@@ -282,20 +244,27 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
     spacing = np.array([[c.dt * stride] for c in configs])
     if block_records is None:
         block_records = max(1, BLOCK_ENTRIES // (b * d * d))
-    drift = np.zeros((b, 1, 1))
+    norms = np.empty((min(block_records, n_rec) * stride, b, 1, 1))  # a block's steps
+    drift = np.zeros(b)
     for start in range(0, n_rec, block_records):
         block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
         r = block_times.shape[1]
         states = np.empty((b, r, d), dtype=complex)
+        i = 0
         for k in range(r):
             if start + k:
                 for _ in range(stride):
-                    col = np.matmul(steps, col)
-                    norm = np.sqrt(np.matmul(col.conj().transpose(0, 2, 1), col).real)
-                    np.maximum(drift, np.abs(norm - 1.0), out=drift)
-                    col /= norm
+                    np.matmul(steps, col, out=nxt)
+                    np.conjugate(nxt, out=conj)
+                    np.matmul(conj_row, nxt, out=dot)
+                    nxt /= np.sqrt(dot_re, out=norms[i])
+                    col, nxt = nxt, col
+                    i += 1
             states[:, k] = col[:, :, 0]
-        yield block_times, states, drift[:, 0, 0].copy()
+        # max is exact: folding once per block keeps the bits of a running max
+        np.maximum(drift, np.abs(norms[:i, :, 0, 0] - 1.0).max(axis=0, initial=0.0),
+                   out=drift)
+        yield block_times, states, drift.copy()
 
 
 def evolve_closed(h: np.ndarray, psi0: np.ndarray,

@@ -5,7 +5,8 @@ Sweeps are deterministic (no randomness anywhere in the pipeline) and
 assemble rows in grid order, so re-running an identical spec reproduces
 the CSV byte for byte.  The closed legs of all grid points advance in
 lockstep (``dynamics.closed_blocks``) on the full space in the calling
-process.  The open legs and every negativity and Bloch series run on the
+process, in blocks sized, like the open ones, by the reached space that
+their reducers read.  The open legs and every negativity and Bloch series run on the
 reached space (``hilbert.reached_space``, Fock levels 0..n0 of the start
 sector n0), whose states and operators are exact slices of the full ones.
 Grid points that share model parameters form one group, which builds its
@@ -24,7 +25,6 @@ chart builder, and ``_write_csv`` streams every CSV, the sweeps' and the
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -225,8 +225,8 @@ def _neg_group(job) -> np.ndarray:
 
 def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
     times, neg_c = closed
-    return [(value, float(t), float(nc), float(no))
-            for t, nc, no in zip(times, neg_c, opened)]
+    return [(value, t, nc, no)
+            for t, nc, no in zip(times.tolist(), neg_c.tolist(), opened.tolist())]
 
 
 def _gp_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
@@ -325,6 +325,8 @@ def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
 
 def _map_chunks(fn, jobs, workers: int):
     if workers > 1:
+        # imported here: the pool's modules take a third of the package's import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]
@@ -364,7 +366,10 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
         members[-1] += group
 
     _, configs, hs = zip(*setup)
-    closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs))
+    # the closed reducers build reached-space d x d matrices per state, as
+    # the open ones do, so one bound sizes both legs' blocks
+    closed = kind.closed(spec, reached, closed_blocks(
+        hs, psi0s, configs, block_records=max(1, BLOCK_ENTRIES // (len(points) * d * d))))
     opened = [None] * len(points)
     jobs = [(spec, chunk, reached) for chunk in chunks]
     for indices, results in zip(members, _map_chunks(kind.group, jobs, spec.workers)):

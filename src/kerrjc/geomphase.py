@@ -265,11 +265,16 @@ class BranchTracker:
         if start:
             vectors[:, 0] = all_v[:, 0, :, -1]
             prev = vectors[:, 0]
+        # the fix's buffers, each written in place by the ufunc that makes it
+        conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)
+        angle, turn = np.empty((b, 1)), np.empty((b, 1), dtype=complex)
+        rows, ov_re, ov_im = conj[:, 0], ov.real[:, 0], ov.imag[:, 0]
         for k in range(start, n):
             vec = picked[:, k]
-            ov = np.matmul(prev.conj()[:, None, :], vec[:, :, None])[:, 0, 0]
-            prev = np.multiply(vec, np.exp(-1j * np.arctan2(ov.imag, ov.real))[:, None],
-                               out=vectors[:, k])
+            np.conjugate(prev, out=rows)
+            np.matmul(conj, vec[:, :, None], out=ov)
+            np.multiply(-1j, np.arctan2(ov_im, ov_re, out=angle), out=turn)
+            prev = np.multiply(vec, np.exp(turn, out=turn), out=vectors[:, k])
 
         self._j, self._col, self._prev = j, col, prev
         return all_w[pts[:, None], np.arange(n), picks], vectors

@@ -15,10 +15,8 @@ from kerrjc import hilbert
 from kerrjc.dynamics import (
     IntegratorConfig,
     LindbladSpec,
-    LOWEX_DIM,
     evolve_closed,
     evolve_lindblad,
-    lowex_rhs,
 )
 from kerrjc.experiments import default_spec, run_sweep
 from kerrjc.geomphase import (
@@ -40,7 +38,7 @@ from kerrjc.model import (
     resonant_state,
     sector_analytics,
 )
-from oracles import lindblad_rhs
+from oracles import LOWEX_DIM, lindblad_rhs, lowex_rhs
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)

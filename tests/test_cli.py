@@ -1,5 +1,8 @@
 
 import lzma
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +269,8 @@ class TestDispatch:
         # ten RK4 steps per period are far too coarse for gamma = 40: the
         # 16 x 16 hop of the reached space is refused before its first product
         matmul, operands = np.matmul, []
-        monkeypatch.setattr(np, "matmul", lambda a, b: operands.append(a.shape) or matmul(a, b))
+        monkeypatch.setattr(np, "matmul", lambda *args, **kwargs:
+                            operands.append(args[0].shape) or matmul(*args, **kwargs))
         code = main([*argv, "--out", str(tmp_path), "--no-timestamp",
                      "--set", "integrator.steps_per_period=10"])
         assert code == EXIT_TRACKING
@@ -450,6 +454,18 @@ class TestDispatch:
         header = [line for line in (tmp_path / "bloch_traj.csv").read_text().splitlines()
                   if line.startswith("# integrator:")]
         assert header == ["# integrator: steps_per_period=500 record_stride=4 periods=2"]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool's modules are a third of the package's import time; only a
+    # sweep with sweep.workers > 1 loads them
+    probe = "import sys, kerrjc.cli; print('multiprocessing' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"

@@ -7,18 +7,15 @@ from kerrjc import dynamics, hilbert
 from kerrjc.dynamics import (
     IntegratorConfig,
     LindbladSpec,
-    LOWEX_DIM,
-    LOWEX_PATTERN,
     NORM_DRIFT_TOL,
     PositivityError,
     evolve_closed,
     evolve_lindblad,
     grid_index,
     liouvillian,
-    lowex_rhs,
     rk4_step_matrix,
 )
-from kerrjc.experiments import write_trajectory_csv
+from kerrjc.experiments import DEFAULT_OPEN_RATES, write_trajectory_csv
 from kerrjc.hilbert import SpaceSpec, TruncationError, basis_state
 from kerrjc.model import (
     InitialStateSpec,
@@ -29,7 +26,7 @@ from kerrjc.model import (
     resonant_state,
     sector_analytics,
 )
-from oracles import dissipator, lindblad_rhs
+from oracles import LOWEX_DIM, LOWEX_PATTERN, dissipator, lindblad_rhs, lowex_rhs
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -166,6 +163,25 @@ class TestRhs:
         step = rk4_step_matrix(liouvillian(spec), dt)
         via_matrix = (step @ rho.reshape(-1)).reshape(SPACE.dim, SPACE.dim)
         assert np.abs(staged - via_matrix).max() < 1e-13
+
+
+class TestRK4Order:
+    @pytest.mark.parametrize("open_rates", [None, DEFAULT_OPEN_RATES],
+                             ids=["hamiltonian", "liouvillian"])
+    def test_one_step_error_falls_as_dt_to_the_fifth(self, open_rates):
+        # RK4 is exact to fourth order, so its one-step error against the
+        # exact propagator is O(dt^5): halving dt divides it by about 32
+        pytest.importorskip("scipy")
+        from scipy.linalg import expm
+        if open_rates is None:
+            generator = -1j * hamiltonian(RESONANT, SPACE)
+        else:
+            generator = liouvillian(LindbladSpec.from_params(
+                RESONANT.with_rates(*open_rates), SPACE))
+        errors = [np.abs(rk4_step_matrix(generator, dt) - expm(generator * dt)).max()
+                  for dt in (0.04, 0.02, 0.01, 0.005)]
+        ratios = np.array(errors[:-1]) / errors[1:]
+        assert np.abs(ratios / 32 - 1).max() < 0.01
 
 
 class TestEvolveClosed:

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -364,10 +363,13 @@ def per_point_neg_rows(spec):
 
 
 def with_block_records(monkeypatch, name, block_records):
-    """Run the sweeps' ``name`` generator with a fixed block length."""
+    """Run the sweeps' ``name`` generator with a fixed block length, over
+    the one the sweep engine asks for."""
     import kerrjc.dynamics as dyn
     import kerrjc.experiments as ex
-    monkeypatch.setattr(ex, name, partial(getattr(dyn, name), block_records=block_records))
+    real = getattr(dyn, name)
+    monkeypatch.setattr(ex, name, lambda *args, **kwargs:
+                        real(*args, **{**kwargs, "block_records": block_records}))
 
 
 GP_THETA_GROUP = dict(grid=(0.0, 0.7, 2.0, 4.0), m_values=(1, 2), **SMALL_GP)
@@ -422,6 +424,26 @@ class TestGroupedEngine:
         default = run_sweep(spec).rows
         with_block_records(monkeypatch, "closed_blocks", block_records)
         assert run_sweep(spec).rows == default
+
+    def test_closed_blocks_sized_by_the_reached_space(self, monkeypatch):
+        # the closed reducers build reached-space matrices, so a closed
+        # block holds BLOCK_ENTRIES // (points * 4 * 4) records whatever n_max
+        import kerrjc.dynamics as dyn
+        import kerrjc.experiments as ex
+        shapes = []
+
+        def recording(*args, **kwargs):
+            for block in dyn.closed_blocks(*args, **kwargs):
+                shapes.append(block[1].shape)
+                yield block
+
+        monkeypatch.setattr(ex, "closed_blocks", recording)
+        run_sweep(default_spec("gp_theta", grid=(0.0, 1.0, 2.0), m_values=(1, 3),
+                               n_max=10))
+        # three periods of 2000 steps, recorded every fourth: 1501 records
+        r = dyn.BLOCK_ENTRIES // (3 * 4 * 4)
+        assert [shape[1] for shape in shapes] == [r, 1501 - r]
+        assert shapes[0] == (3, r, 22)
 
     def test_one_group_per_shared_parameter_set(self, monkeypatch):
         import kerrjc.experiments as ex
