@@ -13,11 +13,13 @@ batch.  ``lindblad_blocks`` does the same for open legs: g generators,
 each with its own Lindbladian, time step and c initial density matrices,
 advance by one stacked matrix product per record, again with the bits of
 each generator's own product.  Both hand their records out in blocks of
-bounded size (``BLOCK_ENTRIES``), the open ones after the density checks,
-and ``evolve_closed`` and ``evolve_lindblad`` are each one trajectory fed
-through them.  Truncation is checked before integrating, by the callers
-(``hilbert.reached_space``), and an RK4 hop that would amplify a reachable
-mode is refused before the first product.
+bounded size (``BLOCK_ENTRIES``): the closed ones can keep only their
+leading components (the reached space), the open ones pass the density
+checks first, on the excitation-number blocks when the states are
+block-diagonal in N.  ``evolve_closed`` and ``evolve_lindblad`` are each
+one trajectory fed through them.  Truncation is checked before
+integrating, by the callers (``hilbert.reached_space``), and an RK4 hop
+that would amplify a reachable mode is refused before the first product.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import SpaceSpec, kron
+from .hilbert import SpaceSpec, kron, n_blocks, off_n_blocks
 from .model import ModelParams
 
 TRACE_TOL = 1e-9
@@ -177,13 +179,28 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray,
     """Trace, Hermiticity and positivity of every sample.
 
     ``eigenvalues`` (ascending, per sample) spares the eigendecomposition
-    when the caller already has one.
+    when the caller already has one.  An N-block-diagonal stack is checked
+    on its blocks, each 2x2 block's least eigenvalue in closed form from its
+    lower triangle, as ``eigvalsh`` reads it; a failure runs the dense checks.
     """
     traces = np.einsum("kii->k", states).real
     bad = np.abs(traces - 1.0) > TRACE_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"trace drifted to {traces[k]:.12g} at t={times[k]:g}")
+    if not off_n_blocks(states):
+        diag, upper, lower = n_blocks(states)
+        defect = np.sqrt(4 * (diag.imag ** 2).sum(axis=1)
+                         + 2 * (np.abs(upper - lower.conj()) ** 2).sum(axis=1))
+        if eigenvalues is None:
+            pops = diag.real
+            a, b = pops[:, 1:-1:2], pops[:, 2:-1:2]  # |e,N-1>, |g,N>
+            pairs = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(lower))
+            mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), pairs.min(axis=1))
+        else:
+            mins = eigenvalues[:, 0]
+        if not ((defect > HERMITICITY_TOL).any() or (mins < POSITIVITY_FLOOR).any()):
+            return
     defect = np.sqrt((np.abs(states - states.conj().transpose(0, 2, 1)) ** 2)
                      .sum(axis=(1, 2)))
     bad = defect > HERMITICITY_TOL
@@ -200,7 +217,8 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray,
                               "(time step too large)")
 
 
-def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
+def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
+                  width: Optional[int] = None):
     """Advance b pure states in lockstep, each under its own H and time step.
 
     psi' = -i H psi by RK4 with renormalisation after every step.  All
@@ -210,12 +228,13 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
     lone ``step.dot(psi)`` and ``vdot`` whatever the batch (checked on
     OpenBLAS by ``tests/test_lockstep.py``); the steps write into two
     ping-pong buffers, and the norms of a block's steps are folded into the
-    drift once per block.  Yields
-    ``(times, states, drift)`` for consecutive blocks of records: ``times``
-    has shape (b, r), ``states`` (b, r, d), and ``drift`` holds each state's
-    largest per-step norm deviation before renormalisation so far.  By
-    default r keeps r*b*d^2 within BLOCK_ENTRIES; a caller whose reducers
-    build smaller matrices per state passes its own r.
+    drift once per block.  Yields ``(times, states, drift)`` for consecutive
+    blocks of records: ``times`` has shape (b, r), ``states`` (b, r, width)
+    keeps the first ``width`` (default d) components, whose span every H
+    must keep (the rest must stay exactly 0: ValueError at a block's end),
+    and ``drift`` holds each state's largest per-step norm deviation before
+    renormalisation so far.  By default r keeps r*b*d^2 within BLOCK_ENTRIES;
+    a caller whose reducers build smaller matrices per state passes its own r.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -246,10 +265,11 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
         block_records = max(1, BLOCK_ENTRIES // (b * d * d))
     norms = np.empty((min(block_records, n_rec) * stride, b, 1, 1))  # a block's steps
     drift = np.zeros(b)
+    width = d if width is None else width
     for start in range(0, n_rec, block_records):
         block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
         r = block_times.shape[1]
-        states = np.empty((b, r, d), dtype=complex)
+        states = np.empty((b, r, width), dtype=complex)
         i = 0
         for k in range(r):
             if start + k:
@@ -260,7 +280,9 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None):
                     nxt /= np.sqrt(dot_re, out=norms[i])
                     col, nxt = nxt, col
                     i += 1
-            states[:, k] = col[:, :, 0]
+            states[:, k] = col[:, :width, 0]
+        if col[:, width:].any():
+            raise ValueError(f"a closed leg left the first {width} basis states")
         # max is exact: folding once per block keeps the bits of a running max
         np.maximum(drift, np.abs(norms[:i, :, 0, 0] - 1.0).max(axis=0, initial=0.0),
                    out=drift)

@@ -5,10 +5,10 @@ Sweeps are deterministic (no randomness anywhere in the pipeline) and
 assemble rows in grid order, so re-running an identical spec reproduces
 the CSV byte for byte.  The closed legs of all grid points advance in
 lockstep (``dynamics.closed_blocks``) on the full space in the calling
-process, in blocks sized, like the open ones, by the reached space that
-their reducers read.  The open legs and every negativity and Bloch series run on the
-reached space (``hilbert.reached_space``, Fock levels 0..n0 of the start
-sector n0), whose states and operators are exact slices of the full ones.
+process and record only the reached space (``hilbert.reached_space``,
+Fock levels 0..n0 of the start sector n0); the open legs and every
+negativity and Bloch series run on it, whose states and operators are
+exact slices of the full ones, and it sizes both legs' blocks.
 Grid points that share model parameters form one group, which builds its
 operators once; consecutive groups form a chunk, whose hop matrices hold
 at most ``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
@@ -208,7 +208,7 @@ def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
 def _closed_series(reached: SpaceSpec, blocks, fn) -> list[tuple]:
     """(times, ``fn`` of every state) of every point's closed leg, on the
     reached space."""
-    times, values = zip(*((block_times, _per_state(fn, states[:, :, :reached.dim], reached))
+    times, values = zip(*((block_times, _per_state(fn, states, reached))
                           for block_times, states, _ in blocks))
     return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
 
@@ -338,13 +338,13 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
     Points that share model parameters (and excitation sector) form one
     group: H, the period and the integrator grid are built once for it.
     The closed legs of all points advance in lockstep here
-    (``closed_blocks``) and are reduced block by block.  The open legs run
-    on the ``reached`` space, with slices of H and the states.  Consecutive
-    groups of one size form a chunk whose hops hold at most BLOCK_ENTRIES
-    entries (a group whose hop alone is larger is a chunk by itself); the
-    open legs of a chunk advance in lockstep as one job, mapped by a
-    process pool when ``spec.workers > 1``.  Each point's two reductions
-    then become its rows.
+    (``closed_blocks``), record the ``reached`` space and are reduced block
+    by block.  The open legs run on it, with slices of H and the states.
+    Consecutive groups of one size form a chunk whose hops hold at most
+    BLOCK_ENTRIES entries (a group whose hop alone is larger is a chunk by
+    itself); the open legs of a chunk advance in lockstep as one job, mapped
+    by a process pool when ``spec.workers > 1``.  Each point's two
+    reductions then become its rows.
     """
     space, d = spec.space, reached.dim
     groups: dict[tuple[ModelParams, int], list[int]] = {}
@@ -366,10 +366,11 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
         members[-1] += group
 
     _, configs, hs = zip(*setup)
-    # the closed reducers build reached-space d x d matrices per state, as
-    # the open ones do, so one bound sizes both legs' blocks
+    # both legs' reducers build reached-space d x d matrices per state, so
+    # one bound sizes both legs' blocks
     closed = kind.closed(spec, reached, closed_blocks(
-        hs, psi0s, configs, block_records=max(1, BLOCK_ENTRIES // (len(points) * d * d))))
+        hs, psi0s, configs, block_records=max(1, BLOCK_ENTRIES // (len(points) * d * d)),
+        width=d))
     opened = [None] * len(points)
     jobs = [(spec, chunk, reached) for chunk in chunks]
     for indices, results in zip(members, _map_chunks(kind.group, jobs, spec.workers)):

@@ -90,11 +90,6 @@ def sigma_z(spec: SpaceSpec) -> np.ndarray:
     return kron(np.eye(spec.cavity_dim, dtype=complex), sz)
 
 
-def excitation_number(spec: SpaceSpec) -> np.ndarray:
-    """Conserved excitation count a†a + σ+σ-."""
-    return number_op(spec) + sigma_plus(spec) @ sigma_minus(spec)
-
-
 def sector_indices(n: int, spec: SpaceSpec) -> tuple[int, int]:
     """Flat indices of the sector-n basis {|e,n-1>, |g,n>}."""
     if n < 1:
@@ -111,3 +106,17 @@ def reached_space(n0: int, spec: SpaceSpec) -> SpaceSpec:
         raise TruncationError(f"space.n_max = {spec.n_max} puts the start sector n = {n0} "
                               f"on the top Fock level; raise space.n_max above {n0}")
     return SpaceSpec(n0)
+
+
+def off_n_blocks(rhos: np.ndarray) -> bool:
+    """True if an entry of an (n, d, d) stack between two N blocks is nonzero."""
+    n = (np.arange(rhos.shape[-1]) + 1) // 2  # N of each basis state
+    return bool(rhos[:, n[:, None] != n].any())
+
+
+def n_blocks(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the N blocks of an (n, d, d) stack, 1x1 at |g,0> and
+    |e,n_max> and 2x2 on {|e,N-1>, |g,N>} (N = 1..n_max): the diagonal (n, d),
+    and rho[2N-1, 2N] and rho[2N, 2N-1] of each 2x2 block, (n, n_max) each."""
+    return (np.diagonal(rhos, 0, 1, 2), np.diagonal(rhos, 1, 1, 2)[:, 1::2],
+            np.diagonal(rhos, -1, 1, 2)[:, 1::2])

@@ -52,11 +52,12 @@ def block_trace_norm(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
 
     The partial transpose is block-diagonal: 2x2 blocks on {|g,k>, |e,k+1>}
     with diagonal a = rho_gk,gk, b = rho_e(k+1),e(k+1) and off-diagonal
-    c = rho_ek,g(k+1), of trace norm max(|a + b|, sqrt((a - b)^2 + 4|c|^2)),
-    and the 1x1 blocks |e,0> and |g,n_max>, which add |their population|."""
-    pops = np.diagonal(rhos, axis1=1, axis2=2).real
+    c = rho_ek,g(k+1) (``hilbert.n_blocks``), of trace norm
+    max(|a + b|, sqrt((a - b)^2 + 4|c|^2)), and the 1x1 blocks |e,0> and
+    |g,n_max>, which add |their population|."""
+    diag, upper, _ = hilbert.n_blocks(rhos)
+    pops, c = diag.real, np.abs(upper)
     a, b = pops[:, 0:-2:2], pops[:, 3::2]
-    c = np.abs(np.diagonal(rhos, 1, 1, 2)[:, 1::2])
     pairs = np.maximum(np.abs(a + b), np.hypot(a - b, 2 * c))
     return pairs.sum(axis=1) + np.abs(pops[:, 1]) + np.abs(pops[:, -2])
 
@@ -76,8 +77,7 @@ def negativity(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     pt = partial_transpose_atom(rhos, spec)
     eigs = np.linalg.eigvalsh(pt)
     from_eigs = np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
-    n = np.arange(spec.dim) // 2 + np.arange(spec.dim) % 2  # N of each basis state
-    if rhos[:, n[:, None] != n].any():
+    if hilbert.off_n_blocks(rhos):
         norms = np.linalg.svd(pt, compute_uv=False).sum(axis=1)
     else:
         norms = block_trace_norm(rhos, spec)

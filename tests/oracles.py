@@ -1,11 +1,17 @@
 """Test-only reference forms of the package's operators, independent of its
-vectorised code: the Lindblad right-hand side as matrix in, matrix out, and
-a hand-coded right-hand side on the five lowest basis states."""
+vectorised code: the Lindblad right-hand side as matrix in, matrix out, a
+hand-coded right-hand side on the five lowest basis states, the excitation
+number operator, the sector eigenvectors and the closed-form resonant
+evolution."""
+
+import math
 
 import numpy as np
 
+from kerrjc import hilbert
 from kerrjc.dynamics import LindbladSpec
-from kerrjc.model import ModelParams
+from kerrjc.hilbert import SpaceSpec
+from kerrjc.model import ModelParams, is_resonant, sector_analytics
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -69,3 +75,41 @@ def lowex_rhs(params: ModelParams, rho: np.ndarray, support_tol: float = 1e-12) 
     out[2, 1] = np.conj(out[1, 2])
     out[4, 3] = np.conj(out[3, 4])
     return out
+
+
+def excitation_number(spec: SpaceSpec) -> np.ndarray:
+    """Conserved excitation count a†a + σ+σ-."""
+    return (hilbert.number_op(spec)
+            + hilbert.sigma_plus(spec) @ hilbert.sigma_minus(spec))
+
+
+def dressed_states(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized sector eigenvectors (psi_plus, psi_minus) in {|e,n-1>, |g,n>}.
+
+    Pairing satisfies H_sector psi_pm = E_pm psi_pm.
+    """
+    sa = sector_analytics(params, n)
+    g_comp_plus = -sa.eff_detuning / 2 + sa.rabi_frequency / 2
+    g_comp_minus = -sa.eff_detuning / 2 - sa.rabi_frequency / 2
+    plus = np.array([params.g * math.sqrt(n), g_comp_plus], dtype=complex)
+    minus = np.array([params.g * math.sqrt(n), g_comp_minus], dtype=complex)
+    return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)
+
+
+def resonant_state(params: ModelParams, n: int, t: float, spec: SpaceSpec) -> np.ndarray:
+    """Closed-form resonant evolution of |g,n> at time t, on the full space.
+
+    psi(t) = exp(-i E0 t) [cos(Omega t/2)|g,n> - i sin(Omega t/2)|e,n-1>]
+    with E0 = chi (n-1/2)^2 + chi/4.  Only valid on sector-n resonance.
+    """
+    if not is_resonant(params, n, tol=1e-10):
+        raise ValueError("closed-form resonant evolution requires delta = chi(2n-1)")
+    sa = sector_analytics(params, n)
+    e0 = params.chi * (n - 0.5) ** 2 + params.chi / 4
+    half = sa.rabi_frequency * t / 2
+    i_e, i_g = hilbert.sector_indices(n, spec)
+    psi = np.zeros(spec.dim, dtype=complex)
+    phase = np.exp(-1j * e0 * t)
+    psi[i_g] = phase * math.cos(half)
+    psi[i_e] = phase * (-1j) * math.sin(half)
+    return psi

@@ -35,10 +35,9 @@ from kerrjc.model import (
     hamiltonian,
     initial_state,
     perpendicular_state,
-    resonant_state,
     sector_analytics,
 )
-from oracles import LOWEX_DIM, lindblad_rhs, lowex_rhs
+from oracles import LOWEX_DIM, lindblad_rhs, lowex_rhs, resonant_state
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)

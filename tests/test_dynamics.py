@@ -1,7 +1,12 @@
+import contextlib
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrjc import dynamics, hilbert
 from kerrjc.dynamics import (
@@ -12,6 +17,7 @@ from kerrjc.dynamics import (
     evolve_closed,
     evolve_lindblad,
     grid_index,
+    lindblad_blocks,
     liouvillian,
     rk4_step_matrix,
 )
@@ -20,13 +26,20 @@ from kerrjc.hilbert import SpaceSpec, TruncationError, basis_state
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
-    dressed_states,
     hamiltonian,
     initial_state,
-    resonant_state,
     sector_analytics,
 )
-from oracles import LOWEX_DIM, LOWEX_PATTERN, dissipator, lindblad_rhs, lowex_rhs
+from oracles import (
+    LOWEX_DIM,
+    LOWEX_PATTERN,
+    dissipator,
+    dressed_states,
+    excitation_number,
+    lindblad_rhs,
+    lowex_rhs,
+    resonant_state,
+)
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -212,7 +225,7 @@ class TestEvolveClosed:
         config = resonant_config(periods=2.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.9, phi0=0.4), SPACE)
         traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
-        nexc = hilbert.excitation_number(SPACE)
+        nexc = excitation_number(SPACE)
         vals = np.einsum("ki,ij,kj->k", traj.states.conj(), nexc, traj.states).real
         assert np.abs(vals - vals[0]).max() < 1e-10
 
@@ -291,7 +304,7 @@ class TestEvolveLindblad:
         psi0 = initial_state(InitialStateSpec(theta0=0.3), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
         traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
-        nexc = hilbert.excitation_number(SPACE)
+        nexc = excitation_number(SPACE)
         vals = np.einsum("kij,ji->k", traj.states, nexc).real
         assert (np.diff(vals) <= 1e-10).all()
 
@@ -327,6 +340,128 @@ class TestEvolveLindblad:
         psi0 = initial_state(InitialStateSpec(theta0=2.5), space)
         record = evolve_lindblad(spec, np.outer(psi0, psi0.conj()), config)
         assert np.abs(record.states[:, 3]).max() == 0.0
+
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def n_block_stack(rng, spec, size):
+    """Random unit-trace density matrices, block-diagonal in N, each block
+    U diag(w) U† with w >= 0.05 before normalisation."""
+    n = np.diag(excitation_number(spec)).real.astype(int)
+    rhos = np.zeros((size, spec.dim, spec.dim), dtype=complex)
+    for k in range(size):
+        for block in range(n.max() + 1):
+            idx = np.flatnonzero(n == block)
+            u = unitary(rng, idx.size)
+            rhos[k, idx[:, None], idx] = (u * rng.uniform(0.05, 1.0, idx.size)) @ u.conj().T
+    return rhos / np.einsum("kii->k", rhos).real[:, None, None]
+
+
+def verdict(states, times, eigenvalues=None, dense=False):
+    """The message of the density checks, or None if they pass; ``dense``
+    takes the dense checks whatever the stack."""
+    with (mock.patch.object(dynamics, "off_n_blocks", return_value=True) if dense
+          else contextlib.nullcontext()):
+        try:
+            dynamics._check_density_stack(states, times, eigenvalues)
+        except PositivityError as exc:
+            return str(exc)
+    return None
+
+
+def push_past(rhos, k, fault, factor, rng):
+    """Move sample k of a stack ``factor`` times its bound from the physical
+    state: its trace, its Hermiticity (a diagonal entry or a 2x2 block's
+    coherence), or the smallest eigenvalue of the 1x1 block |g,0> or
+    |e,n_max> or of a 2x2 block, the trace kept."""
+    d = rhos.shape[-1]
+    i = 2 * rng.integers(1, d // 2)  # |g,N> of a 2x2 block
+    if fault == "trace":
+        rhos[k, 0, 0] += rng.choice([-1, 1]) * factor * dynamics.TRACE_TOL
+    elif fault == "imaginary_population":
+        rhos[k, i, i] += 0.5j * factor * dynamics.HERMITICITY_TOL
+    elif fault == "coherence":
+        rhos[k, i - 1, i] += factor * dynamics.HERMITICITY_TOL / math.sqrt(2)
+    else:
+        low = factor * dynamics.POSITIVITY_FLOOR
+        if fault == "pair":
+            idx = np.array([i - 1, i])
+            u = unitary(rng, 2)
+            weight = np.trace(rhos[k][np.ix_(idx, idx)]).real
+            rhos[k, idx[:, None], idx] = (u * [weight - low, low]) @ u.conj().T
+        else:
+            i, other = (0, d - 1) if fault == "g0" else (d - 1, 0)
+            rhos[k, other, other] += rhos[k, i, i] - low
+            rhos[k, i, i] = low
+
+
+class TestBlockChecks:
+    """The density checks of N-block-diagonal stacks read their blocks; they
+    must give the verdict, the message and the sample of the dense checks."""
+
+    @pytest.mark.parametrize("with_eigh", [False, True])
+    @pytest.mark.parametrize("fault", ["trace", "imaginary_population", "coherence",
+                                       "g0", "top", "pair"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           size=st.integers(1, 6),
+           factor=st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
+    def test_blocks_give_the_dense_verdict(self, fault, with_eigh, seed, n0, size, factor):
+        rng = np.random.default_rng(seed)
+        rhos = n_block_stack(rng, SpaceSpec(n0), size)
+        hit = np.flatnonzero(rng.integers(2, size=size)) if size > 1 else np.array([0])
+        hit = hit if hit.size else np.array([size - 1])
+        for k in hit:
+            push_past(rhos, k, fault, factor, rng)
+        times = np.arange(1.0, size + 1)
+        eig = np.linalg.eigvalsh(rhos) if with_eigh else None
+        got = verdict(rhos, times, eig)
+        assert got == verdict(rhos, times, eig, dense=True)
+        assert (got is None) == (factor < 1)
+        if got is not None:  # the first sample pushed past the bound
+            assert re.search(r"at t=(\d+)", got)[1] == str(hit[0] + 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           size=st.integers(1, 6), cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
+    def test_eigvalsh_only_off_the_blocks(self, seed, n0, size, cross):
+        # block-diagonal stacks take the closed-form eigenvalues; one nonzero
+        # entry between two N blocks, however small, sends the stack to eigvalsh
+        spec = SpaceSpec(n0)
+        rng = np.random.default_rng(seed)
+        rhos, times = n_block_stack(rng, spec, size), np.arange(size, dtype=float)
+        n = np.diag(excitation_number(spec)).real.astype(int)
+        i, j = rng.choice(np.argwhere(n[:, None] != n))
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+            dynamics._check_density_stack(rhos, times)
+            assert not eigvalsh.called
+            rhos[rng.integers(size), i, j] = cross
+            dynamics._check_density_stack(rhos, times)
+            assert eigvalsh.called
+
+
+class TestCPTPHealth:
+    @settings(max_examples=25, deadline=None)
+    @given(rates=st.tuples(*[st.floats(0.0, 1.0)] * 3), n0=st.sampled_from([1, 2, 3]),
+           delta=st.floats(-4.0, 4.0), theta0=st.floats(0.0, math.pi))
+    def test_open_legs_pass_on_blocks_and_dense(self, rates, n0, delta, theta0):
+        # random rates at the default step: every record is physical, and
+        # the block checks and the dense checks agree on it
+        params = ModelParams(delta, 0.5).with_rates(*rates)
+        space = SpaceSpec(n0)
+        period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
+        config = IntegratorConfig.for_periods(period, 1.0)
+        psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
+        rho0 = np.outer(psi0, psi0.conj())[None, None]
+        spec = LindbladSpec.from_params(params, space)
+        for times, states, _ in lindblad_blocks([spec], rho0, [config]):
+            flat = states.reshape(-1, space.dim, space.dim)
+            assert not dynamics.off_n_blocks(flat)
+            assert verdict(flat, times[0]) is None
+            assert verdict(flat, times[0], dense=True) is None
 
 
 class TestRecordAndDump:

@@ -443,7 +443,7 @@ class TestGroupedEngine:
         # three periods of 2000 steps, recorded every fourth: 1501 records
         r = dyn.BLOCK_ENTRIES // (3 * 4 * 4)
         assert [shape[1] for shape in shapes] == [r, 1501 - r]
-        assert shapes[0] == (3, r, 22)
+        assert shapes[0] == (3, r, 4)
 
     def test_one_group_per_shared_parameter_set(self, monkeypatch):
         import kerrjc.experiments as ex

@@ -36,12 +36,13 @@ from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, planarity
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
-    dressed_states,
     hamiltonian,
     initial_state,
     perpendicular_state,
     sector_analytics,
 )
+
+from oracles import dressed_states
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)

@@ -16,6 +16,8 @@ from kerrjc.model import (
     sector_analytics,
 )
 
+from oracles import excitation_number
+
 SPACE = SpaceSpec(4)
 
 
@@ -73,7 +75,7 @@ class TestOperators:
 
     def test_excitation_number_conserved(self):
         rng = np.random.default_rng(11)
-        nexc = hilbert.excitation_number(SPACE)
+        nexc = excitation_number(SPACE)
         for _ in range(5):
             params = ModelParams(delta=rng.normal(), chi=rng.normal(),
                                  g=rng.uniform(0.5, 2.0))

@@ -170,3 +170,55 @@ def test_open_lockstep_rejects_mismatched_step_counts():
     configs[1] = IntegratorConfig.for_periods(1.0, 2.0, 60, 4)
     with pytest.raises(ValueError, match="step count"):
         next(lindblad_blocks(specs, rho0s, configs))
+
+
+def sector_legs(kind, values, space, n0, steps_per_period=60):
+    """H, psi0 and config of δ points (perpendicular states) or θ points
+    that start in sector ``n0`` of ``space``."""
+    hs, psi0s, configs = [], [], []
+    for v in values:
+        if kind == "delta":
+            params = ModelParams(delta=v, chi=0.5)
+            init = perpendicular_state(params, n0)
+        else:
+            params, init = RESONANT, InitialStateSpec(theta0=v, n=n0)
+        period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
+        hs.append(hamiltonian(params, space))
+        psi0s.append(initial_state(init, space))
+        configs.append(IntegratorConfig.for_periods(period, 1.0, steps_per_period, 4))
+    return hs, psi0s, configs
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["delta", "theta"]),
+       values=st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=5),
+       n_max=st.integers(1, 10), n0=st.integers(1, 3),
+       block_records=st.sampled_from([1, 7, 100]))
+def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block_records):
+    # a leg from sector n0 stays on Fock levels 0..n0: its records keep the
+    # first 2 (n0 + 1) components of the full-width run, bit for bit
+    n0 = min(n0, n_max)
+    if kind == "theta":
+        values = [abs(v) * math.pi / 4 for v in values]
+    args = sector_legs(kind, values, SpaceSpec(n_max), n0)
+    width = 2 * (n0 + 1)
+    full = list(closed_blocks(*args, block_records=block_records))
+    kept = list(closed_blocks(*args, block_records=block_records, width=width))
+    assert len(kept) == len(full)
+    for (t, s, drift), (t_full, s_full, drift_full) in zip(kept, full):
+        assert s.shape == s_full.shape[:2] + (width,)
+        assert np.array_equal(s, s_full[:, :, :width])
+        assert np.array_equal(t, t_full) and np.array_equal(drift, drift_full)
+
+
+def test_leaving_the_recorded_width_raises():
+    # a coupling between |g,1> (kept) and |g,2> (dropped) moves weight out
+    # of the first four components, which the end of the first block sees
+    hs, psi0s, configs = sector_legs("theta", (0.3, 1.1), SPACE, 1)
+    hs[1] = hs[1].copy()
+    hs[1][2, 4] = hs[1][4, 2] = 0.1
+    blocks = closed_blocks(hs, psi0s, configs, block_records=7, width=4)
+    with pytest.raises(ValueError, match="left the first 4 basis states"):
+        next(blocks)
+    # the same legs, recorded at full width, run
+    assert len(list(closed_blocks(hs, psi0s, configs, block_records=7))) > 1

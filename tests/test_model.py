@@ -9,14 +9,14 @@ from kerrjc.information import bloch_series
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
-    dressed_states,
     hamiltonian,
     initial_state,
     perpendicular_state,
-    resonant_state,
     sector_analytics,
     sector_block,
 )
+
+from oracles import dressed_states, excitation_number, resonant_state
 
 SPACE = SpaceSpec(4)
 
@@ -56,7 +56,6 @@ class TestHamiltonian:
         params = ModelParams(delta=0.4, chi=0.2)
         h = hamiltonian(params, SPACE)
         # matrix elements between different excitation sectors vanish exactly
-        from kerrjc.hilbert import excitation_number
         nexc = np.diag(excitation_number(SPACE)).real
         for i in range(SPACE.dim):
             for j in range(SPACE.dim):
