@@ -9,17 +9,21 @@ each under its own Hamiltonian and time step: one stacked matrix-vector
 step and one renormalisation per time step for all of them, written into
 preallocated buffers, with the same per-state arithmetic as a lone
 trajectory, so a state's bits do not depend on which others share its
-batch.  ``lindblad_blocks`` does the same for open legs: g generators,
-each with its own Lindbladian, time step and c initial density matrices,
-advance by one stacked matrix product per record, again with the bits of
-each generator's own product.  Both hand their records out in blocks of
-bounded size (``BLOCK_ENTRIES``): the closed ones can keep only their
-leading components (the reached space), the open ones pass the density
-checks first, on the excitation-number blocks when the states are
-block-diagonal in N.  ``evolve_closed`` and ``evolve_lindblad`` are each
-one trajectory fed through them.  Truncation is checked before
-integrating, by the callers (``hilbert.reached_space``), and an RK4 hop
-that would amplify a reachable mode is refused before the first product.
+batch.  A closed leg can step and record only its leading components (the
+reached space): it computes those rows of the full-space product, each
+the same dot product over the full row and state.  ``lindblad_blocks``
+does the same for open legs: g generators, each with its own Lindbladian,
+time step and c initial density matrices, advance by one stacked matrix
+product per record, again with the bits of each generator's own product;
+their records pass the density checks first, on the excitation-number
+blocks when the states are block-diagonal in N.  Both hand their records
+out in blocks of bounded size (``BLOCK_ENTRIES``).  ``evolve_closed`` and
+``evolve_lindblad`` are each one trajectory fed through them.  Truncation
+is checked before integrating, by the callers (``hilbert.reached_space``).
+Before the first product, both legs take the components their steps can
+reach from the initial states (``_reached``): a closed leg that could
+leave its recorded components, or an RK4 hop that would amplify a
+reachable mode, is refused.
 """
 
 from __future__ import annotations
@@ -140,15 +144,6 @@ class TrajectoryRecord:
         return self.states.ndim == 3
 
 
-def grid_index(times: np.ndarray, t: float) -> int:
-    """Index of the sample time ``t`` on a uniform grid; raises if off-grid."""
-    step = times[1] - times[0] if len(times) > 1 else 1.0
-    i = int(round(t / step))
-    if i < 0 or i >= len(times) or abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"t={t} is not on the recorded grid")
-    return i
-
-
 def liouvillian(spec: LindbladSpec) -> np.ndarray:
     """Superoperator matrix L with vec(rhs) = L vec(rho), row-major vec."""
     h = spec.hamiltonian
@@ -217,6 +212,16 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray,
                               "(time step too large)")
 
 
+def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Mask of the components that ``steps`` (a stack of linear maps) can
+    ever make nonzero from the rows of ``starts``: the closure of their
+    support under the steps' nonzero pattern.  The others stay exactly 0."""
+    live, links = starts.any(axis=0), steps.any(axis=0)
+    while (grown := live | links[:, live].any(axis=1)).sum() > live.sum():
+        live = grown
+    return live
+
+
 def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
                   width: Optional[int] = None):
     """Advance b pure states in lockstep, each under its own H and time step.
@@ -230,11 +235,15 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     ping-pong buffers, and the norms of a block's steps are folded into the
     drift once per block.  Yields ``(times, states, drift)`` for consecutive
     blocks of records: ``times`` has shape (b, r), ``states`` (b, r, width)
-    keeps the first ``width`` (default d) components, whose span every H
-    must keep (the rest must stay exactly 0: ValueError at a block's end),
-    and ``drift`` holds each state's largest per-step norm deviation before
-    renormalisation so far.  By default r keeps r*b*d^2 within BLOCK_ENTRIES;
-    a caller whose reducers build smaller matrices per state passes its own r.
+    holds the first ``width`` (default d) components, and ``drift`` each
+    state's largest per-step norm deviation before renormalisation so far.
+    Only those components are stepped: the first ``width`` rows of each
+    step matrix times the full state, which keeps every dot product of the
+    full product, while the other components stay exactly 0, as the full
+    product leaves them.  A ValueError before the first step refuses legs
+    whose steps' nonzero pattern links their initial support to any other
+    component.  By default r keeps r*b*d^2 within BLOCK_ENTRIES; a caller
+    whose reducers build smaller matrices per state passes its own r.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -249,23 +258,29 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
         psi /= norm
         cols.append(psi)
     b, d = len(cols), cols[0].size
-    # step buffers: two ping-pong columns, and the conjugate and the inner
-    # product of each norm
-    col, nxt, conj = (np.empty((b, d, 1), dtype=complex) for _ in range(3))
-    col[:, :, 0] = cols
-    dot = np.empty((b, 1, 1), dtype=complex)
-    conj_row, dot_re = conj.transpose(0, 2, 1), dot.real
     steps = np.array([rk4_step_matrix(-1j * np.asarray(h, dtype=complex), c.dt)
                       for h, c in zip(hs, configs)])
     if steps.shape != (b, d, d):
         raise ValueError("psi0 and hamiltonian dimensions disagree")
+    width = d if width is None else width
+    if _reached(np.array(cols), steps)[width:].any():
+        raise ValueError(f"a closed leg left the first {width} basis states")
+    # the rows of the steps that can be nonzero: each is the dot product of
+    # a full row with the full state, as in the (b, d, d) product
+    rows = np.ascontiguousarray(steps[:, :width])
+    # step buffers: two ping-pong columns, and the conjugate and the inner
+    # product of each norm; rows from width on are never written and stay 0
+    col, nxt, conj = (np.zeros((b, d, 1), dtype=complex) for _ in range(3))
+    col[:, :, 0] = cols
+    col_rows, nxt_rows = col[:, :width], nxt[:, :width]
+    dot = np.empty((b, 1, 1), dtype=complex)
+    conj_row, dot_re = conj.transpose(0, 2, 1), dot.real
     n_rec = n_steps // stride + 1
     spacing = np.array([[c.dt * stride] for c in configs])
     if block_records is None:
         block_records = max(1, BLOCK_ENTRIES // (b * d * d))
     norms = np.empty((min(block_records, n_rec) * stride, b, 1, 1))  # a block's steps
     drift = np.zeros(b)
-    width = d if width is None else width
     for start in range(0, n_rec, block_records):
         block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
         r = block_times.shape[1]
@@ -274,15 +289,13 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
         for k in range(r):
             if start + k:
                 for _ in range(stride):
-                    np.matmul(steps, col, out=nxt)
+                    np.matmul(rows, col, out=nxt_rows)
                     np.conjugate(nxt, out=conj)
                     np.matmul(conj_row, nxt, out=dot)
                     nxt /= np.sqrt(dot_re, out=norms[i])
-                    col, nxt = nxt, col
+                    col, nxt, col_rows, nxt_rows = nxt, col, nxt_rows, col_rows
                     i += 1
             states[:, k] = col[:, :width, 0]
-        if col[:, width:].any():
-            raise ValueError(f"a closed leg left the first {width} basis states")
         # max is exact: folding once per block keeps the bits of a running max
         np.maximum(drift, np.abs(norms[:i, :, 0, 0] - 1.0).max(axis=0, initial=0.0),
                    out=drift)
@@ -334,10 +347,7 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
     # are identical to stepping one dt at a time (up to float associativity)
     hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
                                             stride) for s, cfg in zip(specs, configs)])
-    # entries reachable from rho0's through the hops' nonzero pattern; the rest stay 0
-    live, links = rho0s.reshape(g * c, d * d).any(axis=0), hops.any(axis=0)
-    while (grown := live | links[:, live].any(axis=1)).sum() > live.sum():
-        live = grown
+    live = _reached(rho0s.reshape(g * c, d * d), hops)
     radius = np.abs(np.linalg.eigvals(hops[:, live][:, :, live])).max(initial=0.0)
     if radius > 1.0 + HOP_RADIUS_TOL:
         raise PositivityError(f"the RK4 hop amplifies by up to {radius:.6g} per record "

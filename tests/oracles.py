@@ -2,14 +2,25 @@
 vectorised code: the Lindblad right-hand side as matrix in, matrix out, a
 hand-coded right-hand side on the five lowest basis states, the excitation
 number operator, the sector eigenvectors and the closed-form resonant
-evolution."""
+evolution; and the one-trajectory geometric phases at a recorded time:
+closed, open from the tracked branch, and the mixed-state multi-branch
+phase."""
 
 import math
 
 import numpy as np
 
 from kerrjc import hilbert
-from kerrjc.dynamics import LindbladSpec
+from kerrjc.dynamics import LindbladSpec, TrajectoryRecord
+from kerrjc.geomphase import (
+    AMBIGUITY_TOL,
+    OVERLAP_FLOOR,
+    EigenTrack,
+    TrackingError,
+    checkpoint_phase,
+    phase_series,
+    wrap_angle,
+)
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.model import ModelParams, is_resonant, sector_analytics
 
@@ -113,3 +124,93 @@ def resonant_state(params: ModelParams, n: int, t: float, spec: SpaceSpec) -> np
     psi[i_g] = phase * math.cos(half)
     psi[i_e] = phase * (-1j) * math.sin(half)
     return psi
+
+
+# initial eigenvalues below this carry no branch in phase_open_general
+BRANCH_WEIGHT_FLOOR = 1e-12
+
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the sample time ``t`` on a uniform grid; raises if off-grid."""
+    step = times[1] - times[0] if len(times) > 1 else 1.0
+    i = int(round(t / step))
+    if i < 0 or i >= len(times) or abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"t={t} is not on the recorded grid")
+    return i
+
+
+def _phase_at(states: np.ndarray, idx: int) -> float:
+    return checkpoint_phase(phase_series(states[: idx + 1]), idx)
+
+
+def phase_unitary(traj: TrajectoryRecord, t_end: float) -> float:
+    """Geometric phase of a pure-state trajectory at a recorded time."""
+    if traj.is_density:
+        raise ValueError("phase_unitary needs a pure-state trajectory")
+    return _phase_at(traj.states, grid_index(traj.times, t_end))
+
+
+def phase_open_pure(track: EigenTrack, t_end: float) -> float:
+    """Open-system phase for a pure initial state, from the tracked branch."""
+    return _phase_at(track.vectors, grid_index(track.times, t_end))
+
+
+def phase_open_general(traj: TrajectoryRecord, t_end: float) -> float:
+    """Mixed-state kinematic phase: weighted multi-branch overlap sum.
+
+    Every eigenvalue branch with nonzero initial weight is tracked by
+    maximal overlap; branch pairings must stay unambiguous.  The reported
+    value is arg of sum_k sqrt(w_k(0) w_k(t)) <psi_k(0)|psi_k(t)> e^{-i D_k}
+    with D_k the branch's accumulated link phase, unwrapped along the grid.
+    """
+    if not traj.is_density:
+        raise ValueError("phase_open_general needs a density-matrix trajectory")
+    idx = grid_index(traj.times, t_end)
+    states = traj.states[: idx + 1]
+    n = states.shape[0]
+
+    w0, v0 = np.linalg.eigh(states[0])
+    keep = np.where(w0 > BRANCH_WEIGHT_FLOOR)[0]
+    if keep.size == 0:
+        raise ValueError("initial state has no weight above the branch floor")
+    prev = v0[:, keep].copy()
+    weights0 = w0[keep]
+    k_branches = keep.size
+
+    dyn = np.zeros(k_branches)
+    weights_t = weights0.copy()
+    raw = np.empty(n)
+    raw[0] = float(np.angle(np.sum(weights0)))
+    phi = np.empty(n)
+    phi[0] = raw[0]
+    first = prev.copy()
+
+    for s in range(1, n):
+        w, v = np.linalg.eigh(states[s])
+        overlaps = np.abs(v.conj().T @ prev)  # (dim, branches)
+        assignment = overlaps.argmax(axis=0)
+        if np.unique(assignment).size != k_branches:
+            raise TrackingError(f"branch pairing collision at t={traj.times[s]:g}")
+        for b in range(k_branches):
+            col = overlaps[:, b]
+            top = col[assignment[b]]
+            col_sorted = np.sort(col)[::-1]
+            if col_sorted[0] - col_sorted[1] < AMBIGUITY_TOL:
+                raise TrackingError(
+                    f"branch {b} crossing within tolerance at t={traj.times[s]:g}")
+            if top <= OVERLAP_FLOOR:
+                raise TrackingError(
+                    f"branch {b} overlap {top:.3g} below floor at t={traj.times[s]:g}")
+        new = v[:, assignment]
+        links = np.einsum("ib,ib->b", prev.conj(), new)
+        dyn += np.angle(links)
+        weights_t = w[assignment]
+        prev = new
+
+        terms = (np.sqrt(np.maximum(weights0 * weights_t, 0.0))
+                 * np.einsum("ib,ib->b", first.conj(), new)
+                 * np.exp(-1j * dyn))
+        raw[s] = float(np.angle(terms.sum()))
+        phi[s] = phi[s - 1] + wrap_angle(raw[s] - raw[s - 1])
+
+    return float(phi[idx])

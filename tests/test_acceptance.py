@@ -20,10 +20,7 @@ from kerrjc.dynamics import (
 )
 from kerrjc.experiments import default_spec, run_sweep
 from kerrjc.geomphase import (
-    phase_open_general,
-    phase_open_pure,
     phase_series,
-    phase_unitary,
     track_dominant_eigenvector,
     wrap_angle,
 )
@@ -37,7 +34,15 @@ from kerrjc.model import (
     perpendicular_state,
     sector_analytics,
 )
-from oracles import LOWEX_DIM, lindblad_rhs, lowex_rhs, resonant_state
+from oracles import (
+    LOWEX_DIM,
+    lindblad_rhs,
+    lowex_rhs,
+    phase_open_general,
+    phase_open_pure,
+    phase_unitary,
+    resonant_state,
+)
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)

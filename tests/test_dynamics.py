@@ -16,7 +16,6 @@ from kerrjc.dynamics import (
     PositivityError,
     evolve_closed,
     evolve_lindblad,
-    grid_index,
     lindblad_blocks,
     liouvillian,
     rk4_step_matrix,
@@ -36,6 +35,7 @@ from oracles import (
     dissipator,
     dressed_states,
     excitation_number,
+    grid_index,
     lindblad_rhs,
     lowex_rhs,
     resonant_state,

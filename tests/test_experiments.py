@@ -9,13 +9,10 @@ from kerrjc.dynamics import (
     LindbladSpec,
     evolve_closed,
     evolve_lindblad,
-    grid_index,
 )
 from kerrjc.geomphase import (
     BranchTracker,
     TrackingError,
-    phase_open_pure,
-    phase_unitary,
     track_dominant_eigenvector,
     wrap_angle,
 )
@@ -38,6 +35,7 @@ from kerrjc.model import (
     perpendicular_state,
     sector_analytics,
 )
+from oracles import grid_index, phase_open_pure, phase_unitary
 
 RESONANT = ModelParams(delta=0.5, chi=0.5)
 

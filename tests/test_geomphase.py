@@ -22,10 +22,7 @@ from kerrjc.geomphase import (
     PhaseChain,
     SingularCheckpointError,
     TrackingError,
-    phase_open_general,
-    phase_open_pure,
     phase_series,
-    phase_unitary,
     track_dominant_eigenvector,
     wrap_angle,
     wrap_angles,
@@ -42,7 +39,7 @@ from kerrjc.model import (
     sector_analytics,
 )
 
-from oracles import dressed_states
+from oracles import dressed_states, phase_open_general, phase_open_pure, phase_unitary
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)

@@ -1,6 +1,7 @@
 """Legs advanced in lockstep equal lone trajectories bit for bit: closed legs
 against the one-trajectory step loop, open legs against each generator run
-alone."""
+alone.  A closed leg that its couplings can take out of the recorded width
+is refused before its first step."""
 
 import math
 
@@ -192,7 +193,7 @@ def sector_legs(kind, values, space, n0, steps_per_period=60):
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["delta", "theta"]),
        values=st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=5),
-       n_max=st.integers(1, 10), n0=st.integers(1, 3),
+       n_max=st.integers(1, 10), n0=st.integers(1, 4),
        block_records=st.sampled_from([1, 7, 100]))
 def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block_records):
     # a leg from sector n0 stays on Fock levels 0..n0: its records keep the
@@ -213,7 +214,7 @@ def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block
 
 def test_leaving_the_recorded_width_raises():
     # a coupling between |g,1> (kept) and |g,2> (dropped) moves weight out
-    # of the first four components, which the end of the first block sees
+    # of the first four components, which the reachability check sees
     hs, psi0s, configs = sector_legs("theta", (0.3, 1.1), SPACE, 1)
     hs[1] = hs[1].copy()
     hs[1][2, 4] = hs[1][4, 2] = 0.1
@@ -222,3 +223,55 @@ def test_leaving_the_recorded_width_raises():
         next(blocks)
     # the same legs, recorded at full width, run
     assert len(list(closed_blocks(hs, psi0s, configs, block_records=7))) > 1
+
+
+def coupled_legs(*links):
+    """Two θ legs from sector 1 of SPACE, the second with extra couplings
+    between the given pairs of basis states (|g,n> is 2n, |e,n> is 2n + 1)."""
+    hs, psi0s, configs = sector_legs("theta", (0.3, 1.1), SPACE, 1)
+    hs[1] = hs[1].copy()
+    for i, j in links:
+        hs[1][i, j] = hs[1][j, i] = 0.1
+    return hs, psi0s, configs
+
+
+# |g,1> -> |g,2> -> |g,3>, two hops of H; and |g,1> -> |g,0> -> |g,2> ->
+# |e,1> -> |e,2> -> |g,3>, five hops, more than one RK4 step spans
+LINKS_OUT_OF_WIDTH_6 = [((2, 4), (4, 6)), ((0, 2), (0, 4), (3, 5))]
+
+
+@pytest.mark.parametrize("links", LINKS_OUT_OF_WIDTH_6)
+def test_reaching_out_of_the_width_raises_before_the_first_record(links):
+    # with one record per block, the first block holds only the initial
+    # states: the refusal comes from the closure of their support under the
+    # steps' nonzero pattern, not from the states
+    hs, psi0s, configs = coupled_legs(*links)
+    with pytest.raises(ValueError, match="left the first 6 basis states"):
+        next(closed_blocks(hs, psi0s, configs, block_records=1, width=6))
+    assert len(list(closed_blocks(hs, psi0s, configs, block_records=7))) > 1
+
+
+def test_five_hops_are_beyond_one_step():
+    # the second case of LINKS_OUT_OF_WIDTH_6 needs the closure: no single
+    # step matrix links the start sector {|e,0>, |g,1>} to |g,3>
+    hs, _, configs = coupled_legs(*LINKS_OUT_OF_WIDTH_6[1])
+    step = rk4_step_matrix(-1j * hs[1], configs[1].dt)
+    assert not step[6:, 1:3].any() and step[4:6, 1:3].any()
+
+
+def test_no_step_runs_before_the_check_raises(monkeypatch):
+    products = []
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        products.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    hs, psi0s, configs = coupled_legs(*LINKS_OUT_OF_WIDTH_6[0])
+    with pytest.raises(ValueError, match="left the first 6 basis states"):
+        next(closed_blocks(hs, psi0s, configs, width=6))
+    assert products == []
+    # the spy sees the steps of legs that may run: the first block holds steps
+    next(closed_blocks(hs, psi0s, configs))
+    assert products
