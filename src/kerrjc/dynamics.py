@@ -16,7 +16,8 @@ does the same for open legs: g generators, each with its own Lindbladian,
 time step and c initial density matrices, advance by one stacked matrix
 product per record, again with the bits of each generator's own product;
 their records pass the density checks first, on the excitation-number
-blocks when the states are block-diagonal in N.  Both hand their records
+blocks when the states are block-diagonal in N, and are eigendecomposed
+there in closed form (``_block_eigh``).  Both hand their records
 out in blocks of bounded size (``BLOCK_ENTRIES``).  ``evolve_closed`` and
 ``evolve_lindblad`` are each one trajectory fed through them.  Truncation
 is checked before integrating, by the callers (``hilbert.reached_space``).
@@ -28,6 +29,7 @@ reachable mode, is refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +51,13 @@ HOP_RADIUS_TOL = 1e-12
 # build a few d x d matrices per sample, so a closed block counts d^2 per
 # state too, and no whole trajectory of a sweep is ever held
 BLOCK_ENTRIES = 1 << 16
+# LAPACK's dlamch constants and the thresholds at which zheevd (the matrix),
+# zlarfg (a reflector) and zsteqr (a 2x2 block) rescale: ``_block_eigh``
+# leaves such records to eigh
+_EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
+_RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485  # sqrt(safmin / (2 eps)) and its inverse
+_BETA_MIN = _SAFMIN / _EPS
+_SSFMIN, _SSFMAX = math.sqrt(_SAFMIN) / _EPS ** 2, math.sqrt(1 / _SAFMIN) / 3
 
 
 class PositivityError(RuntimeError):
@@ -169,14 +178,12 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(d, dtype=complex) + a @ m
 
 
-def _check_density_stack(states: np.ndarray, times: np.ndarray,
-                         eigenvalues: Optional[np.ndarray] = None) -> None:
+def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
     """Trace, Hermiticity and positivity of every sample.
 
-    ``eigenvalues`` (ascending, per sample) spares the eigendecomposition
-    when the caller already has one.  An N-block-diagonal stack is checked
-    on its blocks, each 2x2 block's least eigenvalue in closed form from its
-    lower triangle, as ``eigvalsh`` reads it; a failure runs the dense checks.
+    An N-block-diagonal stack is checked on its blocks, each 2x2 block's
+    least eigenvalue in closed form from its lower triangle, as ``eigvalsh``
+    reads it; a failure runs the dense checks.
     """
     traces = np.einsum("kii->k", states).real
     bad = np.abs(traces - 1.0) > TRACE_TOL
@@ -187,13 +194,10 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray,
         diag, upper, lower = n_blocks(states)
         defect = np.sqrt(4 * (diag.imag ** 2).sum(axis=1)
                          + 2 * (np.abs(upper - lower.conj()) ** 2).sum(axis=1))
-        if eigenvalues is None:
-            pops = diag.real
-            a, b = pops[:, 1:-1:2], pops[:, 2:-1:2]  # |e,N-1>, |g,N>
-            pairs = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(lower))
-            mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), pairs.min(axis=1))
-        else:
-            mins = eigenvalues[:, 0]
+        pops = diag.real
+        a, b = pops[:, 1:-1:2], pops[:, 2:-1:2]  # |e,N-1>, |g,N>
+        pairs = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(lower))
+        mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), pairs.min(axis=1))
         if not ((defect > HERMITICITY_TOL).any() or (mins < POSITIVITY_FLOOR).any()):
             return
     defect = np.sqrt((np.abs(states - states.conj().transpose(0, 2, 1)) ** 2)
@@ -202,14 +206,112 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray,
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"Hermiticity lost at t={times[k]:g}")
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(states)
-    mins = eigenvalues[:, 0]
+    mins = np.linalg.eigvalsh(states)[:, 0]
     bad = mins < POSITIVITY_FLOOR
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"negative eigenvalue {mins[k]:.3e} at t={times[k]:g} "
                               "(time step too large)")
+
+
+def _block_eigh(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, d) and eigenvector columns (n, d, d) of a stack of
+    Hermitian matrices, as ``np.linalg.eigh`` (LAPACK zheevd) gives them;
+    an N-block-diagonal stack's in block order: |g,0>, the two of each 2x2
+    block {|e,N-1>, |g,N>} (N = 1..n_max), |e,n_max>.  A stack with a
+    nonzero entry between two blocks takes ``np.linalg.eigh``.
+
+    Each 1x1 block is its own eigenpair.  Each 2x2 block takes zheevd's
+    own operations, one float64 ufunc each, so the eigenpairs equal eigh's
+    bit for bit, where a textbook formula would differ in the last digits:
+    zhetd2 makes the lower coherence real with zlarfg's reflector (none when
+    it is real) and updates the |g,N> population by its rank-2 step; zsteqr
+    leaves the block as two 1x1 blocks if either of its split tests passes,
+    and rotates it by dlaev2's eigenvectors otherwise; zunmtr applies the
+    reflector to the |g,N> row.  With one 2x2 block, as on every sweep's
+    reached space, the zeros off the blocks carry LAPACK's signs too; with
+    more, a reflector can turn a -0.0 of another block's column into 0.0.
+    Records that LAPACK would rescale (the matrix's largest entry outside
+    [_RMIN, _RMAX], a complex coherence below _BETA_MIN, or a 2x2 block that
+    zsteqr rotates with its largest entry outside [_SSFMIN, _SSFMAX]) take
+    ``np.linalg.eigh`` instead, in its ascending order.
+    """
+    if off_n_blocks(rhos):
+        return np.linalg.eigh(rhos)
+    n, d = rhos.shape[:2]
+    diag, _, lower = n_blocks(rhos)
+    pops = diag.real
+    d1, c, zr, zi = pops[:, 1:-1:2], pops[:, 2:-1:2], lower.real, lower.imag
+    cplx = zi != 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # zlarfg: beta = -sign(dlapy3(zr, zi, 0), zr), tau = (beta - z) / beta
+        top = np.maximum(np.abs(zr), np.abs(zi))
+        p, q = np.abs(zr) / top, np.abs(zi) / top
+        beta = -np.copysign(top * np.sqrt(p * p + q * q), zr)
+        tau_r = np.where(cplx, (beta - zr) / beta, 0.0)
+        tau_i = np.where(cplx, -zi / beta, 0.0)
+        # the rank-2 update of the |g,N> population c: zhemv's x = tau c,
+        # zdotc and zaxpy's w = x - (tau/2) conj(x), zher2's c - Re w - Re w
+        x_r = tau_r * c
+        w_r = x_r - ((0.5 * tau_r) * x_r + (0.5 * tau_i) * (tau_i * c))
+        d2 = (c - w_r) - w_r
+        e = np.where(cplx, beta, zr)
+        # zsteqr's split tests: on entry, then in its QL or QR sweep
+        ad1, ad2, ae = np.abs(d1), np.abs(d2), np.abs(e)
+        coupled = ae > (np.sqrt(ad1) * np.sqrt(ad2)) * _EPS
+        rotated = coupled & (ae * ae > (_EPS ** 2 * np.minimum(ad1, ad2))
+                             * np.maximum(ad1, ad2) + _SAFMIN)
+        # dlaev2(d1, e, d2): eigenvalues rt1, rt2 and the rotation (cs, sn)
+        sm, df, tb = d1 + d2, d1 - d2, e + e
+        adf, ab = np.abs(df), np.abs(tb)
+        first = ad1 > ad2
+        acmx, acmn = np.where(first, d1, d2), np.where(first, d2, d1)
+        rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) * (ab / adf)),
+                      np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) * (adf / ab)),
+                               ab * np.sqrt(2.0)))
+        rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))
+        rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (e / rt1) * e)
+        cs = np.where(df >= 0, df + rt, df - rt)
+        ct, tn = -tb / cs, -cs / tb
+        sn_a = 1.0 / np.sqrt(1.0 + ct * ct)
+        cs_b = 1.0 / np.sqrt(1.0 + tn * tn)
+        wide = np.abs(cs) > ab
+        cs1, sn1 = np.where(wide, ct * sn_a, cs_b), np.where(wide, sn_a, tn * cs_b)
+        swap = (sm < 0) == (df < 0)  # sgn1 == sgn2
+        cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
+
+    w = np.empty((n, d))
+    w[:, 0], w[:, -1] = pops[:, 0], pops[:, -1]
+    w[:, 1:-1:2], w[:, 2:-1:2] = np.where(rotated, rt1, d1), np.where(rotated, rt2, d2)
+    # zlasr rotates the identity's block columns as complex numbers: the
+    # imaginary parts stay 0.0, the zeros off the block get c*0 and s*0
+    v = np.zeros((n, d, d), dtype=complex)
+    v[:, 0, 0] = v[:, -1, -1] = 1.0
+    re, zero = v.real, np.zeros_like(cs1)
+    re[:, :, 1:-1:2] = np.where(rotated, sn1 * zero + cs1 * zero, 0.0)[:, None]
+    re[:, :, 2:-1:2] = np.where(rotated, cs1 * zero - sn1 * zero, 0.0)[:, None]
+    r1 = np.arange(1, d - 1, 2)
+    r2 = r1 + 1
+    re[:, r1, r1] = np.where(rotated, sn1 * zero + cs1, 1.0)
+    re[:, r1, r2] = np.where(rotated, cs1 * zero - sn1, 0.0)
+    # zunmtr: the reflector scales the |g,N> row by 1 - tau (zgemv, zgerc)
+    for col, x in ((r1, np.where(rotated, sn1 + cs1 * zero, 0.0)),
+                   (r2, np.where(rotated, cs1 - sn1 * zero, 1.0))):
+        re[:, r2, col] = np.where(cplx, x - tau_r * x, x)
+        v.imag[:, r2, col] = np.where(cplx, 0.0 - tau_i * x, 0.0)
+
+    # the largest entry of each record's lower triangle, as zlanhe finds it,
+    # and of each 2x2 block zsteqr scales (its d1, d2 and e)
+    anorm = np.maximum(np.maximum(np.abs(pops[:, 0]), np.abs(pops[:, -1])),
+                       np.maximum(np.maximum(ad1, np.abs(c)), np.abs(lower))
+                       .max(axis=1, initial=0.0))
+    block = np.maximum(np.maximum(ad1, ad2), ae)
+    lapack = (~(anorm <= _RMAX) | ((anorm > 0) & (anorm < _RMIN))
+              | (cplx & (np.abs(beta) < _BETA_MIN)).any(axis=1)
+              | (coupled & ~((block >= _SSFMIN) & (block <= _SSFMAX))).any(axis=1))
+    if lapack.any():
+        w[lapack], v[lapack] = np.linalg.eigh(rhos[lapack])
+    return w, v
 
 
 def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -326,10 +428,11 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
     over the b = g*c points (point i*c + j is state j of generator i):
     ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
     has passed the density checks as one (b*r, d, d) stack.  With
-    ``decompose``, ``eig`` is that stack's ``np.linalg.eigh`` reshaped to (b, r, d) and
-    (b, r, d, d), and also serves the positivity check; otherwise it is
-    None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES, so memory does
-    not grow with the number of records.  Before the first product, hops
+    ``decompose``, ``eig`` is that stack's eigenvalues and eigenvector
+    columns, reshaped to (b, r, d) and (b, r, d, d), in any fixed column
+    order (``_block_eigh``'s); otherwise it is None.  By default r keeps
+    r*b*d^2 within BLOCK_ENTRIES, so memory does not grow with the number
+    of records.  Before the first product, hops
     whose spectral radius on the reachable entries of vec(rho) exceeds
     1 + HOP_RADIUS_TOL raise PositivityError.
     """
@@ -367,10 +470,11 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
                 vecs = np.matmul(hops, vecs)
             states[:, :, k] = vecs.transpose(0, 2, 1)
         flat = states.reshape(b * r, d, d)
-        eig = np.linalg.eigh(flat) if decompose else None
-        _check_density_stack(flat, block_times.reshape(-1), None if eig is None else eig[0])
-        if eig is not None:
-            eig = (eig[0].reshape(b, r, d), eig[1].reshape(b, r, d, d))
+        _check_density_stack(flat, block_times.reshape(-1))
+        eig = None
+        if decompose:
+            w, v = _block_eigh(flat)
+            eig = (w.reshape(b, r, d), v.reshape(b, r, d, d))
         yield block_times, states.reshape(b, r, d, d), eig
 
 

@@ -174,14 +174,19 @@ class BranchTracker:
     """Dominant-branch continuation of b points, fed one block of
     eigendecompositions at a time.
 
-    Continuation picks, at every sample, the eigenvector with maximal
-    |overlap| against the previous sample's picked eigenvector and fixes its
-    phase so the consecutive overlap with the previous tracked vector is real
-    and nonnegative.  Selection runs on (b, r, d) overlap arrays: each
-    point's picked column index is assumed to stay put, one batched product
-    gives every sample's |overlaps| under that assumption, and the pass
-    restarts after the first sample at which some point's best column
-    differs (an eigenvalue crossing).  Only the phase fix is a per-sample
+    Continuation starts at the eigenvector of the largest eigenvalue at t0,
+    then picks, at every sample, the eigenvector with maximal |overlap|
+    against the previous sample's picked eigenvector and fixes its phase so
+    the consecutive overlap with the previous tracked vector is real and
+    nonnegative.  The eigenpairs may come in any fixed column order, even
+    one that changes from sample to sample: ``eigh``'s ascending order, or
+    the block order of ``dynamics._block_eigh``.  Selection runs on
+    (b, r, d) overlap arrays: each point's picked column index is assumed
+    to stay put, one batched pass gives every sample's |overlaps| under
+    that assumption, each summed down its column so that its bits do not
+    depend on the column's place, and the pass restarts after the first
+    sample at which some point's best column differs (an eigenvalue
+    crossing).  Only the phase fix is a per-sample
     recurrence, one stacked product across the points per sample.  The
     selection overlaps use the raw eigenvector columns, carried across
     blocks, so feeding a trajectory in blocks, or beside other points, gives
@@ -199,20 +204,22 @@ class BranchTracker:
     def extend(self, times: np.ndarray, all_w: np.ndarray,
                all_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Continue every point through the samples ``times`` (b, r) with
-        ascending eigenvalues ``all_w`` (b, r, d) and eigenvector columns
-        ``all_v`` (b, r, d, d); returns their tracked eigenvalues (b, r) and
-        vectors (b, r, d)."""
+        eigenvalues ``all_w`` (b, r, d) and eigenvector columns ``all_v``
+        (b, r, d, d), in any column order; returns their tracked eigenvalues
+        (b, r) and vectors (b, r, d)."""
         b, n, dim = all_w.shape
         pts = np.arange(b)
         picks = np.empty((b, n), dtype=int)
         start = 0
         if self._col is None:
-            for p in np.flatnonzero(all_w[:, 0, -1] < 1.0 - PURITY_TOL):
+            j = all_w[:, 0].argmax(axis=1)
+            largest = all_w[pts, 0, j]
+            for p in np.flatnonzero(largest < 1.0 - PURITY_TOL):
                 self.failed[int(p)] = TrackingError(
-                    f"initial state not pure: largest eigenvalue {all_w[p, 0, -1]:.9f}")
-            self._j, self._col = np.full(b, dim - 1), all_v[:, 0, :, -1]
+                    f"initial state not pure: largest eigenvalue {largest[p]:.9f}")
+            self._j, self._col = j, all_v[pts, 0, :, j]
             self.floor = np.ones(b)
-            picks[:, 0] = dim - 1
+            picks[:, 0] = j
             start = 1
 
         # one pass per run of samples between crossings: each point's column
@@ -222,7 +229,9 @@ class BranchTracker:
         k = start
         while k < n:
             cols = np.concatenate((col[:, None], all_v[pts, k:n - 1, :, j]), axis=1)
-            overlaps = np.abs(np.matmul(cols.conj()[:, :, None, :], all_v[:, k:])[:, :, 0])
+            # summed down the columns: a column's |overlap| has the same bits
+            # wherever the column sits
+            overlaps = np.abs((cols.conj()[:, :, :, None] * all_v[:, k:]).sum(axis=2))
             best = overlaps.argmax(axis=2)
             moved = best != j[:, None]
             moved[list(self.failed)] = False
@@ -251,7 +260,7 @@ class BranchTracker:
         vectors = np.empty((b, n, dim), dtype=complex)
         prev = self._prev
         if start:
-            vectors[:, 0] = all_v[:, 0, :, -1]
+            vectors[:, 0] = picked[:, 0]
             prev = vectors[:, 0]
         # the fix's buffers, each written in place by the ufunc that makes it
         conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)

@@ -20,7 +20,7 @@ from kerrjc.dynamics import (
     liouvillian,
     rk4_step_matrix,
 )
-from kerrjc.experiments import DEFAULT_OPEN_RATES, write_trajectory_csv
+from kerrjc.experiments import DEFAULT_OPEN_RATES, default_spec, run_sweep, write_trajectory_csv
 from kerrjc.hilbert import SpaceSpec, TruncationError, basis_state
 from kerrjc.model import (
     InitialStateSpec,
@@ -360,13 +360,13 @@ def n_block_stack(rng, spec, size):
     return rhos / np.einsum("kii->k", rhos).real[:, None, None]
 
 
-def verdict(states, times, eigenvalues=None, dense=False):
+def verdict(states, times, dense=False):
     """The message of the density checks, or None if they pass; ``dense``
     takes the dense checks whatever the stack."""
     with (mock.patch.object(dynamics, "off_n_blocks", return_value=True) if dense
           else contextlib.nullcontext()):
         try:
-            dynamics._check_density_stack(states, times, eigenvalues)
+            dynamics._check_density_stack(states, times)
         except PositivityError as exc:
             return str(exc)
     return None
@@ -402,14 +402,13 @@ class TestBlockChecks:
     """The density checks of N-block-diagonal stacks read their blocks; they
     must give the verdict, the message and the sample of the dense checks."""
 
-    @pytest.mark.parametrize("with_eigh", [False, True])
     @pytest.mark.parametrize("fault", ["trace", "imaginary_population", "coherence",
                                        "g0", "top", "pair"])
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
            size=st.integers(1, 6),
            factor=st.one_of(st.floats(0.5, 0.99), st.floats(1.01, 2.0)))
-    def test_blocks_give_the_dense_verdict(self, fault, with_eigh, seed, n0, size, factor):
+    def test_blocks_give_the_dense_verdict(self, fault, seed, n0, size, factor):
         rng = np.random.default_rng(seed)
         rhos = n_block_stack(rng, SpaceSpec(n0), size)
         hit = np.flatnonzero(rng.integers(2, size=size)) if size > 1 else np.array([0])
@@ -417,9 +416,8 @@ class TestBlockChecks:
         for k in hit:
             push_past(rhos, k, fault, factor, rng)
         times = np.arange(1.0, size + 1)
-        eig = np.linalg.eigvalsh(rhos) if with_eigh else None
-        got = verdict(rhos, times, eig)
-        assert got == verdict(rhos, times, eig, dense=True)
+        got = verdict(rhos, times)
+        assert got == verdict(rhos, times, dense=True)
         assert (got is None) == (factor < 1)
         if got is not None:  # the first sample pushed past the bound
             assert re.search(r"at t=(\d+)", got)[1] == str(hit[0] + 1)
@@ -441,6 +439,145 @@ class TestBlockChecks:
             rhos[rng.integers(size), i, j] = cross
             dynamics._check_density_stack(rhos, times)
             assert eigvalsh.called
+
+
+EIGH = np.linalg.eigh  # unpatched by the spies below
+
+
+def lapack_order(w):
+    """The columns of block-order eigenvalues (n, d) in the order zsteqr's
+    selection sort leaves them: eigh's ascending order, with ties broken
+    as LAPACK breaks them."""
+    n, d = w.shape
+    rows, vals, order = np.arange(n), w.copy(), np.tile(np.arange(d), (n, 1))
+    for i in range(d - 1):
+        k = i + vals[:, i:].argmin(axis=1)  # the first least, as its strict < scan
+        for a in (vals, order):
+            a[rows, i], a[rows, k] = a[rows, k], a[rows, i]
+    return order
+
+
+def equals_eigh(rhos, w, v, bits=False):
+    """Block-order eigenpairs (w, v) of a stack equal eigh's, column by
+    column: to ``np.array_equal``, or with ``bits`` byte for byte, signed
+    zeros too."""
+    order = lapack_order(w)
+    got = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None], 2)
+    if bits:
+        return all(a.tobytes() == b.tobytes() for a, b in zip(got, EIGH(rhos)))
+    return all(np.array_equal(a, b) for a, b in zip(got, EIGH(rhos)))
+
+
+BLOCK_CASES = ("complex", "real", "imaginary", "under_split", "at_split", "equal",
+               "zero", "negative", "empty_g")
+
+
+def block_case_stack(rng, n0, cases, scale):
+    """N-block-diagonal Hermitian stack, one record per row of ``cases``
+    (n0 names from BLOCK_CASES each), scaled by ``scale``: the 1x1 blocks
+    uniform in [0, 1) and each 2x2 block {|e,N-1>, |g,N>} as named."""
+    d = 2 * (n0 + 1)
+    rhos = np.zeros((len(cases), d, d), dtype=complex)
+    for k, row in enumerate(cases):
+        rhos[k, 0, 0], rhos[k, -1, -1] = rng.random(2)
+        for n, case in enumerate(row, start=1):
+            a, c = rng.random(2)
+            z = complex(*rng.normal(size=2)) * math.sqrt(a * c) / 2
+            if case == "real":
+                z = z.real
+            elif case == "imaginary":
+                z = 1j * z.imag
+            elif case in ("under_split", "at_split"):  # zsteqr's first split test
+                z *= math.sqrt(a * c) * 2.0 ** -53 / abs(z) * (0.5 if case == "under_split"
+                                                                 else rng.uniform(0.9, 4))
+            elif case == "equal":
+                c = a
+            elif case == "zero":
+                a = c = z = 0.0
+            elif case == "negative":
+                a, c = -a, -c
+            elif case == "empty_g":
+                c = 0.0
+            i = 2 * n - 1
+            rhos[k, i, i], rhos[k, i + 1, i + 1] = a, c
+            rhos[k, i + 1, i], rhos[k, i, i + 1] = z, np.conj(z)
+    return rhos * scale
+
+
+class TestBlockEigh:
+    """``_block_eigh`` gives eigh's eigenpairs, in block order."""
+
+    @pytest.mark.parametrize("kind", ["gp_delta", "bloch_traj"])
+    def test_every_open_record_of_a_sweep(self, kind, monkeypatch):
+        # every record takes the closed form (no eigh call) and gets eigh's
+        # bits: the reached space has one 2x2 block
+        real, verdicts = dynamics._block_eigh, []
+
+        def checked(rhos):
+            w, v = real(rhos)
+            verdicts.append((len(rhos), equals_eigh(rhos, w, v, bits=True)))
+            return w, v
+
+        monkeypatch.setattr(dynamics, "_block_eigh", checked)
+        with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
+            run_sweep(default_spec(kind))
+        assert not eigh.called
+        records, same = zip(*verdicts)
+        assert all(same) and sum(records) > 3000
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           data=st.data(), exponent=st.floats(-12.0, 0.0))
+    def test_equals_eigh_on_random_blocks(self, seed, n0, data, exponent):
+        cases = data.draw(st.lists(st.lists(st.sampled_from(BLOCK_CASES), min_size=n0,
+                                            max_size=n0), min_size=1, max_size=12))
+        rhos = block_case_stack(np.random.default_rng(seed), n0, cases, 10.0 ** exponent)
+        with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
+            assert equals_eigh(rhos, *dynamics._block_eigh(rhos), bits=n0 == 1)
+        assert not eigh.called
+
+    def test_split_tests_at_their_threshold(self):
+        # real coherences (no reflector) within two ulps of zsteqr's first
+        # split threshold: some pass the first test and fail the second
+        rng = np.random.default_rng(8)
+        a, c = rng.random((2, 4000))
+        step = rng.integers(-1, 3, a.size) * 2.0 ** -52
+        z = rng.choice([-1, 1], a.size) * (np.sqrt(a) * np.sqrt(c)) * 2.0 ** -53 * (1 + step)
+        rhos = np.zeros((a.size, 4, 4), dtype=complex)
+        rhos[:, 0, 0], rhos[:, 3, 3] = rng.random((2, a.size))
+        rhos[:, 1, 1], rhos[:, 2, 2], rhos[:, 2, 1], rhos[:, 1, 2] = a, c, z, z
+        assert equals_eigh(rhos, *dynamics._block_eigh(rhos), bits=True)
+
+    @pytest.mark.parametrize("scale", [1e-125, 1e-160, 1e-300, 1e160])
+    def test_records_lapack_rescales_take_eigh(self, scale):
+        # zsteqr rescales a 2x2 block below 1.2e-122, zheevd a matrix below
+        # 1e-146 or above 1e146: those records alone go to eigh
+        rng = np.random.default_rng(7)
+        rhos = n_block_stack(rng, SpaceSpec(1), 6)
+        rhos[[1, 4]] *= scale
+        with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
+            assert equals_eigh(rhos, *dynamics._block_eigh(rhos), bits=True)
+        assert eigh.call_count == 1
+        assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4]])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           size=st.integers(1, 6), cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
+    def test_eigh_only_off_the_blocks(self, seed, n0, size, cross):
+        # one nonzero entry between two N blocks, however small, sends the
+        # whole stack to eigh
+        spec = SpaceSpec(n0)
+        rng = np.random.default_rng(seed)
+        rhos = n_block_stack(rng, spec, size)
+        n = np.diag(excitation_number(spec)).real.astype(int)
+        i, j = rng.choice(np.argwhere(n[:, None] != n))
+        with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
+            dynamics._block_eigh(rhos)
+            assert not eigh.called
+            rhos[rng.integers(size), i, j] = cross
+            got = dynamics._block_eigh(rhos)
+            assert eigh.call_count == 1
+        assert all(np.array_equal(a, b) for a, b in zip(got, EIGH(rhos)))
 
 
 class TestCPTPHealth:

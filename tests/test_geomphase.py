@@ -392,6 +392,30 @@ class TestTracking:
         tracked = [p for p in range(len(points)) if p not in tracker.failed]
         assert np.array_equal(tracker.floor[tracked], whole.floor[tracked])
 
+    @pytest.mark.parametrize("n_max", [1, 4])
+    def test_column_order_does_not_matter(self, n_max):
+        # the same eigenpairs with the columns permuted at every sample: the
+        # same tracks bit for bit, the same failures and floors; the middle
+        # point fails at sample 37
+        magnitudes = np.array((0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0)[:2 * n_max + 2])
+        magnitudes[-1] = math.sqrt(1 - magnitudes[:-1] @ magnitudes[:-1])
+        eigs = [open_eigs(OPEN.with_rates(gamma, 0.0, 0.01), InitialStateSpec(theta0=theta),
+                          n_max, periods=2.0)
+                for gamma, theta in ((0.1, 2.0), (0.2, 0.7), (0.3, 2.6))]
+        times, w, v = (np.array(x) for x in zip(*eigs))
+        v[1] = with_overlaps(v[1], 37, magnitudes)
+        order = np.random.default_rng(65).random(w.shape).argsort(axis=2)
+        shuffled = (np.take_along_axis(w, order, 2),
+                    np.take_along_axis(v, order[:, :, None], 3))
+        for lengths in ((37,), (1,), None):
+            want = fed_in_blocks(times, w, v, lengths or [times.shape[1]])
+            got = fed_in_blocks(times, *shuffled, lengths or [times.shape[1]])
+            assert got[0][[0, 2]].tobytes() == want[0][[0, 2]].tobytes()
+            assert got[1][[0, 2]].tobytes() == want[1][[0, 2]].tobytes()
+            assert list(got[2].failed) == list(want[2].failed) == [1]
+            assert str(got[2].failed[1]) == str(want[2].failed[1])
+            assert got[2].floor.tobytes() == want[2].floor.tobytes()
+
     def test_relabelled_columns_are_followed(self):
         # eigh orders columns by eigenvalue, so a crossing relabels the
         # tracked column; relabel from three samples on, block by block, at
