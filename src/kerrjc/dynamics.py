@@ -29,7 +29,6 @@ reachable mode, is refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +56,8 @@ BLOCK_ENTRIES = 1 << 16
 _EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
 _RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485  # sqrt(safmin / (2 eps)) and its inverse
 _BETA_MIN = _SAFMIN / _EPS
-_SSFMIN, _SSFMAX = math.sqrt(_SAFMIN) / _EPS ** 2, math.sqrt(1 / _SAFMIN) / 3
+# sqrt(safmin) / eps^2 and sqrt(1 / safmin) / 3
+_SSFMIN, _SSFMAX = 2.0 ** -511 / _EPS ** 2, 2.0 ** 511 / 3
 
 
 class PositivityError(RuntimeError):

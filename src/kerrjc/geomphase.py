@@ -186,11 +186,11 @@ class BranchTracker:
     that assumption, each summed down its column so that its bits do not
     depend on the column's place, and the pass restarts after the first
     sample at which some point's best column differs (an eigenvalue
-    crossing).  Only the phase fix is a per-sample
-    recurrence, one stacked product across the points per sample.  The
-    selection overlaps use the raw eigenvector columns, carried across
-    blocks, so feeding a trajectory in blocks, or beside other points, gives
-    the same track, bit for bit, as feeding it whole and alone.  A point
+    crossing).  Only the phase fix is a per-sample recurrence, one stacked
+    product across the points per sample.  The selection overlaps use the
+    raw eigenvector columns, carried across blocks, so feeding a trajectory
+    in blocks, or beside other points, gives the same track, bit for bit,
+    as feeding it whole and alone.  A point
     whose continuation fails is set aside in ``failed`` (point index ->
     TrackingError) and the others go on; ``floor`` holds each point's
     smallest picked overlap.

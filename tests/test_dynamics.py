@@ -20,7 +20,12 @@ from kerrjc.dynamics import (
     liouvillian,
     rk4_step_matrix,
 )
-from kerrjc.experiments import DEFAULT_OPEN_RATES, default_spec, run_sweep, write_trajectory_csv
+from kerrjc.experiments import (
+    DEFAULT_OPEN_RATES,
+    default_spec,
+    run_sweep,
+    write_trajectory_csv,
+)
 from kerrjc.hilbert import SpaceSpec, TruncationError, basis_state
 from kerrjc.model import (
     InitialStateSpec,

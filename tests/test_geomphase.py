@@ -407,9 +407,9 @@ class TestTracking:
         order = np.random.default_rng(65).random(w.shape).argsort(axis=2)
         shuffled = (np.take_along_axis(w, order, 2),
                     np.take_along_axis(v, order[:, :, None], 3))
-        for lengths in ((37,), (1,), None):
-            want = fed_in_blocks(times, w, v, lengths or [times.shape[1]])
-            got = fed_in_blocks(times, *shuffled, lengths or [times.shape[1]])
+        for lengths in ((37,), (1,), (times.shape[1],)):
+            want = fed_in_blocks(times, w, v, lengths)
+            got = fed_in_blocks(times, *shuffled, lengths)
             assert got[0][[0, 2]].tobytes() == want[0][[0, 2]].tobytes()
             assert got[1][[0, 2]].tobytes() == want[1][[0, 2]].tobytes()
             assert list(got[2].failed) == list(want[2].failed) == [1]
