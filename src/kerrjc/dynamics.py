@@ -10,16 +10,16 @@ step and one renormalisation per time step for all of them, written into
 preallocated buffers, with the same per-state arithmetic as a lone
 trajectory, so a state's bits do not depend on which others share its
 batch.  A closed leg can step and record only its leading components (the
-reached space): it computes those rows of the full-space product, each
-the same dot product over the full row and state.  ``lindblad_blocks``
-does the same for open legs: g generators, each with its own Lindbladian,
-time step and c initial density matrices, advance by one stacked matrix
-product per record, again with the bits of each generator's own product;
-their records pass the density checks first, on the excitation-number
-blocks when the states are block-diagonal in N, and are eigendecomposed
-there in closed form (``_block_eigh``).  Both hand their records
-out in blocks of bounded size (``BLOCK_ENTRIES``).  ``evolve_closed`` and
-``evolve_lindblad`` are each one trajectory fed through them.  Truncation
+reached space): it computes and renormalises only those rows of the
+full-space product, each the same dot product over the full row and
+state.  ``lindblad_blocks`` does the same for open legs: g generators,
+each with its own Lindbladian, time step and c initial density matrices,
+advance by one stacked matrix product per record, again with the bits of
+each generator's own product; their records pass the density checks, on
+the N blocks when the states are block-diagonal in N, and give the start
+sector's two eigenpairs in closed form (``_block_eigh``).  Both yield
+records in blocks of bounded size (``BLOCK_ENTRIES``); ``evolve_closed``
+and ``evolve_lindblad`` feed one trajectory through them.  Truncation
 is checked before integrating, by the callers (``hilbert.reached_space``).
 Before the first product, both legs take the components their steps can
 reach from the initial states (``_reached``): a closed leg that could
@@ -30,6 +30,7 @@ reachable mode, is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -178,26 +179,27 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(d, dtype=complex) + a @ m
 
 
-def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
+def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
     """Trace, Hermiticity and positivity of every sample.
 
-    An N-block-diagonal stack is checked on its blocks, each 2x2 block's
-    least eigenvalue in closed form from its lower triangle, as ``eigvalsh``
-    reads it; a failure runs the dense checks.
+    A stack with N blocks (``blocks``, ``hilbert.n_blocks``) is checked on
+    them, each 2x2 block's least eigenvalue in closed form from its lower
+    triangle, as ``eigvalsh`` reads it; a failure runs the dense checks.
     """
     traces = np.einsum("kii->k", states).real
     bad = np.abs(traces - 1.0) > TRACE_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"trace drifted to {traces[k]:.12g} at t={times[k]:g}")
-    if not off_n_blocks(states):
-        diag, upper, lower = n_blocks(states)
-        defect = np.sqrt(4 * (diag.imag ** 2).sum(axis=1)
-                         + 2 * (np.abs(upper - lower.conj()) ** 2).sum(axis=1))
+    if blocks is not None:
+        diag, upper, lower = blocks
+        # sums and minima over the short last axis, one ufunc call per column
+        defect = np.sqrt(4 * reduce(np.add, (diag.imag ** 2).T)
+                         + 2 * reduce(np.add, (np.abs(upper - lower.conj()) ** 2).T))
         pops = diag.real
         a, b = pops[:, 1:-1:2], pops[:, 2:-1:2]  # |e,N-1>, |g,N>
         pairs = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(lower))
-        mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), pairs.min(axis=1))
+        mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), reduce(np.minimum, pairs.T))
         if not ((defect > HERMITICITY_TOL).any() or (mins < POSITIVITY_FLOOR).any()):
             return
     defect = np.sqrt((np.abs(states - states.conj().transpose(0, 2, 1)) ** 2)
@@ -214,34 +216,30 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
                               "(time step too large)")
 
 
-def _block_eigh(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n, d) and eigenvector columns (n, d, d) of a stack of
-    Hermitian matrices, as ``np.linalg.eigh`` (LAPACK zheevd) gives them;
-    an N-block-diagonal stack's in block order: |g,0>, the two of each 2x2
-    block {|e,N-1>, |g,N>} (N = 1..n_max), |e,n_max>.  A stack with a
-    nonzero entry between two blocks takes ``np.linalg.eigh``.
-
-    Each 1x1 block is its own eigenpair.  Each 2x2 block takes zheevd's
-    own operations, one float64 ufunc each, so the eigenpairs equal eigh's
-    bit for bit, where a textbook formula would differ in the last digits:
-    zhetd2 makes the lower coherence real with zlarfg's reflector (none when
-    it is real) and updates the |g,N> population by its rank-2 step; zsteqr
-    leaves the block as two 1x1 blocks if either of its split tests passes,
-    and rotates it by dlaev2's eigenvectors otherwise; zunmtr applies the
-    reflector to the |g,N> row.  With one 2x2 block, as on every sweep's
-    reached space, the zeros off the blocks carry LAPACK's signs too; with
-    more, a reflector can turn a -0.0 of another block's column into 0.0.
-    Records that LAPACK would rescale (the matrix's largest entry outside
-    [_RMIN, _RMAX], a complex coherence below _BETA_MIN, or a 2x2 block that
-    zsteqr rotates with its largest entry outside [_SSFMIN, _SSFMAX]) take
-    ``np.linalg.eigh`` instead, in its ascending order.
+def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, 2) and eigenvector columns (n, d, 2) of the block
+    {|e,n0-1>, |g,n0>} of each matrix of a Hermitian stack with N blocks
+    ``blocks`` (``hilbert.n_blocks``; None: ``np.linalg.eigh``, every
+    column), as eigh (LAPACK zheevd) gives them, bit for bit, by zheevd's
+    own operations, one float64 ufunc each: zhetd2 makes the lower coherence
+    real with zlarfg's reflector (none when it is real) and updates the
+    |g,n0> population by its rank-2 step; zsteqr leaves the block as two
+    1x1 blocks if either of its split tests passes, and rotates it by
+    dlaev2's eigenvectors otherwise; zunmtr applies the reflector to the
+    |g,n0> row.  With one 2x2 block, as on every sweep's reached space, the
+    zeros off the block carry LAPACK's signs too; with more, another
+    block's reflector can turn a -0.0 into 0.0.  Records that LAPACK would
+    rescale (the largest entry outside [_RMIN, _RMAX], a complex coherence
+    below _BETA_MIN, or a rotated block with its largest entry outside
+    [_SSFMIN, _SSFMAX]) take eigh's two columns on the block instead.
     """
-    if off_n_blocks(rhos):
+    if blocks is None:
         return np.linalg.eigh(rhos)
     n, d = rhos.shape[:2]
-    diag, _, lower = n_blocks(rhos)
+    diag, _, lower = blocks
     pops = diag.real
-    d1, c, zr, zi = pops[:, 1:-1:2], pops[:, 2:-1:2], lower.real, lower.imag
+    i = 2 * n0 - 1  # |e,n0-1>; |g,n0> is i + 1
+    d1, c, zr, zi = pops[:, i], pops[:, i + 1], lower.real[:, n0 - 1], lower.imag[:, n0 - 1]
     cplx = zi != 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # zlarfg: beta = -sign(dlapy3(zr, zi, 0), zr), tau = (beta - z) / beta
@@ -250,7 +248,7 @@ def _block_eigh(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         beta = -np.copysign(top * np.sqrt(p * p + q * q), zr)
         tau_r = np.where(cplx, (beta - zr) / beta, 0.0)
         tau_i = np.where(cplx, -zi / beta, 0.0)
-        # the rank-2 update of the |g,N> population c: zhemv's x = tau c,
+        # the rank-2 update of the |g,n0> population c: zhemv's x = tau c,
         # zdotc and zaxpy's w = x - (tau/2) conj(x), zher2's c - Re w - Re w
         x_r = tau_r * c
         w_r = x_r - ((0.5 * tau_r) * x_r + (0.5 * tau_i) * (tau_i * c))
@@ -280,37 +278,35 @@ def _block_eigh(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         swap = (sm < 0) == (df < 0)  # sgn1 == sgn2
         cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
 
-    w = np.empty((n, d))
-    w[:, 0], w[:, -1] = pops[:, 0], pops[:, -1]
-    w[:, 1:-1:2], w[:, 2:-1:2] = np.where(rotated, rt1, d1), np.where(rotated, rt2, d2)
+    w = np.stack((np.where(rotated, rt1, d1), np.where(rotated, rt2, d2)), axis=1)
     # zlasr rotates the identity's block columns as complex numbers: the
     # imaginary parts stay 0.0, the zeros off the block get c*0 and s*0
-    v = np.zeros((n, d, d), dtype=complex)
-    v[:, 0, 0] = v[:, -1, -1] = 1.0
+    v = np.zeros((n, d, 2), dtype=complex)
     re, zero = v.real, np.zeros_like(cs1)
-    re[:, :, 1:-1:2] = np.where(rotated, sn1 * zero + cs1 * zero, 0.0)[:, None]
-    re[:, :, 2:-1:2] = np.where(rotated, cs1 * zero - sn1 * zero, 0.0)[:, None]
-    r1 = np.arange(1, d - 1, 2)
-    r2 = r1 + 1
-    re[:, r1, r1] = np.where(rotated, sn1 * zero + cs1, 1.0)
-    re[:, r1, r2] = np.where(rotated, cs1 * zero - sn1, 0.0)
-    # zunmtr: the reflector scales the |g,N> row by 1 - tau (zgemv, zgerc)
-    for col, x in ((r1, np.where(rotated, sn1 + cs1 * zero, 0.0)),
-                   (r2, np.where(rotated, cs1 - sn1 * zero, 1.0))):
-        re[:, r2, col] = np.where(cplx, x - tau_r * x, x)
-        v.imag[:, r2, col] = np.where(cplx, 0.0 - tau_i * x, 0.0)
+    re[:, :, 0] = np.where(rotated, sn1 * zero + cs1 * zero, 0.0)[:, None]
+    re[:, :, 1] = np.where(rotated, cs1 * zero - sn1 * zero, 0.0)[:, None]
+    re[:, i, 0] = np.where(rotated, sn1 * zero + cs1, 1.0)
+    re[:, i, 1] = np.where(rotated, cs1 * zero - sn1, 0.0)
+    # zunmtr: the reflector scales the |g,n0> row by 1 - tau (zgemv, zgerc)
+    for col, x in enumerate((np.where(rotated, sn1 + cs1 * zero, 0.0),
+                             np.where(rotated, cs1 - sn1 * zero, 1.0))):
+        re[:, i + 1, col] = np.where(cplx, x - tau_r * x, x)
+        v.imag[:, i + 1, col] = np.where(cplx, 0.0 - tau_i * x, 0.0)
 
     # the largest entry of each record's lower triangle, as zlanhe finds it,
-    # and of each 2x2 block zsteqr scales (its d1, d2 and e)
-    anorm = np.maximum(np.maximum(np.abs(pops[:, 0]), np.abs(pops[:, -1])),
-                       np.maximum(np.maximum(ad1, np.abs(c)), np.abs(lower))
-                       .max(axis=1, initial=0.0))
+    # and of the block zsteqr scales (its d1, d2 and e)
+    anorm = np.maximum(reduce(np.maximum, np.abs(pops).T), reduce(np.maximum, np.abs(lower).T))
     block = np.maximum(np.maximum(ad1, ad2), ae)
     lapack = (~(anorm <= _RMAX) | ((anorm > 0) & (anorm < _RMIN))
-              | (cplx & (np.abs(beta) < _BETA_MIN)).any(axis=1)
-              | (coupled & ~((block >= _SSFMIN) & (block <= _SSFMAX))).any(axis=1))
+              | (cplx & (np.abs(beta) < _BETA_MIN))
+              | (coupled & ~((block >= _SSFMIN) & (block <= _SSFMAX))))
     if lapack.any():
-        w[lapack], v[lapack] = np.linalg.eigh(rhos[lapack])
+        w_all, v_all = np.linalg.eigh(rhos[lapack])
+        # the two columns with weight on the start sector; the others have none
+        weight = np.abs(v_all[:, i]) + np.abs(v_all[:, i + 1])
+        cols = np.sort(np.argpartition(weight, d - 2, axis=1)[:, -2:], axis=1)
+        w[lapack] = np.take_along_axis(w_all, cols, 1)
+        v[lapack] = np.take_along_axis(v_all, cols[:, None], 2)
     return w, v
 
 
@@ -333,19 +329,17 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     per state and live in its step matrix.  Each step is one stacked
     matrix-vector product and one norm per state, which gives the bits of a
     lone ``step.dot(psi)`` and ``vdot`` whatever the batch (checked on
-    OpenBLAS by ``tests/test_lockstep.py``); the steps write into two
-    ping-pong buffers, and the norms of a block's steps are folded into the
-    drift once per block.  Yields ``(times, states, drift)`` for consecutive
-    blocks of records: ``times`` has shape (b, r), ``states`` (b, r, width)
-    holds the first ``width`` (default d) components, and ``drift`` each
-    state's largest per-step norm deviation before renormalisation so far.
-    Only those components are stepped: the first ``width`` rows of each
-    step matrix times the full state, which keeps every dot product of the
-    full product, while the other components stay exactly 0, as the full
-    product leaves them.  A ValueError before the first step refuses legs
-    whose steps' nonzero pattern links their initial support to any other
-    component.  By default r keeps r*b*d^2 within BLOCK_ENTRIES; a caller
-    whose reducers build smaller matrices per state passes its own r.
+    OpenBLAS by ``tests/test_lockstep.py``).  Yields ``(times, states,
+    drift)`` for consecutive blocks of records: ``times`` has shape (b, r),
+    ``states`` (b, r, width) holds the first ``width`` (default d)
+    components, and ``drift`` each state's largest per-step norm deviation
+    before renormalisation so far.  Only those components are stepped and
+    renormalised: the first ``width`` rows of each step matrix times the
+    full state, which keeps every dot product of the full product, while
+    the other components stay +0.0.  A ValueError before the first step
+    refuses legs whose steps' nonzero pattern links their initial support
+    to any other component.  By default r keeps r*b*d^2 within
+    BLOCK_ENTRIES; a caller passes its own r.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -371,7 +365,7 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     # a full row with the full state, as in the (b, d, d) product
     rows = np.ascontiguousarray(steps[:, :width])
     # step buffers: two ping-pong columns, and the conjugate and the inner
-    # product of each norm; rows from width on are never written and stay 0
+    # product of each norm; rows from width on are never written or divided
     col, nxt, conj = (np.zeros((b, d, 1), dtype=complex) for _ in range(3))
     col[:, :, 0] = cols
     col_rows, nxt_rows = col[:, :width], nxt[:, :width]
@@ -394,7 +388,7 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
                     np.matmul(rows, col, out=nxt_rows)
                     np.conjugate(nxt, out=conj)
                     np.matmul(conj_row, nxt, out=dot)
-                    nxt /= np.sqrt(dot_re, out=norms[i])
+                    nxt_rows /= np.sqrt(dot_re, out=norms[i])
                     col, nxt, col_rows, nxt_rows = nxt, col, nxt_rows, col_rows
                     i += 1
             states[:, k] = col[:, :width, 0]
@@ -413,7 +407,7 @@ def evolve_closed(h: np.ndarray, psi0: np.ndarray,
                             max_norm_drift=float(drift[0]))
 
 
-def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
+def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
                     block_records: Optional[int] = None):
     """Advance c initial density matrices under each of g Lindbladians, in lockstep.
 
@@ -426,15 +420,14 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
     results do not depend on what shares its batch.  Yields
     ``(times, states, eig)`` for consecutive blocks of records, point-major
     over the b = g*c points (point i*c + j is state j of generator i):
-    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
-    has passed the density checks as one (b*r, d, d) stack.  With
-    ``decompose``, ``eig`` is that stack's eigenvalues and eigenvector
-    columns, reshaped to (b, r, d) and (b, r, d, d), in any fixed column
-    order (``_block_eigh``'s); otherwise it is None.  By default r keeps
-    r*b*d^2 within BLOCK_ENTRIES, so memory does not grow with the number
-    of records.  Before the first product, hops
-    whose spectral radius on the reachable entries of vec(rho) exceeds
-    1 + HOP_RADIUS_TOL raise PositivityError.
+    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block is
+    scanned once for N blocks and passes the density checks as one
+    (b*r, d, d) stack.  Given the start sector ``n0`` of the initial
+    states, ``eig`` is its block's eigenpairs (``_block_eigh``), (b, r, m)
+    and (b, r, d, m), m = 2 (or d, if the stack is not block-diagonal);
+    otherwise it is None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES.
+    Before the first product, hops whose spectral radius on the reachable
+    entries of vec(rho) exceeds 1 + HOP_RADIUS_TOL raise PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -470,12 +463,12 @@ def lindblad_blocks(specs, rho0s, configs, decompose: bool = False,
                 vecs = np.matmul(hops, vecs)
             states[:, :, k] = vecs.transpose(0, 2, 1)
         flat = states.reshape(b * r, d, d)
-        _check_density_stack(flat, block_times.reshape(-1))
-        eig = None
-        if decompose:
-            w, v = _block_eigh(flat)
-            eig = (w.reshape(b, r, d), v.reshape(b, r, d, d))
-        yield block_times, states.reshape(b, r, d, d), eig
+        # one scan for entries between N blocks, and the blocks' views, or None
+        blocks = None if off_n_blocks(flat) else n_blocks(flat)
+        _check_density_stack(flat, block_times.reshape(-1), blocks)
+        eig = None if n0 is None else _block_eigh(flat, n0, blocks)
+        yield block_times, states.reshape(b, r, d, d), None if eig is None else (
+            eig[0].reshape(b, r, -1), eig[1].reshape(b, r, d, -1))
 
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,

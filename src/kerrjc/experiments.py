@@ -191,11 +191,11 @@ def _largest_m(spec: SweepSpec) -> float:
 def _open_blocks(job, decompose: bool = False):
     """The open legs of one chunk job as ``lindblad_blocks``, on the reached space."""
     _, groups, reached = job
-    params, psi0s, configs, hs = zip(*groups)
+    params, psi0s, configs, hs, sectors = zip(*groups)
     rho0s = np.array([[np.outer(psi0, psi0.conj()) for psi0 in group] for group in psi0s])
     return lindblad_blocks([LindbladSpec.from_params(p, reached, h)
                             for p, h in zip(params, hs)], rho0s, configs,
-                           decompose=decompose)
+                           n0=sectors[0] if decompose else None)
 
 
 def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
@@ -340,9 +340,10 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
     The closed legs of all points advance in lockstep here
     (``closed_blocks``), record the ``reached`` space and are reduced block
     by block.  The open legs run on it, with slices of H and the states.
-    Consecutive groups of one size form a chunk whose hops hold at most
-    BLOCK_ENTRIES entries (a group whose hop alone is larger is a chunk by
-    itself); the open legs of a chunk advance in lockstep as one job, mapped
+    Consecutive groups of one size and start sector form a chunk whose hops
+    hold at most BLOCK_ENTRIES entries (a group whose hop alone is larger is
+    a chunk by itself); the open legs of a chunk advance in lockstep as one
+    job, tracked on the eigenpairs of that start sector, mapped
     by a process pool when ``spec.workers > 1``.  Each point's two
     reductions then become its rows.
     """
@@ -359,10 +360,11 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
                                       spec.steps_per_period, spec.record_stride)
         for i in group:
             setup[i] = (period, config, h)
-        if not chunks or len(chunks[-1]) == per_chunk or len(chunks[-1][0][1]) != len(group):
+        if (not chunks or len(chunks[-1]) == per_chunk
+                or (len(chunks[-1][0][1]), chunks[-1][0][4]) != (len(group), n)):
             chunks.append([])
             members.append([])
-        chunks[-1].append((params, [psi0s[i][:d] for i in group], config, h[:d, :d]))
+        chunks[-1].append((params, [psi0s[i][:d] for i in group], config, h[:d, :d], n))
         members[-1] += group
 
     _, configs, hs = zip(*setup)

@@ -13,19 +13,21 @@ pi-jumps at antipodal crossings survive.
 
 The open-system phase follows the density-matrix eigenvector branch whose
 eigenvalue is one at t0, continued by maximal overlap (not by eigenvalue
-order, since the branch's eigenvalue decays and may cross others).
-``BranchTracker`` follows the branches of many points at once and picks
-them with array operations; only the phase fix of each picked vector is a
-per-sample recurrence, one stacked product across the points per sample,
-kept in its exact sequential form (a dot product on a strided column, then
-``arctan2``), because a cumulative-sum form changes the bits of the chain
-and can move a phase by 2 pi where it passes an antipodal crossing.
+order, since the branch's eigenvalue decays and may cross others), on the
+start sector's two eigenpairs: dissipation only lowers N, and every other
+eigenvector has zero overlap with that sector.  ``BranchTracker`` follows
+many points at once and picks with array operations; only the phase fix
+of each picked vector is a per-sample recurrence, kept in its exact
+sequential form (a dot product on a strided column, then ``arctan2``),
+because a cumulative-sum form changes the bits of the chain and can move
+a phase by 2 pi where it passes an antipodal crossing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -176,24 +178,23 @@ class BranchTracker:
 
     Continuation starts at the eigenvector of the largest eigenvalue at t0,
     then picks, at every sample, the eigenvector with maximal |overlap|
-    against the previous sample's picked eigenvector and fixes its phase so
-    the consecutive overlap with the previous tracked vector is real and
-    nonnegative.  The eigenpairs may come in any fixed column order, even
-    one that changes from sample to sample: ``eigh``'s ascending order, or
-    the block order of ``dynamics._block_eigh``.  Selection runs on
-    (b, r, d) overlap arrays: each point's picked column index is assumed
-    to stay put, one batched pass gives every sample's |overlaps| under
-    that assumption, each summed down its column so that its bits do not
-    depend on the column's place, and the pass restarts after the first
-    sample at which some point's best column differs (an eigenvalue
-    crossing).  Only the phase fix is a per-sample recurrence, one stacked
-    product across the points per sample.  The selection overlaps use the
-    raw eigenvector columns, carried across blocks, so feeding a trajectory
-    in blocks, or beside other points, gives the same track, bit for bit,
-    as feeding it whole and alone.  A point
-    whose continuation fails is set aside in ``failed`` (point index ->
-    TrackingError) and the others go on; ``floor`` holds each point's
-    smallest picked overlap.
+    against the previous pick and fixes its phase so the consecutive
+    overlap with the previous tracked vector is real and nonnegative.  The
+    eigenpairs may come in any column order, even one that changes from
+    sample to sample, and need not be all d of them: a column with zero
+    overlap against every tracked vector, never picked and never among the
+    top two overlaps, can be left out, as ``dynamics._block_eigh`` leaves
+    out all but the start sector's.  Selection assumes each point's picked
+    column index stays put: one batched pass gives every sample's (b, r, m)
+    |overlaps|, each summed down its column so that its bits do not depend
+    on the column's place, and restarts after the first sample at which
+    some point's best column differs (an eigenvalue crossing).  Only the
+    phase fix is a per-sample recurrence.  The overlaps use the raw
+    columns, carried across blocks, so feeding a trajectory in blocks, or
+    beside other points, gives the same track, bit for bit, as feeding it
+    whole and alone.  A point whose continuation fails is set aside in
+    ``failed`` (point index -> TrackingError), its later picks undefined,
+    and the others go on; ``floor`` holds each point's least picked overlap.
     """
 
     def __init__(self):
@@ -204,10 +205,10 @@ class BranchTracker:
     def extend(self, times: np.ndarray, all_w: np.ndarray,
                all_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Continue every point through the samples ``times`` (b, r) with
-        eigenvalues ``all_w`` (b, r, d) and eigenvector columns ``all_v``
-        (b, r, d, d), in any column order; returns their tracked eigenvalues
-        (b, r) and vectors (b, r, d)."""
-        b, n, dim = all_w.shape
+        eigenvalues ``all_w`` (b, r, m) and eigenvector columns ``all_v``
+        (b, r, d, m), m >= 2 in any column order and of any count per block;
+        returns their tracked eigenvalues (b, r) and vectors (b, r, d)."""
+        (b, n, m), dim = all_w.shape, all_v.shape[2]
         pts = np.arange(b)
         picks = np.empty((b, n), dtype=int)
         start = 0
@@ -223,30 +224,33 @@ class BranchTracker:
             start = 1
 
         # one pass per run of samples between crossings: each point's column
-        # j is assumed to stay picked, and the pass ends at the first sample
-        # at which a point still tracked moves off it
-        j, col = self._j, self._col
+        # j (carried over, a guess if this block has fewer columns) is assumed
+        # to stay picked; the pass ends where a point still tracked moves off
+        j, col = np.minimum(self._j, m - 1), self._col
         k = start
         while k < n:
             cols = np.concatenate((col[:, None], all_v[pts, k:n - 1, :, j]), axis=1)
-            # summed down the columns: a column's |overlap| has the same bits
-            # wherever the column sits
-            overlaps = np.abs((cols.conj()[:, :, :, None] * all_v[:, k:]).sum(axis=2))
+            # summed down the columns, one add per row: the same bits wherever a column sits
+            overlaps = np.abs(reduce(np.add, (cols.conj()[:, :, :, None]
+                                              * all_v[:, k:]).transpose(2, 0, 1, 3)))
             best = overlaps.argmax(axis=2)
             moved = best != j[:, None]
             moved[list(self.failed)] = False
             stop = moved.argmax(axis=1)[moved.any(axis=1)].min(initial=n - k - 1) + 1
-            top = np.partition(overlaps[:, :stop], dim - 2, axis=2)[:, :, -2:]
-            ambiguous = top[:, :, 1] - top[:, :, 0] < AMBIGUITY_TOL
-            bad = ambiguous | (top[:, :, 1] <= OVERLAP_FLOOR)
+            # the two largest overlaps, column by column (max and min are exact)
+            first = second = np.full((b, stop), -np.inf)
+            for x in np.moveaxis(overlaps[:, :stop], 2, 0):
+                first, second = np.maximum(first, x), np.maximum(second, np.minimum(first, x))
+            ambiguous = first - second < AMBIGUITY_TOL
+            bad = ambiguous | (first <= OVERLAP_FLOOR)
             for p in np.flatnonzero(bad.any(axis=1)):  # a point keeps its first failure
                 i = bad[p].argmax()
                 self.failed.setdefault(int(p), TrackingError(
                     f"eigenvector overlap ambiguity at t={times[p, k + i]:g}: "
-                    f"{top[p, i, 1]:.8f} vs {top[p, i, 0]:.8f}" if ambiguous[p, i] else
-                    f"tracking overlap {top[p, i, 1]:.3g} <= {OVERLAP_FLOOR} "
+                    f"{first[p, i]:.8f} vs {second[p, i]:.8f}" if ambiguous[p, i] else
+                    f"tracking overlap {first[p, i]:.3g} <= {OVERLAP_FLOOR} "
                     f"at t={times[p, k + i]:g}"))
-            self.floor = np.minimum(self.floor, top[:, :, 1].min(axis=1))
+            self.floor = np.minimum(self.floor, first.min(axis=1))
             picks[:, k:k + stop] = best[:, :stop]
             k += stop
             j = best[:, stop - 1]
@@ -262,16 +266,17 @@ class BranchTracker:
         if start:
             vectors[:, 0] = picked[:, 0]
             prev = vectors[:, 0]
-        # the fix's buffers, each written in place by the ufunc that makes it
+        # the fix's buffers, each written in place by the ufunc that makes it;
+        # turn = -1j * angle, whose real part is +0.0 for every finite angle
         conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)
-        angle, turn = np.empty((b, 1)), np.empty((b, 1), dtype=complex)
-        rows, ov_re, ov_im = conj[:, 0], ov.real[:, 0], ov.imag[:, 0]
+        angle, (turn, fix) = np.empty((b, 1)), np.zeros((2, b, 1), dtype=complex)
+        rows, ov_re, ov_im, turn_im = conj[:, 0], ov.real[:, 0], ov.imag[:, 0], turn.imag
         for k in range(start, n):
             vec = picked[:, k]
             np.conjugate(prev, out=rows)
             np.matmul(conj, vec[:, :, None], out=ov)
-            np.multiply(-1j, np.arctan2(ov_im, ov_re, out=angle), out=turn)
-            prev = np.multiply(vec, np.exp(turn, out=turn), out=vectors[:, k])
+            np.negative(np.arctan2(ov_im, ov_re, out=angle), out=turn_im)
+            prev = np.multiply(vec, np.exp(turn, out=fix), out=vectors[:, k])
 
         self._j, self._col, self._prev = j, col, prev
         return all_w[pts[:, None], np.arange(n), picks], vectors

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import re
 from unittest import mock
@@ -365,15 +364,20 @@ def n_block_stack(rng, spec, size):
     return rhos / np.einsum("kii->k", rhos).real[:, None, None]
 
 
+def block_views(rhos):
+    """The N blocks' views that ``lindblad_blocks`` hands the density checks
+    and ``_block_eigh``, or None for a stack with an entry between blocks."""
+    return None if hilbert.off_n_blocks(rhos) else hilbert.n_blocks(rhos)
+
+
 def verdict(states, times, dense=False):
     """The message of the density checks, or None if they pass; ``dense``
     takes the dense checks whatever the stack."""
-    with (mock.patch.object(dynamics, "off_n_blocks", return_value=True) if dense
-          else contextlib.nullcontext()):
-        try:
-            dynamics._check_density_stack(states, times)
-        except PositivityError as exc:
-            return str(exc)
+    blocks = None if dense else block_views(states)
+    try:
+        dynamics._check_density_stack(states, times, blocks)
+    except PositivityError as exc:
+        return str(exc)
     return None
 
 
@@ -439,38 +443,40 @@ class TestBlockChecks:
         n = np.diag(excitation_number(spec)).real.astype(int)
         i, j = rng.choice(np.argwhere(n[:, None] != n))
         with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-            dynamics._check_density_stack(rhos, times)
+            dynamics._check_density_stack(rhos, times, block_views(rhos))
             assert not eigvalsh.called
             rhos[rng.integers(size), i, j] = cross
-            dynamics._check_density_stack(rhos, times)
+            dynamics._check_density_stack(rhos, times, block_views(rhos))
             assert eigvalsh.called
 
 
 EIGH = np.linalg.eigh  # unpatched by the spies below
 
 
-def lapack_order(w):
-    """The columns of block-order eigenvalues (n, d) in the order zsteqr's
-    selection sort leaves them: eigh's ascending order, with ties broken
-    as LAPACK breaks them."""
-    n, d = w.shape
-    rows, vals, order = np.arange(n), w.copy(), np.tile(np.arange(d), (n, 1))
-    for i in range(d - 1):
-        k = i + vals[:, i:].argmin(axis=1)  # the first least, as its strict < scan
-        for a in (vals, order):
-            a[rows, i], a[rows, k] = a[rows, k], a[rows, i]
-    return order
+def eigh_sector(rhos, n0):
+    """eigh's eigenpairs of an N-block-diagonal stack that lie on the block
+    of sector n0, {|e,n0-1>, |g,n0>}: (n, 2) and (n, d, 2), in eigh's order.
+    Every other column is exactly zero on that block."""
+    w, v = EIGH(rhos)
+    on = (v[:, 2 * n0 - 1:2 * n0 + 1] != 0).any(axis=1)
+    assert (on.sum(axis=1) == 2).all()
+    cols = np.flatnonzero(on).reshape(-1, 2) % rhos.shape[-1]
+    return np.take_along_axis(w, cols, 1), np.take_along_axis(v, cols[:, None], 2)
 
 
-def equals_eigh(rhos, w, v, bits=False):
-    """Block-order eigenpairs (w, v) of a stack equal eigh's, column by
-    column: to ``np.array_equal``, or with ``bits`` byte for byte, signed
-    zeros too."""
-    order = lapack_order(w)
-    got = np.take_along_axis(w, order, 1), np.take_along_axis(v, order[:, None], 2)
-    if bits:
-        return all(a.tobytes() == b.tobytes() for a, b in zip(got, EIGH(rhos)))
-    return all(np.array_equal(a, b) for a, b in zip(got, EIGH(rhos)))
+def equals_eigh(rhos, n0, w, v, bits=False):
+    """The sector-n0 eigenpairs (w, v) of a stack equal eigh's, pair by pair
+    in either order: their values to ``==`` (``np.array_equal``), or with
+    ``bits`` byte for byte, signed zeros too."""
+    want_w, want_v = eigh_sector(rhos, n0)
+
+    def same(a, b):  # per record
+        if bits:
+            a, b = (np.ascontiguousarray(x).view(np.uint8).reshape(len(x), -1) for x in (a, b))
+        return (a == b).reshape(len(a), -1).all(axis=1)
+
+    return bool(np.logical_or(*(same(w[:, o], want_w) & same(v[:, :, o], want_v)
+                                for o in ([0, 1], [1, 0]))).all())
 
 
 BLOCK_CASES = ("complex", "real", "imaginary", "under_split", "at_split", "equal",
@@ -510,7 +516,7 @@ def block_case_stack(rng, n0, cases, scale):
 
 
 class TestBlockEigh:
-    """``_block_eigh`` gives eigh's eigenpairs, in block order."""
+    """``_block_eigh`` gives eigh's eigenpairs of the start sector's block."""
 
     @pytest.mark.parametrize("kind", ["gp_delta", "bloch_traj"])
     def test_every_open_record_of_a_sweep(self, kind, monkeypatch):
@@ -518,9 +524,9 @@ class TestBlockEigh:
         # bits: the reached space has one 2x2 block
         real, verdicts = dynamics._block_eigh, []
 
-        def checked(rhos):
-            w, v = real(rhos)
-            verdicts.append((len(rhos), equals_eigh(rhos, w, v, bits=True)))
+        def checked(rhos, n0, blocks):
+            w, v = real(rhos, n0, blocks)
+            verdicts.append((len(rhos), equals_eigh(rhos, n0, w, v, bits=True)))
             return w, v
 
         monkeypatch.setattr(dynamics, "_block_eigh", checked)
@@ -534,12 +540,17 @@ class TestBlockEigh:
     @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
            data=st.data(), exponent=st.floats(-12.0, 0.0))
     def test_equals_eigh_on_random_blocks(self, seed, n0, data, exponent):
+        # bit for bit with one 2x2 block; with more, another block's
+        # reflector can flip the sign of a zero in eigh's columns
         cases = data.draw(st.lists(st.lists(st.sampled_from(BLOCK_CASES), min_size=n0,
                                             max_size=n0), min_size=1, max_size=12))
         rhos = block_case_stack(np.random.default_rng(seed), n0, cases, 10.0 ** exponent)
+        sector = data.draw(st.integers(1, n0))
         with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-            assert equals_eigh(rhos, *dynamics._block_eigh(rhos), bits=n0 == 1)
+            w, v = dynamics._block_eigh(rhos, sector, block_views(rhos))
         assert not eigh.called
+        assert w.shape == (len(rhos), 2) and v.shape == (len(rhos), 2 * n0 + 2, 2)
+        assert equals_eigh(rhos, sector, w, v, bits=n0 == 1)
 
     def test_split_tests_at_their_threshold(self):
         # real coherences (no reflector) within two ulps of zsteqr's first
@@ -551,38 +562,60 @@ class TestBlockEigh:
         rhos = np.zeros((a.size, 4, 4), dtype=complex)
         rhos[:, 0, 0], rhos[:, 3, 3] = rng.random((2, a.size))
         rhos[:, 1, 1], rhos[:, 2, 2], rhos[:, 2, 1], rhos[:, 1, 2] = a, c, z, z
-        assert equals_eigh(rhos, *dynamics._block_eigh(rhos), bits=True)
+        got = dynamics._block_eigh(rhos, 1, block_views(rhos))
+        assert equals_eigh(rhos, 1, *got, bits=True)
 
     @pytest.mark.parametrize("scale", [1e-125, 1e-160, 1e-300, 1e160])
     def test_records_lapack_rescales_take_eigh(self, scale):
         # zsteqr rescales a 2x2 block below 1.2e-122, zheevd a matrix below
-        # 1e-146 or above 1e146: those records alone go to eigh
-        rng = np.random.default_rng(7)
-        rhos = n_block_stack(rng, SpaceSpec(1), 6)
-        rhos[[1, 4]] *= scale
-        with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-            assert equals_eigh(rhos, *dynamics._block_eigh(rhos), bits=True)
-        assert eigh.call_count == 1
-        assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4]])
+        # 1e-146 or above 1e146: those records alone go to eigh, and give
+        # its two columns on the start sector
+        for n0 in (1, 2, 3):
+            rng = np.random.default_rng(7)
+            rhos = n_block_stack(rng, SpaceSpec(n0), 6)
+            rhos[[1, 4]] *= scale
+            with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
+                got = dynamics._block_eigh(rhos, n0, block_views(rhos))
+            assert eigh.call_count == 1
+            assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4]])
+            assert equals_eigh(rhos, n0, *got, bits=n0 == 1)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
            size=st.integers(1, 6), cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
     def test_eigh_only_off_the_blocks(self, seed, n0, size, cross):
         # one nonzero entry between two N blocks, however small, sends the
-        # whole stack to eigh
+        # whole stack to eigh, which gives every column
         spec = SpaceSpec(n0)
         rng = np.random.default_rng(seed)
         rhos = n_block_stack(rng, spec, size)
         n = np.diag(excitation_number(spec)).real.astype(int)
         i, j = rng.choice(np.argwhere(n[:, None] != n))
         with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-            dynamics._block_eigh(rhos)
+            dynamics._block_eigh(rhos, n0, block_views(rhos))
             assert not eigh.called
             rhos[rng.integers(size), i, j] = cross
-            got = dynamics._block_eigh(rhos)
+            got = dynamics._block_eigh(rhos, n0, block_views(rhos))
             assert eigh.call_count == 1
         assert all(np.array_equal(a, b) for a, b in zip(got, EIGH(rhos)))
+
+    def test_one_scan_per_record_block(self):
+        # lindblad_blocks scans each block of records once for entries
+        # between N blocks, for both the density checks and _block_eigh
+        space = SpaceSpec(2)
+        params = ModelParams(0.3, 0.5).with_rates(0.1, 0.05, 0.01)
+        config = IntegratorConfig.for_periods(
+            2 * math.pi / sector_analytics(params, 2).rabi_frequency, 1.0, 200)
+        psi0 = initial_state(InitialStateSpec(theta0=1.0, n=2), space)
+        rho0 = np.outer(psi0, psi0.conj())[None, None]
+        spec = LindbladSpec.from_params(params, space)
+        with mock.patch.object(dynamics, "off_n_blocks",
+                               wraps=hilbert.off_n_blocks) as scan:
+            blocks = list(lindblad_blocks([spec], rho0, [config], n0=2, block_records=7))
+        assert scan.call_count == len(blocks) > 1
+        for _, states, (w, v) in blocks:
+            flat = states.reshape(-1, space.dim, space.dim)
+            assert equals_eigh(flat, 2, w.reshape(-1, 2), v.reshape(-1, space.dim, 2))
 
 
 class TestCPTPHealth:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrjc.dynamics import (
     IntegratorConfig,
@@ -165,6 +167,24 @@ class TestNegativityDelta:
             base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG))
         a = np.array([(r[2], r[3]) for r in shifted.rows])
         b = np.array([(r[2], r[3]) for r in reference.rows])
+        assert np.abs(a - b).max() < 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(chi=st.floats(-1.0, 1.0), start=st.floats(-4.0, 3.5),
+           span=st.floats(0.05, 0.5), rates=st.tuples(*[st.floats(0.0, 0.3)] * 3))
+    def test_chi_shift_symmetry_off_the_default_grid(self, chi, start, span, rates):
+        # the Kerr term shifts sector 1 by chi (delta -> delta - chi) and
+        # every channel leaves it for sector 0, so the negativities at
+        # (delta, chi) equal those at (delta - chi, 0), on a short grid,
+        # under random rates; the bound is criterion 5's, fixed beforehand
+        grid = tuple(np.linspace(start, start + span, 3))
+        shifted, reference = (run_sweep(default_spec(
+            "negativity_delta", grid=values, base_params=ModelParams(delta=0.0, chi=c),
+            open_rates=rates, periods=1.0, record_stride=16))
+            for values, c in ((grid, chi), (tuple(g - chi for g in grid), 0.0)))
+        a = np.array([r[1:] for r in shifted.rows])
+        b = np.array([r[1:] for r in reference.rows])
+        assert a.shape == b.shape == (3 * 126, 3)
         assert np.abs(a - b).max() < 1e-9
 
 

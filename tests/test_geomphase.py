@@ -108,17 +108,19 @@ def per_sample_track(times, all_w, all_v):
     return vectors, eigenvalues, floor
 
 
-def fed_in_blocks(times, all_w, all_v, lengths):
+def fed_in_blocks(times, all_w, all_v, lengths, sector=None, full=(False,)):
     """One ``BranchTracker`` fed the points stacked on axis 0 (``times`` is
     (b, n)) in blocks of the given lengths, cycled: (tracked eigenvalues,
-    tracked vectors, the tracker)."""
+    tracked vectors, the tracker).  With ``sector``, eigenpairs of fewer
+    columns, block k takes those unless ``full[k]`` (cycled)."""
     tracker = BranchTracker()
     blocks = []
     start, k = 0, 0
     while start < times.shape[1]:
         stop = start + lengths[k % len(lengths)]
-        blocks.append(tracker.extend(times[:, start:stop], all_w[:, start:stop],
-                                     all_v[:, start:stop]))
+        w, v = sector if sector is not None and not full[k % len(full)] else (all_w, all_v)
+        blocks.append(tracker.extend(times[:, start:stop], w[:, start:stop],
+                                     v[:, start:stop]))
         start, k = stop, k + 1
     w, v = zip(*blocks)
     return np.concatenate(w, axis=1), np.concatenate(v, axis=1), tracker
@@ -491,6 +493,88 @@ class TestTracking:
         traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
         with pytest.raises(TrackingError):
             track_dominant_eigenvector(traj)
+
+
+def sector_trajectories(n0, draws, r):
+    """Times and eigh's eigenpairs of synthetic density trajectories on the
+    reached space of sector n0 (d = 2 n0 + 2), block-diagonal in N, one per
+    (seed, crossing, pure) draw: the sector block U(t) diag(a, b) U(t)^dag
+    under a random rotation, its eigenvalues crossing inside the sector if
+    ``crossing``, a starts below one unless ``pure``, and the weight it
+    loses moving into the lower blocks, whose eigenvalues pass a and b."""
+    d, i = 2 * n0 + 2, 2 * n0 - 1
+    t = np.linspace(0.0, 1.0, r)
+    rhos = np.zeros((len(draws), r, d, d), dtype=complex)
+    for p, (seed, crossing, pure) in enumerate(draws):
+        rng = np.random.default_rng(seed)
+        kept = 1.0 - rng.uniform(0.0, 0.6) * t
+        first = 1.0 if pure else rng.uniform(0.6, 0.99)
+        last = rng.uniform(0.05, 0.45) if crossing else rng.uniform(0.6, first)
+        frac = first + (last - first) * t
+        x = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        angles, q = np.linalg.eigh((x + x.conj().T) / 2)
+        u = (q[None] * np.exp(-1j * np.outer(t, angles))[:, None]) @ q.conj().T
+        rhos[p, :, i:i + 2, i:i + 2] = (u * np.stack((kept * frac, kept * (1 - frac)),
+                                                     axis=1)[:, None]) @ u.conj().transpose(0, 2, 1)
+        shares = rng.dirichlet(np.ones(n0))  # |g,0> and the 2x2 blocks N < n0
+        rhos[p, :, 0, 0] = shares[0] * (1 - kept)
+        for n, share in enumerate(shares[1:], start=1):
+            y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            shape = y @ y.conj().T
+            rhos[p, :, 2 * n - 1:2 * n + 1, 2 * n - 1:2 * n + 1] = (
+                share * (1 - kept)[:, None, None] * shape / np.trace(shape).real)
+    return np.tile(t, (len(draws), 1)), *np.linalg.eigh(rhos)
+
+
+def sector_columns(w, v, n0):
+    """The two columns of eigh's (b, r, d) and (b, r, d, d) eigenpairs that lie
+    on the block of sector n0; every other one is exactly zero there."""
+    b, r, d = w.shape
+    on = (v[:, :, 2 * n0 - 1:2 * n0 + 1] != 0).any(axis=2)
+    assert (on.sum(axis=2) == 2).all()
+    cols = np.flatnonzero(on).reshape(b, r, 2) % d
+    return np.take_along_axis(w, cols, 2), np.take_along_axis(v, cols[:, :, None], 3)
+
+
+class TestStartSectorColumns:
+    """``BranchTracker`` fed only the start sector's two eigenpairs, as
+    ``dynamics._block_eigh`` gives them, tracks as it does fed all of eigh's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n0=st.integers(1, 3),
+           draws=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans(),
+                                    st.sampled_from([True, True, False])),
+                          min_size=1, max_size=4),
+           r=st.integers(20, 90),
+           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           full=st.lists(st.booleans(), min_size=1, max_size=4))
+    def test_same_track_as_every_column(self, n0, draws, r, lengths, full):
+        times, w, v = sector_trajectories(n0, draws, r)
+        sector = sector_columns(w, v, n0)
+        want = fed_in_blocks(times, w, v, lengths)
+        # only the sector's columns in every block, then block by block
+        # either those or all of eigh's, as a stack with an entry between
+        # N blocks gives them
+        for got in (fed_in_blocks(times, w, v, lengths, sector),
+                    fed_in_blocks(times, w, v, lengths, sector, full)):
+            assert list(got[2].failed) == list(want[2].failed)
+            assert [str(e) for e in got[2].failed.values()] \
+                == [str(e) for e in want[2].failed.values()]
+            tracked = [p for p in range(len(draws)) if p not in want[2].failed]
+            for a, b in zip(got[:2], want[:2]):
+                assert a[tracked].tobytes() == b[tracked].tobytes()
+            assert got[2].floor[tracked].tobytes() == want[2].floor[tracked].tobytes()
+        assert set(want[2].failed) >= {p for p, (_, _, pure) in enumerate(draws)
+                                       if not pure}
+
+    def test_crossing_inside_the_sector_is_followed(self):
+        # the tracked eigenvalue starts as the sector's larger one and ends
+        # as its smaller one: the pick moves from one column to the other
+        times, w, v = sector_trajectories(2, [(5, True, True)], 60)
+        sector = sector_columns(w, v, 2)
+        got_w, _, tracker = fed_in_blocks(times, w, v, [7], sector)
+        assert not tracker.failed
+        assert got_w[0, 0] == sector[0][0, 0, 1] and got_w[0, -1] == sector[0][0, -1, 0]
 
 
 class TestOpenPhases:
