@@ -188,6 +188,9 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     kind = config["sweep.kind"]
     if kind == "":
         raise ConfigError("sweep.kind is required")
+    if config["initial.n"] != 1:
+        raise ConfigError(f"sweeps start in sector 1, and initial.n = {config['initial.n']} "
+                          "is read only by evolve: set initial.n = 1")
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
@@ -245,8 +248,6 @@ def dispatch(config: dict) -> int:
     print(f"wrote {csv_path}")
     if not config["output.emit_svg"]:
         print("svg output disabled", file=sys.stderr)
-    elif not result.rows:
-        print("warning: empty result, no SVG written", file=sys.stderr)
     else:
         for path in KINDS[spec.kind].chart(result, outdir):
             print(f"wrote {path}")

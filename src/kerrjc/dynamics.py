@@ -47,9 +47,10 @@ NORM_DRIFT_TOL = 1e-10
 # rounding from a growing mode; the density checks bound what it lets through
 HOP_RADIUS_TOL = 1e-12
 # complex entries (records x trajectories x d^2) in one block of
-# closed_blocks or lindblad_blocks (1 MiB); the block's checks and reducers
-# build a few d x d matrices per sample, so a closed block counts d^2 per
-# state too, and no whole trajectory of a sweep is ever held
+# lindblad_blocks, or (records x trajectories x width^2) in one of
+# closed_blocks (1 MiB); the block's checks and reducers build a few d x d
+# (width x width) matrices per sample, and no whole trajectory of a sweep
+# is ever held
 BLOCK_ENTRIES = 1 << 16
 # LAPACK's dlamch constants and the thresholds at which zheevd (the matrix),
 # zlarfg (a reflector) and zsteqr (a 2x2 block) rescale: ``_block_eigh``
@@ -219,27 +220,26 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
 def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (n, 2) and eigenvector columns (n, d, 2) of the block
     {|e,n0-1>, |g,n0>} of each matrix of a Hermitian stack with N blocks
-    ``blocks`` (``hilbert.n_blocks``; None: ``np.linalg.eigh``, every
-    column), as eigh (LAPACK zheevd) gives them, bit for bit, by zheevd's
-    own operations, one float64 ufunc each: zhetd2 makes the lower coherence
-    real with zlarfg's reflector (none when it is real) and updates the
-    |g,n0> population by its rank-2 step; zsteqr leaves the block as two
-    1x1 blocks if either of its split tests passes, and rotates it by
-    dlaev2's eigenvectors otherwise; zunmtr applies the reflector to the
-    |g,n0> row.  With one 2x2 block, as on every sweep's reached space, the
-    zeros off the block carry LAPACK's signs too; with more, another
-    block's reflector can turn a -0.0 into 0.0.  Records that LAPACK would
-    rescale (the largest entry outside [_RMIN, _RMAX], a complex coherence
-    below _BETA_MIN, or a rotated block with its largest entry outside
-    [_SSFMIN, _SSFMAX]) take eigh's two columns on the block instead.
+    ``blocks`` (``hilbert.n_blocks``), as eigh (LAPACK zheevd) gives them for
+    that 2x2 block alone, bit for bit and in either order, with +0.0 off the
+    block.  It repeats zheevd's own operations, one float64 ufunc each:
+    zhetd2 makes the lower coherence real with zlarfg's reflector (none when
+    it is real) and updates the |g,n0> population by its rank-2 step;
+    zsteqr leaves the block as two 1x1 blocks if either of its split tests
+    passes, and rotates it by dlaev2's eigenvectors otherwise; zunmtr
+    applies the reflector to the |g,n0> row.  Blocks that LAPACK would
+    rescale (their largest entry outside [_RMIN, _RMAX], a complex
+    coherence below _BETA_MIN, or a rotated block with its largest entry
+    outside [_SSFMIN, _SSFMAX]) are left to eigh.  A stack with an entry
+    between N blocks (``blocks`` None) raises ValueError.
     """
     if blocks is None:
-        return np.linalg.eigh(rhos)
+        raise ValueError("eigenvector tracking needs density matrices block-diagonal in N")
     n, d = rhos.shape[:2]
     diag, _, lower = blocks
-    pops = diag.real
     i = 2 * n0 - 1  # |e,n0-1>; |g,n0> is i + 1
-    d1, c, zr, zi = pops[:, i], pops[:, i + 1], lower.real[:, n0 - 1], lower.imag[:, n0 - 1]
+    d1, c, z = diag.real[:, i], diag.real[:, i + 1], lower[:, n0 - 1]
+    zr, zi = z.real, z.imag
     cplx = zi != 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # zlarfg: beta = -sign(dlapy3(zr, zi, 0), zr), tau = (beta - z) / beta
@@ -279,34 +279,27 @@ def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarr
         cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
 
     w = np.stack((np.where(rotated, rt1, d1), np.where(rotated, rt2, d2)), axis=1)
-    # zlasr rotates the identity's block columns as complex numbers: the
-    # imaginary parts stay 0.0, the zeros off the block get c*0 and s*0
+    # zlasr rotates the identity's columns as complex numbers: the
+    # imaginary parts stay 0.0, and a rotated block's cs1 and sn1 are never
+    # zero, so the identity's zeros add nothing, not even a sign
     v = np.zeros((n, d, 2), dtype=complex)
-    re, zero = v.real, np.zeros_like(cs1)
-    re[:, :, 0] = np.where(rotated, sn1 * zero + cs1 * zero, 0.0)[:, None]
-    re[:, :, 1] = np.where(rotated, cs1 * zero - sn1 * zero, 0.0)[:, None]
-    re[:, i, 0] = np.where(rotated, sn1 * zero + cs1, 1.0)
-    re[:, i, 1] = np.where(rotated, cs1 * zero - sn1, 0.0)
+    re = v.real
+    re[:, i, 0] = np.where(rotated, cs1, 1.0)
+    re[:, i, 1] = np.where(rotated, -sn1, 0.0)
     # zunmtr: the reflector scales the |g,n0> row by 1 - tau (zgemv, zgerc)
-    for col, x in enumerate((np.where(rotated, sn1 + cs1 * zero, 0.0),
-                             np.where(rotated, cs1 - sn1 * zero, 1.0))):
+    for col, x in enumerate((np.where(rotated, sn1, 0.0), np.where(rotated, cs1, 1.0))):
         re[:, i + 1, col] = np.where(cplx, x - tau_r * x, x)
         v.imag[:, i + 1, col] = np.where(cplx, 0.0 - tau_i * x, 0.0)
 
-    # the largest entry of each record's lower triangle, as zlanhe finds it,
-    # and of the block zsteqr scales (its d1, d2 and e)
-    anorm = np.maximum(reduce(np.maximum, np.abs(pops).T), reduce(np.maximum, np.abs(lower).T))
+    # the block's largest entry, as zlanhe finds it, and as zsteqr finds it
+    # in the tridiagonal block (d1, d2, e)
+    anorm = np.maximum(np.maximum(np.abs(d1), np.abs(c)), np.abs(z))
     block = np.maximum(np.maximum(ad1, ad2), ae)
     lapack = (~(anorm <= _RMAX) | ((anorm > 0) & (anorm < _RMIN))
               | (cplx & (np.abs(beta) < _BETA_MIN))
               | (coupled & ~((block >= _SSFMIN) & (block <= _SSFMAX))))
     if lapack.any():
-        w_all, v_all = np.linalg.eigh(rhos[lapack])
-        # the two columns with weight on the start sector; the others have none
-        weight = np.abs(v_all[:, i]) + np.abs(v_all[:, i + 1])
-        cols = np.sort(np.argpartition(weight, d - 2, axis=1)[:, -2:], axis=1)
-        w[lapack] = np.take_along_axis(w_all, cols, 1)
-        v[lapack] = np.take_along_axis(v_all, cols[:, None], 2)
+        w[lapack], v[lapack, i:i + 2] = np.linalg.eigh(rhos[lapack, i:i + 2, i:i + 2])
     return w, v
 
 
@@ -338,7 +331,7 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     full state, which keeps every dot product of the full product, while
     the other components stay +0.0.  A ValueError before the first step
     refuses legs whose steps' nonzero pattern links their initial support
-    to any other component.  By default r keeps r*b*d^2 within
+    to any other component.  By default r keeps r*b*width^2 within
     BLOCK_ENTRIES; a caller passes its own r.
     """
     configs = list(configs)
@@ -364,17 +357,17 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     # the rows of the steps that can be nonzero: each is the dot product of
     # a full row with the full state, as in the (b, d, d) product
     rows = np.ascontiguousarray(steps[:, :width])
-    # step buffers: two ping-pong columns, and the conjugate and the inner
-    # product of each norm; rows from width on are never written or divided
-    col, nxt, conj = (np.zeros((b, d, 1), dtype=complex) for _ in range(3))
+    # step buffers: two ping-pong columns and the inner product of each
+    # norm; rows from width on are never written or divided
+    col, nxt = (np.zeros((b, d, 1), dtype=complex) for _ in range(2))
     col[:, :, 0] = cols
     col_rows, nxt_rows = col[:, :width], nxt[:, :width]
     dot = np.empty((b, 1, 1), dtype=complex)
-    conj_row, dot_re = conj.transpose(0, 2, 1), dot.real
+    dot_col, dot_re = dot[:, 0], dot.real
     n_rec = n_steps // stride + 1
     spacing = np.array([[c.dt * stride] for c in configs])
     if block_records is None:
-        block_records = max(1, BLOCK_ENTRIES // (b * d * d))
+        block_records = max(1, BLOCK_ENTRIES // (b * width * width))
     norms = np.empty((min(block_records, n_rec) * stride, b, 1, 1))  # a block's steps
     drift = np.zeros(b)
     for start in range(0, n_rec, block_records):
@@ -386,8 +379,7 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
             if start + k:
                 for _ in range(stride):
                     np.matmul(rows, col, out=nxt_rows)
-                    np.conjugate(nxt, out=conj)
-                    np.matmul(conj_row, nxt, out=dot)
+                    np.vecdot(nxt, nxt, axis=1, out=dot_col)
                     nxt_rows /= np.sqrt(dot_re, out=norms[i])
                     col, nxt, col_rows, nxt_rows = nxt, col, nxt_rows, col_rows
                     i += 1
@@ -423,9 +415,10 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
     ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block is
     scanned once for N blocks and passes the density checks as one
     (b*r, d, d) stack.  Given the start sector ``n0`` of the initial
-    states, ``eig`` is its block's eigenpairs (``_block_eigh``), (b, r, m)
-    and (b, r, d, m), m = 2 (or d, if the stack is not block-diagonal);
-    otherwise it is None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES.
+    states, ``eig`` is its 2x2 block's two eigenpairs (``_block_eigh``),
+    (b, r, 2) and (b, r, d, 2), and a stack with an entry between N blocks
+    raises ValueError; otherwise it is None.  By default r keeps r*b*d^2
+    within BLOCK_ENTRIES.
     Before the first product, hops whose spectral radius on the reachable
     entries of vec(rho) exceeds 1 + HOP_RADIUS_TOL raise PositivityError.
     """
@@ -468,7 +461,7 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
         _check_density_stack(flat, block_times.reshape(-1), blocks)
         eig = None if n0 is None else _block_eigh(flat, n0, blocks)
         yield block_times, states.reshape(b, r, d, d), None if eig is None else (
-            eig[0].reshape(b, r, -1), eig[1].reshape(b, r, d, -1))
+            eig[0].reshape(b, r, 2), eig[1].reshape(b, r, d, 2))
 
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,

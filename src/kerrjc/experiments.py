@@ -368,11 +368,9 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
         members[-1] += group
 
     _, configs, hs = zip(*setup)
-    # both legs' reducers build reached-space d x d matrices per state, so
-    # one bound sizes both legs' blocks
-    closed = kind.closed(spec, reached, closed_blocks(
-        hs, psi0s, configs, block_records=max(1, BLOCK_ENTRIES // (len(points) * d * d)),
-        width=d))
+    # the closed legs record the reached space and size their blocks by it,
+    # as the open legs do: both legs' reducers build d x d matrices per state
+    closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
     opened = [None] * len(points)
     jobs = [(spec, chunk, reached) for chunk in chunks]
     for indices, results in zip(members, _map_chunks(kind.group, jobs, spec.workers)):

@@ -183,10 +183,11 @@ class BranchTracker:
     eigenpairs may come in any column order, even one that changes from
     sample to sample, and need not be all d of them: a column with zero
     overlap against every tracked vector, never picked and never among the
-    top two overlaps, can be left out, as ``dynamics._block_eigh`` leaves
-    out all but the start sector's.  Selection assumes each point's picked
-    column index stays put: one batched pass gives every sample's (b, r, m)
-    |overlaps|, each summed down its column so that its bits do not depend
+    top two overlaps, can be left out.  ``dynamics._block_eigh`` gives only
+    the start sector's two, ``track_dominant_eigenvector`` all d of eigh's.
+    Selection assumes each point's picked column index stays put: one
+    batched pass gives every sample's (b, r, m) |overlaps|, each summed
+    down its column so that its bits do not depend
     on the column's place, and restarts after the first sample at which
     some point's best column differs (an eigenvalue crossing).  Only the
     phase fix is a per-sample recurrence.  The overlaps use the raw

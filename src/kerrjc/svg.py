@@ -33,6 +33,33 @@ def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+def _write_chart(path, title: str, body: list[str],
+                 lines: list[tuple[str, str, str, str]]) -> None:
+    """Write one chart: the white page and its ``title``, the ``body``
+    elements, then each of ``lines`` (label, polyline points, color, stroke
+    width) as a polyline with its legend entry."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15" '
+        f'font-family="sans-serif">{title}</text>',
+        *body,
+    ]
+    for i, (label, pts, color, width) in enumerate(lines):
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="{width}"/>')
+        ly = MARGIN + 16 + 15 * i
+        parts.append(f'<line x1="{WIDTH - MARGIN - 110}" y1="{ly - 4}" '
+                     f'x2="{WIDTH - MARGIN - 88}" y2="{ly - 4}" stroke="{color}" '
+                     f'stroke-width="2"/>')
+        parts.append(f'<text x="{WIDTH - MARGIN - 82}" y="{ly}" font-size="11" '
+                     f'font-family="sans-serif">{label}</text>')
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 def line_chart(series: list[tuple[str, np.ndarray, np.ndarray]], path,
                title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Write a labeled multi-series line chart. ``series`` is (label, x, y)."""
@@ -56,52 +83,33 @@ def line_chart(series: list[tuple[str, np.ndarray, np.ndarray]], path,
     def py(y):
         return HEIGHT - MARGIN - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * MARGIN)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{title}</text>',
-    ]
     # frame and ticks
-    parts.append(f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
-                 f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#888"/>')
+    body = [f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
+            f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#888"/>']
     for xv in _axis_ticks(x_lo, x_hi):
-        parts.append(f'<text x="{_f(px(xv))}" y="{HEIGHT - MARGIN + 18}" '
-                     f'text-anchor="middle" font-size="11" '
-                     f'font-family="sans-serif">{xv:.3g}</text>')
+        body.append(f'<text x="{_f(px(xv))}" y="{HEIGHT - MARGIN + 18}" '
+                    f'text-anchor="middle" font-size="11" '
+                    f'font-family="sans-serif">{xv:.3g}</text>')
     for yv in _axis_ticks(y_lo, y_hi):
-        parts.append(f'<text x="{MARGIN - 6}" y="{_f(py(yv) + 4)}" '
-                     f'text-anchor="end" font-size="11" '
-                     f'font-family="sans-serif">{yv:.3g}</text>')
-    parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-                 f'font-size="12" font-family="sans-serif">{xlabel}</text>')
-    parts.append(f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" font-size="12" '
-                 f'font-family="sans-serif" transform="rotate(-90 16 {HEIGHT // 2})">'
-                 f'{ylabel}</text>')
+        body.append(f'<text x="{MARGIN - 6}" y="{_f(py(yv) + 4)}" '
+                    f'text-anchor="end" font-size="11" '
+                    f'font-family="sans-serif">{yv:.3g}</text>')
+    body.append(f'<text x="{WIDTH // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
+                f'font-size="12" font-family="sans-serif">{xlabel}</text>')
+    body.append(f'<text x="16" y="{HEIGHT // 2}" text-anchor="middle" font-size="12" '
+                f'font-family="sans-serif" transform="rotate(-90 16 {HEIGHT // 2})">'
+                f'{ylabel}</text>')
 
+    lines = []
     for i, (label, x, y) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         ok = np.isfinite(y)
-        pts = _points(px(x[ok]), py(y[ok]))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.4"/>')
-        ly = MARGIN + 16 + 15 * i
-        parts.append(f'<line x1="{WIDTH - MARGIN - 110}" y1="{ly - 4}" '
-                     f'x2="{WIDTH - MARGIN - 88}" y2="{ly - 4}" stroke="{color}" '
-                     f'stroke-width="2"/>')
-        parts.append(f'<text x="{WIDTH - MARGIN - 82}" y="{ly}" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
-
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        lines.append((label, _points(px(x[ok]), py(y[ok])), PALETTE[i % len(PALETTE)], "1.4"))
+    _write_chart(path, title, body, lines)
 
 
-def bloch_chart(series: list[tuple[str, np.ndarray]], path, title: str = "",
-                axis: tuple[float, float, float] | None = None) -> None:
+def bloch_chart(series: list[tuple[str, np.ndarray]], path, title: str = "") -> None:
     """Orthographic projection of 3-D Bloch trajectories. ``series`` is (label, (N,3))."""
     az, el = math.radians(55.0), math.radians(22.0)
     e1 = np.array([-math.sin(az), math.cos(az), 0.0])
@@ -114,43 +122,18 @@ def bloch_chart(series: list[tuple[str, np.ndarray]], path, title: str = "",
         pts = np.asarray(pts, dtype=float)
         return np.column_stack([cx + scale * (pts @ e1), cy - scale * (pts @ e2)])
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{title}</text>',
-        f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(scale)}" fill="none" '
-        f'stroke="#bbb"/>',
-    ]
+    body = [f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(scale)}" fill="none" '
+            f'stroke="#bbb"/>']
     for name, vec in (("x", [1.2, 0, 0]), ("y", [0, 1.2, 0]), ("z", [0, 0, 1.2])):
         tip = project(np.array([vec]))[0]
-        parts.append(f'<line x1="{_f(cx)}" y1="{_f(cy)}" x2="{_f(tip[0])}" '
-                     f'y2="{_f(tip[1])}" stroke="#ccc"/>')
-        parts.append(f'<text x="{_f(tip[0])}" y="{_f(tip[1])}" font-size="11" '
-                     f'font-family="sans-serif">{name}</text>')
-    if axis is not None:
-        tip = project(np.array([axis]) * 1.1)[0]
-        parts.append(f'<line x1="{_f(cx)}" y1="{_f(cy)}" x2="{_f(tip[0])}" '
-                     f'y2="{_f(tip[1])}" stroke="#111" stroke-width="2"/>')
-        parts.append(f'<text x="{_f(tip[0] + 4)}" y="{_f(tip[1])}" font-size="11" '
-                     f'font-family="sans-serif">axis</text>')
+        body.append(f'<line x1="{_f(cx)}" y1="{_f(cy)}" x2="{_f(tip[0])}" '
+                    f'y2="{_f(tip[1])}" stroke="#ccc"/>')
+        body.append(f'<text x="{_f(tip[0])}" y="{_f(tip[1])}" font-size="11" '
+                    f'font-family="sans-serif">{name}</text>')
 
     styles = {"unitary": ("#1f2430", "2"), "rho_proj": ("#9fd6ef", "1.4"),
               "eigvec": ("#2460a7", "1.4")}
-    for i, (label, pts) in enumerate(series):
-        color, width = styles.get(label, (PALETTE[i % len(PALETTE)], "1.4"))
-        proj = project(pts)
-        chain = _points(proj[:, 0], proj[:, 1])
-        parts.append(f'<polyline points="{chain}" fill="none" stroke="{color}" '
-                     f'stroke-width="{width}"/>')
-        ly = MARGIN + 16 + 15 * i
-        parts.append(f'<line x1="{WIDTH - MARGIN - 110}" y1="{ly - 4}" '
-                     f'x2="{WIDTH - MARGIN - 88}" y2="{ly - 4}" stroke="{color}" '
-                     f'stroke-width="2"/>')
-        parts.append(f'<text x="{WIDTH - MARGIN - 82}" y="{ly}" font-size="11" '
-                     f'font-family="sans-serif">{label}</text>')
-
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    lines = [(label, _points(*project(pts).T),
+              *styles.get(label, (PALETTE[i % len(PALETTE)], "1.4")))
+             for i, (label, pts) in enumerate(series)]
+    _write_chart(path, title, body, lines)

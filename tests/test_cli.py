@@ -226,6 +226,23 @@ class TestDispatch:
             assert "sweep.m_values" in capsys.readouterr().err
         assert integrated == []
 
+    @pytest.mark.parametrize("command", [["sweep", "--kind", "gp_delta"], ["bloch"]])
+    def test_sweep_start_sector_other_than_one_rejected(self, tmp_path, capsys,
+                                                        monkeypatch, command):
+        # sweeps start in sector 1: another initial.n is refused before
+        # anything is integrated or written
+        import kerrjc.experiments as ex
+        integrated = []
+        monkeypatch.setattr(ex, "closed_blocks", lambda *args, **kw: integrated.append(args))
+        code = main([*command, "--out", str(tmp_path), "--no-timestamp",
+                     "--set", "initial.n=2"])
+        assert code == EXIT_CONFIG
+        assert "initial.n" in capsys.readouterr().err
+        assert integrated == []
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ConfigError, match="initial.n"):
+            sweep_spec_from_config(parse_config("sweep.kind = gp_delta\ninitial.n = 3\n"))
+
     def test_coarse_grid_exit_names_keys(self, tmp_path, capsys):
         code = main(["sweep", "--kind", "gp_delta", "--out", str(tmp_path), "--no-svg",
                      "--set", "integrator.steps_per_period=4",

@@ -453,27 +453,25 @@ class TestBlockChecks:
 EIGH = np.linalg.eigh  # unpatched by the spies below
 
 
-def eigh_sector(rhos, n0):
-    """eigh's eigenpairs of an N-block-diagonal stack that lie on the block
-    of sector n0, {|e,n0-1>, |g,n0>}: (n, 2) and (n, d, 2), in eigh's order.
-    Every other column is exactly zero on that block."""
-    w, v = EIGH(rhos)
-    on = (v[:, 2 * n0 - 1:2 * n0 + 1] != 0).any(axis=1)
-    assert (on.sum(axis=1) == 2).all()
-    cols = np.flatnonzero(on).reshape(-1, 2) % rhos.shape[-1]
-    return np.take_along_axis(w, cols, 1), np.take_along_axis(v, cols[:, None], 2)
+def eigh_block(rhos, n0):
+    """eigh of the start-sector block {|e,n0-1>, |g,n0>} of each matrix of a
+    stack: (n, 2) eigenvalues and (n, d, 2) columns, +0.0 off the block."""
+    i = 2 * n0 - 1
+    w, v = EIGH(rhos[:, i:i + 2, i:i + 2])
+    padded = np.zeros((len(rhos), rhos.shape[-1], 2), dtype=complex)
+    padded[:, i:i + 2] = v
+    return w, padded
 
 
-def equals_eigh(rhos, n0, w, v, bits=False):
-    """The sector-n0 eigenpairs (w, v) of a stack equal eigh's, pair by pair
-    in either order: their values to ``==`` (``np.array_equal``), or with
-    ``bits`` byte for byte, signed zeros too."""
-    want_w, want_v = eigh_sector(rhos, n0)
+def equals_eigh(rhos, n0, w, v):
+    """The sector-n0 eigenpairs (w, v) of a stack equal ``eigh_block``'s
+    byte for byte, signed zeros and the +0.0 off the block included, pair
+    by pair in either order."""
+    want_w, want_v = eigh_block(rhos, n0)
 
     def same(a, b):  # per record
-        if bits:
-            a, b = (np.ascontiguousarray(x).view(np.uint8).reshape(len(x), -1) for x in (a, b))
-        return (a == b).reshape(len(a), -1).all(axis=1)
+        a, b = (np.ascontiguousarray(x).view(np.uint8).reshape(len(x), -1) for x in (a, b))
+        return (a == b).all(axis=1)
 
     return bool(np.logical_or(*(same(w[:, o], want_w) & same(v[:, :, o], want_v)
                                 for o in ([0, 1], [1, 0]))).all())
@@ -516,17 +514,16 @@ def block_case_stack(rng, n0, cases, scale):
 
 
 class TestBlockEigh:
-    """``_block_eigh`` gives eigh's eigenpairs of the start sector's block."""
+    """``_block_eigh`` gives eigh's eigenpairs of the start sector's 2x2 block."""
 
     @pytest.mark.parametrize("kind", ["gp_delta", "bloch_traj"])
     def test_every_open_record_of_a_sweep(self, kind, monkeypatch):
-        # every record takes the closed form (no eigh call) and gets eigh's
-        # bits: the reached space has one 2x2 block
+        # every record takes the closed form (no eigh call) and gets eigh's bits
         real, verdicts = dynamics._block_eigh, []
 
         def checked(rhos, n0, blocks):
             w, v = real(rhos, n0, blocks)
-            verdicts.append((len(rhos), equals_eigh(rhos, n0, w, v, bits=True)))
+            verdicts.append((len(rhos), equals_eigh(rhos, n0, w, v)))
             return w, v
 
         monkeypatch.setattr(dynamics, "_block_eigh", checked)
@@ -540,8 +537,7 @@ class TestBlockEigh:
     @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
            data=st.data(), exponent=st.floats(-12.0, 0.0))
     def test_equals_eigh_on_random_blocks(self, seed, n0, data, exponent):
-        # bit for bit with one 2x2 block; with more, another block's
-        # reflector can flip the sign of a zero in eigh's columns
+        # bit for bit at every start sector, whatever the other blocks hold
         cases = data.draw(st.lists(st.lists(st.sampled_from(BLOCK_CASES), min_size=n0,
                                             max_size=n0), min_size=1, max_size=12))
         rhos = block_case_stack(np.random.default_rng(seed), n0, cases, 10.0 ** exponent)
@@ -550,7 +546,7 @@ class TestBlockEigh:
             w, v = dynamics._block_eigh(rhos, sector, block_views(rhos))
         assert not eigh.called
         assert w.shape == (len(rhos), 2) and v.shape == (len(rhos), 2 * n0 + 2, 2)
-        assert equals_eigh(rhos, sector, w, v, bits=n0 == 1)
+        assert equals_eigh(rhos, sector, w, v)
 
     def test_split_tests_at_their_threshold(self):
         # real coherences (no reflector) within two ulps of zsteqr's first
@@ -563,29 +559,33 @@ class TestBlockEigh:
         rhos[:, 0, 0], rhos[:, 3, 3] = rng.random((2, a.size))
         rhos[:, 1, 1], rhos[:, 2, 2], rhos[:, 2, 1], rhos[:, 1, 2] = a, c, z, z
         got = dynamics._block_eigh(rhos, 1, block_views(rhos))
-        assert equals_eigh(rhos, 1, *got, bits=True)
+        assert equals_eigh(rhos, 1, *got)
 
     @pytest.mark.parametrize("scale", [1e-125, 1e-160, 1e-300, 1e160])
     def test_records_lapack_rescales_take_eigh(self, scale):
         # zsteqr rescales a 2x2 block below 1.2e-122, zheevd a matrix below
-        # 1e-146 or above 1e146: those records alone go to eigh, and give
-        # its two columns on the start sector
+        # 1e-146 or above 1e146: the start-sector blocks of those records
+        # alone go to eigh; scaling only the other blocks sends none there
         for n0 in (1, 2, 3):
+            i = 2 * n0 - 1
             rng = np.random.default_rng(7)
             rhos = n_block_stack(rng, SpaceSpec(n0), 6)
+            others = np.ones(2 * n0 + 2, dtype=bool)
+            others[i:i + 2] = False
+            rhos[np.ix_([2, 3], others, others)] *= scale
             rhos[[1, 4]] *= scale
             with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
                 got = dynamics._block_eigh(rhos, n0, block_views(rhos))
             assert eigh.call_count == 1
-            assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4]])
-            assert equals_eigh(rhos, n0, *got, bits=n0 == 1)
+            assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4], i:i + 2, i:i + 2])
+            assert equals_eigh(rhos, n0, *got)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
            size=st.integers(1, 6), cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
-    def test_eigh_only_off_the_blocks(self, seed, n0, size, cross):
-        # one nonzero entry between two N blocks, however small, sends the
-        # whole stack to eigh, which gives every column
+    def test_cross_block_stack_raises(self, seed, n0, size, cross):
+        # one nonzero entry between two N blocks, however small, is refused:
+        # tracking needs stacks block-diagonal in N, and eigh is never called
         spec = SpaceSpec(n0)
         rng = np.random.default_rng(seed)
         rhos = n_block_stack(rng, spec, size)
@@ -593,11 +593,10 @@ class TestBlockEigh:
         i, j = rng.choice(np.argwhere(n[:, None] != n))
         with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
             dynamics._block_eigh(rhos, n0, block_views(rhos))
-            assert not eigh.called
             rhos[rng.integers(size), i, j] = cross
-            got = dynamics._block_eigh(rhos, n0, block_views(rhos))
-            assert eigh.call_count == 1
-        assert all(np.array_equal(a, b) for a, b in zip(got, EIGH(rhos)))
+            with pytest.raises(ValueError, match="block-diagonal in N"):
+                dynamics._block_eigh(rhos, n0, block_views(rhos))
+        assert not eigh.called
 
     def test_one_scan_per_record_block(self):
         # lindblad_blocks scans each block of records once for entries

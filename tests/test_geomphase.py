@@ -553,8 +553,7 @@ class TestStartSectorColumns:
         sector = sector_columns(w, v, n0)
         want = fed_in_blocks(times, w, v, lengths)
         # only the sector's columns in every block, then block by block
-        # either those or all of eigh's, as a stack with an entry between
-        # N blocks gives them
+        # either those or all of eigh's
         for got in (fed_in_blocks(times, w, v, lengths, sector),
                     fed_in_blocks(times, w, v, lengths, sector, full)):
             assert list(got[2].failed) == list(want[2].failed)
