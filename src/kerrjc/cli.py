@@ -7,7 +7,8 @@ repeated ``--set key=value`` flags, then the dedicated flags (``--out``,
 ``--no-svg``, ``--no-timestamp``, ``--kind``).  ``experiments`` writes
 every output file: the CSVs and each kind's charts.
 
-Exit codes: 0 success, 1 config error (``ConfigError``), 2 truncation,
+Exit codes: 0 success, 1 config error (``ConfigError``, or a
+``MemoryError``: the space is too large), 2 truncation,
 3 tracking/phase or numerical failure (positivity guard, negativity
 cross-check) or an internal error (any other ``ValueError``), 4 I/O error.
 """
@@ -87,7 +88,7 @@ SCHEMA = {
     "sweep.open_gamma": (float, 0.1, "nonnegative"),
     "sweep.open_p": (float, 0.0, "nonnegative"),
     "sweep.open_p_z": (float, 0.01, "nonnegative"),
-    "sweep.workers": (int, 1, "positive"),
+    "sweep.workers": (int, 1, "positive"),  # 1 only: sweeps run in one process
     "output.dir": (str, None, None),
     "output.emit_svg": (_parse_bool, True, None),
     "output.timestamp": (_parse_bool, True, None),
@@ -147,6 +148,9 @@ def build_config(raw: dict[str, tuple[str, int]]) -> dict:
         # the tolerance of model.InitialStateSpec
         if not -1e-12 <= values[key] <= 2 * math.pi + 1e-12:
             raise ConfigError(f"{key} must lie in [0, 2*pi], got {values[key]}")
+    if values["sweep.workers"] != 1:
+        raise ConfigError(f"sweep.workers must be 1, got {values['sweep.workers']}: "
+                          "sweeps run in one process")
     m_values = values["sweep.m_values"]
     if not m_values or min(m_values) < 1 or len(set(m_values)) != len(m_values):
         raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1")
@@ -198,7 +202,7 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
                      open_rates=(config["sweep.open_gamma"], config["sweep.open_p"],
                                  config["sweep.open_p_z"]),
                      steps_per_period=config["integrator.steps_per_period"],
-                     n_max=config["space.n_max"], workers=config["sweep.workers"],
+                     n_max=config["space.n_max"],
                      grid=None if None in grid else tuple(np.linspace(*grid)),
                      record_stride=config["integrator.record_stride"],
                      periods=config["integrator.periods"])
@@ -339,6 +343,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("memory error: the states and operators do not fit in memory; "
+              "lower space.n_max", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         # a ValueError that is not a ConfigError is a fault of the program
         print(f"internal error: {exc}", file=sys.stderr)

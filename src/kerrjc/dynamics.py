@@ -64,7 +64,8 @@ _SSFMIN, _SSFMAX = 2.0 ** -511 / _EPS ** 2, 2.0 ** 511 / 3
 
 class PositivityError(RuntimeError):
     """A recorded density matrix violated trace/Hermiticity/positivity bounds,
-    or an RK4 hop would grow a mode that the density matrices reach."""
+    or an RK4 hop is not finite or would grow a mode that the density
+    matrices reach."""
 
 
 @dataclass(frozen=True)
@@ -419,8 +420,9 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
     (b, r, 2) and (b, r, d, 2), and a stack with an entry between N blocks
     raises ValueError; otherwise it is None.  By default r keeps r*b*d^2
     within BLOCK_ENTRIES.
-    Before the first product, hops whose spectral radius on the reachable
-    entries of vec(rho) exceeds 1 + HOP_RADIUS_TOL raise PositivityError.
+    Before the first product, hops with a non-finite entry, or whose
+    spectral radius on the reachable entries of vec(rho) exceeds
+    1 + HOP_RADIUS_TOL, raise PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -436,6 +438,8 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
     # are identical to stepping one dt at a time (up to float associativity)
     hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
                                             stride) for s, cfg in zip(specs, configs)])
+    if not np.isfinite(hops).all():
+        raise PositivityError("the RK4 hop is not finite (time step too large)")
     live = _reached(rho0s.reshape(g * c, d * d), hops)
     radius = np.abs(np.linalg.eigvals(hops[:, live][:, :, live])).max(initial=0.0)
     if radius > 1.0 + HOP_RADIUS_TOL:

@@ -1,20 +1,21 @@
 """Parameter sweeps: negativity, geometric-phase and Bloch data products.
 
 Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all.
-Sweeps are deterministic (no randomness anywhere in the pipeline) and
-assemble rows in grid order, so re-running an identical spec reproduces
-the CSV byte for byte.  The closed legs of all grid points advance in
-lockstep (``dynamics.closed_blocks``) on the full space in the calling
-process and record only the reached space (``hilbert.reached_space``,
-Fock levels 0..n0 of the start sector n0); the open legs and every
-negativity and Bloch series run on it, whose states and operators are
-exact slices of the full ones, and it sizes both legs' blocks.
-Grid points that share model parameters form one group, which builds its
-operators once; consecutive groups form a chunk, whose hop matrices hold
-at most ``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
-lockstep (``dynamics.lindblad_blocks``) as one job, tracked by one
-``BranchTracker``.  With ``workers > 1`` a process pool runs the chunk
-jobs, and the single writer reassembles the rows in grid order.
+Sweeps are deterministic (no randomness anywhere in the pipeline), run
+in one process and assemble rows in grid order, so re-running an
+identical spec reproduces the CSV byte for byte.  The closed legs of all
+grid points advance in lockstep (``dynamics.closed_blocks``) on the full
+space and record only the reached space (``hilbert.reached_space``, Fock
+levels 0..n0 of the start sector n0); the open legs and every negativity
+and Bloch series run on it, whose states and operators are exact slices
+of the full ones, and it sizes both legs' blocks.  Grid points that share
+model parameters form one group, which builds its operators once;
+consecutive groups form a chunk, whose hop matrices hold at most
+``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
+lockstep (``dynamics.lindblad_blocks``).  A kind reduces the blocks of
+either leg through the same interface, ``(spec, reached space, blocks) ->
+one reduction per point``; a ``tracked`` kind's open legs carry the start
+sector's eigenpairs, followed by one ``BranchTracker`` per chunk.
 
 This module writes every output file.  Each row layout is a column tuple
 and one ``%``-template next to it, each kind's row in ``KINDS`` names its
@@ -95,7 +96,6 @@ class SweepSpec:
     record_stride: int = 4
     periods: float = 6.0
     n_max: int = DEFAULT_N_MAX
-    workers: int = 1
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -136,13 +136,14 @@ class Kind:
     template: str  # one CSV row of ``columns``
     points: Callable  # spec -> (value, params, initial state) of every grid point
     closed: Callable  # (spec, reached space, closed_blocks) -> one reduction per point
-    group: Callable  # chunk job -> one open-leg reduction per point; picklable (the pool)
+    opened: Callable  # (spec, reached space, lindblad_blocks) -> one reduction per point
     rows: Callable  # (spec, value, period, closed, opened) -> the point's rows
     chart: Callable  # (result, outdir) -> the SVG files written
     checks: tuple[Callable, ...] = ()  # spec -> None, raise before any integration
     defaults: dict = field(default_factory=dict)  # the default_spec keywords
     horizon: Callable = attrgetter("periods")  # spec -> periods that every leg runs
     meta: Callable = lambda points, rows: {}  # -> the result's meta
+    tracked: bool = False  # the open legs yield the start sector's eigenpairs
 
 
 def default_spec(kind: str, **overrides) -> SweepSpec:
@@ -188,16 +189,6 @@ def _largest_m(spec: SweepSpec) -> float:
     return float(max(spec.m_values))
 
 
-def _open_blocks(job, decompose: bool = False):
-    """The open legs of one chunk job as ``lindblad_blocks``, on the reached space."""
-    _, groups, reached = job
-    params, psi0s, configs, hs, sectors = zip(*groups)
-    rho0s = np.array([[np.outer(psi0, psi0.conj()) for psi0 in group] for group in psi0s])
-    return lindblad_blocks([LindbladSpec.from_params(p, reached, h)
-                            for p, h in zip(params, hs)], rho0s, configs,
-                           n0=sectors[0] if decompose else None)
-
-
 def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
     """``fn`` of a (b, r, ...) block of states as one stack, shaped (b, r, ...)."""
     b, r = states.shape[:2]
@@ -205,28 +196,20 @@ def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
     return out.reshape(b, r, *out.shape[1:])
 
 
-def _closed_series(reached: SpaceSpec, blocks, fn) -> list[tuple]:
-    """(times, ``fn`` of every state) of every point's closed leg, on the
-    reached space."""
-    times, values = zip(*((block_times, _per_state(fn, states, reached))
-                          for block_times, states, _ in blocks))
-    return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
-
-
-def _neg_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
-    return _closed_series(reached, blocks, negativity)
-
-
-def _neg_group(job) -> np.ndarray:
-    """Open-leg negativities (points, records) of one chunk."""
-    return np.concatenate([_per_state(negativity, states, job[2])
-                           for _, states, _ in _open_blocks(job)], axis=1)
+def _series(fn) -> Callable:
+    """Reducer of either leg: (times, ``fn`` of every state) of every point,
+    on the reached space."""
+    def series(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
+        times, values = zip(*((block_times, _per_state(fn, states, reached))
+                              for block_times, states, _ in blocks))
+        return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
+    return series
 
 
 def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
-    times, neg_c = closed
+    (times, neg_c), (_, neg_o) = closed, opened
     return [(value, t, nc, no)
-            for t, nc, no in zip(times.tolist(), neg_c.tolist(), opened.tolist())]
+            for t, nc, no in zip(times.tolist(), neg_c.tolist(), neg_o.tolist())]
 
 
 def _gp_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
@@ -237,15 +220,16 @@ def _gp_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
     return list(zip(*chain.values))
 
 
-def _gp_group(job) -> list[Optional[tuple]]:
-    """Per point of one chunk: its open phase chain and tracked eigenvalue at
-    the checkpoints (kept block by block), or None if its tracking failed."""
-    checkpoints = np.array(_checkpoints(job[0]))
+def _gp_opened(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[Optional[tuple]]:
+    """Per point: its open phase chain and tracked eigenvalue at the
+    checkpoints (kept block by block), or None if its tracking failed."""
+    checkpoints = np.array(_checkpoints(spec))
     tracker, chain, seen = BranchTracker(), PhaseChain(checkpoints), 0
-    omegas = np.empty((sum(len(group[1]) for group in job[1]), checkpoints.size))
-    for times, _, eig in _open_blocks(job, decompose=True):
+    for times, _, eig in blocks:
         w, vectors = tracker.extend(times, *eig)
         chain.extend(vectors)
+        if not seen:
+            omegas = np.empty((len(w), checkpoints.size))
         here = (checkpoints >= seen) & (checkpoints < seen + w.shape[1])
         omegas[:, here] = w[:, checkpoints[here] - seen]
         seen += w.shape[1]
@@ -277,19 +261,14 @@ def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
     return rows
 
 
-def _bloch_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
-    return _closed_series(reached, blocks, bloch_series)
-
-
-def _bloch_group(job) -> list[tuple]:
-    """Per point of one chunk: the Bloch series of its density matrices and
-    of its tracked dominant eigenvector; a tracking failure aborts."""
-    space = job[2]
+def _bloch_opened(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
+    """Per point: the Bloch series of its density matrices and of its
+    tracked dominant eigenvector; a tracking failure aborts."""
     tracker = BranchTracker()
     rho, eigvec = [], []
-    for times, states, eig in _open_blocks(job, decompose=True):
-        rho.append(_per_state(bloch_series, states, space))
-        eigvec.append(_per_state(bloch_series, tracker.extend(times, *eig)[1], space))
+    for times, states, eig in blocks:
+        rho.append(_per_state(bloch_series, states, reached))
+        eigvec.append(_per_state(bloch_series, tracker.extend(times, *eig)[1], reached))
         for error in tracker.failed.values():
             raise error
     return list(zip(np.concatenate(rho, axis=1), np.concatenate(eigvec, axis=1)))
@@ -317,19 +296,16 @@ def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
               steps_per_period: int,
               record_stride: int) -> tuple[float, IntegratorConfig, np.ndarray]:
     """(period, integrator grid, H) of the legs that start in sector ``n``:
-    the grid spans ``periods`` Rabi periods of that sector."""
-    period = 2 * math.pi / sector_analytics(params, n).rabi_frequency
+    the grid spans ``periods`` Rabi periods of that sector, which must be
+    finite and positive."""
+    rabi = sector_analytics(params, n).rabi_frequency
+    period = 2 * math.pi / rabi if rabi > 0 else math.inf
+    if not 0 < period < math.inf:
+        raise ConfigError(f"the sector-{n} Rabi frequency is {rabi:g}, which gives no "
+                          "finite positive period: choose model.g, model.delta and "
+                          "model.chi on a scale nearer 1")
     config = IntegratorConfig.for_periods(period, periods, steps_per_period, record_stride)
     return period, config, hamiltonian(params, space)
-
-
-def _map_chunks(fn, jobs, workers: int):
-    if workers > 1:
-        # imported here: the pool's modules take a third of the package's import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(j) for j in jobs]
 
 
 def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
@@ -337,15 +313,15 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
 
     Points that share model parameters (and excitation sector) form one
     group: H, the period and the integrator grid are built once for it.
-    The closed legs of all points advance in lockstep here
-    (``closed_blocks``), record the ``reached`` space and are reduced block
-    by block.  The open legs run on it, with slices of H and the states.
-    Consecutive groups of one size and start sector form a chunk whose hops
-    hold at most BLOCK_ENTRIES entries (a group whose hop alone is larger is
-    a chunk by itself); the open legs of a chunk advance in lockstep as one
-    job, tracked on the eigenpairs of that start sector, mapped
-    by a process pool when ``spec.workers > 1``.  Each point's two
-    reductions then become its rows.
+    The closed legs of all points advance in lockstep (``closed_blocks``),
+    record the ``reached`` space and are reduced block by block.  The open
+    legs run on it, with slices of H and the states.  Consecutive groups of
+    one size and start sector form a chunk whose hops hold at most
+    BLOCK_ENTRIES entries (a group whose hop alone is larger is a chunk by
+    itself); the open legs of a chunk advance in lockstep
+    (``lindblad_blocks``, with that start sector's eigenpairs for a
+    ``tracked`` kind) and are reduced block by block, as the closed legs
+    are.  Each point's two reductions then become its rows.
     """
     space, d = spec.space, reached.dim
     groups: dict[tuple[ModelParams, int], list[int]] = {}
@@ -353,31 +329,31 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
         groups.setdefault((params, init.n), []).append(i)
     psi0s = [initial_state(init, space) for _, _, init in points]
     setup = [None] * len(points)  # (period, config, H) of each point's group
-    chunks, members = [], []  # the groups of each chunk job, and its point indices
+    chunks = []  # ((group size, start sector), the open legs of each group)
     per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
     for (params, n), group in groups.items():
         period, config, h = leg_setup(params, n, space, kind.horizon(spec),
                                       spec.steps_per_period, spec.record_stride)
         for i in group:
             setup[i] = (period, config, h)
-        if (not chunks or len(chunks[-1]) == per_chunk
-                or (len(chunks[-1][0][1]), chunks[-1][0][4]) != (len(group), n)):
-            chunks.append([])
-            members.append([])
-        chunks[-1].append((params, [psi0s[i][:d] for i in group], config, h[:d, :d], n))
-        members[-1] += group
+        if not chunks or chunks[-1][0] != (len(group), n) or len(chunks[-1][1]) == per_chunk:
+            chunks.append(((len(group), n), []))
+        chunks[-1][1].append((LindbladSpec.from_params(params, reached, h[:d, :d]),
+                              [np.outer(psi0s[i][:d], psi0s[i][:d].conj()) for i in group],
+                              config))
 
     _, configs, hs = zip(*setup)
     # the closed legs record the reached space and size their blocks by it,
     # as the open legs do: both legs' reducers build d x d matrices per state
     closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
-    opened = [None] * len(points)
-    jobs = [(spec, chunk, reached) for chunk in chunks]
-    for indices, results in zip(members, _map_chunks(kind.group, jobs, spec.workers)):
-        for i, result in zip(indices, results):
-            opened[i] = result
-    return [row for (value, _, _), (period, _, _), c, o in zip(points, setup, closed, opened)
-            for row in kind.rows(spec, value, period, c, o)]
+    reductions = []  # the open legs' reductions, group by group
+    for (_, n), legs in chunks:
+        specs, rho0s, configs = zip(*legs)
+        reductions += kind.opened(spec, reached, lindblad_blocks(
+            specs, np.array(rho0s), configs, n0=n if kind.tracked else None))
+    opened = dict(zip((i for group in groups.values() for i in group), reductions))
+    return [row for i, ((value, _, _), (period, _, _), c) in enumerate(zip(points, setup, closed))
+            for row in kind.rows(spec, value, period, c, opened[i])]
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
@@ -442,34 +418,34 @@ _DELTA_GRID = tuple(np.linspace(-4.0, 4.0, 81))
 KINDS = {
     # negativity vs time for a family of initial polar angles, on resonance
     "negativity_theta": Kind(
-        NEG_COLUMNS, NEG_ROW, _theta_points, _neg_closed, _neg_group, _neg_rows,
-        _neg_charts,
+        NEG_COLUMNS, NEG_ROW, _theta_points, _series(negativity), _series(negativity),
+        _neg_rows, _neg_charts,
         checks=(_resonant(math.pi / 2, "pi/2"),),
         defaults=dict(grid=tuple(np.linspace(0.0, math.pi / 2, 9)), record_stride=16)),
     # negativity vs time over a detuning grid, perpendicular initial states
     "negativity_delta": Kind(
-        NEG_COLUMNS, NEG_ROW, _delta_points, _neg_closed, _neg_group, _neg_rows,
-        _neg_charts,
+        NEG_COLUMNS, NEG_ROW, _delta_points, _series(negativity), _series(negativity),
+        _neg_rows, _neg_charts,
         defaults=dict(grid=_DELTA_GRID, record_stride=16,
                       base_params=ModelParams(delta=0.0, chi=0.0))),
     # phase difference vs initial polar angle at fixed sector-1 resonance
     "gp_theta": Kind(
-        GP_COLUMNS, GP_ROW, _theta_points, _gp_closed, _gp_group, _gp_rows, _gp_charts,
+        GP_COLUMNS, GP_ROW, _theta_points, _gp_closed, _gp_opened, _gp_rows, _gp_charts,
         checks=(_resonant(2 * math.pi, "2*pi"), _checkpoints),
         defaults=dict(grid=tuple(np.linspace(0.0, 2 * math.pi, 64))),
-        horizon=_largest_m),
+        horizon=_largest_m, tracked=True),
     # phase difference vs detuning, perpendicular initial states
     "gp_delta": Kind(
-        GP_COLUMNS, GP_ROW, _delta_points, _gp_closed, _gp_group, _gp_rows, _gp_charts,
+        GP_COLUMNS, GP_ROW, _delta_points, _gp_closed, _gp_opened, _gp_rows, _gp_charts,
         checks=(_checkpoints,), defaults=dict(grid=_DELTA_GRID),
-        horizon=_largest_m),
+        horizon=_largest_m, tracked=True),
     # unitary path, density projection and tracked-eigenvector path per case,
     # with a planarity figure against the unitary rotation axis for each
     "bloch_traj": Kind(
-        BLOCH_COLUMNS, BLOCH_ROW, _bloch_points, _bloch_closed, _bloch_group,
+        BLOCH_COLUMNS, BLOCH_ROW, _bloch_points, _series(bloch_series), _bloch_opened,
         _bloch_rows, _bloch_charts,
         checks=(_resonant(), _two_records), defaults=dict(grid=(0.0,), periods=3.0),
-        meta=_bloch_planarity),
+        meta=_bloch_planarity, tracked=True),
 }
 
 

@@ -124,7 +124,8 @@ def sector_analytics(params: ModelParams, n: int) -> SectorAnalytics:
         raise ValueError("sector index n must be >= 1")
     d, chi, g = params.delta, params.chi, params.g
     eff = d - chi * (2 * n - 1)
-    omega = math.sqrt(eff**2 + 4 * g * g * n)
+    # a float64 square overflows to inf, where a float's ** raises
+    omega = math.sqrt(np.float64(eff) ** 2 + 4 * g * g * n)
     e0 = (chi * (n - 1) ** 2 + chi * n**2) / 2
     ax = np.array([g * math.sqrt(n), 0.0, eff / 2])
     ax /= np.linalg.norm(ax)

@@ -28,8 +28,6 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
 
 
 def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 

@@ -122,7 +122,7 @@ RAW_TEXT = {
     "sweep.m_values": st.lists(st.integers(1, 50), max_size=4).map(
         lambda ms: ",".join(map(str, ms))),
     "sweep.open_gamma": _RATE, "sweep.open_p": _RATE, "sweep.open_p_z": _RATE,
-    "sweep.workers": _whole(),
+    "sweep.workers": st.one_of(st.just("1"), _whole()),  # 1 is its one accepted value
     "output.dir": st.one_of(st.just("runs/a b"), st.text()),
     "output.emit_svg": _BOOL, "output.timestamp": _BOOL,
 }
@@ -142,7 +142,7 @@ def test_config_round_trip(raw):
     except ConfigError as exc:
         assert any(key in str(exc) for key in ("sweep.kind", "output.dir", "sweep.m_values",
                                                "initial.theta0", "initial.phi0",
-                                               "initial.n"))
+                                               "initial.n", "sweep.workers"))
         return
     assert parse_config(serialize_config(config)) == config
 
@@ -326,6 +326,72 @@ class TestDispatch:
         assert "negativity formulas disagree" in err
         assert "integrator.steps_per_period" in err
 
+    def test_workers_other_than_one_refused_before_integrating(self, tmp_path, capsys,
+                                                               monkeypatch):
+        import kerrjc.experiments as ex
+        integrated = []
+        monkeypatch.setattr(ex, "closed_blocks", lambda *args, **kw: integrated.append(args))
+        for value in ("2", "0"):
+            code = main(["sweep", "--kind", "gp_delta", "--out", str(tmp_path),
+                         "--no-timestamp", "--set", f"sweep.workers={value}"])
+            assert code == EXIT_CONFIG
+            assert "sweep.workers" in capsys.readouterr().err
+        assert integrated == []
+        assert main(["validate-config", "--set", "sweep.workers=1"]) == EXIT_OK
+        assert "sweep.workers = 1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("setting", ["model.g=1e300", "model.chi=1e200", "model.g=1e-300"])
+    @pytest.mark.parametrize("command", [["sweep", "--kind", "gp_delta"], ["evolve"]])
+    def test_rabi_frequency_out_of_range_is_config_error(self, tmp_path, capsys,
+                                                         monkeypatch, command, setting):
+        # the period 2 pi / Omega of the start sector is 0 (an overflowing
+        # Omega) or undefined (Omega = 0 on resonance)
+        import kerrjc.dynamics as dyn
+        import kerrjc.experiments as ex
+        integrated = []
+        for module in (dyn, ex):
+            for name in ("closed_blocks", "lindblad_blocks"):
+                monkeypatch.setattr(module, name, lambda *args, **kw: integrated.append(args))
+        with np.errstate(all="ignore"):
+            code = main([*command, "--out", str(tmp_path), "--no-timestamp", "--no-svg",
+                         "--set", setting])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("model.g", "model.delta", "model.chi"))
+        assert integrated == []
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--set", "model.gamma=1e300"],
+        ["sweep", "--kind", "gp_delta", "--set", "sweep.open_gamma=1e300"],
+    ], ids=["evolve", "sweep"])
+    def test_non_finite_hop_exit(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *args: calls.append(args))
+        with np.errstate(all="ignore"):
+            code = main([*argv, "--out", str(tmp_path), "--no-timestamp", "--no-svg",
+                         "--set", "sweep.grid_start=0", "--set", "sweep.grid_stop=1",
+                         "--set", "sweep.grid_points=2", "--set", "sweep.m_values=1",
+                         "--set", "integrator.steps_per_period=100"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err
+        assert "RK4 hop is not finite" in err and "integrator.steps_per_period" in err
+        assert ("model.gamma" if argv[0] == "evolve" else "sweep.open_gamma") in err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [["sweep", "--kind", "gp_delta"], ["evolve"]])
+    def test_memory_error_exit(self, tmp_path, capsys, monkeypatch, command):
+        import kerrjc.experiments as ex
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(ex, "hamiltonian", exhausted)
+        code = main([*command, "--out", str(tmp_path), "--no-timestamp", "--no-svg"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "space.n_max" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_io_error_exit(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("not a directory")
@@ -474,8 +540,8 @@ class TestDispatch:
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # the pool's modules are a third of the package's import time; only a
-    # sweep with sweep.workers > 1 loads them
+    # sweeps run in one process, so nothing loads multiprocessing, whose
+    # modules would add a third to the package's import time
     probe = "import sys, kerrjc.cli; print('multiprocessing' in sys.modules)"
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -330,6 +330,18 @@ class TestEvolveLindblad:
         with pytest.raises(PositivityError):
             evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
 
+    def test_non_finite_hop_refused_before_eigvals(self, monkeypatch):
+        # a rate of 1e300 overflows the RK4 polynomial: the hop holds infs
+        # and NaNs, which eigvals would refuse with a ValueError
+        params = ModelParams(delta=0.5, chi=0.5, gamma=1e300)
+        psi0 = initial_state(InitialStateSpec(theta0=0.4), SPACE)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *args: calls.append(args))
+        with np.errstate(all="ignore"), pytest.raises(PositivityError, match="not finite"):
+            evolve_lindblad(LindbladSpec.from_params(params, SPACE),
+                            np.outer(psi0, psi0.conj()), resonant_config(1.0, 100))
+        assert calls == []
+
     def test_hop_check_ignores_unreached_modes(self):
         # |e1><e1| (N = 2) decays at gamma + p, too fast for ten RK4 steps per
         # period, so the whole hop is unstable; a leg from sector 1 never

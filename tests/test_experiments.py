@@ -222,6 +222,15 @@ class TestGpSweeps:
             assert min(off) > 0.05
             assert (np.diff(off) >= 0).all()
 
+    def test_unsorted_m_values_reorder_the_rows(self):
+        # omega_plus and both chains are kept by checkpoint position, not
+        # by the checkpoints' order in time
+        spec = default_spec("gp_delta", grid=(-1.0, 0.5, 2.0), m_values=(1, 3), **SMALL_GP)
+        rows = run_sweep(spec).rows
+        swapped = run_sweep(replace(spec, m_values=(3, 1))).rows
+        assert all(row[8] == "ok" for row in rows)
+        assert swapped == [rows[i + j] for i in range(0, len(rows), 2) for j in (1, 0)]
+
     def test_zero_rates_zero_everywhere(self):
         spec = default_spec("gp_delta", grid=(-1.0, 0.5, 2.0), m_values=(1,),
                             open_rates=(0.0, 0.0, 0.0), **SMALL_GP)
@@ -291,17 +300,6 @@ class TestCsvAndWorkers:
         write_sweep_csv(run_sweep(spec), path)
         header = [l for l in path.read_text().splitlines() if l.startswith("#")]
         assert any("steps_per_period" in l for l in header)
-
-    def test_worker_pool_matches_serial(self):
-        # one θ group of two points, three δ groups of one point each, and
-        # the two bloch cases
-        for kind, grid in (("gp_theta", (0.0, 0.9)), ("gp_delta", (-1.0, 0.5, 2.0)),
-                           ("bloch_traj", (0.0,))):
-            spec = default_spec(kind, grid=grid, m_values=(1,), **SMALL_GP)
-            serial = run_sweep(spec)
-            parallel = run_sweep(replace(spec, workers=2))
-            assert serial.rows == parallel.rows
-            assert serial.meta == parallel.meta
 
     def test_wrapped_column_is_wrap_of_raw(self, gp_theta_result):
         for row in gp_theta_result.rows:
@@ -464,23 +462,22 @@ class TestGroupedEngine:
         assert shapes[0] == (3, r, 4)
 
     def test_one_group_per_shared_parameter_set(self, monkeypatch):
+        import kerrjc.dynamics as dyn
         import kerrjc.experiments as ex
-        seen = []
-        real = ex._gp_group
+        shapes = []
 
-        def recording_group(job):
-            seen.append(job)
-            return real(job)
+        def recording(specs, rho0s, *args, **kwargs):
+            shapes.append(rho0s.shape)
+            return dyn.lindblad_blocks(specs, rho0s, *args, **kwargs)
 
-        for kind in ("gp_theta", "gp_delta"):
-            monkeypatch.setitem(ex.KINDS, kind, replace(ex.KINDS[kind], group=recording_group))
+        monkeypatch.setattr(ex, "lindblad_blocks", recording)
         run_sweep(default_spec("gp_theta", grid=(0.0, 1.0, 2.0), m_values=(1,),
                                **SMALL_GP))
         run_sweep(default_spec("gp_delta", grid=(-1.0, 0.5), m_values=(1,),
                                **SMALL_GP))
-        # the size of each group of each chunk job: one θ group of three
-        # points, then one chunk of two δ groups
-        assert [[len(group[1]) for group in job[1]] for job in seen] == [[3], [1, 1]]
+        # (groups, points per group, d, d) of each chunk: one θ chunk of one
+        # group of three points, then one δ chunk of two groups of one point
+        assert shapes == [(1, 3, 4, 4), (2, 1, 4, 4)]
 
     @pytest.mark.parametrize("kind,settings", [("gp_theta", GP_THETA_GROUP),
                                                ("gp_delta", DELTA_GRID)])
