@@ -53,8 +53,8 @@ HOP_RADIUS_TOL = 1e-12
 # is ever held
 BLOCK_ENTRIES = 1 << 16
 # LAPACK's dlamch constants and the thresholds at which zheevd (the matrix),
-# zlarfg (a reflector) and zsteqr (a 2x2 block) rescale: ``_block_eigh``
-# leaves such records to eigh
+# zlarfg (a reflector) and zsteqr or dsterf (a 2x2 block) rescale:
+# ``_block_eigh`` and ``information._replayed`` leave such records to LAPACK
 _EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
 _RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485  # sqrt(safmin / (2 eps)) and its inverse
 _BETA_MIN = _SAFMIN / _EPS
@@ -218,6 +218,20 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
                               "(time step too large)")
 
 
+def _dlae2(a, b, c):
+    """LAPACK dlae2: eigenvalues rt1, rt2 (|rt1| >= |rt2|) of each [[a, b], [b, c]] and
+    their distance rt, one float64 ufunc per operation; unused branches may warn."""
+    sm, adf, ab = a + c, np.abs(a - c), np.abs(b + b)
+    first = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(first, a, c), np.where(first, c, a)
+    rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) * (ab / adf)),
+                  np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) * (adf / ab)),
+                           ab * np.sqrt(2.0)))
+    rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))
+    rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    return rt1, rt2, rt
+
+
 def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (n, 2) and eigenvector columns (n, d, 2) of the block
     {|e,n0-1>, |g,n0>} of each matrix of a Hermitian stack with N blocks
@@ -260,21 +274,14 @@ def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarr
         coupled = ae > (np.sqrt(ad1) * np.sqrt(ad2)) * _EPS
         rotated = coupled & (ae * ae > (_EPS ** 2 * np.minimum(ad1, ad2))
                              * np.maximum(ad1, ad2) + _SAFMIN)
-        # dlaev2(d1, e, d2): eigenvalues rt1, rt2 and the rotation (cs, sn)
+        # dlaev2(d1, e, d2): dlae2's eigenvalues rt1, rt2 and the rotation (cs, sn)
+        rt1, rt2, rt = _dlae2(d1, e, d2)
         sm, df, tb = d1 + d2, d1 - d2, e + e
-        adf, ab = np.abs(df), np.abs(tb)
-        first = ad1 > ad2
-        acmx, acmn = np.where(first, d1, d2), np.where(first, d2, d1)
-        rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) * (ab / adf)),
-                      np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) * (adf / ab)),
-                               ab * np.sqrt(2.0)))
-        rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))
-        rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (e / rt1) * e)
         cs = np.where(df >= 0, df + rt, df - rt)
         ct, tn = -tb / cs, -cs / tb
         sn_a = 1.0 / np.sqrt(1.0 + ct * ct)
         cs_b = 1.0 / np.sqrt(1.0 + tn * tn)
-        wide = np.abs(cs) > ab
+        wide = np.abs(cs) > np.abs(tb)
         cs1, sn1 = np.where(wide, ct * sn_a, cs_b), np.where(wide, sn_a, tn * cs_b)
         swap = (sm < 0) == (df < 0)  # sgn1 == sgn2
         cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)

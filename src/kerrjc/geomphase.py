@@ -194,8 +194,8 @@ class BranchTracker:
     columns, carried across blocks, so feeding a trajectory in blocks, or
     beside other points, gives the same track, bit for bit, as feeding it
     whole and alone.  A point whose continuation fails is set aside in
-    ``failed`` (point index -> TrackingError), its later picks undefined,
-    and the others go on; ``floor`` holds each point's least picked overlap.
+    ``failed`` (point index -> TrackingError), its later picks undefined and
+    its ``floor`` NaN; ``floor`` holds each other point's least picked overlap.
     """
 
     def __init__(self):
@@ -256,6 +256,7 @@ class BranchTracker:
             k += stop
             j = best[:, stop - 1]
             col = all_v[pts, k - 1, :, j]
+        self.floor[list(self.failed)] = np.nan
 
         # the picked vectors are read with a non-unit stride, as eigenvector
         # columns are: a contiguous copy would take other BLAS and ufunc

@@ -49,12 +49,6 @@ def flat_index(atom: str, photons: int, spec: SpaceSpec) -> int:
     return 2 * photons + (1 if atom == ATOM_E else 0)
 
 
-def basis_state(atom: str, photons: int, spec: SpaceSpec) -> np.ndarray:
-    v = np.zeros(spec.dim, dtype=complex)
-    v[flat_index(atom, photons, spec)] = 1.0
-    return v
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices: the same products a_ij * b_kl, so the same
     bits (signed zeros too), without its generic-shape overhead."""

@@ -7,7 +7,8 @@ Negativity is computed on the whole space it is given (partial transpose
 over the atom against its whole cavity ladder), because dissipation couples
 excitation sectors; the sweeps give it the reached space, Fock levels 0..n0,
 which the partial transpose (atomic indices only) maps to itself.  Its
-value is checked against the trace norm: in closed form for the states of a
+value is eigvalsh's, bit for bit (replayed without it on a sweep's 4x4
+ones), checked against the trace norm: in closed form for the states of a
 sweep (block-diagonal in the excitation number N, exactly), else by SVD.  Bloch
 projections use the n=1 sector basis {|e0>, |g1>} with |e0> at the north
 pole and y = 2 Im<g1|rho|e0>, which makes the resonant closed evolution of
@@ -17,10 +18,12 @@ pole and y = 2 Im<g1|rho|e0>, which makes the resonant closed evolution of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import hilbert
+from .dynamics import _BETA_MIN, _RMAX, _SAFMIN, _SSFMIN, _dlae2
 from .hilbert import SpaceSpec
 
 NEGATIVITY_FORMULA_TOL = 1e-10
@@ -62,24 +65,57 @@ def block_trace_norm(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     return pairs.sum(axis=1) + np.abs(pops[:, 1]) + np.abs(pops[:, -2])
 
 
+def _from_eigs(pts: np.ndarray) -> np.ndarray:
+    """The sum of |negative eigenvalues| of each matrix, by eigvalsh."""
+    eigs = np.linalg.eigvalsh(pts)
+    return np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
+
+
+def _replayed(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """``_from_eigs`` of the partial transposes of an N-block-diagonal stack,
+    by LAPACK zheevd('N', 'L')'s float64 operations where d = 4 (sector 1's
+    reached space): zhetd2 reduces the block that z = rho[|g,1>, |e,0>]
+    couples to d = (rho_g0,g0, 0) and e0 = -||z|| (dznrm2 sums in x87
+    extended precision, longdouble here), and dsterf's dlae2 of it, after
+    rte = sqrt(e0^2), gives the one negative eigenvalue rt2.  Records LAPACK
+    treats otherwise take eigvalsh: an |e,1> or a negative population, a
+    subnormal |e,0> one (zhetd2 halves it), a largest entry above _RMAX, or
+    z != 0 with |e0| < _BETA_MIN or a block below _SSFMIN (as all below _RMIN have)."""
+    if spec.dim != 4:
+        return _from_eigs(partial_transpose_atom(rhos, spec))
+    pops, z = np.diagonal(rhos, 0, 1, 2).real, rhos[:, 2, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zl = z.astype(np.clongdouble)
+        beta = np.sqrt(zl.real * zl.real + zl.imag * zl.imag).astype(float)
+        # dsterf's QR order; dlae2 is symmetric in a and c, bit for bit
+        rt2 = _dlae2(0.0, np.sqrt(beta * beta), pops[:, 0])[1]
+    neg = np.where(rt2 < 0, -rt2, 0.0)
+    # maxima and minima over the short last axis, one ufunc call per column
+    anorm = np.maximum(reduce(np.maximum, np.abs(pops).T), np.abs(z))
+    block = np.maximum(np.abs(pops[:, 0]), beta)
+    lapack = ((pops[:, 3] != 0) | (reduce(np.minimum, pops.T) < 0)
+              | ((pops[:, 1] > 0) & (pops[:, 1] < 2 * _SAFMIN)) | ~(anorm <= _RMAX)
+              | ((z != 0) & ((beta < _BETA_MIN) | (block < _SSFMIN))))
+    if lapack.any():
+        neg[lapack] = _from_eigs(partial_transpose_atom(rhos[lapack], spec))
+    return neg
+
+
 def negativity(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """Entanglement negativity of each state of a stack: the sum of |negative
-    eigenvalues| of its partial transpose.
+    eigenvalues| of its partial transpose, as eigvalsh gives them.
 
     Cross-checked against the trace-norm form (||rho^T_A||_1 - 1)/2, by
     ``block_trace_norm``, or by SVD if any entry between two N blocks is
     nonzero; the two must agree to NEGATIVITY_FORMULA_TOL or the eigensolve is suspect.
     """
-    if states.ndim == 2:
-        rhos = np.einsum("ki,kj->kij", states, states.conj())
-    else:
-        rhos = states
-    pt = partial_transpose_atom(rhos, spec)
-    eigs = np.linalg.eigvalsh(pt)
-    from_eigs = np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
+    rhos = np.einsum("ki,kj->kij", states, states.conj()) if states.ndim == 2 else states
     if hilbert.off_n_blocks(rhos):
+        pt = partial_transpose_atom(rhos, spec)
+        from_eigs = _from_eigs(pt)
         norms = np.linalg.svd(pt, compute_uv=False).sum(axis=1)
     else:
+        from_eigs = _replayed(rhos, spec)
         norms = block_trace_norm(rhos, spec)
     from_norm = (norms - 1.0) / 2.0
     worst = np.abs(from_eigs - from_norm).max()

@@ -124,11 +124,13 @@ def sector_analytics(params: ModelParams, n: int) -> SectorAnalytics:
         raise ValueError("sector index n must be >= 1")
     d, chi, g = params.delta, params.chi, params.g
     eff = d - chi * (2 * n - 1)
-    # a float64 square overflows to inf, where a float's ** raises
-    omega = math.sqrt(np.float64(eff) ** 2 + 4 * g * g * n)
+    # a float64 square overflows to inf, where a float's ** raises; callers
+    # refuse an omega with no finite period, so numpy need not warn of it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        omega = math.sqrt(np.float64(eff) ** 2 + 4 * g * g * n)
+        ax = np.array([g * math.sqrt(n), 0.0, eff / 2])
+        ax /= np.linalg.norm(ax)
     e0 = (chi * (n - 1) ** 2 + chi * n**2) / 2
-    ax = np.array([g * math.sqrt(n), 0.0, eff / 2])
-    ax /= np.linalg.norm(ax)
     # polar angle from +z, so a state at theta0 = axis_polar + pi/2 is
     # exactly perpendicular to the rotation axis
     polar = math.atan2(g * math.sqrt(n), eff / 2)

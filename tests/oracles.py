@@ -1,10 +1,10 @@
-"""Test-only reference forms of the package's operators, independent of its
-vectorised code: the Lindblad right-hand side as matrix in, matrix out, a
-hand-coded right-hand side on the five lowest basis states, the excitation
-number operator, the sector eigenvectors and the closed-form resonant
-evolution; and the one-trajectory geometric phases at a recorded time:
-closed, open from the tracked branch, and the mixed-state multi-branch
-phase."""
+"""Test-only basis states, and reference forms of the package's operators
+independent of its vectorised code: the Lindblad right-hand side as matrix
+in, matrix out, a hand-coded right-hand side on the five lowest basis
+states, the excitation number operator, the sector eigenvectors and the
+closed-form resonant evolution; and the one-trajectory geometric phases at
+a recorded time: closed, open from the tracked branch, and the mixed-state
+multi-branch phase."""
 
 import math
 
@@ -23,6 +23,13 @@ from kerrjc.geomphase import (
 )
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.model import ModelParams, is_resonant, sector_analytics
+
+
+def basis_state(atom: str, photons: int, spec: SpaceSpec) -> np.ndarray:
+    """|atom, photons> as a vector of the full space."""
+    v = np.zeros(spec.dim, dtype=complex)
+    v[hilbert.flat_index(atom, photons, spec)] = 1.0
+    return v
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:

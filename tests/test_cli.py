@@ -360,6 +360,20 @@ class TestDispatch:
         assert all(key in err for key in ("model.g", "model.delta", "model.chi"))
         assert integrated == []
 
+    @pytest.mark.parametrize("setting", ["model.g=1e300", "model.chi=1e200", "model.g=1e-300"])
+    def test_rabi_frequency_out_of_range_prints_one_line(self, tmp_path, setting):
+        # in a fresh process, numpy's over- and underflow warnings would
+        # reach stderr ahead of the config error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys; from kerrjc.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "evolve", "--out", str(tmp_path), "--set", setting],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr.count("\n") == 1 and out.stderr.startswith("config error: ")
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.gamma=1e300"],
         ["sweep", "--kind", "gp_delta", "--set", "sweep.open_gamma=1e300"],

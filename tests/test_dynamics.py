@@ -25,7 +25,7 @@ from kerrjc.experiments import (
     run_sweep,
     write_trajectory_csv,
 )
-from kerrjc.hilbert import SpaceSpec, TruncationError, basis_state
+from kerrjc.hilbert import SpaceSpec, TruncationError
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -36,6 +36,7 @@ from kerrjc.model import (
 from oracles import (
     LOWEX_DIM,
     LOWEX_PATTERN,
+    basis_state,
     dissipator,
     dressed_states,
     excitation_number,

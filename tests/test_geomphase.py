@@ -418,6 +418,23 @@ class TestTracking:
             assert str(got[2].failed[1]) == str(want[2].failed[1])
             assert got[2].floor.tobytes() == want[2].floor.tobytes()
 
+    @pytest.mark.parametrize("lengths", [(1,), (37,), (300,)])
+    def test_failed_points_floor_is_nan(self, lengths):
+        # point 1 fails at sample 37 and point 2 starts impure: their floors
+        # are NaN, and point 0 keeps the track and floor it has alone
+        times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0), 1, periods=2.0)
+        times, w, v = (np.repeat(x[None], 3, axis=0) for x in (times, w, v))
+        v[1] = with_overlaps(v[1], 37, np.array((0.6, 0.6, 0.2, math.sqrt(0.24))))
+        w[2, 0, -1] = 0.9
+        alone = fed_in_blocks(times[:1], w[:1], v[:1], lengths)
+        together = fed_in_blocks(times, w, v, lengths)
+        assert list(together[2].failed) == [2, 1]
+        assert np.isnan(together[2].floor[1:]).all()
+        assert together[2].floor[:1].tobytes() == alone[2].floor.tobytes()
+        assert not np.isnan(alone[2].floor).any()
+        assert together[0][:1].tobytes() == alone[0].tobytes()
+        assert together[1][:1].tobytes() == alone[1].tobytes()
+
     def test_relabelled_columns_are_followed(self):
         # eigh orders columns by eigenvalue, so a crossing relabels the
         # tracked column; relabel from three samples on, block by block, at

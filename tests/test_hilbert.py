@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kerrjc import hilbert
 from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
-from kerrjc.hilbert import SpaceSpec, basis_state, flat_index
+from kerrjc.hilbert import SpaceSpec, flat_index
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -16,7 +16,7 @@ from kerrjc.model import (
     sector_analytics,
 )
 
-from oracles import excitation_number
+from oracles import basis_state, excitation_number
 
 SPACE = SpaceSpec(4)
 

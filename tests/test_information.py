@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from kerrjc import information
 
 from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
-from kerrjc.hilbert import SpaceSpec, basis_state
+from kerrjc.experiments import default_spec, run_sweep
+from kerrjc.hilbert import SpaceSpec
 from kerrjc.information import (
     PLANARITY_THRESHOLD,
     bloch_series,
@@ -25,6 +26,8 @@ from kerrjc.model import (
     perpendicular_state,
     sector_analytics,
 )
+
+from oracles import basis_state
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -170,6 +173,142 @@ class TestNegativity:
         psi = (basis_state("g", 0, SPACE) + basis_state("g", 1, SPACE)) / math.sqrt(2)
         with pytest.raises(ArithmeticError, match="negativity formulas disagree"):
             negativity(psi[None], SPACE)
+
+
+def eigvalsh_negativity(rhos, spec, eigvalsh=np.linalg.eigvalsh):
+    """The oracle: eigvalsh's sum of |negative eigenvalues| of each partial transpose."""
+    eigs = eigvalsh(partial_transpose_atom(rhos, spec))
+    return np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
+
+
+SECTOR_1 = SpaceSpec(1)
+
+
+def sector_one_stack(rng, size, pure, pt00, coherence, scale):
+    """Random N-block-diagonal stacks on the reached space of sector 1 (d = 4):
+    pure states in {|e,0>, |g,1>} (as vectors), or a |g,0> population
+    (``pt00``: "zero", "-0.0" or "positive") beside a mixed sector block,
+    trace one; times ``scale``.  The coherence rho[|e,0>, |g,1>] is
+    "complex", "real", "imag" or "zero"."""
+    a = rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
+    if coherence == "zero":
+        a[:, rng.integers(2)] = 0.0
+    elif coherence != "complex":
+        a = a.real * np.array([1.0, 1j if coherence == "imag" else 1.0])
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    if pure:
+        psis = np.zeros((size, 4), dtype=complex)
+        psis[:, 1:3] = a
+        return psis * math.sqrt(scale)
+    rhos = np.zeros((size, 4, 4), dtype=complex)
+    rhos[:, 1:3, 1:3] = np.einsum("ki,kj->kij", a, a.conj())
+    rhos[:, [1, 2], [1, 2]] += rng.uniform(0, 1, (size, 2))
+    rhos[:, 0, 0] = {"zero": 0.0, "-0.0": -0.0, "positive": rng.uniform(0, 2, size)}[pt00]
+    rhos /= np.einsum("kii->k", rhos).real[:, None, None]
+    return rhos * scale
+
+
+class TestNegativityReplay:
+    """On the reached space of sector 1 (d = 4) the negativity is
+    eigvalsh's, byte for byte, without eigvalsh."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8), pure=st.booleans(),
+           pt00=st.sampled_from(["zero", "-0.0", "positive"]),
+           coherence=st.sampled_from(["complex", "real", "imag", "zero"]))
+    def test_equals_eigvalsh(self, seed, size, pure, pt00, coherence):
+        states = sector_one_stack(np.random.default_rng(seed), size, pure, pt00, coherence, 1.0)
+        rhos = np.einsum("ki,kj->kij", states, states.conj()) if pure else states
+        want = eigvalsh_negativity(rhos, SECTOR_1)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            got = negativity(states, SECTOR_1)
+        assert got.tobytes() == want.tobytes()
+        assert not spy.called
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8),
+           pt00=st.sampled_from(["zero", "-0.0", "positive"]),
+           coherence=st.sampled_from(["complex", "real", "imag", "zero"]),
+           scale=st.sampled_from([1e-300, 1e-160, 1e-140, 1e-125, 1e-30, 1.0, 1e30,
+                                  1e140, 1e150, 1e300]),
+           coherence_scale=st.sampled_from([1.0, 1e-100, 1e-160, 1e-300]),
+           fault=st.sampled_from([None, "negative", "e1", "subnormal_e0"]))
+    def test_equals_eigvalsh_at_any_scale(self, seed, size, pt00, coherence, scale,
+                                          coherence_scale, fault):
+        # random scales and faults, whatever path each record takes
+        rng = np.random.default_rng(seed)
+        rhos = sector_one_stack(rng, size, False, pt00, coherence, scale)
+        rhos[:, 1, 2] *= coherence_scale
+        rhos[:, 2, 1] *= coherence_scale
+        k = rng.integers(size)
+        if fault == "negative":
+            i = rng.integers(4)
+            rhos[k, i, i] = -abs(rhos[k, i, i]) - 1e-3 * scale
+        elif fault == "e1":
+            rhos[k, 3, 3] = rng.uniform(0, 1) * scale
+        elif fault == "subnormal_e0":
+            rhos[k, 1, 1] = rng.integers(1, 2**20) * 5e-324
+        got = information._replayed(rhos, SECTOR_1)
+        assert got.tobytes() == eigvalsh_negativity(rhos, SECTOR_1).tobytes()
+
+    # one record per way the replay leaves a record to eigvalsh, each beside
+    # a record it keeps; (|g,0>, |e,0>, |g,1>, |e,1>) populations and the coherence
+    @pytest.mark.parametrize("pops, z", [
+        ((0.5, 0.25, 0.25, 1e-3), 0.1),  # an |e,1> population
+        ((0.5, -1e-9, 0.5, 0.0), 1e-6j),  # a negative population
+        ((0.5, 5e-324, 0.5, 0.0), 1e-170),  # zhetd2's halving of p_e0 rounds
+        ((0.5, 0.25, 0.25, 0.0), 1e-300),  # zlarfg would rescale the reflector
+        ((1e-150, 1e-150, 1e-150, 0.0), 1e-151 + 1e-151j),  # zheevd would scale
+        ((1e150, 1e150, 1e150, 0.0), 1e149),  # zheevd would scale
+        ((1e-130, 1e-130, 1e-130, 0.0), 1e-131j),  # dsterf would scale the block
+    ], ids=["e1", "negative", "subnormal_e0", "beta", "rmin", "rmax", "ssfmin"])
+    def test_records_lapack_treats_otherwise_take_eigvalsh(self, pops, z):
+        kept = (0.25, 0.375, 0.375, 0.0), 0.3 - 0.1j
+        rhos = np.zeros((2, 4, 4), dtype=complex)
+        for rho, (p, c) in zip(rhos, ((pops, z), kept)):
+            rho[range(4), range(4)] = p
+            rho[1, 2], rho[2, 1] = np.conj(c), c
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            got = information._replayed(rhos, SECTOR_1)
+        (flagged,), _ = spy.call_args
+        assert spy.call_count == 1 and flagged.shape == (1, 4, 4)
+        assert np.array_equal(flagged[0], partial_transpose_atom(rhos[:1], SECTOR_1)[0])
+        assert got.tobytes() == eigvalsh_negativity(rhos, SECTOR_1).tobytes()
+
+    def test_every_state_of_the_default_sweeps(self, monkeypatch):
+        # each state passes through the replay once; eigvalsh is never called
+        replayed, eigvalsh, seen = information._replayed, np.linalg.eigvalsh, []
+
+        def checked(rhos, spec):
+            got = replayed(rhos, spec)
+            assert got.tobytes() == eigvalsh_negativity(rhos, spec, eigvalsh).tobytes()
+            seen.append(len(rhos))
+            return got
+
+        monkeypatch.setattr(information, "_replayed", checked)
+        monkeypatch.setattr(np.linalg, "eigvalsh", mock.Mock(side_effect=AssertionError))
+        for kind in ("negativity_theta", "negativity_delta"):
+            seen.clear()
+            rows = run_sweep(default_spec(kind)).rows
+            assert sum(seen) == 2 * len(rows)
+
+    def test_cross_block_stacks_take_the_dense_path(self, monkeypatch):
+        # one entry between two N blocks: eigvalsh and the SVD of the whole
+        # stack, and the SVD's cross-check still fires
+        rng = np.random.default_rng(60)
+        rhos = sector_one_stack(rng, 5, False, "positive", "complex", 1.0)
+        rhos[2, 0, 1] = rhos[2, 1, 0] = 1e-3
+        monkeypatch.setattr(information, "_replayed", mock.Mock(side_effect=AssertionError))
+        svd = np.linalg.svd
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy, \
+                mock.patch.object(np.linalg, "svd", wraps=svd) as svd_spy:
+            got = negativity(rhos, SECTOR_1)
+        assert spy.call_args.args[0].shape == svd_spy.call_args.args[0].shape == (5, 4, 4)
+        assert got.tobytes() == eigvalsh_negativity(rhos, SECTOR_1).tobytes()
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, compute_uv=True: svd(a, compute_uv=compute_uv) + 1e-6)
+        with pytest.raises(ArithmeticError, match="negativity formulas disagree"):
+            negativity(rhos, SECTOR_1)
 
 
 def excitation_numbers(spec):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kerrjc import model
-from kerrjc.hilbert import SpaceSpec, basis_state, sector_indices
+from kerrjc.hilbert import SpaceSpec, sector_indices
 from kerrjc.information import bloch_series
 from kerrjc.model import (
     InitialStateSpec,
@@ -16,7 +16,7 @@ from kerrjc.model import (
     sector_block,
 )
 
-from oracles import dressed_states, excitation_number, resonant_state
+from oracles import basis_state, dressed_states, excitation_number, resonant_state
 
 SPACE = SpaceSpec(4)
 
