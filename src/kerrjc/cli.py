@@ -95,38 +95,42 @@ SCHEMA = {
 }
 
 
-def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
-    """Split ``key = value`` lines; values stay raw strings."""
-    out: dict[str, tuple[str, int]] = {}
+def _entry(text: str, where: str) -> tuple[str, tuple[str, str]]:
+    """One ``key = value`` entry as (key, (raw value, ``where``)), the place
+    that its errors name."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    if not key.strip():
+        raise ConfigError(f"{where}: empty key")
+    return key.strip(), (value.strip(), where)
+
+
+def parse_config_text(text: str) -> dict[str, tuple[str, str]]:
+    """Split ``key = value`` lines; values stay raw strings, placed by ``line N``."""
+    out: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
+        if not line.strip() or line.strip()[0] == "#":
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+        key, entry = _entry(line, f"line {lineno}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = (value, lineno)
+        out[key] = entry
     return out
 
 
-def build_config(raw: dict[str, tuple[str, int]]) -> dict:
+def build_config(raw: dict[str, tuple[str, str]]) -> dict:
     """Validate raw key/value pairs against the schema and semantics; returns
     the value of every ``SCHEMA`` key (None for an unset optional key)."""
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
-    for key, (text, lineno) in raw.items():
+    for key, (text, where) in raw.items():
         if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         conv = SCHEMA[key][0]
         try:
             values[key] = conv(text)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: invalid value for {key}: {exc}") from exc
+            raise ConfigError(f"{where}: invalid value for {key}: {exc}") from exc
         # a text value must come back unchanged from its `key = value` line
         if conv is str and (text != text.strip() or len(text.splitlines()) != 1):
             raise ConfigError(f"{key} must be one nonempty line without surrounding "
@@ -259,22 +263,18 @@ def dispatch(config: dict) -> int:
 
 
 def _load_config(args) -> dict:
-    raw: dict[str, tuple[str, int]] = {}
+    raw: dict[str, tuple[str, str]] = {}
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         raw = parse_config_text(text)
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        raw[key.strip()] = (value.strip(), 0)
+    raw.update(_entry(item, f"--set {item}") for item in args.set or [])
     if args.command == "bloch":
-        raw["sweep.kind"] = ("bloch_traj", 0)
+        raw["sweep.kind"] = ("bloch_traj", "bloch")
     elif getattr(args, "kind", None):
-        raw["sweep.kind"] = (args.kind, 0)
+        raw["sweep.kind"] = (args.kind, "--kind")
     config = build_config(raw)
     if args.out:
         config["output.dir"] = args.out

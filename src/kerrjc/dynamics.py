@@ -15,16 +15,16 @@ full-space product, each the same dot product over the full row and
 state.  ``lindblad_blocks`` does the same for open legs: g generators,
 each with its own Lindbladian, time step and c initial density matrices,
 advance by one stacked matrix product per record, again with the bits of
-each generator's own product; their records pass the density checks, on
-the N blocks when the states are block-diagonal in N, and give the start
+each generator's own product; their records are block-diagonal in N by
+construction, pass the density checks on the N blocks and give the start
 sector's two eigenpairs in closed form (``_block_eigh``).  Both yield
 records in blocks of bounded size (``BLOCK_ENTRIES``); ``evolve_closed``
 and ``evolve_lindblad`` feed one trajectory through them.  Truncation
 is checked before integrating, by the callers (``hilbert.reached_space``).
 Before the first product, both legs take the components their steps can
-reach from the initial states (``_reached``): a closed leg that could
-leave its recorded components, or an RK4 hop that would amplify a
-reachable mode, is refused.
+reach from the initial states (``_reached``) and refuse a closed leg that
+could leave its recorded components, an open leg that could leave its N
+blocks and an RK4 hop that would amplify a reachable mode.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import SpaceSpec, kron, n_blocks, off_n_blocks
+from .hilbert import SpaceSpec, kron, n_blocks
 from .model import ModelParams
 
 TRACE_TOL = 1e-9
@@ -182,35 +182,28 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
-    """Trace, Hermiticity and positivity of every sample.
-
-    A stack with N blocks (``blocks``, ``hilbert.n_blocks``) is checked on
-    them, each 2x2 block's least eigenvalue in closed form from its lower
-    triangle, as ``eigvalsh`` reads it; a failure runs the dense checks.
-    """
+    """Trace, Hermiticity and positivity of every sample of a stack that is
+    block-diagonal in N, checked in that order on its N blocks ``blocks``
+    (``hilbert.n_blocks``), each 2x2 block's least eigenvalue in closed form
+    from its lower triangle, as ``eigvalsh`` reads it; raises PositivityError
+    at the first sample that fails."""
     traces = np.einsum("kii->k", states).real
     bad = np.abs(traces - 1.0) > TRACE_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"trace drifted to {traces[k]:.12g} at t={times[k]:g}")
-    if blocks is not None:
-        diag, upper, lower = blocks
-        # sums and minima over the short last axis, one ufunc call per column
-        defect = np.sqrt(4 * reduce(np.add, (diag.imag ** 2).T)
-                         + 2 * reduce(np.add, (np.abs(upper - lower.conj()) ** 2).T))
-        pops = diag.real
-        a, b = pops[:, 1:-1:2], pops[:, 2:-1:2]  # |e,N-1>, |g,N>
-        pairs = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(lower))
-        mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), reduce(np.minimum, pairs.T))
-        if not ((defect > HERMITICITY_TOL).any() or (mins < POSITIVITY_FLOOR).any()):
-            return
-    defect = np.sqrt((np.abs(states - states.conj().transpose(0, 2, 1)) ** 2)
-                     .sum(axis=(1, 2)))
+    diag, upper, lower = blocks
+    # sums and minima over the short last axis, one ufunc call per column
+    defect = np.sqrt(4 * reduce(np.add, (diag.imag ** 2).T)
+                     + 2 * reduce(np.add, (np.abs(upper - lower.conj()) ** 2).T))
     bad = defect > HERMITICITY_TOL
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"Hermiticity lost at t={times[k]:g}")
-    mins = np.linalg.eigvalsh(states)[:, 0]
+    pops = diag.real
+    a, b = pops[:, 1:-1:2], pops[:, 2:-1:2]  # |e,N-1>, |g,N>
+    pairs = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(lower))
+    mins = np.minimum(np.minimum(pops[:, 0], pops[:, -1]), reduce(np.minimum, pairs.T))
     bad = mins < POSITIVITY_FLOOR
     if bad.any():
         k = int(np.argmax(bad))
@@ -245,11 +238,8 @@ def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarr
     applies the reflector to the |g,n0> row.  Blocks that LAPACK would
     rescale (their largest entry outside [_RMIN, _RMAX], a complex
     coherence below _BETA_MIN, or a rotated block with its largest entry
-    outside [_SSFMIN, _SSFMAX]) are left to eigh.  A stack with an entry
-    between N blocks (``blocks`` None) raises ValueError.
+    outside [_SSFMIN, _SSFMAX]) are left to eigh.
     """
-    if blocks is None:
-        raise ValueError("eigenvector tracking needs density matrices block-diagonal in N")
     n, d = rhos.shape[:2]
     diag, _, lower = blocks
     i = 2 * n0 - 1  # |e,n0-1>; |g,n0> is i + 1
@@ -420,16 +410,16 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
     results do not depend on what shares its batch.  Yields
     ``(times, states, eig)`` for consecutive blocks of records, point-major
     over the b = g*c points (point i*c + j is state j of generator i):
-    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block is
-    scanned once for N blocks and passes the density checks as one
-    (b*r, d, d) stack.  Given the start sector ``n0`` of the initial
-    states, ``eig`` is its 2x2 block's two eigenpairs (``_block_eigh``),
-    (b, r, 2) and (b, r, d, 2), and a stack with an entry between N blocks
-    raises ValueError; otherwise it is None.  By default r keeps r*b*d^2
-    within BLOCK_ENTRIES.
-    Before the first product, hops with a non-finite entry, or whose
-    spectral radius on the reachable entries of vec(rho) exceeds
-    1 + HOP_RADIUS_TOL, raise PositivityError.
+    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
+    passes the density checks on its N blocks as one (b*r, d, d) stack.
+    Given the start sector ``n0`` of the initial states, ``eig`` is its 2x2
+    block's two eigenpairs (``_block_eigh``), (b, r, 2) and (b, r, d, 2);
+    otherwise it is None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES.
+    Before the first product, a reachable entry of vec(rho) (``_reached``)
+    between two N blocks raises ValueError, so every record is
+    block-diagonal in N; hops with a non-finite entry, or whose spectral
+    radius on the reachable entries exceeds 1 + HOP_RADIUS_TOL, raise
+    PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -448,6 +438,9 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
     if not np.isfinite(hops).all():
         raise PositivityError("the RK4 hop is not finite (time step too large)")
     live = _reached(rho0s.reshape(g * c, d * d), hops)
+    n = (np.arange(d) + 1) // 2  # N of each basis state
+    if (live.reshape(d, d) & (n[:, None] != n)).any():
+        raise ValueError("an open leg's initial states or operators link two N blocks")
     radius = np.abs(np.linalg.eigvals(hops[:, live][:, :, live])).max(initial=0.0)
     if radius > 1.0 + HOP_RADIUS_TOL:
         raise PositivityError(f"the RK4 hop amplifies by up to {radius:.6g} per record "
@@ -467,8 +460,7 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
                 vecs = np.matmul(hops, vecs)
             states[:, :, k] = vecs.transpose(0, 2, 1)
         flat = states.reshape(b * r, d, d)
-        # one scan for entries between N blocks, and the blocks' views, or None
-        blocks = None if off_n_blocks(flat) else n_blocks(flat)
+        blocks = n_blocks(flat)
         _check_density_stack(flat, block_times.reshape(-1), blocks)
         eig = None if n0 is None else _block_eigh(flat, n0, blocks)
         yield block_times, states.reshape(b, r, d, d), None if eig is None else (

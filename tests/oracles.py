@@ -1,17 +1,26 @@
 """Test-only basis states, and reference forms of the package's operators
-independent of its vectorised code: the Lindblad right-hand side as matrix
-in, matrix out, a hand-coded right-hand side on the five lowest basis
-states, the excitation number operator, the sector eigenvectors and the
-closed-form resonant evolution; and the one-trajectory geometric phases at
-a recorded time: closed, open from the tracked branch, and the mixed-state
-multi-branch phase."""
+independent of its vectorised code: the dense density checks, the Lindblad
+right-hand side as matrix in, matrix out, a hand-coded right-hand side on
+the five lowest basis states, the excitation number operator, the sector
+eigenvectors and the closed-form resonant evolution; the geometric
+identities of the sweeps' states, phases as solid angles and negativity
+from the Bloch vector and the leaked population; and the one-trajectory
+geometric phases at a recorded time: closed, open from the tracked
+branch, and the mixed-state multi-branch phase."""
 
 import math
 
 import numpy as np
 
 from kerrjc import hilbert
-from kerrjc.dynamics import LindbladSpec, TrajectoryRecord
+from kerrjc.dynamics import (
+    HERMITICITY_TOL,
+    POSITIVITY_FLOOR,
+    TRACE_TOL,
+    LindbladSpec,
+    PositivityError,
+    TrajectoryRecord,
+)
 from kerrjc.geomphase import (
     AMBIGUITY_TOL,
     OVERLAP_FLOOR,
@@ -22,6 +31,7 @@ from kerrjc.geomphase import (
     wrap_angle,
 )
 from kerrjc.hilbert import SpaceSpec
+from kerrjc.information import bloch_series
 from kerrjc.model import ModelParams, is_resonant, sector_analytics
 
 
@@ -48,6 +58,30 @@ def lindblad_rhs(spec: LindbladSpec, rho: np.ndarray) -> np.ndarray:
         if rate:
             out += rate * dissipator(op, rho)
     return out
+
+
+def check_density_dense(states: np.ndarray, times: np.ndarray) -> None:
+    """The density checks on whole matrices, whatever their entries between
+    N blocks: trace, the Frobenius norm of rho - rho^dagger and eigvalsh's
+    least eigenvalue, in that order, raising PositivityError with the
+    messages of ``dynamics._check_density_stack`` at the first failing sample."""
+    traces = np.einsum("kii->k", states).real
+    bad = np.abs(traces - 1.0) > TRACE_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PositivityError(f"trace drifted to {traces[k]:.12g} at t={times[k]:g}")
+    defect = np.sqrt((np.abs(states - states.conj().transpose(0, 2, 1)) ** 2)
+                     .sum(axis=(1, 2)))
+    bad = defect > HERMITICITY_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PositivityError(f"Hermiticity lost at t={times[k]:g}")
+    mins = np.linalg.eigvalsh(states)[:, 0]
+    bad = mins < POSITIVITY_FLOOR
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PositivityError(f"negative eigenvalue {mins[k]:.3e} at t={times[k]:g} "
+                              "(time step too large)")
 
 
 # Eq-system support pattern on the basis |g0>,|e0>,|g1>,|e1>,|g2>:
@@ -131,6 +165,51 @@ def resonant_state(params: ModelParams, n: int, t: float, spec: SpaceSpec) -> np
     psi[i_g] = phase * math.cos(half)
     psi[i_e] = phase * (-1j) * math.sin(half)
     return psi
+
+
+def sector_bloch_vectors(states: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors (..., 3) of pure states (..., d) in the sector-1
+    pair {|e,0>, |g,1>}, |e,0> at the north pole: for a|e,0> + b|g,1>,
+    (2 Re(a* b), 2 Im(a* b), |a|^2 - |b|^2), each divided by its length."""
+    a, b = states[..., 1], states[..., 2]  # flat indices of |e,0> and |g,1>
+    ab = np.conj(a) * b
+    r = np.stack((2 * ab.real, 2 * ab.imag, np.abs(a) ** 2 - np.abs(b) ** 2), axis=-1)
+    return r / np.linalg.norm(r, axis=-1, keepdims=True)
+
+
+def triangle_solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Signed solid angle in (-2 pi, 2 pi] of the geodesic triangle a, b, c of
+    unit 3-vectors (last axis), by Van Oosterom and Strackee (IEEE Trans.
+    Biomed. Eng. BME-30, 125, 1983): tan(Omega/2) = a.(b x c) /
+    (1 + a.b + b.c + c.a)."""
+    def dot(x, y):
+        return (x * y).sum(axis=-1)
+
+    return 2 * np.arctan2(dot(a, np.cross(b, c)), 1 + dot(a, b) + dot(b, c) + dot(c, a))
+
+
+def solid_angle_phases(states: np.ndarray, axes: np.ndarray, checkpoints) -> np.ndarray:
+    """-1/2 the solid angle that the sector-1 Bloch path of each of b state
+    sequences (b, n, d) encloses up to each checkpoint, closed by the
+    geodesic back to its first sample, (b, len(checkpoints)): a fan of
+    triangles from the pole of its rotation axis (``axes``, (b, 3)) nearer
+    its first sample.  Defined mod 2 pi; no phase chain is involved."""
+    r = sector_bloch_vectors(states)
+    axes = np.asarray(axes, dtype=float)
+    apex = np.where(((r[:, 0] * axes).sum(axis=1) >= 0)[:, None], axes, -axes)[:, None]
+    fan = np.cumsum(triangle_solid_angle(apex, r[:, :-1], r[:, 1:]), axis=1)
+    idx = np.asarray(checkpoints)
+    return -(fan[:, idx - 1] + triangle_solid_angle(apex, r[:, idx], r[:, :1])) / 2
+
+
+def negativity_from_bloch(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """(sqrt(p0^2 + r_perp^2) - p0) / 2 of each density matrix that a leg from
+    sector 1 reaches (block-diagonal in N, no |e,1> population): p0 =
+    rho_g0,g0, the population that left the sector, and r_perp the sector-1
+    Bloch vector's length across the z axis, from ``bloch_series``."""
+    x, y = bloch_series(rhos, spec)[:, :2].T
+    p0 = rhos[:, 0, 0].real
+    return (np.sqrt(p0 ** 2 + x ** 2 + y ** 2) - p0) / 2
 
 
 # initial eigenvalues below this carry no branch in phase_open_general

@@ -57,6 +57,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2.*model.gama"):
             parse_config("model.delta = 1\nmodel.gama = 0.1\n")
 
+    @pytest.mark.parametrize("argv, config, line", [
+        (["--set", "foo=1"], None, "--set foo=1: unknown key 'foo'"),
+        (["--set", "model.delta=1", "--set", " =3"], None, "--set  =3: empty key"),
+        (["--set", "foo"], None, "--set foo: expected 'key = value', got 'foo'"),
+        (["--set", "space.n_max=wide"], None, "--set space.n_max=wide: invalid value for "
+         "space.n_max: invalid literal for int() with base 10: 'wide'"),
+        ([], "model.delta = 1\nfoo = 1\n", "line 2: unknown key 'foo'"),
+        ([], "model.delta = 1\n = 3\n", "line 2: empty key"),
+    ], ids=["set-unknown", "set-empty", "set-no-equals", "set-bad-value", "file-unknown",
+            "file-empty"])
+    def test_errors_name_the_set_item_or_the_line(self, tmp_path, capsys, argv, config,
+                                                   line):
+        # a --set item is named as given, a config file entry by its line;
+        # an empty key reads the same from both
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        assert main(["validate-config", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {line}\n")
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("this is not a key value pair\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrjc import dynamics, hilbert
+from kerrjc import dynamics, experiments, hilbert
 from kerrjc.dynamics import (
     IntegratorConfig,
     LindbladSpec,
@@ -37,6 +37,7 @@ from oracles import (
     LOWEX_DIM,
     LOWEX_PATTERN,
     basis_state,
+    check_density_dense,
     dissipator,
     dressed_states,
     excitation_number,
@@ -377,18 +378,14 @@ def n_block_stack(rng, spec, size):
     return rhos / np.einsum("kii->k", rhos).real[:, None, None]
 
 
-def block_views(rhos):
-    """The N blocks' views that ``lindblad_blocks`` hands the density checks
-    and ``_block_eigh``, or None for a stack with an entry between blocks."""
-    return None if hilbert.off_n_blocks(rhos) else hilbert.n_blocks(rhos)
-
-
 def verdict(states, times, dense=False):
-    """The message of the density checks, or None if they pass; ``dense``
-    takes the dense checks whatever the stack."""
-    blocks = None if dense else block_views(states)
+    """The message of the density checks on the N blocks, or of the dense
+    oracle (``dense``), or None if they pass."""
     try:
-        dynamics._check_density_stack(states, times, blocks)
+        if dense:
+            check_density_dense(states, times)
+        else:
+            dynamics._check_density_stack(states, times, hilbert.n_blocks(states))
     except PositivityError as exc:
         return str(exc)
     return None
@@ -443,25 +440,6 @@ class TestBlockChecks:
         assert (got is None) == (factor < 1)
         if got is not None:  # the first sample pushed past the bound
             assert re.search(r"at t=(\d+)", got)[1] == str(hit[0] + 1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
-           size=st.integers(1, 6), cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
-    def test_eigvalsh_only_off_the_blocks(self, seed, n0, size, cross):
-        # block-diagonal stacks take the closed-form eigenvalues; one nonzero
-        # entry between two N blocks, however small, sends the stack to eigvalsh
-        spec = SpaceSpec(n0)
-        rng = np.random.default_rng(seed)
-        rhos, times = n_block_stack(rng, spec, size), np.arange(size, dtype=float)
-        n = np.diag(excitation_number(spec)).real.astype(int)
-        i, j = rng.choice(np.argwhere(n[:, None] != n))
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-            dynamics._check_density_stack(rhos, times, block_views(rhos))
-            assert not eigvalsh.called
-            rhos[rng.integers(size), i, j] = cross
-            dynamics._check_density_stack(rhos, times, block_views(rhos))
-            assert eigvalsh.called
-
 
 EIGH = np.linalg.eigh  # unpatched by the spies below
 
@@ -556,7 +534,7 @@ class TestBlockEigh:
         rhos = block_case_stack(np.random.default_rng(seed), n0, cases, 10.0 ** exponent)
         sector = data.draw(st.integers(1, n0))
         with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-            w, v = dynamics._block_eigh(rhos, sector, block_views(rhos))
+            w, v = dynamics._block_eigh(rhos, sector, hilbert.n_blocks(rhos))
         assert not eigh.called
         assert w.shape == (len(rhos), 2) and v.shape == (len(rhos), 2 * n0 + 2, 2)
         assert equals_eigh(rhos, sector, w, v)
@@ -571,7 +549,7 @@ class TestBlockEigh:
         rhos = np.zeros((a.size, 4, 4), dtype=complex)
         rhos[:, 0, 0], rhos[:, 3, 3] = rng.random((2, a.size))
         rhos[:, 1, 1], rhos[:, 2, 2], rhos[:, 2, 1], rhos[:, 1, 2] = a, c, z, z
-        got = dynamics._block_eigh(rhos, 1, block_views(rhos))
+        got = dynamics._block_eigh(rhos, 1, hilbert.n_blocks(rhos))
         assert equals_eigh(rhos, 1, *got)
 
     @pytest.mark.parametrize("scale", [1e-125, 1e-160, 1e-300, 1e160])
@@ -588,46 +566,100 @@ class TestBlockEigh:
             rhos[np.ix_([2, 3], others, others)] *= scale
             rhos[[1, 4]] *= scale
             with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-                got = dynamics._block_eigh(rhos, n0, block_views(rhos))
+                got = dynamics._block_eigh(rhos, n0, hilbert.n_blocks(rhos))
             assert eigh.call_count == 1
             assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4], i:i + 2, i:i + 2])
             assert equals_eigh(rhos, n0, *got)
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
-           size=st.integers(1, 6), cross=st.sampled_from([5e-324, -1e-300, 1e-14j, 1e-12]))
-    def test_cross_block_stack_raises(self, seed, n0, size, cross):
-        # one nonzero entry between two N blocks, however small, is refused:
-        # tracking needs stacks block-diagonal in N, and eigh is never called
-        spec = SpaceSpec(n0)
-        rng = np.random.default_rng(seed)
-        rhos = n_block_stack(rng, spec, size)
-        n = np.diag(excitation_number(spec)).real.astype(int)
-        i, j = rng.choice(np.argwhere(n[:, None] != n))
-        with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-            dynamics._block_eigh(rhos, n0, block_views(rhos))
-            rhos[rng.integers(size), i, j] = cross
-            with pytest.raises(ValueError, match="block-diagonal in N"):
-                dynamics._block_eigh(rhos, n0, block_views(rhos))
-        assert not eigh.called
 
-    def test_one_scan_per_record_block(self):
-        # lindblad_blocks scans each block of records once for entries
-        # between N blocks, for both the density checks and _block_eigh
-        space = SpaceSpec(2)
-        params = ModelParams(0.3, 0.5).with_rates(0.1, 0.05, 0.01)
-        config = IntegratorConfig.for_periods(
-            2 * math.pi / sector_analytics(params, 2).rabi_frequency, 1.0, 200)
-        psi0 = initial_state(InitialStateSpec(theta0=1.0, n=2), space)
-        rho0 = np.outer(psi0, psi0.conj())[None, None]
+class TestNBlockRefusal:
+    """``lindblad_blocks`` refuses, before its first product, a leg whose
+    initial states or operators link two N blocks; every record of any
+    other leg is block-diagonal in N by construction, and no block of
+    records is scanned for entries between N blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           rates=st.tuples(*[st.floats(0.0, 1.0)] * 3), delta=st.floats(-4.0, 4.0),
+           link=st.sampled_from(["rho0", "hamiltonian"]),
+           size=st.one_of(st.just(5e-324), st.floats(5e-324, 1e-12)),
+           term=st.floats(1e-12, 1.0))
+    def test_link_between_blocks_refused(self, seed, n0, rates, delta, link, size, term):
+        rng = np.random.default_rng(seed)
+        space = SpaceSpec(n0)
+        params = ModelParams(delta, 0.5).with_rates(*rates)
         spec = LindbladSpec.from_params(params, space)
-        with mock.patch.object(dynamics, "off_n_blocks",
-                               wraps=hilbert.off_n_blocks) as scan:
-            blocks = list(lindblad_blocks([spec], rho0, [config], n0=2, block_records=7))
-        assert scan.call_count == len(blocks) > 1
-        for _, states, (w, v) in blocks:
+        rho0s = n_block_stack(rng, space, 3)[None]
+        n = np.diag(excitation_number(space)).real.astype(int)
+        i, j = rng.choice(np.argwhere(n[:, None] != n))  # in two N blocks
+        if link == "rho0":  # one entry, however small, and the states stay as they are
+            rho0s[0, rng.integers(3), i, j] = size * rng.choice([1, -1, 1j])
+        else:  # a Hermitian term of H between |i> and |j>
+            h = spec.hamiltonian.copy()
+            h[i, j] += term
+            h[j, i] += term
+            spec = LindbladSpec(h, spec.collapse_ops)
+        config = IntegratorConfig.for_periods(
+            2 * math.pi / sector_analytics(params, n0).rabi_frequency, 1.0)
+        legs = lindblad_blocks([spec], rho0s, [config], n0=n0)
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as product, \
+                pytest.raises(ValueError, match="link two N blocks"):
+            next(legs)
+        assert not product.called
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n0=st.sampled_from([1, 2, 3]),
+           rates=st.tuples(*[st.floats(0.0, 1.0)] * 3), delta=st.floats(-4.0, 4.0),
+           size=st.integers(1, 4))
+    def test_block_diagonal_starts_accepted(self, seed, n0, rates, delta, size):
+        # random block-diagonal states under the package's operators: every
+        # record is block-diagonal in N and its start-sector eigenpairs are
+        # eigh's, whatever the block of records
+        space = SpaceSpec(n0)
+        params = ModelParams(delta, 0.5).with_rates(*rates)
+        spec = LindbladSpec.from_params(params, space)
+        rho0s = n_block_stack(np.random.default_rng(seed), space, size)[None]
+        config = IntegratorConfig.for_periods(
+            2 * math.pi / sector_analytics(params, n0).rabi_frequency, 0.5)
+        records = 0
+        for _, states, (w, v) in lindblad_blocks([spec], rho0s, [config], n0=n0,
+                                                  block_records=97):
             flat = states.reshape(-1, space.dim, space.dim)
-            assert equals_eigh(flat, 2, w.reshape(-1, 2), v.reshape(-1, space.dim, 2))
+            assert not hilbert.off_n_blocks(flat)
+            assert equals_eigh(flat, n0, w.reshape(-1, 2), v.reshape(-1, space.dim, 2))
+            records += states.shape[1]
+        assert records == config.n_steps // config.record_stride + 1
+
+    @pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
+    def test_default_sweeps_scan_no_block(self, kind, monkeypatch):
+        # while the open legs advance, nothing asks whether an entry lies
+        # between N blocks, and the density checks call no eigvalsh
+        scans = mock.Mock(side_effect=AssertionError("off_n_blocks called"))
+        real_blocks, real_check, checked = dynamics.lindblad_blocks, \
+            dynamics._check_density_stack, []
+
+        def spied_blocks(*args, **kwargs):
+            legs = real_blocks(*args, **kwargs)
+            while True:
+                with mock.patch.object(hilbert, "off_n_blocks", scans), \
+                        mock.patch.object(dynamics, "off_n_blocks", scans, create=True):
+                    block = next(legs, None)
+                if block is None:
+                    return
+                yield block
+
+        def spied_check(states, times, blocks):
+            with mock.patch.object(np.linalg, "eigvalsh",
+                                   side_effect=AssertionError("eigvalsh called")):
+                real_check(states, times, blocks)
+            checked.append(len(states))
+
+        monkeypatch.setattr(experiments, "lindblad_blocks", spied_blocks)
+        monkeypatch.setattr(dynamics, "_check_density_stack", spied_check)
+        run_sweep(default_spec(kind))
+        assert not scans.called
+        # every open record of the 81 points: 3 periods at stride 4, 6 at 16
+        assert sum(checked) == 81 * {"gp_delta": 1501, "negativity_delta": 751}[kind]
 
 
 class TestCPTPHealth:
@@ -646,7 +678,7 @@ class TestCPTPHealth:
         spec = LindbladSpec.from_params(params, space)
         for times, states, _ in lindblad_blocks([spec], rho0, [config]):
             flat = states.reshape(-1, space.dim, space.dim)
-            assert not dynamics.off_n_blocks(flat)
+            assert not hilbert.off_n_blocks(flat)
             assert verdict(flat, times[0]) is None
             assert verdict(flat, times[0], dense=True) is None
 

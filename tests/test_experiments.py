@@ -207,6 +207,19 @@ class TestGpSweeps:
         b = rows_for(gp_theta, 2 * math.pi - 0.7)[0]
         assert abs(a[6] + b[6]) < 1e-9
 
+    @settings(max_examples=25, deadline=None)
+    @given(chi=st.floats(-1.0, 1.0), x=st.floats(0.05, 3.0))
+    def test_delta_mirror_about_sector_one_resonance(self, chi, x):
+        # the detunings chi + x and chi - x, equally far from sector 1's
+        # resonance delta = chi, give opposite wrapped phase differences at
+        # every m; the bound is the theta mirror's, fixed beforehand
+        spec = default_spec("gp_delta", grid=(chi - x, chi + x),
+                            base_params=ModelParams(delta=0.0, chi=chi), **SMALL_GP)
+        rows = run_sweep(spec).rows
+        assert [row[8] for row in rows] == ["ok"] * 6
+        for below, above in zip(rows[:3], rows[3:]):
+            assert abs(wrap_angle(below[5] + above[5])) < 1e-9
+
     def test_rows_carry_omega_plus(self, gp_theta_result):
         gp_theta = gp_theta_result
         for row in gp_theta.rows:

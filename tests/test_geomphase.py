@@ -27,7 +27,7 @@ from kerrjc.geomphase import (
     wrap_angle,
     wrap_angles,
 )
-from kerrjc.experiments import default_spec, run_sweep
+from kerrjc.experiments import KINDS, default_spec, run_sweep
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, planarity
 from kerrjc.model import (
@@ -39,7 +39,14 @@ from kerrjc.model import (
     sector_analytics,
 )
 
-from oracles import dressed_states, phase_open_general, phase_open_pure, phase_unitary
+from oracles import (
+    dressed_states,
+    excitation_number,
+    phase_open_general,
+    phase_open_pure,
+    phase_unitary,
+    solid_angle_phases,
+)
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -503,12 +510,14 @@ class TestTracking:
         rng = np.random.default_rng(62)
         x = rng.normal(size=(SPACE.dim, SPACE.dim)) \
             + 1j * rng.normal(size=(SPACE.dim, SPACE.dim))
-        rho0 = x @ x.conj().T
+        # mixed, and block-diagonal in N (an open leg refuses any other start)
+        n = np.diag(excitation_number(SPACE)).real
+        rho0 = np.where(n[:, None] == n, x @ x.conj().T, 0.0)
         rho0 /= np.trace(rho0).real
         sa = sector_analytics(OPEN, 1)
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 0.5)
         traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
-        with pytest.raises(TrackingError):
+        with pytest.raises(TrackingError, match="not pure"):
             track_dominant_eigenvector(traj)
 
 
@@ -684,3 +693,48 @@ class TestDeltaPhi:
         assert res[1] == 2 and res[8] == "ok"
         with pytest.raises(ValueError):
             gp_theta_rows(OPEN, (0.5,), m=0)
+
+
+def fed_chains(spec, monkeypatch):
+    """A sweep's result and the states that each of its ``PhaseChain``s was
+    fed, whole: (b, n, d) per chain, in the order the chains were made."""
+    real, fed = PhaseChain.extend, {}
+
+    def extend(self, states):
+        fed.setdefault(self, []).append(np.array(states))
+        real(self, states)
+
+    monkeypatch.setattr(PhaseChain, "extend", extend)
+    result = run_sweep(spec)
+    return result, [np.concatenate(blocks, axis=1) for blocks in fed.values()]
+
+
+class TestSolidAngles:
+    """The sweeps' phases against an oracle that shares no code with the
+    phase chain: -1/2 the solid angle of the states' sector-1 Bloch path."""
+
+    @pytest.mark.parametrize("kind", ["gp_delta", "gp_theta"])
+    def test_phases_are_half_solid_angles(self, kind, monkeypatch):
+        bound = 1e-12  # ROADMAP fact 6 measured at most 3.4e-13
+        spec = default_spec(kind)
+        result, chains = fed_chains(spec, monkeypatch)
+        # the closed legs of every point feed one chain, then each chunk of
+        # open legs its own: both in grid order
+        closed, opened = chains[0], np.concatenate(chains[1:])
+        axes = np.array([sector_analytics(params, 1).axis
+                         for _, params, _ in KINDS[kind].points(spec)])
+        checkpoints = [m * spec.steps_per_period // spec.record_stride
+                       for m in spec.m_values]
+        half_u, half_g = (solid_angle_phases(states, axes, checkpoints)  # -Omega/2
+                          for states in (closed, opened))
+        rows = result.rows
+        assert {row[8] for row in rows} <= {"ok", "degraded"}
+        phi_u, phi_g, delta_phi = np.array([row[3:6] for row in rows]).reshape(
+            len(spec.grid), len(spec.m_values), 3).transpose(2, 0, 1)
+
+        def wrapped(x):
+            return np.abs(x - 2 * math.pi * np.round(x / (2 * math.pi))).max()
+
+        assert wrapped(phi_u - half_u) <= bound
+        assert wrapped(phi_g - half_g) <= bound
+        assert wrapped(delta_phi - (half_g - half_u)) <= bound

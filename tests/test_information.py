@@ -27,7 +27,7 @@ from kerrjc.model import (
     sector_analytics,
 )
 
-from oracles import basis_state
+from oracles import basis_state, negativity_from_bloch
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -309,6 +309,32 @@ class TestNegativityReplay:
                             lambda a, compute_uv=True: svd(a, compute_uv=compute_uv) + 1e-6)
         with pytest.raises(ArithmeticError, match="negativity formulas disagree"):
             negativity(rhos, SECTOR_1)
+
+
+class TestNegativityGeometry:
+    """The sweeps' negativities against an oracle that shares no code with
+    them: the sector-1 Bloch vector and the population that left it."""
+
+    @pytest.mark.parametrize("kind", ["negativity_theta", "negativity_delta"])
+    def test_every_state_of_the_default_sweeps(self, kind, monkeypatch):
+        bound = 1e-12  # ROADMAP fact 9 measured 1.3e-13
+        replayed, fed = information._replayed, []
+
+        def recorded(rhos, spec):
+            got = replayed(rhos, spec)
+            fed.append((rhos.copy(), spec, got))
+            return got
+
+        monkeypatch.setattr(information, "_replayed", recorded)
+        rows = run_sweep(default_spec(kind)).rows
+        rhos = np.concatenate([f[0] for f in fed])
+        got = np.concatenate([f[2] for f in fed])
+        spec, = {f[1] for f in fed}
+        # the closed legs' states come first, then the open legs'
+        assert len(rhos) == 2 * len(rows)
+        assert np.abs(got - negativity_from_bloch(rhos, spec)).max() <= bound
+        pops = np.diagonal(rhos[:len(rows)], 0, 1, 2).real
+        assert np.abs(got[:len(rows)] - np.sqrt(pops[:, 1] * pops[:, 2])).max() <= bound
 
 
 def excitation_numbers(spec):
