@@ -29,6 +29,7 @@ from . import __version__
 from .dynamics import LindbladSpec, PositivityError, evolve_closed, evolve_lindblad
 from .experiments import (
     KINDS,
+    START_SECTOR,
     ConfigError,
     SweepSpec,
     default_spec,
@@ -196,9 +197,9 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     kind = config["sweep.kind"]
     if kind == "":
         raise ConfigError("sweep.kind is required")
-    if config["initial.n"] != 1:
-        raise ConfigError(f"sweeps start in sector 1, and initial.n = {config['initial.n']} "
-                          "is read only by evolve: set initial.n = 1")
+    if (n := config["initial.n"]) != START_SECTOR:
+        raise ConfigError(f"sweeps start in sector {START_SECTOR}, and initial.n = {n} is "
+                          f"read only by evolve: set initial.n = {START_SECTOR}")
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
@@ -259,6 +260,8 @@ def dispatch(config: dict) -> int:
     else:
         for path in KINDS[spec.kind].chart(result, outdir):
             print(f"wrote {path}")
+    for (case, series), report in result.meta.get("planarity", {}).items():
+        print(f"planarity {case} {series}: {report.max_off_plane:.3e}")
     return EXIT_OK
 
 

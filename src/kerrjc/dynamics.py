@@ -11,16 +11,15 @@ preallocated buffers, with the same per-state arithmetic as a lone
 trajectory, so a state's bits do not depend on which others share its
 batch.  A closed leg can step and record only its leading components (the
 reached space): it computes and renormalises only those rows of the
-full-space product, each the same dot product over the full row and
-state.  ``lindblad_blocks`` does the same for open legs: g generators,
-each with its own Lindbladian, time step and c initial density matrices,
-advance by one stacked matrix product per record, again with the bits of
-each generator's own product; their records are block-diagonal in N by
-construction, pass the density checks on the N blocks and give the start
-sector's two eigenpairs in closed form (``_block_eigh``).  Both yield
+full-space product, each the same dot product over the full row and state.
+``lindblad_blocks`` does the same for open legs: g generators, each with
+its own Lindbladian, time step and c initial density matrices, advance by
+one stacked matrix product per record, again with the bits of each
+generator's own product; their records are block-diagonal in N by
+construction and pass the density checks on the N blocks.  Both yield
 records in blocks of bounded size (``BLOCK_ENTRIES``); ``evolve_closed``
-and ``evolve_lindblad`` feed one trajectory through them.  Truncation
-is checked before integrating, by the callers (``hilbert.reached_space``).
+and ``evolve_lindblad`` feed one trajectory through them.  Truncation is
+checked before integrating, by the callers (``hilbert.reached_space``).
 Before the first product, both legs take the components their steps can
 reach from the initial states (``_reached``) and refuse a closed leg that
 could leave its recorded components, an open leg that could leave its N
@@ -52,14 +51,6 @@ HOP_RADIUS_TOL = 1e-12
 # (width x width) matrices per sample, and no whole trajectory of a sweep
 # is ever held
 BLOCK_ENTRIES = 1 << 16
-# LAPACK's dlamch constants and the thresholds at which zheevd (the matrix),
-# zlarfg (a reflector) and zsteqr or dsterf (a 2x2 block) rescale:
-# ``_block_eigh`` and ``information._replayed`` leave such records to LAPACK
-_EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
-_RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485  # sqrt(safmin / (2 eps)) and its inverse
-_BETA_MIN = _SAFMIN / _EPS
-# sqrt(safmin) / eps^2 and sqrt(1 / safmin) / 3
-_SSFMIN, _SSFMAX = 2.0 ** -511 / _EPS ** 2, 2.0 ** 511 / 3
 
 
 class PositivityError(RuntimeError):
@@ -181,9 +172,9 @@ def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(d, dtype=complex) + a @ m
 
 
-def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
+def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
     """Trace, Hermiticity and positivity of every sample of a stack that is
-    block-diagonal in N, checked in that order on its N blocks ``blocks``
+    block-diagonal in N, checked in that order on its N blocks
     (``hilbert.n_blocks``), each 2x2 block's least eigenvalue in closed form
     from its lower triangle, as ``eigvalsh`` reads it; raises PositivityError
     at the first sample that fails."""
@@ -192,7 +183,7 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
     if bad.any():
         k = int(np.argmax(bad))
         raise PositivityError(f"trace drifted to {traces[k]:.12g} at t={times[k]:g}")
-    diag, upper, lower = blocks
+    diag, upper, lower = n_blocks(states)
     # sums and minima over the short last axis, one ufunc call per column
     defect = np.sqrt(4 * reduce(np.add, (diag.imag ** 2).T)
                      + 2 * reduce(np.add, (np.abs(upper - lower.conj()) ** 2).T))
@@ -209,96 +200,6 @@ def _check_density_stack(states: np.ndarray, times: np.ndarray, blocks) -> None:
         k = int(np.argmax(bad))
         raise PositivityError(f"negative eigenvalue {mins[k]:.3e} at t={times[k]:g} "
                               "(time step too large)")
-
-
-def _dlae2(a, b, c):
-    """LAPACK dlae2: eigenvalues rt1, rt2 (|rt1| >= |rt2|) of each [[a, b], [b, c]] and
-    their distance rt, one float64 ufunc per operation; unused branches may warn."""
-    sm, adf, ab = a + c, np.abs(a - c), np.abs(b + b)
-    first = np.abs(a) > np.abs(c)
-    acmx, acmn = np.where(first, a, c), np.where(first, c, a)
-    rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) * (ab / adf)),
-                  np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) * (adf / ab)),
-                           ab * np.sqrt(2.0)))
-    rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))
-    rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
-    return rt1, rt2, rt
-
-
-def _block_eigh(rhos: np.ndarray, n0: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (n, 2) and eigenvector columns (n, d, 2) of the block
-    {|e,n0-1>, |g,n0>} of each matrix of a Hermitian stack with N blocks
-    ``blocks`` (``hilbert.n_blocks``), as eigh (LAPACK zheevd) gives them for
-    that 2x2 block alone, bit for bit and in either order, with +0.0 off the
-    block.  It repeats zheevd's own operations, one float64 ufunc each:
-    zhetd2 makes the lower coherence real with zlarfg's reflector (none when
-    it is real) and updates the |g,n0> population by its rank-2 step;
-    zsteqr leaves the block as two 1x1 blocks if either of its split tests
-    passes, and rotates it by dlaev2's eigenvectors otherwise; zunmtr
-    applies the reflector to the |g,n0> row.  Blocks that LAPACK would
-    rescale (their largest entry outside [_RMIN, _RMAX], a complex
-    coherence below _BETA_MIN, or a rotated block with its largest entry
-    outside [_SSFMIN, _SSFMAX]) are left to eigh.
-    """
-    n, d = rhos.shape[:2]
-    diag, _, lower = blocks
-    i = 2 * n0 - 1  # |e,n0-1>; |g,n0> is i + 1
-    d1, c, z = diag.real[:, i], diag.real[:, i + 1], lower[:, n0 - 1]
-    zr, zi = z.real, z.imag
-    cplx = zi != 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # zlarfg: beta = -sign(dlapy3(zr, zi, 0), zr), tau = (beta - z) / beta
-        top = np.maximum(np.abs(zr), np.abs(zi))
-        p, q = np.abs(zr) / top, np.abs(zi) / top
-        beta = -np.copysign(top * np.sqrt(p * p + q * q), zr)
-        tau_r = np.where(cplx, (beta - zr) / beta, 0.0)
-        tau_i = np.where(cplx, -zi / beta, 0.0)
-        # the rank-2 update of the |g,n0> population c: zhemv's x = tau c,
-        # zdotc and zaxpy's w = x - (tau/2) conj(x), zher2's c - Re w - Re w
-        x_r = tau_r * c
-        w_r = x_r - ((0.5 * tau_r) * x_r + (0.5 * tau_i) * (tau_i * c))
-        d2 = (c - w_r) - w_r
-        e = np.where(cplx, beta, zr)
-        # zsteqr's split tests: on entry, then in its QL or QR sweep
-        ad1, ad2, ae = np.abs(d1), np.abs(d2), np.abs(e)
-        coupled = ae > (np.sqrt(ad1) * np.sqrt(ad2)) * _EPS
-        rotated = coupled & (ae * ae > (_EPS ** 2 * np.minimum(ad1, ad2))
-                             * np.maximum(ad1, ad2) + _SAFMIN)
-        # dlaev2(d1, e, d2): dlae2's eigenvalues rt1, rt2 and the rotation (cs, sn)
-        rt1, rt2, rt = _dlae2(d1, e, d2)
-        sm, df, tb = d1 + d2, d1 - d2, e + e
-        cs = np.where(df >= 0, df + rt, df - rt)
-        ct, tn = -tb / cs, -cs / tb
-        sn_a = 1.0 / np.sqrt(1.0 + ct * ct)
-        cs_b = 1.0 / np.sqrt(1.0 + tn * tn)
-        wide = np.abs(cs) > np.abs(tb)
-        cs1, sn1 = np.where(wide, ct * sn_a, cs_b), np.where(wide, sn_a, tn * cs_b)
-        swap = (sm < 0) == (df < 0)  # sgn1 == sgn2
-        cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
-
-    w = np.stack((np.where(rotated, rt1, d1), np.where(rotated, rt2, d2)), axis=1)
-    # zlasr rotates the identity's columns as complex numbers: the
-    # imaginary parts stay 0.0, and a rotated block's cs1 and sn1 are never
-    # zero, so the identity's zeros add nothing, not even a sign
-    v = np.zeros((n, d, 2), dtype=complex)
-    re = v.real
-    re[:, i, 0] = np.where(rotated, cs1, 1.0)
-    re[:, i, 1] = np.where(rotated, -sn1, 0.0)
-    # zunmtr: the reflector scales the |g,n0> row by 1 - tau (zgemv, zgerc)
-    for col, x in enumerate((np.where(rotated, sn1, 0.0), np.where(rotated, cs1, 1.0))):
-        re[:, i + 1, col] = np.where(cplx, x - tau_r * x, x)
-        v.imag[:, i + 1, col] = np.where(cplx, 0.0 - tau_i * x, 0.0)
-
-    # the block's largest entry, as zlanhe finds it, and as zsteqr finds it
-    # in the tridiagonal block (d1, d2, e)
-    anorm = np.maximum(np.maximum(np.abs(d1), np.abs(c)), np.abs(z))
-    block = np.maximum(np.maximum(ad1, ad2), ae)
-    lapack = (~(anorm <= _RMAX) | ((anorm > 0) & (anorm < _RMIN))
-              | (cplx & (np.abs(beta) < _BETA_MIN))
-              | (coupled & ~((block >= _SSFMIN) & (block <= _SSFMAX))))
-    if lapack.any():
-        w[lapack], v[lapack, i:i + 2] = np.linalg.eigh(rhos[lapack, i:i + 2, i:i + 2])
-    return w, v
 
 
 def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -397,29 +298,24 @@ def evolve_closed(h: np.ndarray, psi0: np.ndarray,
                             max_norm_drift=float(drift[0]))
 
 
-def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
-                    block_records: Optional[int] = None):
+def lindblad_blocks(specs, rho0s, configs, block_records: Optional[int] = None):
     """Advance c initial density matrices under each of g Lindbladians, in lockstep.
 
     ``rho0s`` has shape (g, c, d, d): generator i (``specs[i]``, time step
     ``configs[i].dt``) advances the c states ``rho0s[i]``.  All configs must
-    share the step count and the record stride.  The vectorised states of
-    a generator are the columns of one matrix, and each record is one
-    stacked product (g, d^2, d^2) @ (g, d^2, c), which gives the bits of each
+    share the step count and the record stride.  The vectorised states of a
+    generator are the columns of one matrix, and each record is one stacked
+    product (g, d^2, d^2) @ (g, d^2, c), which gives the bits of each
     generator's own ``hop @ vecs`` (checked on OpenBLAS), so a trajectory's
-    results do not depend on what shares its batch.  Yields
-    ``(times, states, eig)`` for consecutive blocks of records, point-major
-    over the b = g*c points (point i*c + j is state j of generator i):
-    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
-    passes the density checks on its N blocks as one (b*r, d, d) stack.
-    Given the start sector ``n0`` of the initial states, ``eig`` is its 2x2
-    block's two eigenpairs (``_block_eigh``), (b, r, 2) and (b, r, d, 2);
-    otherwise it is None.  By default r keeps r*b*d^2 within BLOCK_ENTRIES.
-    Before the first product, a reachable entry of vec(rho) (``_reached``)
-    between two N blocks raises ValueError, so every record is
-    block-diagonal in N; hops with a non-finite entry, or whose spectral
-    radius on the reachable entries exceeds 1 + HOP_RADIUS_TOL, raise
-    PositivityError.
+    results do not depend on what shares its batch.  Yields ``(times, states)``
+    for consecutive blocks of records, point-major over the b = g*c points
+    (point i*c + j is state j of generator i): ``times`` has shape (b, r) and
+    ``states`` (b, r, d, d).  Every block passes the density checks on its N
+    blocks as one (b*r, d, d) stack.  By default r keeps r*b*d^2 within
+    BLOCK_ENTRIES.  Before the first product, a reachable entry of vec(rho)
+    (``_reached``) between two N blocks raises ValueError, so every record is
+    block-diagonal in N; hops with a non-finite entry, or whose spectral radius
+    on the reachable entries exceeds 1 + HOP_RADIUS_TOL, raise PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -459,12 +355,8 @@ def lindblad_blocks(specs, rho0s, configs, n0: Optional[int] = None,
             if start + k:
                 vecs = np.matmul(hops, vecs)
             states[:, :, k] = vecs.transpose(0, 2, 1)
-        flat = states.reshape(b * r, d, d)
-        blocks = n_blocks(flat)
-        _check_density_stack(flat, block_times.reshape(-1), blocks)
-        eig = None if n0 is None else _block_eigh(flat, n0, blocks)
-        yield block_times, states.reshape(b, r, d, d), None if eig is None else (
-            eig[0].reshape(b, r, 2), eig[1].reshape(b, r, d, 2))
+        _check_density_stack(states.reshape(b * r, d, d), block_times.reshape(-1))
+        yield block_times, states.reshape(b, r, d, d)
 
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,
@@ -472,7 +364,7 @@ def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,
     """RK4 Lindblad integration of one state: ``lindblad_blocks`` in one block."""
     rho0 = np.asarray(rho0, dtype=complex)
     n_rec = config.n_steps // config.record_stride + 1
-    (times, states, _), = lindblad_blocks([spec], rho0[None, None], [config],
-                                          block_records=n_rec)
+    (times, states), = lindblad_blocks([spec], rho0[None, None], [config],
+                                       block_records=n_rec)
     return TrajectoryRecord(times=times[0], states=states[0], config=config)
 

@@ -1,21 +1,22 @@
 """Parameter sweeps: negativity, geometric-phase and Bloch data products.
 
-Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all.
-Sweeps are deterministic (no randomness anywhere in the pipeline), run
-in one process and assemble rows in grid order, so re-running an
-identical spec reproduces the CSV byte for byte.  The closed legs of all
-grid points advance in lockstep (``dynamics.closed_blocks``) on the full
-space and record only the reached space (``hilbert.reached_space``, Fock
-levels 0..n0 of the start sector n0); the open legs and every negativity
-and Bloch series run on it, whose states and operators are exact slices
-of the full ones, and it sizes both legs' blocks.  Grid points that share
-model parameters form one group, which builds its operators once;
-consecutive groups form a chunk, whose hop matrices hold at most
-``BLOCK_ENTRIES`` entries, and the open legs of a chunk advance in
-lockstep (``dynamics.lindblad_blocks``).  A kind reduces the blocks of
-either leg through the same interface, ``(spec, reached space, blocks) ->
-one reduction per point``; a ``tracked`` kind's open legs carry the start
-sector's eigenpairs, followed by one ``BranchTracker`` per chunk.
+Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all,
+each from sector ``START_SECTOR``.  Sweeps are deterministic (no
+randomness anywhere in the pipeline), run in one process and assemble rows
+in grid order, so re-running an identical spec reproduces the CSV byte for
+byte.  The closed legs of all grid points advance in lockstep
+(``dynamics.closed_blocks``) on the full space and record only the reached
+space (``hilbert.reached_space``, Fock levels 0..START_SECTOR); the open
+legs and every negativity and Bloch series run on it, whose states and
+operators are exact slices of the full ones, and it sizes both legs'
+blocks.  Grid points that share model parameters form one group, which
+builds its operators once; consecutive groups form a chunk, whose hop
+matrices hold at most ``BLOCK_ENTRIES`` entries, and the open legs of a
+chunk advance in lockstep (``dynamics.lindblad_blocks``).  A kind reduces
+the blocks of either leg through one interface,
+``(spec, reached space, blocks) -> one reduction per point``; the phase
+and Bloch kinds track the start sector's eigenpairs of each open block
+(``information.sector_eigh``) with one ``BranchTracker`` per chunk.
 
 This module writes every output file.  Each row layout is a column tuple
 and one ``%``-template next to it, each kind's row in ``KINDS`` names its
@@ -50,7 +51,7 @@ from .geomphase import (
     wrap_angle,
 )
 from .hilbert import SpaceSpec, reached_space
-from .information import bloch_series, negativity, planarity
+from .information import bloch_series, negativity, planarity, sector_eigh
 from .model import (
     InitialStateSpec,
     ModelParams,
@@ -65,6 +66,7 @@ from .svg import bloch_chart, line_chart
 DEFAULT_OPEN_RATES = (0.1, 0.0, 0.01)
 OMEGA_DEGRADED = 0.05
 DEFAULT_N_MAX = 4
+START_SECTOR = 1  # the excitation sector N of every sweep's initial states
 
 # each row layout: its CSV columns and the %-template of one row
 # (%.17g for a float, %d for m, %s for text)
@@ -143,7 +145,6 @@ class Kind:
     defaults: dict = field(default_factory=dict)  # the default_spec keywords
     horizon: Callable = attrgetter("periods")  # spec -> periods that every leg runs
     meta: Callable = lambda points, rows: {}  # -> the result's meta
-    tracked: bool = False  # the open legs yield the start sector's eigenpairs
 
 
 def default_spec(kind: str, **overrides) -> SweepSpec:
@@ -168,11 +169,11 @@ def _checkpoints(spec: SweepSpec) -> list[int]:
 
 
 def _resonant(top: Optional[float] = None, label: str = "") -> Callable:
-    """Check of sector-1 resonance and of a polar-angle grid within [0, top]."""
+    """Check of start-sector resonance and of a polar-angle grid within [0, top]."""
     def check(spec: SweepSpec) -> None:
-        if not is_resonant(spec.base_params, 1, tol=1e-9):
-            raise ConfigError(f"{spec.kind} requires sector-1 resonance: set "
-                              "model.delta equal to model.chi")
+        if not is_resonant(spec.base_params, START_SECTOR, tol=1e-9):
+            raise ConfigError(f"{spec.kind} requires sector-{START_SECTOR} resonance: "
+                              "set model.delta equal to model.chi")
         if top is not None and (spec.grid[0] < -1e-12 or spec.grid[-1] > top + 1e-12):
             raise ConfigError(f"{spec.kind} grid must lie in [0, {label}]: set "
                               "sweep.grid_start and sweep.grid_stop")
@@ -201,7 +202,7 @@ def _series(fn) -> Callable:
     on the reached space."""
     def series(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
         times, values = zip(*((block_times, _per_state(fn, states, reached))
-                              for block_times, states, _ in blocks))
+                              for block_times, states, *_ in blocks))
         return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
     return series
 
@@ -225,8 +226,8 @@ def _gp_opened(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[Optional[tup
     checkpoints (kept block by block), or None if its tracking failed."""
     checkpoints = np.array(_checkpoints(spec))
     tracker, chain, seen = BranchTracker(), PhaseChain(checkpoints), 0
-    for times, _, eig in blocks:
-        w, vectors = tracker.extend(times, *eig)
+    for times, states in blocks:
+        w, vectors = tracker.extend(times, *sector_eigh(states, START_SECTOR))
         chain.extend(vectors)
         if not seen:
             omegas = np.empty((len(w), checkpoints.size))
@@ -266,9 +267,10 @@ def _bloch_opened(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
     tracked dominant eigenvector; a tracking failure aborts."""
     tracker = BranchTracker()
     rho, eigvec = [], []
-    for times, states, eig in blocks:
+    for times, states in blocks:
         rho.append(_per_state(bloch_series, states, reached))
-        eigvec.append(_per_state(bloch_series, tracker.extend(times, *eig)[1], reached))
+        vectors = tracker.extend(times, *sector_eigh(states, START_SECTOR))[1]
+        eigvec.append(_per_state(bloch_series, vectors, reached))
         for error in tracker.failed.values():
             raise error
     return list(zip(np.concatenate(rho, axis=1), np.concatenate(eigvec, axis=1)))
@@ -311,33 +313,31 @@ def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
 def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
-    Points that share model parameters (and excitation sector) form one
-    group: H, the period and the integrator grid are built once for it.
-    The closed legs of all points advance in lockstep (``closed_blocks``),
-    record the ``reached`` space and are reduced block by block.  The open
-    legs run on it, with slices of H and the states.  Consecutive groups of
-    one size and start sector form a chunk whose hops hold at most
-    BLOCK_ENTRIES entries (a group whose hop alone is larger is a chunk by
-    itself); the open legs of a chunk advance in lockstep
-    (``lindblad_blocks``, with that start sector's eigenpairs for a
-    ``tracked`` kind) and are reduced block by block, as the closed legs
-    are.  Each point's two reductions then become its rows.
+    Points that share model parameters form one group: H, the period of sector
+    START_SECTOR and the integrator grid are built once for it.  The closed
+    legs of all points advance in lockstep (``closed_blocks``), record the
+    ``reached`` space and are reduced block by block.  The open legs run on it,
+    with slices of H and the states.  Consecutive groups of one size form a
+    chunk whose hops hold at most BLOCK_ENTRIES entries (a group whose hop
+    alone is larger is a chunk by itself); the open legs of a chunk advance in
+    lockstep (``lindblad_blocks``) and are reduced block by block, as the
+    closed legs are.  Each point's two reductions then become its rows.
     """
     space, d = spec.space, reached.dim
-    groups: dict[tuple[ModelParams, int], list[int]] = {}
-    for i, (_, params, init) in enumerate(points):
-        groups.setdefault((params, init.n), []).append(i)
+    groups: dict[ModelParams, list[int]] = {}
+    for i, (_, params, _) in enumerate(points):
+        groups.setdefault(params, []).append(i)
     psi0s = [initial_state(init, space) for _, _, init in points]
     setup = [None] * len(points)  # (period, config, H) of each point's group
-    chunks = []  # ((group size, start sector), the open legs of each group)
+    chunks = []  # (group size, the open legs of each group)
     per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
-    for (params, n), group in groups.items():
-        period, config, h = leg_setup(params, n, space, kind.horizon(spec),
+    for params, group in groups.items():
+        period, config, h = leg_setup(params, START_SECTOR, space, kind.horizon(spec),
                                       spec.steps_per_period, spec.record_stride)
         for i in group:
             setup[i] = (period, config, h)
-        if not chunks or chunks[-1][0] != (len(group), n) or len(chunks[-1][1]) == per_chunk:
-            chunks.append(((len(group), n), []))
+        if not chunks or chunks[-1][0] != len(group) or len(chunks[-1][1]) == per_chunk:
+            chunks.append((len(group), []))
         chunks[-1][1].append((LindbladSpec.from_params(params, reached, h[:d, :d]),
                               [np.outer(psi0s[i][:d], psi0s[i][:d].conj()) for i in group],
                               config))
@@ -347,30 +347,30 @@ def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> li
     # as the open legs do: both legs' reducers build d x d matrices per state
     closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
     reductions = []  # the open legs' reductions, group by group
-    for (_, n), legs in chunks:
+    for _, legs in chunks:
         specs, rho0s, configs = zip(*legs)
-        reductions += kind.opened(spec, reached, lindblad_blocks(
-            specs, np.array(rho0s), configs, n0=n if kind.tracked else None))
+        reductions += kind.opened(spec, reached,
+                                  lindblad_blocks(specs, np.array(rho0s), configs))
     opened = dict(zip((i for group in groups.values() for i in group), reductions))
     return [row for i, ((value, _, _), (period, _, _), c) in enumerate(zip(points, setup, closed))
             for row in kind.rows(spec, value, period, c, opened[i])]
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
-    return [(theta, spec.open_params, InitialStateSpec(theta0=theta, phi0=0.0, n=1))
-            for theta in spec.grid]
+    return [(theta, spec.open_params,
+             InitialStateSpec(theta0=theta, phi0=0.0, n=START_SECTOR)) for theta in spec.grid]
 
 
 def _delta_points(spec: SweepSpec) -> list[tuple]:
     grid = [replace(spec.open_params, delta=delta) for delta in spec.grid]
-    return [(params.delta, params, perpendicular_state(params, 1)) for params in grid]
+    return [(p.delta, p, perpendicular_state(p, START_SECTOR)) for p in grid]
 
 
 def _bloch_points(spec: SweepSpec) -> list[tuple]:
     """The base parameters and an off-resonant case (delta = 2g, chi = 0),
     both from the state perpendicular to their rotation axis."""
     off = replace(spec.open_params, delta=2 * spec.base_params.g, chi=0.0)
-    return [(case, params, perpendicular_state(params, 1))
+    return [(case, params, perpendicular_state(params, START_SECTOR))
             for case, params in zip(BLOCH_CASES, (spec.open_params, off))]
 
 
@@ -426,26 +426,25 @@ KINDS = {
     "negativity_delta": Kind(
         NEG_COLUMNS, NEG_ROW, _delta_points, _series(negativity), _series(negativity),
         _neg_rows, _neg_charts,
-        defaults=dict(grid=_DELTA_GRID, record_stride=16,
-                      base_params=ModelParams(delta=0.0, chi=0.0))),
+        defaults=dict(grid=_DELTA_GRID, record_stride=16)),
     # phase difference vs initial polar angle at fixed sector-1 resonance
     "gp_theta": Kind(
         GP_COLUMNS, GP_ROW, _theta_points, _gp_closed, _gp_opened, _gp_rows, _gp_charts,
         checks=(_resonant(2 * math.pi, "2*pi"), _checkpoints),
         defaults=dict(grid=tuple(np.linspace(0.0, 2 * math.pi, 64))),
-        horizon=_largest_m, tracked=True),
+        horizon=_largest_m),
     # phase difference vs detuning, perpendicular initial states
     "gp_delta": Kind(
         GP_COLUMNS, GP_ROW, _delta_points, _gp_closed, _gp_opened, _gp_rows, _gp_charts,
         checks=(_checkpoints,), defaults=dict(grid=_DELTA_GRID),
-        horizon=_largest_m, tracked=True),
+        horizon=_largest_m),
     # unitary path, density projection and tracked-eigenvector path per case,
     # with a planarity figure against the unitary rotation axis for each
     "bloch_traj": Kind(
         BLOCH_COLUMNS, BLOCH_ROW, _bloch_points, _series(bloch_series), _bloch_opened,
         _bloch_rows, _bloch_charts,
         checks=(_resonant(), _two_records), defaults=dict(grid=(0.0,), periods=3.0),
-        meta=_bloch_planarity, tracked=True),
+        meta=_bloch_planarity),
 }
 
 
@@ -456,7 +455,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for check in kind.checks:
         check(spec)
     points = kind.points(spec)
-    reached = reached_space(max(init.n for _, _, init in points), spec.space)
+    reached = reached_space(START_SECTOR, spec.space)
     rows = _grouped_rows(spec, kind, points, reached)
     return SweepResult(spec=spec, columns=kind.columns, rows=rows,
                        meta=kind.meta(points, rows))
@@ -476,8 +475,8 @@ def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[s
         f"# m_values: {','.join(str(m) for m in spec.m_values)}",
         f"# grid: {','.join(f'{v:.17g}' for v in spec.grid)}",
     ]
-    if is_resonant(p, 1, tol=1e-9):
-        lines.append("# note: sector n=1 resonance (delta = chi)")
+    if is_resonant(p, START_SECTOR, tol=1e-9):
+        lines.append(f"# note: sector n={START_SECTOR} resonance (delta = chi)")
     if timestamp is not None:
         lines.append(f"# written: {timestamp}")
     return lines

@@ -183,7 +183,7 @@ class BranchTracker:
     eigenpairs may come in any column order, even one that changes from
     sample to sample, and need not be all d of them: a column with zero
     overlap against every tracked vector, never picked and never among the
-    top two overlaps, can be left out.  ``dynamics._block_eigh`` gives only
+    top two overlaps, can be left out.  ``information.sector_eigh`` gives only
     the start sector's two, ``track_dominant_eigenvector`` all d of eigh's.
     Selection assumes each point's picked column index stays put: one
     batched pass gives every sample's (b, r, m) |overlaps|, each summed

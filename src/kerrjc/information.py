@@ -1,7 +1,9 @@
 """Entanglement and Bloch-sphere diagnostics.
 
 Every routine here takes a stack of states: (n, d) pure states or
-(n, d, d) density matrices; a single state is a stack of one.
+(n, d, d) density matrices; a single state is a stack of one.  The two
+replays of LAPACK zheevd live here: ``sector_eigh``, the start sector's
+eigenpairs that the sweeps track, and ``_replayed``, the negativity's.
 
 Negativity is computed on the whole space it is given (partial transpose
 over the atom against its whole cavity ladder), because dissipation couples
@@ -23,12 +25,19 @@ from functools import reduce
 import numpy as np
 
 from . import hilbert
-from .dynamics import _BETA_MIN, _RMAX, _SAFMIN, _SSFMIN, _dlae2
 from .hilbert import SpaceSpec
 
 NEGATIVITY_FORMULA_TOL = 1e-10
 PLANARITY_THRESHOLD = 0.02
 BLOCH_EPS = 1e-6
+# LAPACK's dlamch constants and the thresholds at which zheevd (the matrix),
+# zlarfg (a reflector) and zsteqr or dsterf (a 2x2 block) rescale:
+# ``sector_eigh`` and ``_replayed`` leave such records to LAPACK
+_EPS, _SAFMIN = 2.0 ** -53, 2.0 ** -1022
+_RMIN, _RMAX = 2.0 ** -485, 2.0 ** 485  # sqrt(safmin / (2 eps)) and its inverse
+_BETA_MIN = _SAFMIN / _EPS
+# sqrt(safmin) / eps^2 and sqrt(1 / safmin) / 3
+_SSFMIN, _SSFMAX = 2.0 ** -511 / _EPS ** 2, 2.0 ** 511 / 3
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,97 @@ def block_trace_norm(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     a, b = pops[:, 0:-2:2], pops[:, 3::2]
     pairs = np.maximum(np.abs(a + b), np.hypot(a - b, 2 * c))
     return pairs.sum(axis=1) + np.abs(pops[:, 1]) + np.abs(pops[:, -2])
+
+
+def _dlae2(a, b, c):
+    """LAPACK dlae2: eigenvalues rt1, rt2 (|rt1| >= |rt2|) of each [[a, b], [b, c]] and
+    their distance rt, one float64 ufunc per operation; unused branches may warn."""
+    sm, adf, ab = a + c, np.abs(a - c), np.abs(b + b)
+    first = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(first, a, c), np.where(first, c, a)
+    rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) * (ab / adf)),
+                  np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) * (adf / ab)),
+                           ab * np.sqrt(2.0)))
+    rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))
+    rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    return rt1, rt2, rt
+
+
+def sector_eigh(states: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 2) and eigenvector columns (..., d, 2) of the block
+    {|e,n0-1>, |g,n0>} of each matrix of an N-block-diagonal Hermitian
+    (..., d, d) stack, as eigh (LAPACK zheevd) gives them for that 2x2
+    block alone, bit for bit and in either order, with +0.0 off the block.
+    It repeats zheevd's own operations, one float64 ufunc each:
+    zhetd2 makes the lower coherence real with zlarfg's reflector (none when
+    it is real) and updates the |g,n0> population by its rank-2 step;
+    zsteqr leaves the block as two 1x1 blocks if either of its split tests
+    passes, and rotates it by dlaev2's eigenvectors otherwise; zunmtr
+    applies the reflector to the |g,n0> row.  Blocks that LAPACK would
+    rescale (their largest entry outside [_RMIN, _RMAX], a complex
+    coherence below _BETA_MIN, or a rotated block with its largest entry
+    outside [_SSFMIN, _SSFMAX]) are left to eigh.
+    """
+    shape, d = states.shape[:-2], states.shape[-1]
+    rhos = states.reshape(-1, d, d)
+    diag, _, lower = hilbert.n_blocks(rhos)
+    i = 2 * n0 - 1  # |e,n0-1>; |g,n0> is i + 1
+    d1, c, z = diag.real[:, i], diag.real[:, i + 1], lower[:, n0 - 1]
+    zr, zi = z.real, z.imag
+    cplx = zi != 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # zlarfg: beta = -sign(dlapy3(zr, zi, 0), zr), tau = (beta - z) / beta
+        top = np.maximum(np.abs(zr), np.abs(zi))
+        p, q = np.abs(zr) / top, np.abs(zi) / top
+        beta = -np.copysign(top * np.sqrt(p * p + q * q), zr)
+        tau_r = np.where(cplx, (beta - zr) / beta, 0.0)
+        tau_i = np.where(cplx, -zi / beta, 0.0)
+        # the rank-2 update of the |g,n0> population c: zhemv's x = tau c,
+        # zdotc and zaxpy's w = x - (tau/2) conj(x), zher2's c - Re w - Re w
+        x_r = tau_r * c
+        w_r = x_r - ((0.5 * tau_r) * x_r + (0.5 * tau_i) * (tau_i * c))
+        d2 = (c - w_r) - w_r
+        e = np.where(cplx, beta, zr)
+        # zsteqr's split tests: on entry, then in its QL or QR sweep
+        ad1, ad2, ae = np.abs(d1), np.abs(d2), np.abs(e)
+        coupled = ae > (np.sqrt(ad1) * np.sqrt(ad2)) * _EPS
+        rotated = coupled & (ae * ae > (_EPS ** 2 * np.minimum(ad1, ad2))
+                             * np.maximum(ad1, ad2) + _SAFMIN)
+        # dlaev2(d1, e, d2): dlae2's eigenvalues rt1, rt2 and the rotation (cs, sn)
+        rt1, rt2, rt = _dlae2(d1, e, d2)
+        sm, df, tb = d1 + d2, d1 - d2, e + e
+        cs = np.where(df >= 0, df + rt, df - rt)
+        ct, tn = -tb / cs, -cs / tb
+        sn_a = 1.0 / np.sqrt(1.0 + ct * ct)
+        cs_b = 1.0 / np.sqrt(1.0 + tn * tn)
+        wide = np.abs(cs) > np.abs(tb)
+        cs1, sn1 = np.where(wide, ct * sn_a, cs_b), np.where(wide, sn_a, tn * cs_b)
+        swap = (sm < 0) == (df < 0)  # sgn1 == sgn2
+        cs1, sn1 = np.where(swap, -sn1, cs1), np.where(swap, cs1, sn1)
+
+    w = np.stack((np.where(rotated, rt1, d1), np.where(rotated, rt2, d2)), axis=1)
+    # zlasr rotates the identity's columns as complex numbers: the
+    # imaginary parts stay 0.0, and a rotated block's cs1 and sn1 are never
+    # zero, so the identity's zeros add nothing, not even a sign
+    v = np.zeros((len(rhos), d, 2), dtype=complex)
+    re = v.real
+    re[:, i, 0] = np.where(rotated, cs1, 1.0)
+    re[:, i, 1] = np.where(rotated, -sn1, 0.0)
+    # zunmtr: the reflector scales the |g,n0> row by 1 - tau (zgemv, zgerc)
+    for col, x in enumerate((np.where(rotated, sn1, 0.0), np.where(rotated, cs1, 1.0))):
+        re[:, i + 1, col] = np.where(cplx, x - tau_r * x, x)
+        v.imag[:, i + 1, col] = np.where(cplx, 0.0 - tau_i * x, 0.0)
+
+    # the block's largest entry, as zlanhe finds it, and as zsteqr finds it
+    # in the tridiagonal block (d1, d2, e)
+    anorm = np.maximum(np.maximum(np.abs(d1), np.abs(c)), np.abs(z))
+    block = np.maximum(np.maximum(ad1, ad2), ae)
+    lapack = (~(anorm <= _RMAX) | ((anorm > 0) & (anorm < _RMIN))
+              | (cplx & (np.abs(beta) < _BETA_MIN))
+              | (coupled & ~((block >= _SSFMIN) & (block <= _SSFMAX))))
+    if lapack.any():
+        w[lapack], v[lapack, i:i + 2] = np.linalg.eigh(rhos[lapack, i:i + 2, i:i + 2])
+    return w.reshape(*shape, 2), v.reshape(*shape, d, 2)
 
 
 def _from_eigs(pts: np.ndarray) -> np.ndarray:

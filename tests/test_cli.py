@@ -25,7 +25,7 @@ from kerrjc.cli import (
     serialize_config,
     sweep_spec_from_config,
 )
-from kerrjc.experiments import KINDS
+from kerrjc.experiments import KINDS, default_spec, run_sweep
 
 FAST_GP = [
     "--set", "integrator.steps_per_period=500",
@@ -468,6 +468,37 @@ class TestDispatch:
         assert (out / "bloch_resonant.svg").exists()
         assert (out / "bloch_off_resonant.svg").exists()
 
+    def test_bloch_prints_planarity(self, tmp_path, capsys):
+        # after the `wrote` lines, one line per (case, series) Bloch path:
+        # the planarity figure of the result's meta, in its order
+        text = "integrator.steps_per_period = 500\nintegrator.periods = 1.0\n"
+        (tmp_path / "bloch.conf").write_text(text)
+        code = main(["bloch", "--config", str(tmp_path / "bloch.conf"),
+                     "--out", str(tmp_path), "--no-timestamp"])
+        assert code == EXIT_OK
+        meta = run_sweep(sweep_spec_from_config(parse_config(
+            "sweep.kind = bloch_traj\n" + text))).meta["planarity"]
+        want = [f"planarity {case} {series}: {report.max_off_plane:.3e}"
+                for (case, series), report in meta.items()]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(want) == 6
+        assert lines[-6:] == want
+        assert all(line.startswith("wrote ") for line in lines[:-6])
+
+    def test_bloch_tracking_error_exit(self, tmp_path, capsys, monkeypatch):
+        # every overlap gap is below a tolerance above 1: the first tracked
+        # sample is ambiguous, and nothing is written
+        import kerrjc.geomphase as gp
+        monkeypatch.setattr(gp, "AMBIGUITY_TOL", 2.0)
+        code = main(["bloch", "--out", str(tmp_path / "run"), "--no-timestamp",
+                     "--set", "integrator.steps_per_period=500"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("tracking error: eigenvector overlap ambiguity")
+        assert "integrator.steps_per_period" in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_set_overrides_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.delta = 0.1\nsweep.kind = gp_theta\n")
@@ -572,6 +603,12 @@ class TestDispatch:
         header = [line for line in (tmp_path / "bloch_traj.csv").read_text().splitlines()
                   if line.startswith("# integrator:")]
         assert header == ["# integrator: steps_per_period=500 record_stride=4 periods=2"]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_default_spec_is_the_cli_default(kind):
+    # the package's default sweep of a kind is the one `kerrjc sweep` runs
+    assert default_spec(kind) == sweep_spec_from_config(parse_config(f"sweep.kind = {kind}\n"))
 
 
 def test_import_leaves_the_process_pool_unloaded():

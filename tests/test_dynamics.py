@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrjc import dynamics, experiments, hilbert
+from kerrjc import dynamics, experiments, hilbert, information
 from kerrjc.dynamics import (
     IntegratorConfig,
     LindbladSpec,
@@ -385,7 +385,7 @@ def verdict(states, times, dense=False):
         if dense:
             check_density_dense(states, times)
         else:
-            dynamics._check_density_stack(states, times, hilbert.n_blocks(states))
+            dynamics._check_density_stack(states, times)
     except PositivityError as exc:
         return str(exc)
     return None
@@ -505,19 +505,23 @@ def block_case_stack(rng, n0, cases, scale):
 
 
 class TestBlockEigh:
-    """``_block_eigh`` gives eigh's eigenpairs of the start sector's 2x2 block."""
+    """``information.sector_eigh`` gives eigh's eigenpairs of the start
+    sector's 2x2 block."""
 
     @pytest.mark.parametrize("kind", ["gp_delta", "bloch_traj"])
     def test_every_open_record_of_a_sweep(self, kind, monkeypatch):
         # every record takes the closed form (no eigh call) and gets eigh's bits
-        real, verdicts = dynamics._block_eigh, []
+        real, verdicts = information.sector_eigh, []
 
-        def checked(rhos, n0, blocks):
-            w, v = real(rhos, n0, blocks)
-            verdicts.append((len(rhos), equals_eigh(rhos, n0, w, v)))
+        def checked(states, n0):
+            w, v = real(states, n0)
+            d = states.shape[-1]
+            rhos = states.reshape(-1, d, d)
+            verdicts.append((len(rhos), equals_eigh(rhos, n0, w.reshape(-1, 2),
+                                                    v.reshape(-1, d, 2))))
             return w, v
 
-        monkeypatch.setattr(dynamics, "_block_eigh", checked)
+        monkeypatch.setattr(experiments, "sector_eigh", checked)
         with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
             run_sweep(default_spec(kind))
         assert not eigh.called
@@ -534,7 +538,7 @@ class TestBlockEigh:
         rhos = block_case_stack(np.random.default_rng(seed), n0, cases, 10.0 ** exponent)
         sector = data.draw(st.integers(1, n0))
         with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-            w, v = dynamics._block_eigh(rhos, sector, hilbert.n_blocks(rhos))
+            w, v = information.sector_eigh(rhos, sector)
         assert not eigh.called
         assert w.shape == (len(rhos), 2) and v.shape == (len(rhos), 2 * n0 + 2, 2)
         assert equals_eigh(rhos, sector, w, v)
@@ -549,7 +553,7 @@ class TestBlockEigh:
         rhos = np.zeros((a.size, 4, 4), dtype=complex)
         rhos[:, 0, 0], rhos[:, 3, 3] = rng.random((2, a.size))
         rhos[:, 1, 1], rhos[:, 2, 2], rhos[:, 2, 1], rhos[:, 1, 2] = a, c, z, z
-        got = dynamics._block_eigh(rhos, 1, hilbert.n_blocks(rhos))
+        got = information.sector_eigh(rhos, 1)
         assert equals_eigh(rhos, 1, *got)
 
     @pytest.mark.parametrize("scale", [1e-125, 1e-160, 1e-300, 1e160])
@@ -566,7 +570,7 @@ class TestBlockEigh:
             rhos[np.ix_([2, 3], others, others)] *= scale
             rhos[[1, 4]] *= scale
             with mock.patch.object(np.linalg, "eigh", wraps=EIGH) as eigh:
-                got = dynamics._block_eigh(rhos, n0, hilbert.n_blocks(rhos))
+                got = information.sector_eigh(rhos, n0)
             assert eigh.call_count == 1
             assert np.array_equal(eigh.call_args.args[0], rhos[[1, 4], i:i + 2, i:i + 2])
             assert equals_eigh(rhos, n0, *got)
@@ -601,7 +605,7 @@ class TestNBlockRefusal:
             spec = LindbladSpec(h, spec.collapse_ops)
         config = IntegratorConfig.for_periods(
             2 * math.pi / sector_analytics(params, n0).rabi_frequency, 1.0)
-        legs = lindblad_blocks([spec], rho0s, [config], n0=n0)
+        legs = lindblad_blocks([spec], rho0s, [config])
         with mock.patch.object(np, "matmul", wraps=np.matmul) as product, \
                 pytest.raises(ValueError, match="link two N blocks"):
             next(legs)
@@ -613,8 +617,8 @@ class TestNBlockRefusal:
            size=st.integers(1, 4))
     def test_block_diagonal_starts_accepted(self, seed, n0, rates, delta, size):
         # random block-diagonal states under the package's operators: every
-        # record is block-diagonal in N and its start-sector eigenpairs are
-        # eigh's, whatever the block of records
+        # record is block-diagonal in N and the start-sector eigenpairs of
+        # its block are eigh's, whatever the block of records
         space = SpaceSpec(n0)
         params = ModelParams(delta, 0.5).with_rates(*rates)
         spec = LindbladSpec.from_params(params, space)
@@ -622,10 +626,10 @@ class TestNBlockRefusal:
         config = IntegratorConfig.for_periods(
             2 * math.pi / sector_analytics(params, n0).rabi_frequency, 0.5)
         records = 0
-        for _, states, (w, v) in lindblad_blocks([spec], rho0s, [config], n0=n0,
-                                                  block_records=97):
+        for _, states in lindblad_blocks([spec], rho0s, [config], block_records=97):
             flat = states.reshape(-1, space.dim, space.dim)
             assert not hilbert.off_n_blocks(flat)
+            w, v = information.sector_eigh(states, n0)
             assert equals_eigh(flat, n0, w.reshape(-1, 2), v.reshape(-1, space.dim, 2))
             records += states.shape[1]
         assert records == config.n_steps // config.record_stride + 1
@@ -648,10 +652,10 @@ class TestNBlockRefusal:
                     return
                 yield block
 
-        def spied_check(states, times, blocks):
+        def spied_check(states, times):
             with mock.patch.object(np.linalg, "eigvalsh",
                                    side_effect=AssertionError("eigvalsh called")):
-                real_check(states, times, blocks)
+                real_check(states, times)
             checked.append(len(states))
 
         monkeypatch.setattr(experiments, "lindblad_blocks", spied_blocks)
@@ -676,7 +680,7 @@ class TestCPTPHealth:
         psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
         rho0 = np.outer(psi0, psi0.conj())[None, None]
         spec = LindbladSpec.from_params(params, space)
-        for times, states, _ in lindblad_blocks([spec], rho0, [config]):
+        for times, states in lindblad_blocks([spec], rho0, [config]):
             flat = states.reshape(-1, space.dim, space.dim)
             assert not hilbert.off_n_blocks(flat)
             assert verdict(flat, times[0]) is None

@@ -147,13 +147,15 @@ class TestNegativityTheta:
 
 class TestNegativityDelta:
     def test_bare_resonance_full_oscillation(self):
-        spec = default_spec("negativity_delta", grid=(-2.0, 0.0, 2.0), **SMALL_NEG)
+        spec = default_spec("negativity_delta", grid=(-2.0, 0.0, 2.0),
+                            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG)
         result = run_sweep(spec)
         on_res = np.array([r[2] for r in rows_for(result, 0.0)])
         assert on_res.max() > 0.499 and on_res.min() < 1e-6
 
     def test_large_detuning_confined_high(self):
-        spec = default_spec("negativity_delta", grid=(4.0,), **SMALL_NEG)
+        spec = default_spec("negativity_delta", grid=(4.0,),
+                            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG)
         vals = np.array([r[2] for r in run_sweep(spec).rows])
         assert vals.min() > 0.3
 
@@ -509,23 +511,30 @@ class TestGroupedEngine:
 
 
 def with_ambiguity(monkeypatch, point, record):
-    """Run the sweeps' open legs with all eigenvectors of chunk point
-    ``point`` made equal at record ``record``, an ambiguity that tracking
-    must report there; returns the list that receives that sample's time."""
+    """Run the sweeps' open legs with the start-sector eigenvectors of chunk
+    point ``point`` made equal at record ``record``, an ambiguity that
+    tracking must report there; returns the list that receives that sample's
+    time."""
     import kerrjc.experiments as ex
-    real, hit = ex.lindblad_blocks, []
+    real_blocks, real_eigh, hit, block = ex.lindblad_blocks, ex.sector_eigh, [], {}
 
-    def blocks(*args, **kwargs):
+    def blocks(*args, **kwargs):  # each block of a chunk, with its first record
         seen = 0
-        for times, states, eig in real(*args, **kwargs):
-            k = record - seen
-            if eig is not None and 0 <= k < times.shape[1]:
-                eig[1][point, k] = eig[1][point, k][:, -1:]
-                hit.append(times[point, k])
+        for times, states in real_blocks(*args, **kwargs):
+            block.update(times=times, seen=seen)
             seen += times.shape[1]
-            yield times, states, eig
+            yield times, states
+
+    def eigh(states, n0):
+        w, v = real_eigh(states, n0)
+        times, k = block["times"], record - block["seen"]
+        if 0 <= k < times.shape[1]:
+            v[point, k] = v[point, k][:, -1:]
+            hit.append(times[point, k])
+        return w, v
 
     monkeypatch.setattr(ex, "lindblad_blocks", blocks)
+    monkeypatch.setattr(ex, "sector_eigh", eigh)
     return hit
 
 

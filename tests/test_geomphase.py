@@ -564,7 +564,7 @@ def sector_columns(w, v, n0):
 
 class TestStartSectorColumns:
     """``BranchTracker`` fed only the start sector's two eigenpairs, as
-    ``dynamics._block_eigh`` gives them, tracks as it does fed all of eigh's."""
+    ``information.sector_eigh`` gives them, tracks as it does fed all of eigh's."""
 
     @settings(max_examples=40, deadline=None)
     @given(n0=st.integers(1, 3),

@@ -21,6 +21,7 @@ from kerrjc.dynamics import (
     rk4_step_matrix,
 )
 from kerrjc.hilbert import SpaceSpec
+from kerrjc.information import sector_eigh
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -144,8 +145,10 @@ def open_legs(deltas, thetas, steps_per_period=60, stride=4, periods=1.0):
 
 
 def joined(blocks):
-    """(times, states, eigenvalues, eigenvectors) of all blocks, joined."""
-    return [np.concatenate(x, axis=1) for x in zip(*((t, s, *e) for t, s, e in blocks))]
+    """(times, states, eigenvalues, eigenvectors) of all blocks, joined: the
+    start-sector eigenpairs of each block, as the sweeps' reducers take them."""
+    return [np.concatenate(x, axis=1)
+            for x in zip(*((t, s, *sector_eigh(s, 1)) for t, s in blocks))]
 
 
 @pytest.mark.parametrize("thetas", [(0.0,), (0.0, 1.2, 2.5)])
@@ -153,11 +156,9 @@ def test_open_lockstep_equals_each_generator_alone(thetas):
     # three generators with their own dt, c states each, in blocks of 7
     specs, rho0s, configs = open_legs((-2.0, 0.3, 1.5), thetas)
     c = len(thetas)
-    together = joined(lindblad_blocks(specs, rho0s, configs, n0=1,
-                                      block_records=7))
+    together = joined(lindblad_blocks(specs, rho0s, configs, block_records=7))
     for i in range(3):
-        alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1],
-                                       n0=1))
+        alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1]))
         for got, want in zip(together, alone):
             assert np.array_equal(got[i * c:(i + 1) * c], want)
         if c == 1:
