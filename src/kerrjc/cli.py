@@ -65,30 +65,32 @@ def _parse_int_list(s: str) -> tuple[int, ...]:
 
 
 # key -> (converter, default, sign): a None default means "derived later",
-# and a sign, "nonnegative" or "positive", bounds the value
+# and a sign, "nonnegative" or "positive", bounds the value; a default that
+# the library holds too is read from its one home, a field of SweepSpec,
+# ModelParams or InitialStateSpec
 SCHEMA = {
-    "model.delta": (float, 0.5, None),
-    "model.chi": (float, 0.5, None),
-    "model.g": (float, 1.0, "positive"),
-    "model.gamma": (float, 0.0, "nonnegative"),
-    "model.p": (float, 0.0, "nonnegative"),
-    "model.p_z": (float, 0.0, "nonnegative"),
-    "space.n_max": (int, 4, "positive"),
+    "model.delta": (float, SweepSpec.base_params.delta, None),
+    "model.chi": (float, SweepSpec.base_params.chi, None),
+    "model.g": (float, ModelParams.g, "positive"),
+    "model.gamma": (float, ModelParams.gamma, "nonnegative"),
+    "model.p": (float, ModelParams.p, "nonnegative"),
+    "model.p_z": (float, ModelParams.p_z, "nonnegative"),
+    "space.n_max": (int, SweepSpec.n_max, "positive"),
     "initial.theta0": (float, 0.0, None),
-    "initial.phi0": (float, 0.0, None),
-    "initial.n": (int, 1, "positive"),
+    "initial.phi0": (float, InitialStateSpec.phi0, None),
+    "initial.n": (int, InitialStateSpec.n, "positive"),
     "initial.perpendicular": (_parse_bool, False, None),
-    "integrator.steps_per_period": (int, 2000, "positive"),
+    "integrator.steps_per_period": (int, SweepSpec.steps_per_period, "positive"),
     "integrator.record_stride": (int, None, "positive"),
     "integrator.periods": (float, None, "positive"),
     "sweep.kind": (str, "", None),
     "sweep.grid_start": (float, None, None),
     "sweep.grid_stop": (float, None, None),
     "sweep.grid_points": (int, None, "positive"),
-    "sweep.m_values": (_parse_int_list, (1, 2, 3), None),
-    "sweep.open_gamma": (float, 0.1, "nonnegative"),
-    "sweep.open_p": (float, 0.0, "nonnegative"),
-    "sweep.open_p_z": (float, 0.01, "nonnegative"),
+    "sweep.m_values": (_parse_int_list, SweepSpec.m_values, None),
+    "sweep.open_gamma": (float, SweepSpec.open_rates[0], "nonnegative"),
+    "sweep.open_p": (float, SweepSpec.open_rates[1], "nonnegative"),
+    "sweep.open_p_z": (float, SweepSpec.open_rates[2], "nonnegative"),
     "sweep.workers": (int, 1, "positive"),  # 1 only: sweeps run in one process
     "output.dir": (str, None, None),
     "output.emit_svg": (_parse_bool, True, None),

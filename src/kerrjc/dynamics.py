@@ -17,13 +17,14 @@ its own Lindbladian, time step and c initial density matrices, advance by
 one stacked matrix product per record, again with the bits of each
 generator's own product; their records are block-diagonal in N by
 construction and pass the density checks on the N blocks.  Both yield
-records in blocks of bounded size (``BLOCK_ENTRIES``); ``evolve_closed``
-and ``evolve_lindblad`` feed one trajectory through them.  Truncation is
-checked before integrating, by the callers (``hilbert.reached_space``).
-Before the first product, both legs take the components their steps can
-reach from the initial states (``_reached``) and refuse a closed leg that
-could leave its recorded components, an open leg that could leave its N
-blocks and an RK4 hop that would amplify a reachable mode.
+records in blocks that they size themselves, within ``BLOCK_ENTRIES``;
+``evolve_closed`` and ``evolve_lindblad`` feed one trajectory through them
+and join its blocks.  Truncation is checked before integrating, by the
+callers (``hilbert.reached_space``).  Before the first product, both legs
+take the components their steps can reach from the initial states
+(``_reached``) and refuse a closed leg that could leave its recorded
+components, an open leg that could leave its N blocks and an RK4 hop that
+would amplify a reachable mode.
 """
 
 from __future__ import annotations
@@ -113,9 +114,8 @@ class IntegratorConfig:
         return int(round(self.t_final / self.dt))
 
     @classmethod
-    def for_periods(cls, period: float, periods: float,
-                    steps_per_period: int = 2000,
-                    record_stride: int = 4) -> "IntegratorConfig":
+    def for_periods(cls, period: float, periods: float, steps_per_period: int,
+                    record_stride: int) -> "IntegratorConfig":
         """Grid spanning ``periods`` oscillation periods of length ``period``."""
         dt = period / steps_per_period
         n_steps = int(round(periods * steps_per_period))
@@ -212,8 +212,7 @@ def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
-def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
-                  width: Optional[int] = None):
+def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
     """Advance b pure states in lockstep, each under its own H and time step.
 
     psi' = -i H psi by RK4 with renormalisation after every step.  All
@@ -230,8 +229,7 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     full state, which keeps every dot product of the full product, while
     the other components stay +0.0.  A ValueError before the first step
     refuses legs whose steps' nonzero pattern links their initial support
-    to any other component.  By default r keeps r*b*width^2 within
-    BLOCK_ENTRIES; a caller passes its own r.
+    to any other component.  r keeps r*b*width^2 within BLOCK_ENTRIES.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -265,12 +263,11 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
     dot_col, dot_re = dot[:, 0], dot.real
     n_rec = n_steps // stride + 1
     spacing = np.array([[c.dt * stride] for c in configs])
-    if block_records is None:
-        block_records = max(1, BLOCK_ENTRIES // (b * width * width))
-    norms = np.empty((min(block_records, n_rec) * stride, b, 1, 1))  # a block's steps
+    per_block = max(1, BLOCK_ENTRIES // (b * width * width))
+    norms = np.empty((min(per_block, n_rec) * stride, b, 1, 1))  # a block's steps
     drift = np.zeros(b)
-    for start in range(0, n_rec, block_records):
-        block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
+    for start in range(0, n_rec, per_block):
+        block_times = np.arange(start, min(start + per_block, n_rec)) * spacing
         r = block_times.shape[1]
         states = np.empty((b, r, width), dtype=complex)
         i = 0
@@ -291,14 +288,15 @@ def closed_blocks(hs, psi0s, configs, block_records: Optional[int] = None,
 
 def evolve_closed(h: np.ndarray, psi0: np.ndarray,
                   config: IntegratorConfig) -> TrajectoryRecord:
-    """RK4 integration of psi' = -i H psi with per-step renormalization."""
-    n_rec = config.n_steps // config.record_stride + 1
-    (times, states, drift), = closed_blocks([h], [psi0], [config], block_records=n_rec)
-    return TrajectoryRecord(times=times[0], states=states[0], config=config,
-                            max_norm_drift=float(drift[0]))
+    """RK4 integration of psi' = -i H psi with per-step renormalization:
+    ``closed_blocks`` of one state, its blocks joined."""
+    times, states, drift = zip(*closed_blocks([h], [psi0], [config]))
+    return TrajectoryRecord(times=np.concatenate(times, axis=1)[0],
+                            states=np.concatenate(states, axis=1)[0], config=config,
+                            max_norm_drift=float(drift[-1][0]))
 
 
-def lindblad_blocks(specs, rho0s, configs, block_records: Optional[int] = None):
+def lindblad_blocks(specs, rho0s, configs):
     """Advance c initial density matrices under each of g Lindbladians, in lockstep.
 
     ``rho0s`` has shape (g, c, d, d): generator i (``specs[i]``, time step
@@ -311,11 +309,11 @@ def lindblad_blocks(specs, rho0s, configs, block_records: Optional[int] = None):
     for consecutive blocks of records, point-major over the b = g*c points
     (point i*c + j is state j of generator i): ``times`` has shape (b, r) and
     ``states`` (b, r, d, d).  Every block passes the density checks on its N
-    blocks as one (b*r, d, d) stack.  By default r keeps r*b*d^2 within
-    BLOCK_ENTRIES.  Before the first product, a reachable entry of vec(rho)
-    (``_reached``) between two N blocks raises ValueError, so every record is
-    block-diagonal in N; hops with a non-finite entry, or whose spectral radius
-    on the reachable entries exceeds 1 + HOP_RADIUS_TOL, raise PositivityError.
+    blocks as one (b*r, d, d) stack.  r keeps r*b*d^2 within BLOCK_ENTRIES.
+    Before the first product, a reachable entry of vec(rho) (``_reached``)
+    between two N blocks raises ValueError, so every record is block-diagonal
+    in N; hops with a non-finite entry, or whose spectral radius on the
+    reachable entries exceeds 1 + HOP_RADIUS_TOL, raise PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -344,11 +342,10 @@ def lindblad_blocks(specs, rho0s, configs, block_records: Optional[int] = None):
     n_rec = n_steps // stride + 1
     spacing = np.repeat([[cfg.dt * stride] for cfg in configs], c, axis=0)
     b = g * c
-    if block_records is None:
-        block_records = max(1, BLOCK_ENTRIES // (b * d * d))
+    per_block = max(1, BLOCK_ENTRIES // (b * d * d))
     vecs = np.ascontiguousarray(rho0s.reshape(g, c, d * d).transpose(0, 2, 1))
-    for start in range(0, n_rec, block_records):
-        block_times = np.arange(start, min(start + block_records, n_rec)) * spacing
+    for start in range(0, n_rec, per_block):
+        block_times = np.arange(start, min(start + per_block, n_rec)) * spacing
         r = block_times.shape[1]
         states = np.empty((g, c, r, d * d), dtype=complex)
         for k in range(r):
@@ -361,10 +358,9 @@ def lindblad_blocks(specs, rho0s, configs, block_records: Optional[int] = None):
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,
                     config: IntegratorConfig) -> TrajectoryRecord:
-    """RK4 Lindblad integration of one state: ``lindblad_blocks`` in one block."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    n_rec = config.n_steps // config.record_stride + 1
-    (times, states), = lindblad_blocks([spec], rho0[None, None], [config],
-                                       block_records=n_rec)
-    return TrajectoryRecord(times=times[0], states=states[0], config=config)
+    """RK4 Lindblad integration of one state: ``lindblad_blocks`` of it, its
+    blocks joined."""
+    times, states = zip(*lindblad_blocks([spec], np.asarray(rho0)[None, None], [config]))
+    return TrajectoryRecord(times=np.concatenate(times, axis=1)[0],
+                            states=np.concatenate(states, axis=1)[0], config=config)
 

@@ -45,6 +45,7 @@ from .dynamics import (
 )
 from .geomphase import (
     BranchTracker,
+    CoarseGridError,
     PhaseChain,
     SingularCheckpointError,
     checkpoint_phase,
@@ -63,9 +64,7 @@ from .model import (
 )
 from .svg import bloch_chart, line_chart
 
-DEFAULT_OPEN_RATES = (0.1, 0.0, 0.01)
 OMEGA_DEGRADED = 0.05
-DEFAULT_N_MAX = 4
 START_SECTOR = 1  # the excitation sector N of every sweep's initial states
 
 # each row layout: its CSV columns and the %-template of one row
@@ -87,17 +86,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep definition: kind, parameter grid, base model, open rates."""
+    """One sweep definition: kind, parameter grid, base model, open rates.
+
+    The field defaults are the package's sweep defaults, written nowhere
+    else (``cli.SCHEMA`` reads them); a kind's own are in ``KINDS``."""
 
     kind: str
     grid: tuple[float, ...]
-    base_params: ModelParams
+    base_params: ModelParams = ModelParams(delta=0.5, chi=0.5)
     m_values: tuple[int, ...] = (1, 2, 3)
-    open_rates: tuple[float, float, float] = DEFAULT_OPEN_RATES
+    open_rates: tuple[float, float, float] = (0.1, 0.0, 0.01)
     steps_per_period: int = 2000
     record_stride: int = 4
     periods: float = 6.0
-    n_max: int = DEFAULT_N_MAX
+    n_max: int = 4
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -151,13 +153,18 @@ def default_spec(kind: str, **overrides) -> SweepSpec:
     """Sweep spec with the package defaults for the given kind."""
     if kind not in KINDS:
         raise ConfigError(f"unknown sweep.kind {kind!r}")
-    return SweepSpec(kind=kind, **{"base_params": ModelParams(delta=0.5, chi=0.5),
-                                   **KINDS[kind].defaults, **overrides})
+    return SweepSpec(kind=kind, **{**KINDS[kind].defaults, **overrides})
 
 
 def _checkpoints(spec: SweepSpec) -> list[int]:
-    """Record index of each checkpoint m * period; raises if one falls
+    """Record index of each checkpoint m * period; raises if records lie half
+    a period or more apart, where a chain cannot tell the sense of rotation
+    (records one period apart hold one state), or if a checkpoint falls
     between records."""
+    if 2 * spec.record_stride >= spec.steps_per_period:
+        raise CoarseGridError(
+            f"records lie {spec.record_stride} of the {spec.steps_per_period} steps per "
+            "period apart, half a period or more: grid too coarse")
     for m in spec.m_values:
         if m * spec.steps_per_period % spec.record_stride:
             raise ConfigError(
@@ -171,7 +178,7 @@ def _checkpoints(spec: SweepSpec) -> list[int]:
 def _resonant(top: Optional[float] = None, label: str = "") -> Callable:
     """Check of start-sector resonance and of a polar-angle grid within [0, top]."""
     def check(spec: SweepSpec) -> None:
-        if not is_resonant(spec.base_params, START_SECTOR, tol=1e-9):
+        if not is_resonant(spec.base_params, START_SECTOR):
             raise ConfigError(f"{spec.kind} requires sector-{START_SECTOR} resonance: "
                               "set model.delta equal to model.chi")
         if top is not None and (spec.grid[0] < -1e-12 or spec.grid[-1] > top + 1e-12):
@@ -475,7 +482,7 @@ def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[s
         f"# m_values: {','.join(str(m) for m in spec.m_values)}",
         f"# grid: {','.join(f'{v:.17g}' for v in spec.grid)}",
     ]
-    if is_resonant(p, START_SECTOR, tol=1e-9):
+    if is_resonant(p, START_SECTOR):
         lines.append(f"# note: sector n={START_SECTOR} resonance (delta = chi)")
     if timestamp is not None:
         lines.append(f"# written: {timestamp}")

@@ -44,7 +44,6 @@ _SSFMIN, _SSFMAX = 2.0 ** -511 / _EPS ** 2, 2.0 ** 511 / 3
 class PlanarityReport:
     """Largest relative off-plane excursion of a Bloch trajectory."""
 
-    plane_normal: tuple[float, float, float]
     max_off_plane: float
     samples_used: int
 
@@ -256,8 +255,4 @@ def planarity(points: np.ndarray, reference_normal) -> PlanarityReport:
     if usable < 2:
         raise ValueError("fewer than two samples with |r| above the floor")
     off = np.abs(pts @ normal) / np.maximum(radii, BLOCH_EPS)
-    return PlanarityReport(
-        plane_normal=(float(normal[0]), float(normal[1]), float(normal[2])),
-        max_off_plane=float(off.max()),
-        samples_used=usable,
-    )
+    return PlanarityReport(max_off_plane=float(off.max()), samples_used=usable)

@@ -16,7 +16,7 @@ import numpy as np
 from . import hilbert
 from .hilbert import SpaceSpec
 
-RESONANCE_TOL = 1e-12
+RESONANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class ModelParams:
         for name in ("gamma", "p", "p_z"):
             if getattr(self, name) < 0:
                 raise ValueError(f"rate {name} must be nonnegative")
-
-    def closed(self) -> "ModelParams":
-        """Copy with all dissipation rates set to zero."""
-        return replace(self, gamma=0.0, p=0.0, p_z=0.0)
 
     def with_rates(self, gamma: float, p: float, p_z: float) -> "ModelParams":
         return replace(self, gamma=gamma, p=p, p_z=p_z)

@@ -27,8 +27,8 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     return ("%.3f,%.3f " * len(xs) % tuple(flat))[:-1]
 
 
-def _axis_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+def _axis_ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 
 def _write_chart(path, title: str, body: list[str],

@@ -6,13 +6,16 @@ eigenvectors and the closed-form resonant evolution; the geometric
 identities of the sweeps' states, phases as solid angles and negativity
 from the Bloch vector and the leaked population; and the one-trajectory
 geometric phases at a recorded time: closed, open from the tracked
-branch, and the mixed-state multi-branch phase."""
+branch, and the mixed-state multi-branch phase.  Also the patch that
+sets the lockstep legs' block length."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
-from kerrjc import hilbert
+from kerrjc import dynamics, hilbert
 from kerrjc.dynamics import (
     HERMITICITY_TOL,
     POSITIVITY_FLOOR,
@@ -300,3 +303,13 @@ def phase_open_general(traj: TrajectoryRecord, t_end: float) -> float:
         phi[s] = phi[s - 1] + wrap_angle(raw[s] - raw[s - 1])
 
     return float(phi[idx])
+
+
+def blocks_of(records, points: int, width: int):
+    """A context in which a lockstep leg (``dynamics.closed_blocks`` or
+    ``lindblad_blocks``) of ``points`` states recorded at ``width`` yields
+    blocks of ``records`` records: ``BLOCK_ENTRIES`` set to their entries.
+    The legs read it at their first ``next``; None keeps their own size."""
+    if records is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(dynamics, "BLOCK_ENTRIES", records * points * width ** 2)

@@ -277,6 +277,31 @@ class TestDispatch:
         assert "grid too coarse" in err
         assert "integrator.steps_per_period" in err and "integrator.record_stride" in err
 
+    @pytest.mark.parametrize("kind", ["gp_delta", "gp_theta"])
+    def test_one_record_per_period_refused_before_integrating(self, tmp_path, capsys,
+                                                              monkeypatch, kind):
+        # records one Rabi period apart hold one state: every consecutive
+        # overlap is 1, and the chain would write phases of 0 flagged ok
+        import kerrjc.dynamics as dyn
+        import kerrjc.experiments as ex
+        integrated = []
+        for module in (dyn, ex):
+            for name in ("closed_blocks", "lindblad_blocks"):
+                # each spy runs its leg, so a sweep that is not refused completes
+                monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
+                                    **kw: integrated.append(args) or real(*args, **kw))
+        out = tmp_path / "out"
+        code = main(["sweep", "--kind", kind, "--out", str(out), "--no-timestamp",
+                     "--set", "integrator.record_stride=2000"])
+        assert code == EXIT_TRACKING
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("tracking error:")
+        for text in ("grid too coarse", "integrator.steps_per_period",
+                     "integrator.record_stride"):
+            assert text in err[0]
+        assert not out.exists()
+        assert integrated == []
+
     @pytest.mark.parametrize("argv", [
         # n_max = n puts the start sector's |g,n> amplitude on the top Fock level
         ["sweep", "--kind", "gp_delta", "--set", "space.n_max=1"],

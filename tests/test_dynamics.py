@@ -20,7 +20,7 @@ from kerrjc.dynamics import (
     rk4_step_matrix,
 )
 from kerrjc.experiments import (
-    DEFAULT_OPEN_RATES,
+    SweepSpec,
     default_spec,
     run_sweep,
     write_trajectory_csv,
@@ -37,6 +37,7 @@ from oracles import (
     LOWEX_DIM,
     LOWEX_PATTERN,
     basis_state,
+    blocks_of,
     check_density_dense,
     dissipator,
     dressed_states,
@@ -185,7 +186,7 @@ class TestRhs:
 
 
 class TestRK4Order:
-    @pytest.mark.parametrize("open_rates", [None, DEFAULT_OPEN_RATES],
+    @pytest.mark.parametrize("open_rates", [None, SweepSpec.open_rates],
                              ids=["hamiltonian", "liouvillian"])
     def test_one_step_error_falls_as_dt_to_the_fifth(self, open_rates):
         # RK4 is exact to fourth order, so its one-step error against the
@@ -221,7 +222,7 @@ class TestEvolveClosed:
         psi0 = np.zeros(SPACE.dim, dtype=complex)
         i_e, i_g = hilbert.sector_indices(1, SPACE)
         psi0[i_e], psi0[i_g] = plus
-        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 2.0)
+        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 2.0, 2000, 4)
         traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
         for k, t in enumerate(traj.times):
             expected = np.exp(-1j * sa.e_plus * t) * psi0
@@ -604,7 +605,7 @@ class TestNBlockRefusal:
             h[j, i] += term
             spec = LindbladSpec(h, spec.collapse_ops)
         config = IntegratorConfig.for_periods(
-            2 * math.pi / sector_analytics(params, n0).rabi_frequency, 1.0)
+            2 * math.pi / sector_analytics(params, n0).rabi_frequency, 1.0, 2000, 4)
         legs = lindblad_blocks([spec], rho0s, [config])
         with mock.patch.object(np, "matmul", wraps=np.matmul) as product, \
                 pytest.raises(ValueError, match="link two N blocks"):
@@ -624,14 +625,15 @@ class TestNBlockRefusal:
         spec = LindbladSpec.from_params(params, space)
         rho0s = n_block_stack(np.random.default_rng(seed), space, size)[None]
         config = IntegratorConfig.for_periods(
-            2 * math.pi / sector_analytics(params, n0).rabi_frequency, 0.5)
+            2 * math.pi / sector_analytics(params, n0).rabi_frequency, 0.5, 2000, 4)
         records = 0
-        for _, states in lindblad_blocks([spec], rho0s, [config], block_records=97):
-            flat = states.reshape(-1, space.dim, space.dim)
-            assert not hilbert.off_n_blocks(flat)
-            w, v = information.sector_eigh(states, n0)
-            assert equals_eigh(flat, n0, w.reshape(-1, 2), v.reshape(-1, space.dim, 2))
-            records += states.shape[1]
+        with blocks_of(97, size, space.dim):
+            for _, states in lindblad_blocks([spec], rho0s, [config]):
+                flat = states.reshape(-1, space.dim, space.dim)
+                assert not hilbert.off_n_blocks(flat)
+                w, v = information.sector_eigh(states, n0)
+                assert equals_eigh(flat, n0, w.reshape(-1, 2), v.reshape(-1, space.dim, 2))
+                records += states.shape[1]
         assert records == config.n_steps // config.record_stride + 1
 
     @pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
@@ -676,7 +678,7 @@ class TestCPTPHealth:
         params = ModelParams(delta, 0.5).with_rates(*rates)
         space = SpaceSpec(n0)
         period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
-        config = IntegratorConfig.for_periods(period, 1.0)
+        config = IntegratorConfig.for_periods(period, 1.0, 2000, 4)
         psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
         rho0 = np.outer(psi0, psi0.conj())[None, None]
         spec = LindbladSpec.from_params(params, space)

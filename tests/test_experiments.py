@@ -37,7 +37,7 @@ from kerrjc.model import (
     perpendicular_state,
     sector_analytics,
 )
-from oracles import grid_index, phase_open_pure, phase_unitary
+from oracles import blocks_of, grid_index, phase_open_pure, phase_unitary
 
 RESONANT = ModelParams(delta=0.5, chi=0.5)
 
@@ -394,13 +394,23 @@ def per_point_neg_rows(spec):
 
 
 def with_block_records(monkeypatch, name, block_records):
-    """Run the sweeps' ``name`` generator with a fixed block length, over
-    the one the sweep engine asks for."""
+    """Draw the sweeps' ``name`` generator in blocks of ``block_records``
+    records, over the length it picks: the real generator, iterated under
+    ``blocks_of`` for the points and the recorded width of each call."""
     import kerrjc.dynamics as dyn
     import kerrjc.experiments as ex
     real = getattr(dyn, name)
-    monkeypatch.setattr(ex, name, lambda *args, **kwargs:
-                        real(*args, **{**kwargs, "block_records": block_records}))
+
+    def drawn(*args, **kwargs):
+        if name == "closed_blocks":  # (hs, psi0s, configs, width=...)
+            points, width = len(args[1]), kwargs["width"]
+        else:  # (specs, rho0s of shape (g, c, d, d), configs)
+            g, c, width, _ = np.shape(args[1])
+            points = g * c
+        with blocks_of(block_records, points, width):
+            yield from real(*args, **kwargs)
+
+    monkeypatch.setattr(ex, name, drawn)
 
 
 GP_THETA_GROUP = dict(grid=(0.0, 0.7, 2.0, 4.0), m_values=(1, 2), **SMALL_GP)

@@ -301,7 +301,7 @@ class TestPhaseUnitary:
         psi0 = np.zeros(SPACE.dim, dtype=complex)
         psi0[i_e], psi0[i_g] = plus
         sa = sector_analytics(params, 1)
-        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 1.0)
+        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 1.0, 2000, 4)
         traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
         assert abs(phase_unitary(traj, traj.times[-1])) < 1e-10
 
@@ -515,7 +515,7 @@ class TestTracking:
         rho0 = np.where(n[:, None] == n, x @ x.conj().T, 0.0)
         rho0 /= np.trace(rho0).real
         sa = sector_analytics(OPEN, 1)
-        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 0.5)
+        config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 0.5, 2000, 4)
         traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
         with pytest.raises(TrackingError, match="not pure"):
             track_dominant_eigenvector(traj)

@@ -30,6 +30,7 @@ from kerrjc.model import (
     perpendicular_state,
     sector_analytics,
 )
+from oracles import blocks_of
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -74,7 +75,8 @@ def legs(kind, values, steps_per_period=60, stride=4, periods=1.0):
 
 
 def assert_lockstep_is_scalar(hs, psi0s, configs, block_records=None):
-    blocks = list(closed_blocks(hs, psi0s, configs, block_records=block_records))
+    with blocks_of(block_records, len(psi0s), SPACE.dim):
+        blocks = list(closed_blocks(hs, psi0s, configs))
     states = np.concatenate([s for _, s, _ in blocks], axis=1)
     times = np.concatenate([t for t, _, _ in blocks], axis=1)
     drift = blocks[-1][2]
@@ -156,7 +158,8 @@ def test_open_lockstep_equals_each_generator_alone(thetas):
     # three generators with their own dt, c states each, in blocks of 7
     specs, rho0s, configs = open_legs((-2.0, 0.3, 1.5), thetas)
     c = len(thetas)
-    together = joined(lindblad_blocks(specs, rho0s, configs, block_records=7))
+    with blocks_of(7, 3 * c, SPACE.dim):
+        together = joined(lindblad_blocks(specs, rho0s, configs))
     for i in range(3):
         alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1]))
         for got, want in zip(together, alone):
@@ -204,16 +207,18 @@ def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block
         values = [abs(v) * math.pi / 4 for v in values]
     args = sector_legs(kind, values, SpaceSpec(n_max), n0)
     width = 2 * (n0 + 1)
-    full = list(closed_blocks(*args, block_records=block_records))
+    with blocks_of(block_records, len(values), SpaceSpec(n_max).dim):
+        full = list(closed_blocks(*args))
     kept = []
-    for block in (blocks := closed_blocks(*args, block_records=block_records, width=width)):
-        kept.append(block)
-        # the rows from width on of both step buffers are never written
-        # nor divided: they stay +0.0, so the full-length norms add +0.0
-        for name in ("col", "nxt"):
-            rest = blocks.gi_frame.f_locals[name][:, width:]
-            assert not rest.any()
-            assert not (np.signbit(rest.real).any() or np.signbit(rest.imag).any())
+    with blocks_of(block_records, len(values), width):
+        for block in (blocks := closed_blocks(*args, width=width)):
+            kept.append(block)
+            # the rows from width on of both step buffers are never written
+            # nor divided: they stay +0.0, so the full-length norms add +0.0
+            for name in ("col", "nxt"):
+                rest = blocks.gi_frame.f_locals[name][:, width:]
+                assert not rest.any()
+                assert not (np.signbit(rest.real).any() or np.signbit(rest.imag).any())
     assert len(kept) == len(full)
     for (t, s, drift), (t_full, s_full, drift_full) in zip(kept, full):
         assert s.shape == s_full.shape[:2] + (width,)
@@ -227,11 +232,12 @@ def test_leaving_the_recorded_width_raises():
     hs, psi0s, configs = sector_legs("theta", (0.3, 1.1), SPACE, 1)
     hs[1] = hs[1].copy()
     hs[1][2, 4] = hs[1][4, 2] = 0.1
-    blocks = closed_blocks(hs, psi0s, configs, block_records=7, width=4)
-    with pytest.raises(ValueError, match="left the first 4 basis states"):
-        next(blocks)
+    with pytest.raises(ValueError, match="left the first 4 basis states"), \
+            blocks_of(7, 2, 4):
+        next(closed_blocks(hs, psi0s, configs, width=4))
     # the same legs, recorded at full width, run
-    assert len(list(closed_blocks(hs, psi0s, configs, block_records=7))) > 1
+    with blocks_of(7, 2, SPACE.dim):
+        assert len(list(closed_blocks(hs, psi0s, configs))) > 1
 
 
 def coupled_legs(*links):
@@ -255,9 +261,11 @@ def test_reaching_out_of_the_width_raises_before_the_first_record(links):
     # states: the refusal comes from the closure of their support under the
     # steps' nonzero pattern, not from the states
     hs, psi0s, configs = coupled_legs(*links)
-    with pytest.raises(ValueError, match="left the first 6 basis states"):
-        next(closed_blocks(hs, psi0s, configs, block_records=1, width=6))
-    assert len(list(closed_blocks(hs, psi0s, configs, block_records=7))) > 1
+    with pytest.raises(ValueError, match="left the first 6 basis states"), \
+            blocks_of(1, 2, 6):
+        next(closed_blocks(hs, psi0s, configs, width=6))
+    with blocks_of(7, 2, SPACE.dim):
+        assert len(list(closed_blocks(hs, psi0s, configs))) > 1
 
 
 def test_five_hops_are_beyond_one_step():

@@ -37,12 +37,6 @@ class TestParams:
         with pytest.raises(ValueError):
             ModelParams(delta=float("nan"), chi=0.0)
 
-    def test_closed_strips_rates(self):
-        p = ModelParams(delta=1.0, chi=0.5, gamma=0.1, p=0.2, p_z=0.3)
-        c = p.closed()
-        assert (c.gamma, c.p, c.p_z) == (0.0, 0.0, 0.0)
-        assert (c.delta, c.chi, c.g) == (1.0, 0.5, 1.0)
-
 
 class TestHamiltonian:
     def test_coupling_element(self):
