@@ -21,10 +21,10 @@ records in blocks that they size themselves, within ``BLOCK_ENTRIES``;
 ``evolve_closed`` and ``evolve_lindblad`` feed one trajectory through them
 and join its blocks.  Truncation is checked before integrating, by the
 callers (``hilbert.reached_space``).  Before the first product, both legs
-take the components their steps can reach from the initial states
-(``_reached``) and refuse a closed leg that could leave its recorded
-components, an open leg that could leave its N blocks and an RK4 hop that
-would amplify a reachable mode.
+refuse an RK4 step or hop that is not finite, take the components their
+steps can reach from the initial states (``_reached``) and refuse a closed
+leg that could leave its recorded components, an open leg that could
+leave its N blocks and an RK4 hop that would amplify a reachable mode.
 """
 
 from __future__ import annotations
@@ -164,12 +164,13 @@ def liouvillian(spec: LindbladSpec) -> np.ndarray:
 
 def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of v' = G v as a matrix (exact for linear G)."""
-    a = generator * dt
     d = generator.shape[0]
-    m = np.eye(d, dtype=complex) + a / 4
-    m = np.eye(d, dtype=complex) + (a / 3) @ m
-    m = np.eye(d, dtype=complex) + (a / 2) @ m
-    return np.eye(d, dtype=complex) + a @ m
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse infs and NaNs
+        a = generator * dt
+        m = np.eye(d, dtype=complex) + a / 4
+        m = np.eye(d, dtype=complex) + (a / 3) @ m
+        m = np.eye(d, dtype=complex) + (a / 2) @ m
+        return np.eye(d, dtype=complex) + a @ m
 
 
 def _check_density_stack(states: np.ndarray, times: np.ndarray) -> None:
@@ -227,9 +228,9 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
     before renormalisation so far.  Only those components are stepped and
     renormalised: the first ``width`` rows of each step matrix times the
     full state, which keeps every dot product of the full product, while
-    the other components stay +0.0.  A ValueError before the first step
-    refuses legs whose steps' nonzero pattern links their initial support
-    to any other component.  r keeps r*b*width^2 within BLOCK_ENTRIES.
+    the other components stay +0.0.  Before the first step, non-finite
+    steps raise PositivityError, and steps linking the initial support to
+    another component ValueError.  r keeps r*b*width^2 within BLOCK_ENTRIES.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -248,6 +249,8 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
                       for h, c in zip(hs, configs)])
     if steps.shape != (b, d, d):
         raise ValueError("psi0 and hamiltonian dimensions disagree")
+    if not np.isfinite(steps).all():
+        raise PositivityError("the RK4 step is not finite (time step too large)")
     width = d if width is None else width
     if _reached(np.array(cols), steps)[width:].any():
         raise ValueError(f"a closed leg left the first {width} basis states")
@@ -327,8 +330,9 @@ def lindblad_blocks(specs, rho0s, configs):
 
     # compose record_stride RK4 steps into one matrix; the recorded samples
     # are identical to stepping one dt at a time (up to float associativity)
-    hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
-                                            stride) for s, cfg in zip(specs, configs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
+                                                stride) for s, cfg in zip(specs, configs)])
     if not np.isfinite(hops).all():
         raise PositivityError("the RK4 hop is not finite (time step too large)")
     live = _reached(rho0s.reshape(g * c, d * d), hops)

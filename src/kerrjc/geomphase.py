@@ -16,11 +16,11 @@ eigenvalue is one at t0, continued by maximal overlap (not by eigenvalue
 order, since the branch's eigenvalue decays and may cross others), on the
 start sector's two eigenpairs: dissipation only lowers N, and every other
 eigenvector has zero overlap with that sector.  ``BranchTracker`` follows
-many points at once and picks with array operations; only the phase fix
-of each picked vector is a per-sample recurrence, kept in its exact
-sequential form (a dot product on a strided column, then ``arctan2``),
-because a cumulative-sum form changes the bits of the chain and can move
-a phase by 2 pi where it passes an antipodal crossing.
+many points at once and picks in one batched pass per block; only the
+phase fix of each picked vector is a per-sample recurrence, kept in its
+exact sequential form (a dot product on a strided column, then
+``arctan2``), because a cumulative-sum form changes the bits of the chain
+and can move a phase by 2 pi where it passes an antipodal crossing.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import TrajectoryRecord
+from .information import sector_eigh
 
 OVERLAP_FLOOR = 0.5
 AMBIGUITY_TOL = 1e-6
@@ -84,7 +85,7 @@ def _accumulate(ufunc, carry: np.ndarray, values: np.ndarray,
 
     With ``initial`` (the first block) the result starts with that value at
     sample 0 and ``carry`` must leave the first term unchanged (-0.0 for
-    add, inf for minimum); otherwise the carried term is dropped.
+    add, inf for minimum, False for xor); otherwise the carried term is dropped.
     """
     out = ufunc.accumulate(np.concatenate((carry[:, None], values), axis=1), axis=1)
     if initial is None:
@@ -173,101 +174,82 @@ def checkpoint_phase(series: tuple[np.ndarray, np.ndarray, np.ndarray], idx: int
 
 
 class BranchTracker:
-    """Dominant-branch continuation of b points, fed one block of
-    eigendecompositions at a time.
+    """Dominant-branch continuation of b points, fed one block of a sector's
+    two eigenpairs per sample (``information.sector_eigh``) at a time.
 
-    Continuation starts at the eigenvector of the largest eigenvalue at t0,
-    then picks, at every sample, the eigenvector with maximal |overlap|
-    against the previous pick and fixes its phase so the consecutive
-    overlap with the previous tracked vector is real and nonnegative.  The
-    eigenpairs may come in any column order, even one that changes from
-    sample to sample, and need not be all d of them: a column with zero
-    overlap against every tracked vector, never picked and never among the
-    top two overlaps, can be left out.  ``information.sector_eigh`` gives only
-    the start sector's two, ``track_dominant_eigenvector`` all d of eigh's.
-    Selection assumes each point's picked column index stays put: one
-    batched pass gives every sample's (b, r, m) |overlaps|, each summed
-    down its column so that its bits do not depend
-    on the column's place, and restarts after the first sample at which
-    some point's best column differs (an eigenvalue crossing).  Only the
-    phase fix is a per-sample recurrence.  The overlaps use the raw
-    columns, carried across blocks, so feeding a trajectory in blocks, or
-    beside other points, gives the same track, bit for bit, as feeding it
-    whole and alone.  A point whose continuation fails is set aside in
-    ``failed`` (point index -> TrackingError), its later picks undefined and
-    its ``floor`` NaN; ``floor`` holds each other point's least picked overlap.
+    Each branch starts at the column of the larger eigenvalue at t0 and
+    moves, at every sample, to the column of maximal |overlap| with the
+    previous pick, its phase fixed so that the overlap with the previous
+    tracked vector is real and nonnegative.  Both samples' columns are
+    orthonormal pairs in one plane, so the previous smaller column S'
+    overlaps this sample's (L, S) as the previous larger one L' does,
+    swapped: the branch changes eigenvalue exactly where |<L'|S>| >
+    |<L'|L>|, and its side is the parity of those swaps.  One batched pass
+    of the L' overlaps decides every pick of a block, in either column
+    order; only the phase fix is a per-sample recurrence.  Raw columns carry
+    across blocks, so a trajectory fed in blocks, or beside other points,
+    gets the bits it gets fed whole and alone.  A point whose continuation
+    fails is set aside in ``failed`` (point index -> TrackingError), its
+    later picks undefined and its ``floor`` NaN; ``floor`` holds each other
+    point's least picked overlap.
     """
 
     def __init__(self):
         self.failed: dict[int, TrackingError] = {}
         self.floor: Optional[np.ndarray] = None
-        self._prev = self._j = self._col = None
+        self._prev = self._col = self._side = None
 
     def extend(self, times: np.ndarray, all_w: np.ndarray,
                all_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Continue every point through the samples ``times`` (b, r) with
-        eigenvalues ``all_w`` (b, r, m) and eigenvector columns ``all_v``
-        (b, r, d, m), m >= 2 in any column order and of any count per block;
-        returns their tracked eigenvalues (b, r) and vectors (b, r, d)."""
+        eigenvalues ``all_w`` (b, r, 2) and eigenvector columns ``all_v``
+        (b, r, d, 2) of one plane, in either order; returns their tracked
+        eigenvalues (b, r) and vectors (b, r, d)."""
         (b, n, m), dim = all_w.shape, all_v.shape[2]
-        pts = np.arange(b)
-        picks = np.empty((b, n), dtype=int)
-        start = 0
-        if self._col is None:
-            j = all_w[:, 0].argmax(axis=1)
-            largest = all_w[pts, 0, j]
+        if m != 2:
+            raise ValueError(f"the tracker takes two eigenpairs per sample, not {m}")
+        pts, samples = np.arange(b), np.arange(n)
+        large = (all_w[..., 1] > all_w[..., 0]).astype(int)  # argmax, ties to column 0
+        larger = all_v[pts[:, None], samples, :, large]
+        start = int(self._col is None)
+        if start:
+            largest = all_w[:, 0].max(axis=1)
             for p in np.flatnonzero(largest < 1.0 - PURITY_TOL):
                 self.failed[int(p)] = TrackingError(
                     f"initial state not pure: largest eigenvalue {largest[p]:.9f}")
-            self._j, self._col = j, all_v[pts, 0, :, j]
-            self.floor = np.ones(b)
-            picks[:, 0] = j
-            start = 1
+            self._col, self._side, self.floor = larger[:, 0], np.zeros(b, bool), np.ones(b)
 
-        # one pass per run of samples between crossings: each point's column
-        # j (carried over, a guess if this block has fewer columns) is assumed
-        # to stay picked; the pass ends where a point still tracked moves off
-        j, col = np.minimum(self._j, m - 1), self._col
-        k = start
-        while k < n:
-            cols = np.concatenate((col[:, None], all_v[pts, k:n - 1, :, j]), axis=1)
-            # summed down the columns, one add per row: the same bits wherever a column sits
-            overlaps = np.abs(reduce(np.add, (cols.conj()[:, :, :, None]
-                                              * all_v[:, k:]).transpose(2, 0, 1, 3)))
-            best = overlaps.argmax(axis=2)
-            moved = best != j[:, None]
-            moved[list(self.failed)] = False
-            stop = moved.argmax(axis=1)[moved.any(axis=1)].min(initial=n - k - 1) + 1
-            # the two largest overlaps, column by column (max and min are exact)
-            first = second = np.full((b, stop), -np.inf)
-            for x in np.moveaxis(overlaps[:, :stop], 2, 0):
-                first, second = np.maximum(first, x), np.maximum(second, np.minimum(first, x))
-            ambiguous = first - second < AMBIGUITY_TOL
-            bad = ambiguous | (first <= OVERLAP_FLOOR)
-            for p in np.flatnonzero(bad.any(axis=1)):  # a point keeps its first failure
-                i = bad[p].argmax()
-                self.failed.setdefault(int(p), TrackingError(
-                    f"eigenvector overlap ambiguity at t={times[p, k + i]:g}: "
-                    f"{first[p, i]:.8f} vs {second[p, i]:.8f}" if ambiguous[p, i] else
-                    f"tracking overlap {first[p, i]:.3g} <= {OVERLAP_FLOOR} "
-                    f"at t={times[p, k + i]:g}"))
-            self.floor = np.minimum(self.floor, first.min(axis=1))
-            picks[:, k:k + stop] = best[:, :stop]
-            k += stop
-            j = best[:, stop - 1]
-            col = all_v[pts, k - 1, :, j]
+        # |overlaps| of each previous larger column with this sample's two, summed
+        # down the columns, one add per row: the same bits wherever a column sits
+        cols = np.concatenate((self._col[:, None], larger[:, :-1]), axis=1)[:, start:]
+        overlaps = np.abs(reduce(np.add, (cols.conj()[:, :, :, None]
+                                          * all_v[:, start:]).transpose(2, 0, 1, 3)))
+        # one overlap is >= 1/sqrt(2) > OVERLAP_FLOOR, so only the ambiguity check can
+        # fail; max and min column by column (exact; a short-axis reduction is slow)
+        o0, o1 = overlaps[..., 0], overlaps[..., 1]
+        first, second = np.maximum(o0, o1), np.minimum(o0, o1)
+        ambiguous = first - second < AMBIGUITY_TOL
+        for p in np.flatnonzero(ambiguous.any(axis=1)):  # a point keeps its first failure
+            i = ambiguous[p].argmax()
+            self.failed.setdefault(int(p), TrackingError(
+                f"eigenvector overlap ambiguity at t={times[p, start + i]:g}: "
+                f"{first[p, i]:.8f} vs {second[p, i]:.8f}"))
+        self.floor = np.minimum(self.floor, first.min(axis=1, initial=np.inf))
         self.floor[list(self.failed)] = np.nan
+        # on the smaller eigenvalue: the parity of the swaps so far
+        swaps = (o1 > o0) != large[:, start:]
+        side = _accumulate(np.logical_xor, self._side, swaps, False if start else None)
+        picks = large ^ side
 
         # the picked vectors are read with a non-unit stride, as eigenvector
         # columns are: a contiguous copy would take other BLAS and ufunc
         # kernels and change the last bits
         picked = np.empty((b, n, dim, 2), dtype=complex)[..., 0]
-        picked[:] = all_v[pts[:, None], np.arange(n), :, picks]
+        picked[:] = all_v[pts[:, None], samples, :, picks]
         vectors = np.empty((b, n, dim), dtype=complex)
         prev = self._prev
         if start:
-            vectors[:, 0] = picked[:, 0]
-            prev = vectors[:, 0]
+            vectors[:, 0] = prev = picked[:, 0]
         # the fix's buffers, each written in place by the ufunc that makes it;
         # turn = -1j * angle, whose real part is +0.0 for every finite angle
         conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)
@@ -280,19 +262,22 @@ class BranchTracker:
             np.negative(np.arctan2(ov_im, ov_re, out=angle), out=turn_im)
             prev = np.multiply(vec, np.exp(turn, out=fix), out=vectors[:, k])
 
-        self._j, self._col, self._prev = j, col, prev
-        return all_w[pts[:, None], np.arange(n), picks], vectors
+        self._col, self._side, self._prev = larger[:, -1], side[:, -1], prev
+        return all_w[pts[:, None], samples, picks], vectors
 
 
 def track_dominant_eigenvector(traj: TrajectoryRecord) -> EigenTrack:
     """Follow the eigenvector branch that starts with eigenvalue one: a
-    ``BranchTracker`` of one point, fed the whole trajectory."""
+    ``BranchTracker`` of one point, fed the whole trajectory's eigenpairs on
+    the 2x2 N block that holds (or, for |g,0> and |e,n_max>, lies next to)
+    the first record's largest population."""
     if not traj.is_density:
         raise ValueError("tracking needs a density-matrix trajectory")
+    top = int(np.diagonal(traj.states[0]).real.argmax())
+    n0 = min(max(1, (top + 1) // 2), traj.states.shape[-1] // 2 - 1)
     tracker = BranchTracker()
-    w, v = np.linalg.eigh(traj.states)
-    eigenvalues, vectors = tracker.extend(traj.times[None], w[None], v[None])
+    w, v = tracker.extend(traj.times[None], *sector_eigh(traj.states[None], n0))
     if tracker.failed:
         raise tracker.failed[0]
-    return EigenTrack(times=traj.times, eigenvalues=eigenvalues[0], vectors=vectors[0],
+    return EigenTrack(times=traj.times, eigenvalues=w[0], vectors=v[0],
                       overlap_floor=float(tracker.floor[0]))

@@ -124,6 +124,18 @@ def _whole():
     return st.integers(1, 10**6).map(str)
 
 
+def fresh_main(*argv):
+    """``kerrjc.cli.main(argv)`` run in a fresh Python process on this
+    checkout's package: its CompletedProcess, with stdout and stderr as text."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from kerrjc.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
 _BOOL = st.sampled_from(["true", "false", "yes", "no", "on", "off", "1", "0", "TRUE"])
 _RATE = _floats(min_value=0.0)
 # raw text of each key; the text keys also draw arbitrary strings (newlines,
@@ -410,15 +422,24 @@ class TestDispatch:
     def test_rabi_frequency_out_of_range_prints_one_line(self, tmp_path, setting):
         # in a fresh process, numpy's over- and underflow warnings would
         # reach stderr ahead of the config error
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys; from kerrjc.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "evolve", "--out", str(tmp_path), "--set", setting],
-            env=env, capture_output=True, text=True, timeout=60)
+        out = fresh_main("evolve", "--out", str(tmp_path), "--set", setting)
         assert out.returncode == EXIT_CONFIG
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("config error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--set", "model.g=1e-150"],
+        ["sweep", "--kind", "gp_theta", "--set", "model.g=1e-150"],
+        ["evolve", "--set", "model.gamma=1e300"],
+    ], ids=["closed-evolve", "closed-sweep", "open-evolve"])
+    def test_non_finite_step_prints_one_line(self, tmp_path, argv):
+        # a Rabi period of ~3e150 (or a rate of 1e300) overflows the RK4
+        # polynomial: refused before the first product, and in a fresh
+        # process no overflow warning reaches stderr ahead of the error
+        out = fresh_main(*argv, "--out", str(tmp_path))
+        assert out.returncode == EXIT_TRACKING
+        assert out.stderr.count("\n") == 1 and out.stderr.startswith("numerical error: ")
+        assert "integrator.steps_per_period" in out.stderr
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.gamma=1e300"],
@@ -427,11 +448,10 @@ class TestDispatch:
     def test_non_finite_hop_exit(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
         monkeypatch.setattr(np.linalg, "eigvals", lambda *args: calls.append(args))
-        with np.errstate(all="ignore"):
-            code = main([*argv, "--out", str(tmp_path), "--no-timestamp", "--no-svg",
-                         "--set", "sweep.grid_start=0", "--set", "sweep.grid_stop=1",
-                         "--set", "sweep.grid_points=2", "--set", "sweep.m_values=1",
-                         "--set", "integrator.steps_per_period=100"])
+        code = main([*argv, "--out", str(tmp_path), "--no-timestamp", "--no-svg",
+                     "--set", "sweep.grid_start=0", "--set", "sweep.grid_stop=1",
+                     "--set", "sweep.grid_points=2", "--set", "sweep.m_values=1",
+                     "--set", "integrator.steps_per_period=100"])
         assert code == EXIT_TRACKING
         err = capsys.readouterr().err
         assert "RK4 hop is not finite" in err and "integrator.steps_per_period" in err

@@ -241,6 +241,14 @@ class TestEvolveClosed:
             evolve_closed(hamiltonian(RESONANT, SPACE),
                           2.0 * basis_state("g", 1, SPACE), resonant_config())
 
+    def test_non_finite_step_refused_before_stepping(self, monkeypatch):
+        # dt = 1e150 overflows the RK4 polynomial: the step holds infs and
+        # NaNs, which _reached would read as links
+        monkeypatch.setattr(dynamics, "_reached", mock.Mock(side_effect=AssertionError))
+        config = IntegratorConfig(dt=1e150, t_final=4e150, record_stride=1)
+        with pytest.raises(PositivityError, match="RK4 step is not finite"):
+            evolve_closed(hamiltonian(RESONANT, SPACE), basis_state("e", 0, SPACE), config)
+
     def test_truncation_guard(self):
         # a leg from sector n reaches Fock level n (|g,n>), so the truncation
         # must keep a level above it; the check needs no integration
@@ -340,7 +348,7 @@ class TestEvolveLindblad:
         psi0 = initial_state(InitialStateSpec(theta0=0.4), SPACE)
         calls = []
         monkeypatch.setattr(np.linalg, "eigvals", lambda *args: calls.append(args))
-        with np.errstate(all="ignore"), pytest.raises(PositivityError, match="not finite"):
+        with pytest.raises(PositivityError, match="not finite"):
             evolve_lindblad(LindbladSpec.from_params(params, SPACE),
                             np.outer(psi0, psi0.conj()), resonant_config(1.0, 100))
         assert calls == []

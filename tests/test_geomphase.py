@@ -29,7 +29,7 @@ from kerrjc.geomphase import (
 )
 from kerrjc.experiments import KINDS, default_spec, run_sweep
 from kerrjc.hilbert import SpaceSpec
-from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, planarity
+from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, planarity, sector_eigh
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -72,20 +72,22 @@ def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
 
 
 def open_eigs(params, init, n_max=4, periods=1.0, spp=2000, stride=4):
-    """Times and batched ``eigh`` of an open trajectory in an n_max space."""
+    """Times and the start sector's two columns of a batched ``eigh`` of an
+    open trajectory in an n_max space."""
     space = SpaceSpec(n_max)
     period = 2 * math.pi / sector_analytics(params, init.n).rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, space)
     traj = evolve_lindblad(LindbladSpec.from_params(params, space),
                            np.outer(psi0, psi0.conj()), config)
-    return traj.times, *np.linalg.eigh(traj.states)
+    w, v = np.linalg.eigh(traj.states)
+    return traj.times, *(x[0] for x in sector_columns(w[None], v[None], init.n))
 
 
 def per_sample_track(times, all_w, all_v):
     """The branch continuation written as one loop over samples: (vectors,
     eigenvalues, overlap floor), or the TrackingError it raises."""
-    n, dim = all_w.shape
+    n, dim = all_w.shape[0], all_v.shape[1]
     vectors = np.empty((n, dim), dtype=complex)
     eigenvalues = np.empty(n)
     if all_w[0][-1] < 1.0 - PURITY_TOL:
@@ -115,17 +117,17 @@ def per_sample_track(times, all_w, all_v):
     return vectors, eigenvalues, floor
 
 
-def fed_in_blocks(times, all_w, all_v, lengths, sector=None, full=(False,)):
+def fed_in_blocks(times, all_w, all_v, lengths, sector=None):
     """One ``BranchTracker`` fed the points stacked on axis 0 (``times`` is
     (b, n)) in blocks of the given lengths, cycled: (tracked eigenvalues,
-    tracked vectors, the tracker).  With ``sector``, eigenpairs of fewer
-    columns, block k takes those unless ``full[k]`` (cycled)."""
+    tracked vectors, the tracker).  With ``sector``, the sector's two
+    eigenpairs of each sample, it takes those instead."""
     tracker = BranchTracker()
     blocks = []
     start, k = 0, 0
+    w, v = (all_w, all_v) if sector is None else sector
     while start < times.shape[1]:
         stop = start + lengths[k % len(lengths)]
-        w, v = sector if sector is not None and not full[k % len(full)] else (all_w, all_v)
         blocks.append(tracker.extend(times[:, start:stop], w[:, start:stop],
                                      v[:, start:stop]))
         start, k = stop, k + 1
@@ -133,13 +135,14 @@ def fed_in_blocks(times, all_w, all_v, lengths, sector=None, full=(False,)):
     return np.concatenate(w, axis=1), np.concatenate(v, axis=1), tracker
 
 
-def assert_tracks_like_loop(times, all_w, all_v, lengths=None):
+def assert_tracks_like_loop(times, all_w, all_v, lengths=None, sector=None):
     """Every point of the stack, tracked together in blocks (default: one),
-    fails with the message the per-sample loop raises on it alone, or
+    on ``sector``'s eigenpairs if given, fails with the message the
+    per-sample loop raises on it alone over ``all_w`` and ``all_v``, or
     equals that loop: bit for bit on vectors and eigenvalues, the floor
     within 1e-14.  Returns (eigenvalues, vectors, tracker)."""
     lengths = lengths or [times.shape[1]]
-    w, v, tracker = fed_in_blocks(times, all_w, all_v, lengths)
+    w, v, tracker = fed_in_blocks(times, all_w, all_v, lengths, sector)
     for p in range(len(times)):
         try:
             want = per_sample_track(times[p], all_w[p], all_v[p])
@@ -154,19 +157,20 @@ def assert_tracks_like_loop(times, all_w, all_v, lengths=None):
 
 
 def with_overlaps(all_v, k, magnitudes):
-    """Copy of ``all_v`` whose sample k has eigenvectors with the given
-    |overlaps| against sample k-1's top column (magnitudes must be a unit
-    vector): a Householder reflection of e_0 onto them, in a basis that
-    starts with that column."""
+    """Copy of a sector's two columns ``all_v`` whose sample k has columns
+    with the given |overlaps| against sample k-1's top column (magnitudes
+    must be a unit 2-vector): a Householder reflection of e_0 onto them, in
+    the basis of sample k-1's columns that starts with that one."""
     all_v = all_v.copy()
-    dim = all_v.shape[1]
-    a = np.zeros(dim)
-    a[:len(magnitudes)] = magnitudes
-    u = np.eye(dim)[0] - a
-    reflect = np.eye(dim) - 2 * np.outer(u, u) / (u @ u)
+    u = np.eye(2)[0] - magnitudes
+    reflect = np.eye(2) - 2 * np.outer(u, u) / (u @ u)
     basis = all_v[k - 1][:, ::-1]
     all_v[k] = basis @ reflect
     return all_v
+
+
+# two overlaps 2.4e-7 apart, below AMBIGUITY_TOL
+NEAR_TIE = (0.7071069, math.sqrt(1 - 0.7071069 ** 2))
 
 
 def density_record_from_pure(traj):
@@ -366,7 +370,7 @@ class TestTracking:
     def test_block_fed_tracker_equals_whole_track(self):
         opened, _ = open_trajectory(OPEN, InitialStateSpec(theta0=2.0), periods=2.0)
         whole = track_dominant_eigenvector(opened)
-        w, v = np.linalg.eigh(opened.states)
+        w, v = sector_eigh(opened.states, 1)
         eigenvalues, vectors, tracker = fed_in_blocks(opened.times[None], w[None], v[None],
                                                       [37])
         assert np.array_equal(eigenvalues[0], whole.eigenvalues)
@@ -406,8 +410,7 @@ class TestTracking:
         # the same eigenpairs with the columns permuted at every sample: the
         # same tracks bit for bit, the same failures and floors; the middle
         # point fails at sample 37
-        magnitudes = np.array((0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0)[:2 * n_max + 2])
-        magnitudes[-1] = math.sqrt(1 - magnitudes[:-1] @ magnitudes[:-1])
+        magnitudes = np.array(NEAR_TIE)
         eigs = [open_eigs(OPEN.with_rates(gamma, 0.0, 0.01), InitialStateSpec(theta0=theta),
                           n_max, periods=2.0)
                 for gamma, theta in ((0.1, 2.0), (0.2, 0.7), (0.3, 2.6))]
@@ -431,7 +434,7 @@ class TestTracking:
         # are NaN, and point 0 keeps the track and floor it has alone
         times, w, v = open_eigs(OPEN, InitialStateSpec(theta0=2.0), 1, periods=2.0)
         times, w, v = (np.repeat(x[None], 3, axis=0) for x in (times, w, v))
-        v[1] = with_overlaps(v[1], 37, np.array((0.6, 0.6, 0.2, math.sqrt(0.24))))
+        v[1] = with_overlaps(v[1], 37, np.array(NEAR_TIE))
         w[2, 0, -1] = 0.9
         alone = fed_in_blocks(times[:1], w[:1], v[:1], lengths)
         together = fed_in_blocks(times, w, v, lengths)
@@ -461,10 +464,12 @@ class TestTracking:
             assert not assert_tracks_like_loop(times, w, v, lengths)[2].failed
         assert_tracks_like_loop(times[:1], w[:1], v[:1], lengths=(1, 7, 139, 500))
 
+    # of two orthonormal columns of one plane, one overlaps the previous
+    # pick by at least 1/sqrt(2): the tracking-overlap failure cannot occur
     @pytest.mark.parametrize("failure,magnitudes", [
-        ("ambiguity", (0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0)),
-        ("tracking overlap", (0.49, 0.48, 0.47, 0.45, 0.2, 0.1, 0.0)),
-        ("ambiguity", (0.45, 0.45, 0.45, 0.45, 0.3, 0.2, 0.0))])  # both fail
+        ("ambiguity", (0.7071069, 0.0)),
+        ("ambiguity", (0.7071066, 0.0)),  # the smaller column first
+        ("ambiguity", (math.sqrt(0.5), 0.0))])  # a tie
     @pytest.mark.parametrize("k", [1, 37, 38, 120])
     def test_failure_raises_like_loop(self, failure, magnitudes, k):
         magnitudes = np.array(magnitudes)  # the last one normalizes them
@@ -480,8 +485,7 @@ class TestTracking:
     def test_failed_point_is_set_aside(self, k):
         # the middle one of three points tracked together fails at sample k;
         # the other two keep the bits of their own per-sample loops
-        magnitudes = np.array((0.6, 0.6, 0.2, 0.2, 0.2, 0.2, 0.0))
-        magnitudes[-1] = math.sqrt(1 - magnitudes[:-1] @ magnitudes[:-1])
+        magnitudes = np.array(NEAR_TIE)
         eigs = [open_eigs(OPEN.with_rates(gamma, 0.0, 0.01), InitialStateSpec(theta0=2.0))
                 for gamma in (0.1, 0.2, 0.3)]
         times, w, v = (np.array(x) for x in zip(*eigs))
@@ -562,35 +566,44 @@ def sector_columns(w, v, n0):
     return np.take_along_axis(w, cols, 2), np.take_along_axis(v, cols[:, :, None], 3)
 
 
+SECTOR_DRAWS = dict(
+    n0=st.integers(1, 3),
+    draws=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans(),
+                             st.sampled_from([True, True, False])),
+                   min_size=1, max_size=4),
+    r=st.integers(20, 90),
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+
+
 class TestStartSectorColumns:
     """``BranchTracker`` fed only the start sector's two eigenpairs, as
-    ``information.sector_eigh`` gives them, tracks as it does fed all of eigh's."""
+    ``information.sector_eigh`` gives them, tracks as the per-sample loop
+    does over all of eigh's."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n0=st.integers(1, 3),
-           draws=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.booleans(),
-                                    st.sampled_from([True, True, False])),
-                          min_size=1, max_size=4),
-           r=st.integers(20, 90),
-           lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
-           full=st.lists(st.booleans(), min_size=1, max_size=4))
-    def test_same_track_as_every_column(self, n0, draws, r, lengths, full):
+    @given(**SECTOR_DRAWS)
+    def test_same_track_as_every_column(self, n0, draws, r, lengths):
         times, w, v = sector_trajectories(n0, draws, r)
-        sector = sector_columns(w, v, n0)
-        want = fed_in_blocks(times, w, v, lengths)
-        # only the sector's columns in every block, then block by block
-        # either those or all of eigh's
-        for got in (fed_in_blocks(times, w, v, lengths, sector),
-                    fed_in_blocks(times, w, v, lengths, sector, full)):
-            assert list(got[2].failed) == list(want[2].failed)
-            assert [str(e) for e in got[2].failed.values()] \
-                == [str(e) for e in want[2].failed.values()]
-            tracked = [p for p in range(len(draws)) if p not in want[2].failed]
-            for a, b in zip(got[:2], want[:2]):
-                assert a[tracked].tobytes() == b[tracked].tobytes()
-            assert got[2].floor[tracked].tobytes() == want[2].floor[tracked].tobytes()
-        assert set(want[2].failed) >= {p for p, (_, _, pure) in enumerate(draws)
+        tracker = assert_tracks_like_loop(times, w, v, lengths, sector_columns(w, v, n0))[2]
+        assert set(tracker.failed) >= {p for p, (_, _, pure) in enumerate(draws)
                                        if not pure}
+
+    @settings(max_examples=40, deadline=None)
+    @given(**SECTOR_DRAWS)
+    def test_floor_is_at_least_one_over_root_two(self, n0, draws, r, lengths):
+        # of two orthonormal columns of one plane, one overlaps any unit
+        # vector of that plane by at least 1/sqrt(2)
+        times, w, v = sector_trajectories(n0, draws, r)
+        tracker = fed_in_blocks(times, w, v, lengths, sector_columns(w, v, n0))[2]
+        tracked = [p for p in range(len(draws)) if p not in tracker.failed]
+        assert (tracker.floor[tracked] >= 1 / math.sqrt(2) - 1e-12).all()
+        assert np.isnan(tracker.floor[list(tracker.failed)]).all()
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_extend_takes_two_columns(self, m):
+        times, w, v = sector_trajectories(2, [(3, False, True)], 20)
+        with pytest.raises(ValueError, match="two eigenpairs"):
+            BranchTracker().extend(times, w[:, :, -m:], v[:, :, :, -m:])
 
     def test_crossing_inside_the_sector_is_followed(self):
         # the tracked eigenvalue starts as the sector's larger one and ends
