@@ -26,7 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import LindbladSpec, PositivityError, evolve_closed, evolve_lindblad
+from .dynamics import (
+    LindbladSpec,
+    PositivityError,
+    StepOverflowError,
+    evolve_closed,
+    evolve_lindblad,
+)
 from .experiments import (
     KINDS,
     START_SECTOR,
@@ -334,6 +340,10 @@ def main(argv=None) -> int:
     except (TrackingError, SingularCheckpointError, CoarseGridError) as exc:
         print(f"tracking error: {exc}; raise integrator.steps_per_period or lower "
               "integrator.record_stride", file=sys.stderr)
+        return EXIT_TRACKING
+    except StepOverflowError as exc:
+        print(f"numerical error: {exc}; raise integrator.steps_per_period or choose "
+              "model.g, model.delta and model.chi on a scale nearer 1", file=sys.stderr)
         return EXIT_TRACKING
     except PositivityError as exc:
         rates = ("model.gamma, model.p, model.p_z" if args.command == "evolve"

@@ -24,7 +24,8 @@ callers (``hilbert.reached_space``).  Before the first product, both legs
 refuse an RK4 step or hop that is not finite, take the components their
 steps can reach from the initial states (``_reached``) and refuse a closed
 leg that could leave its recorded components, an open leg that could
-leave its N blocks and an RK4 hop that would amplify a reachable mode.
+leave its N blocks and an RK4 hop that would amplify a reachable mode; a
+closed block whose norms overflow is refused before it is yielded.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class PositivityError(RuntimeError):
     """A recorded density matrix violated trace/Hermiticity/positivity bounds,
     or an RK4 hop is not finite or would grow a mode that the density
     matrices reach."""
+
+
+class StepOverflowError(PositivityError):
+    """A closed leg's RK4 step, or the norm of a state that it steps to, is
+    not finite: the time step is too large for the model's scale."""
 
 
 @dataclass(frozen=True)
@@ -229,8 +235,10 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
     renormalised: the first ``width`` rows of each step matrix times the
     full state, which keeps every dot product of the full product, while
     the other components stay +0.0.  Before the first step, non-finite
-    steps raise PositivityError, and steps linking the initial support to
-    another component ValueError.  r keeps r*b*width^2 within BLOCK_ENTRIES.
+    steps raise StepOverflowError, and steps linking the initial support to
+    another component ValueError; a block whose norms overflow raises
+    StepOverflowError before it is yielded.  r keeps r*b*width^2 within
+    BLOCK_ENTRIES.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -250,7 +258,7 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
     if steps.shape != (b, d, d):
         raise ValueError("psi0 and hamiltonian dimensions disagree")
     if not np.isfinite(steps).all():
-        raise PositivityError("the RK4 step is not finite (time step too large)")
+        raise StepOverflowError("the RK4 step is not finite (time step too large)")
     width = d if width is None else width
     if _reached(np.array(cols), steps)[width:].any():
         raise ValueError(f"a closed leg left the first {width} basis states")
@@ -274,18 +282,22 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
         r = block_times.shape[1]
         states = np.empty((b, r, width), dtype=complex)
         i = 0
-        for k in range(r):
-            if start + k:
-                for _ in range(stride):
-                    np.matmul(rows, col, out=nxt_rows)
-                    np.vecdot(nxt, nxt, axis=1, out=dot_col)
-                    nxt_rows /= np.sqrt(dot_re, out=norms[i])
-                    col, nxt, col_rows, nxt_rows = nxt, col, nxt_rows, col_rows
-                    i += 1
-            states[:, k] = col[:, :width, 0]
-        # max is exact: folding once per block keeps the bits of a running max
+        with np.errstate(all="ignore"):  # a block whose norms overflow is refused below
+            for k in range(r):
+                if start + k:
+                    for _ in range(stride):
+                        np.matmul(rows, col, out=nxt_rows)
+                        np.vecdot(nxt, nxt, axis=1, out=dot_col)
+                        nxt_rows /= np.sqrt(dot_re, out=norms[i])
+                        col, nxt, col_rows, nxt_rows = nxt, col, nxt_rows, col_rows
+                        i += 1
+                states[:, k] = col[:, :width, 0]
+        # max is exact: folding once per block keeps the bits of a running max;
+        # it carries a norm that is not finite into the drift
         np.maximum(drift, np.abs(norms[:i, :, 0, 0] - 1.0).max(axis=0, initial=0.0),
                    out=drift)
+        if not np.isfinite(drift).all():
+            raise StepOverflowError("a closed state's norm overflowed (time step too large)")
         yield block_times, states, drift.copy()
 
 

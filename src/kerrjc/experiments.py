@@ -10,7 +10,7 @@ space (``hilbert.reached_space``, Fock levels 0..START_SECTOR); the open
 legs and every negativity and Bloch series run on it, whose states and
 operators are exact slices of the full ones, and it sizes both legs'
 blocks.  Grid points that share model parameters form one group, which
-builds its operators once; consecutive groups form a chunk, whose hop
+builds its operators once; a slice of the groups forms a chunk, whose hop
 matrices hold at most ``BLOCK_ENTRIES`` entries, and the open legs of a
 chunk advance in lockstep (``dynamics.lindblad_blocks``).  A kind reduces
 the blocks of either leg through one interface,
@@ -229,20 +229,14 @@ def _gp_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
 
 
 def _gp_opened(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[Optional[tuple]]:
-    """Per point: its open phase chain and tracked eigenvalue at the
-    checkpoints (kept block by block), or None if its tracking failed."""
-    checkpoints = np.array(_checkpoints(spec))
-    tracker, chain, seen = BranchTracker(), PhaseChain(checkpoints), 0
+    """Per point: its open phase chain's values at the checkpoints, the
+    tracked eigenvalue kept beside them, or None if its tracking failed."""
+    tracker, chain = BranchTracker(), PhaseChain(_checkpoints(spec))
     for times, states in blocks:
         w, vectors = tracker.extend(times, *sector_eigh(states, START_SECTOR))
-        chain.extend(vectors)
-        if not seen:
-            omegas = np.empty((len(w), checkpoints.size))
-        here = (checkpoints >= seen) & (checkpoints < seen + w.shape[1])
-        omegas[:, here] = w[:, checkpoints[here] - seen]
-        seen += w.shape[1]
-    return [None if p in tracker.failed else ([v[p] for v in chain.values], omegas[p])
-            for p in range(len(omegas))]
+        chain.extend(vectors, w)
+    return [None if p in tracker.failed else point
+            for p, point in enumerate(zip(*chain.values))]
 
 
 def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
@@ -251,7 +245,7 @@ def _gp_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
     if opened is None:
         return [(value, m, m * period, nan, nan, nan, nan, nan, "tracking_error")
                 for m in m_values]
-    chain_g, omegas = opened
+    *chain_g, omegas = opened
     rows = []
     for j, m in enumerate(m_values):
         tau = m * period
@@ -320,46 +314,40 @@ def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
 def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
-    Points that share model parameters form one group: H, the period of sector
-    START_SECTOR and the integrator grid are built once for it.  The closed
-    legs of all points advance in lockstep (``closed_blocks``), record the
-    ``reached`` space and are reduced block by block.  The open legs run on it,
-    with slices of H and the states.  Consecutive groups of one size form a
-    chunk whose hops hold at most BLOCK_ENTRIES entries (a group whose hop
-    alone is larger is a chunk by itself); the open legs of a chunk advance in
-    lockstep (``lindblad_blocks``) and are reduced block by block, as the
-    closed legs are.  Each point's two reductions then become its rows.
+    Points that share model parameters form one group, whose H, period of
+    sector START_SECTOR and integrator grid are built once, in one table.
+    The closed legs of all points advance in lockstep (``closed_blocks``),
+    record the ``reached`` space and are reduced block by block.  The open
+    legs run on it, with slices of H and the states, one generator per
+    group, in lockstep (``lindblad_blocks``) by chunks of at most
+    BLOCK_ENTRIES // d**4 generators (one at least; a chunk stacks its
+    groups' states, which must be of one size), reduced as the closed legs
+    are.  Each point's two reductions then become its rows.
     """
     space, d = spec.space, reached.dim
     groups: dict[ModelParams, list[int]] = {}
     for i, (_, params, _) in enumerate(points):
         groups.setdefault(params, []).append(i)
     psi0s = [initial_state(init, space) for _, _, init in points]
-    setup = [None] * len(points)  # (period, config, H) of each point's group
-    chunks = []  # (group size, the open legs of each group)
-    per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
-    for params, group in groups.items():
-        period, config, h = leg_setup(params, START_SECTOR, space, kind.horizon(spec),
-                                      spec.steps_per_period, spec.record_stride)
-        for i in group:
-            setup[i] = (period, config, h)
-        if not chunks or chunks[-1][0] != len(group) or len(chunks[-1][1]) == per_chunk:
-            chunks.append((len(group), []))
-        chunks[-1][1].append((LindbladSpec.from_params(params, reached, h[:d, :d]),
-                              [np.outer(psi0s[i][:d], psi0s[i][:d].conj()) for i in group],
-                              config))
+    setups = {params: leg_setup(params, START_SECTOR, space, kind.horizon(spec),
+                                spec.steps_per_period, spec.record_stride)
+              for params in groups}  # (period, config, H) of each group
+    legs = [(LindbladSpec.from_params(params, reached, h[:d, :d]),
+             [np.outer(psi0s[i][:d], psi0s[i][:d].conj()) for i in group], config)
+            for (params, group), (_, config, h) in zip(groups.items(), setups.values())]
 
-    _, configs, hs = zip(*setup)
+    periods, configs, hs = zip(*(setups[params] for _, params, _ in points))
     # the closed legs record the reached space and size their blocks by it,
     # as the open legs do: both legs' reducers build d x d matrices per state
     closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
     reductions = []  # the open legs' reductions, group by group
-    for _, legs in chunks:
-        specs, rho0s, configs = zip(*legs)
+    per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
+    for start in range(0, len(legs), per_chunk):
+        specs, rho0s, configs = zip(*legs[start:start + per_chunk])
         reductions += kind.opened(spec, reached,
                                   lindblad_blocks(specs, np.array(rho0s), configs))
     opened = dict(zip((i for group in groups.values() for i in group), reductions))
-    return [row for i, ((value, _, _), (period, _, _), c) in enumerate(zip(points, setup, closed))
+    return [row for i, ((value, _, _), period, c) in enumerate(zip(points, periods, closed))
             for row in kind.rows(spec, value, period, c, opened[i])]
 
 

@@ -72,8 +72,10 @@ def wrap_angle(x: float) -> float:
 def wrap_angles(x: np.ndarray) -> np.ndarray:
     """``wrap_angle`` on every element of an array.
 
-    Equal to ``wrap_angle`` bit for bit, except that -0.0 maps to +0.0;
-    the two add identically to any running sum that starts at 0.0.
+    Equal to ``wrap_angle`` bit for bit for |x| < 21 pi, except that -0.0
+    maps to +0.0; the two add identically to any running sum that starts at
+    0.0.  From 21 pi on, 2 pi times round(x / 2 pi) rounds and the last bits
+    can differ; ``PhaseChain``'s increments lie within (-3 pi, 3 pi).
     """
     w = x - 2 * math.pi * np.round(x / (2 * math.pi))
     return np.where(w <= -math.pi, math.pi, w)
@@ -97,12 +99,13 @@ def _accumulate(ufunc, carry: np.ndarray, values: np.ndarray,
 class PhaseChain:
     """The discrete phase chain of b state sequences, fed in blocks of samples.
 
-    ``extend`` takes the next r samples of every sequence, shape (b, r, d).
-    Only the values at the sample indices ``checkpoints`` are kept:
-    ``values`` is (phases, |endpoint overlaps|, min consecutive |overlap| up
-    to each checkpoint), each of shape (b, len(checkpoints)).  The running
-    sums and minima carry across blocks in the order one pass would take
-    them, so the kept values do not depend on the block lengths.
+    ``extend`` takes the next r samples of every sequence, shape (b, r, d),
+    and any per-sample arrays of shape (b, r) to keep beside them.  Only the
+    values at the sample indices ``checkpoints`` are kept: ``values`` is
+    (phases, |endpoint overlaps|, min consecutive |overlap| up to each
+    checkpoint, *the per-sample arrays), each of shape (b, len(checkpoints)).
+    The running sums and minima carry across blocks in the order one pass
+    would take them, so the kept values do not depend on the block lengths.
     """
 
     def __init__(self, checkpoints):
@@ -110,7 +113,7 @@ class PhaseChain:
         self._seen = 0
         self._last: Optional[np.ndarray] = None
 
-    def extend(self, states: np.ndarray) -> None:
+    def extend(self, states: np.ndarray, *per_sample: np.ndarray) -> None:
         states = np.asarray(states)
         b, r = states.shape[:2]
         start = self._last is None
@@ -118,7 +121,7 @@ class PhaseChain:
             self._first = states[:, 0].conj()
             self._dyn, self._phi = np.full(b, -0.0), np.full(b, -0.0)
             self._min = np.full(b, np.inf)
-            self._values = np.full((3, b, self.checkpoints.size), np.nan)
+            self._values = np.full((3 + len(per_sample), b, self.checkpoints.size), np.nan)
             seq = states
         else:
             seq = np.concatenate((self._last[:, None], states), axis=1)
@@ -134,14 +137,15 @@ class PhaseChain:
 
         idx = self.checkpoints - self._seen
         here = (idx >= 0) & (idx < r)
-        self._values[:, :, here] = np.stack((phi, np.abs(endpoint), min_link))[:, :, idx[here]]
+        kept = np.stack((phi, np.abs(endpoint), min_link, *per_sample))
+        self._values[:, :, here] = kept[:, :, idx[here]]
         self._last = states[:, -1].copy()
         self._dyn, self._raw, self._phi = dyn[:, -1], raw[:, -1:], phi[:, -1]
         self._min = min_link[:, -1]
         self._seen += r
 
     @property
-    def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def values(self) -> tuple[np.ndarray, ...]:
         return tuple(self._values)
 
 

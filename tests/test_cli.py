@@ -429,17 +429,25 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.g=1e-150"],
         ["sweep", "--kind", "gp_theta", "--set", "model.g=1e-150"],
+        ["evolve", "--set", "model.g=1e-60"],
+        ["sweep", "--kind", "gp_theta", "--set", "model.g=1e-60"],
         ["evolve", "--set", "model.gamma=1e300"],
-    ], ids=["closed-evolve", "closed-sweep", "open-evolve"])
+    ], ids=["closed-evolve", "closed-sweep", "closed-evolve-norm", "closed-sweep-norm",
+            "open-evolve"])
     def test_non_finite_step_prints_one_line(self, tmp_path, argv):
         # a Rabi period of ~3e150 (or a rate of 1e300) overflows the RK4
-        # polynomial: refused before the first product, and in a fresh
-        # process no overflow warning reaches stderr ahead of the error
+        # polynomial: refused before the first product; at ~3e60 the step is
+        # finite and the first block's norms overflow: refused before it is
+        # reduced.  In a fresh process no overflow warning reaches stderr
+        # ahead of the error, and nothing is written
         out = fresh_main(*argv, "--out", str(tmp_path))
         assert out.returncode == EXIT_TRACKING
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("numerical error: ")
         assert "integrator.steps_per_period" in out.stderr
-        assert not (tmp_path / "trajectory.csv").exists()
+        assert not any(tmp_path.iterdir())
+        if argv[-1].startswith("model.g="):  # a closed leg: no rate takes part
+            assert all(key in out.stderr for key in ("model.g,", "model.delta", "model.chi"))
+            assert not any(rate in out.stderr for rate in ("gamma", "model.p", "open_"))
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.gamma=1e300"],

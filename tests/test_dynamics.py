@@ -13,6 +13,7 @@ from kerrjc.dynamics import (
     LindbladSpec,
     NORM_DRIFT_TOL,
     PositivityError,
+    StepOverflowError,
     evolve_closed,
     evolve_lindblad,
     lindblad_blocks,
@@ -248,6 +249,15 @@ class TestEvolveClosed:
         config = IntegratorConfig(dt=1e150, t_final=4e150, record_stride=1)
         with pytest.raises(PositivityError, match="RK4 step is not finite"):
             evolve_closed(hamiltonian(RESONANT, SPACE), basis_state("e", 0, SPACE), config)
+
+    def test_norm_overflow_refused_before_yielding(self):
+        # dt = 1e57 leaves the step finite (entries near 1e228), but the first
+        # step's norm overflows: the block is refused, not yielded as NaNs
+        config = IntegratorConfig(dt=1e57, t_final=4e57, record_stride=1)
+        blocks = dynamics.closed_blocks([hamiltonian(RESONANT, SPACE)],
+                                        [basis_state("e", 0, SPACE)], [config])
+        with pytest.raises(StepOverflowError, match="norm overflowed"):
+            next(blocks)
 
     def test_truncation_guard(self):
         # a leg from sector n reaches Fock level n (|g,n>), so the truncation

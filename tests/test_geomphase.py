@@ -218,17 +218,21 @@ class TestPhaseChain:
     @given(lengths=st.lists(st.integers(1, 60), min_size=1, max_size=8),
            every=st.integers(1, 40))
     def test_streamed_chain_equals_phase_series(self, lengths, every):
-        n = CHAIN_SEQUENCES.shape[1]
+        # a per-sample array fed beside the states is kept at the checkpoints
+        b, n = CHAIN_SEQUENCES.shape[:2]
+        per_sample = np.random.default_rng(5).standard_normal((b, n))
         checkpoints = np.arange(0, n, every)
         chain = PhaseChain(checkpoints)
         start, k = 0, 0
         while start < n:
             stop = start + lengths[k % len(lengths)]
-            chain.extend(CHAIN_SEQUENCES[:, start:stop])
+            chain.extend(CHAIN_SEQUENCES[:, start:stop], per_sample[:, start:stop])
             start, k = stop, k + 1
+        *series, kept = chain.values
+        assert same_bits(kept, per_sample[:, checkpoints])
         for j, states in enumerate(CHAIN_SEQUENCES):
             whole = phase_series(states)
-            for got, want in zip(chain.values, whole):
+            for got, want in zip(series, whole):
                 assert same_bits(got[j], want[checkpoints])
 
 
@@ -242,6 +246,13 @@ class TestWrapAngles:
                             rng.uniform(-3 * pi, 3 * pi, 20000)])
         want = np.array([wrap_angle(float(v)) for v in x])
         assert np.array_equal(wrap_angles(x).view(np.int64), want.view(np.int64))
+
+    @given(x=st.floats(-21 * math.pi, 21 * math.pi, exclude_min=True, exclude_max=True))
+    def test_equals_scalar_wrap_below_21_pi(self, x):
+        # the float 2*pi times k rounds first at |k| = 11, which round(x / 2pi)
+        # reaches at |x| = 21*pi: below it the two agree, -0.0 read as +0.0
+        want = np.array([wrap_angle(x) + 0.0])
+        assert np.array_equal(wrap_angles(np.array([x])).view(np.int64), want.view(np.int64))
 
     def test_negative_zero_adds_like_scalar_wrap(self):
         # wrap_angle keeps the sign of -0.0; wrap_angles gives +0.0, and both
@@ -713,9 +724,9 @@ def fed_chains(spec, monkeypatch):
     fed, whole: (b, n, d) per chain, in the order the chains were made."""
     real, fed = PhaseChain.extend, {}
 
-    def extend(self, states):
+    def extend(self, states, *per_sample):
         fed.setdefault(self, []).append(np.array(states))
-        real(self, states)
+        real(self, states, *per_sample)
 
     monkeypatch.setattr(PhaseChain, "extend", extend)
     result = run_sweep(spec)
