@@ -348,8 +348,9 @@ def main(argv=None) -> int:
     except PositivityError as exc:
         rates = ("model.gamma, model.p, model.p_z" if args.command == "evolve"
                  else "sweep.open_gamma, sweep.open_p, sweep.open_p_z")
-        print(f"numerical error: {exc}; raise integrator.steps_per_period "
-              f"or lower {rates}", file=sys.stderr)
+        print(f"numerical error: {exc}; raise integrator.steps_per_period, lower {rates} "
+              "or choose model.g, model.delta and model.chi on a scale nearer 1",
+              file=sys.stderr)
         return EXIT_TRACKING
     except ArithmeticError as exc:
         print(f"numerical error: {exc}; raise integrator.steps_per_period",

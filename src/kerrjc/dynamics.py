@@ -12,15 +12,15 @@ trajectory, so a state's bits do not depend on which others share its
 batch.  A closed leg can step and record only its leading components (the
 reached space): it computes and renormalises only those rows of the
 full-space product, each the same dot product over the full row and state.
-``lindblad_blocks`` does the same for open legs: g generators, each with
-its own Lindbladian, time step and c initial density matrices, advance by
-one stacked matrix product per record, again with the bits of each
-generator's own product; their records are block-diagonal in N by
-construction and pass the density checks on the N blocks.  Both yield
-records in blocks that they size themselves, within ``BLOCK_ENTRIES``;
-``evolve_closed`` and ``evolve_lindblad`` feed one trajectory through them
-and join its blocks.  Truncation is checked before integrating, by the
-callers (``hilbert.reached_space``).  Before the first product, both legs
+``lindblad_blocks`` does the same for open legs: density matrices, each
+with its own Lindbladian and time step, advance by one stacked
+matrix-vector product per record, again with the bits of each state's own
+product; their records are block-diagonal in N by construction and pass
+the density checks on the N blocks.  Both yield records in blocks that
+they size themselves, within ``BLOCK_ENTRIES``; ``evolve_closed`` and
+``evolve_lindblad`` feed one trajectory through them and join its blocks.
+Truncation is checked before integrating, by the callers
+(``hilbert.reached_space``).  Before the first product, both legs
 refuse an RK4 step or hop that is not finite, take the components their
 steps can reach from the initial states (``_reached``) and refuse a closed
 leg that could leave its recorded components, an open leg that could
@@ -312,31 +312,30 @@ def evolve_closed(h: np.ndarray, psi0: np.ndarray,
 
 
 def lindblad_blocks(specs, rho0s, configs):
-    """Advance c initial density matrices under each of g Lindbladians, in lockstep.
+    """Advance b density matrices in lockstep, each under its own Lindbladian.
 
-    ``rho0s`` has shape (g, c, d, d): generator i (``specs[i]``, time step
-    ``configs[i].dt``) advances the c states ``rho0s[i]``.  All configs must
-    share the step count and the record stride.  The vectorised states of a
-    generator are the columns of one matrix, and each record is one stacked
-    product (g, d^2, d^2) @ (g, d^2, c), which gives the bits of each
-    generator's own ``hop @ vecs`` (checked on OpenBLAS), so a trajectory's
-    results do not depend on what shares its batch.  Yields ``(times, states)``
-    for consecutive blocks of records, point-major over the b = g*c points
-    (point i*c + j is state j of generator i): ``times`` has shape (b, r) and
-    ``states`` (b, r, d, d).  Every block passes the density checks on its N
-    blocks as one (b*r, d, d) stack.  r keeps r*b*d^2 within BLOCK_ENTRIES.
-    Before the first product, a reachable entry of vec(rho) (``_reached``)
-    between two N blocks raises ValueError, so every record is block-diagonal
-    in N; hops with a non-finite entry, or whose spectral radius on the
-    reachable entries exceeds 1 + HOP_RADIUS_TOL, raise PositivityError.
+    ``rho0s`` has shape (b, d, d): state i advances under ``specs[i]`` with
+    time step ``configs[i].dt``.  All configs must share the step count and
+    the record stride.  Each record is one stacked product
+    (b, d^2, d^2) @ (b, d^2, 1) of the states' hops and vectorised states,
+    which gives the bits of each state's own ``hop @ vec`` (checked on
+    OpenBLAS), so a trajectory's results do not depend on what shares its
+    batch.  Yields ``(times, states)`` for consecutive blocks of records:
+    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
+    passes the density checks on its N blocks as one (b*r, d, d) stack.  r
+    keeps r*b*d^2 within BLOCK_ENTRIES.  Before the first product, a
+    reachable entry of vec(rho) (``_reached``) between two N blocks raises
+    ValueError, so every record is block-diagonal in N; hops with a
+    non-finite entry, or whose spectral radius on the reachable entries
+    exceeds 1 + HOP_RADIUS_TOL, raise PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
     if any(cfg.n_steps != n_steps or cfg.record_stride != stride for cfg in configs):
         raise ValueError("lockstep open legs need one step count and record stride")
     rho0s = np.asarray(rho0s, dtype=complex)
-    g, c, d = rho0s.shape[0], rho0s.shape[1], rho0s.shape[-1]
-    if (rho0s.shape != (g, c, d, d) or len(specs) != g or len(configs) != g
+    b, d = rho0s.shape[0], rho0s.shape[-1]
+    if (rho0s.shape != (b, d, d) or len(specs) != b or len(configs) != b
             or any(s.hamiltonian.shape != (d, d) for s in specs)):
         raise ValueError("rho0 and hamiltonian dimensions disagree")
 
@@ -347,7 +346,8 @@ def lindblad_blocks(specs, rho0s, configs):
                                                 stride) for s, cfg in zip(specs, configs)])
     if not np.isfinite(hops).all():
         raise PositivityError("the RK4 hop is not finite (time step too large)")
-    live = _reached(rho0s.reshape(g * c, d * d), hops)
+    vecs = rho0s.reshape(b, d * d, 1)
+    live = _reached(vecs[:, :, 0], hops)
     n = (np.arange(d) + 1) // 2  # N of each basis state
     if (live.reshape(d, d) & (n[:, None] != n)).any():
         raise ValueError("an open leg's initial states or operators link two N blocks")
@@ -356,27 +356,25 @@ def lindblad_blocks(specs, rho0s, configs):
         raise PositivityError(f"the RK4 hop amplifies by up to {radius:.6g} per record "
                               "(time step too large)")
     n_rec = n_steps // stride + 1
-    spacing = np.repeat([[cfg.dt * stride] for cfg in configs], c, axis=0)
-    b = g * c
+    spacing = np.array([[cfg.dt * stride] for cfg in configs])
     per_block = max(1, BLOCK_ENTRIES // (b * d * d))
-    vecs = np.ascontiguousarray(rho0s.reshape(g, c, d * d).transpose(0, 2, 1))
     for start in range(0, n_rec, per_block):
         block_times = np.arange(start, min(start + per_block, n_rec)) * spacing
         r = block_times.shape[1]
-        states = np.empty((g, c, r, d * d), dtype=complex)
+        states = np.empty((b, r, d, d), dtype=complex)
         for k in range(r):
             if start + k:
                 vecs = np.matmul(hops, vecs)
-            states[:, :, k] = vecs.transpose(0, 2, 1)
+            states[:, k] = vecs.reshape(b, d, d)
         _check_density_stack(states.reshape(b * r, d, d), block_times.reshape(-1))
-        yield block_times, states.reshape(b, r, d, d)
+        yield block_times, states
 
 
 def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,
                     config: IntegratorConfig) -> TrajectoryRecord:
     """RK4 Lindblad integration of one state: ``lindblad_blocks`` of it, its
     blocks joined."""
-    times, states = zip(*lindblad_blocks([spec], np.asarray(rho0)[None, None], [config]))
+    times, states = zip(*lindblad_blocks([spec], np.asarray(rho0)[None], [config]))
     return TrajectoryRecord(times=np.concatenate(times, axis=1)[0],
                             states=np.concatenate(states, axis=1)[0], config=config)
 

@@ -9,10 +9,10 @@ byte.  The closed legs of all grid points advance in lockstep
 space (``hilbert.reached_space``, Fock levels 0..START_SECTOR); the open
 legs and every negativity and Bloch series run on it, whose states and
 operators are exact slices of the full ones, and it sizes both legs'
-blocks.  Grid points that share model parameters form one group, which
-builds its operators once; a slice of the groups forms a chunk, whose hop
-matrices hold at most ``BLOCK_ENTRIES`` entries, and the open legs of a
-chunk advance in lockstep (``dynamics.lindblad_blocks``).  A kind reduces
+blocks.  Every grid point has its own open-leg generator, so its rows are
+those of the point run alone; a slice of the points forms a chunk, whose
+hop matrices hold at most ``BLOCK_ENTRIES`` entries, and the open legs of
+a chunk advance in lockstep (``dynamics.lindblad_blocks``).  A kind reduces
 the blocks of either leg through one interface,
 ``(spec, reached space, blocks) -> one reduction per point``; the phase
 and Bloch kinds track the start sector's eigenpairs of each open block
@@ -134,7 +134,7 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class Kind:
-    """What one sweep kind computes, as ``_grouped_rows`` runs it."""
+    """What one sweep kind computes, as ``_point_rows`` runs it."""
 
     columns: tuple[str, ...]
     template: str  # one CSV row of ``columns``
@@ -311,44 +311,38 @@ def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
     return period, config, hamiltonian(params, space)
 
 
-def _grouped_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
+def _point_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
-    Points that share model parameters form one group, whose H, period of
-    sector START_SECTOR and integrator grid are built once, in one table.
-    The closed legs of all points advance in lockstep (``closed_blocks``),
-    record the ``reached`` space and are reduced block by block.  The open
-    legs run on it, with slices of H and the states, one generator per
-    group, in lockstep (``lindblad_blocks``) by chunks of at most
-    BLOCK_ENTRIES // d**4 generators (one at least; a chunk stacks its
-    groups' states, which must be of one size), reduced as the closed legs
-    are.  Each point's two reductions then become its rows.
+    The H, period of sector START_SECTOR and integrator grid of each set of
+    model parameters are built once, in one table.  The closed legs of all
+    points advance in lockstep (``closed_blocks``), record the ``reached``
+    space and are reduced block by block.  The open legs run on it, with
+    slices of H and the states, one generator per point, in lockstep
+    (``lindblad_blocks``) by chunks of at most BLOCK_ENTRIES // d**4 points
+    (one at least), reduced as the closed legs are.  Each point's two
+    reductions then become its rows.
     """
     space, d = spec.space, reached.dim
-    groups: dict[ModelParams, list[int]] = {}
-    for i, (_, params, _) in enumerate(points):
-        groups.setdefault(params, []).append(i)
     psi0s = [initial_state(init, space) for _, _, init in points]
     setups = {params: leg_setup(params, START_SECTOR, space, kind.horizon(spec),
                                 spec.steps_per_period, spec.record_stride)
-              for params in groups}  # (period, config, H) of each group
-    legs = [(LindbladSpec.from_params(params, reached, h[:d, :d]),
-             [np.outer(psi0s[i][:d], psi0s[i][:d].conj()) for i in group], config)
-            for (params, group), (_, config, h) in zip(groups.items(), setups.values())]
-
+              for _, params, _ in points}  # (period, config, H) of each parameter set
     periods, configs, hs = zip(*(setups[params] for _, params, _ in points))
     # the closed legs record the reached space and size their blocks by it,
     # as the open legs do: both legs' reducers build d x d matrices per state
     closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
-    reductions = []  # the open legs' reductions, group by group
+    legs = [(LindbladSpec.from_params(params, reached, h[:d, :d]),
+             np.outer(psi0[:d], psi0[:d].conj()), config)
+            for (_, params, _), psi0, config, h in zip(points, psi0s, configs, hs)]
+    opened = []
     per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
     for start in range(0, len(legs), per_chunk):
-        specs, rho0s, configs = zip(*legs[start:start + per_chunk])
-        reductions += kind.opened(spec, reached,
-                                  lindblad_blocks(specs, np.array(rho0s), configs))
-    opened = dict(zip((i for group in groups.values() for i in group), reductions))
-    return [row for i, ((value, _, _), period, c) in enumerate(zip(points, periods, closed))
-            for row in kind.rows(spec, value, period, c, opened[i])]
+        specs, rho0s, chunk_configs = zip(*legs[start:start + per_chunk])
+        opened += kind.opened(spec, reached,
+                              lindblad_blocks(specs, np.array(rho0s), chunk_configs))
+    return [row for (value, _, _), period, c, o in zip(points, periods, closed, opened)
+            for row in kind.rows(spec, value, period, c, o)]
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
@@ -451,7 +445,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         check(spec)
     points = kind.points(spec)
     reached = reached_space(START_SECTOR, spec.space)
-    rows = _grouped_rows(spec, kind, points, reached)
+    rows = _point_rows(spec, kind, points, reached)
     return SweepResult(spec=spec, columns=kind.columns, rows=rows,
                        meta=kind.meta(points, rows))
 

@@ -432,13 +432,16 @@ class TestDispatch:
         ["evolve", "--set", "model.g=1e-60"],
         ["sweep", "--kind", "gp_theta", "--set", "model.g=1e-60"],
         ["evolve", "--set", "model.gamma=1e300"],
+        ["evolve", "--set", "model.g=1e-60", "--set", "model.gamma=0.1"],
     ], ids=["closed-evolve", "closed-sweep", "closed-evolve-norm", "closed-sweep-norm",
-            "open-evolve"])
+            "open-evolve", "open-evolve-scale"])
     def test_non_finite_step_prints_one_line(self, tmp_path, argv):
         # a Rabi period of ~3e150 (or a rate of 1e300) overflows the RK4
         # polynomial: refused before the first product; at ~3e60 the step is
         # finite and the first block's norms overflow: refused before it is
-        # reduced.  In a fresh process no overflow warning reaches stderr
+        # reduced; with a rate, that coupling's time step overflows the open
+        # hop first, and the message names the model scale beside the rates.
+        # In a fresh process no overflow warning reaches stderr
         # ahead of the error, and nothing is written
         out = fresh_main(*argv, "--out", str(tmp_path))
         assert out.returncode == EXIT_TRACKING
@@ -448,6 +451,9 @@ class TestDispatch:
         if argv[-1].startswith("model.g="):  # a closed leg: no rate takes part
             assert all(key in out.stderr for key in ("model.g,", "model.delta", "model.chi"))
             assert not any(rate in out.stderr for rate in ("gamma", "model.p", "open_"))
+        else:  # an open leg's hop: the rates and the model scale both take part
+            assert all(key in out.stderr for key in ("model.gamma", "model.g,", "model.delta",
+                                                      "model.chi"))
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.gamma=1e300"],
@@ -464,6 +470,7 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "RK4 hop is not finite" in err and "integrator.steps_per_period" in err
         assert ("model.gamma" if argv[0] == "evolve" else "sweep.open_gamma") in err
+        assert all(key in err for key in ("model.g,", "model.delta", "model.chi"))
         assert calls == []
 
     @pytest.mark.parametrize("command", [["sweep", "--kind", "gp_delta"], ["evolve"]])
@@ -679,11 +686,20 @@ def test_import_leaves_the_process_pool_unloaded():
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-@pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
-def test_default_sweep_matches_reference_bytes(tmp_path, kind):
-    """The default sweep's CSV equals, byte for byte, the reference the
-    benchmark checks against (made from the first version of the package)."""
+@pytest.mark.parametrize("workload,kind,sets", [
+    ("gp_delta", "gp_delta", []),
+    ("negativity_delta", "negativity_delta", []),
+    # the --set items of the benchmark's gp_theta_n10 workload
+    ("gp_theta_n10", "gp_theta", ["space.n_max=10", "sweep.grid_start=0",
+                                  "sweep.grid_stop=6.283185307179586",
+                                  "sweep.grid_points=16"]),
+], ids=["gp_delta", "negativity_delta", "gp_theta_n10"])
+def test_default_sweep_matches_reference_bytes(tmp_path, workload, kind, sets):
+    """Each benchmark workload's sweep CSV equals, byte for byte, the
+    reference the benchmark checks against (made from the first version of
+    the package)."""
+    settings = [arg for item in sets for arg in ("--set", item)]
     assert main(["sweep", "--kind", kind, "--no-timestamp", "--set", "sweep.workers=1",
-                 "--no-svg", "--out", str(tmp_path)]) == EXIT_OK
-    want = lzma.decompress((REFERENCE / f"{kind}.csv.xz").read_bytes())
+                 *settings, "--no-svg", "--out", str(tmp_path)]) == EXIT_OK
+    want = lzma.decompress((REFERENCE / f"{workload}.csv.xz").read_bytes())
     assert (tmp_path / f"{kind}.csv").read_bytes() == want

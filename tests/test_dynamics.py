@@ -612,11 +612,11 @@ class TestNBlockRefusal:
         space = SpaceSpec(n0)
         params = ModelParams(delta, 0.5).with_rates(*rates)
         spec = LindbladSpec.from_params(params, space)
-        rho0s = n_block_stack(rng, space, 3)[None]
+        rho0s = n_block_stack(rng, space, 3)
         n = np.diag(excitation_number(space)).real.astype(int)
         i, j = rng.choice(np.argwhere(n[:, None] != n))  # in two N blocks
         if link == "rho0":  # one entry, however small, and the states stay as they are
-            rho0s[0, rng.integers(3), i, j] = size * rng.choice([1, -1, 1j])
+            rho0s[rng.integers(3), i, j] = size * rng.choice([1, -1, 1j])
         else:  # a Hermitian term of H between |i> and |j>
             h = spec.hamiltonian.copy()
             h[i, j] += term
@@ -624,7 +624,7 @@ class TestNBlockRefusal:
             spec = LindbladSpec(h, spec.collapse_ops)
         config = IntegratorConfig.for_periods(
             2 * math.pi / sector_analytics(params, n0).rabi_frequency, 1.0, 2000, 4)
-        legs = lindblad_blocks([spec], rho0s, [config])
+        legs = lindblad_blocks([spec] * 3, rho0s, [config] * 3)
         with mock.patch.object(np, "matmul", wraps=np.matmul) as product, \
                 pytest.raises(ValueError, match="link two N blocks"):
             next(legs)
@@ -641,12 +641,12 @@ class TestNBlockRefusal:
         space = SpaceSpec(n0)
         params = ModelParams(delta, 0.5).with_rates(*rates)
         spec = LindbladSpec.from_params(params, space)
-        rho0s = n_block_stack(np.random.default_rng(seed), space, size)[None]
+        rho0s = n_block_stack(np.random.default_rng(seed), space, size)
         config = IntegratorConfig.for_periods(
             2 * math.pi / sector_analytics(params, n0).rabi_frequency, 0.5, 2000, 4)
         records = 0
         with blocks_of(97, size, space.dim):
-            for _, states in lindblad_blocks([spec], rho0s, [config]):
+            for _, states in lindblad_blocks([spec] * size, rho0s, [config] * size):
                 flat = states.reshape(-1, space.dim, space.dim)
                 assert not hilbert.off_n_blocks(flat)
                 w, v = information.sector_eigh(states, n0)
@@ -698,7 +698,7 @@ class TestCPTPHealth:
         period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
         config = IntegratorConfig.for_periods(period, 1.0, 2000, 4)
         psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
-        rho0 = np.outer(psi0, psi0.conj())[None, None]
+        rho0 = np.outer(psi0, psi0.conj())[None]
         spec = LindbladSpec.from_params(params, space)
         for times, states in lindblad_blocks([spec], rho0, [config]):
             flat = states.reshape(-1, space.dim, space.dim)

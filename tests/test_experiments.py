@@ -404,47 +404,44 @@ def with_block_records(monkeypatch, name, block_records):
     def drawn(*args, **kwargs):
         if name == "closed_blocks":  # (hs, psi0s, configs, width=...)
             points, width = len(args[1]), kwargs["width"]
-        else:  # (specs, rho0s of shape (g, c, d, d), configs)
-            g, c, width, _ = np.shape(args[1])
-            points = g * c
+        else:  # (specs, rho0s of shape (b, d, d), configs)
+            points, width = np.shape(args[1])[:2]
         with blocks_of(block_records, points, width):
             yield from real(*args, **kwargs)
 
     monkeypatch.setattr(ex, name, drawn)
 
 
-GP_THETA_GROUP = dict(grid=(0.0, 0.7, 2.0, 4.0), m_values=(1, 2), **SMALL_GP)
-NEG_THETA_GROUP = dict(grid=(0.0, 0.4, 1.1), **SMALL_NEG)
+GP_THETA_GRID = dict(grid=(0.0, 0.7, 2.0, 4.0), m_values=(1, 2), **SMALL_GP)
+NEG_THETA_GRID = dict(grid=(0.0, 0.4, 1.1), **SMALL_NEG)
 DELTA_GRID = dict(grid=(-1.5, -0.2, 0.5, 2.5), m_values=(1, 2), steps_per_period=500,
                   record_stride=4, periods=2.0)
 
 
 class TestGroupedEngine:
-    """Points sharing model parameters advance together, block by block."""
+    """Points advance together, block by block, each with its own open-leg
+    generator, so every row is that of its point run alone, bit for bit."""
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_gp_theta_matches_per_point(self, open_rates):
-        spec = default_spec("gp_theta", open_rates=open_rates, **GP_THETA_GROUP)
+        spec = default_spec("gp_theta", open_rates=open_rates, **GP_THETA_GRID)
         got = run_sweep(spec).rows
         want = per_point_gp_rows(spec)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[8] == "ok"
-            assert g[:3] == w[:3]
-            assert np.abs(np.array(g[3:8]) - np.array(w[3:])).max() < 1e-12
+            assert g[:8] == w
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_negativity_theta_matches_per_point(self, open_rates):
-        spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GROUP)
+        spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GRID)
         got = np.array(run_sweep(spec).rows)
         want = np.array(per_point_neg_rows(spec))
-        assert got.shape == want.shape
-        assert np.array_equal(got[:, :3], want[:, :3])
-        assert np.abs(got[:, 3] - want[:, 3]).max() < 1e-12
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     def test_gp_rows_do_not_depend_on_block_length(self, block_records, monkeypatch):
-        spec = default_spec("gp_theta", **GP_THETA_GROUP)
+        spec = default_spec("gp_theta", **GP_THETA_GRID)
         default = run_sweep(spec).rows
         with_block_records(monkeypatch, "lindblad_blocks", block_records)
         assert run_sweep(spec).rows == default
@@ -452,7 +449,7 @@ class TestGroupedEngine:
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     def test_negativity_rows_do_not_depend_on_block_length(self, block_records,
                                                            monkeypatch):
-        spec = default_spec("negativity_theta", **NEG_THETA_GROUP)
+        spec = default_spec("negativity_theta", **NEG_THETA_GRID)
         default = run_sweep(spec).rows
         with_block_records(monkeypatch, "lindblad_blocks", block_records)
         assert run_sweep(spec).rows == default
@@ -486,29 +483,10 @@ class TestGroupedEngine:
         assert [shape[1] for shape in shapes] == [r, 1501 - r]
         assert shapes[0] == (3, r, 4)
 
-    def test_one_group_per_shared_parameter_set(self, monkeypatch):
-        import kerrjc.dynamics as dyn
-        import kerrjc.experiments as ex
-        shapes = []
-
-        def recording(specs, rho0s, *args, **kwargs):
-            shapes.append(rho0s.shape)
-            return dyn.lindblad_blocks(specs, rho0s, *args, **kwargs)
-
-        monkeypatch.setattr(ex, "lindblad_blocks", recording)
-        run_sweep(default_spec("gp_theta", grid=(0.0, 1.0, 2.0), m_values=(1,),
-                               **SMALL_GP))
-        run_sweep(default_spec("gp_delta", grid=(-1.0, 0.5), m_values=(1,),
-                               **SMALL_GP))
-        # (groups, points per group, d, d) of each chunk: one θ chunk of one
-        # group of three points, then one δ chunk of two groups of one point
-        assert shapes == [(1, 3, 4, 4), (2, 1, 4, 4)]
-
-    @pytest.mark.parametrize("kind,settings", [("gp_theta", GP_THETA_GROUP),
+    @pytest.mark.parametrize("kind,settings", [("gp_theta", GP_THETA_GRID),
                                                ("gp_delta", DELTA_GRID)])
     def test_tracking_failure_flags_only_its_point(self, kind, settings, monkeypatch):
-        # the second point of a chunk of four (one θ group, or four δ
-        # groups) fails in its second block
+        # the second point of a chunk of four fails in its second block
         spec = default_spec(kind, **settings)
         clean = run_sweep(spec).rows
         hit = with_ambiguity(monkeypatch, point=1, record=200)
@@ -558,24 +536,24 @@ CHUNK_SPECS = {
 
 
 class TestChunks:
-    """Consecutive groups advance their open legs together, in chunks whose
+    """Consecutive points advance their open legs together, in chunks whose
     hops hold at most BLOCK_ENTRIES entries."""
 
-    @pytest.mark.parametrize("groups", [1, 2, 7, None])
+    @pytest.mark.parametrize("points", [1, 2, 7, None])
     @pytest.mark.parametrize("kind", list(CHUNK_SPECS))
-    def test_rows_do_not_depend_on_chunk_size(self, kind, groups, monkeypatch):
+    def test_rows_do_not_depend_on_chunk_size(self, kind, points, monkeypatch):
         import kerrjc.experiments as ex
         spec = default_spec(kind, **CHUNK_SPECS[kind])
         default = run_sweep(spec)
-        # a budget of `groups` hops on the reached space; None puts every
-        # group in one chunk
-        budget = 1 << 40 if groups is None else groups * reached_space(1, spec.space).dim ** 4
+        # a budget of `points` hops on the reached space; None puts every
+        # point in one chunk
+        budget = 1 << 40 if points is None else points * reached_space(1, spec.space).dim ** 4
         monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
         result = run_sweep(spec)
         assert result.rows == default.rows
         assert result.meta == default.meta
 
-    def test_hops_within_budget_unless_one_group(self, monkeypatch):
+    def test_hops_within_budget_unless_one_point(self, monkeypatch):
         import kerrjc.dynamics as dyn
         import kerrjc.experiments as ex
         chunks = []
@@ -590,12 +568,12 @@ class TestChunks:
         run_sweep(delta)
         run_sweep(default_spec("gp_theta", grid=(0.0, 1.0), m_values=(1,), n_max=10,
                                steps_per_period=200))
-        # (groups, points per group, d, d): the open legs run on the reached
-        # space, d = 4 whatever n_max, so the 13 δ groups' 16² hops fit in
-        # one chunk, and the θ group at n_max 10 runs on 4 x 4 states too
-        assert chunks == [(13, 1, 4, 4), (1, 2, 4, 4)]
+        # (points, d, d): the open legs run on the reached space, d = 4
+        # whatever n_max, so the 13 δ points' 16² hops fit in one chunk, and
+        # the two θ points at n_max 10 run on 4 x 4 states too
+        assert chunks == [(13, 4, 4), (2, 4, 4)]
         # a budget of six hops makes chunks of six, and one below a single
-        # hop leaves each group a chunk by itself
+        # hop leaves each point a chunk by itself
         for budget, want in ((6 * 4 ** 4, [6, 6, 1]), (4 ** 4 - 1, [1] * 13)):
             monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
             chunks.clear()

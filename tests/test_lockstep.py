@@ -1,5 +1,5 @@
 """Legs advanced in lockstep equal lone trajectories bit for bit: closed legs
-against the one-trajectory step loop, open legs against each generator run
+against the one-trajectory step loop, open legs against each state run
 alone.  A closed leg that its couplings can take out of the recorded width
 is refused before its first step."""
 
@@ -133,16 +133,19 @@ def test_lockstep_equals_scalar_loop_property(kind, values, stride, block_record
 
 
 def open_legs(deltas, thetas, steps_per_period=60, stride=4, periods=1.0):
-    """One open generator per δ, each with the states of the θ list."""
+    """One open leg per (δ, θ) pair, δ-major: its Lindbladian, initial
+    density matrix and integrator grid."""
     specs, rho0s, configs = [], [], []
     for delta in deltas:
         params = ModelParams(delta=delta, chi=0.5, gamma=0.1, p_z=0.01)
         period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
-        specs.append(LindbladSpec.from_params(params, SPACE))
-        psis = [initial_state(InitialStateSpec(theta0=t), SPACE) for t in thetas]
-        rho0s.append([np.outer(psi, psi.conj()) for psi in psis])
-        configs.append(IntegratorConfig.for_periods(period, periods, steps_per_period,
-                                                    stride))
+        spec = LindbladSpec.from_params(params, SPACE)
+        config = IntegratorConfig.for_periods(period, periods, steps_per_period, stride)
+        for theta in thetas:
+            psi = initial_state(InitialStateSpec(theta0=theta), SPACE)
+            specs.append(spec)
+            rho0s.append(np.outer(psi, psi.conj()))
+            configs.append(config)
     return specs, np.array(rho0s), configs
 
 
@@ -155,19 +158,19 @@ def joined(blocks):
 
 @pytest.mark.parametrize("thetas", [(0.0,), (0.0, 1.2, 2.5)])
 def test_open_lockstep_equals_each_generator_alone(thetas):
-    # three generators with their own dt, c states each, in blocks of 7
+    # three δ with their own dt, each from every θ, in blocks of 7: legs
+    # that share a Lindbladian keep the bits of each one run alone
     specs, rho0s, configs = open_legs((-2.0, 0.3, 1.5), thetas)
-    c = len(thetas)
-    with blocks_of(7, 3 * c, SPACE.dim):
+    b = len(specs)
+    with blocks_of(7, b, SPACE.dim):
         together = joined(lindblad_blocks(specs, rho0s, configs))
-    for i in range(3):
+    for i in range(b):
         alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1]))
         for got, want in zip(together, alone):
-            assert np.array_equal(got[i * c:(i + 1) * c], want)
-        if c == 1:
-            record = evolve_lindblad(specs[i], rho0s[i, 0], configs[i])
-            assert np.array_equal(record.states, together[1][i])
-            assert np.array_equal(record.times, together[0][i])
+            assert np.array_equal(got[i:i + 1], want)
+        record = evolve_lindblad(specs[i], rho0s[i], configs[i])
+        assert np.array_equal(record.states, together[1][i])
+        assert np.array_equal(record.times, together[0][i])
 
 
 def test_open_lockstep_rejects_mismatched_step_counts():
@@ -175,6 +178,13 @@ def test_open_lockstep_rejects_mismatched_step_counts():
     configs[1] = IntegratorConfig.for_periods(1.0, 2.0, 60, 4)
     with pytest.raises(ValueError, match="step count"):
         next(lindblad_blocks(specs, rho0s, configs))
+
+
+def test_open_lockstep_rejects_a_state_axis_per_generator():
+    # one spec and one config per state: a (g, c, d, d) stack is refused
+    specs, rho0s, configs = open_legs((-1.0,), (0.0, 1.2))
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        next(lindblad_blocks(specs[:1], rho0s[None], configs[:1]))
 
 
 def sector_legs(kind, values, space, n0, steps_per_period=60):

@@ -42,13 +42,13 @@ def test_default_rows_equal_full_space_rows(kind, monkeypatch):
        n_max=st.integers(2, 6))
 def test_rows_agree_with_full_space(delta, chi, rates, theta0, n_max):
     params = ModelParams(delta=delta, chi=chi).with_rates(*rates)
-    # two starts that share one group: the drawn angle and the great circle
+    # two starts that share model parameters: the drawn angle and the great circle
     points = [(0.0, params, InitialStateSpec(theta0=theta0)),
               (1.0, params, perpendicular_state(params, 1))]
     for kind in ("gp_theta", "negativity_theta"):
         spec = default_spec(kind, m_values=(1, 2), periods=2.0, steps_per_period=200,
                             n_max=n_max)
-        reduced, full = (ex._grouped_rows(spec, KINDS[kind], points, space)
+        reduced, full = (ex._point_rows(spec, KINDS[kind], points, space)
                          for space in (reached_space(1, spec.space), spec.space))
         assert len(reduced) == len(full)
         for r, f in zip(reduced, full):
