@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    LindbladSpec,
     PositivityError,
     StepOverflowError,
     evolve_closed,
@@ -45,7 +44,7 @@ from .experiments import (
     write_trajectory_csv,
 )
 from .geomphase import CoarseGridError, SingularCheckpointError, TrackingError
-from .hilbert import SpaceSpec, TruncationError, reached_space
+from .hilbert import SpaceSpec, TruncationError
 from .model import InitialStateSpec, ModelParams, initial_state, perpendicular_state
 
 ENV_OUTPUT_DIR = "KERRJC_OUTPUT_DIR"
@@ -208,6 +207,12 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     if (n := config["initial.n"]) != START_SECTOR:
         raise ConfigError(f"sweeps start in sector {START_SECTOR}, and initial.n = {n} is "
                           f"read only by evolve: set initial.n = {START_SECTOR}")
+    if kind in ("gp_delta", "negativity_delta") and \
+            (delta := config["model.delta"]) != SweepSpec.base_params.delta:
+        raise ConfigError(f"{kind} takes delta from its grid, so model.delta = {delta:g} "
+                          f"would not be read: leave model.delta at "
+                          f"{SweepSpec.base_params.delta:g} and set sweep.grid_start/"
+                          "sweep.grid_stop")
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
@@ -232,16 +237,15 @@ def run_evolve(config: dict) -> int:
     else:
         init = InitialStateSpec(theta0=config["initial.theta0"],
                                 phi0=config["initial.phi0"], n=config["initial.n"])
-    reached = reached_space(init.n, space)
-    _, integ, h = leg_setup(params, init.n, space,
-                            config["integrator.periods"] or SweepSpec.periods,
-                            config["integrator.steps_per_period"],
-                            config["integrator.record_stride"] or SweepSpec.record_stride)
+    _, integ, h, open_spec = leg_setup(
+        params, init.n, space, config["integrator.periods"] or SweepSpec.periods,
+        config["integrator.steps_per_period"],
+        config["integrator.record_stride"] or SweepSpec.record_stride)
     psi0 = initial_state(init, space)
     if params.gamma > 0 or params.p > 0 or params.p_z > 0:
-        d, pad = reached.dim, space.dim - reached.dim
-        record = evolve_lindblad(LindbladSpec.from_params(params, reached, h[:d, :d]),
-                                 np.outer(psi0[:d], psi0[:d].conj()), integ)
+        d = open_spec.hamiltonian.shape[0]
+        record = evolve_lindblad(open_spec, np.outer(psi0[:d], psi0[:d].conj()), integ)
+        pad = space.dim - d
         record = replace(record, states=np.pad(record.states, ((0, 0), (0, pad), (0, pad))))
     else:
         record = evolve_closed(h, psi0, integ)

@@ -4,16 +4,17 @@ Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all,
 each from sector ``START_SECTOR``.  Sweeps are deterministic (no
 randomness anywhere in the pipeline), run in one process and assemble rows
 in grid order, so re-running an identical spec reproduces the CSV byte for
-byte.  The closed legs of all grid points advance in lockstep
-(``dynamics.closed_blocks``) on the full space and record only the reached
-space (``hilbert.reached_space``, Fock levels 0..START_SECTOR); the open
-legs and every negativity and Bloch series run on it, whose states and
-operators are exact slices of the full ones, and it sizes both legs'
-blocks.  Every grid point has its own open-leg generator, so its rows are
-those of the point run alone; a slice of the points forms a chunk, whose
-hop matrices hold at most ``BLOCK_ENTRIES`` entries, and the open legs of
-a chunk advance in lockstep (``dynamics.lindblad_blocks``).  A kind reduces
-the blocks of either leg through one interface,
+byte.  A slice of the points forms a chunk, whose hop matrices hold at
+most ``BLOCK_ENTRIES`` entries, and one loop runs the chunks.  A chunk's
+closed legs advance in lockstep (``dynamics.closed_blocks``) on the full
+space and record only the reached space (``hilbert.reached_space``, Fock
+levels 0..START_SECTOR); its open legs and every negativity and Bloch
+series run on it, whose states and operators are exact slices of the
+full ones, and it sizes both legs' blocks.  Every grid point has its own
+open-leg generator, so its rows are those of the point run alone, and
+the open legs of a chunk advance in lockstep
+(``dynamics.lindblad_blocks``).  A kind reduces the blocks of either leg
+through one interface,
 ``(spec, reached space, blocks) -> one reduction per point``; the phase
 and Bloch kinds track the start sector's eigenpairs of each open block
 (``information.sector_eigh``) with one ``BranchTracker`` per chunk.
@@ -296,11 +297,13 @@ def _bloch_planarity(points, rows) -> dict:
 
 
 def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
-              steps_per_period: int,
-              record_stride: int) -> tuple[float, IntegratorConfig, np.ndarray]:
-    """(period, integrator grid, H) of the legs that start in sector ``n``:
-    the grid spans ``periods`` Rabi periods of that sector, which must be
-    finite and positive."""
+              steps_per_period: int, record_stride: int
+              ) -> tuple[float, IntegratorConfig, np.ndarray, LindbladSpec]:
+    """(period, integrator grid, H, open-leg spec) of the legs that start in
+    sector ``n``, the spec on ``reached_space(n, space)`` (checked first)
+    from the slice of H: the grid spans ``periods`` Rabi periods of that
+    sector, which must be finite and positive."""
+    reached = reached_space(n, space)
     rabi = sector_analytics(params, n).rabi_frequency
     period = 2 * math.pi / rabi if rabi > 0 else math.inf
     if not 0 < period < math.inf:
@@ -308,41 +311,41 @@ def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
                           "finite positive period: choose model.g, model.delta and "
                           "model.chi on a scale nearer 1")
     config = IntegratorConfig.for_periods(period, periods, steps_per_period, record_stride)
-    return period, config, hamiltonian(params, space)
+    h, d = hamiltonian(params, space), reached.dim
+    return period, config, h, LindbladSpec.from_params(params, reached, h[:d, :d])
 
 
-def _point_rows(spec: SweepSpec, kind: Kind, points, reached: SpaceSpec) -> list[tuple]:
+def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
-    The H, period of sector START_SECTOR and integrator grid of each set of
-    model parameters are built once, in one table.  The closed legs of all
-    points advance in lockstep (``closed_blocks``), record the ``reached``
-    space and are reduced block by block.  The open legs run on it, with
-    slices of H and the states, one generator per point, in lockstep
-    (``lindblad_blocks``) by chunks of at most BLOCK_ENTRIES // d**4 points
-    (one at least), reduced as the closed legs are.  Each point's two
+    The ``leg_setup`` of each set of model parameters is built once, in one
+    table.  The points run by chunks of at most BLOCK_ENTRIES // d**4 (one
+    at least), d the reached space's dimension.  A chunk's closed legs
+    advance in lockstep (``closed_blocks``) on the full space, record the
+    reached space and are reduced block by block; then its open legs run on
+    it, with slices of the states, one generator per point, in lockstep
+    (``lindblad_blocks``), reduced as the closed legs are.  Each point's two
     reductions then become its rows.
     """
-    space, d = spec.space, reached.dim
-    psi0s = [initial_state(init, space) for _, _, init in points]
-    setups = {params: leg_setup(params, START_SECTOR, space, kind.horizon(spec),
+    reached = reached_space(START_SECTOR, spec.space)
+    d = reached.dim
+    setups = {params: leg_setup(params, START_SECTOR, spec.space, kind.horizon(spec),
                                 spec.steps_per_period, spec.record_stride)
-              for _, params, _ in points}  # (period, config, H) of each parameter set
-    periods, configs, hs = zip(*(setups[params] for _, params, _ in points))
-    # the closed legs record the reached space and size their blocks by it,
-    # as the open legs do: both legs' reducers build d x d matrices per state
-    closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
-    legs = [(LindbladSpec.from_params(params, reached, h[:d, :d]),
-             np.outer(psi0[:d], psi0[:d].conj()), config)
-            for (_, params, _), psi0, config, h in zip(points, psi0s, configs, hs)]
-    opened = []
+              for _, params, _ in points}
     per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
-    for start in range(0, len(legs), per_chunk):
-        specs, rho0s, chunk_configs = zip(*legs[start:start + per_chunk])
-        opened += kind.opened(spec, reached,
-                              lindblad_blocks(specs, np.array(rho0s), chunk_configs))
-    return [row for (value, _, _), period, c, o in zip(points, periods, closed, opened)
-            for row in kind.rows(spec, value, period, c, o)]
+    rows = []
+    for start in range(0, len(points), per_chunk):
+        chunk = points[start:start + per_chunk]
+        psi0s = [initial_state(init, spec.space) for _, _, init in chunk]
+        periods, configs, hs, specs = zip(*(setups[params] for _, params, _ in chunk))
+        # the closed legs record the reached space and size their blocks by it,
+        # as the open legs do: both legs' reducers build d x d matrices per state
+        closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
+        rho0s = np.array([np.outer(psi0[:d], psi0[:d].conj()) for psi0 in psi0s])
+        opened = kind.opened(spec, reached, lindblad_blocks(specs, rho0s, configs))
+        rows += [row for (value, _, _), period, c, o in zip(chunk, periods, closed, opened)
+                 for row in kind.rows(spec, value, period, c, o)]
+    return rows
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
@@ -444,8 +447,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for check in kind.checks:
         check(spec)
     points = kind.points(spec)
-    reached = reached_space(START_SECTOR, spec.space)
-    rows = _point_rows(spec, kind, points, reached)
+    rows = _point_rows(spec, kind, points)
     return SweepResult(spec=spec, columns=kind.columns, rows=rows,
                        meta=kind.meta(points, rows))
 

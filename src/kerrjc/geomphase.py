@@ -81,19 +81,9 @@ def wrap_angles(x: np.ndarray) -> np.ndarray:
     return np.where(w <= -math.pi, math.pi, w)
 
 
-def _accumulate(ufunc, carry: np.ndarray, values: np.ndarray,
-                initial: Optional[float]) -> np.ndarray:
-    """``ufunc.accumulate`` of ``values`` along axis 1, continued from ``carry``.
-
-    With ``initial`` (the first block) the result starts with that value at
-    sample 0 and ``carry`` must leave the first term unchanged (-0.0 for
-    add, inf for minimum, False for xor); otherwise the carried term is dropped.
-    """
-    out = ufunc.accumulate(np.concatenate((carry[:, None], values), axis=1), axis=1)
-    if initial is None:
-        return out[:, 1:]
-    out[:, 0] = initial
-    return out
+def _accumulate(ufunc, carry: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``ufunc.accumulate`` of ``values`` along axis 1, continued from ``carry``."""
+    return ufunc.accumulate(np.concatenate((carry[:, None], values), axis=1), axis=1)[:, 1:]
 
 
 class PhaseChain:
@@ -106,6 +96,8 @@ class PhaseChain:
     checkpoint, *the per-sample arrays), each of shape (b, len(checkpoints)).
     The running sums and minima carry across blocks in the order one pass
     would take them, so the kept values do not depend on the block lengths.
+    Sample 0 follows itself, a zero step (arg<psi_0|psi_0> = 0), so every
+    block takes one path; its least link is the self-overlap |<psi_0|psi_0>|.
     """
 
     def __init__(self, checkpoints):
@@ -116,24 +108,19 @@ class PhaseChain:
     def extend(self, states: np.ndarray, *per_sample: np.ndarray) -> None:
         states = np.asarray(states)
         b, r = states.shape[:2]
-        start = self._last is None
-        if start:
-            self._first = states[:, 0].conj()
+        if self._last is None:  # sample 0 follows itself: a zero step
+            self._first, self._last = states[:, 0].conj(), states[:, 0]
             self._dyn, self._phi = np.full(b, -0.0), np.full(b, -0.0)
-            self._min = np.full(b, np.inf)
+            self._raw, self._min = np.zeros((b, 1)), np.full(b, np.inf)
             self._values = np.full((3 + len(per_sample), b, self.checkpoints.size), np.nan)
-            seq = states
-        else:
-            seq = np.concatenate((self._last[:, None], states), axis=1)
+        seq = np.concatenate((self._last[:, None], states), axis=1)
         link = np.einsum("bki,bki->bk", seq[:, :-1].conj(), seq[:, 1:])
-        dyn = _accumulate(np.add, self._dyn, np.angle(link), 0.0 if start else None)
+        dyn = _accumulate(np.add, self._dyn, np.angle(link))
         endpoint = np.einsum("bi,bki->bk", self._first, states)
         raw = np.angle(endpoint) - dyn
-        turns = wrap_angles(np.diff(raw if start else
-                                    np.concatenate((self._raw, raw), axis=1), axis=1))
-        phi = _accumulate(np.add, self._phi, turns, 0.0 if start else None)
-        min_link = _accumulate(np.minimum, self._min, np.abs(link),
-                               1.0 if start else None)
+        turns = wrap_angles(np.diff(np.concatenate((self._raw, raw), axis=1), axis=1))
+        phi = _accumulate(np.add, self._phi, turns)
+        min_link = _accumulate(np.minimum, self._min, np.abs(link))
 
         idx = self.checkpoints - self._seen
         here = (idx >= 0) & (idx < r)
@@ -153,8 +140,9 @@ def phase_series(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Unwrapped geometric phase at every sample of a normalized state sequence.
 
     Returns (phases, |endpoint overlaps|, min consecutive |overlap| up to
-    each sample), so one call serves every checkpoint on the sequence: the
-    ``PhaseChain`` of the one sequence, fed whole, keeping every sample.
+    each sample, which at sample 0 is the self-overlap |<psi_0|psi_0>|), so
+    one call serves every checkpoint on the sequence: the ``PhaseChain`` of
+    the one sequence, fed whole, keeping every sample.
     """
     states = np.asarray(states)
     n = states.shape[0]
@@ -190,12 +178,14 @@ class BranchTracker:
     swapped: the branch changes eigenvalue exactly where |<L'|S>| >
     |<L'|L>|, and its side is the parity of those swaps.  One batched pass
     of the L' overlaps decides every pick of a block, in either column
-    order; only the phase fix is a per-sample recurrence.  Raw columns carry
-    across blocks, so a trajectory fed in blocks, or beside other points,
-    gets the bits it gets fed whole and alone.  A point whose continuation
-    fails is set aside in ``failed`` (point index -> TrackingError), its
-    later picks undefined and its ``floor`` NaN; ``floor`` holds each other
-    point's least picked overlap.
+    order; only the phase fix is a per-sample recurrence.  Sample 0 follows
+    itself, a zero step from its own larger column, so every block takes
+    one path; that self-overlap, 1 to rounding, enters ``floor``.  Raw
+    columns carry across blocks, so a trajectory fed in blocks, or beside
+    other points, gets the bits it gets fed whole and alone.  A point whose
+    continuation fails is set aside in ``failed`` (point index ->
+    TrackingError), its later picks undefined and its ``floor`` NaN;
+    ``floor`` holds each other point's least picked overlap.
     """
 
     def __init__(self):
@@ -215,19 +205,19 @@ class BranchTracker:
         pts, samples = np.arange(b), np.arange(n)
         large = (all_w[..., 1] > all_w[..., 0]).astype(int)  # argmax, ties to column 0
         larger = all_v[pts[:, None], samples, :, large]
-        start = int(self._col is None)
-        if start:
+        if self._col is None:  # sample 0 follows itself: a zero step
             largest = all_w[:, 0].max(axis=1)
             for p in np.flatnonzero(largest < 1.0 - PURITY_TOL):
                 self.failed[int(p)] = TrackingError(
                     f"initial state not pure: largest eigenvalue {largest[p]:.9f}")
-            self._col, self._side, self.floor = larger[:, 0], np.zeros(b, bool), np.ones(b)
+            self._col = self._prev = larger[:, 0]
+            self._side, self.floor = np.zeros(b, bool), np.ones(b)
 
         # |overlaps| of each previous larger column with this sample's two, summed
         # down the columns, one add per row: the same bits wherever a column sits
-        cols = np.concatenate((self._col[:, None], larger[:, :-1]), axis=1)[:, start:]
+        cols = np.concatenate((self._col[:, None], larger[:, :-1]), axis=1)
         overlaps = np.abs(reduce(np.add, (cols.conj()[:, :, :, None]
-                                          * all_v[:, start:]).transpose(2, 0, 1, 3)))
+                                          * all_v).transpose(2, 0, 1, 3)))
         # one overlap is >= 1/sqrt(2) > OVERLAP_FLOOR, so only the ambiguity check can
         # fail; max and min column by column (exact; a short-axis reduction is slow)
         o0, o1 = overlaps[..., 0], overlaps[..., 1]
@@ -236,13 +226,13 @@ class BranchTracker:
         for p in np.flatnonzero(ambiguous.any(axis=1)):  # a point keeps its first failure
             i = ambiguous[p].argmax()
             self.failed.setdefault(int(p), TrackingError(
-                f"eigenvector overlap ambiguity at t={times[p, start + i]:g}: "
+                f"eigenvector overlap ambiguity at t={times[p, i]:g}: "
                 f"{first[p, i]:.8f} vs {second[p, i]:.8f}"))
         self.floor = np.minimum(self.floor, first.min(axis=1, initial=np.inf))
         self.floor[list(self.failed)] = np.nan
         # on the smaller eigenvalue: the parity of the swaps so far
-        swaps = (o1 > o0) != large[:, start:]
-        side = _accumulate(np.logical_xor, self._side, swaps, False if start else None)
+        swaps = (o1 > o0) != large
+        side = _accumulate(np.logical_xor, self._side, swaps)
         picks = large ^ side
 
         # the picked vectors are read with a non-unit stride, as eigenvector
@@ -252,14 +242,12 @@ class BranchTracker:
         picked[:] = all_v[pts[:, None], samples, :, picks]
         vectors = np.empty((b, n, dim), dtype=complex)
         prev = self._prev
-        if start:
-            vectors[:, 0] = prev = picked[:, 0]
         # the fix's buffers, each written in place by the ufunc that makes it;
         # turn = -1j * angle, whose real part is +0.0 for every finite angle
         conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)
         angle, (turn, fix) = np.empty((b, 1)), np.zeros((2, b, 1), dtype=complex)
         rows, ov_re, ov_im, turn_im = conj[:, 0], ov.real[:, 0], ov.imag[:, 0], turn.imag
-        for k in range(start, n):
+        for k in range(n):
             vec = picked[:, k]
             np.conjugate(prev, out=rows)
             np.matmul(conj, vec[:, :, None], out=ov)

@@ -607,7 +607,11 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command,key", [
         (["sweep", "--kind", "gp_theta", "--set", "model.delta=1.0"], "model.delta"),
-        (["bloch", "--set", "integrator.periods=0.0001"], "integrator.periods")])
+        (["bloch", "--set", "integrator.periods=0.0001"], "integrator.periods"),
+        # a δ sweep takes δ from its grid and would ignore model.delta
+        *((["sweep", "--kind", kind, "--set", "model.delta=3"],
+           "model.delta,sweep.grid_start,sweep.grid_stop")
+          for kind in ("gp_delta", "negativity_delta"))])
     def test_kind_precondition_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                command, key):
         import kerrjc.experiments as ex
@@ -616,7 +620,8 @@ class TestDispatch:
             monkeypatch.setattr(ex, name, lambda *args, **kw: integrated.append(args))
         code = main([*command, "--out", str(tmp_path), "--no-timestamp"])
         assert code == EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(name in err for name in key.split(","))
         assert integrated == []
 
     @pytest.mark.parametrize("name", ["closed_blocks", "lindblad_blocks"])

@@ -536,8 +536,8 @@ CHUNK_SPECS = {
 
 
 class TestChunks:
-    """Consecutive points advance their open legs together, in chunks whose
-    hops hold at most BLOCK_ENTRIES entries."""
+    """Consecutive points advance both legs together, in chunks whose hops
+    hold at most BLOCK_ENTRIES entries."""
 
     @pytest.mark.parametrize("points", [1, 2, 7, None])
     @pytest.mark.parametrize("kind", list(CHUNK_SPECS))
@@ -556,13 +556,18 @@ class TestChunks:
     def test_hops_within_budget_unless_one_point(self, monkeypatch):
         import kerrjc.dynamics as dyn
         import kerrjc.experiments as ex
-        chunks = []
+        chunks, closed = [], []
 
         def recording(specs, rho0s, *args, **kwargs):
             chunks.append(rho0s.shape)
             return dyn.lindblad_blocks(specs, rho0s, *args, **kwargs)
 
+        def closed_recording(hs, psi0s, *args, **kwargs):
+            closed.append(len(psi0s))
+            return dyn.closed_blocks(hs, psi0s, *args, **kwargs)
+
         monkeypatch.setattr(ex, "lindblad_blocks", recording)
+        monkeypatch.setattr(ex, "closed_blocks", closed_recording)
         delta = default_spec("gp_delta", grid=tuple(np.linspace(-2.0, 2.0, 13)),
                              m_values=(1,), steps_per_period=200)
         run_sweep(delta)
@@ -573,12 +578,15 @@ class TestChunks:
         # the two θ points at n_max 10 run on 4 x 4 states too
         assert chunks == [(13, 4, 4), (2, 4, 4)]
         # a budget of six hops makes chunks of six, and one below a single
-        # hop leaves each point a chunk by itself
+        # hop leaves each point a chunk by itself; each chunk runs its
+        # closed legs in one lockstep call, then its open legs
         for budget, want in ((6 * 4 ** 4, [6, 6, 1]), (4 ** 4 - 1, [1] * 13)):
             monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
             chunks.clear()
+            closed.clear()
             run_sweep(delta)
             assert [shape[0] for shape in chunks] == want
+            assert closed == want
 
     def test_bloch_tracking_failure_aborts(self, monkeypatch):
         hit = with_ambiguity(monkeypatch, point=1, record=40)

@@ -179,13 +179,15 @@ def density_record_from_pure(traj):
 
 
 def one_pass_series(states):
-    """The phase chain of one whole sequence, written as one pass."""
+    """The phase chain of one whole sequence, written as one pass; the
+    least link at sample 0 is the self-overlap |<psi_0|psi_0>|."""
     link = np.einsum("ki,ki->k", states[:-1].conj(), states[1:])
     dyn = np.concatenate([[0.0], np.cumsum(np.angle(link))])
     endpoint = np.einsum("i,ki->k", states[0].conj(), states)
     raw = np.angle(endpoint) - dyn
     phi = np.concatenate([[0.0], np.cumsum(wrap_angles(np.diff(raw)))])
-    min_link = np.concatenate([[1.0], np.minimum.accumulate(np.abs(link))])
+    self_link = np.einsum("ki,ki->k", states[:1].conj(), states[:1])
+    min_link = np.minimum.accumulate(np.abs(np.concatenate([self_link, link])))
     return phi, np.abs(endpoint), min_link
 
 

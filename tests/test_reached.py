@@ -17,12 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kerrjc.cli as cli
 import kerrjc.experiments as ex
 from kerrjc.cli import main
 from kerrjc.experiments import KINDS, default_spec, run_sweep
 from kerrjc.geomphase import wrap_angle
-from kerrjc.hilbert import reached_space
 from kerrjc.model import InitialStateSpec, ModelParams, perpendicular_state
 
 
@@ -48,8 +46,10 @@ def test_rows_agree_with_full_space(delta, chi, rates, theta0, n_max):
     for kind in ("gp_theta", "negativity_theta"):
         spec = default_spec(kind, m_values=(1, 2), periods=2.0, steps_per_period=200,
                             n_max=n_max)
-        reduced, full = (ex._point_rows(spec, KINDS[kind], points, space)
-                         for space in (reached_space(1, spec.space), spec.space))
+        reduced = ex._point_rows(spec, KINDS[kind], points)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ex, "reached_space", lambda n0, space: space)
+            full = ex._point_rows(spec, KINDS[kind], points)
         assert len(reduced) == len(full)
         for r, f in zip(reduced, full):
             if kind == "negativity_theta":
@@ -75,7 +75,7 @@ def test_evolve_open_trajectory_equals_full_space(sets, tmp_path, monkeypatch):
     argv = ["evolve", "--no-timestamp", "--set", "integrator.steps_per_period=200",
             *(arg for s in sets for arg in ("--set", s))]
     assert main([*argv, "--out", str(tmp_path / "reduced")]) == 0
-    monkeypatch.setattr(cli, "reached_space", lambda n0, space: space)
+    monkeypatch.setattr(ex, "reached_space", lambda n0, space: space)
     assert main([*argv, "--out", str(tmp_path / "full")]) == 0
     # the zero padding prints 0 where the full-space run may print -0
     reduced, full = (re.sub(r"(?<=,)-0(?=[,\n])", "0",
