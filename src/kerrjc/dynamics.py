@@ -9,9 +9,10 @@ each under its own Hamiltonian and time step: one stacked matrix-vector
 step and one renormalisation per time step for all of them, written into
 preallocated buffers, with the same per-state arithmetic as a lone
 trajectory, so a state's bits do not depend on which others share its
-batch.  A closed leg can step and record only its leading components (the
-reached space): it computes and renormalises only those rows of the
-full-space product, each the same dot product over the full row and state.
+batch.  A closed leg whose initial states are shorter than H's dimension
+records only their leading components (the reached space): it computes
+and renormalises only those rows of the full-space product, each the same
+dot product over the full row and the zero-padded state.
 ``lindblad_blocks`` does the same for open legs: density matrices, each
 with its own Lindbladian and time step, advance by one stacked
 matrix-vector product per record, again with the bits of each state's own
@@ -36,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import SpaceSpec, kron, n_blocks
+from .hilbert import SpaceSpec, kron, n_blocks, off_n_blocks
 from .model import ModelParams
 
 TRACE_TOL = 1e-9
@@ -219,7 +220,7 @@ def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
-def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
+def closed_blocks(hs, psi0s, configs):
     """Advance b pure states in lockstep, each under its own H and time step.
 
     psi' = -i H psi by RK4 with renormalisation after every step.  All
@@ -229,16 +230,17 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
     lone ``step.dot(psi)`` and ``vdot`` whatever the batch (checked on
     OpenBLAS by ``tests/test_lockstep.py``).  Yields ``(times, states,
     drift)`` for consecutive blocks of records: ``times`` has shape (b, r),
-    ``states`` (b, r, width) holds the first ``width`` (default d)
-    components, and ``drift`` each state's largest per-step norm deviation
-    before renormalisation so far.  Only those components are stepped and
-    renormalised: the first ``width`` rows of each step matrix times the
-    full state, which keeps every dot product of the full product, while
-    the other components stay +0.0.  Before the first step, non-finite
-    steps raise StepOverflowError, and steps linking the initial support to
-    another component ValueError; a block whose norms overflow raises
-    StepOverflowError before it is yielded.  r keeps r*b*width^2 within
-    BLOCK_ENTRIES.
+    ``states`` (b, r, width) the first width components, width the length
+    of the initial states (at most H's dimension d), and ``drift`` each
+    state's largest per-step norm deviation before renormalisation so far.
+    The states, zero-padded to d, step and renormalise only those
+    components: the first width rows of each step matrix times the full
+    state, which keeps every dot product of the full product, while the
+    other components stay +0.0.  Before the first step, longer states
+    raise ValueError, non-finite steps StepOverflowError, and steps linking
+    the initial support to a component from width on ValueError; a block
+    whose norms overflow raises StepOverflowError before it is yielded.  r
+    keeps r*b*width^2 within BLOCK_ENTRIES.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
@@ -252,23 +254,22 @@ def closed_blocks(hs, psi0s, configs, width: Optional[int] = None):
             raise ValueError("psi0 must be normalized")
         psi /= norm
         cols.append(psi)
-    b, d = len(cols), cols[0].size
     steps = np.array([rk4_step_matrix(-1j * np.asarray(h, dtype=complex), c.dt)
                       for h, c in zip(hs, configs)])
-    if steps.shape != (b, d, d):
+    b, width, d = len(cols), cols[0].size, steps.shape[-1]
+    if steps.shape != (b, d, d) or width > d:
         raise ValueError("psi0 and hamiltonian dimensions disagree")
     if not np.isfinite(steps).all():
         raise StepOverflowError("the RK4 step is not finite (time step too large)")
-    width = d if width is None else width
-    if _reached(np.array(cols), steps)[width:].any():
+    # step buffers: two ping-pong columns and the inner product of each
+    # norm; rows from width on are never written or divided
+    col, nxt = (np.zeros((b, d, 1), dtype=complex) for _ in range(2))
+    col[:, :width, 0] = cols
+    if _reached(col[:, :, 0], steps)[width:].any():
         raise ValueError(f"a closed leg left the first {width} basis states")
     # the rows of the steps that can be nonzero: each is the dot product of
     # a full row with the full state, as in the (b, d, d) product
     rows = np.ascontiguousarray(steps[:, :width])
-    # step buffers: two ping-pong columns and the inner product of each
-    # norm; rows from width on are never written or divided
-    col, nxt = (np.zeros((b, d, 1), dtype=complex) for _ in range(2))
-    col[:, :, 0] = cols
     col_rows, nxt_rows = col[:, :width], nxt[:, :width]
     dot = np.empty((b, 1, 1), dtype=complex)
     dot_col, dot_re = dot[:, 0], dot.real
@@ -348,8 +349,7 @@ def lindblad_blocks(specs, rho0s, configs):
         raise PositivityError("the RK4 hop is not finite (time step too large)")
     vecs = rho0s.reshape(b, d * d, 1)
     live = _reached(vecs[:, :, 0], hops)
-    n = (np.arange(d) + 1) // 2  # N of each basis state
-    if (live.reshape(d, d) & (n[:, None] != n)).any():
+    if off_n_blocks(live.reshape(1, d, d)):
         raise ValueError("an open leg's initial states or operators link two N blocks")
     radius = np.abs(np.linalg.eigvals(hops[:, live][:, :, live])).max(initial=0.0)
     if radius > 1.0 + HOP_RADIUS_TOL:

@@ -1,23 +1,23 @@
 """Parameter sweeps: negativity, geometric-phase and Bloch data products.
 
 Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all,
-each from sector ``START_SECTOR``.  Sweeps are deterministic (no
-randomness anywhere in the pipeline), run in one process and assemble rows
-in grid order, so re-running an identical spec reproduces the CSV byte for
-byte.  A slice of the points forms a chunk, whose hop matrices hold at
-most ``BLOCK_ENTRIES`` entries, and one loop runs the chunks.  A chunk's
-closed legs advance in lockstep (``dynamics.closed_blocks``) on the full
-space and record only the reached space (``hilbert.reached_space``, Fock
-levels 0..START_SECTOR); its open legs and every negativity and Bloch
-series run on it, whose states and operators are exact slices of the
-full ones, and it sizes both legs' blocks.  Every grid point has its own
-open-leg generator, so its rows are those of the point run alone, and
-the open legs of a chunk advance in lockstep
+each from sector ``START_SECTOR``.  Sweeps are deterministic (no randomness
+anywhere in the pipeline), run in one process and assemble rows in grid
+order, so re-running an identical spec reproduces the CSV byte for byte.  A
+slice of the points forms a chunk, whose hop matrices hold at most
+``BLOCK_ENTRIES`` entries, and one loop runs the chunks.  A chunk's closed
+legs advance in lockstep (``dynamics.closed_blocks``) under the full
+space's H from states on the reached space (``hilbert.reached_space``, Fock
+levels 0..START_SECTOR), and record only it; its open legs and every
+negativity and Bloch series run on it, whose states and operators are exact
+slices of the full ones, and it sizes both legs' blocks.  Every grid point
+has its own open-leg generator, so its rows are those of the point run
+alone, and the open legs of a chunk advance in lockstep
 (``dynamics.lindblad_blocks``).  A kind reduces the blocks of either leg
-through one interface,
-``(spec, reached space, blocks) -> one reduction per point``; the phase
-and Bloch kinds track the start sector's eigenpairs of each open block
-(``information.sector_eigh``) with one ``BranchTracker`` per chunk.
+through one interface, ``(spec, reached space, blocks) -> one reduction per
+point``; the phase and Bloch kinds track the start sector's eigenpairs of
+each open block (``information.sector_eigh``) with one ``BranchTracker``
+per chunk.
 
 This module writes every output file.  Each row layout is a column tuple
 and one ``%``-template next to it, each kind's row in ``KINDS`` names its
@@ -87,16 +87,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep definition: kind, parameter grid, base model, open rates.
+    """One sweep definition: kind, parameter grid and the model of its legs.
 
+    ``base_params`` describes both legs of every grid point: the closed legs
+    read only its Hamiltonian (delta, chi, g), the open legs its rates too.
     The field defaults are the package's sweep defaults, written nowhere
     else (``cli.SCHEMA`` reads them); a kind's own are in ``KINDS``."""
 
     kind: str
     grid: tuple[float, ...]
-    base_params: ModelParams = ModelParams(delta=0.5, chi=0.5)
+    base_params: ModelParams = ModelParams(delta=0.5, chi=0.5, gamma=0.1, p_z=0.01)
     m_values: tuple[int, ...] = (1, 2, 3)
-    open_rates: tuple[float, float, float] = (0.1, 0.0, 0.01)
     steps_per_period: int = 2000
     record_stride: int = 4
     periods: float = 6.0
@@ -112,13 +113,6 @@ class SweepSpec:
         m_values = self.m_values
         if not m_values or min(m_values) < 1 or len(set(m_values)) != len(m_values):
             raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1")
-        if any(r < 0 for r in self.open_rates):
-            raise ConfigError("the sweep.open_* rates must be nonnegative")
-
-    @property
-    def open_params(self) -> ModelParams:
-        g, p, pz = self.open_rates
-        return self.base_params.with_rates(g, p, pz)
 
     @property
     def space(self) -> SpaceSpec:
@@ -320,28 +314,28 @@ def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
 
     The ``leg_setup`` of each set of model parameters is built once, in one
     table.  The points run by chunks of at most BLOCK_ENTRIES // d**4 (one
-    at least), d the reached space's dimension.  A chunk's closed legs
-    advance in lockstep (``closed_blocks``) on the full space, record the
-    reached space and are reduced block by block; then its open legs run on
-    it, with slices of the states, one generator per point, in lockstep
-    (``lindblad_blocks``), reduced as the closed legs are.  Each point's two
-    reductions then become its rows.
+    at least), d the reached space's dimension, and each point's initial
+    state is built once, on it.  A chunk's closed legs advance from those
+    states in lockstep (``closed_blocks``) under the full space's H, record
+    their length and are reduced block by block; then its open legs run on
+    the reached space from their projectors, one generator per point, in
+    lockstep (``lindblad_blocks``), reduced as the closed legs are.  Each
+    point's two reductions then become its rows.
     """
     reached = reached_space(START_SECTOR, spec.space)
-    d = reached.dim
     setups = {params: leg_setup(params, START_SECTOR, spec.space, kind.horizon(spec),
                                 spec.steps_per_period, spec.record_stride)
               for _, params, _ in points}
-    per_chunk = max(1, BLOCK_ENTRIES // d ** 4)
+    per_chunk = max(1, BLOCK_ENTRIES // reached.dim ** 4)
     rows = []
     for start in range(0, len(points), per_chunk):
         chunk = points[start:start + per_chunk]
-        psi0s = [initial_state(init, spec.space) for _, _, init in chunk]
+        psi0s = [initial_state(init, reached) for _, _, init in chunk]
         periods, configs, hs, specs = zip(*(setups[params] for _, params, _ in chunk))
-        # the closed legs record the reached space and size their blocks by it,
-        # as the open legs do: both legs' reducers build d x d matrices per state
-        closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs, width=d))
-        rho0s = np.array([np.outer(psi0[:d], psi0[:d].conj()) for psi0 in psi0s])
+        # both legs record the reached space and size their blocks by it:
+        # their reducers build d x d matrices per state
+        closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs))
+        rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
         opened = kind.opened(spec, reached, lindblad_blocks(specs, rho0s, configs))
         rows += [row for (value, _, _), period, c, o in zip(chunk, periods, closed, opened)
                  for row in kind.rows(spec, value, period, c, o)]
@@ -349,21 +343,21 @@ def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
-    return [(theta, spec.open_params,
+    return [(theta, spec.base_params,
              InitialStateSpec(theta0=theta, phi0=0.0, n=START_SECTOR)) for theta in spec.grid]
 
 
 def _delta_points(spec: SweepSpec) -> list[tuple]:
-    grid = [replace(spec.open_params, delta=delta) for delta in spec.grid]
+    grid = [replace(spec.base_params, delta=delta) for delta in spec.grid]
     return [(p.delta, p, perpendicular_state(p, START_SECTOR)) for p in grid]
 
 
 def _bloch_points(spec: SweepSpec) -> list[tuple]:
     """The base parameters and an off-resonant case (delta = 2g, chi = 0),
     both from the state perpendicular to their rotation axis."""
-    off = replace(spec.open_params, delta=2 * spec.base_params.g, chi=0.0)
+    off = replace(spec.base_params, delta=2 * spec.base_params.g, chi=0.0)
     return [(case, params, perpendicular_state(params, START_SECTOR))
-            for case, params in zip(BLOCH_CASES, (spec.open_params, off))]
+            for case, params in zip(BLOCH_CASES, (spec.base_params, off))]
 
 
 def _neg_charts(result: SweepResult, outdir: Path) -> list[Path]:
@@ -458,8 +452,7 @@ def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[s
     lines = [
         f"# kerrjc {__version__} sweep={spec.kind}",
         f"# model: delta={p.delta:.17g} chi={p.chi:.17g} g={p.g:.17g}",
-        f"# open_rates: gamma={spec.open_rates[0]:.17g} p={spec.open_rates[1]:.17g} "
-        f"p_z={spec.open_rates[2]:.17g}",
+        f"# open_rates: gamma={p.gamma:.17g} p={p.p:.17g} p_z={p.p_z:.17g}",
         f"# integrator: steps_per_period={spec.steps_per_period} "
         f"record_stride={spec.record_stride} periods={spec.periods:.17g}",
         f"# space: n_max={spec.n_max}",

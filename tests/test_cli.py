@@ -1,4 +1,5 @@
 
+import hashlib
 import lzma
 import os
 import subprocess
@@ -611,7 +612,12 @@ class TestDispatch:
         # a δ sweep takes δ from its grid and would ignore model.delta
         *((["sweep", "--kind", kind, "--set", "model.delta=3"],
            "model.delta,sweep.grid_start,sweep.grid_stop")
-          for kind in ("gp_delta", "negativity_delta"))])
+          for kind in ("gp_delta", "negativity_delta")),
+        # a gp sweep runs max(sweep.m_values) periods and would ignore
+        # integrator.periods
+        *((["sweep", "--kind", kind, "--set", f"integrator.periods={periods}"],
+           "integrator.periods,sweep.m_values")
+          for kind, periods in (("gp_delta", 10), ("gp_theta", 1)))])
     def test_kind_precondition_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                command, key):
         import kerrjc.experiments as ex
@@ -708,3 +714,66 @@ def test_default_sweep_matches_reference_bytes(tmp_path, workload, kind, sets):
                  *settings, "--no-svg", "--out", str(tmp_path)]) == EXIT_OK
     want = lzma.decompress((REFERENCE / f"{workload}.csv.xz").read_bytes())
     assert (tmp_path / f"{kind}.csv").read_bytes() == want
+
+
+# SHA-256 of every --no-timestamp output file of each default run, and the
+# planarity lines that `kerrjc bloch` prints: the bytes that a change which
+# keeps the outputs must keep (the benchmark's CSVs are also checked against
+# perfbench/reference above)
+PINNED_OUTPUTS = [
+    (["sweep", "--kind", "gp_delta"], {
+        "gp_delta.csv": "50c373255731a3b5aa3cded13e92b6caa8e101637aaa15d0da732d1675edfae1",
+        "gp_delta_delta_phi.svg":
+            "68300393ee700c1f828a337529c88d2a821663536cb1d8b6e75622b4f5f43c73"}),
+    (["sweep", "--kind", "gp_theta"], {
+        "gp_theta.csv": "b2a01ec7eccdbc9e33a5ba7b6675cf3009a8679dc709f0314e5518b4747501d7",
+        "gp_theta_delta_phi.svg":
+            "0b265aba12a67dc2d946b19ab432fa5e570723babd30363ec3f17e94d62bd211"}),
+    (["sweep", "--kind", "negativity_delta"], {
+        "negativity_delta.csv":
+            "c505c0508d84e6aa90275ea5bdfd1cc54de729605818f19ec2a8062e8eba943b",
+        "negativity_delta_closed.svg":
+            "58682d9ae1bb2c40c297a9d49d98f62308deca0659379608514868f2556fadfa",
+        "negativity_delta_open.svg":
+            "eca7d6c3921cad763ad727ebcfbcf0030e434884d298d6799e8a073290331700"}),
+    (["sweep", "--kind", "negativity_theta"], {
+        "negativity_theta.csv":
+            "a9135e6f77e69912a71e9bc0376df415ff0867a1ff108b8989c6c95d82cf7720",
+        "negativity_theta_closed.svg":
+            "d3e089aa83036e5a0d7c932e7af21abb13b56e1623439196c190baf1512ca5a1",
+        "negativity_theta_open.svg":
+            "8989b3f8420ec75809d957e479453d81dcbed3c82b2b93577f8482503a466566"}),
+    (["bloch"], {
+        "bloch_traj.csv": "ce4b3f8f08f0b2e21f99dec093aeb9d65c20facf7f5b365e145208e7174d0e10",
+        "bloch_resonant.svg":
+            "1977590f197452dd6c0b9e2f7278ddf2b549c032f1ba06d76bbdcc31f73f8485",
+        "bloch_off_resonant.svg":
+            "9477941b897bc6416ea06f7e0b44aef77ee389d00174b7ba3fe3651f3bcc28d1"}),
+    (["evolve"], {
+        "trajectory.csv": "27b6a4ae809b434714e1038446475d63d15946d24946ae5b5d3fddf382616510"}),
+    (["evolve", "--set", "model.gamma=0.1", "--set", "model.p_z=0.01"], {
+        "trajectory.csv": "f50d531a08276bfc3224336168b300f8e523a22a68ca2649be23bb9a82658e03"}),
+    (["evolve", "--set", "model.gamma=0.1", "--set", "model.p_z=0.01",
+      "--set", "initial.n=2"], {
+        "trajectory.csv": "d2ddae6765fe13d9b25855b2166ea9333b367e61c51cc16a0a21c88e190c6947"}),
+]
+BLOCH_PLANARITY = [
+    "planarity resonant unitary: 6.013e-15",
+    "planarity resonant rho_proj: 1.246e-16",
+    "planarity resonant eigvec: 2.937e-16",
+    "planarity off_resonant unitary: 4.736e-15",
+    "planarity off_resonant rho_proj: 2.464e-01",
+    "planarity off_resonant eigvec: 2.464e-01",
+]
+
+
+@pytest.mark.parametrize("argv,digests", PINNED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
+def test_outputs_match_pinned_digests(tmp_path, capsys, argv, digests):
+    """Each default run writes exactly the files pinned for it, byte for byte."""
+    assert main([*argv, "--no-timestamp", "--out", str(tmp_path)]) == EXIT_OK
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()} == digests
+    planarity = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("planarity")]
+    assert planarity == (BLOCH_PLANARITY if argv == ["bloch"] else [])

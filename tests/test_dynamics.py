@@ -187,18 +187,17 @@ class TestRhs:
 
 
 class TestRK4Order:
-    @pytest.mark.parametrize("open_rates", [None, SweepSpec.open_rates],
+    @pytest.mark.parametrize("params", [None, SweepSpec.base_params],
                              ids=["hamiltonian", "liouvillian"])
-    def test_one_step_error_falls_as_dt_to_the_fifth(self, open_rates):
+    def test_one_step_error_falls_as_dt_to_the_fifth(self, params):
         # RK4 is exact to fourth order, so its one-step error against the
         # exact propagator is O(dt^5): halving dt divides it by about 32
         pytest.importorskip("scipy")
         from scipy.linalg import expm
-        if open_rates is None:
+        if params is None:
             generator = -1j * hamiltonian(RESONANT, SPACE)
         else:
-            generator = liouvillian(LindbladSpec.from_params(
-                RESONANT.with_rates(*open_rates), SPACE))
+            generator = liouvillian(LindbladSpec.from_params(params, SPACE))
         errors = [np.abs(rk4_step_matrix(generator, dt) - expm(generator * dt)).max()
                   for dt in (0.04, 0.02, 0.01, 0.005)]
         ratios = np.array(errors[:-1]) / errors[1:]
@@ -656,9 +655,18 @@ class TestNBlockRefusal:
 
     @pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
     def test_default_sweeps_scan_no_block(self, kind, monkeypatch):
-        # while the open legs advance, nothing asks whether an entry lies
-        # between N blocks, and the density checks call no eigvalsh
-        scans = mock.Mock(side_effect=AssertionError("off_n_blocks called"))
+        # while the open legs advance, nothing asks whether an entry of a
+        # record lies between N blocks: the one question, before the first
+        # product, is about the boolean mask of reachable entries; and the
+        # density checks call no eigvalsh
+        real_scan, asked = hilbert.off_n_blocks, []
+
+        def scan(rhos):
+            assert rhos.dtype == bool, "off_n_blocks called on records"
+            asked.append(rhos.shape)
+            return real_scan(rhos)
+
+        scans = mock.Mock(side_effect=scan)
         real_blocks, real_check, checked = dynamics.lindblad_blocks, \
             dynamics._check_density_stack, []
 
@@ -666,7 +674,7 @@ class TestNBlockRefusal:
             legs = real_blocks(*args, **kwargs)
             while True:
                 with mock.patch.object(hilbert, "off_n_blocks", scans), \
-                        mock.patch.object(dynamics, "off_n_blocks", scans, create=True):
+                        mock.patch.object(dynamics, "off_n_blocks", scans):
                     block = next(legs, None)
                 if block is None:
                     return
@@ -681,7 +689,7 @@ class TestNBlockRefusal:
         monkeypatch.setattr(experiments, "lindblad_blocks", spied_blocks)
         monkeypatch.setattr(dynamics, "_check_density_stack", spied_check)
         run_sweep(default_spec(kind))
-        assert not scans.called
+        assert asked == [(1, 4, 4)]  # one chunk, on the reached space
         # every open record of the 81 points: 3 periods at stride 4, 6 at 16
         assert sum(checked) == 81 * {"gp_delta": 1501, "negativity_delta": 751}[kind]
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from kerrjc.geomphase import (
 )
 
 from kerrjc.experiments import (
+    GP_ROW,
     ConfigError,
     SweepSpec,
     default_spec,
@@ -100,6 +102,25 @@ class TestSpecValidation:
         assert integrated == []
 
 
+class TestOneParameterSet:
+    """A sweep's one ModelParams holds H and the open legs' rates; the
+    closed legs read only H."""
+
+    def test_open_legs_run_at_the_base_params_rates(self):
+        spec = default_spec("gp_delta", base_params=ModelParams(0.5, 0.5, gamma=0.3),
+                            grid=(-1.5, 0.5, 2.5), **SMALL_GP)
+        rows = run_sweep(spec).rows
+        # the rows that SweepSpec.open_rates = (0.3, 0.0, 0.0) gave before the
+        # rates moved into base_params, as CSV rows
+        digest = hashlib.sha256("".join(GP_ROW % row for row in rows).encode())
+        assert digest.hexdigest() == \
+            "97c17b43b7374564ee5c5dcef7639b689725cf81f0d0925d2267cdfbbd4a610d"
+        assert "# open_rates: gamma=0.29999999999999999 p=0 p_z=0" in provenance_lines(spec)
+        default = run_sweep(replace(spec, base_params=SweepSpec.base_params)).rows
+        assert [row[3] for row in rows] == [row[3] for row in default]  # phi_u
+        assert [row[4] for row in rows] != [row[4] for row in default]  # phi_g
+
+
 @pytest.fixture(scope="module")
 def neg_theta_result():
     grid = (0.0, math.pi / 4, math.pi / 2)
@@ -162,11 +183,10 @@ class TestNegativityDelta:
     def test_chi_shift_symmetry(self):
         grid = tuple(np.linspace(-2.0, 2.0, 5))
         shifted = run_sweep(default_spec(
-            "negativity_delta", grid=grid,
-            base_params=ModelParams(delta=0.5, chi=0.5), **SMALL_NEG))
+            "negativity_delta", grid=grid, **SMALL_NEG))
         reference = run_sweep(default_spec(
             "negativity_delta", grid=tuple(g - 0.5 for g in grid),
-            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG))
+            base_params=replace(SweepSpec.base_params, delta=0.0, chi=0.0), **SMALL_NEG))
         a = np.array([(r[2], r[3]) for r in shifted.rows])
         b = np.array([(r[2], r[3]) for r in reference.rows])
         assert np.abs(a - b).max() < 1e-9
@@ -181,8 +201,9 @@ class TestNegativityDelta:
         # under random rates; the bound is criterion 5's, fixed beforehand
         grid = tuple(np.linspace(start, start + span, 3))
         shifted, reference = (run_sweep(default_spec(
-            "negativity_delta", grid=values, base_params=ModelParams(delta=0.0, chi=c),
-            open_rates=rates, periods=1.0, record_stride=16))
+            "negativity_delta", grid=values,
+            base_params=ModelParams(delta=0.0, chi=c).with_rates(*rates),
+            periods=1.0, record_stride=16))
             for values, c in ((grid, chi), (tuple(g - chi for g in grid), 0.0)))
         a = np.array([r[1:] for r in shifted.rows])
         b = np.array([r[1:] for r in reference.rows])
@@ -216,7 +237,8 @@ class TestGpSweeps:
         # resonance delta = chi, give opposite wrapped phase differences at
         # every m; the bound is the theta mirror's, fixed beforehand
         spec = default_spec("gp_delta", grid=(chi - x, chi + x),
-                            base_params=ModelParams(delta=0.0, chi=chi), **SMALL_GP)
+                            base_params=replace(SweepSpec.base_params, delta=0.0, chi=chi),
+                            **SMALL_GP)
         rows = run_sweep(spec).rows
         assert [row[8] for row in rows] == ["ok"] * 6
         for below, above in zip(rows[:3], rows[3:]):
@@ -248,7 +270,7 @@ class TestGpSweeps:
 
     def test_zero_rates_zero_everywhere(self):
         spec = default_spec("gp_delta", grid=(-1.0, 0.5, 2.0), m_values=(1,),
-                            open_rates=(0.0, 0.0, 0.0), **SMALL_GP)
+                            base_params=RESONANT, **SMALL_GP)
         result = run_sweep(spec)
         assert max(abs(r[5]) for r in result.rows) < 1e-9
 
@@ -283,7 +305,7 @@ class TestBlochTraj:
 
     def test_zero_rates_series_coincide(self):
         spec = default_spec("bloch_traj", periods=1.0, steps_per_period=1000,
-                            open_rates=(0.0, 0.0, 0.0))
+                            base_params=RESONANT)
         result = run_sweep(spec)
         for case in ("resonant", "off_resonant"):
             by_series = {
@@ -331,7 +353,7 @@ class TestCsvAndWorkers:
 
 def _per_point_legs(spec, theta, periods):
     """One grid point alone: its own H, Lindbladian and evolve_lindblad run."""
-    params, space = spec.open_params, spec.space
+    params, space = spec.base_params, spec.space
     period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
                                           spec.record_stride)
@@ -359,8 +381,8 @@ def per_case_bloch(spec):
     """Rows and planarity reports of each bloch case run alone:
     evolve_closed, evolve_lindblad and track_dominant_eigenvector on whole
     trajectories, as bloch_traj ran before it was a sweep."""
-    cases = (("resonant", spec.open_params),
-             ("off_resonant", replace(spec.open_params, delta=2 * spec.base_params.g,
+    cases = (("resonant", spec.base_params),
+             ("off_resonant", replace(spec.base_params, delta=2 * spec.base_params.g,
                                       chi=0.0)))
     space = spec.space
     rows, reports = [], {}
@@ -402,10 +424,8 @@ def with_block_records(monkeypatch, name, block_records):
     real = getattr(dyn, name)
 
     def drawn(*args, **kwargs):
-        if name == "closed_blocks":  # (hs, psi0s, configs, width=...)
-            points, width = len(args[1]), kwargs["width"]
-        else:  # (specs, rho0s of shape (b, d, d), configs)
-            points, width = np.shape(args[1])[:2]
+        # the initial states: psi0s (b, width) or rho0s (b, width, width)
+        points, width = np.shape(args[1])[:2]
         with blocks_of(block_records, points, width):
             yield from real(*args, **kwargs)
 
@@ -424,7 +444,8 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_gp_theta_matches_per_point(self, open_rates):
-        spec = default_spec("gp_theta", open_rates=open_rates, **GP_THETA_GRID)
+        spec = default_spec("gp_theta", base_params=RESONANT.with_rates(*open_rates),
+                            **GP_THETA_GRID)
         got = run_sweep(spec).rows
         want = per_point_gp_rows(spec)
         assert len(got) == len(want)
@@ -434,7 +455,8 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_negativity_theta_matches_per_point(self, open_rates):
-        spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GRID)
+        spec = default_spec("negativity_theta", base_params=RESONANT.with_rates(*open_rates),
+                            **NEG_THETA_GRID)
         got = np.array(run_sweep(spec).rows)
         want = np.array(per_point_neg_rows(spec))
         assert np.array_equal(got, want)

@@ -1,7 +1,7 @@
 """Legs advanced in lockstep equal lone trajectories bit for bit: closed legs
 against the one-trajectory step loop, open legs against each state run
-alone.  A closed leg that its couplings can take out of the recorded width
-is refused before its first step."""
+alone.  A closed leg records the width of its initial states; one that its
+couplings can take out of that width is refused before its first step."""
 
 import math
 
@@ -210,18 +210,20 @@ def sector_legs(kind, values, space, n0, steps_per_period=60):
        n_max=st.integers(1, 10), n0=st.integers(1, 4),
        block_records=st.sampled_from([1, 7, 100]))
 def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block_records):
-    # a leg from sector n0 stays on Fock levels 0..n0: its records keep the
-    # first 2 (n0 + 1) components of the full-width run, bit for bit
+    # a leg from sector n0 stays on Fock levels 0..n0: started from its
+    # state on those levels, under the same H, its records are the first
+    # 2 (n0 + 1) components of the full-space state's run, bit for bit
     n0 = min(n0, n_max)
     if kind == "theta":
         values = [abs(v) * math.pi / 4 for v in values]
-    args = sector_legs(kind, values, SpaceSpec(n_max), n0)
+    hs, psi0s, configs = sector_legs(kind, values, SpaceSpec(n_max), n0)
+    reached = sector_legs(kind, values, SpaceSpec(n0), n0)[1]
     width = 2 * (n0 + 1)
     with blocks_of(block_records, len(values), SpaceSpec(n_max).dim):
-        full = list(closed_blocks(*args))
+        full = list(closed_blocks(hs, psi0s, configs))
     kept = []
     with blocks_of(block_records, len(values), width):
-        for block in (blocks := closed_blocks(*args, width=width)):
+        for block in (blocks := closed_blocks(hs, reached, configs)):
             kept.append(block)
             # the rows from width on of both step buffers are never written
             # nor divided: they stay +0.0, so the full-length norms add +0.0
@@ -236,6 +238,19 @@ def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block
         assert np.array_equal(t, t_full) and np.array_equal(drift, drift_full)
 
 
+def leading(psi0s, width):
+    """The first ``width`` components of each state: a shorter recorded width."""
+    return [psi0[:width] for psi0 in psi0s]
+
+
+def test_state_longer_than_h_raises():
+    # an initial state has at most H's dimension of components
+    hs, psi0s, configs = sector_legs("theta", (0.3, 1.1), SPACE, 1)
+    longer = [np.append(psi0, 0.0) for psi0 in psi0s]
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        next(closed_blocks(hs, longer, configs))
+
+
 def test_leaving_the_recorded_width_raises():
     # a coupling between |g,1> (kept) and |g,2> (dropped) moves weight out
     # of the first four components, which the reachability check sees
@@ -244,7 +259,7 @@ def test_leaving_the_recorded_width_raises():
     hs[1][2, 4] = hs[1][4, 2] = 0.1
     with pytest.raises(ValueError, match="left the first 4 basis states"), \
             blocks_of(7, 2, 4):
-        next(closed_blocks(hs, psi0s, configs, width=4))
+        next(closed_blocks(hs, leading(psi0s, 4), configs))
     # the same legs, recorded at full width, run
     with blocks_of(7, 2, SPACE.dim):
         assert len(list(closed_blocks(hs, psi0s, configs))) > 1
@@ -273,7 +288,7 @@ def test_reaching_out_of_the_width_raises_before_the_first_record(links):
     hs, psi0s, configs = coupled_legs(*links)
     with pytest.raises(ValueError, match="left the first 6 basis states"), \
             blocks_of(1, 2, 6):
-        next(closed_blocks(hs, psi0s, configs, width=6))
+        next(closed_blocks(hs, leading(psi0s, 6), configs))
     with blocks_of(7, 2, SPACE.dim):
         assert len(list(closed_blocks(hs, psi0s, configs))) > 1
 
@@ -297,7 +312,7 @@ def test_no_step_runs_before_the_check_raises(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     hs, psi0s, configs = coupled_legs(*LINKS_OUT_OF_WIDTH_6[0])
     with pytest.raises(ValueError, match="left the first 6 basis states"):
-        next(closed_blocks(hs, psi0s, configs, width=6))
+        next(closed_blocks(hs, leading(psi0s, 6), configs))
     assert products == []
     # the spy sees the steps of legs that may run: the first block holds steps
     next(closed_blocks(hs, psi0s, configs))
