@@ -93,9 +93,9 @@ SCHEMA = {
     "sweep.grid_stop": (float, None, None),
     "sweep.grid_points": (int, None, "positive"),
     "sweep.m_values": (_parse_int_list, SweepSpec.m_values, None),
-    "sweep.open_gamma": (float, SweepSpec.base_params.gamma, "nonnegative"),
-    "sweep.open_p": (float, SweepSpec.base_params.p, "nonnegative"),
-    "sweep.open_p_z": (float, SweepSpec.base_params.p_z, "nonnegative"),
+    "sweep.open_gamma": (float, SweepSpec.open_rates[0], "nonnegative"),
+    "sweep.open_p": (float, SweepSpec.open_rates[1], "nonnegative"),
+    "sweep.open_p_z": (float, SweepSpec.open_rates[2], "nonnegative"),
     "sweep.workers": (int, 1, "positive"),  # 1 only: sweeps run in one process
     "output.dir": (str, None, None),
     "output.emit_svg": (_parse_bool, True, None),
@@ -220,10 +220,10 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
-    # the open legs' rates are the sweep.open_* keys (model.* rates are evolve's)
-    params = _model_params(config).with_rates(
-        config["sweep.open_gamma"], config["sweep.open_p"], config["sweep.open_p_z"])
-    overrides = dict(base_params=params, m_values=config["sweep.m_values"],
+    # the model.* rates are evolve's: a sweep's open legs run at sweep.open_*
+    overrides = dict(base_params=_model_params(config).with_rates(0.0, 0.0, 0.0),
+                     open_rates=(config["sweep.open_gamma"], config["sweep.open_p"],
+                                 config["sweep.open_p_z"]), m_values=config["sweep.m_values"],
                      steps_per_period=config["integrator.steps_per_period"],
                      n_max=config["space.n_max"],
                      grid=None if None in grid else tuple(np.linspace(*grid)),
@@ -233,9 +233,8 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 
 
 def run_evolve(config: dict) -> int:
-    """Single-trajectory run; writes the debug trajectory CSV.  The leg is
-    open when the model has a collapse channel (a positive rate); an open
-    one runs on the reached space, zero-padded back to the full space."""
+    """Single-trajectory run; writes the debug trajectory CSV.  A model with a
+    collapse channel runs open, on the reached space, zero-padded back."""
     space = SpaceSpec(config["space.n_max"])
     params = _model_params(config)
     if config["initial.perpendicular"]:

@@ -87,17 +87,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep definition: kind, parameter grid and the model of its legs.
+    """One sweep definition: kind, parameter grid, base model, open rates.
 
-    ``base_params`` describes both legs of every grid point: the closed legs
-    read only its Hamiltonian (delta, chi, g), the open legs its rates too.
+    ``base_params`` holds H and refuses a rate, which ``open_rates`` holds.
     The field defaults are the package's sweep defaults, written nowhere
     else (``cli.SCHEMA`` reads them); a kind's own are in ``KINDS``."""
 
     kind: str
     grid: tuple[float, ...]
-    base_params: ModelParams = ModelParams(delta=0.5, chi=0.5, gamma=0.1, p_z=0.01)
+    base_params: ModelParams = ModelParams(delta=0.5, chi=0.5)
     m_values: tuple[int, ...] = (1, 2, 3)
+    open_rates: tuple[float, float, float] = (0.1, 0.0, 0.01)
     steps_per_period: int = 2000
     record_stride: int = 4
     periods: float = 6.0
@@ -113,6 +113,14 @@ class SweepSpec:
         m_values = self.m_values
         if not m_values or min(m_values) < 1 or len(set(m_values)) != len(m_values):
             raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1")
+        if any(r < 0 for r in self.open_rates):
+            raise ConfigError("the sweep.open_* rates must be nonnegative")
+        if self.base_params != self.base_params.with_rates(0.0, 0.0, 0.0):
+            raise ConfigError("base_params holds H only: give rates as open_rates (sweep.open_*)")
+
+    @property
+    def open_params(self) -> ModelParams:
+        return self.base_params.with_rates(*self.open_rates)
 
     @property
     def space(self) -> SpaceSpec:
@@ -343,21 +351,21 @@ def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
-    return [(theta, spec.base_params,
+    return [(theta, spec.open_params,
              InitialStateSpec(theta0=theta, phi0=0.0, n=START_SECTOR)) for theta in spec.grid]
 
 
 def _delta_points(spec: SweepSpec) -> list[tuple]:
-    grid = [replace(spec.base_params, delta=delta) for delta in spec.grid]
+    grid = [replace(spec.open_params, delta=delta) for delta in spec.grid]
     return [(p.delta, p, perpendicular_state(p, START_SECTOR)) for p in grid]
 
 
 def _bloch_points(spec: SweepSpec) -> list[tuple]:
     """The base parameters and an off-resonant case (delta = 2g, chi = 0),
     both from the state perpendicular to their rotation axis."""
-    off = replace(spec.base_params, delta=2 * spec.base_params.g, chi=0.0)
+    off = replace(spec.open_params, delta=2 * spec.base_params.g, chi=0.0)
     return [(case, params, perpendicular_state(params, START_SECTOR))
-            for case, params in zip(BLOCH_CASES, (spec.base_params, off))]
+            for case, params in zip(BLOCH_CASES, (spec.open_params, off))]
 
 
 def _neg_charts(result: SweepResult, outdir: Path) -> list[Path]:
@@ -452,7 +460,8 @@ def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[s
     lines = [
         f"# kerrjc {__version__} sweep={spec.kind}",
         f"# model: delta={p.delta:.17g} chi={p.chi:.17g} g={p.g:.17g}",
-        f"# open_rates: gamma={p.gamma:.17g} p={p.p:.17g} p_z={p.p_z:.17g}",
+        f"# open_rates: gamma={spec.open_rates[0]:.17g} p={spec.open_rates[1]:.17g} "
+        f"p_z={spec.open_rates[2]:.17g}",
         f"# integrator: steps_per_period={spec.steps_per_period} "
         f"record_stride={spec.record_stride} periods={spec.periods:.17g}",
         f"# space: n_max={spec.n_max}",

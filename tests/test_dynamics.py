@@ -187,17 +187,18 @@ class TestRhs:
 
 
 class TestRK4Order:
-    @pytest.mark.parametrize("params", [None, SweepSpec.base_params],
+    @pytest.mark.parametrize("open_rates", [None, SweepSpec.open_rates],
                              ids=["hamiltonian", "liouvillian"])
-    def test_one_step_error_falls_as_dt_to_the_fifth(self, params):
+    def test_one_step_error_falls_as_dt_to_the_fifth(self, open_rates):
         # RK4 is exact to fourth order, so its one-step error against the
         # exact propagator is O(dt^5): halving dt divides it by about 32
         pytest.importorskip("scipy")
         from scipy.linalg import expm
-        if params is None:
+        if open_rates is None:
             generator = -1j * hamiltonian(RESONANT, SPACE)
         else:
-            generator = liouvillian(LindbladSpec.from_params(params, SPACE))
+            generator = liouvillian(LindbladSpec.from_params(
+                RESONANT.with_rates(*open_rates), SPACE))
         errors = [np.abs(rk4_step_matrix(generator, dt) - expm(generator * dt)).max()
                   for dt in (0.04, 0.02, 0.01, 0.005)]
         ratios = np.array(errors[:-1]) / errors[1:]

@@ -1,4 +1,3 @@
-import hashlib
 import math
 from dataclasses import replace
 
@@ -21,7 +20,6 @@ from kerrjc.geomphase import (
 )
 
 from kerrjc.experiments import (
-    GP_ROW,
     ConfigError,
     SweepSpec,
     default_spec,
@@ -102,23 +100,18 @@ class TestSpecValidation:
         assert integrated == []
 
 
-class TestOneParameterSet:
-    """A sweep's one ModelParams holds H and the open legs' rates; the
-    closed legs read only H."""
+class TestOneRateSource:
+    """The open legs' rates are given once, as open_rates; base_params holds
+    the Hamiltonian only."""
 
-    def test_open_legs_run_at_the_base_params_rates(self):
-        spec = default_spec("gp_delta", base_params=ModelParams(0.5, 0.5, gamma=0.3),
-                            grid=(-1.5, 0.5, 2.5), **SMALL_GP)
-        rows = run_sweep(spec).rows
-        # the rows that SweepSpec.open_rates = (0.3, 0.0, 0.0) gave before the
-        # rates moved into base_params, as CSV rows
-        digest = hashlib.sha256("".join(GP_ROW % row for row in rows).encode())
-        assert digest.hexdigest() == \
-            "97c17b43b7374564ee5c5dcef7639b689725cf81f0d0925d2267cdfbbd4a610d"
-        assert "# open_rates: gamma=0.29999999999999999 p=0 p_z=0" in provenance_lines(spec)
-        default = run_sweep(replace(spec, base_params=SweepSpec.base_params)).rows
-        assert [row[3] for row in rows] == [row[3] for row in default]  # phi_u
-        assert [row[4] for row in rows] != [row[4] for row in default]  # phi_g
+    @pytest.mark.parametrize("rate", ["gamma", "p", "p_z"])
+    def test_rate_in_base_params_refused(self, rate):
+        with pytest.raises(ConfigError, match="open_rates"):
+            default_spec("gp_delta", base_params=replace(SweepSpec.base_params, **{rate: 0.3}))
+
+    def test_bare_base_params_keeps_the_default_rates(self):
+        spec = default_spec("negativity_delta", base_params=ModelParams(delta=0.0, chi=0.0))
+        assert spec.open_params == ModelParams(0.0, 0.0, gamma=0.1, p_z=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +176,11 @@ class TestNegativityDelta:
     def test_chi_shift_symmetry(self):
         grid = tuple(np.linspace(-2.0, 2.0, 5))
         shifted = run_sweep(default_spec(
-            "negativity_delta", grid=grid, **SMALL_NEG))
+            "negativity_delta", grid=grid,
+            base_params=ModelParams(delta=0.5, chi=0.5), **SMALL_NEG))
         reference = run_sweep(default_spec(
             "negativity_delta", grid=tuple(g - 0.5 for g in grid),
-            base_params=replace(SweepSpec.base_params, delta=0.0, chi=0.0), **SMALL_NEG))
+            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG))
         a = np.array([(r[2], r[3]) for r in shifted.rows])
         b = np.array([(r[2], r[3]) for r in reference.rows])
         assert np.abs(a - b).max() < 1e-9
@@ -201,9 +195,8 @@ class TestNegativityDelta:
         # under random rates; the bound is criterion 5's, fixed beforehand
         grid = tuple(np.linspace(start, start + span, 3))
         shifted, reference = (run_sweep(default_spec(
-            "negativity_delta", grid=values,
-            base_params=ModelParams(delta=0.0, chi=c).with_rates(*rates),
-            periods=1.0, record_stride=16))
+            "negativity_delta", grid=values, base_params=ModelParams(delta=0.0, chi=c),
+            open_rates=rates, periods=1.0, record_stride=16))
             for values, c in ((grid, chi), (tuple(g - chi for g in grid), 0.0)))
         a = np.array([r[1:] for r in shifted.rows])
         b = np.array([r[1:] for r in reference.rows])
@@ -237,8 +230,7 @@ class TestGpSweeps:
         # resonance delta = chi, give opposite wrapped phase differences at
         # every m; the bound is the theta mirror's, fixed beforehand
         spec = default_spec("gp_delta", grid=(chi - x, chi + x),
-                            base_params=replace(SweepSpec.base_params, delta=0.0, chi=chi),
-                            **SMALL_GP)
+                            base_params=ModelParams(delta=0.0, chi=chi), **SMALL_GP)
         rows = run_sweep(spec).rows
         assert [row[8] for row in rows] == ["ok"] * 6
         for below, above in zip(rows[:3], rows[3:]):
@@ -270,7 +262,7 @@ class TestGpSweeps:
 
     def test_zero_rates_zero_everywhere(self):
         spec = default_spec("gp_delta", grid=(-1.0, 0.5, 2.0), m_values=(1,),
-                            base_params=RESONANT, **SMALL_GP)
+                            open_rates=(0.0, 0.0, 0.0), **SMALL_GP)
         result = run_sweep(spec)
         assert max(abs(r[5]) for r in result.rows) < 1e-9
 
@@ -305,7 +297,7 @@ class TestBlochTraj:
 
     def test_zero_rates_series_coincide(self):
         spec = default_spec("bloch_traj", periods=1.0, steps_per_period=1000,
-                            base_params=RESONANT)
+                            open_rates=(0.0, 0.0, 0.0))
         result = run_sweep(spec)
         for case in ("resonant", "off_resonant"):
             by_series = {
@@ -353,7 +345,7 @@ class TestCsvAndWorkers:
 
 def _per_point_legs(spec, theta, periods):
     """One grid point alone: its own H, Lindbladian and evolve_lindblad run."""
-    params, space = spec.base_params, spec.space
+    params, space = spec.open_params, spec.space
     period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
                                           spec.record_stride)
@@ -381,8 +373,8 @@ def per_case_bloch(spec):
     """Rows and planarity reports of each bloch case run alone:
     evolve_closed, evolve_lindblad and track_dominant_eigenvector on whole
     trajectories, as bloch_traj ran before it was a sweep."""
-    cases = (("resonant", spec.base_params),
-             ("off_resonant", replace(spec.base_params, delta=2 * spec.base_params.g,
+    cases = (("resonant", spec.open_params),
+             ("off_resonant", replace(spec.open_params, delta=2 * spec.base_params.g,
                                       chi=0.0)))
     space = spec.space
     rows, reports = [], {}
@@ -444,8 +436,7 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_gp_theta_matches_per_point(self, open_rates):
-        spec = default_spec("gp_theta", base_params=RESONANT.with_rates(*open_rates),
-                            **GP_THETA_GRID)
+        spec = default_spec("gp_theta", open_rates=open_rates, **GP_THETA_GRID)
         got = run_sweep(spec).rows
         want = per_point_gp_rows(spec)
         assert len(got) == len(want)
@@ -455,8 +446,7 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_negativity_theta_matches_per_point(self, open_rates):
-        spec = default_spec("negativity_theta", base_params=RESONANT.with_rates(*open_rates),
-                            **NEG_THETA_GRID)
+        spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GRID)
         got = np.array(run_sweep(spec).rows)
         want = np.array(per_point_neg_rows(spec))
         assert np.array_equal(got, want)
