@@ -19,22 +19,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    PositivityError,
-    StepOverflowError,
-    evolve_closed,
-    evolve_lindblad,
-)
+from .dynamics import PositivityError, StepOverflowError, closed_blocks, lindblad_blocks
 from .experiments import (
+    EVOLVE_KEYS,
     KINDS,
-    START_SECTOR,
     ConfigError,
     SweepSpec,
     default_spec,
@@ -101,6 +97,10 @@ SCHEMA = {
     "output.emit_svg": (_parse_bool, True, None),
     "output.timestamp": (_parse_bool, True, None),
 }
+# the key to set in place of a key that a sweep does not read, where one exists
+SET_INSTEAD = {"model.gamma": "sweep.open_gamma", "model.p": "sweep.open_p",
+               "model.p_z": "sweep.open_p_z", "integrator.periods": "sweep.m_values",
+               "model.delta": "sweep.grid_start and sweep.grid_stop"}
 
 
 def _entry(text: str, where: str) -> tuple[str, tuple[str, str]]:
@@ -200,28 +200,20 @@ def _model_params(config: dict) -> ModelParams:
 
 
 def sweep_spec_from_config(config: dict) -> SweepSpec:
-    """The sweep of ``config``; unset keys take the kind's ``default_spec`` values."""
+    """The sweep of ``config``; unset keys take the kind's ``default_spec`` values,
+    and a key it does not read (``EVOLVE_KEYS``, ``Kind.unread``) must keep its own."""
     kind = config["sweep.kind"]
     if kind == "":
         raise ConfigError("sweep.kind is required")
-    if (n := config["initial.n"]) != START_SECTOR:
-        raise ConfigError(f"sweeps start in sector {START_SECTOR}, and initial.n = {n} is "
-                          f"read only by evolve: set initial.n = {START_SECTOR}")
-    if kind in ("gp_delta", "negativity_delta") and \
-            (delta := config["model.delta"]) != SweepSpec.base_params.delta:
-        raise ConfigError(f"{kind} takes delta from its grid, so model.delta = {delta:g} "
-                          f"would not be read: leave model.delta at "
-                          f"{SweepSpec.base_params.delta:g} and set sweep.grid_start/"
-                          "sweep.grid_stop")
-    if kind in ("gp_delta", "gp_theta") and config["integrator.periods"] is not None:
-        raise ConfigError(f"{kind} runs max(sweep.m_values) periods, so integrator.periods "
-                          "would not be read: leave integrator.periods unset and set "
-                          "sweep.m_values")
+    for key in (*EVOLVE_KEYS, *KINDS[kind].unread):
+        if config[key] != (default := SCHEMA[key][1]):
+            leave = "unset" if default is None else f"at {_text(default)}"
+            instead = f" and set {SET_INSTEAD[key]}" if key in SET_INSTEAD else ""
+            raise ConfigError(f"{kind} does not read {key}: leave it {leave}{instead}")
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
-    # the model.* rates are evolve's: a sweep's open legs run at sweep.open_*
-    overrides = dict(base_params=_model_params(config).with_rates(0.0, 0.0, 0.0),
+    overrides = dict(base_params=_model_params(config),
                      open_rates=(config["sweep.open_gamma"], config["sweep.open_p"],
                                  config["sweep.open_p_z"]), m_values=config["sweep.m_values"],
                      steps_per_period=config["integrator.steps_per_period"],
@@ -233,8 +225,8 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 
 
 def run_evolve(config: dict) -> int:
-    """Single-trajectory run; writes the debug trajectory CSV.  A model with a
-    collapse channel runs open, on the reached space, zero-padded back."""
+    """Single-trajectory run; streams the debug trajectory CSV.  A model with
+    a collapse channel runs open, on the reached space, zero-padded back."""
     space = SpaceSpec(config["space.n_max"])
     params = _model_params(config)
     if config["initial.perpendicular"]:
@@ -249,16 +241,20 @@ def run_evolve(config: dict) -> int:
     psi0 = initial_state(init, space)
     if open_spec.collapse_ops:
         d = open_spec.hamiltonian.shape[0]
-        record = evolve_lindblad(open_spec, np.outer(psi0[:d], psi0[:d].conj()), integ)
-        pad = space.dim - d
-        record = replace(record, states=np.pad(record.states, ((0, 0), (0, pad), (0, pad))))
+        blocks = lindblad_blocks([open_spec], [np.outer(psi0[:d], psi0[:d].conj())], [integ])
     else:
-        record = evolve_closed(h, psi0, integ)
+        blocks = closed_blocks([h], [psi0], [integ])
+    first = next(blocks)  # the leg's checks, and its first block's, run before any write
 
     outdir = Path(config["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(record, outdir / "trajectory.csv")
-    print(f"wrote {outdir / 'trajectory.csv'}")
+    path = outdir / "trajectory.csv"
+    try:
+        write_trajectory_csv(chain([first], blocks), space.dim, path)
+    except BaseException:
+        path.unlink(missing_ok=True)  # a block refused later leaves no partial file
+        raise
+    print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ from .dynamics import (
     BLOCK_ENTRIES,
     IntegratorConfig,
     LindbladSpec,
-    TrajectoryRecord,
     closed_blocks,
     lindblad_blocks,
 )
@@ -149,6 +148,7 @@ class Kind:
     checks: tuple[Callable, ...] = ()  # spec -> None, raise before any integration
     defaults: dict = field(default_factory=dict)  # the default_spec keywords
     horizon: Callable = attrgetter("periods")  # spec -> periods that every leg runs
+    unread: tuple[str, ...] = ()  # the config keys it does not read, beyond EVOLVE_KEYS
     meta: Callable = lambda points, rows: {}  # -> the result's meta
 
 
@@ -207,10 +207,11 @@ def _per_state(fn, states: np.ndarray, space: SpaceSpec) -> np.ndarray:
     return out.reshape(b, r, *out.shape[1:])
 
 
-def _series(fn) -> Callable:
-    """Reducer of either leg: (times, ``fn`` of every state) of every point,
-    on the reached space."""
+def _series(name: str) -> Callable:
+    """Reducer of either leg: (times, this module's ``name`` of every state)
+    of every point, on the reached space."""
     def series(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
+        fn = globals()[name]  # looked up as it runs: a wrapper bound to it sees the calls
         times, values = zip(*((block_times, _per_state(fn, states, reached))
                               for block_times, states, *_ in blocks))
         return list(zip(np.concatenate(times, axis=1), np.concatenate(values, axis=1)))
@@ -408,37 +409,40 @@ def _bloch_charts(result: SweepResult, outdir: Path) -> list[Path]:
 
 
 _DELTA_GRID = tuple(np.linspace(-4.0, 4.0, 81))
+# the config keys that only `kerrjc evolve` reads: every sweep builds its own states
+EVOLVE_KEYS = ("model.gamma", "model.p", "model.p_z", "initial.theta0", "initial.phi0",
+               "initial.n", "initial.perpendicular")
 
 KINDS = {
     # negativity vs time for a family of initial polar angles, on resonance
     "negativity_theta": Kind(
-        NEG_COLUMNS, NEG_ROW, _theta_points, _series(negativity), _series(negativity),
-        _neg_rows, _neg_charts,
+        NEG_COLUMNS, NEG_ROW, _theta_points, _series("negativity"), _series("negativity"),
+        _neg_rows, _neg_charts, unread=("sweep.m_values",),
         checks=(_resonant(math.pi / 2, "pi/2"),),
         defaults=dict(grid=tuple(np.linspace(0.0, math.pi / 2, 9)), record_stride=16)),
     # negativity vs time over a detuning grid, perpendicular initial states
     "negativity_delta": Kind(
-        NEG_COLUMNS, NEG_ROW, _delta_points, _series(negativity), _series(negativity),
-        _neg_rows, _neg_charts,
+        NEG_COLUMNS, NEG_ROW, _delta_points, _series("negativity"), _series("negativity"),
+        _neg_rows, _neg_charts, unread=("model.delta", "sweep.m_values"),
         defaults=dict(grid=_DELTA_GRID, record_stride=16)),
     # phase difference vs initial polar angle at fixed sector-1 resonance
     "gp_theta": Kind(
         GP_COLUMNS, GP_ROW, _theta_points, _gp_closed, _gp_opened, _gp_rows, _gp_charts,
         checks=(_resonant(2 * math.pi, "2*pi"), _checkpoints),
         defaults=dict(grid=tuple(np.linspace(0.0, 2 * math.pi, 64))),
-        horizon=_largest_m),
+        horizon=_largest_m, unread=("integrator.periods",)),
     # phase difference vs detuning, perpendicular initial states
     "gp_delta": Kind(
         GP_COLUMNS, GP_ROW, _delta_points, _gp_closed, _gp_opened, _gp_rows, _gp_charts,
         checks=(_checkpoints,), defaults=dict(grid=_DELTA_GRID),
-        horizon=_largest_m),
+        horizon=_largest_m, unread=("model.delta", "integrator.periods")),
     # unitary path, density projection and tracked-eigenvector path per case,
     # with a planarity figure against the unitary rotation axis for each
     "bloch_traj": Kind(
-        BLOCH_COLUMNS, BLOCH_ROW, _bloch_points, _series(bloch_series), _bloch_opened,
-        _bloch_rows, _bloch_charts,
+        BLOCH_COLUMNS, BLOCH_ROW, _bloch_points, _series("bloch_series"), _bloch_opened,
+        _bloch_rows, _bloch_charts, meta=_bloch_planarity,
         checks=(_resonant(), _two_records), defaults=dict(grid=(0.0,), periods=3.0),
-        meta=_bloch_planarity),
+        unread=("sweep.m_values", "sweep.grid_start", "sweep.grid_stop", "sweep.grid_points")),
 }
 
 
@@ -488,20 +492,26 @@ def write_sweep_csv(result: SweepResult, path, timestamp: Optional[str] = None) 
     _write_csv(path, head, KINDS[result.spec.kind].template, result.rows)
 
 
-def write_trajectory_csv(record: TrajectoryRecord, path) -> None:
-    """Debug dump: t, then row-major Re/Im of the density-matrix entries.
+def write_trajectory_csv(blocks, dim: int, path) -> None:
+    """Debug dump of the blocks of one state's leg (``closed_blocks`` or
+    ``lindblad_blocks``), each written as it arrives: t, then row-major
+    Re/Im of the density-matrix entries, pure states as their projectors,
+    zero-padded to ``dim`` x ``dim``.
 
     Entry (i, j) is named ``re_<i><j>``/``im_<i><j>``, each index
-    zero-padded to the width of d - 1, so every name is distinct.
+    zero-padded to the width of dim - 1, so every name is distinct.
     """
-    mats = record.states if record.is_density else np.einsum(
-        "ki,kj->kij", record.states, record.states.conj())
-    n, d = mats.shape[:2]
-    w = len(str(d - 1))
-    header = ",".join(["t", *(f"{part}_{i:0{w}d}{j:0{w}d}" for i in range(d)
-                              for j in range(d) for part in ("re", "im"))])
-    # the complex entries viewed as float64 are Re, Im in header order
-    table = np.column_stack((record.times,
-                             np.ascontiguousarray(mats).reshape(n, -1).view(np.float64)))
-    _write_csv(path, [header], ",".join(["%.17g"] * table.shape[1]) + "\n",
-               map(tuple, table))
+    w = len(str(dim - 1))
+    header = ",".join(["t", *(f"{part}_{i:0{w}d}{j:0{w}d}" for i in range(dim)
+                              for j in range(dim) for part in ("re", "im"))])
+
+    def records():
+        for (times,), (states,), *_ in blocks:
+            mats = states if states.ndim == 3 else np.einsum(
+                "ki,kj->kij", states, states.conj())
+            pad = dim - mats.shape[1]
+            mats = np.pad(mats, ((0, 0), (0, pad), (0, pad)))
+            # the complex entries viewed as float64 are Re, Im in header order
+            yield from map(tuple, np.column_stack(
+                (times, mats.reshape(len(times), -1).view(np.float64))))
+    _write_csv(path, [header], ",".join(["%.17g"] * (1 + 2 * dim * dim)) + "\n", records())

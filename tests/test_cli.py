@@ -107,12 +107,18 @@ class TestParsing:
         assert any("resonance" in line for line in provenance_lines(spec))
 
     def test_sweep_rates_are_the_open_keys(self):
-        # model.* rates are evolve's: a sweep takes only H from model.* and
-        # runs its open legs at sweep.open_*
+        # a sweep takes only H from model.* and runs its open legs at sweep.open_*
         spec = sweep_spec_from_config(parse_config(
-            "sweep.kind = gp_delta\nmodel.gamma = 0.5\nmodel.p = 0.2\nsweep.open_p = 0.05\n"))
+            "sweep.kind = gp_delta\nmodel.gamma = 0\nmodel.p = 0\nsweep.open_p = 0.05\n"))
         assert spec.base_params == SweepSpec.base_params
         assert spec.open_rates == (0.1, 0.05, 0.01)
+
+    def test_sweep_refuses_model_rates(self):
+        # model.* rates are evolve's: a sweep refuses them and names its own key
+        for rate in ("gamma", "p", "p_z"):
+            config = parse_config(f"sweep.kind = gp_delta\nmodel.{rate} = 0.5\n")
+            with pytest.raises(ConfigError, match=f"model.{rate}: .* sweep.open_{rate}$"):
+                sweep_spec_from_config(config)
 
     def test_grid_override_requires_all_three(self):
         config = parse_config("sweep.kind = gp_delta\nsweep.grid_start = 0\n")
@@ -690,6 +696,79 @@ def test_default_spec_is_the_cli_default(kind):
     assert default_spec(kind) == sweep_spec_from_config(parse_config(f"sweep.kind = {kind}\n"))
 
 
+# each key that a kind does not read, at a valid value away from its default
+EVOLVE_ONLY = ["model.gamma=0.3", "model.p=0.2", "model.p_z=0.05", "initial.theta0=1",
+               "initial.phi0=1", "initial.n=2", "initial.perpendicular=true"]
+UNREAD = {
+    "negativity_theta": [*EVOLVE_ONLY, "sweep.m_values=7"],
+    "negativity_delta": [*EVOLVE_ONLY, "model.delta=3", "sweep.m_values=7"],
+    "gp_theta": [*EVOLVE_ONLY, "integrator.periods=10"],
+    "gp_delta": [*EVOLVE_ONLY, "model.delta=3", "integrator.periods=10"],
+    "bloch_traj": [*EVOLVE_ONLY, "sweep.m_values=7", "sweep.grid_start=0",
+                   "sweep.grid_stop=1", "sweep.grid_points=3"],
+}
+# the other keys, at valid values away from their defaults (the grid keys
+# go together); sweep.kind and sweep.workers are left out: a sweep reads
+# both, and sweep.workers takes only its default
+READ = [["model.delta=0.7"], ["model.chi=0.7"], ["model.g=2"], ["space.n_max=6"],
+        ["integrator.steps_per_period=1000"], ["integrator.record_stride=8"],
+        ["integrator.periods=2"],
+        ["sweep.grid_start=0.1", "sweep.grid_stop=0.2", "sweep.grid_points=3"],
+        ["sweep.m_values=2,4"], ["sweep.open_gamma=0.2"], ["sweep.open_p=0.05"],
+        ["sweep.open_p_z=0.02"], ["output.dir=elsewhere"], ["output.emit_svg=false"],
+        ["output.timestamp=false"]]
+
+
+def _key(setting: str) -> str:
+    return setting.partition("=")[0]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_key_is_read_or_refused(kind):
+    read = {_key(item) for items in READ for item in items}
+    assert read | {_key(s) for s in UNREAD[kind]} | {"sweep.kind", "sweep.workers"} \
+        == set(SCHEMA)
+
+
+@pytest.mark.parametrize("kind,setting", [(kind, setting) for kind, settings in UNREAD.items()
+                                          for setting in settings])
+def test_sweep_refuses_a_key_its_kind_does_not_read(tmp_path, capsys, monkeypatch, kind,
+                                                     setting):
+    # set away from its default, a key the sweep would drop is a config
+    # error that names it, raised before anything is integrated or written
+    import kerrjc.dynamics as dyn
+    import kerrjc.experiments as ex
+    integrated = []
+    for module in (dyn, ex):
+        for name in ("closed_blocks", "lindblad_blocks"):
+            monkeypatch.setattr(module, name, lambda *args, **kw: integrated.append(args))
+    command = ["bloch"] if kind == "bloch_traj" else ["sweep", "--kind", kind]
+    code = main([*command, "--out", str(tmp_path), "--no-timestamp", "--set", setting])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {kind} does not read {_key(setting)}: leave it ")
+    assert integrated == [] and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind,items", [
+    (kind, items) for kind in KINDS for items in READ
+    if not {_key(item) for item in items} & {_key(s) for s in UNREAD[kind]}])
+def test_sweep_accepts_the_keys_its_kind_reads(kind, items):
+    raw = {_key(item): (item.partition("=")[2], "--set") for item in items}
+    sweep_spec_from_config(build_config({"sweep.kind": (kind, "--kind"), **raw}))
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_sweep_accepts_unread_keys_at_their_defaults(kind):
+    # a key set to its default changes nothing, so it is not refused
+    at_default = ["model.gamma=0", "model.p=0", "model.p_z=0", "initial.theta0=0",
+                  "initial.phi0=0", "initial.n=1", "initial.perpendicular=false",
+                  "model.delta=0.5", "sweep.m_values=1,2,3"]
+    raw = {_key(item): (item.partition("=")[2], "--set") for item in at_default}
+    config = build_config({"sweep.kind": (kind, "--kind"), **raw})
+    assert sweep_spec_from_config(config) == default_spec(kind)
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # sweeps run in one process, so nothing loads multiprocessing, whose
     # modules would add a third to the package's import time
@@ -782,3 +861,66 @@ def test_outputs_match_pinned_digests(tmp_path, capsys, argv, digests):
     planarity = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("planarity")]
     assert planarity == (BLOCH_PLANARITY if argv == ["bloch"] else [])
+
+
+# SHA-256 of trajectory.csv from evolves on the 22-level space (n_max = 10),
+# closed and open, as the whole-trajectory writer wrote them
+LARGE_EVOLVES = [
+    (["evolve", "--set", "space.n_max=10", "--set", "integrator.periods=1"],
+     "2b8a4fc68084000e3b1893fe289971335ffd929e8cc0e28e519a0bc0f5b49581"),
+    (["evolve", "--set", "space.n_max=10", "--set", "integrator.periods=1",
+      "--set", "model.gamma=0.1"],
+     "94d458a42a01e5f82900ec1da2ccc2c60b8b72d4b96893e35a49726be4f308fa"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", LARGE_EVOLVES, ids=["closed", "open"])
+def test_large_evolve_matches_pinned_digest(tmp_path, argv, digest):
+    assert main([*argv, "--no-timestamp", "--out", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
+def _counting_legs(monkeypatch) -> list:
+    """The blocks that `kerrjc evolve`'s legs yield, appended as they pass."""
+    import kerrjc.cli as cli
+    blocks = []
+    for name in ("closed_blocks", "lindblad_blocks"):
+        monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name):
+                            (blocks.append(block) or block for block in real(*args)))
+    return blocks
+
+
+EVOLVES = [case for case in PINNED_OUTPUTS if case[0][0] == "evolve"]
+
+
+@pytest.mark.parametrize("argv,digests", EVOLVES, ids=[" ".join(a) for a, _ in EVOLVES])
+def test_evolve_streams_many_blocks_into_the_pinned_bytes(tmp_path, monkeypatch, argv,
+                                                          digests):
+    # blocks of at most 256 entries: both legs yield many blocks, and the
+    # trajectory written as they arrive keeps the bytes of the pinned file
+    import kerrjc.dynamics as dyn
+    monkeypatch.setattr(dyn, "BLOCK_ENTRIES", 256)
+    blocks = _counting_legs(monkeypatch)
+    assert main([*argv, "--no-timestamp", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(blocks) > 100
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
+def test_refused_evolve_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a leg refused before its first block is written makes no output
+    # directory; with one record per block and no hop check, the first
+    # block (the initial state) passes and is written, the next fails the
+    # density checks, and the partial trajectory is removed
+    out = tmp_path / "out"
+    assert main(["evolve", "--out", str(out), "--set", "model.gamma=1e300"]) == EXIT_TRACKING
+    assert not out.exists()
+    import kerrjc.dynamics as dyn
+    monkeypatch.setattr(dyn, "BLOCK_ENTRIES", 16)
+    monkeypatch.setattr(dyn, "HOP_RADIUS_TOL", float("inf"))
+    blocks = _counting_legs(monkeypatch)
+    code = main(["evolve", "--out", str(out), "--no-timestamp",
+                 "--set", "model.gamma=40", "--set", "integrator.steps_per_period=10"])
+    assert code == EXIT_TRACKING
+    assert "negative eigenvalue" in capsys.readouterr().err
+    assert len(blocks) == 1 and out.exists() and not any(out.iterdir())

@@ -733,7 +733,7 @@ class TestRecordAndDump:
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
         traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv([(traj.times[None], traj.states[None])], SPACE.dim, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("t,re_00,im_00")
         assert len(lines) == len(traj.times) + 1

@@ -203,6 +203,18 @@ class TestNegativityDelta:
         assert a.shape == b.shape == (3 * 126, 3)
         assert np.abs(a - b).max() < 1e-9
 
+    def test_wrapper_on_negativity_sees_the_sweep_calls(self, monkeypatch):
+        # the reducers look negativity up as they run, so a wrapper bound to
+        # experiments.negativity (as a tracer binds one) sees every state
+        import kerrjc.experiments as ex
+        spec = default_spec("negativity_delta", grid=(-1.0, 1.0), **SMALL_NEG)
+        plain = run_sweep(spec).rows
+        states = []
+        monkeypatch.setattr(ex, "negativity", lambda rhos, space, real=ex.negativity:
+                            states.append(len(rhos)) or real(rhos, space))
+        assert run_sweep(spec).rows == plain
+        assert sum(states) == 2 * len(plain)  # each point's closed and open records
+
 
 class TestGpSweeps:
 

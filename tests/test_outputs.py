@@ -180,10 +180,15 @@ def _records():
     return {"closed": closed, "open": opened}
 
 
+def _one_block(record) -> list[tuple]:
+    """The record as the one block of a one-state leg."""
+    return [(record.times[None], record.states[None])]
+
+
 @pytest.mark.parametrize("leg", ["closed", "open"])
 def test_trajectory_csv_equals_old_loop(leg, tmp_path):
     record = _records()[leg]
-    write_trajectory_csv(record, tmp_path / "new.csv")
+    write_trajectory_csv(_one_block(record), record.states.shape[1], tmp_path / "new.csv")
     old_write_trajectory_csv(record, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -192,7 +197,7 @@ def _header(n_max: int, tmp_path) -> tuple[list[str], list[str]]:
     d = SpaceSpec(n_max).dim
     record = TrajectoryRecord(times=np.zeros(1), states=np.eye(d, dtype=complex)[:1],
                               config=IntegratorConfig(dt=1.0, t_final=0.0))
-    write_trajectory_csv(record, tmp_path / "new.csv")
+    write_trajectory_csv(_one_block(record), d, tmp_path / "new.csv")
     old_write_trajectory_csv(record, tmp_path / "old.csv")
     new, old = ((tmp_path / name).read_text().splitlines()[0].split(",")
                 for name in ("new.csv", "old.csv"))
