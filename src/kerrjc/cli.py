@@ -34,6 +34,7 @@ from .experiments import (
     ConfigError,
     SweepSpec,
     default_spec,
+    leg_grid,
     leg_setup,
     run_sweep,
     write_sweep_csv,
@@ -213,6 +214,9 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
+    if None not in grid and not math.isfinite(grid[1] - grid[0]):  # a float's span, no warning
+        raise ConfigError("the grid from sweep.grid_start to sweep.grid_stop spans more than "
+                          "a float holds: narrow it")
     overrides = dict(base_params=_model_params(config),
                      open_rates=(config["sweep.open_gamma"], config["sweep.open_p"],
                                  config["sweep.open_p_z"]), m_values=config["sweep.m_values"],
@@ -234,16 +238,17 @@ def run_evolve(config: dict) -> int:
     else:
         init = InitialStateSpec(theta0=config["initial.theta0"],
                                 phi0=config["initial.phi0"], n=config["initial.n"])
-    _, integ, h, open_spec = leg_setup(
-        params, init.n, space, config["integrator.periods"] or SweepSpec.periods,
-        config["integrator.steps_per_period"],
-        config["integrator.record_stride"] or SweepSpec.record_stride)
+    _, integ = leg_grid(params, init.n, space,
+                        config["integrator.periods"] or SweepSpec.periods,
+                        config["integrator.steps_per_period"],
+                        config["integrator.record_stride"] or SweepSpec.record_stride)
+    steps, hops = leg_setup([params], [integ], init.n, space)
     psi0 = initial_state(init, space)
-    if open_spec.collapse_ops:
-        d = open_spec.hamiltonian.shape[0]
-        blocks = lindblad_blocks([open_spec], [np.outer(psi0[:d], psi0[:d].conj())], [integ])
+    if params != params.with_rates(0.0, 0.0, 0.0):
+        d = math.isqrt(hops.shape[-1])  # the reached space's dimension
+        blocks = lindblad_blocks(hops, [np.outer(psi0[:d], psi0[:d].conj())], [integ])
     else:
-        blocks = closed_blocks([h], [psi0], [integ])
+        blocks = closed_blocks(steps, [psi0], [integ])
     first = next(blocks)  # the leg's checks, and its first block's, run before any write
 
     outdir = Path(config["output.dir"])

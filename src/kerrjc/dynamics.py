@@ -1,44 +1,34 @@
 """Time evolution: Schrödinger and Lindblad integration with fixed-step RK4.
 
-Both right-hand sides are linear and time independent, so a single RK4 step
-is the degree-4 Taylor polynomial of the generator; the integrators
-precompute that step matrix once and then advance by matrix products.
-
-``closed_blocks`` advances the pure states of many grid points in lockstep,
-each under its own Hamiltonian and time step: one stacked matrix-vector
-step and one renormalisation per time step for all of them, written into
-preallocated buffers, with the same per-state arithmetic as a lone
-trajectory, so a state's bits do not depend on which others share its
-batch.  A closed leg whose initial states are shorter than H's dimension
-records only their leading components (the reached space): it computes
-and renormalises only those rows of the full-space product, each the same
-dot product over the full row and the zero-padded state.
-``lindblad_blocks`` does the same for open legs: density matrices, each
-with its own Lindbladian and time step, advance by one stacked
-matrix-vector product per record, again with the bits of each state's own
-product; their records are block-diagonal in N by construction and pass
-the density checks on the N blocks.  Both yield records in blocks that
-they size themselves, within ``BLOCK_ENTRIES``; ``evolve_closed`` and
-``evolve_lindblad`` feed one trajectory through them and join its blocks.
-Truncation is checked before integrating, by the callers
-(``hilbert.reached_space``).  Before the first product, both legs
-refuse an RK4 step or hop that is not finite, take the components their
-steps can reach from the initial states (``_reached``) and refuse a closed
-leg that could leave its recorded components, an open leg that could
-leave its N blocks and an RK4 hop that would amplify a reachable mode; a
-closed block whose norms overflow is refused before it is yielded.
+Both right-hand sides are linear and time independent, so an RK4 step is
+the degree-4 Taylor polynomial of the generator: one matrix, built for a
+whole stack of generators at once (``rk4_step_matrix``, and ``rk4_hop``
+for the steps between two records), each with the bits of its own build.
+``closed_blocks`` advances the pure states of many grid points in
+lockstep, each by its own step, and ``lindblad_blocks`` their density
+matrices, each by its own hop: one stacked product per step or record, in
+preallocated buffers, with the bits of each state's own product, so a
+trajectory does not depend on its batch.  A closed leg records and
+renormalises only the leading components that its initial states hold
+(the reached space); open records are block-diagonal in N by construction
+and pass the density checks on the N blocks.  Both size their blocks
+within ``BLOCK_ENTRIES``; ``evolve_closed`` and ``evolve_lindblad`` run one
+trajectory and join its blocks.  Truncation is the callers' static check
+(``hilbert.reached_space``).  Before the first product, both refuse a step
+or hop that is not finite, a closed leg that could leave its recorded
+components, an open leg that could leave its N blocks and a hop that would
+amplify a reachable mode (``_reached``); a closed block whose norms
+overflow is refused before it is yielded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
 import numpy as np
 
-from .hilbert import SpaceSpec, kron, n_blocks, off_n_blocks
-from .model import ModelParams
+from .hilbert import kron, n_blocks, off_n_blocks
 
 TRACE_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
@@ -69,30 +59,25 @@ class StepOverflowError(PositivityError):
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Hamiltonian plus (collapse operator, rate) channels."""
+    """Hamiltonian, or a stack of them (..., d, d), plus the (collapse
+    operator, rate) channels that they share."""
 
     hamiltonian: np.ndarray
     collapse_ops: tuple[tuple[np.ndarray, float], ...] = ()
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        # Frobenius norm of the anti-Hermitian part relative to max(1, ||h||_F)
-        if np.linalg.norm(h - h.conj().T) / max(1.0, np.linalg.norm(h)) >= 1e-10:
+        # Frobenius norm of each anti-Hermitian part relative to max(1, ||h||_F),
+        # inf without a warning where it overflows (as numpy's dot-based norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            skew = (np.linalg.norm(h - h.conj().swapaxes(-2, -1), axis=(-2, -1))
+                    / np.maximum(1.0, np.linalg.norm(h, axis=(-2, -1))))
+        if (skew >= 1e-10).any():
             raise ValueError("hamiltonian must be Hermitian to 1e-10")
         for _, rate in self.collapse_ops:
             if rate < 0:
                 raise ValueError("collapse rates must be nonnegative")
         object.__setattr__(self, "hamiltonian", h)
-
-    @classmethod
-    def from_params(cls, params: ModelParams, spec: SpaceSpec,
-                    h: Optional[np.ndarray] = None) -> "LindbladSpec":
-        """Spec of ``params`` on ``spec``; ``h``, when given, is its already
-        built Hamiltonian."""
-        from .model import collapse_operators, hamiltonian
-
-        return cls(hamiltonian=hamiltonian(params, spec) if h is None else h,
-                   collapse_ops=collapse_operators(params, spec))
 
 
 @dataclass(frozen=True)
@@ -155,11 +140,12 @@ class TrajectoryRecord:
 
 
 def liouvillian(spec: LindbladSpec) -> np.ndarray:
-    """Superoperator matrix L with vec(rhs) = L vec(rho), row-major vec."""
+    """Superoperator matrix L with vec(rhs) = L vec(rho), row-major vec, of
+    each Hamiltonian of the spec: shape (..., d^2, d^2)."""
     h = spec.hamiltonian
-    d = h.shape[0]
+    d = h.shape[-1]
     eye = np.eye(d, dtype=complex)
-    sup = -1j * (kron(h, eye) - kron(eye, h.T))
+    sup = -1j * (kron(h, eye) - kron(eye, h.swapaxes(-2, -1)))
     for op, rate in spec.collapse_ops:
         if not rate:
             continue
@@ -169,9 +155,11 @@ def liouvillian(spec: LindbladSpec) -> np.ndarray:
     return sup
 
 
-def rk4_step_matrix(generator: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of v' = G v as a matrix (exact for linear G)."""
-    d = generator.shape[0]
+def rk4_step_matrix(generator: np.ndarray, dt) -> np.ndarray:
+    """One classical RK4 step of v' = G v as a matrix (exact for linear G), of
+    each generator of a (..., d, d) stack, dt a float or (..., 1, 1): each
+    stacked product is a lone generator's BLAS call, so each step its bits."""
+    d = generator.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse infs and NaNs
         a = generator * dt
         m = np.eye(d, dtype=complex) + a / 4
@@ -220,43 +208,38 @@ def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
-def closed_blocks(hs, psi0s, configs):
+def closed_blocks(steps, psi0s, configs):
     """Advance b pure states in lockstep, each under its own H and time step.
 
-    psi' = -i H psi by RK4 with renormalisation after every step.  All
-    configs must share the step count and the record stride; H and dt differ
-    per state and live in its step matrix.  Each step is one stacked
-    matrix-vector product and one norm per state, which gives the bits of a
-    lone ``step.dot(psi)`` and ``vdot`` whatever the batch (checked on
-    OpenBLAS by ``tests/test_lockstep.py``).  Yields ``(times, states,
-    drift)`` for consecutive blocks of records: ``times`` has shape (b, r),
-    ``states`` (b, r, width) the first width components, width the length
-    of the initial states (at most H's dimension d), and ``drift`` each
-    state's largest per-step norm deviation before renormalisation so far.
-    The states, zero-padded to d, step and renormalise only those
-    components: the first width rows of each step matrix times the full
-    state, which keeps every dot product of the full product, while the
-    other components stay +0.0.  Before the first step, longer states
-    raise ValueError, non-finite steps StepOverflowError, and steps linking
-    the initial support to a component from width on ValueError; a block
-    whose norms overflow raises StepOverflowError before it is yielded.  r
-    keeps r*b*width^2 within BLOCK_ENTRIES.
+    psi' = -i H psi by RK4 with renormalisation after every step: ``steps``
+    (b, d, d) holds each state's ``rk4_step_matrix(-1j H, dt)``; all configs
+    share the step count and the record stride, and their dt spaces the
+    records.  Each step is one stacked matrix-vector product and one norm
+    per state, the bits of a lone ``step.dot(psi)`` and ``vdot`` whatever
+    the batch (``tests/test_lockstep.py``).  Yields ``(times, states,
+    drift)`` per block of records: ``times`` (b, r), ``states`` (b, r,
+    width), the first width components, width the initial states' length
+    (at most d), and ``drift`` each state's largest per-step norm deviation
+    so far.  Only those rows are stepped and renormalised, each the dot
+    product of a full row with the zero-padded state; the others stay +0.0.
+    Before the first step, longer states raise ValueError, non-finite steps
+    StepOverflowError, and steps linking the initial support to a component
+    from width on ValueError; a block whose norms overflow raises
+    StepOverflowError before it is yielded.  r keeps r*b*width^2 within
+    BLOCK_ENTRIES.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
     if any(c.n_steps != n_steps or c.record_stride != stride for c in configs):
         raise ValueError("lockstep closed legs need one step count and record stride")
-    cols = []
-    for psi0 in psi0s:
-        psi = np.asarray(psi0, dtype=complex).copy()
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("psi0 must be normalized")
-        psi /= norm
-        cols.append(psi)
-    steps = np.array([rk4_step_matrix(-1j * np.asarray(h, dtype=complex), c.dt)
-                      for h, c in zip(hs, configs)])
-    b, width, d = len(cols), cols[0].size, steps.shape[-1]
+    # each norm as np.linalg.norm takes it: ddot of the real and imaginary parts
+    cols = np.array(psi0s, dtype=complex)
+    norms = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))
+    if (np.abs(norms - 1.0) > 1e-9).any():
+        raise ValueError("psi0 must be normalized")
+    cols /= norms[:, None]
+    steps = np.asarray(steps)
+    (b, width), d = cols.shape, steps.shape[-1]
     if steps.shape != (b, d, d) or width > d:
         raise ValueError("psi0 and hamiltonian dimensions disagree")
     if not np.isfinite(steps).all():
@@ -306,45 +289,46 @@ def evolve_closed(h: np.ndarray, psi0: np.ndarray,
                   config: IntegratorConfig) -> TrajectoryRecord:
     """RK4 integration of psi' = -i H psi with per-step renormalization:
     ``closed_blocks`` of one state, its blocks joined."""
-    times, states, drift = zip(*closed_blocks([h], [psi0], [config]))
+    step = rk4_step_matrix(-1j * np.asarray(h, dtype=complex), config.dt)
+    times, states, drift = zip(*closed_blocks(step[None], [psi0], [config]))
     return TrajectoryRecord(times=np.concatenate(times, axis=1)[0],
                             states=np.concatenate(states, axis=1)[0], config=config,
                             max_norm_drift=float(drift[-1][0]))
 
 
-def lindblad_blocks(specs, rho0s, configs):
+def rk4_hop(spec: LindbladSpec, dt, stride: int) -> np.ndarray:
+    """``stride`` RK4 steps of each Liouvillian of ``spec`` composed into one
+    hop between records (the samples of single steps, up to float
+    associativity); dt as in ``rk4_step_matrix``, each product a lone hop's."""
+    with np.errstate(over="ignore", invalid="ignore"):  # lindblad_blocks refuses infs and NaNs
+        return np.linalg.matrix_power(rk4_step_matrix(liouvillian(spec), dt), stride)
+
+
+def lindblad_blocks(hops, rho0s, configs):
     """Advance b density matrices in lockstep, each under its own Lindbladian.
 
-    ``rho0s`` has shape (b, d, d): state i advances under ``specs[i]`` with
-    time step ``configs[i].dt``.  All configs must share the step count and
-    the record stride.  Each record is one stacked product
-    (b, d^2, d^2) @ (b, d^2, 1) of the states' hops and vectorised states,
-    which gives the bits of each state's own ``hop @ vec`` (checked on
-    OpenBLAS), so a trajectory's results do not depend on what shares its
-    batch.  Yields ``(times, states)`` for consecutive blocks of records:
-    ``times`` has shape (b, r) and ``states`` (b, r, d, d).  Every block
-    passes the density checks on its N blocks as one (b*r, d, d) stack.  r
-    keeps r*b*d^2 within BLOCK_ENTRIES.  Before the first product, a
-    reachable entry of vec(rho) (``_reached``) between two N blocks raises
-    ValueError, so every record is block-diagonal in N; hops with a
-    non-finite entry, or whose spectral radius on the reachable entries
-    exceeds 1 + HOP_RADIUS_TOL, raise PositivityError.
+    ``rho0s`` (b, d, d): state i advances by ``hops[i]``, its ``rk4_hop`` of
+    its config's stride and dt; all configs share the step count and the
+    record stride.  Each record is one stacked product (b, d^2, d^2) @ (b,
+    d^2, 1), written into its block, with the bits of each state's own ``hop
+    @ vec`` (checked on OpenBLAS), so a trajectory does not depend on its
+    batch.  Yields ``(times, states)`` per block of records: ``times`` (b, r)
+    and ``states`` (b, r, d, d); every block passes the density checks on its
+    N blocks as one (b*r, d, d) stack, and r keeps r*b*d^2 within
+    BLOCK_ENTRIES.  Before the first product, a reachable entry of vec(rho)
+    (``_reached``) between two N blocks raises ValueError, so every record is
+    block-diagonal in N; a hop with a non-finite entry, or whose spectral
+    radius on the reachable entries exceeds 1 + HOP_RADIUS_TOL, raises
+    PositivityError.
     """
     configs = list(configs)
     n_steps, stride = configs[0].n_steps, configs[0].record_stride
     if any(cfg.n_steps != n_steps or cfg.record_stride != stride for cfg in configs):
         raise ValueError("lockstep open legs need one step count and record stride")
-    rho0s = np.asarray(rho0s, dtype=complex)
+    rho0s, hops = np.asarray(rho0s, dtype=complex), np.asarray(hops)
     b, d = rho0s.shape[0], rho0s.shape[-1]
-    if (rho0s.shape != (b, d, d) or len(specs) != b or len(configs) != b
-            or any(s.hamiltonian.shape != (d, d) for s in specs)):
-        raise ValueError("rho0 and hamiltonian dimensions disagree")
-
-    # compose record_stride RK4 steps into one matrix; the recorded samples
-    # are identical to stepping one dt at a time (up to float associativity)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hops = np.array([np.linalg.matrix_power(rk4_step_matrix(liouvillian(s), cfg.dt),
-                                                stride) for s, cfg in zip(specs, configs)])
+    if rho0s.shape != (b, d, d) or len(configs) != b or hops.shape != (b, d * d, d * d):
+        raise ValueError("rho0 and hop dimensions disagree")
     if not np.isfinite(hops).all():
         raise PositivityError("the RK4 hop is not finite (time step too large)")
     vecs = rho0s.reshape(b, d * d, 1)
@@ -361,11 +345,13 @@ def lindblad_blocks(specs, rho0s, configs):
     for start in range(0, n_rec, per_block):
         block_times = np.arange(start, min(start + per_block, n_rec)) * spacing
         r = block_times.shape[1]
-        states = np.empty((b, r, d, d), dtype=complex)
-        for k in range(r):
+        states = np.empty((b, r, d * d, 1), dtype=complex)
+        for k in range(r):  # each record's product straight into its slot
             if start + k:
-                vecs = np.matmul(hops, vecs)
-            states[:, k] = vecs.reshape(b, d, d)
+                vecs = np.matmul(hops, vecs, out=states[:, k])
+            else:
+                states[:, 0] = vecs
+        states = states.reshape(b, r, d, d)
         _check_density_stack(states.reshape(b * r, d, d), block_times.reshape(-1))
         yield block_times, states
 
@@ -374,7 +360,8 @@ def evolve_lindblad(spec: LindbladSpec, rho0: np.ndarray,
                     config: IntegratorConfig) -> TrajectoryRecord:
     """RK4 Lindblad integration of one state: ``lindblad_blocks`` of it, its
     blocks joined."""
-    times, states = zip(*lindblad_blocks([spec], np.asarray(rho0)[None], [config]))
+    hop = rk4_hop(spec, config.dt, config.record_stride)
+    times, states = zip(*lindblad_blocks(hop[None], np.asarray(rho0)[None], [config]))
     return TrajectoryRecord(times=np.concatenate(times, axis=1)[0],
                             states=np.concatenate(states, axis=1)[0], config=config)
 

@@ -1,28 +1,23 @@
 """Parameter sweeps: negativity, geometric-phase and Bloch data products.
 
 Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all,
-each from sector ``START_SECTOR``.  Sweeps are deterministic (no randomness
-anywhere in the pipeline), run in one process and assemble rows in grid
-order, so re-running an identical spec reproduces the CSV byte for byte.  A
-slice of the points forms a chunk, whose hop matrices hold at most
-``BLOCK_ENTRIES`` entries, and one loop runs the chunks.  A chunk's closed
-legs advance in lockstep (``dynamics.closed_blocks``) under the full
-space's H from states on the reached space (``hilbert.reached_space``, Fock
-levels 0..START_SECTOR), and record only it; its open legs and every
-negativity and Bloch series run on it, whose states and operators are exact
-slices of the full ones, and it sizes both legs' blocks.  Every grid point
-has its own open-leg generator, so its rows are those of the point run
-alone, and the open legs of a chunk advance in lockstep
-(``dynamics.lindblad_blocks``).  A kind reduces the blocks of either leg
-through one interface, ``(spec, reached space, blocks) -> one reduction per
-point``; the phase and Bloch kinds track the start sector's eigenpairs of
-each open block (``information.sector_eigh``) with one ``BranchTracker``
-per chunk.
+each from sector ``START_SECTOR``.  Sweeps are deterministic, run in one
+process and assemble rows in grid order, so an identical spec reproduces
+the CSV byte for byte.  ``_point_rows`` runs the points by chunks, whose
+hops hold at most ``BLOCK_ENTRIES`` entries, with one stacked set-up per
+chunk (``leg_setup``).  A chunk's closed legs advance in lockstep
+(``dynamics.closed_blocks``) under the full space's H from states on the
+reached space (``hilbert.reached_space``, Fock levels 0..START_SECTOR), and
+record only it; its open legs, one hop each, and every negativity and
+Bloch series run on it (``dynamics.lindblad_blocks``).  A kind reduces the
+blocks of either leg through one interface, ``(spec, reached space,
+blocks) -> one reduction per point``; the phase and Bloch kinds track the
+start sector's eigenpairs of each open block (``information.sector_eigh``)
+with one ``BranchTracker`` per chunk.
 
-This module writes every output file.  Each row layout is a column tuple
-and one ``%``-template next to it, each kind's row in ``KINDS`` names its
-chart builder, and ``_write_csv`` streams every CSV, the sweeps' and the
-``evolve`` trajectory's, through a template.
+This module writes every output file: each row layout is a column tuple
+and a ``%``-template, each kind names its chart builder, and ``_write_csv``
+streams every CSV through a template.
 """
 
 from __future__ import annotations
@@ -42,6 +37,8 @@ from .dynamics import (
     LindbladSpec,
     closed_blocks,
     lindblad_blocks,
+    rk4_hop,
+    rk4_step_matrix,
 )
 from .geomphase import (
     BranchTracker,
@@ -52,10 +49,11 @@ from .geomphase import (
     wrap_angle,
 )
 from .hilbert import SpaceSpec, reached_space
-from .information import bloch_series, negativity, planarity, sector_eigh
+from .information import bloch_series, negativity, planarity, projectors, sector_eigh
 from .model import (
     InitialStateSpec,
     ModelParams,
+    collapse_operators,
     hamiltonian,
     initial_state,
     is_resonant,
@@ -299,53 +297,63 @@ def _bloch_planarity(points, rows) -> dict:
                           for key, xyz in paths.items()}}
 
 
-def leg_setup(params: ModelParams, n: int, space: SpaceSpec, periods: float,
-              steps_per_period: int, record_stride: int
-              ) -> tuple[float, IntegratorConfig, np.ndarray, LindbladSpec]:
-    """(period, integrator grid, H, open-leg spec) of the legs that start in
-    sector ``n``, the spec on ``reached_space(n, space)`` (checked first)
-    from the slice of H: the grid spans ``periods`` Rabi periods of that
-    sector, which must be finite and positive."""
-    reached = reached_space(n, space)
+def leg_grid(params: ModelParams, n: int, space: SpaceSpec, periods: float,
+             steps_per_period: int, record_stride: int) -> tuple[float, IntegratorConfig]:
+    """(period, integrator grid) of the legs that start in sector ``n``, after
+    the truncation check (``reached_space``): the grid spans ``periods`` Rabi
+    periods of that sector, which must be finite and positive."""
+    reached_space(n, space)
     rabi = sector_analytics(params, n).rabi_frequency
     period = 2 * math.pi / rabi if rabi > 0 else math.inf
     if not 0 < period < math.inf:
         raise ConfigError(f"the sector-{n} Rabi frequency is {rabi:g}, which gives no "
                           "finite positive period: choose model.g, model.delta and "
                           "model.chi on a scale nearer 1")
-    config = IntegratorConfig.for_periods(period, periods, steps_per_period, record_stride)
-    h, d = hamiltonian(params, space), reached.dim
-    return period, config, h, LindbladSpec.from_params(params, reached, h[:d, :d])
+    return period, IntegratorConfig.for_periods(period, periods, steps_per_period,
+                                                record_stride)
+
+
+def leg_setup(params, configs, n: int, space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The closed legs' RK4 steps (b, D, D) on ``space`` and the open legs'
+    hops (b, d^2, d^2) on ``reached_space(n, space)``, from the slices of H,
+    of each set of ``params`` on its grid in ``configs``, all at the rates of
+    the first: one stacked build of each, every element with its own bits."""
+    reached = reached_space(n, space)
+    dts, d = np.array([c.dt for c in configs])[:, None, None], reached.dim
+    h = hamiltonian(params, space)
+    spec = LindbladSpec(h[:, :d, :d], collapse_operators(params[0], reached))
+    return rk4_step_matrix(-1j * h, dts), rk4_hop(spec, dts, configs[0].record_stride)
 
 
 def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
     """Rows of (value, params, initial state) points, in grid order.
 
-    The ``leg_setup`` of each set of model parameters is built once, in one
-    table.  The points run by chunks of at most BLOCK_ENTRIES // d**4 (one
-    at least), d the reached space's dimension, and each point's initial
-    state is built once, on it.  A chunk's closed legs advance from those
-    states in lockstep (``closed_blocks``) under the full space's H, record
-    their length and are reduced block by block; then its open legs run on
-    the reached space from their projectors, one generator per point, in
-    lockstep (``lindblad_blocks``), reduced as the closed legs are.  Each
-    point's two reductions then become its rows.
+    Every point's grid is checked and set first (``leg_grid``).  The points
+    run by chunks of at most BLOCK_ENTRIES // d**4 (one at least), d the
+    reached space's dimension; a chunk's set-up is one stacked ``leg_setup``
+    of its distinct model parameters, indexed per point.  Its closed legs
+    advance in lockstep from the initial states on the reached space, then
+    its open legs from their projectors; the kind reduces each leg's blocks,
+    and each point's two reductions become its rows.
     """
     reached = reached_space(START_SECTOR, spec.space)
-    setups = {params: leg_setup(params, START_SECTOR, spec.space, kind.horizon(spec),
-                                spec.steps_per_period, spec.record_stride)
-              for _, params, _ in points}
+    grids = {params: leg_grid(params, START_SECTOR, spec.space, kind.horizon(spec),
+                              spec.steps_per_period, spec.record_stride)
+             for _, params, _ in points}
     per_chunk = max(1, BLOCK_ENTRIES // reached.dim ** 4)
     rows = []
     for start in range(0, len(points), per_chunk):
         chunk = points[start:start + per_chunk]
+        at: dict = {}  # each distinct set of parameters -> its place in the set-up
+        index = [at.setdefault(params, len(at)) for _, params, _ in chunk]
+        steps, hops = leg_setup(list(at), [grids[p][1] for p in at], START_SECTOR, spec.space)
+        periods, configs = zip(*(grids[params] for _, params, _ in chunk))
         psi0s = [initial_state(init, reached) for _, _, init in chunk]
-        periods, configs, hs, specs = zip(*(setups[params] for _, params, _ in chunk))
         # both legs record the reached space and size their blocks by it:
         # their reducers build d x d matrices per state
-        closed = kind.closed(spec, reached, closed_blocks(hs, psi0s, configs))
+        closed = kind.closed(spec, reached, closed_blocks(steps[index], psi0s, configs))
         rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
-        opened = kind.opened(spec, reached, lindblad_blocks(specs, rho0s, configs))
+        opened = kind.opened(spec, reached, lindblad_blocks(hops[index], rho0s, configs))
         rows += [row for (value, _, _), period, c, o in zip(chunk, periods, closed, opened)
                  for row in kind.rows(spec, value, period, c, o)]
     return rows
@@ -496,7 +504,7 @@ def write_trajectory_csv(blocks, dim: int, path) -> None:
     """Debug dump of the blocks of one state's leg (``closed_blocks`` or
     ``lindblad_blocks``), each written as it arrives: t, then row-major
     Re/Im of the density-matrix entries, pure states as their projectors,
-    zero-padded to ``dim`` x ``dim``.
+    zero-padded to ``dim`` x ``dim`` in slices of at most BLOCK_ENTRIES entries.
 
     Entry (i, j) is named ``re_<i><j>``/``im_<i><j>``, each index
     zero-padded to the width of dim - 1, so every name is distinct.
@@ -505,13 +513,15 @@ def write_trajectory_csv(blocks, dim: int, path) -> None:
     header = ",".join(["t", *(f"{part}_{i:0{w}d}{j:0{w}d}" for i in range(dim)
                               for j in range(dim) for part in ("re", "im"))])
 
+    per_slice = max(1, BLOCK_ENTRIES // (dim * dim))  # records padded at once
+
     def records():
-        for (times,), (states,), *_ in blocks:
-            mats = states if states.ndim == 3 else np.einsum(
-                "ki,kj->kij", states, states.conj())
-            pad = dim - mats.shape[1]
-            mats = np.pad(mats, ((0, 0), (0, pad), (0, pad)))
-            # the complex entries viewed as float64 are Re, Im in header order
-            yield from map(tuple, np.column_stack(
-                (times, mats.reshape(len(times), -1).view(np.float64))))
+        for (all_times,), (all_states,), *_ in blocks:
+            for i in range(0, len(all_times), per_slice):
+                times, mats = all_times[i:i + per_slice], projectors(all_states[i:i + per_slice])
+                pad = dim - mats.shape[1]
+                mats = np.pad(mats, ((0, 0), (0, pad), (0, pad)))
+                # the complex entries viewed as float64 are Re, Im in header order
+                yield from map(tuple, np.column_stack(
+                    (times, mats.reshape(len(times), -1).view(np.float64))))
     _write_csv(path, [header], ",".join(["%.17g"] * (1 + 2 * dim * dim)) + "\n", records())

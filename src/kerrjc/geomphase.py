@@ -12,15 +12,13 @@ reported phase is unwrapped without any post-hoc heuristic while genuine
 pi-jumps at antipodal crossings survive.
 
 The open-system phase follows the density-matrix eigenvector branch whose
-eigenvalue is one at t0, continued by maximal overlap (not by eigenvalue
-order, since the branch's eigenvalue decays and may cross others), on the
-start sector's two eigenpairs: dissipation only lowers N, and every other
-eigenvector has zero overlap with that sector.  ``BranchTracker`` follows
-many points at once and picks in one batched pass per block; only the
-phase fix of each picked vector is a per-sample recurrence, kept in its
+eigenvalue is one at t0, continued by maximal overlap (its eigenvalue
+decays and may cross others) on the start sector's two eigenpairs:
+dissipation only lowers N.  ``BranchTracker`` picks in one batched pass per
+block; only the phase fix of each pick is a per-sample recurrence, in its
 exact sequential form (a dot product on a strided column, then
 ``arctan2``), because a cumulative-sum form changes the bits of the chain
-and can move a phase by 2 pi where it passes an antipodal crossing.
+and can move a phase by 2 pi at an antipodal crossing.
 """
 
 from __future__ import annotations
@@ -243,14 +241,15 @@ class BranchTracker:
         vectors = np.empty((b, n, dim), dtype=complex)
         prev = self._prev
         # the fix's buffers, each written in place by the ufunc that makes it;
-        # turn = -1j * angle, whose real part is +0.0 for every finite angle
-        conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)
-        angle, (turn, fix) = np.empty((b, 1)), np.zeros((2, b, 1), dtype=complex)
-        rows, ov_re, ov_im, turn_im = conj[:, 0], ov.real[:, 0], ov.imag[:, 0], turn.imag
+        # vecdot (zdotc) of prev and vec has the bits of zdotu of conj(prev)
+        # and vec, signed zeros too, and turn = -1j * arg<prev|vec>, whose real
+        # part is +0.0 for every finite angle
+        ov, angle = np.empty(b, dtype=complex), np.empty(b)
+        turn, fix = np.zeros((2, b, 1), dtype=complex)
+        ov_re, ov_im, turn_im = ov.real, ov.imag, turn.imag[:, 0]
         for k in range(n):
             vec = picked[:, k]
-            np.conjugate(prev, out=rows)
-            np.matmul(conj, vec[:, :, None], out=ov)
+            np.vecdot(prev, vec, out=ov)
             np.negative(np.arctan2(ov_im, ov_re, out=angle), out=turn_im)
             prev = np.multiply(vec, np.exp(turn, out=fix), out=vectors[:, k])
 

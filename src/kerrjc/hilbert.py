@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOM_G = "g"
-ATOM_E = "e"
-
-
 class TruncationError(RuntimeError):
     """The dynamics can reach the highest kept Fock level."""
 
@@ -40,20 +36,12 @@ class SpaceSpec:
         return 2 * (self.n_max + 1)
 
 
-def flat_index(atom: str, photons: int, spec: SpaceSpec) -> int:
-    """Index of |atom, photons> in the ordered basis."""
-    if atom not in (ATOM_G, ATOM_E):
-        raise ValueError(f"atom must be 'g' or 'e', got {atom!r}")
-    if not 0 <= photons <= spec.n_max:
-        raise ValueError(f"photon number {photons} outside [0, {spec.n_max}]")
-    return 2 * photons + (1 if atom == ATOM_E else 0)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices: the same products a_ij * b_kl, so the same
+    """``np.kron`` of two matrices, or of each pair of two stacks of them
+    (leading axes broadcast): the same products a_ij * b_kl, so the same
     bits (signed zeros too), without its generic-shape overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def annihilation(spec: SpaceSpec) -> np.ndarray:
@@ -86,9 +74,9 @@ def sigma_z(spec: SpaceSpec) -> np.ndarray:
 
 def sector_indices(n: int, spec: SpaceSpec) -> tuple[int, int]:
     """Flat indices of the sector-n basis {|e,n-1>, |g,n>}."""
-    if n < 1:
-        raise ValueError("sector index n must be >= 1")
-    return (flat_index(ATOM_E, n - 1, spec), flat_index(ATOM_G, n, spec))
+    if not 1 <= n <= spec.n_max:
+        raise ValueError(f"sector index n = {n} outside [1, {spec.n_max}]")
+    return 2 * n - 1, 2 * n
 
 
 def reached_space(n0: int, spec: SpaceSpec) -> SpaceSpec:
@@ -111,6 +99,12 @@ def off_n_blocks(rhos: np.ndarray) -> bool:
 def n_blocks(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries of the N blocks of an (n, d, d) stack, 1x1 at |g,0> and
     |e,n_max> and 2x2 on {|e,N-1>, |g,N>} (N = 1..n_max): the diagonal (n, d),
-    and rho[2N-1, 2N] and rho[2N, 2N-1] of each 2x2 block, (n, n_max) each."""
+    and rho[2N-1, 2N] and rho[2N, 2N-1] of each 2x2 block, (n, n_max) each;
+    of pure states (n, d), their projectors', as einsum's ``ki,kj->kij``."""
+    if rhos.ndim == 2:
+        d = rhos.shape[1]
+        i, j = np.r_[0:d, 1:d - 1:2, 2:d:2], np.r_[0:d, 2:d:2, 1:d - 1:2]
+        entries = np.einsum("ki,ki->ki", rhos[:, i], rhos.conj()[:, j])
+        return tuple(np.split(entries, [d, 3 * d // 2 - 1], axis=1))
     return (np.diagonal(rhos, 0, 1, 2), np.diagonal(rhos, 1, 1, 2)[:, 1::2],
             np.diagonal(rhos, -1, 1, 2)[:, 1::2])

@@ -58,15 +58,15 @@ def partial_transpose_atom(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     return blocks.transpose(0, 1, 4, 3, 2).reshape(n, d, d)
 
 
-def block_trace_norm(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """||rho^T_A||_1 of each N-block-diagonal matrix of an (n, d, d) stack.
+def block_trace_norm(blocks, spec: SpaceSpec) -> np.ndarray:
+    """||rho^T_A||_1 of each N-block-diagonal matrix of a stack, from its N
+    blocks (``hilbert.n_blocks``).
 
     The partial transpose is block-diagonal: 2x2 blocks on {|g,k>, |e,k+1>}
     with diagonal a = rho_gk,gk, b = rho_e(k+1),e(k+1) and off-diagonal
-    c = rho_ek,g(k+1) (``hilbert.n_blocks``), of trace norm
-    max(|a + b|, sqrt((a - b)^2 + 4|c|^2)), and the 1x1 blocks |e,0> and
-    |g,n_max>, which add |their population|."""
-    diag, upper, _ = hilbert.n_blocks(rhos)
+    c = rho_ek,g(k+1), of trace norm max(|a + b|, sqrt((a - b)^2 + 4|c|^2)),
+    and the 1x1 blocks |e,0> and |g,n_max>, which add |their population|."""
+    diag, upper, _ = blocks
     pops, c = diag.real, np.abs(upper)
     a, b = pops[:, 0:-2:2], pops[:, 3::2]
     pairs = np.maximum(np.abs(a + b), np.hypot(a - b, 2 * c))
@@ -170,19 +170,27 @@ def _from_eigs(pts: np.ndarray) -> np.ndarray:
     return np.where(eigs < 0, -eigs, 0.0).sum(axis=1)
 
 
-def _replayed(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+def projectors(states: np.ndarray) -> np.ndarray:
+    """A density stack as it is, or the projectors of an (n, d) pure one."""
+    return states if states.ndim == 3 else np.einsum("ki,kj->kij", states, states.conj())
+
+
+def _replayed(rhos: np.ndarray, spec: SpaceSpec, blocks=None) -> np.ndarray:
     """``_from_eigs`` of the partial transposes of an N-block-diagonal stack,
-    by LAPACK zheevd('N', 'L')'s float64 operations where d = 4 (sector 1's
-    reached space): zhetd2 reduces the block that z = rho[|g,1>, |e,0>]
-    couples to d = (rho_g0,g0, 0) and e0 = -||z|| (dznrm2 sums in x87
-    extended precision, longdouble here), and dsterf's dlae2 of it, after
-    rte = sqrt(e0^2), gives the one negative eigenvalue rt2.  Records LAPACK
-    treats otherwise take eigvalsh: an |e,1> or a negative population, a
-    subnormal |e,0> one (zhetd2 halves it), a largest entry above _RMAX, or
-    z != 0 with |e0| < _BETA_MIN or a block below _SSFMIN (as all below _RMIN have)."""
+    or of pure states' ``projectors``, whose N blocks are ``blocks``
+    (``hilbert.n_blocks``, built if None), by LAPACK zheevd('N', 'L')'s
+    float64 operations where d = 4 (sector 1's reached space): zhetd2
+    reduces the block that z = rho[|g,1>, |e,0>] couples to d = (rho_g0,g0,
+    0) and e0 = -||z|| (dznrm2 sums in x87 extended precision, longdouble
+    here), and dsterf's dlae2 of it, after rte = sqrt(e0^2), gives the one
+    negative eigenvalue rt2.  Records LAPACK treats otherwise take eigvalsh:
+    an |e,1> or a negative population, a subnormal |e,0> one (zhetd2 halves
+    it), a largest entry above _RMAX, or z != 0 with |e0| < _BETA_MIN or a
+    block below _SSFMIN (as all below _RMIN have)."""
     if spec.dim != 4:
-        return _from_eigs(partial_transpose_atom(rhos, spec))
-    pops, z = np.diagonal(rhos, 0, 1, 2).real, rhos[:, 2, 1]
+        return _from_eigs(partial_transpose_atom(projectors(rhos), spec))
+    diag, _, lower = hilbert.n_blocks(rhos) if blocks is None else blocks
+    pops, z = diag.real, lower[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         zl = z.astype(np.clongdouble)
         beta = np.sqrt(zl.real * zl.real + zl.imag * zl.imag).astype(float)
@@ -196,7 +204,7 @@ def _replayed(rhos: np.ndarray, spec: SpaceSpec) -> np.ndarray:
               | ((pops[:, 1] > 0) & (pops[:, 1] < 2 * _SAFMIN)) | ~(anorm <= _RMAX)
               | ((z != 0) & ((beta < _BETA_MIN) | (block < _SSFMIN))))
     if lapack.any():
-        neg[lapack] = _from_eigs(partial_transpose_atom(rhos[lapack], spec))
+        neg[lapack] = _from_eigs(partial_transpose_atom(projectors(rhos[lapack]), spec))
     return neg
 
 
@@ -207,15 +215,22 @@ def negativity(states: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     Cross-checked against the trace-norm form (||rho^T_A||_1 - 1)/2, by
     ``block_trace_norm``, or by SVD if any entry between two N blocks is
     nonzero; the two must agree to NEGATIVITY_FORMULA_TOL or the eigensolve is suspect.
+    A pure state's projector has such an entry where the state has support in
+    two N blocks; else only the entries of its N blocks are built.
     """
-    rhos = np.einsum("ki,kj->kij", states, states.conj()) if states.ndim == 2 else states
-    if hilbert.off_n_blocks(rhos):
-        pt = partial_transpose_atom(rhos, spec)
+    if states.ndim == 2:
+        n = (np.arange(states.shape[1]) + 1) // 2  # N of each basis state
+        off = bool(((support := states != 0) @ (n[:, None] != n) & support).any())
+    else:
+        off = hilbert.off_n_blocks(states)
+    if off:
+        pt = partial_transpose_atom(projectors(states), spec)
         from_eigs = _from_eigs(pt)
         norms = np.linalg.svd(pt, compute_uv=False).sum(axis=1)
     else:
-        from_eigs = _replayed(rhos, spec)
-        norms = block_trace_norm(rhos, spec)
+        blocks = hilbert.n_blocks(states)
+        from_eigs = _replayed(states, spec, blocks)
+        norms = block_trace_norm(blocks, spec)
     from_norm = (norms - 1.0) / 2.0
     worst = np.abs(from_eigs - from_norm).max()
     if worst > NEGATIVITY_FORMULA_TOL:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -93,26 +94,13 @@ class InitialStateSpec:
             raise ValueError("sector index n must be >= 1")
 
 
-def hamiltonian(params: ModelParams, spec: SpaceSpec) -> np.ndarray:
-    """(delta/2) sigma_z + chi n^2 + g (sigma_+ a + sigma_- a†) on the full space."""
-    nop = hilbert.number_op(spec)
-    a = hilbert.annihilation(spec)
-    sp = hilbert.sigma_plus(spec)
-    sm = hilbert.sigma_minus(spec)
-    return (params.delta / 2) * hilbert.sigma_z(spec) + params.chi * (nop @ nop) \
-        + params.g * (sp @ a + sm @ a.conj().T)
-
-
-def sector_block(params: ModelParams, n: int) -> np.ndarray:
-    """2x2 Hamiltonian block in the basis {|e,n-1>, |g,n>}."""
-    if n < 1:
-        raise ValueError("sector n=0 is one-dimensional, no block")
-    d, chi, g = params.delta, params.chi, params.g
-    return np.array(
-        [[d / 2 + chi * (n - 1) ** 2, g * math.sqrt(n)],
-         [g * math.sqrt(n), -d / 2 + chi * n**2]],
-        dtype=complex,
-    )
+def hamiltonian(params: Sequence[ModelParams], spec: SpaceSpec) -> np.ndarray:
+    """(delta/2) sigma_z + chi n^2 + g (sigma_+ a + sigma_- a†) on the full
+    space, of each set of ``params``: shape (b, d, d), a point a stack of one."""
+    nop, a, sm = hilbert.number_op(spec), hilbert.annihilation(spec), hilbert.sigma_minus(spec)
+    delta, chi, g = np.array([(p.delta, p.chi, p.g) for p in params]).T[:, :, None, None]
+    return (delta / 2) * hilbert.sigma_z(spec) + chi * (nop @ nop) \
+        + g * (hilbert.sigma_plus(spec) @ a + sm @ a.conj().T)
 
 
 def sector_analytics(params: ModelParams, n: int) -> SectorAnalytics:

@@ -1,8 +1,8 @@
-"""Test-only basis states, and reference forms of the package's operators
+"""Test-only basis indices and states, and reference forms of the package's operators
 independent of its vectorised code: the dense density checks, the Lindblad
 right-hand side as matrix in, matrix out, a hand-coded right-hand side on
 the five lowest basis states, the excitation number operator, the sector
-eigenvectors and the closed-form resonant evolution; the geometric
+Hamiltonian block and eigenvectors and the closed-form resonant evolution; the geometric
 identities of the sweeps' states, phases as solid angles and negativity
 from the Bloch vector and the leaked population; and the one-trajectory
 geometric phases at a recorded time: closed, open from the tracked
@@ -35,14 +35,34 @@ from kerrjc.geomphase import (
 )
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.information import bloch_series
-from kerrjc.model import ModelParams, is_resonant, sector_analytics
+from kerrjc.model import (
+    ModelParams,
+    collapse_operators,
+    hamiltonian,
+    is_resonant,
+    sector_analytics,
+)
+
+
+def flat_index(atom: str, photons: int, spec: SpaceSpec) -> int:
+    """Index of |atom, photons> in the ordered basis (``hilbert``)."""
+    if atom not in ("g", "e"):
+        raise ValueError(f"atom must be 'g' or 'e', got {atom!r}")
+    if not 0 <= photons <= spec.n_max:
+        raise ValueError(f"photon number {photons} outside [0, {spec.n_max}]")
+    return 2 * photons + (1 if atom == "e" else 0)
 
 
 def basis_state(atom: str, photons: int, spec: SpaceSpec) -> np.ndarray:
     """|atom, photons> as a vector of the full space."""
     v = np.zeros(spec.dim, dtype=complex)
-    v[hilbert.flat_index(atom, photons, spec)] = 1.0
+    v[flat_index(atom, photons, spec)] = 1.0
     return v
+
+
+def lindblad_spec(params: ModelParams, spec: SpaceSpec) -> LindbladSpec:
+    """The Lindbladian of ``params`` on ``spec``: H and its collapse channels."""
+    return LindbladSpec(hamiltonian([params], spec)[0], collapse_operators(params, spec))
 
 
 def dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -136,6 +156,18 @@ def excitation_number(spec: SpaceSpec) -> np.ndarray:
     """Conserved excitation count a†a + σ+σ-."""
     return (hilbert.number_op(spec)
             + hilbert.sigma_plus(spec) @ hilbert.sigma_minus(spec))
+
+
+def sector_block(params: ModelParams, n: int) -> np.ndarray:
+    """2x2 Hamiltonian block in the basis {|e,n-1>, |g,n>}."""
+    if n < 1:
+        raise ValueError("sector n=0 is one-dimensional, no block")
+    d, chi, g = params.delta, params.chi, params.g
+    return np.array(
+        [[d / 2 + chi * (n - 1) ** 2, g * math.sqrt(n)],
+         [g * math.sqrt(n), -d / 2 + chi * n**2]],
+        dtype=complex,
+    )
 
 
 def dressed_states(params: ModelParams, n: int) -> tuple[np.ndarray, np.ndarray]:

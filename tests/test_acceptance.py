@@ -14,7 +14,6 @@ import pytest
 from kerrjc import hilbert
 from kerrjc.dynamics import (
     IntegratorConfig,
-    LindbladSpec,
     evolve_closed,
     evolve_lindblad,
 )
@@ -37,6 +36,7 @@ from kerrjc.model import (
 from oracles import (
     LOWEX_DIM,
     lindblad_rhs,
+    lindblad_spec,
     lowex_rhs,
     phase_open_general,
     phase_open_pure,
@@ -81,7 +81,7 @@ def test_criterion_01_resonant_oracle():
     period = resonant_period()
     config = IntegratorConfig.for_periods(period, 3.0, 2000, 4)
     psi0 = resonant_state(RESONANT, 1, 0.0, SPACE)
-    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+    traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
     worst = max(
         np.abs(traj.states[k] - resonant_state(RESONANT, 1, t, SPACE)).max()
         for k, t in enumerate(traj.times))
@@ -95,7 +95,7 @@ def test_criterion_02_ode_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
     params = ModelParams(delta=0.7, chi=0.3, gamma=0.13, p=0.07, p_z=0.02)
-    spec = LindbladSpec.from_params(params, SPACE)
+    spec = lindblad_spec(params, SPACE)
 
     def random_lowex(rng):
         def psd2():
@@ -139,7 +139,7 @@ def test_criterion_03_cptp_health():
         period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
         config = IntegratorConfig.for_periods(period, 3.0, 2000, 4)
         psi0 = initial_state(init, SPACE)
-        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE),
+        traj = evolve_lindblad(lindblad_spec(params, SPACE),
                                np.outer(psi0, psi0.conj()), config)
         worst_trace = max(worst_trace,
                           np.abs(np.einsum("kii->k", traj.states).real - 1).max())
@@ -155,7 +155,7 @@ def test_criterion_03_cptp_health():
     n_steps += (-n_steps) % 500
     config = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=500)
     psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-    traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE),
+    traj = evolve_lindblad(lindblad_spec(OPEN, SPACE),
                            np.outer(psi0, psi0.conj()), config)
     fidelity = traj.states[-1][0, 0].real
 
@@ -172,7 +172,7 @@ def test_criterion_04_negativity_sin_law():
     period = resonant_period()
     config = IntegratorConfig.for_periods(period, 3.0, 2000, 8)
     psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+    traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
 
     # independent oracle: brute-force partial transpose of the analytic state
     def brute_negativity(t):
@@ -220,7 +220,7 @@ def test_criterion_06_geodesic_phase_and_pi_jumps():
     period = resonant_period()
     config = IntegratorConfig.for_periods(period, 3.0, 2000, 4)
     psi0 = initial_state(InitialStateSpec(theta0=math.pi), SPACE)  # |g,1>
-    traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+    traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
     phi_period = phase_unitary(traj, period)
     err = abs(phi_period - math.pi)
 
@@ -281,7 +281,7 @@ def test_criterion_09_formula_reduction():
         period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
         config = IntegratorConfig.for_periods(period, 1.0, 1000, 4)
         psi0 = initial_state(init, SPACE)
-        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE),
+        traj = evolve_lindblad(lindblad_spec(params, SPACE),
                                np.outer(psi0, psi0.conj()), config)
         track = track_dominant_eigenvector(traj)
         a = phase_open_pure(track, period)

@@ -441,6 +441,18 @@ class TestDispatch:
         assert out.returncode == EXIT_CONFIG
         assert out.stderr.count("\n") == 1 and out.stderr.startswith("config error: ")
 
+    def test_overflowing_grid_span_is_config_error(self, tmp_path):
+        # np.linspace over a span that overflows a float would warn and give
+        # non-finite grid values: refused first, naming both grid ends, with
+        # one stderr line in a fresh process and nothing written
+        out = fresh_main("sweep", "--kind", "gp_delta", "--out", str(tmp_path),
+                         "--set", "sweep.grid_start=-1e308", "--set", "sweep.grid_stop=1e308",
+                         "--set", "sweep.grid_points=2")
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr.count("\n") == 1 and out.stderr.startswith("config error: ")
+        assert "sweep.grid_start" in out.stderr and "sweep.grid_stop" in out.stderr
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.g=1e-150"],
         ["sweep", "--kind", "gp_theta", "--set", "model.g=1e-150"],
@@ -878,6 +890,20 @@ LARGE_EVOLVES = [
 def test_large_evolve_matches_pinned_digest(tmp_path, argv, digest):
     assert main([*argv, "--no-timestamp", "--out", str(tmp_path)]) == EXIT_OK
     assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+
+
+def test_large_open_evolve_pads_in_slices(tmp_path, monkeypatch):
+    # the open n_max = 10 leg yields its 4 x 4 records as one block; they are
+    # padded to 22 x 22 in slices of at most BLOCK_ENTRIES entries, into the
+    # pinned bytes
+    import kerrjc.experiments as ex
+    real_pad, padded = np.pad, []
+    monkeypatch.setattr(np, "pad", lambda *args: padded.append(real_pad(*args).size)
+                        or real_pad(*args))
+    argv, digest = LARGE_EVOLVES[1]
+    assert main([*argv, "--no-timestamp", "--out", str(tmp_path)]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == digest
+    assert len(padded) > 1 and max(padded) <= ex.BLOCK_ENTRIES
 
 
 def _counting_legs(monkeypatch) -> list:

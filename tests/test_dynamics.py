@@ -18,6 +18,7 @@ from kerrjc.dynamics import (
     evolve_lindblad,
     lindblad_blocks,
     liouvillian,
+    rk4_hop,
     rk4_step_matrix,
 )
 from kerrjc.experiments import (
@@ -45,6 +46,7 @@ from oracles import (
     excitation_number,
     grid_index,
     lindblad_rhs,
+    lindblad_spec,
     lowex_rhs,
     resonant_state,
 )
@@ -112,7 +114,7 @@ class TestDissipator:
 class TestRhs:
     def test_zero_rates_is_von_neumann(self):
         rng = np.random.default_rng(33)
-        h = hamiltonian(RESONANT, SPACE)
+        h = hamiltonian([RESONANT], SPACE)[0]
         spec = LindbladSpec(hamiltonian=h)
         x = rng.normal(size=(SPACE.dim, SPACE.dim)) \
             + 1j * rng.normal(size=(SPACE.dim, SPACE.dim))
@@ -132,7 +134,7 @@ class TestRhs:
     def test_matches_lowex_oracle_on_pattern(self):
         rng = np.random.default_rng(34)
         params = ModelParams(delta=0.7, chi=0.3, gamma=0.13, p=0.07, p_z=0.02)
-        spec = LindbladSpec.from_params(params, SPACE)
+        spec = lindblad_spec(params, SPACE)
         for _ in range(25):
             block = random_lowex_rho(rng)
             full = embed_lowex(block, SPACE)
@@ -157,7 +159,7 @@ class TestRhs:
 
     def test_liouvillian_matches_rhs(self):
         rng = np.random.default_rng(35)
-        spec = LindbladSpec.from_params(OPEN, SPACE)
+        spec = lindblad_spec(OPEN, SPACE)
         sup = liouvillian(spec)
         for _ in range(5):
             x = rng.normal(size=(SPACE.dim, SPACE.dim)) \
@@ -169,7 +171,7 @@ class TestRhs:
             assert np.abs(direct - via_sup).max() < 1e-13
 
     def test_step_matrix_equals_staged_rk4(self):
-        spec = LindbladSpec.from_params(OPEN, SPACE)
+        spec = lindblad_spec(OPEN, SPACE)
         rng = np.random.default_rng(36)
         x = rng.normal(size=(SPACE.dim, SPACE.dim)) \
             + 1j * rng.normal(size=(SPACE.dim, SPACE.dim))
@@ -195,9 +197,9 @@ class TestRK4Order:
         pytest.importorskip("scipy")
         from scipy.linalg import expm
         if open_rates is None:
-            generator = -1j * hamiltonian(RESONANT, SPACE)
+            generator = -1j * hamiltonian([RESONANT], SPACE)[0]
         else:
-            generator = liouvillian(LindbladSpec.from_params(
+            generator = liouvillian(lindblad_spec(
                 RESONANT.with_rates(*open_rates), SPACE))
         errors = [np.abs(rk4_step_matrix(generator, dt) - expm(generator * dt)).max()
                   for dt in (0.04, 0.02, 0.01, 0.005)]
@@ -209,7 +211,7 @@ class TestEvolveClosed:
     def test_matches_resonant_closed_form(self):
         config = resonant_config()
         psi0 = resonant_state(RESONANT, 1, 0.0, SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
         worst = max(
             np.abs(traj.states[k] - resonant_state(RESONANT, 1, t, SPACE)).max()
             for k, t in enumerate(traj.times))
@@ -224,7 +226,7 @@ class TestEvolveClosed:
         i_e, i_g = hilbert.sector_indices(1, SPACE)
         psi0[i_e], psi0[i_g] = plus
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 2.0, 2000, 4)
-        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([params], SPACE)[0], psi0, config)
         for k, t in enumerate(traj.times):
             expected = np.exp(-1j * sa.e_plus * t) * psi0
             assert np.abs(traj.states[k] - expected).max() < 1e-9
@@ -232,14 +234,14 @@ class TestEvolveClosed:
     def test_excitation_expectation_constant(self):
         config = resonant_config(periods=2.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.9, phi0=0.4), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
         nexc = excitation_number(SPACE)
         vals = np.einsum("ki,ij,kj->k", traj.states.conj(), nexc, traj.states).real
         assert np.abs(vals - vals[0]).max() < 1e-10
 
     def test_requires_normalized_input(self):
         with pytest.raises(ValueError):
-            evolve_closed(hamiltonian(RESONANT, SPACE),
+            evolve_closed(hamiltonian([RESONANT], SPACE)[0],
                           2.0 * basis_state("g", 1, SPACE), resonant_config())
 
     def test_non_finite_step_refused_before_stepping(self, monkeypatch):
@@ -248,14 +250,14 @@ class TestEvolveClosed:
         monkeypatch.setattr(dynamics, "_reached", mock.Mock(side_effect=AssertionError))
         config = IntegratorConfig(dt=1e150, t_final=4e150, record_stride=1)
         with pytest.raises(PositivityError, match="RK4 step is not finite"):
-            evolve_closed(hamiltonian(RESONANT, SPACE), basis_state("e", 0, SPACE), config)
+            evolve_closed(hamiltonian([RESONANT], SPACE)[0], basis_state("e", 0, SPACE), config)
 
     def test_norm_overflow_refused_before_yielding(self):
         # dt = 1e57 leaves the step finite (entries near 1e228), but the first
         # step's norm overflows: the block is refused, not yielded as NaNs
         config = IntegratorConfig(dt=1e57, t_final=4e57, record_stride=1)
-        blocks = dynamics.closed_blocks([hamiltonian(RESONANT, SPACE)],
-                                        [basis_state("e", 0, SPACE)], [config])
+        step = rk4_step_matrix(-1j * hamiltonian([RESONANT], SPACE), config.dt)
+        blocks = dynamics.closed_blocks(step, [basis_state("e", 0, SPACE)], [config])
         with pytest.raises(StepOverflowError, match="norm overflowed"):
             next(blocks)
 
@@ -282,7 +284,7 @@ class TestEvolveLindblad:
         config = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=500)
         psi0 = initial_state(InitialStateSpec(theta0=1.1, phi0=0.3), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
+        traj = evolve_lindblad(lindblad_spec(params, SPACE), rho0, config)
         ground_fidelity = traj.states[-1][0, 0].real
         assert ground_fidelity > 1 - 1e-6
 
@@ -290,7 +292,7 @@ class TestEvolveLindblad:
         config = resonant_config(periods=2.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.7), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(RESONANT, SPACE), rho0, config)
+        traj = evolve_lindblad(lindblad_spec(RESONANT, SPACE), rho0, config)
         purity = np.einsum("kij,kji->k", traj.states, traj.states).real
         assert np.abs(purity - 1.0).max() < 1e-9
 
@@ -298,7 +300,7 @@ class TestEvolveLindblad:
         config = resonant_config(periods=3.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
+        traj = evolve_lindblad(lindblad_spec(OPEN, SPACE), rho0, config)
         for rho in traj.states[::50]:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
             assert np.linalg.norm(rho - rho.conj().T) < 1e-9
@@ -313,7 +315,7 @@ class TestEvolveLindblad:
         dt = (2 * math.pi / sa.rabi_frequency) / 2000
         steps = 400
         config = IntegratorConfig(dt=dt, t_final=steps * dt, record_stride=steps)
-        traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), full, config)
+        traj = evolve_lindblad(lindblad_spec(params, SPACE), full, config)
 
         b = block.copy()
         for _ in range(steps):
@@ -328,7 +330,7 @@ class TestEvolveLindblad:
         config = resonant_config(periods=3.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.3), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
+        traj = evolve_lindblad(lindblad_spec(OPEN, SPACE), rho0, config)
         nexc = excitation_number(SPACE)
         vals = np.einsum("kij,ji->k", traj.states, nexc).real
         assert (np.diff(vals) <= 1e-10).all()
@@ -336,7 +338,7 @@ class TestEvolveLindblad:
     def test_step_halving_convergence(self):
         psi0 = initial_state(InitialStateSpec(theta0=0.4), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        spec = LindbladSpec.from_params(OPEN, SPACE)
+        spec = lindblad_spec(OPEN, SPACE)
         coarse = evolve_lindblad(spec, rho0, resonant_config(2.0, 2000, 8))
         fine = evolve_lindblad(spec, rho0, resonant_config(2.0, 4000, 16))
         assert np.allclose(coarse.times, fine.times)
@@ -349,7 +351,7 @@ class TestEvolveLindblad:
         rho0 = np.outer(psi0, psi0.conj())
         config = IntegratorConfig(dt=2.0, t_final=40.0, record_stride=1)
         with pytest.raises(PositivityError):
-            evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
+            evolve_lindblad(lindblad_spec(params, SPACE), rho0, config)
 
     def test_non_finite_hop_refused_before_eigvals(self, monkeypatch):
         # a rate of 1e300 overflows the RK4 polynomial: the hop holds infs
@@ -359,7 +361,7 @@ class TestEvolveLindblad:
         calls = []
         monkeypatch.setattr(np.linalg, "eigvals", lambda *args: calls.append(args))
         with pytest.raises(PositivityError, match="not finite"):
-            evolve_lindblad(LindbladSpec.from_params(params, SPACE),
+            evolve_lindblad(lindblad_spec(params, SPACE),
                             np.outer(psi0, psi0.conj()), resonant_config(1.0, 100))
         assert calls == []
 
@@ -371,7 +373,7 @@ class TestEvolveLindblad:
         space = SpaceSpec(1)
         period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
         config = IntegratorConfig.for_periods(period, 1.0, 10, 4)
-        spec = LindbladSpec.from_params(params, space)
+        spec = lindblad_spec(params, space)
         hop = np.linalg.matrix_power(rk4_step_matrix(liouvillian(spec), config.dt), 4)
         assert np.abs(np.linalg.eigvals(hop)).max() > 100
         psi0 = initial_state(InitialStateSpec(theta0=2.5), space)
@@ -611,7 +613,7 @@ class TestNBlockRefusal:
         rng = np.random.default_rng(seed)
         space = SpaceSpec(n0)
         params = ModelParams(delta, 0.5).with_rates(*rates)
-        spec = LindbladSpec.from_params(params, space)
+        spec = lindblad_spec(params, space)
         rho0s = n_block_stack(rng, space, 3)
         n = np.diag(excitation_number(space)).real.astype(int)
         i, j = rng.choice(np.argwhere(n[:, None] != n))  # in two N blocks
@@ -624,7 +626,8 @@ class TestNBlockRefusal:
             spec = LindbladSpec(h, spec.collapse_ops)
         config = IntegratorConfig.for_periods(
             2 * math.pi / sector_analytics(params, n0).rabi_frequency, 1.0, 2000, 4)
-        legs = lindblad_blocks([spec] * 3, rho0s, [config] * 3)
+        hop = rk4_hop(spec, config.dt, config.record_stride)
+        legs = lindblad_blocks(np.array([hop] * 3), rho0s, [config] * 3)
         with mock.patch.object(np, "matmul", wraps=np.matmul) as product, \
                 pytest.raises(ValueError, match="link two N blocks"):
             next(legs)
@@ -640,13 +643,14 @@ class TestNBlockRefusal:
         # its block are eigh's, whatever the block of records
         space = SpaceSpec(n0)
         params = ModelParams(delta, 0.5).with_rates(*rates)
-        spec = LindbladSpec.from_params(params, space)
+        spec = lindblad_spec(params, space)
         rho0s = n_block_stack(np.random.default_rng(seed), space, size)
         config = IntegratorConfig.for_periods(
             2 * math.pi / sector_analytics(params, n0).rabi_frequency, 0.5, 2000, 4)
         records = 0
         with blocks_of(97, size, space.dim):
-            for _, states in lindblad_blocks([spec] * size, rho0s, [config] * size):
+            hops = np.array([rk4_hop(spec, config.dt, config.record_stride)] * size)
+            for _, states in lindblad_blocks(hops, rho0s, [config] * size):
                 flat = states.reshape(-1, space.dim, space.dim)
                 assert not hilbert.off_n_blocks(flat)
                 w, v = information.sector_eigh(states, n0)
@@ -708,8 +712,9 @@ class TestCPTPHealth:
         config = IntegratorConfig.for_periods(period, 1.0, 2000, 4)
         psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
         rho0 = np.outer(psi0, psi0.conj())[None]
-        spec = LindbladSpec.from_params(params, space)
-        for times, states in lindblad_blocks([spec], rho0, [config]):
+        spec = lindblad_spec(params, space)
+        hop = rk4_hop(spec, config.dt, config.record_stride)
+        for times, states in lindblad_blocks(hop[None], rho0, [config]):
             flat = states.reshape(-1, space.dim, space.dim)
             assert not hilbert.off_n_blocks(flat)
             assert verdict(flat, times[0]) is None
@@ -720,7 +725,7 @@ class TestRecordAndDump:
     def test_record_immutable_and_grid(self):
         config = resonant_config(periods=1.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
         assert len(traj.times) == config.n_steps // config.record_stride + 1
         with pytest.raises(ValueError):
             traj.states[0] = 0.0
@@ -731,7 +736,7 @@ class TestRecordAndDump:
     def test_trajectory_csv(self, tmp_path):
         config = resonant_config(periods=1.0, steps_per_period=200, stride=50)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
         path = tmp_path / "traj.csv"
         write_trajectory_csv([(traj.times[None], traj.states[None])], SPACE.dim, path)
         lines = path.read_text().splitlines()

@@ -32,12 +32,13 @@ from kerrjc.information import PLANARITY_THRESHOLD, bloch_series, negativity, pl
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
+    collapse_operators,
     hamiltonian,
     initial_state,
     perpendicular_state,
     sector_analytics,
 )
-from oracles import blocks_of, grid_index, phase_open_pure, phase_unitary
+from oracles import blocks_of, grid_index, lindblad_spec, phase_open_pure, phase_unitary
 
 RESONANT = ModelParams(delta=0.5, chi=0.5)
 
@@ -362,8 +363,8 @@ def _per_point_legs(spec, theta, periods):
     config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
                                           spec.record_stride)
     psi0 = initial_state(InitialStateSpec(theta0=theta), space)
-    closed = evolve_closed(hamiltonian(params, space), psi0, config)
-    opened = evolve_lindblad(LindbladSpec.from_params(params, space),
+    closed = evolve_closed(hamiltonian([params], space)[0], psi0, config)
+    opened = evolve_lindblad(lindblad_spec(params, space),
                              np.outer(psi0, psi0.conj()), config)
     return period, closed, opened
 
@@ -395,9 +396,9 @@ def per_case_bloch(spec):
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, spec.periods,
                                               spec.steps_per_period, spec.record_stride)
         psi0 = initial_state(perpendicular_state(params, 1), space)
-        h = hamiltonian(params, space)
+        h = hamiltonian([params], space)[0]
         closed = evolve_closed(h, psi0, config)
-        opened = evolve_lindblad(LindbladSpec.from_params(params, space, h),
+        opened = evolve_lindblad(LindbladSpec(h, collapse_operators(params, space)),
                                  np.outer(psi0, psi0.conj()), config)
         track = track_dominant_eigenvector(opened)
         for name, states in (("unitary", closed.states), ("rho_proj", opened.states),

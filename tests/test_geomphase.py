@@ -42,6 +42,7 @@ from kerrjc.model import (
 from oracles import (
     dressed_states,
     excitation_number,
+    lindblad_spec,
     phase_open_general,
     phase_open_pure,
     phase_unitary,
@@ -58,7 +59,7 @@ def closed_trajectory(params, init, periods=1.0, spp=2000, stride=4):
     period = 2 * math.pi / sa.rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, SPACE)
-    return evolve_closed(hamiltonian(params, SPACE), psi0, config), period
+    return evolve_closed(hamiltonian([params], SPACE)[0], psi0, config), period
 
 
 def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
@@ -67,7 +68,7 @@ def open_trajectory(params, init, periods=1.0, spp=2000, stride=4):
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, SPACE)
     rho0 = np.outer(psi0, psi0.conj())
-    traj = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
+    traj = evolve_lindblad(lindblad_spec(params, SPACE), rho0, config)
     return traj, period
 
 
@@ -78,7 +79,7 @@ def open_eigs(params, init, n_max=4, periods=1.0, spp=2000, stride=4):
     period = 2 * math.pi / sector_analytics(params, init.n).rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spp, stride)
     psi0 = initial_state(init, space)
-    traj = evolve_lindblad(LindbladSpec.from_params(params, space),
+    traj = evolve_lindblad(lindblad_spec(params, space),
                            np.outer(psi0, psi0.conj()), config)
     w, v = np.linalg.eigh(traj.states)
     return traj.times, *(x[0] for x in sector_columns(w[None], v[None], init.n))
@@ -319,7 +320,7 @@ class TestPhaseUnitary:
         psi0[i_e], psi0[i_g] = plus
         sa = sector_analytics(params, 1)
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 1.0, 2000, 4)
-        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([params], SPACE)[0], psi0, config)
         assert abs(phase_unitary(traj, traj.times[-1])) < 1e-10
 
     def test_resonant_geodesic_pi_per_period(self):
@@ -533,9 +534,48 @@ class TestTracking:
         rho0 /= np.trace(rho0).real
         sa = sector_analytics(OPEN, 1)
         config = IntegratorConfig.for_periods(2 * math.pi / sa.rabi_frequency, 0.5, 2000, 4)
-        traj = evolve_lindblad(LindbladSpec.from_params(OPEN, SPACE), rho0, config)
+        traj = evolve_lindblad(lindblad_spec(OPEN, SPACE), rho0, config)
         with pytest.raises(TrackingError, match="not pure"):
             track_dominant_eigenvector(traj)
+
+
+def six_call_fix(picked, prev):
+    """The phase fix of each picked column as six ufunc calls per sample:
+    conjugate, matmul (zdotu), arctan2, negative, exp and multiply."""
+    b, n, dim = picked.shape
+    vectors = np.empty((b, n, dim), dtype=complex)
+    conj, ov = np.empty((b, 1, dim), dtype=complex), np.empty((b, 1, 1), dtype=complex)
+    angle, (turn, fix) = np.empty((b, 1)), np.zeros((2, b, 1), dtype=complex)
+    for k in range(n):
+        vec = picked[:, k]
+        np.conjugate(prev, out=conj[:, 0])
+        np.matmul(conj, vec[:, :, None], out=ov)
+        np.negative(np.arctan2(ov.imag[:, 0], ov.real[:, 0], out=angle), out=turn.imag)
+        prev = np.multiply(vec, np.exp(turn, out=fix), out=vectors[:, k])
+    return vectors
+
+
+@pytest.mark.parametrize("kind", ["gp_delta", "gp_theta"])
+def test_phase_fix_has_the_six_call_bits(kind, monkeypatch):
+    # the start-sector eigenpairs of every open record of a default sweep
+    # (gp_theta's θ = 0 keeps real columns, whose overlaps are exactly real),
+    # tracked in one pass: the tracker's phase fix gives the bits of the
+    # six-call recurrence over the same picked columns
+    import kerrjc.experiments as ex
+    real, fed = ex.sector_eigh, []
+    monkeypatch.setattr(ex, "sector_eigh", lambda *a: fed.append(real(*a)) or fed[-1])
+    run_sweep(default_spec(kind))
+    w, v = (np.concatenate(x, axis=1) for x in zip(*fed))
+    tracker = BranchTracker()
+    _, vectors = tracker.extend(np.zeros(w.shape[:2]), w, v)
+    assert not tracker.failed
+    # the picked column of each sample is the one the tracked vector lies on
+    along = np.abs(np.einsum("bkdc,bkd->bkc", v.conj(), vectors))
+    picks = (along[..., 1] > along[..., 0]).astype(int)
+    b, n = picks.shape
+    picked = np.empty((b, n, v.shape[2], 2), dtype=complex)[..., 0]  # strided, as tracked
+    picked[:] = v[np.arange(b)[:, None], np.arange(n), :, picks]
+    assert same_bits(vectors, six_call_fix(picked, picked[:, 0].copy()))
 
 
 def sector_trajectories(n0, draws, r):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrjc import hilbert
-from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
-from kerrjc.hilbert import SpaceSpec, flat_index
+from kerrjc.dynamics import IntegratorConfig, evolve_closed, evolve_lindblad
+from kerrjc.hilbert import SpaceSpec
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
@@ -16,7 +16,7 @@ from kerrjc.model import (
     sector_analytics,
 )
 
-from oracles import basis_state, excitation_number
+from oracles import basis_state, excitation_number, flat_index, lindblad_spec
 
 SPACE = SpaceSpec(4)
 
@@ -79,14 +79,14 @@ class TestOperators:
         for _ in range(5):
             params = ModelParams(delta=rng.normal(), chi=rng.normal(),
                                  g=rng.uniform(0.5, 2.0))
-            h = hamiltonian(params, SPACE)
+            h = hamiltonian([params], SPACE)[0]
             assert np.abs(h @ nexc - nexc @ h).max() < 1e-12
 
 
 class TestKron:
     def test_bit_equal_to_np_kron(self):
         # the operator builders' and the Liouvillian's products, signed zeros too
-        h = hamiltonian(ModelParams(delta=-0.7, chi=0.3), SPACE)
+        h = hamiltonian([ModelParams(delta=-0.7, chi=0.3)], SPACE)[0]
         a = hilbert.annihilation(SPACE)
         ops = [h, -1j * h.T, a, a.conj(), a.conj().T @ a, hilbert.sigma_minus(SPACE),
                hilbert.sigma_z(SPACE), np.eye(SPACE.dim, dtype=complex),
@@ -116,8 +116,8 @@ class TestReachedBlock:
         period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
         config = IntegratorConfig.for_periods(period, 1.0, 200, 4)
         psi0 = initial_state(InitialStateSpec(theta0=theta0, n=n0), space)
-        closed = evolve_closed(hamiltonian(params, space), psi0, config).states
-        opened = evolve_lindblad(LindbladSpec.from_params(params, space),
+        closed = evolve_closed(hamiltonian([params], space)[0], psi0, config).states
+        opened = evolve_lindblad(lindblad_spec(params, space),
                                  np.outer(psi0, psi0.conj()), config).states
         assert np.any(closed[:, :d]) and np.any(opened[:, :d, :d])
         assert not np.any(closed[:, d:])

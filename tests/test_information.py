@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrjc import information
+from kerrjc import hilbert, information
 
-from kerrjc.dynamics import IntegratorConfig, LindbladSpec, evolve_closed, evolve_lindblad
+from kerrjc.dynamics import IntegratorConfig, evolve_closed, evolve_lindblad
 from kerrjc.experiments import default_spec, run_sweep
 from kerrjc.hilbert import SpaceSpec
 from kerrjc.information import (
@@ -27,7 +27,7 @@ from kerrjc.model import (
     sector_analytics,
 )
 
-from oracles import basis_state, negativity_from_bloch
+from oracles import basis_state, lindblad_spec, negativity_from_bloch
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -141,7 +141,7 @@ class TestNegativity:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, 2.0, 2000, 8)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
         rhos = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
         target = np.abs(np.sin(sa.rabi_frequency * traj.times)) / 2
         assert np.abs(negativity(rhos, SPACE) - target).max() < 1e-7
@@ -279,9 +279,10 @@ class TestNegativityReplay:
         # each state passes through the replay once; eigvalsh is never called
         replayed, eigvalsh, seen = information._replayed, np.linalg.eigvalsh, []
 
-        def checked(rhos, spec):
-            got = replayed(rhos, spec)
-            assert got.tobytes() == eigvalsh_negativity(rhos, spec, eigvalsh).tobytes()
+        def checked(rhos, spec, blocks=None):
+            got = replayed(rhos, spec, blocks)
+            assert got.tobytes() == eigvalsh_negativity(information.projectors(rhos), spec,
+                                                        eigvalsh).tobytes()
             seen.append(len(rhos))
             return got
 
@@ -311,6 +312,32 @@ class TestNegativityReplay:
             negativity(rhos, SECTOR_1)
 
 
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_pure_states_build_only_their_n_blocks(monkeypatch):
+    # the closed states of the default negativity_delta: the N-block entries
+    # of their projectors are einsum's, bit for bit, no record is scanned for
+    # entries between N blocks, and the negativity is the density path's
+    import kerrjc.experiments as ex
+    real, closed = information.negativity, []
+    monkeypatch.setattr(ex, "negativity",
+                        lambda states, spec: (states.ndim == 2 and closed.append(states))
+                        or real(states, spec))
+    run_sweep(default_spec("negativity_delta"))
+    psi = np.concatenate(closed)
+    assert psi.shape == (81 * 751, 4)
+    rhos = np.einsum("ki,kj->kij", psi, psi.conj())
+    for got, want in zip(hilbert.n_blocks(psi), hilbert.n_blocks(rhos)):
+        assert same_bits(got, want)
+    reached = SpaceSpec(1)
+    with mock.patch.object(hilbert, "off_n_blocks", side_effect=AssertionError):
+        pure = negativity(psi, reached)
+    assert same_bits(pure, negativity(rhos, reached))
+
+
 class TestNegativityGeometry:
     """The sweeps' negativities against an oracle that shares no code with
     them: the sector-1 Bloch vector and the population that left it."""
@@ -320,9 +347,9 @@ class TestNegativityGeometry:
         bound = 1e-12  # ROADMAP fact 9 measured 1.3e-13
         replayed, fed = information._replayed, []
 
-        def recorded(rhos, spec):
-            got = replayed(rhos, spec)
-            fed.append((rhos.copy(), spec, got))
+        def recorded(rhos, spec, blocks=None):
+            got = replayed(rhos, spec, blocks)
+            fed.append((information.projectors(rhos).copy(), spec, got))
             return got
 
         monkeypatch.setattr(information, "_replayed", recorded)
@@ -369,7 +396,8 @@ class TestBlockTraceNorm:
         rhos = block_diagonal_stack(rng, spec, size, negative_singles)
         pts = partial_transpose_atom(rhos, spec)
         svd_norm = np.linalg.svd(pts, compute_uv=False).sum(axis=1)
-        assert np.abs(information.block_trace_norm(rhos, spec) - svd_norm).max() < 1e-12
+        assert np.abs(information.block_trace_norm(hilbert.n_blocks(rhos), spec)
+                      - svd_norm).max() < 1e-12
 
         # block-diagonal stacks take the closed form; one nonzero entry
         # between two N blocks, however small, sends the stack to the SVD
@@ -408,7 +436,7 @@ class TestBlochProjection:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, 0.05, 2000, 10)
         psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
-        traj = evolve_closed(hamiltonian(RESONANT, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([RESONANT], SPACE)[0], psi0, config)
         _, y, z, _ = bloch_series(traj.states, SPACE)[-1]
         assert y < -1e-3
         assert z < 1.0
@@ -419,7 +447,7 @@ class TestBlochProjection:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, 2.0, 2000, 8)
         psi0 = initial_state(InitialStateSpec(theta0=0.8, phi0=0.5), SPACE)
-        traj = evolve_closed(hamiltonian(params, SPACE), psi0, config)
+        traj = evolve_closed(hamiltonian([params], SPACE)[0], psi0, config)
         series = bloch_series(traj.states, SPACE)
         comp = series[:, :3] @ np.array(sa.axis)
         assert np.abs(comp - comp[0]).max() < 1e-9
@@ -444,9 +472,9 @@ class TestPlanarity:
         period = 2 * math.pi / sa.rabi_frequency
         config = IntegratorConfig.for_periods(period, periods, 2000, 8)
         psi0 = initial_state(perpendicular_state(params, 1), SPACE)
-        closed = evolve_closed(hamiltonian(params, SPACE), psi0, config)
+        closed = evolve_closed(hamiltonian([params], SPACE)[0], psi0, config)
         rho0 = np.outer(psi0, psi0.conj())
-        opened = evolve_lindblad(LindbladSpec.from_params(params, SPACE), rho0, config)
+        opened = evolve_lindblad(lindblad_spec(params, SPACE), rho0, config)
         return sa, closed, opened
 
     def test_closed_geodesic_exactly_planar(self):

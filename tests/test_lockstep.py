@@ -1,15 +1,19 @@
 """Legs advanced in lockstep equal lone trajectories bit for bit: closed legs
 against the one-trajectory step loop, open legs against each state run
 alone.  A closed leg records the width of its initial states; one that its
-couplings can take out of that width is refused before its first step."""
+couplings can take out of that width is refused before its first step.
+The stacked set-up of many points (H, RK4 steps, Liouvillians, hops) has
+the bits of each point's own build."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerrjc import experiments, hilbert
 from kerrjc.dynamics import (
     BLOCK_ENTRIES,
     IntegratorConfig,
@@ -18,19 +22,23 @@ from kerrjc.dynamics import (
     evolve_closed,
     evolve_lindblad,
     lindblad_blocks,
+    liouvillian,
+    rk4_hop,
     rk4_step_matrix,
 )
-from kerrjc.hilbert import SpaceSpec
+from kerrjc.experiments import default_spec, leg_grid, leg_setup, run_sweep
+from kerrjc.hilbert import SpaceSpec, reached_space
 from kerrjc.information import sector_eigh
 from kerrjc.model import (
     InitialStateSpec,
     ModelParams,
+    collapse_operators,
     hamiltonian,
     initial_state,
     perpendicular_state,
     sector_analytics,
 )
-from oracles import blocks_of
+from oracles import blocks_of, lindblad_spec
 
 SPACE = SpaceSpec(4)
 RESONANT = ModelParams(delta=0.5, chi=0.5)
@@ -67,16 +75,21 @@ def legs(kind, values, steps_per_period=60, stride=4, periods=1.0):
         else:
             params, init = RESONANT, InitialStateSpec(theta0=v)
         period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
-        hs.append(hamiltonian(params, SPACE))
+        hs.append(hamiltonian([params], SPACE)[0])
         psi0s.append(initial_state(init, SPACE))
         configs.append(IntegratorConfig.for_periods(period, periods, steps_per_period,
                                                     stride))
     return hs, psi0s, configs
 
 
+def steps_of(hs, configs):
+    """Each leg's RK4 step matrix, built alone, as ``closed_blocks`` takes them."""
+    return np.array([rk4_step_matrix(-1j * h, c.dt) for h, c in zip(hs, configs)])
+
+
 def assert_lockstep_is_scalar(hs, psi0s, configs, block_records=None):
     with blocks_of(block_records, len(psi0s), SPACE.dim):
-        blocks = list(closed_blocks(hs, psi0s, configs))
+        blocks = list(closed_blocks(steps_of(hs, configs), psi0s, configs))
     states = np.concatenate([s for _, s, _ in blocks], axis=1)
     times = np.concatenate([t for t, _, _ in blocks], axis=1)
     drift = blocks[-1][2]
@@ -97,7 +110,7 @@ def test_lockstep_equals_scalar_loop():
 
 def test_evolve_closed_is_one_point_of_the_batch():
     hs, psi0s, configs = legs("delta", (-1.0, 0.5, 3.0))
-    blocks = list(closed_blocks(hs, psi0s, configs))
+    blocks = list(closed_blocks(steps_of(hs, configs), psi0s, configs))
     states = np.concatenate([s for _, s, _ in blocks], axis=1)
     for j in range(3):
         alone = evolve_closed(hs[j], psi0s[j], configs[j])
@@ -107,7 +120,7 @@ def test_evolve_closed_is_one_point_of_the_batch():
 
 def test_block_bound_counts_d_squared():
     hs, psi0s, configs = legs("theta", (0.0, 1.0, 2.0), steps_per_period=4000)
-    times, states, _ = next(closed_blocks(hs, psi0s, configs))
+    times, states, _ = next(closed_blocks(steps_of(hs, configs), psi0s, configs))
     b, r, d = states.shape
     assert times.shape == (b, r)
     assert r == BLOCK_ENTRIES // (b * d * d) < configs[0].n_steps // 4
@@ -117,7 +130,7 @@ def test_rejects_mismatched_step_counts():
     hs, psi0s, configs = legs("delta", (-1.0, 1.0))
     configs[1] = IntegratorConfig.for_periods(1.0, 2.0, 60, 4)
     with pytest.raises(ValueError, match="step count"):
-        next(closed_blocks(hs, psi0s, configs))
+        next(closed_blocks(steps_of(hs, configs), psi0s, configs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -139,7 +152,7 @@ def open_legs(deltas, thetas, steps_per_period=60, stride=4, periods=1.0):
     for delta in deltas:
         params = ModelParams(delta=delta, chi=0.5, gamma=0.1, p_z=0.01)
         period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
-        spec = LindbladSpec.from_params(params, SPACE)
+        spec = lindblad_spec(params, SPACE)
         config = IntegratorConfig.for_periods(period, periods, steps_per_period, stride)
         for theta in thetas:
             psi = initial_state(InitialStateSpec(theta0=theta), SPACE)
@@ -147,6 +160,11 @@ def open_legs(deltas, thetas, steps_per_period=60, stride=4, periods=1.0):
             rho0s.append(np.outer(psi, psi.conj()))
             configs.append(config)
     return specs, np.array(rho0s), configs
+
+
+def hops_of(specs, configs):
+    """Each leg's RK4 hop, built alone, as ``lindblad_blocks`` takes them."""
+    return np.array([rk4_hop(s, c.dt, c.record_stride) for s, c in zip(specs, configs)])
 
 
 def joined(blocks):
@@ -163,9 +181,11 @@ def test_open_lockstep_equals_each_generator_alone(thetas):
     specs, rho0s, configs = open_legs((-2.0, 0.3, 1.5), thetas)
     b = len(specs)
     with blocks_of(7, b, SPACE.dim):
-        together = joined(lindblad_blocks(specs, rho0s, configs))
+        together = joined(lindblad_blocks(hops_of(specs, configs), rho0s, configs))
     for i in range(b):
-        alone = joined(lindblad_blocks(specs[i:i + 1], rho0s[i:i + 1], configs[i:i + 1]))
+        one = slice(i, i + 1)
+        alone = joined(lindblad_blocks(hops_of(specs[one], configs[one]), rho0s[one],
+                                       configs[one]))
         for got, want in zip(together, alone):
             assert np.array_equal(got[i:i + 1], want)
         record = evolve_lindblad(specs[i], rho0s[i], configs[i])
@@ -177,14 +197,14 @@ def test_open_lockstep_rejects_mismatched_step_counts():
     specs, rho0s, configs = open_legs((-1.0, 1.0), (0.0,))
     configs[1] = IntegratorConfig.for_periods(1.0, 2.0, 60, 4)
     with pytest.raises(ValueError, match="step count"):
-        next(lindblad_blocks(specs, rho0s, configs))
+        next(lindblad_blocks(hops_of(specs, configs), rho0s, configs))
 
 
 def test_open_lockstep_rejects_a_state_axis_per_generator():
     # one spec and one config per state: a (g, c, d, d) stack is refused
     specs, rho0s, configs = open_legs((-1.0,), (0.0, 1.2))
     with pytest.raises(ValueError, match="dimensions disagree"):
-        next(lindblad_blocks(specs[:1], rho0s[None], configs[:1]))
+        next(lindblad_blocks(hops_of(specs[:1], configs), rho0s[None], configs[:1]))
 
 
 def sector_legs(kind, values, space, n0, steps_per_period=60):
@@ -198,7 +218,7 @@ def sector_legs(kind, values, space, n0, steps_per_period=60):
         else:
             params, init = RESONANT, InitialStateSpec(theta0=v, n=n0)
         period = 2 * math.pi / sector_analytics(params, n0).rabi_frequency
-        hs.append(hamiltonian(params, space))
+        hs.append(hamiltonian([params], space)[0])
         psi0s.append(initial_state(init, space))
         configs.append(IntegratorConfig.for_periods(period, 1.0, steps_per_period, 4))
     return hs, psi0s, configs
@@ -220,10 +240,10 @@ def test_recorded_width_is_the_leading_components(kind, values, n_max, n0, block
     reached = sector_legs(kind, values, SpaceSpec(n0), n0)[1]
     width = 2 * (n0 + 1)
     with blocks_of(block_records, len(values), SpaceSpec(n_max).dim):
-        full = list(closed_blocks(hs, psi0s, configs))
+        full = list(closed_blocks(steps_of(hs, configs), psi0s, configs))
     kept = []
     with blocks_of(block_records, len(values), width):
-        for block in (blocks := closed_blocks(hs, reached, configs)):
+        for block in (blocks := closed_blocks(steps_of(hs, configs), reached, configs)):
             kept.append(block)
             # the rows from width on of both step buffers are never written
             # nor divided: they stay +0.0, so the full-length norms add +0.0
@@ -248,7 +268,7 @@ def test_state_longer_than_h_raises():
     hs, psi0s, configs = sector_legs("theta", (0.3, 1.1), SPACE, 1)
     longer = [np.append(psi0, 0.0) for psi0 in psi0s]
     with pytest.raises(ValueError, match="dimensions disagree"):
-        next(closed_blocks(hs, longer, configs))
+        next(closed_blocks(steps_of(hs, configs), longer, configs))
 
 
 def test_leaving_the_recorded_width_raises():
@@ -259,10 +279,10 @@ def test_leaving_the_recorded_width_raises():
     hs[1][2, 4] = hs[1][4, 2] = 0.1
     with pytest.raises(ValueError, match="left the first 4 basis states"), \
             blocks_of(7, 2, 4):
-        next(closed_blocks(hs, leading(psi0s, 4), configs))
+        next(closed_blocks(steps_of(hs, configs), leading(psi0s, 4), configs))
     # the same legs, recorded at full width, run
     with blocks_of(7, 2, SPACE.dim):
-        assert len(list(closed_blocks(hs, psi0s, configs))) > 1
+        assert len(list(closed_blocks(steps_of(hs, configs), psi0s, configs))) > 1
 
 
 def coupled_legs(*links):
@@ -288,9 +308,9 @@ def test_reaching_out_of_the_width_raises_before_the_first_record(links):
     hs, psi0s, configs = coupled_legs(*links)
     with pytest.raises(ValueError, match="left the first 6 basis states"), \
             blocks_of(1, 2, 6):
-        next(closed_blocks(hs, leading(psi0s, 6), configs))
+        next(closed_blocks(steps_of(hs, configs), leading(psi0s, 6), configs))
     with blocks_of(7, 2, SPACE.dim):
-        assert len(list(closed_blocks(hs, psi0s, configs))) > 1
+        assert len(list(closed_blocks(steps_of(hs, configs), psi0s, configs))) > 1
 
 
 def test_five_hops_are_beyond_one_step():
@@ -312,8 +332,91 @@ def test_no_step_runs_before_the_check_raises(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     hs, psi0s, configs = coupled_legs(*LINKS_OUT_OF_WIDTH_6[0])
     with pytest.raises(ValueError, match="left the first 6 basis states"):
-        next(closed_blocks(hs, leading(psi0s, 6), configs))
+        next(closed_blocks(steps_of(hs, configs), leading(psi0s, 6), configs))
     assert products == []
     # the spy sees the steps of legs that may run: the first block holds steps
-    next(closed_blocks(hs, psi0s, configs))
+    next(closed_blocks(steps_of(hs, configs), psi0s, configs))
     assert products
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def one_point_builds(params, dt, stride, space, reached):
+    """H, closed RK4 step, Liouvillian and hop of one point, each a lone 2-D
+    build from Python scalars, as the set-up was built point by point."""
+    nop, a = hilbert.number_op(space), hilbert.annihilation(space)
+    sp, sm = hilbert.sigma_plus(space), hilbert.sigma_minus(space)
+    h = (params.delta / 2) * hilbert.sigma_z(space) + params.chi * (nop @ nop) \
+        + params.g * (sp @ a + sm @ a.conj().T)
+    d = reached.dim
+    sup = liouvillian(LindbladSpec(h[:d, :d], collapse_operators(params, reached)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hop = np.linalg.matrix_power(rk4_step_matrix(sup, dt), stride)
+    return h, rk4_step_matrix(-1j * h, dt), sup, hop
+
+
+def assert_stack_is_each_point(params, configs, space, n0=1):
+    """Every element of the stacked builds has the bits of its point built alone."""
+    reached = reached_space(n0, space)
+    h = hamiltonian(params, space)
+    d = reached.dim
+    sups = liouvillian(LindbladSpec(h[:, :d, :d], collapse_operators(params[0], reached)))
+    steps, hops = leg_setup(params, configs, n0, space)
+    assert h.shape == (len(params), space.dim, space.dim) and hops.shape == sups.shape
+    for i, (p, c) in enumerate(zip(params, configs)):
+        alone = one_point_builds(p, c.dt, c.record_stride, space, reached)
+        for stacked, want in zip((h[i], steps[i], sups[i], hops[i]), alone):
+            assert same_bits(stacked, want)
+
+
+class TestStackedSetup:
+    def test_default_gp_delta_grid(self):
+        spec = default_spec("gp_delta")
+        params = [replace(spec.open_params, delta=delta) for delta in spec.grid]
+        configs = [leg_grid(p, 1, spec.space, 3.0, spec.steps_per_period,
+                            spec.record_stride)[1] for p in params]
+        assert len({c.dt for c in configs}) > 1
+        assert_stack_is_each_point(params, configs, spec.space)
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-2.0, 2.0),
+                                     st.floats(0.1, 3.0), st.floats(1e-3, 0.5)),
+                           min_size=1, max_size=5),
+           rates=st.tuples(*[st.floats(0.0, 1.0)] * 3), stride=st.integers(1, 5),
+           n_max=st.integers(2, 4), n0=st.integers(1, 3))
+    def test_stack_equals_each_point_property(self, points, rates, stride, n_max, n0):
+        # any (δ, χ, g, dt) per point at one set of rates, from any sector
+        # below n_max: the stacked builds (one call each) are the lone builds
+        n0 = min(n0, n_max - 1)
+        params = [ModelParams(delta, chi, g).with_rates(*rates) for delta, chi, g, _ in points]
+        configs = [IntegratorConfig(dt=dt, t_final=dt * stride, record_stride=stride)
+                   for *_, dt in points]
+        assert_stack_is_each_point(params, configs, SpaceSpec(n_max), n0)
+
+    def test_a_single_point_is_a_stack_of_one(self):
+        assert same_bits(hamiltonian([RESONANT], SPACE)[0],
+                         one_point_builds(RESONANT, 0.01, 1, SPACE, SpaceSpec(1))[0])
+
+    def test_default_gp_theta_builds_one_hop(self, monkeypatch):
+        # the 64 points of the default gp_theta share their model parameters:
+        # one Liouvillian, one hop and one closed step are built, not 64
+        import kerrjc.dynamics as dyn
+        built = {"liouvillian": [], "rk4_hop": [], "rk4_step_matrix": []}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def spied(*args):
+                out = real(*args)
+                built[name].append(out.shape)
+                return out
+            monkeypatch.setattr(module, name, spied)
+        spy(dyn, "liouvillian")
+        spy(experiments, "rk4_hop")
+        spy(experiments, "rk4_step_matrix")
+        rows = run_sweep(default_spec("gp_theta")).rows
+        assert len(rows) == 64 * 3
+        assert built == {"liouvillian": [(1, 16, 16)], "rk4_hop": [(1, 16, 16)],
+                         "rk4_step_matrix": [(1, 10, 10)]}

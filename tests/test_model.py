@@ -13,10 +13,15 @@ from kerrjc.model import (
     initial_state,
     perpendicular_state,
     sector_analytics,
-    sector_block,
 )
 
-from oracles import basis_state, dressed_states, excitation_number, resonant_state
+from oracles import (
+    basis_state,
+    dressed_states,
+    excitation_number,
+    resonant_state,
+    sector_block,
+)
 
 SPACE = SpaceSpec(4)
 
@@ -41,14 +46,14 @@ class TestParams:
 class TestHamiltonian:
     def test_coupling_element(self):
         params = ModelParams(delta=0.7, chi=0.3, g=1.3)
-        h = hamiltonian(params, SPACE)
+        h = hamiltonian([params], SPACE)[0]
         e0, g1 = basis_state("e", 0, SPACE), basis_state("g", 1, SPACE)
         assert np.vdot(e0, h @ g1) == pytest.approx(params.g)
         assert np.vdot(g1, h @ g1).real == pytest.approx(-params.delta / 2 + params.chi)
 
     def test_block_diagonal_between_sectors(self):
         params = ModelParams(delta=0.4, chi=0.2)
-        h = hamiltonian(params, SPACE)
+        h = hamiltonian([params], SPACE)[0]
         # matrix elements between different excitation sectors vanish exactly
         nexc = np.diag(excitation_number(SPACE)).real
         for i in range(SPACE.dim):
@@ -66,7 +71,7 @@ class TestHamiltonian:
 
     def test_block_embedded_in_full_hamiltonian(self):
         params = ModelParams(delta=-0.8, chi=0.45)
-        h = hamiltonian(params, SPACE)
+        h = hamiltonian([params], SPACE)[0]
         for n in (1, 2, 3):
             idx = sector_indices(n, SPACE)
             assert np.allclose(h[np.ix_(idx, idx)], sector_block(params, n))
@@ -193,7 +198,7 @@ class TestInitialAndPerpendicular:
         # theta0 = pi/2 is a Hamiltonian eigenvector when delta = chi
         params = ModelParams(delta=0.5, chi=0.5)
         psi = initial_state(InitialStateSpec(theta0=math.pi / 2), SPACE)
-        h = hamiltonian(params, SPACE)
+        h = hamiltonian([params], SPACE)[0]
         hp = h @ psi
         energy = np.vdot(psi, hp).real
         assert np.abs(hp - energy * psi).max() < 1e-12

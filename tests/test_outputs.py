@@ -11,7 +11,6 @@ import pytest
 
 from kerrjc.dynamics import (
     IntegratorConfig,
-    LindbladSpec,
     TrajectoryRecord,
     evolve_closed,
     evolve_lindblad,
@@ -34,6 +33,8 @@ from kerrjc.model import (
     sector_analytics,
 )
 from kerrjc.svg import bloch_chart, line_chart
+
+from oracles import lindblad_spec
 
 RESONANT = ModelParams(delta=0.5, chi=0.5)
 FAST = dict(steps_per_period=400, n_max=3)
@@ -173,9 +174,9 @@ def _records():
     period = 2 * math.pi / sector_analytics(RESONANT, 1).rabi_frequency
     config = IntegratorConfig.for_periods(period, 1.0, 200, 10)
     psi0 = initial_state(InitialStateSpec(theta0=0.9, phi0=0.3), space)
-    closed = evolve_closed(hamiltonian(RESONANT, space), psi0, config)
+    closed = evolve_closed(hamiltonian([RESONANT], space)[0], psi0, config)
     opened = evolve_lindblad(
-        LindbladSpec.from_params(RESONANT.with_rates(0.1, 0.0, 0.01), space),
+        lindblad_spec(RESONANT.with_rates(0.1, 0.0, 0.01), space),
         np.outer(psi0, psi0.conj()), config)
     return {"closed": closed, "open": opened}
 
