@@ -284,8 +284,11 @@ def dispatch(config: dict) -> int:
 
 
 def _load_config(args) -> dict:
+    for flag in ("config", "out", "kind"):  # given empty, a flag would fall back unseen
+        if getattr(args, flag, None) == "":
+            raise ConfigError(f"--{flag} is empty: give it a value or leave it out")
     raw: dict[str, tuple[str, str]] = {}
-    if args.config:
+    if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
@@ -294,10 +297,10 @@ def _load_config(args) -> dict:
     raw.update(_entry(item, f"--set {item}") for item in args.set or [])
     if args.command == "bloch":
         raw["sweep.kind"] = ("bloch_traj", "bloch")
-    elif getattr(args, "kind", None):
+    elif getattr(args, "kind", None) is not None:
         raw["sweep.kind"] = (args.kind, "--kind")
     config = build_config(raw)
-    if args.out:
+    if args.out is not None:
         config["output.dir"] = args.out
     if args.no_svg:
         config["output.emit_svg"] = False

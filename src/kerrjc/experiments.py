@@ -17,13 +17,14 @@ with one ``BranchTracker`` per chunk.
 
 This module writes every output file: each row layout is a column tuple
 and a ``%``-template, each kind names its chart builder, and ``_write_csv``
-streams every CSV through a template.
+streams every CSV through a template, one ``%`` per slice of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
@@ -128,7 +129,7 @@ class SweepSpec:
 class SweepResult:
     spec: SweepSpec
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] | np.ndarray  # a negativity kind's: one (n, 4) float array
     meta: dict = field(default_factory=dict)
 
 
@@ -216,10 +217,9 @@ def _series(name: str) -> Callable:
     return series
 
 
-def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> list[tuple]:
+def _neg_rows(spec: SweepSpec, value, period, closed, opened) -> np.ndarray:
     (times, neg_c), (_, neg_o) = closed, opened
-    return [(value, t, nc, no)
-            for t, nc, no in zip(times.tolist(), neg_c.tolist(), neg_o.tolist())]
+    return np.column_stack((np.full(len(times), value), times, neg_c, neg_o))
 
 
 def _gp_closed(spec: SweepSpec, reached: SpaceSpec, blocks) -> list[tuple]:
@@ -325,7 +325,7 @@ def leg_setup(params, configs, n: int, space: SpaceSpec) -> tuple[np.ndarray, np
     return rk4_step_matrix(-1j * h, dts), rk4_hop(spec, dts, configs[0].record_stride)
 
 
-def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
+def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple] | np.ndarray:
     """Rows of (value, params, initial state) points, in grid order.
 
     Every point's grid is checked and set first (``leg_grid``).  The points
@@ -334,14 +334,14 @@ def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
     of its distinct model parameters, indexed per point.  Its closed legs
     advance in lockstep from the initial states on the reached space, then
     its open legs from their projectors; the kind reduces each leg's blocks,
-    and each point's two reductions become its rows.
+    and each point's two reductions become its rows (arrays join into one).
     """
     reached = reached_space(START_SECTOR, spec.space)
     grids = {params: leg_grid(params, START_SECTOR, spec.space, kind.horizon(spec),
                               spec.steps_per_period, spec.record_stride)
              for _, params, _ in points}
     per_chunk = max(1, BLOCK_ENTRIES // reached.dim ** 4)
-    rows = []
+    parts = []  # each point's rows
     for start in range(0, len(points), per_chunk):
         chunk = points[start:start + per_chunk]
         at: dict = {}  # each distinct set of parameters -> its place in the set-up
@@ -354,9 +354,9 @@ def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple]:
         closed = kind.closed(spec, reached, closed_blocks(steps[index], psi0s, configs))
         rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
         opened = kind.opened(spec, reached, lindblad_blocks(hops[index], rho0s, configs))
-        rows += [row for (value, _, _), period, c, o in zip(chunk, periods, closed, opened)
-                 for row in kind.rows(spec, value, period, c, o)]
-    return rows
+        parts += [kind.rows(spec, value, period, c, o)
+                  for (value, _, _), period, c, o in zip(chunk, periods, closed, opened)]
+    return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain(*parts))
 
 
 def _theta_points(spec: SweepSpec) -> list[tuple]:
@@ -380,14 +380,11 @@ def _bloch_points(spec: SweepSpec) -> list[tuple]:
 def _neg_charts(result: SweepResult, outdir: Path) -> list[Path]:
     """Negativity against time, one line per grid value: closed and open."""
     kind, grid = result.spec.kind, result.spec.grid
-
-    def column(col):  # (grid value, record)
-        return np.array([r[col] for r in result.rows]).reshape(len(grid), -1)
-
-    t, paths = column(1), []
+    table = result.rows.reshape(len(grid), -1, 4)  # (grid value, record, column)
+    t, paths = table[..., 1], []
     for variant, col in (("closed", 2), ("open", 3)):
         paths.append(outdir / f"{kind}_{variant}.svg")
-        line_chart([(f"{v:.3g}", x, y) for v, x, y in zip(grid, t, column(col))], paths[-1],
+        line_chart([(f"{v:.3g}", x, y) for v, x, y in zip(grid, t, table[..., col])], paths[-1],
                    title=f"{kind} ({variant})", xlabel="t [1/g]", ylabel="negativity")
     return paths
 
@@ -487,24 +484,32 @@ def provenance_lines(spec: SweepSpec, timestamp: Optional[str] = None) -> list[s
     return lines
 
 
-def _write_csv(path, head: list[str], template: str, records) -> None:
-    """The ``head`` lines, then ``template % record`` of every record, streamed."""
+def _write_csv(path, head: list[str], template: str, parts) -> None:
+    """The ``head`` lines, then the bytes of ``template % row`` of every row of
+    ``parts`` (float arrays or lists of tuples), one ``%`` per slice of at most
+    BLOCK_ENTRIES // 4 values, at about 60 B a value the bytes of a block."""
+    size = max(1, BLOCK_ENTRIES // 4 // template.count("%"))  # one % per column
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in head)
-        fh.writelines(map(template.__mod__, records))
+        for rows in parts:
+            for i in range(0, len(rows), size):
+                part = rows[i:i + size]
+                values = (part.ravel().tolist() if isinstance(part, np.ndarray)
+                          else chain.from_iterable(part))
+                fh.write(template * len(part) % tuple(values))
 
 
 def write_sweep_csv(result: SweepResult, path, timestamp: Optional[str] = None) -> None:
     """Write one sweep as CSV with '#' provenance header lines."""
     head = [*provenance_lines(result.spec, timestamp), ",".join(result.columns)]
-    _write_csv(path, head, KINDS[result.spec.kind].template, result.rows)
+    _write_csv(path, head, KINDS[result.spec.kind].template, [result.rows])
 
 
 def write_trajectory_csv(blocks, dim: int, path) -> None:
     """Debug dump of the blocks of one state's leg (``closed_blocks`` or
     ``lindblad_blocks``), each written as it arrives: t, then row-major
     Re/Im of the density-matrix entries, pure states as their projectors,
-    zero-padded to ``dim`` x ``dim`` in slices of at most BLOCK_ENTRIES entries.
+    zero-padded to ``dim`` x ``dim`` in the writer's slices of records.
 
     Entry (i, j) is named ``re_<i><j>``/``im_<i><j>``, each index
     zero-padded to the width of dim - 1, so every name is distinct.
@@ -512,16 +517,15 @@ def write_trajectory_csv(blocks, dim: int, path) -> None:
     w = len(str(dim - 1))
     header = ",".join(["t", *(f"{part}_{i:0{w}d}{j:0{w}d}" for i in range(dim)
                               for j in range(dim) for part in ("re", "im"))])
+    template = ",".join(["%.17g"] * (1 + 2 * dim * dim)) + "\n"
+    per_slice = max(1, BLOCK_ENTRIES // 4 // template.count("%"))  # _write_csv's slice
 
-    per_slice = max(1, BLOCK_ENTRIES // (dim * dim))  # records padded at once
-
-    def records():
+    def slices():
         for (all_times,), (all_states,), *_ in blocks:
             for i in range(0, len(all_times), per_slice):
                 times, mats = all_times[i:i + per_slice], projectors(all_states[i:i + per_slice])
                 pad = dim - mats.shape[1]
                 mats = np.pad(mats, ((0, 0), (0, pad), (0, pad)))
                 # the complex entries viewed as float64 are Re, Im in header order
-                yield from map(tuple, np.column_stack(
-                    (times, mats.reshape(len(times), -1).view(np.float64))))
-    _write_csv(path, [header], ",".join(["%.17g"] * (1 + 2 * dim * dim)) + "\n", records())
+                yield np.column_stack((times, mats.reshape(len(times), -1).view(np.float64)))
+    _write_csv(path, [header], template, slices())

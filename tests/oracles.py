@@ -7,7 +7,7 @@ identities of the sweeps' states, phases as solid angles and negativity
 from the Bloch vector and the leaked population; and the one-trajectory
 geometric phases at a recorded time: closed, open from the tracked
 branch, and the mixed-state multi-branch phase.  Also the patch that
-sets the lockstep legs' block length."""
+sets the lockstep legs' block length, and the bitwise equality of sweep rows."""
 
 import contextlib
 import math
@@ -345,3 +345,13 @@ def blocks_of(records, points: int, width: int):
     if records is None:
         return contextlib.nullcontext()
     return mock.patch.object(dynamics, "BLOCK_ENTRIES", records * points * width ** 2)
+
+
+def same_rows(a, b) -> bool:
+    """Whether two sweeps' rows are equal to the last bit: a negativity
+    kind's float64 arrays by their int64 views, so -0.0 is not 0.0 and a nan
+    matches only its own bits; the other kinds' lists of tuples by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (a.dtype == b.dtype == np.float64
+                and np.array_equal(a.view(np.int64), b.view(np.int64)))
+    return a == b

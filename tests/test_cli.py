@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerrjc.cli import (
+    ENV_OUTPUT_DIR,
     SCHEMA,
     ConfigError,
     EXIT_CONFIG,
@@ -228,6 +229,27 @@ class TestDispatch:
         assert main(["sweep", "--set", "model.gamma=-1",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert main(["sweep", "--out", str(tmp_path)]) == EXIT_CONFIG  # no kind
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--kind", "gp_delta", "--out", ""], "--out"),
+        (["bloch", "--out", ""], "--out"),
+        (["evolve", "--out", ""], "--out"),
+        (["validate-config", "--config", ""], "--config"),
+        (["sweep", "--config", "", "--kind", "gp_delta"], "--config"),
+        (["sweep", "--kind", "", "--set", "sweep.kind=gp_delta"], "--kind"),
+    ], ids=["sweep-out", "bloch-out", "evolve-out", "validate-config", "sweep-config",
+            "kind"])
+    def test_empty_flag_is_config_error(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # a flag given empty is refused, not skipped: skipped, `--out ""`
+        # wrote to runs/, `--config ""` ran the defaults and `--kind ""` ran
+        # the kind that --set gave
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+        assert main([*argv, "--no-timestamp"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"config error: {flag} is empty: give it a value or leave it out\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["model.delta", "sweep.open_gamma", "integrator.periods",

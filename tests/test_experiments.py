@@ -38,7 +38,14 @@ from kerrjc.model import (
     perpendicular_state,
     sector_analytics,
 )
-from oracles import blocks_of, grid_index, lindblad_spec, phase_open_pure, phase_unitary
+from oracles import (
+    blocks_of,
+    grid_index,
+    lindblad_spec,
+    phase_open_pure,
+    phase_unitary,
+    same_rows,
+)
 
 RESONANT = ModelParams(delta=0.5, chi=0.5)
 
@@ -213,7 +220,7 @@ class TestNegativityDelta:
         states = []
         monkeypatch.setattr(ex, "negativity", lambda rhos, space, real=ex.negativity:
                             states.append(len(rhos)) or real(rhos, space))
-        assert run_sweep(spec).rows == plain
+        assert same_rows(run_sweep(spec).rows, plain)
         assert sum(states) == 2 * len(plain)  # each point's closed and open records
 
 
@@ -460,9 +467,9 @@ class TestGroupedEngine:
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_negativity_theta_matches_per_point(self, open_rates):
         spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GRID)
-        got = np.array(run_sweep(spec).rows)
-        want = np.array(per_point_neg_rows(spec))
-        assert np.array_equal(got, want)
+        got = run_sweep(spec).rows
+        assert got.dtype == np.float64 and got.shape == (3 * 251, 4)
+        assert same_rows(got, np.array(per_point_neg_rows(spec)))
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     def test_gp_rows_do_not_depend_on_block_length(self, block_records, monkeypatch):
@@ -477,7 +484,7 @@ class TestGroupedEngine:
         spec = default_spec("negativity_theta", **NEG_THETA_GRID)
         default = run_sweep(spec).rows
         with_block_records(monkeypatch, "lindblad_blocks", block_records)
-        assert run_sweep(spec).rows == default
+        assert same_rows(run_sweep(spec).rows, default)
 
     @pytest.mark.parametrize("block_records", [1, 7, 100])
     @pytest.mark.parametrize("kind", ["gp_delta", "negativity_delta"])
@@ -486,7 +493,7 @@ class TestGroupedEngine:
         spec = default_spec(kind, **DELTA_GRID)
         default = run_sweep(spec).rows
         with_block_records(monkeypatch, "closed_blocks", block_records)
-        assert run_sweep(spec).rows == default
+        assert same_rows(run_sweep(spec).rows, default)
 
     def test_closed_blocks_sized_by_the_reached_space(self, monkeypatch):
         # the closed reducers build reached-space matrices, so a closed
@@ -575,7 +582,7 @@ class TestChunks:
         budget = 1 << 40 if points is None else points * reached_space(1, spec.space).dim ** 4
         monkeypatch.setattr(ex, "BLOCK_ENTRIES", budget)
         result = run_sweep(spec)
-        assert result.rows == default.rows
+        assert same_rows(result.rows, default.rows)
         assert result.meta == default.meta
 
     def test_hops_within_budget_unless_one_point(self, monkeypatch):

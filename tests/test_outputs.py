@@ -5,10 +5,14 @@ its bytes."""
 
 import math
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kerrjc.experiments as ex
 from kerrjc.dynamics import (
     IntegratorConfig,
     TrajectoryRecord,
@@ -154,6 +158,57 @@ def test_hand_built_gp_rows_equal_old_writer(tmp_path):
     assert b"\n-0,3,4.9406564584124654e-324,-0," in new
     assert new.endswith(b"\n7,1,6.2831853071795862,3.1415926535897931,"
                         b"-3.1415926535897931,0,-1,inf,ok\n")
+
+
+# floats whose %.17g is worth a check: the signed zeros, nan, the
+# infinities, the smallest subnormal and a large exponent
+EDGE_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def _part_lengths(per_slice: int):
+    """One to three parts, each one row below, at or above whole slices."""
+    return st.lists(st.builds(lambda k, off: k * per_slice + off, st.integers(1, 3),
+                              st.sampled_from((-1, 0, 1))), min_size=1, max_size=3)
+
+
+def _block_writer_equals_per_row(template, parts, per_slice, extra, path):
+    """``_write_csv`` writes ``parts`` in slices of ``per_slice`` rows (its
+    BLOCK_ENTRIES // 4 // columns, ``extra`` < columns values left over) into
+    the bytes of one ``template % row`` per row."""
+    columns = template.count("%")
+    with mock.patch.object(ex, "BLOCK_ENTRIES", 4 * (per_slice * columns + extra % columns)):
+        ex._write_csv(path, ["# head", "a,b"], template, parts)
+    rows = "".join(template % tuple(row) for part in parts for row in part)
+    assert path.read_bytes() == ("# head\na,b\n" + rows).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), columns=st.integers(1, 5), per_slice=st.integers(1, 4),
+       extra=st.integers(0, 4))
+def test_block_writer_keeps_the_bytes_of_float_arrays(tmp_path_factory, data, columns,
+                                                       per_slice, extra):
+    template = ",".join(["%.17g"] * columns) + "\n"
+    parts = [np.array(data.draw(st.lists(FLOATS, min_size=n * columns,
+                                         max_size=n * columns)), dtype=float).reshape(n, columns)
+             for n in data.draw(_part_lengths(per_slice))]
+    _block_writer_equals_per_row(template, parts, per_slice, extra,
+                                 tmp_path_factory.mktemp("block") / "rows.csv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), per_slice=st.integers(1, 4), extra=st.integers(0, 3))
+def test_block_writer_keeps_the_bytes_of_tuple_rows(tmp_path_factory, data, per_slice,
+                                                     extra):
+    # a gp-like layout: numpy and Python scalars side by side, and text
+    template = "%.17g,%d,%.17g,%s\n"
+    row = st.tuples(st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(-2**60, 2**60)),
+                    st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+                    FLOATS.map(np.float64), st.text(st.characters(blacklist_categories=["Cs"])))
+    parts = [data.draw(st.lists(row, min_size=n, max_size=n))
+             for n in data.draw(_part_lengths(per_slice))]
+    _block_writer_equals_per_row(template, parts, per_slice, extra,
+                                 tmp_path_factory.mktemp("block") / "rows.csv")
 
 
 @pytest.mark.parametrize("kind", list(SMALL))
