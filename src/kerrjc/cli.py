@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -74,9 +74,9 @@ SCHEMA = {
     "model.delta": (float, SweepSpec.base_params.delta, None),
     "model.chi": (float, SweepSpec.base_params.chi, None),
     "model.g": (float, ModelParams.g, "positive"),
-    "model.gamma": (float, ModelParams.gamma, "nonnegative"),
-    "model.p": (float, ModelParams.p, "nonnegative"),
-    "model.p_z": (float, ModelParams.p_z, "nonnegative"),
+    "model.gamma": (float, None, "nonnegative"),
+    "model.p": (float, None, "nonnegative"),
+    "model.p_z": (float, None, "nonnegative"),
     "space.n_max": (int, SweepSpec.n_max, "positive"),
     "initial.theta0": (float, 0.0, None),
     "initial.phi0": (float, InitialStateSpec.phi0, None),
@@ -90,17 +90,13 @@ SCHEMA = {
     "sweep.grid_stop": (float, None, None),
     "sweep.grid_points": (int, None, "positive"),
     "sweep.m_values": (_parse_int_list, SweepSpec.m_values, None),
-    "sweep.open_gamma": (float, SweepSpec.open_rates[0], "nonnegative"),
-    "sweep.open_p": (float, SweepSpec.open_rates[1], "nonnegative"),
-    "sweep.open_p_z": (float, SweepSpec.open_rates[2], "nonnegative"),
     "sweep.workers": (int, 1, "positive"),  # 1 only: sweeps run in one process
     "output.dir": (str, None, None),
     "output.emit_svg": (_parse_bool, True, None),
     "output.timestamp": (_parse_bool, True, None),
 }
 # the key to set in place of a key that a sweep does not read, where one exists
-SET_INSTEAD = {"model.gamma": "sweep.open_gamma", "model.p": "sweep.open_p",
-               "model.p_z": "sweep.open_p_z", "integrator.periods": "sweep.m_values",
+SET_INSTEAD = {"integrator.periods": "sweep.m_values",
                "model.delta": "sweep.grid_start and sweep.grid_stop"}
 
 
@@ -189,15 +185,27 @@ def _text(value) -> str:
 def serialize_config(config: dict) -> str:
     """Canonical config text; parse_config round-trips it.
 
-    Unset optional keys are left out: the grid, and the integrator keys
-    whose default depends on the sweep kind.
+    Unset optional keys are left out: the grid, the integrator keys whose
+    default depends on the sweep kind, and the rates, whose default depends
+    on the command.
     """
     return "".join(f"{key} = {_text(config[key])}\n" for key in SCHEMA
                    if _text(config[key]))
 
 
-def _model_params(config: dict) -> ModelParams:
-    return ModelParams(**{f.name: config[f"model.{f.name}"] for f in fields(ModelParams)})
+def _model_params(config: dict, base: ModelParams) -> ModelParams:
+    """``base``, the command's default model, with the ``model.*`` keys set in ``config``."""
+    return replace(base, **{f.name: config[f"model.{f.name}"] for f in fields(ModelParams)
+                            if config[f"model.{f.name}"] is not None})
+
+
+def _refuse_unread(config: dict, keys, reader: str) -> None:
+    """Refuse each of ``keys`` set away from its default: ``reader`` does not read it."""
+    for key in keys:
+        if config[key] != (default := SCHEMA[key][1]):
+            leave = f"at {_text(default)}" if _text(default) else "unset"
+            instead = f" and set {SET_INSTEAD[key]}" if key in SET_INSTEAD else ""
+            raise ConfigError(f"{reader} does not read {key}: leave it {leave}{instead}")
 
 
 def sweep_spec_from_config(config: dict) -> SweepSpec:
@@ -206,22 +214,16 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
     kind = config["sweep.kind"]
     if kind == "":
         raise ConfigError("sweep.kind is required")
-    for key in (*EVOLVE_KEYS, *KINDS[kind].unread):
-        if config[key] != (default := SCHEMA[key][1]):
-            leave = "unset" if default is None else f"at {_text(default)}"
-            instead = f" and set {SET_INSTEAD[key]}" if key in SET_INSTEAD else ""
-            raise ConfigError(f"{kind} does not read {key}: leave it {leave}{instead}")
+    _refuse_unread(config, (*EVOLVE_KEYS, *KINDS[kind].unread), kind)
     grid = [config[f"sweep.grid_{k}"] for k in ("start", "stop", "points")]
     if None in grid and grid != [None] * 3:
         raise ConfigError("sweep.grid_start/grid_stop/grid_points must be given together")
     if None not in grid and not math.isfinite(grid[1] - grid[0]):  # a float's span, no warning
         raise ConfigError("the grid from sweep.grid_start to sweep.grid_stop spans more than "
                           "a float holds: narrow it")
-    overrides = dict(base_params=_model_params(config),
-                     open_rates=(config["sweep.open_gamma"], config["sweep.open_p"],
-                                 config["sweep.open_p_z"]), m_values=config["sweep.m_values"],
+    overrides = dict(base_params=_model_params(config, SweepSpec.base_params),
+                     m_values=config["sweep.m_values"], n_max=config["space.n_max"],
                      steps_per_period=config["integrator.steps_per_period"],
-                     n_max=config["space.n_max"],
                      grid=None if None in grid else tuple(np.linspace(*grid)),
                      record_stride=config["integrator.record_stride"],
                      periods=config["integrator.periods"])
@@ -231,8 +233,9 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 def run_evolve(config: dict) -> int:
     """Single-trajectory run; streams the debug trajectory CSV.  A model with
     a collapse channel runs open, on the reached space, zero-padded back."""
+    _refuse_unread(config, [key for key in SCHEMA if key.startswith("sweep.")], "evolve")
     space = SpaceSpec(config["space.n_max"])
-    params = _model_params(config)
+    params = _model_params(config, SweepSpec.base_params.with_rates(0.0, 0.0, 0.0))
     if config["initial.perpendicular"]:
         init = perpendicular_state(params, config["initial.n"])
     else:
@@ -359,11 +362,9 @@ def main(argv=None) -> int:
               "model.g, model.delta and model.chi on a scale nearer 1", file=sys.stderr)
         return EXIT_TRACKING
     except PositivityError as exc:
-        rates = ("model.gamma, model.p, model.p_z" if args.command == "evolve"
-                 else "sweep.open_gamma, sweep.open_p, sweep.open_p_z")
-        print(f"numerical error: {exc}; raise integrator.steps_per_period, lower {rates} "
-              "or choose model.g, model.delta and model.chi on a scale nearer 1",
-              file=sys.stderr)
+        print(f"numerical error: {exc}; raise integrator.steps_per_period, lower model.gamma, "
+              "model.p, model.p_z or choose model.g, model.delta and model.chi on a scale "
+              "nearer 1", file=sys.stderr)
         return EXIT_TRACKING
     except ArithmeticError as exc:
         print(f"numerical error: {exc}; raise integrator.steps_per_period",

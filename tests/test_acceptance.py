@@ -7,6 +7,7 @@ criterion and the convergence criterion through module-scoped fixtures.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from kerrjc.dynamics import (
     evolve_closed,
     evolve_lindblad,
 )
-from kerrjc.experiments import default_spec, run_sweep
+from kerrjc.experiments import SweepSpec, default_spec, run_sweep
 from kerrjc.geomphase import (
     phase_series,
     track_dominant_eigenvector,
@@ -204,10 +205,10 @@ def test_criterion_04_negativity_sin_law():
 def test_criterion_05_chi_shift_symmetry():
     grid = default_spec("negativity_delta").grid
     shifted = run_sweep(default_spec(
-        "negativity_delta", base_params=ModelParams(delta=0.5, chi=0.5)))
+        "negativity_delta", base_params=replace(SweepSpec.base_params, delta=0.5, chi=0.5)))
     reference = run_sweep(default_spec(
         "negativity_delta", grid=tuple(g - 0.5 for g in grid),
-        base_params=ModelParams(delta=0.0, chi=0.0)))
+        base_params=replace(SweepSpec.base_params, delta=0.0, chi=0.0)))
     a = np.array([(r[2], r[3]) for r in shifted.rows])
     b = np.array([(r[2], r[3]) for r in reference.rows])
     worst = np.abs(a - b).max()

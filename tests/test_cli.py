@@ -4,6 +4,7 @@ import lzma
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,19 +108,18 @@ class TestParsing:
         spec = sweep_spec_from_config(config)
         assert any("resonance" in line for line in provenance_lines(spec))
 
-    def test_sweep_rates_are_the_open_keys(self):
-        # a sweep takes only H from model.* and runs its open legs at sweep.open_*
+    def test_sweep_rates_are_the_model_keys(self):
+        # a sweep runs its open legs at the model.* rates it sets, and at
+        # the default spec's for the others
         spec = sweep_spec_from_config(parse_config(
-            "sweep.kind = gp_delta\nmodel.gamma = 0\nmodel.p = 0\nsweep.open_p = 0.05\n"))
-        assert spec.base_params == SweepSpec.base_params
-        assert spec.open_rates == (0.1, 0.05, 0.01)
+            "sweep.kind = gp_delta\nmodel.gamma = 0\nmodel.p = 0.05\n"))
+        assert spec.base_params == SweepSpec.base_params.with_rates(0.0, 0.05, 0.01)
 
-    def test_sweep_refuses_model_rates(self):
-        # model.* rates are evolve's: a sweep refuses them and names its own key
-        for rate in ("gamma", "p", "p_z"):
-            config = parse_config(f"sweep.kind = gp_delta\nmodel.{rate} = 0.5\n")
-            with pytest.raises(ConfigError, match=f"model.{rate}: .* sweep.open_{rate}$"):
-                sweep_spec_from_config(config)
+    def test_rates_unset_until_a_command_reads_them(self):
+        # each command has its own default rates, so the config leaves them unset
+        config = parse_config("")
+        assert [config[f"model.{rate}"] for rate in ("gamma", "p", "p_z")] == [None] * 3
+        assert "model.gamma" not in serialize_config(config)
 
     def test_grid_override_requires_all_three(self):
         config = parse_config("sweep.kind = gp_delta\nsweep.grid_start = 0\n")
@@ -170,7 +170,6 @@ RAW_TEXT = {
     "sweep.grid_points": _whole(),
     "sweep.m_values": st.lists(st.integers(1, 50), max_size=4).map(
         lambda ms: ",".join(map(str, ms))),
-    "sweep.open_gamma": _RATE, "sweep.open_p": _RATE, "sweep.open_p_z": _RATE,
     "sweep.workers": st.one_of(st.just("1"), _whole()),  # 1 is its one accepted value
     "output.dir": st.one_of(st.just("runs/a b"), st.text()),
     "output.emit_svg": _BOOL, "output.timestamp": _BOOL,
@@ -178,7 +177,7 @@ RAW_TEXT = {
 
 
 def test_raw_text_covers_schema():
-    assert set(RAW_TEXT) == set(SCHEMA) and len(SCHEMA) == 26
+    assert set(RAW_TEXT) == set(SCHEMA) and len(SCHEMA) == 23
 
 
 @settings(max_examples=300, deadline=None)
@@ -252,7 +251,7 @@ class TestDispatch:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["model.delta", "sweep.open_gamma", "integrator.periods",
+    @pytest.mark.parametrize("key", ["model.delta", "model.gamma", "integrator.periods",
                                      "sweep.grid_start"])
     def test_non_finite_value_rejected_before_integrating(self, tmp_path, capsys,
                                                           monkeypatch, key, value):
@@ -374,7 +373,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--set", "model.gamma=40"],
-        ["sweep", "--kind", "gp_delta", "--set", "sweep.open_gamma=40",
+        ["sweep", "--kind", "gp_delta", "--set", "model.gamma=40",
          "--set", "integrator.record_stride=1"],
     ], ids=["evolve", "sweep"])
     def test_unstable_hop_exit(self, tmp_path, capsys, monkeypatch, argv):
@@ -505,21 +504,21 @@ class TestDispatch:
                                                       "model.chi"))
 
     @pytest.mark.parametrize("argv", [
-        ["evolve", "--set", "model.gamma=1e300"],
-        ["sweep", "--kind", "gp_delta", "--set", "sweep.open_gamma=1e300"],
+        ["evolve"],
+        ["sweep", "--kind", "gp_delta", "--set", "sweep.grid_start=0",
+         "--set", "sweep.grid_stop=1", "--set", "sweep.grid_points=2",
+         "--set", "sweep.m_values=1"],
     ], ids=["evolve", "sweep"])
     def test_non_finite_hop_exit(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
         monkeypatch.setattr(np.linalg, "eigvals", lambda *args: calls.append(args))
         code = main([*argv, "--out", str(tmp_path), "--no-timestamp", "--no-svg",
-                     "--set", "sweep.grid_start=0", "--set", "sweep.grid_stop=1",
-                     "--set", "sweep.grid_points=2", "--set", "sweep.m_values=1",
-                     "--set", "integrator.steps_per_period=100"])
+                     "--set", "model.gamma=1e300", "--set", "integrator.steps_per_period=100"])
         assert code == EXIT_TRACKING
         err = capsys.readouterr().err
         assert "RK4 hop is not finite" in err and "integrator.steps_per_period" in err
-        assert ("model.gamma" if argv[0] == "evolve" else "sweep.open_gamma") in err
-        assert all(key in err for key in ("model.g,", "model.delta", "model.chi"))
+        assert all(key in err for key in ("model.gamma", "model.g,", "model.delta",
+                                          "model.chi"))
         assert calls == []
 
     @pytest.mark.parametrize("command", [["sweep", "--kind", "gp_delta"], ["evolve"]])
@@ -731,8 +730,8 @@ def test_default_spec_is_the_cli_default(kind):
 
 
 # each key that a kind does not read, at a valid value away from its default
-EVOLVE_ONLY = ["model.gamma=0.3", "model.p=0.2", "model.p_z=0.05", "initial.theta0=1",
-               "initial.phi0=1", "initial.n=2", "initial.perpendicular=true"]
+EVOLVE_ONLY = ["initial.theta0=1", "initial.phi0=1", "initial.n=2",
+               "initial.perpendicular=true"]
 UNREAD = {
     "negativity_theta": [*EVOLVE_ONLY, "sweep.m_values=7"],
     "negativity_delta": [*EVOLVE_ONLY, "model.delta=3", "sweep.m_values=7"],
@@ -748,8 +747,8 @@ READ = [["model.delta=0.7"], ["model.chi=0.7"], ["model.g=2"], ["space.n_max=6"]
         ["integrator.steps_per_period=1000"], ["integrator.record_stride=8"],
         ["integrator.periods=2"],
         ["sweep.grid_start=0.1", "sweep.grid_stop=0.2", "sweep.grid_points=3"],
-        ["sweep.m_values=2,4"], ["sweep.open_gamma=0.2"], ["sweep.open_p=0.05"],
-        ["sweep.open_p_z=0.02"], ["output.dir=elsewhere"], ["output.emit_svg=false"],
+        ["sweep.m_values=2,4"], ["model.gamma=0.3"], ["model.p=0.2"],
+        ["model.p_z=0.05"], ["output.dir=elsewhere"], ["output.emit_svg=false"],
         ["output.timestamp=false"]]
 
 
@@ -795,12 +794,84 @@ def test_sweep_accepts_the_keys_its_kind_reads(kind, items):
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_sweep_accepts_unread_keys_at_their_defaults(kind):
     # a key set to its default changes nothing, so it is not refused
-    at_default = ["model.gamma=0", "model.p=0", "model.p_z=0", "initial.theta0=0",
-                  "initial.phi0=0", "initial.n=1", "initial.perpendicular=false",
-                  "model.delta=0.5", "sweep.m_values=1,2,3"]
+    at_default = ["initial.theta0=0", "initial.phi0=0", "initial.n=1",
+                  "initial.perpendicular=false", "model.delta=0.5", "sweep.m_values=1,2,3"]
     raw = {_key(item): (item.partition("=")[2], "--set") for item in at_default}
     config = build_config({"sweep.kind": (kind, "--kind"), **raw})
     assert sweep_spec_from_config(config) == default_spec(kind)
+
+
+@pytest.mark.parametrize("key", ["sweep.open_gamma", "sweep.open_p", "sweep.open_p_z"])
+@pytest.mark.parametrize("command", [["sweep", "--kind", "gp_delta"], ["bloch"], ["evolve"]],
+                         ids=["sweep", "bloch", "evolve"])
+def test_retired_open_rate_keys_are_unknown(tmp_path, capsys, command, key):
+    # every command reads its rates from model.*: the sweep.open_* keys,
+    # which once held a sweep's, are unknown, and nothing is written
+    code = main([*command, "--out", str(tmp_path), "--no-timestamp", "--set", f"{key}=0.3"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --set {key}=0.3: unknown key '{key}'\n"
+    assert not any(tmp_path.iterdir())
+
+
+class _Seen(Exception):
+    """Raised by a spy once it has seen what it watches."""
+
+
+@pytest.mark.parametrize("rate", [None, "gamma", "p", "p_z"],
+                         ids=["unset", "gamma", "p", "p_z"])
+@pytest.mark.parametrize("command", [["evolve"], ["sweep", "--kind", "gp_delta"], ["bloch"]],
+                         ids=["evolve", "sweep", "bloch"])
+def test_model_rates_reach_the_legs(tmp_path, monkeypatch, command, rate):
+    # a rate set as model.* reaches the legs of every command; an unset one
+    # takes the command's default: 0 for evolve, the default spec's for sweeps
+    import kerrjc.cli as cli
+    import kerrjc.experiments as ex
+    seen = []
+
+    def spy(params, *args):
+        seen.append(params)
+        raise _Seen
+
+    for module in (cli, ex):
+        monkeypatch.setattr(module, "leg_setup", spy)
+    setting = [] if rate is None else ["--set", f"model.{rate}=0.25"]
+    with pytest.raises(_Seen):
+        main([*command, "--out", str(tmp_path), *setting])
+    base = SweepSpec.base_params
+    want = base.with_rates(0.0, 0.0, 0.0) if command == ["evolve"] else base
+    want = want if rate is None else replace(want, **{rate: 0.25})
+    assert {(p.gamma, p.p, p.p_z) for p in seen[0]} == {(want.gamma, want.p, want.p_z)}
+
+
+# for each sweep.* key, a valid value away from its default; sweep.workers
+# takes only its default
+SWEEP_ONLY = {"sweep.kind": "gp_delta", "sweep.grid_start": "0", "sweep.grid_stop": "1",
+              "sweep.grid_points": "5", "sweep.m_values": "2"}
+
+
+def test_sweep_only_covers_the_sweep_keys():
+    assert {*SWEEP_ONLY, "sweep.workers"} == {key for key in SCHEMA if key.startswith("sweep.")}
+
+
+@pytest.mark.parametrize("key", list(SWEEP_ONLY))
+def test_evolve_refuses_a_sweep_key(tmp_path, capsys, monkeypatch, key):
+    # evolve reads no sweep.* key: one set away from its default is a config
+    # error that names it, raised before anything is built or written
+    import kerrjc.cli as cli
+    built = []
+    monkeypatch.setattr(cli, "leg_setup", lambda *args: built.append(args))
+    code = main(["evolve", "--out", str(tmp_path), "--set", f"{key}={SWEEP_ONLY[key]}"])
+    assert code == EXIT_CONFIG
+    leave = "at 1,2,3" if key == "sweep.m_values" else "unset"
+    assert capsys.readouterr().err == \
+        f"config error: evolve does not read {key}: leave it {leave}\n"
+    assert built == [] and not any(tmp_path.iterdir())
+
+
+def test_evolve_accepts_sweep_keys_at_their_defaults(tmp_path):
+    assert main(["evolve", "--out", str(tmp_path), "--no-timestamp", "--set", "sweep.workers=1",
+                 "--set", "sweep.m_values=1,2,3", "--set", "integrator.periods=0.5"]) == EXIT_OK
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -840,7 +911,8 @@ def test_default_sweep_matches_reference_bytes(tmp_path, workload, kind, sets):
 # SHA-256 of every --no-timestamp output file of each default run, and the
 # planarity lines that `kerrjc bloch` prints: the bytes that a change which
 # keeps the outputs must keep (the benchmark's CSVs are checked against
-# perfbench/reference above, so they are not pinned twice)
+# perfbench/reference above, so they are not pinned twice); the open gp_delta
+# run's are the bytes that its rates wrote as sweep.open_gamma and sweep.open_p
 PINNED_OUTPUTS = [
     (["sweep", "--kind", "gp_delta"], {
         "gp_delta_delta_phi.svg":
@@ -867,6 +939,10 @@ PINNED_OUTPUTS = [
             "1977590f197452dd6c0b9e2f7278ddf2b549c032f1ba06d76bbdcc31f73f8485",
         "bloch_off_resonant.svg":
             "9477941b897bc6416ea06f7e0b44aef77ee389d00174b7ba3fe3651f3bcc28d1"}),
+    (["sweep", "--kind", "gp_delta", "--set", "model.gamma=0.3", "--set", "model.p=0.05"], {
+        "gp_delta.csv": "96a7b827a71c6d6419ab8d6f4fd4cb9ca6b298888e801919b874ca8705923ae7",
+        "gp_delta_delta_phi.svg":
+            "1a47f735a0f303c8a7c876889ced1c98362d68ad1201d57a0da067beddcc63db"}),
     (["evolve"], {
         "trajectory.csv": "27b6a4ae809b434714e1038446475d63d15946d24946ae5b5d3fddf382616510"}),
     (["evolve", "--set", "model.gamma=0.1", "--set", "model.p_z=0.01"], {

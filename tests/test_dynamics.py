@@ -189,18 +189,17 @@ class TestRhs:
 
 
 class TestRK4Order:
-    @pytest.mark.parametrize("open_rates", [None, SweepSpec.open_rates],
+    @pytest.mark.parametrize("open_params", [None, SweepSpec.base_params],
                              ids=["hamiltonian", "liouvillian"])
-    def test_one_step_error_falls_as_dt_to_the_fifth(self, open_rates):
+    def test_one_step_error_falls_as_dt_to_the_fifth(self, open_params):
         # RK4 is exact to fourth order, so its one-step error against the
         # exact propagator is O(dt^5): halving dt divides it by about 32
         pytest.importorskip("scipy")
         from scipy.linalg import expm
-        if open_rates is None:
+        if open_params is None:
             generator = -1j * hamiltonian([RESONANT], SPACE)[0]
         else:
-            generator = liouvillian(lindblad_spec(
-                RESONANT.with_rates(*open_rates), SPACE))
+            generator = liouvillian(lindblad_spec(open_params, SPACE))
         errors = [np.abs(rk4_step_matrix(generator, dt) - expm(generator * dt)).max()
                   for dt in (0.04, 0.02, 0.01, 0.005)]
         ratios = np.array(errors[:-1]) / errors[1:]

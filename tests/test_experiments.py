@@ -20,6 +20,7 @@ from kerrjc.geomphase import (
 )
 
 from kerrjc.experiments import (
+    KINDS,
     ConfigError,
     SweepSpec,
     default_spec,
@@ -109,17 +110,17 @@ class TestSpecValidation:
 
 
 class TestOneRateSource:
-    """The open legs' rates are given once, as open_rates; base_params holds
-    the Hamiltonian only."""
+    """The open legs' rates are the base model's: base_params holds H and the
+    rates, and a bare ModelParams runs rate-free open legs."""
 
-    @pytest.mark.parametrize("rate", ["gamma", "p", "p_z"])
-    def test_rate_in_base_params_refused(self, rate):
-        with pytest.raises(ConfigError, match="open_rates"):
-            default_spec("gp_delta", base_params=replace(SweepSpec.base_params, **{rate: 0.3}))
+    def test_default_base_params_holds_the_default_rates(self):
+        assert SweepSpec.base_params == ModelParams(0.5, 0.5, gamma=0.1, p_z=0.01)
 
-    def test_bare_base_params_keeps_the_default_rates(self):
-        spec = default_spec("negativity_delta", base_params=ModelParams(delta=0.0, chi=0.0))
-        assert spec.open_params == ModelParams(0.0, 0.0, gamma=0.1, p_z=0.01)
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_bare_base_params_means_no_rates(self, kind):
+        spec = default_spec(kind, base_params=ModelParams(delta=0.5, chi=0.5))
+        assert all(params == params.with_rates(0.0, 0.0, 0.0)
+                   for _, params, _ in KINDS[kind].points(spec))
 
 
 @pytest.fixture(scope="module")
@@ -170,14 +171,16 @@ class TestNegativityTheta:
 class TestNegativityDelta:
     def test_bare_resonance_full_oscillation(self):
         spec = default_spec("negativity_delta", grid=(-2.0, 0.0, 2.0),
-                            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG)
+                            base_params=replace(SweepSpec.base_params, delta=0.0, chi=0.0),
+                            **SMALL_NEG)
         result = run_sweep(spec)
         on_res = np.array([r[2] for r in rows_for(result, 0.0)])
         assert on_res.max() > 0.499 and on_res.min() < 1e-6
 
     def test_large_detuning_confined_high(self):
         spec = default_spec("negativity_delta", grid=(4.0,),
-                            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG)
+                            base_params=replace(SweepSpec.base_params, delta=0.0, chi=0.0),
+                            **SMALL_NEG)
         vals = np.array([r[2] for r in run_sweep(spec).rows])
         assert vals.min() > 0.3
 
@@ -185,10 +188,10 @@ class TestNegativityDelta:
         grid = tuple(np.linspace(-2.0, 2.0, 5))
         shifted = run_sweep(default_spec(
             "negativity_delta", grid=grid,
-            base_params=ModelParams(delta=0.5, chi=0.5), **SMALL_NEG))
+            base_params=replace(SweepSpec.base_params, delta=0.5, chi=0.5), **SMALL_NEG))
         reference = run_sweep(default_spec(
             "negativity_delta", grid=tuple(g - 0.5 for g in grid),
-            base_params=ModelParams(delta=0.0, chi=0.0), **SMALL_NEG))
+            base_params=replace(SweepSpec.base_params, delta=0.0, chi=0.0), **SMALL_NEG))
         a = np.array([(r[2], r[3]) for r in shifted.rows])
         b = np.array([(r[2], r[3]) for r in reference.rows])
         assert np.abs(a - b).max() < 1e-9
@@ -203,8 +206,9 @@ class TestNegativityDelta:
         # under random rates; the bound is criterion 5's, fixed beforehand
         grid = tuple(np.linspace(start, start + span, 3))
         shifted, reference = (run_sweep(default_spec(
-            "negativity_delta", grid=values, base_params=ModelParams(delta=0.0, chi=c),
-            open_rates=rates, periods=1.0, record_stride=16))
+            "negativity_delta", grid=values,
+            base_params=ModelParams(delta=0.0, chi=c).with_rates(*rates), periods=1.0,
+            record_stride=16))
             for values, c in ((grid, chi), (tuple(g - chi for g in grid), 0.0)))
         a = np.array([r[1:] for r in shifted.rows])
         b = np.array([r[1:] for r in reference.rows])
@@ -250,7 +254,8 @@ class TestGpSweeps:
         # resonance delta = chi, give opposite wrapped phase differences at
         # every m; the bound is the theta mirror's, fixed beforehand
         spec = default_spec("gp_delta", grid=(chi - x, chi + x),
-                            base_params=ModelParams(delta=0.0, chi=chi), **SMALL_GP)
+                            base_params=replace(SweepSpec.base_params, delta=0.0, chi=chi),
+                            **SMALL_GP)
         rows = run_sweep(spec).rows
         assert [row[8] for row in rows] == ["ok"] * 6
         for below, above in zip(rows[:3], rows[3:]):
@@ -282,7 +287,8 @@ class TestGpSweeps:
 
     def test_zero_rates_zero_everywhere(self):
         spec = default_spec("gp_delta", grid=(-1.0, 0.5, 2.0), m_values=(1,),
-                            open_rates=(0.0, 0.0, 0.0), **SMALL_GP)
+                            base_params=SweepSpec.base_params.with_rates(0.0, 0.0, 0.0),
+                            **SMALL_GP)
         result = run_sweep(spec)
         assert max(abs(r[5]) for r in result.rows) < 1e-9
 
@@ -317,7 +323,7 @@ class TestBlochTraj:
 
     def test_zero_rates_series_coincide(self):
         spec = default_spec("bloch_traj", periods=1.0, steps_per_period=1000,
-                            open_rates=(0.0, 0.0, 0.0))
+                            base_params=SweepSpec.base_params.with_rates(0.0, 0.0, 0.0))
         result = run_sweep(spec)
         for case in ("resonant", "off_resonant"):
             by_series = {
@@ -365,7 +371,7 @@ class TestCsvAndWorkers:
 
 def _per_point_legs(spec, theta, periods):
     """One grid point alone: its own H, Lindbladian and evolve_lindblad run."""
-    params, space = spec.open_params, spec.space
+    params, space = spec.base_params, spec.space
     period = 2 * math.pi / sector_analytics(params, 1).rabi_frequency
     config = IntegratorConfig.for_periods(period, periods, spec.steps_per_period,
                                           spec.record_stride)
@@ -393,8 +399,8 @@ def per_case_bloch(spec):
     """Rows and planarity reports of each bloch case run alone:
     evolve_closed, evolve_lindblad and track_dominant_eigenvector on whole
     trajectories, as bloch_traj ran before it was a sweep."""
-    cases = (("resonant", spec.open_params),
-             ("off_resonant", replace(spec.open_params, delta=2 * spec.base_params.g,
+    cases = (("resonant", spec.base_params),
+             ("off_resonant", replace(spec.base_params, delta=2 * spec.base_params.g,
                                       chi=0.0)))
     space = spec.space
     rows, reports = [], {}
@@ -456,7 +462,9 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_gp_theta_matches_per_point(self, open_rates):
-        spec = default_spec("gp_theta", open_rates=open_rates, **GP_THETA_GRID)
+        spec = default_spec("gp_theta",
+                            base_params=SweepSpec.base_params.with_rates(*open_rates),
+                            **GP_THETA_GRID)
         got = run_sweep(spec).rows
         want = per_point_gp_rows(spec)
         assert len(got) == len(want)
@@ -466,7 +474,9 @@ class TestGroupedEngine:
 
     @pytest.mark.parametrize("open_rates", [(0.1, 0.0, 0.01), (0.1, 0.05, 0.01)])
     def test_negativity_theta_matches_per_point(self, open_rates):
-        spec = default_spec("negativity_theta", open_rates=open_rates, **NEG_THETA_GRID)
+        spec = default_spec("negativity_theta",
+                            base_params=SweepSpec.base_params.with_rates(*open_rates),
+                            **NEG_THETA_GRID)
         got = run_sweep(spec).rows
         assert got.dtype == np.float64 and got.shape == (3 * 251, 4)
         assert same_rows(got, np.array(per_point_neg_rows(spec)))

@@ -717,9 +717,8 @@ class TestOpenPhases:
 def gp_theta_rows(open_params, thetas, m):
     """Rows (param, m, tau, phi_u, phi_g, delta_phi_wrapped, delta_phi_raw,
     omega_plus, valid) of a gp_theta sweep over ``thetas`` with one checkpoint
-    m and the open leg's rates taken from ``open_params``."""
-    rates = (open_params.gamma, open_params.p, open_params.p_z)
-    spec = default_spec("gp_theta", grid=tuple(thetas), m_values=(m,), open_rates=rates)
+    m, at the model and the open leg's rates of ``open_params``."""
+    spec = default_spec("gp_theta", grid=tuple(thetas), m_values=(m,), base_params=open_params)
     return run_sweep(spec).rows
 
 

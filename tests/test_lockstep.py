@@ -374,7 +374,7 @@ def assert_stack_is_each_point(params, configs, space, n0=1):
 class TestStackedSetup:
     def test_default_gp_delta_grid(self):
         spec = default_spec("gp_delta")
-        params = [replace(spec.open_params, delta=delta) for delta in spec.grid]
+        params = [replace(spec.base_params, delta=delta) for delta in spec.grid]
         configs = [leg_grid(p, 1, spec.space, 3.0, spec.steps_per_period,
                             spec.record_stride)[1] for p in params]
         assert len({c.dt for c in configs}) > 1

@@ -4,6 +4,7 @@ trajectory writer and the ``cli.emit_svg`` dispatch.  Every output must keep
 its bytes."""
 
 import math
+from dataclasses import replace
 from operator import itemgetter
 from unittest import mock
 
@@ -23,6 +24,7 @@ from kerrjc.experiments import (
     GP_COLUMNS,
     KINDS,
     SweepResult,
+    SweepSpec,
     default_spec,
     run_sweep,
     write_sweep_csv,
@@ -45,7 +47,8 @@ FAST = dict(steps_per_period=400, n_max=3)
 SMALL = {
     "negativity_theta": dict(grid=(0.0, 0.7, 1.5), periods=1.0, record_stride=8, **FAST),
     "negativity_delta": dict(grid=(-1.0, 0.5, 2.0), periods=1.0, record_stride=8,
-                             base_params=RESONANT, **FAST),
+                             base_params=replace(SweepSpec.base_params, delta=0.5, chi=0.5),
+                             **FAST),
     "gp_theta": dict(grid=(0.0, 1.0, 3.0), m_values=(1, 2), record_stride=4, **FAST),
     "gp_delta": dict(grid=(-1.0, 0.5, 2.0), m_values=(1, 2), record_stride=4, **FAST),
     "bloch_traj": dict(periods=1.0, record_stride=8, **FAST),
