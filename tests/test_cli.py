@@ -791,6 +791,27 @@ def test_sweep_accepts_the_keys_its_kind_reads(kind, items):
     sweep_spec_from_config(build_config({"sweep.kind": (kind, "--kind"), **raw}))
 
 
+@pytest.mark.parametrize("kind,setting", [(kind, setting) for kind in KINDS for setting in
+                                          ["model.gamma=0.3", "model.p=0.2", "model.p_z=0.05"]])
+def test_sweep_reads_the_model_rates(tmp_path, monkeypatch, kind, setting):
+    # every kind's open legs run at the model.* rate set, the other two
+    # rates kept at the default spec's
+    import kerrjc.experiments as ex
+    seen = []
+
+    def spy(params, *args):
+        seen.append(params)
+        raise _Seen
+
+    monkeypatch.setattr(ex, "leg_setup", spy)
+    command = ["bloch"] if kind == "bloch_traj" else ["sweep", "--kind", kind]
+    with pytest.raises(_Seen):
+        main([*command, "--out", str(tmp_path), "--no-timestamp", "--set", setting])
+    key, _, value = setting.partition("=")
+    want = replace(default_spec(kind).base_params, **{key.removeprefix("model."): float(value)})
+    assert {(p.gamma, p.p, p.p_z) for p in seen[0]} == {(want.gamma, want.p, want.p_z)}
+
+
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_sweep_accepts_unread_keys_at_their_defaults(kind):
     # a key set to its default changes nothing, so it is not refused
