@@ -7,7 +7,7 @@ repeated ``--set key=value`` flags, then the dedicated flags (``--out``,
 ``--no-svg``, ``--no-timestamp``, ``--kind``).  ``experiments`` writes
 every output file: the CSVs and each kind's charts.
 
-Exit codes: 0 success, 1 config error (``ConfigError``, or a
+Exit codes: 0 success, 1 config error (``ConfigError``, a usage error or a
 ``MemoryError``: the space is too large), 2 truncation,
 3 tracking/phase or numerical failure (positivity guard, negativity
 cross-check) or an internal error (any other ``ValueError``), 4 I/O error.
@@ -27,22 +27,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import PositivityError, StepOverflowError, closed_blocks, lindblad_blocks
+from .dynamics import PositivityError, StepOverflowError
 from .experiments import (
     EVOLVE_KEYS,
     KINDS,
     ConfigError,
     SweepSpec,
     default_spec,
-    leg_grid,
-    leg_setup,
+    point_legs,
     run_sweep,
     write_sweep_csv,
     write_trajectory_csv,
 )
 from .geomphase import CoarseGridError, SingularCheckpointError, TrackingError
 from .hilbert import SpaceSpec, TruncationError
-from .model import InitialStateSpec, ModelParams, initial_state, perpendicular_state
+from .model import InitialStateSpec, ModelParams, perpendicular_state
 
 ENV_OUTPUT_DIR = "KERRJC_OUTPUT_DIR"
 
@@ -231,8 +230,8 @@ def sweep_spec_from_config(config: dict) -> SweepSpec:
 
 
 def run_evolve(config: dict) -> int:
-    """Single-trajectory run; streams the debug trajectory CSV.  A model with
-    a collapse channel runs open, on the reached space, zero-padded back."""
+    """Single-trajectory run: the one point's leg (``point_legs``), open if
+    the model has a collapse channel, streamed into the debug trajectory CSV."""
     _refuse_unread(config, [key for key in SCHEMA if key.startswith("sweep.")], "evolve")
     space = SpaceSpec(config["space.n_max"])
     params = _model_params(config, SweepSpec.base_params.with_rates(0.0, 0.0, 0.0))
@@ -241,17 +240,11 @@ def run_evolve(config: dict) -> int:
     else:
         init = InitialStateSpec(theta0=config["initial.theta0"],
                                 phi0=config["initial.phi0"], n=config["initial.n"])
-    _, integ = leg_grid(params, init.n, space,
-                        config["integrator.periods"] or SweepSpec.periods,
-                        config["integrator.steps_per_period"],
-                        config["integrator.record_stride"] or SweepSpec.record_stride)
-    steps, hops = leg_setup([params], [integ], init.n, space)
-    psi0 = initial_state(init, space)
-    if params != params.with_rates(0.0, 0.0, 0.0):
-        d = math.isqrt(hops.shape[-1])  # the reached space's dimension
-        blocks = lindblad_blocks(hops, [np.outer(psi0[:d], psi0[:d].conj())], [integ])
-    else:
-        blocks = closed_blocks(steps, [psi0], [integ])
+    [(_, _, closed, opened)] = point_legs(
+        [(None, params, init)], init.n, space, config["integrator.periods"] or SweepSpec.periods,
+        config["integrator.steps_per_period"],
+        config["integrator.record_stride"] or SweepSpec.record_stride)
+    blocks = opened if params != params.with_rates(0.0, 0.0, 0.0) else closed
     first = next(blocks)  # the leg's checks, and its first block's, run before any write
 
     outdir = Path(config["output.dir"])
@@ -312,6 +305,11 @@ def _load_config(args) -> dict:
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 1, one line
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
@@ -322,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp header line (diff-friendly)")
 
-    parser = argparse.ArgumentParser(prog="kerrjc",
-                                     description="Kerr Jaynes-Cummings simulator")
+    parser = _Parser(prog="kerrjc", description="Kerr Jaynes-Cummings simulator")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("evolve", parents=[common],
@@ -338,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args)
         if args.command == "validate-config":
             sys.stdout.write(serialize_config(config))

@@ -3,11 +3,11 @@
 Every sweep kind is one row of ``KINDS``, and ``run_sweep`` runs them all,
 each from sector ``START_SECTOR``.  Sweeps are deterministic, run in one
 process and assemble rows in grid order, so an identical spec reproduces
-the CSV byte for byte.  ``_point_rows`` runs the points by chunks, whose
-hops hold at most ``BLOCK_ENTRIES`` entries, with one stacked set-up per
-chunk (``leg_setup``).  A chunk's closed legs advance in lockstep
+the CSV byte for byte.  ``point_legs`` makes every command's legs by
+chunks, whose hops hold at most ``BLOCK_ENTRIES`` entries, with one stacked
+set-up per chunk (``leg_setup``).  A chunk's closed legs advance in lockstep
 (``dynamics.closed_blocks``) under the full space's H from states on the
-reached space (``hilbert.reached_space``, Fock levels 0..START_SECTOR), and
+reached space (``hilbert.reached_space``, Fock levels 0..n0), and
 record only it; its open legs, one hop each, and every negativity and
 Bloch series run on it (``dynamics.lindblad_blocks``).  A kind reduces the
 blocks of either leg through one interface, ``(spec, reached space,
@@ -65,6 +65,7 @@ from .svg import bloch_chart, line_chart
 
 OMEGA_DEGRADED = 0.05
 START_SECTOR = 1  # the excitation sector N of every sweep's initial states
+MAX_STEPS = 1 << 30  # IntegratorConfig gives back every step count up to it exactly
 
 # each row layout: its CSV columns and the %-template of one row
 # (%.17g for a float, %d for m, %s for text)
@@ -182,7 +183,7 @@ def _resonant(top: Optional[float] = None, label: str = "") -> Callable:
 
 def _two_records(spec: SweepSpec) -> None:
     """Check that the legs record two or more samples (planarity needs them)."""
-    if round(spec.periods * spec.steps_per_period) < 1:
+    if spec.periods * spec.steps_per_period <= 0.5:  # round() gives 0 steps
         raise ConfigError(f"{spec.kind} needs two or more records: raise integrator.periods")
 
 
@@ -316,35 +317,47 @@ def leg_setup(params, configs, n: int, space: SpaceSpec) -> tuple[np.ndarray, np
     return rk4_step_matrix(-1j * h, dts), rk4_hop(spec, dts, configs[0].record_stride)
 
 
-def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple] | np.ndarray:
-    """Rows of (value, params, initial state) points, in grid order.
-
-    Every point's grid is checked and set first (``leg_grid``).  The points
-    run by chunks of at most BLOCK_ENTRIES // d**4 (one at least), d the
-    reached space's dimension; a chunk's set-up is one stacked ``leg_setup``
-    of its distinct model parameters, indexed per point.  Its closed legs
-    advance in lockstep from the initial states on the reached space, then
-    its open legs from their projectors; the kind reduces each leg's blocks,
-    and each point's two reductions become its rows (arrays join into one).
-    """
-    reached = reached_space(START_SECTOR, spec.space)
-    grids = {params: leg_grid(params, START_SECTOR, spec.space, kind.horizon(spec),
-                              spec.steps_per_period, spec.record_stride)
+def point_legs(points, n0: int, space: SpaceSpec, horizon: float, steps_per_period: int,
+               record_stride: int):
+    """``(chunk, periods, closed blocks, open blocks)`` of each chunk of
+    (value, params, initial state) points from sector ``n0``.  The step bound
+    and every point's grid (``leg_grid``) are checked first; a chunk holds at
+    most BLOCK_ENTRIES // d**4 points (one at least), d the reached space's
+    dimension, and its set-up is one stacked ``leg_setup`` of its distinct
+    parameters, indexed per point.  Both legs start on the reached space and
+    record it."""
+    reached = reached_space(n0, space)
+    n_steps = horizon * steps_per_period  # inf where it overflows
+    if math.isfinite(n_steps):  # IntegratorConfig.for_periods' count
+        n_steps = -(-round(n_steps) // record_stride) * record_stride
+    if n_steps > MAX_STEPS:
+        raise ConfigError(f"a leg of {n_steps:.10g} steps exceeds the bound of {MAX_STEPS}: "
+                          "lower integrator.periods (sweep.m_values for the gp kinds) "
+                          "or integrator.steps_per_period")
+    grids = {params: leg_grid(params, n0, space, horizon, steps_per_period, record_stride)
              for _, params, _ in points}
     per_chunk = max(1, BLOCK_ENTRIES // reached.dim ** 4)
-    parts = []  # each point's rows
     for start in range(0, len(points), per_chunk):
         chunk = points[start:start + per_chunk]
         at: dict = {}  # each distinct set of parameters -> its place in the set-up
         index = [at.setdefault(params, len(at)) for _, params, _ in chunk]
-        steps, hops = leg_setup(list(at), [grids[p][1] for p in at], START_SECTOR, spec.space)
+        steps, hops = leg_setup(list(at), [grids[p][1] for p in at], n0, space)
         periods, configs = zip(*(grids[params] for _, params, _ in chunk))
         psi0s = [initial_state(init, reached) for _, _, init in chunk]
-        # both legs record the reached space and size their blocks by it:
-        # their reducers build d x d matrices per state
-        closed = kind.closed(spec, reached, closed_blocks(steps[index], psi0s, configs))
         rho0s = np.array([np.outer(psi0, psi0.conj()) for psi0 in psi0s])
-        opened = kind.opened(spec, reached, lindblad_blocks(hops[index], rho0s, configs))
+        yield (chunk, periods, closed_blocks(steps[index], psi0s, configs),
+               lindblad_blocks(hops[index], rho0s, configs))
+
+
+def _point_rows(spec: SweepSpec, kind: Kind, points) -> list[tuple] | np.ndarray:
+    """Rows of (value, params, initial state) points, in grid order: the kind
+    reduces each chunk's legs (``point_legs``), each point's two reductions its rows."""
+    reached = reached_space(START_SECTOR, spec.space)
+    parts = []  # each point's rows
+    for chunk, periods, closed, opened in point_legs(
+            points, START_SECTOR, spec.space, kind.horizon(spec), spec.steps_per_period,
+            spec.record_stride):
+        closed, opened = kind.closed(spec, reached, closed), kind.opened(spec, reached, opened)
         parts += [kind.rows(spec, value, period, c, o)
                   for (value, _, _), period, c, o in zip(chunk, periods, closed, opened)]
     return np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain(*parts))

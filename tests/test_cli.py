@@ -694,6 +694,66 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err == "internal error: operands could not be broadcast together\n"
 
+    @pytest.mark.parametrize("argv", [["sweep", "--bogus"], [], ["sweep", "--kind"]],
+                             ids=["unknown flag", "no command", "flag without value"])
+    def test_usage_error_is_one_config_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        # a command line that argparse refuses exits 1 like any config error,
+        # with one stderr line and nothing written, not argparse's usage and 2
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+        assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith("config error: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0 and capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,setting,key", [
+        (["evolve"], "integrator.periods=1e300", "integrator.periods"),
+        (["evolve"], "integrator.periods=1e7", "integrator.periods"),
+        (["sweep", "--kind", "negativity_delta"], "integrator.periods=1e7", "integrator.periods"),
+        (["sweep", "--kind", "gp_delta"], "sweep.m_values=10000000", "sweep.m_values"),
+        (["bloch"], "integrator.periods=1e7", "integrator.periods")],
+        ids=["evolve-1e300", "evolve-1e7", "negativity_delta", "gp_delta", "bloch"])
+    def test_step_bound_refused_before_any_grid(self, tmp_path, capsys, monkeypatch, command,
+                                                setting, key):
+        # a leg of more steps than IntegratorConfig gives back exactly is a
+        # config error that names the keys setting its length, refused before
+        # any grid is built and with nothing written
+        import kerrjc.experiments as ex
+        built = []
+        monkeypatch.setattr(ex, "leg_grid", lambda *args: built.append(args))
+        code = main([*command, "--out", str(tmp_path), "--set", setting])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: a leg of ") and err.count("\n") == 1
+        assert key in err and "integrator.steps_per_period" in err
+        assert built == [] and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stride,refused", [(1, False), (3, True)])
+    def test_step_bound_reads_the_stride_rounded_count(self, tmp_path, monkeypatch, stride,
+                                                       refused):
+        # 2**29 periods of 2 steps are MAX_STEPS steps, which stride 1 keeps
+        # and stride 3 rounds up to MAX_STEPS + 2
+        import kerrjc.experiments as ex
+
+        def spy(*args):
+            raise _Seen
+
+        monkeypatch.setattr(ex, "leg_grid", spy)
+        argv = ["evolve", "--out", str(tmp_path), "--set", f"integrator.periods={2 ** 29}",
+                "--set", "integrator.steps_per_period=2",
+                "--set", f"integrator.record_stride={stride}"]
+        if refused:
+            assert main(argv) == EXIT_CONFIG
+        else:
+            with pytest.raises(_Seen):
+                main(argv)
+
     def test_explicit_record_stride_wins(self, tmp_path):
         default = sweep_spec_from_config(parse_config("sweep.kind = negativity_delta\n"))
         assert default.record_stride == 16
@@ -845,7 +905,6 @@ class _Seen(Exception):
 def test_model_rates_reach_the_legs(tmp_path, monkeypatch, command, rate):
     # a rate set as model.* reaches the legs of every command; an unset one
     # takes the command's default: 0 for evolve, the default spec's for sweeps
-    import kerrjc.cli as cli
     import kerrjc.experiments as ex
     seen = []
 
@@ -853,8 +912,7 @@ def test_model_rates_reach_the_legs(tmp_path, monkeypatch, command, rate):
         seen.append(params)
         raise _Seen
 
-    for module in (cli, ex):
-        monkeypatch.setattr(module, "leg_setup", spy)
+    monkeypatch.setattr(ex, "leg_setup", spy)
     setting = [] if rate is None else ["--set", f"model.{rate}=0.25"]
     with pytest.raises(_Seen):
         main([*command, "--out", str(tmp_path), *setting])
@@ -878,9 +936,9 @@ def test_sweep_only_covers_the_sweep_keys():
 def test_evolve_refuses_a_sweep_key(tmp_path, capsys, monkeypatch, key):
     # evolve reads no sweep.* key: one set away from its default is a config
     # error that names it, raised before anything is built or written
-    import kerrjc.cli as cli
+    import kerrjc.experiments as ex
     built = []
-    monkeypatch.setattr(cli, "leg_setup", lambda *args: built.append(args))
+    monkeypatch.setattr(ex, "leg_setup", lambda *args: built.append(args))
     code = main(["evolve", "--out", str(tmp_path), "--set", f"{key}={SWEEP_ONLY[key]}"])
     assert code == EXIT_CONFIG
     leave = "at 1,2,3" if key == "sweep.m_values" else "unset"
@@ -1027,10 +1085,10 @@ def test_large_open_evolve_pads_in_slices(tmp_path, monkeypatch):
 
 def _counting_legs(monkeypatch) -> list:
     """The blocks that `kerrjc evolve`'s legs yield, appended as they pass."""
-    import kerrjc.cli as cli
+    import kerrjc.experiments as ex
     blocks = []
     for name in ("closed_blocks", "lindblad_blocks"):
-        monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name):
+        monkeypatch.setattr(ex, name, lambda *args, real=getattr(ex, name):
                             (blocks.append(block) or block for block in real(*args)))
     return blocks
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kerrjc import dynamics, experiments, hilbert, information
@@ -22,6 +22,7 @@ from kerrjc.dynamics import (
     rk4_step_matrix,
 )
 from kerrjc.experiments import (
+    MAX_STEPS,
     SweepSpec,
     default_spec,
     run_sweep,
@@ -743,6 +744,20 @@ class TestRecordAndDump:
         assert len(lines) == len(traj.times) + 1
         first = [float(x) for x in lines[1].split(",")]
         assert len(first) == 1 + 2 * SPACE.dim**2
+
+    @settings(max_examples=300, deadline=None)
+    @given(period=st.floats(1e-6, 1e6), steps_per_period=st.integers(1, 10**6),
+           stride=st.integers(1, 1000),
+           count=st.integers(1, MAX_STEPS) | st.integers(MAX_STEPS // 2, MAX_STEPS))
+    def test_for_periods_gives_back_every_count_up_to_the_bound(self, period, steps_per_period,
+                                                                stride, count):
+        # the step count rounded up to a whole stride, as the legs' step
+        # bound reads it, comes back from t_final / dt up to MAX_STEPS
+        periods = count / steps_per_period
+        n_steps = -(-round(periods * steps_per_period) // stride) * stride
+        assume(n_steps <= MAX_STEPS)
+        config = IntegratorConfig.for_periods(period, periods, steps_per_period, stride)
+        assert config.n_steps == n_steps
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

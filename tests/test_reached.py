@@ -75,8 +75,14 @@ def test_rows_agree_with_full_space(delta, chi, rates, theta0, n_max):
     ["model.delta=-2", "model.gamma=0.3", "model.p=0.2", "model.p_z=0.05",
      "initial.perpendicular=true"],
     ["initial.n=2", "space.n_max=5", "model.gamma=0.2", "model.p=0.1", "initial.theta0=1"],
+    # closed legs: no rate set
+    ["initial.theta0=1.1"],
+    ["initial.n=2", "space.n_max=3", "initial.theta0=2", "initial.phi0=0.7"],
+    ["initial.n=3", "space.n_max=10", "initial.theta0=0.4", "model.chi=-0.3"],
+    ["initial.n=1", "space.n_max=2", "initial.theta0=3"],
+    ["model.delta=-2", "initial.perpendicular=true"],
 ])
-def test_evolve_open_trajectory_equals_full_space(sets, tmp_path, monkeypatch):
+def test_evolve_trajectory_equals_full_space(sets, tmp_path, monkeypatch):
     argv = ["evolve", "--no-timestamp", "--set", "integrator.steps_per_period=200",
             *(arg for s in sets for arg in ("--set", s))]
     assert main([*argv, "--out", str(tmp_path / "reduced")]) == 0
