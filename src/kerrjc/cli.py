@@ -31,6 +31,7 @@ from .dynamics import PositivityError, StepOverflowError
 from .experiments import (
     EVOLVE_KEYS,
     KINDS,
+    MAX_STEPS,
     ConfigError,
     SweepSpec,
     default_spec,
@@ -94,6 +95,10 @@ SCHEMA = {
     "output.emit_svg": (_parse_bool, True, None),
     "output.timestamp": (_parse_bool, True, None),
 }
+# an integer key's largest value (each sweep.m_values entry's too), MAX_STEPS
+# where unlisted: a larger one overflows a float or an array size, naming no
+# key; at space.n_max = 2**20 numpy runs out of memory before any large array
+INT_BOUNDS = {"space.n_max": 1 << 20}
 # the key to set in place of a key that a sweep does not read, where one exists
 SET_INSTEAD = {"integrator.periods": "sweep.m_values",
                "model.delta": "sweep.grid_start and sweep.grid_stop"}
@@ -148,6 +153,8 @@ def build_config(raw: dict[str, tuple[str, str]]) -> dict:
             raise ConfigError(f"{key} must be finite, got {value}")
         if value is not None and sign and (value <= 0 if sign == "positive" else value < 0):
             raise ConfigError(f"{key} must be {sign}")
+        if conv is int and value is not None and value > (top := INT_BOUNDS.get(key, MAX_STEPS)):
+            raise ConfigError(f"{key} must be at most {top}")
 
     if values["initial.n"] > values["space.n_max"]:
         raise ConfigError(f"initial.n = {values['initial.n']} exceeds space.n_max = "
@@ -160,8 +167,10 @@ def build_config(raw: dict[str, tuple[str, str]]) -> dict:
         raise ConfigError(f"sweep.workers must be 1, got {values['sweep.workers']}: "
                           "sweeps run in one process")
     m_values = values["sweep.m_values"]
-    if not m_values or min(m_values) < 1 or len(set(m_values)) != len(m_values):
-        raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1")
+    if (not m_values or min(m_values) < 1 or max(m_values) > MAX_STEPS
+            or len(set(m_values)) != len(m_values)):
+        raise ConfigError("sweep.m_values must list one or more distinct m, all >= 1 "
+                          f"and at most {MAX_STEPS}")
     if values["output.dir"] is None:
         values["output.dir"] = os.environ.get(ENV_OUTPUT_DIR, "runs")
     return values

@@ -23,6 +23,7 @@ overflow is refused before it is yielded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -80,40 +81,38 @@ class LindbladSpec:
         object.__setattr__(self, "hamiltonian", h)
 
 
+def step_count(periods: float, steps_per_period: int, record_stride: int):
+    """Steps of a leg of ``periods`` periods: round(periods * steps_per_period),
+    rounded up to a whole record stride, or inf where the product overflows."""
+    n = periods * steps_per_period
+    return -(-round(n) // record_stride) * record_stride if math.isfinite(n) else n
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step grid: step dt, horizon t_final, samples every record_stride steps."""
+    """Fixed-step grid: n_steps steps of dt, samples every record_stride steps."""
 
     dt: float
-    t_final: float
+    n_steps: int
     record_stride: int = 1
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.t_final < 0:
-            raise ValueError("t_final must be nonnegative")
+        if self.n_steps < 0:
+            raise ValueError("n_steps must be nonnegative")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        n = self.t_final / self.dt
-        if abs(n - round(n)) > 1e-6:
-            raise ValueError("t_final must be an integer number of steps")
-        if round(n) % self.record_stride != 0:
+        if self.n_steps % self.record_stride != 0:
             raise ValueError("record_stride must divide the total step count")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.t_final / self.dt))
 
     @classmethod
     def for_periods(cls, period: float, periods: float, steps_per_period: int,
                     record_stride: int) -> "IntegratorConfig":
         """Grid spanning ``periods`` oscillation periods of length ``period``."""
-        dt = period / steps_per_period
-        n_steps = int(round(periods * steps_per_period))
-        if n_steps % record_stride:
-            n_steps += record_stride - n_steps % record_stride
-        return cls(dt=dt, t_final=n_steps * dt, record_stride=record_stride)
+        return cls(dt=period / steps_per_period,
+                   n_steps=step_count(periods, steps_per_period, record_stride),
+                   record_stride=record_stride)
 
 
 @dataclass(frozen=True)
@@ -208,6 +207,22 @@ def _reached(starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return live
 
 
+def _record_blocks(configs, entries: int):
+    """(stride, records of the largest block, blocks) of legs in lockstep, each
+    block ``(start, times)``: records from ``start`` at ``times`` (b, r), r
+    keeping r*b*entries within BLOCK_ENTRIES (``entries`` per record and leg);
+    configs of more than one step count or stride raise ValueError."""
+    n_steps, stride = configs[0].n_steps, configs[0].record_stride
+    if any(c.n_steps != n_steps or c.record_stride != stride for c in configs):
+        raise ValueError("lockstep legs need one step count and record stride")
+    n_rec = n_steps // stride + 1
+    spacing = np.array([[c.dt * stride] for c in configs])
+    per_block = max(1, BLOCK_ENTRIES // (len(configs) * entries))
+    return stride, min(per_block, n_rec), (
+        (start, np.arange(start, min(start + per_block, n_rec)) * spacing)
+        for start in range(0, n_rec, per_block))
+
+
 def closed_blocks(steps, psi0s, configs):
     """Advance b pure states in lockstep, each under its own H and time step.
 
@@ -228,10 +243,6 @@ def closed_blocks(steps, psi0s, configs):
     StepOverflowError before it is yielded.  r keeps r*b*width^2 within
     BLOCK_ENTRIES.
     """
-    configs = list(configs)
-    n_steps, stride = configs[0].n_steps, configs[0].record_stride
-    if any(c.n_steps != n_steps or c.record_stride != stride for c in configs):
-        raise ValueError("lockstep closed legs need one step count and record stride")
     # each norm as np.linalg.norm takes it: ddot of the real and imaginary parts
     cols = np.array(psi0s, dtype=complex)
     norms = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))
@@ -240,8 +251,9 @@ def closed_blocks(steps, psi0s, configs):
     cols /= norms[:, None]
     steps = np.asarray(steps)
     (b, width), d = cols.shape, steps.shape[-1]
-    if steps.shape != (b, d, d) or width > d:
+    if steps.shape != (b, d, d) or width > d or len(configs) != b:
         raise ValueError("psi0 and hamiltonian dimensions disagree")
+    stride, size, blocks = _record_blocks(configs, width * width)
     if not np.isfinite(steps).all():
         raise StepOverflowError("the RK4 step is not finite (time step too large)")
     # step buffers: two ping-pong columns and the inner product of each
@@ -256,13 +268,9 @@ def closed_blocks(steps, psi0s, configs):
     col_rows, nxt_rows = col[:, :width], nxt[:, :width]
     dot = np.empty((b, 1, 1), dtype=complex)
     dot_col, dot_re = dot[:, 0], dot.real
-    n_rec = n_steps // stride + 1
-    spacing = np.array([[c.dt * stride] for c in configs])
-    per_block = max(1, BLOCK_ENTRIES // (b * width * width))
-    norms = np.empty((min(per_block, n_rec) * stride, b, 1, 1))  # a block's steps
+    norms = np.empty((size * stride, b, 1, 1))  # a block's steps
     drift = np.zeros(b)
-    for start in range(0, n_rec, per_block):
-        block_times = np.arange(start, min(start + per_block, n_rec)) * spacing
+    for start, block_times in blocks:
         r = block_times.shape[1]
         states = np.empty((b, r, width), dtype=complex)
         i = 0
@@ -321,14 +329,11 @@ def lindblad_blocks(hops, rho0s, configs):
     radius on the reachable entries exceeds 1 + HOP_RADIUS_TOL, raises
     PositivityError.
     """
-    configs = list(configs)
-    n_steps, stride = configs[0].n_steps, configs[0].record_stride
-    if any(cfg.n_steps != n_steps or cfg.record_stride != stride for cfg in configs):
-        raise ValueError("lockstep open legs need one step count and record stride")
     rho0s, hops = np.asarray(rho0s, dtype=complex), np.asarray(hops)
     b, d = rho0s.shape[0], rho0s.shape[-1]
     if rho0s.shape != (b, d, d) or len(configs) != b or hops.shape != (b, d * d, d * d):
         raise ValueError("rho0 and hop dimensions disagree")
+    _, _, blocks = _record_blocks(configs, d * d)
     if not np.isfinite(hops).all():
         raise PositivityError("the RK4 hop is not finite (time step too large)")
     vecs = rho0s.reshape(b, d * d, 1)
@@ -339,11 +344,7 @@ def lindblad_blocks(hops, rho0s, configs):
     if radius > 1.0 + HOP_RADIUS_TOL:
         raise PositivityError(f"the RK4 hop amplifies by up to {radius:.6g} per record "
                               "(time step too large)")
-    n_rec = n_steps // stride + 1
-    spacing = np.array([[cfg.dt * stride] for cfg in configs])
-    per_block = max(1, BLOCK_ENTRIES // (b * d * d))
-    for start in range(0, n_rec, per_block):
-        block_times = np.arange(start, min(start + per_block, n_rec)) * spacing
+    for start, block_times in blocks:
         r = block_times.shape[1]
         states = np.empty((b, r, d * d, 1), dtype=complex)
         for k in range(r):  # each record's product straight into its slot

@@ -40,6 +40,7 @@ from .dynamics import (
     lindblad_blocks,
     rk4_hop,
     rk4_step_matrix,
+    step_count,
 )
 from .geomphase import (
     BranchTracker,
@@ -65,7 +66,7 @@ from .svg import bloch_chart, line_chart
 
 OMEGA_DEGRADED = 0.05
 START_SECTOR = 1  # the excitation sector N of every sweep's initial states
-MAX_STEPS = 1 << 30  # IntegratorConfig gives back every step count up to it exactly
+MAX_STEPS = 1 << 30  # the longest leg, in steps: a bound on a run's length
 
 # each row layout: its CSV columns and the %-template of one row
 # (%.17g for a float, %d for m, %s for text)
@@ -183,7 +184,7 @@ def _resonant(top: Optional[float] = None, label: str = "") -> Callable:
 
 def _two_records(spec: SweepSpec) -> None:
     """Check that the legs record two or more samples (planarity needs them)."""
-    if spec.periods * spec.steps_per_period <= 0.5:  # round() gives 0 steps
+    if step_count(spec.periods, spec.steps_per_period, spec.record_stride) == 0:
         raise ConfigError(f"{spec.kind} needs two or more records: raise integrator.periods")
 
 
@@ -289,12 +290,11 @@ def _bloch_planarity(points, rows) -> dict:
                           for key, xyz in paths.items()}}
 
 
-def leg_grid(params: ModelParams, n: int, space: SpaceSpec, periods: float,
-             steps_per_period: int, record_stride: int) -> tuple[float, IntegratorConfig]:
-    """(period, integrator grid) of the legs that start in sector ``n``, after
-    the truncation check (``reached_space``): the grid spans ``periods`` Rabi
-    periods of that sector, which must be finite and positive."""
-    reached_space(n, space)
+def leg_grid(params: ModelParams, n: int, periods: float, steps_per_period: int,
+             record_stride: int) -> tuple[float, IntegratorConfig]:
+    """(period, integrator grid) of the legs that start in sector ``n``: the
+    grid spans ``periods`` Rabi periods of that sector, which must be finite
+    and positive."""
     rabi = sector_analytics(params, n).rabi_frequency
     period = 2 * math.pi / rabi if rabi > 0 else math.inf
     if not 0 < period < math.inf:
@@ -320,21 +320,19 @@ def leg_setup(params, configs, n: int, space: SpaceSpec) -> tuple[np.ndarray, np
 def point_legs(points, n0: int, space: SpaceSpec, horizon: float, steps_per_period: int,
                record_stride: int):
     """``(chunk, periods, closed blocks, open blocks)`` of each chunk of
-    (value, params, initial state) points from sector ``n0``.  The step bound
-    and every point's grid (``leg_grid``) are checked first; a chunk holds at
-    most BLOCK_ENTRIES // d**4 points (one at least), d the reached space's
-    dimension, and its set-up is one stacked ``leg_setup`` of its distinct
-    parameters, indexed per point.  Both legs start on the reached space and
-    record it."""
+    (value, params, initial state) points from sector ``n0``.  The truncation,
+    the step bound and every point's grid (``leg_grid``) are checked first; a
+    chunk holds at most BLOCK_ENTRIES // d**4 points (one at least), d the
+    reached space's dimension, and its set-up is one stacked ``leg_setup`` of
+    its distinct parameters, indexed per point.  Both legs start on the
+    reached space and record it."""
     reached = reached_space(n0, space)
-    n_steps = horizon * steps_per_period  # inf where it overflows
-    if math.isfinite(n_steps):  # IntegratorConfig.for_periods' count
-        n_steps = -(-round(n_steps) // record_stride) * record_stride
+    n_steps = step_count(horizon, steps_per_period, record_stride)
     if n_steps > MAX_STEPS:
         raise ConfigError(f"a leg of {n_steps:.10g} steps exceeds the bound of {MAX_STEPS}: "
                           "lower integrator.periods (sweep.m_values for the gp kinds) "
                           "or integrator.steps_per_period")
-    grids = {params: leg_grid(params, n0, space, horizon, steps_per_period, record_stride)
+    grids = {params: leg_grid(params, n0, horizon, steps_per_period, record_stride)
              for _, params, _ in points}
     per_chunk = max(1, BLOCK_ENTRIES // reached.dim ** 4)
     for start in range(0, len(points), per_chunk):

@@ -154,7 +154,7 @@ def test_criterion_03_cptp_health():
     dt = period / 500
     n_steps = int(round(50.0 / OPEN.gamma / dt))
     n_steps += (-n_steps) % 500
-    config = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=500)
+    config = IntegratorConfig(dt=dt, n_steps=n_steps, record_stride=500)
     psi0 = initial_state(InitialStateSpec(theta0=0.0), SPACE)
     traj = evolve_lindblad(lindblad_spec(OPEN, SPACE),
                            np.outer(psi0, psi0.conj()), config)

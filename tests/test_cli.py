@@ -30,6 +30,8 @@ from kerrjc.cli import (
 )
 from kerrjc.experiments import KINDS, SweepSpec, default_spec, run_sweep
 
+HUGE = "1" + "0" * 399  # 400 digits: above every integer key's bound and every float
+
 FAST_GP = [
     "--set", "integrator.steps_per_period=500",
     "--set", "sweep.m_values=1",
@@ -267,6 +269,33 @@ class TestDispatch:
             assert code == EXIT_CONFIG
             assert key in capsys.readouterr().err
         assert integrated == []
+
+    @pytest.mark.parametrize("setting,command", [
+        (setting, command) for setting, commands in [
+            (f"space.n_max={HUGE}", ("evolve", "sweep", "bloch")),
+            (f"initial.n={HUGE}", ("evolve",)),
+            (f"integrator.steps_per_period={HUGE}", ("evolve", "sweep", "bloch")),
+            (f"integrator.record_stride={HUGE}", ("evolve", "sweep", "bloch")),
+            (f"sweep.grid_points={HUGE}", ("sweep",)),
+            (f"sweep.m_values=1,{HUGE}", ("sweep",)),
+            (f"sweep.workers={HUGE}", ("sweep",))]
+        for command in ("validate-config", *commands)],
+        ids=lambda v: v.partition("=")[0])
+    def test_integer_key_above_its_bound_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                    setting, command):
+        # a 400-digit integer is a config error naming its key, refused before
+        # it meets a float (an OverflowError) or an array size (a ValueError)
+        key = setting.partition("=")[0]
+        argv = ["sweep", "--kind", "gp_delta"] if command == "sweep" else [command]
+        if key == "sweep.grid_points":
+            argv += ["--set", "sweep.grid_start=0", "--set", "sweep.grid_stop=1"]
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
+        assert main([*argv, "--set", setting]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"config error: {key} must ") and "at most" in err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("setting", ["initial.theta0=7", "initial.theta0=-0.5",
                                          "initial.phi0=6.5", "initial.n=5"])

@@ -248,14 +248,14 @@ class TestEvolveClosed:
         # dt = 1e150 overflows the RK4 polynomial: the step holds infs and
         # NaNs, which _reached would read as links
         monkeypatch.setattr(dynamics, "_reached", mock.Mock(side_effect=AssertionError))
-        config = IntegratorConfig(dt=1e150, t_final=4e150, record_stride=1)
+        config = IntegratorConfig(dt=1e150, n_steps=4, record_stride=1)
         with pytest.raises(PositivityError, match="RK4 step is not finite"):
             evolve_closed(hamiltonian([RESONANT], SPACE)[0], basis_state("e", 0, SPACE), config)
 
     def test_norm_overflow_refused_before_yielding(self):
         # dt = 1e57 leaves the step finite (entries near 1e228), but the first
         # step's norm overflows: the block is refused, not yielded as NaNs
-        config = IntegratorConfig(dt=1e57, t_final=4e57, record_stride=1)
+        config = IntegratorConfig(dt=1e57, n_steps=4, record_stride=1)
         step = rk4_step_matrix(-1j * hamiltonian([RESONANT], SPACE), config.dt)
         blocks = dynamics.closed_blocks(step, [basis_state("e", 0, SPACE)], [config])
         with pytest.raises(StepOverflowError, match="norm overflowed"):
@@ -281,7 +281,7 @@ class TestEvolveLindblad:
         dt = period / 500
         n_steps = int(round(50.0 / params.gamma / dt))
         n_steps += (-n_steps) % 500
-        config = IntegratorConfig(dt=dt, t_final=n_steps * dt, record_stride=500)
+        config = IntegratorConfig(dt=dt, n_steps=n_steps, record_stride=500)
         psi0 = initial_state(InitialStateSpec(theta0=1.1, phi0=0.3), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
         traj = evolve_lindblad(lindblad_spec(params, SPACE), rho0, config)
@@ -314,7 +314,7 @@ class TestEvolveLindblad:
         sa = sector_analytics(params, 1)
         dt = (2 * math.pi / sa.rabi_frequency) / 2000
         steps = 400
-        config = IntegratorConfig(dt=dt, t_final=steps * dt, record_stride=steps)
+        config = IntegratorConfig(dt=dt, n_steps=steps, record_stride=steps)
         traj = evolve_lindblad(lindblad_spec(params, SPACE), full, config)
 
         b = block.copy()
@@ -349,7 +349,7 @@ class TestEvolveLindblad:
         params = ModelParams(delta=0.5, chi=0.5, gamma=2.0, p=1.0, p_z=1.0)
         psi0 = initial_state(InitialStateSpec(theta0=0.4), SPACE)
         rho0 = np.outer(psi0, psi0.conj())
-        config = IntegratorConfig(dt=2.0, t_final=40.0, record_stride=1)
+        config = IntegratorConfig(dt=2.0, n_steps=20, record_stride=1)
         with pytest.raises(PositivityError):
             evolve_lindblad(lindblad_spec(params, SPACE), rho0, config)
 
@@ -752,7 +752,7 @@ class TestRecordAndDump:
     def test_for_periods_gives_back_every_count_up_to_the_bound(self, period, steps_per_period,
                                                                 stride, count):
         # the step count rounded up to a whole stride, as the legs' step
-        # bound reads it, comes back from t_final / dt up to MAX_STEPS
+        # bound reads it, is the grid's n_steps, up to MAX_STEPS
         periods = count / steps_per_period
         n_steps = -(-round(periods * steps_per_period) // stride) * stride
         assume(n_steps <= MAX_STEPS)
@@ -761,8 +761,8 @@ class TestRecordAndDump:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.0, t_final=1.0)
+            IntegratorConfig(dt=0.0, n_steps=10)
         with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.1, t_final=1.05)
+            IntegratorConfig(dt=0.1, n_steps=-1)
         with pytest.raises(ValueError):
-            IntegratorConfig(dt=0.1, t_final=1.0, record_stride=3)
+            IntegratorConfig(dt=0.1, n_steps=10, record_stride=3)

@@ -697,14 +697,14 @@ class TestOpenPhases:
                             collapse_ops=((hilbert.sigma_z(SPACE), 0.05),))
         rho0 = np.zeros((SPACE.dim, SPACE.dim), dtype=complex)
         rho0[1, 1], rho0[2, 2] = 0.7, 0.3
-        config = IntegratorConfig(dt=0.01, t_final=2.0, record_stride=10)
+        config = IntegratorConfig(dt=0.01, n_steps=200, record_stride=10)
         traj = evolve_lindblad(spec, rho0, config)
         assert abs(phase_open_general(traj, 2.0)) < 1e-12
 
     def test_maximally_mixed_zero_phase(self):
         spec = LindbladSpec(hamiltonian=np.zeros((SPACE.dim, SPACE.dim), complex))
         rho0 = np.eye(SPACE.dim, dtype=complex) / SPACE.dim
-        config = IntegratorConfig(dt=0.01, t_final=1.0, record_stride=10)
+        config = IntegratorConfig(dt=0.01, n_steps=100, record_stride=10)
         traj = evolve_lindblad(spec, rho0, config)
         assert abs(phase_open_general(traj, 1.0)) < 1e-12
 

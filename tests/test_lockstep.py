@@ -88,8 +88,13 @@ def steps_of(hs, configs):
 
 
 def assert_lockstep_is_scalar(hs, psi0s, configs, block_records=None):
+    # the open legs of the same H and grids: both engines record on one loop
+    hops = hops_of([LindbladSpec(h) for h in hs], configs)
+    rho0s = np.array([np.outer(psi0, np.conj(psi0)) for psi0 in psi0s])
     with blocks_of(block_records, len(psi0s), SPACE.dim):
         blocks = list(closed_blocks(steps_of(hs, configs), psi0s, configs))
+        open_times = np.concatenate([t for t, _ in lindblad_blocks(hops, rho0s, configs)],
+                                    axis=1)
     states = np.concatenate([s for _, s, _ in blocks], axis=1)
     times = np.concatenate([t for t, _, _ in blocks], axis=1)
     drift = blocks[-1][2]
@@ -97,8 +102,8 @@ def assert_lockstep_is_scalar(hs, psi0s, configs, block_records=None):
         want, want_drift = scalar_closed(h, psi0, config)
         assert np.array_equal(states[j], want)
         assert drift[j] == want_drift
-        assert np.array_equal(times[j], np.arange(len(want))
-                              * (config.dt * config.record_stride))
+        for got in (times[j], open_times[j]):
+            assert np.array_equal(got, np.arange(len(want)) * (config.dt * config.record_stride))
 
 
 def test_lockstep_equals_scalar_loop():
@@ -375,8 +380,8 @@ class TestStackedSetup:
     def test_default_gp_delta_grid(self):
         spec = default_spec("gp_delta")
         params = [replace(spec.base_params, delta=delta) for delta in spec.grid]
-        configs = [leg_grid(p, 1, spec.space, 3.0, spec.steps_per_period,
-                            spec.record_stride)[1] for p in params]
+        configs = [leg_grid(p, 1, 3.0, spec.steps_per_period, spec.record_stride)[1]
+                   for p in params]
         assert len({c.dt for c in configs}) > 1
         assert_stack_is_each_point(params, configs, spec.space)
 
@@ -391,7 +396,7 @@ class TestStackedSetup:
         # below n_max: the stacked builds (one call each) are the lone builds
         n0 = min(n0, n_max - 1)
         params = [ModelParams(delta, chi, g).with_rates(*rates) for delta, chi, g, _ in points]
-        configs = [IntegratorConfig(dt=dt, t_final=dt * stride, record_stride=stride)
+        configs = [IntegratorConfig(dt=dt, n_steps=stride, record_stride=stride)
                    for *_, dt in points]
         assert_stack_is_each_point(params, configs, SpaceSpec(n_max), n0)
 

@@ -255,7 +255,7 @@ def test_trajectory_csv_equals_old_loop(leg, tmp_path):
 def _header(n_max: int, tmp_path) -> tuple[list[str], list[str]]:
     d = SpaceSpec(n_max).dim
     record = TrajectoryRecord(times=np.zeros(1), states=np.eye(d, dtype=complex)[:1],
-                              config=IntegratorConfig(dt=1.0, t_final=0.0))
+                              config=IntegratorConfig(dt=1.0, n_steps=0))
     write_trajectory_csv(_one_block(record), d, tmp_path / "new.csv")
     old_write_trajectory_csv(record, tmp_path / "old.csv")
     new, old = ((tmp_path / name).read_text().splitlines()[0].split(",")
